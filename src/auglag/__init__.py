@@ -20,6 +20,7 @@ from .core import (
     lagrangian_grad,
     lipschitz_bound_linear,
     mu_norm,
+    penalty_value_grad,
     theta,
     update_multipliers,
     update_penalty,

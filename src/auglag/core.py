@@ -5,6 +5,8 @@ formulas: a branch form (per-constraint case split on c_i(x) < lambda_i/sigma)
 and a shifted-square form with a negative-part clamp.  Every evaluation runs
 both and raises if they disagree beyond rounding, which turns any future
 formula edit that breaks one side into an immediate hard error.
+``penalty_value_grad`` returns P and its gradient from one evaluation of c(x)
+and runs the same check; ``eval_P`` and ``grad_P`` share its helpers.
 
 Branch tie rule: at c_i(x) == lambda_i/sigma exactly, the inequality term
 takes the constant branch, so its gradient contribution is zero.  P is
@@ -77,40 +79,42 @@ def lagrangian_grad(problem: ProblemSpec, x: np.ndarray, mult: MultiplierState) 
     return g - J.T @ mult.lam
 
 
-def _penalty_terms(problem: ProblemSpec, x: np.ndarray, lam: np.ndarray, sigma: float):
-    cons = problem.constraints
-    c = cons.c(x)
-    me = cons.m_e
+def _residuals(problem: ProblemSpec, x: np.ndarray, lam: np.ndarray, sigma: float):
+    """c(x), the shift lambda/sigma and the mask of rows on the constant branch."""
+    if sigma <= 0:
+        raise ValueError("sigma must be positive")
+    c = problem.constraints.c(x)
     shift = lam / sigma
+    # tie rule: c_i == lambda_i/sigma is inactive; a NaN row stays active, so
+    # the NaN reaches both P and its gradient
+    inactive = c >= shift
+    inactive[: problem.constraints.m_e] = False
+    return c, shift, inactive
+
+
+def _penalty_terms(problem: ProblemSpec, x: np.ndarray, lam: np.ndarray, sigma: float):
+    """c(x), the inactive-row mask, both penalty sums and the tolerance scale."""
+    c, shift, inactive = _residuals(problem, x, lam, sigma)
 
     # branch form
     quad = -lam * c + 0.5 * sigma * c * c
     const = -0.5 * lam * lam / sigma
-    active = np.ones(cons.m, dtype=bool)
-    active[me:] = c[me:] < shift[me:]
-    branch_sum = float(np.sum(np.where(active, quad, const)))
+    branch_sum = float(np.where(inactive, const, quad).sum())
 
-    # shifted-square form
+    # shifted-square form, from the shared residual d = c - lambda/sigma
     d = c - shift
-    d_ineq = np.minimum(d[me:], 0.0)
-    shifted_sum = 0.5 * sigma * (
-        float(np.sum(d[:me] * d[:me] - shift[:me] * shift[:me]))
-        + float(np.sum(d_ineq * d_ineq - shift[me:] * shift[me:]))
-    )
+    me = problem.constraints.m_e
+    d[me:] = np.minimum(d[me:], 0.0)
+    shifted_sum = 0.5 * sigma * float(d @ d - shift @ shift)
 
-    term_scale = float(
-        np.sum(np.abs(lam * c)) + 0.5 * sigma * np.sum(c * c) + 0.5 * np.sum(lam * lam) / sigma
-    )
-    return c, active, branch_sum, shifted_sum, term_scale
+    term_scale = float(np.abs(lam) @ np.abs(c) + 0.5 * sigma * (c @ c) + 0.5 * (lam @ lam) / sigma)
+    return c, inactive, branch_sum, shifted_sum, term_scale
 
 
-def eval_P(problem: ProblemSpec, x: np.ndarray, mult: MultiplierState, sigma: float) -> float:
-    """Augmented Lagrangian P(x, lambda, sigma), cross-checked over both forms."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    lam = mult.lam
+def _checked_P(problem: ProblemSpec, x: np.ndarray, lam: np.ndarray, sigma: float):
+    """P (branch form) after the two-formula cross-check, with c(x) and the mask."""
+    c, inactive, branch_sum, shifted_sum, term_scale = _penalty_terms(problem, x, lam, sigma)
     f = problem.objective.value(x)
-    _, _, branch_sum, shifted_sum, term_scale = _penalty_terms(problem, x, lam, sigma)
     p_branch = f + branch_sum
     p_shifted = f + shifted_sum
     tol = max(1e-10 * max(1.0, abs(p_branch), abs(p_shifted)), 1e-12 * (abs(f) + term_scale))
@@ -118,23 +122,32 @@ def eval_P(problem: ProblemSpec, x: np.ndarray, mult: MultiplierState, sigma: fl
         raise FormDisagreementError(
             f"augmented Lagrangian forms disagree: {p_branch!r} vs {p_shifted!r}"
         )
-    return p_branch
+    return p_branch, c, inactive
+
+
+def _grad_from(problem: ProblemSpec, x: np.ndarray, lam: np.ndarray, sigma: float, c, inactive):
+    coeff = sigma * c - lam
+    coeff[inactive] = 0.0
+    return problem.objective.gradient(x) + problem.constraints.jac(x).T @ coeff
+
+
+def eval_P(problem: ProblemSpec, x: np.ndarray, mult: MultiplierState, sigma: float) -> float:
+    """Augmented Lagrangian P(x, lambda, sigma), cross-checked over both forms."""
+    return _checked_P(problem, x, mult.lam, sigma)[0]
 
 
 def grad_P(problem: ProblemSpec, x: np.ndarray, mult: MultiplierState, sigma: float) -> np.ndarray:
     """Gradient of P in x; inactive inequality terms contribute zero."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    lam = mult.lam
-    cons = problem.constraints
-    c = cons.c(x)
-    me = cons.m_e
-    coeff = sigma * c - lam
-    if me < cons.m:
-        inactive = c[me:] >= lam[me:] / sigma
-        coeff[me:][inactive] = 0.0
-    J = cons.jac(x)
-    return problem.objective.gradient(x) + J.T @ coeff
+    c, _, inactive = _residuals(problem, x, mult.lam, sigma)
+    return _grad_from(problem, x, mult.lam, sigma, c, inactive)
+
+
+def penalty_value_grad(
+    problem: ProblemSpec, x: np.ndarray, mult: MultiplierState, sigma: float
+) -> tuple[float, np.ndarray]:
+    """(P, grad P) from one evaluation of c(x); P is cross-checked as in eval_P."""
+    p, c, inactive = _checked_P(problem, x, mult.lam, sigma)
+    return p, _grad_from(problem, x, mult.lam, sigma, c, inactive)
 
 
 def hess_P(problem: ProblemSpec, x: np.ndarray, sigma: float) -> np.ndarray:
@@ -144,7 +157,7 @@ def hess_P(problem: ProblemSpec, x: np.ndarray, sigma: float) -> np.ndarray:
         raise UnsupportedSpecializationError(
             "Hessian of P is only available for equality-only linear constraints"
         )
-    return problem.objective.hessian(x) + sigma * (cons.A.T @ cons.A)
+    return problem.objective.hessian(x) + sigma * cons.AtA
 
 
 def theta(problem: ProblemSpec, x_next: np.ndarray, mult: MultiplierState, sigma: float) -> ThetaStat:
@@ -201,6 +214,10 @@ def mu_norm(mult: MultiplierState, sigma: float) -> float:
     return float(np.linalg.norm(mult.lam)) / math.sqrt(sigma)
 
 
+def _lipschitz_linear(n: int, L1: float, sigma: float, norm_A_fro_sq: float) -> float:
+    return math.sqrt(n) * (L1 + sigma * norm_A_fro_sq)
+
+
 def lipschitz_bound_linear(L1: float, sigma: float, A: np.ndarray) -> float:
     """Global 2-norm Lipschitz constant of grad P for linear constraints.
 
@@ -208,8 +225,7 @@ def lipschitz_bound_linear(L1: float, sigma: float, A: np.ndarray) -> float:
     caller is responsible for checking that precondition.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
-    n = A.shape[1]
-    return math.sqrt(n) * (L1 + sigma * float(np.sum(A * A)))
+    return _lipschitz_linear(A.shape[1], L1, sigma, float(np.sum(A * A)))
 
 
 def lipschitz_bound_for(problem: ProblemSpec, sigma: float) -> float:
@@ -223,4 +239,4 @@ def lipschitz_bound_for(problem: ProblemSpec, sigma: float) -> float:
         )
     if problem.objective.L1 is None:
         raise UnsupportedSpecializationError("objective must declare a gradient Lipschitz constant")
-    return math.sqrt(problem.n) * (problem.objective.L1 + sigma * cons.norm_A_fro_sq)
+    return _lipschitz_linear(problem.n, problem.objective.L1, sigma, cons.norm_A_fro_sq)

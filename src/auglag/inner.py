@@ -11,7 +11,11 @@ Two families are provided:
   find on the secular equation in r = ||s||.
 
 One oracle call is one joint evaluation of value + gradient (+ Hessian where
-requested); line-search trial points count as one call each.
+requested); line-search trial points count as one call each.  A task may
+supply that joint evaluation as ``value_grad``, which the solvers use wherever
+they need both at one point (every gradient-descent start and fixed step, and
+the cubic-Newton start); Armijo trial points and cubic trial steps need only
+the value and call ``objective``.
 """
 from __future__ import annotations
 
@@ -49,6 +53,14 @@ class EigendecompositionFailure(RuntimeError):
 
 @dataclass
 class InnerTask:
+    """One unconstrained minimization of g from ``start`` to ||grad g||_2 <= eps.
+
+    ``value_grad(x)`` returns ``(g(x), grad g(x))`` and must agree with
+    ``objective`` and ``gradient``; a caller that can share work between the
+    two (such as one evaluation of c(x) for P and its gradient) passes it, and
+    otherwise it defaults to calling ``objective`` then ``gradient``.
+    """
+
     objective: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray]
     start: np.ndarray
@@ -56,8 +68,11 @@ class InnerTask:
     hessian: Optional[Callable[[np.ndarray], np.ndarray]] = None
     known_L: Optional[float] = None
     g_low: float = float("-inf")
+    value_grad: Optional[Callable[[np.ndarray], tuple[float, np.ndarray]]] = None
 
     def __post_init__(self) -> None:
+        if self.value_grad is None:
+            self.value_grad = lambda x: (self.objective(x), self.gradient(x))
         self.start = np.asarray(self.start, dtype=float).ravel()
         if not (self.eps > 0.0):
             raise ValueError("eps must be positive")
@@ -86,9 +101,14 @@ def _finite_scalar(v: float) -> float:
 
 def _finite_vec(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=float)
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise NonFiniteValue("oracle returned a non-finite vector")
     return v
+
+
+def _value_grad(task: InnerTask, x: np.ndarray) -> tuple[float, np.ndarray]:
+    f, g = task.value_grad(x)
+    return _finite_scalar(f), _finite_vec(g)
 
 
 def gd_solve(task: InnerTask, variant: str = FIXED_STEP) -> InnerResult:
@@ -99,8 +119,7 @@ def gd_solve(task: InnerTask, variant: str = FIXED_STEP) -> InnerResult:
         raise ValueError("fixed-step descent requires known_L")
 
     x = task.start.copy()
-    f = _finite_scalar(task.objective(x))
-    g = _finite_vec(task.gradient(x))
+    f, g = _value_grad(task, x)
     calls = 1
     trace = [f]
     f_start = f
@@ -121,8 +140,7 @@ def gd_solve(task: InnerTask, variant: str = FIXED_STEP) -> InnerResult:
             )
         if variant == FIXED_STEP:
             x_new = x - g / L
-            f_new = _finite_scalar(task.objective(x_new))
-            g_new = _finite_vec(task.gradient(x_new))
+            f_new, g_new = _value_grad(task, x_new)
             calls += 1
             if f_new > f + 1e-14 * max(1.0, abs(f)):
                 raise IterationCapExceeded(
@@ -164,7 +182,15 @@ def cubic_model_value(g: np.ndarray, H: np.ndarray, M: float, s: np.ndarray):
     return float(g @ s) + 0.5 * float(s @ (H @ s)) + (M / 6.0) * float(np.linalg.norm(s)) ** 3
 
 
-def solve_cubic_model(g: np.ndarray, H: np.ndarray, M: float) -> np.ndarray:
+def _model_eig(g: np.ndarray, H: np.ndarray):
+    """(w, Q, Q^T g) for the symmetric part of H = Q diag(w) Q^T."""
+    if not (np.all(np.isfinite(H)) and np.all(np.isfinite(g))):
+        raise EigendecompositionFailure("non-finite Hessian or gradient")
+    w, Q = np.linalg.eigh(0.5 * (H + H.T))
+    return w, Q, Q.T @ g
+
+
+def solve_cubic_model(g: np.ndarray, H: np.ndarray, M: float, eig=None) -> np.ndarray:
     """Exact global minimizer of the cubic-regularized quadratic model.
 
     Eigendecompose H, then find r = ||s|| from the secular equation
@@ -172,11 +198,11 @@ def solve_cubic_model(g: np.ndarray, H: np.ndarray, M: float) -> np.ndarray:
     fallback, to residual tolerance 1e-12.  The degenerate case where the
     gradient has no component on the minimal eigenspace is handled by adding
     an eigenvector component of the right length.
+
+    ``eig`` is ``_model_eig(g, H)`` from an earlier call with the same g and
+    H; passing it skips the eigendecomposition when only M has changed.
     """
-    if not (np.all(np.isfinite(H)) and np.all(np.isfinite(g))):
-        raise EigendecompositionFailure("non-finite Hessian or gradient")
-    w, Q = np.linalg.eigh(0.5 * (H + H.T))
-    ghat = Q.T @ g
+    w, Q, ghat = _model_eig(g, H) if eig is None else eig
     gnorm = float(np.linalg.norm(ghat))
     if gnorm == 0.0 and w[0] >= 0.0:
         return np.zeros_like(g)
@@ -242,13 +268,13 @@ def cubic_newton_solve(task: InnerTask) -> InnerResult:
 
     Steps are accepted when the actual decrease reaches a quarter of the
     model decrease; the regularization weight doubles on rejection and halves
-    (down to a floor) on acceptance.  Only accepted steps move the iterate.
+    (down to a floor) on acceptance.  Only accepted steps move the iterate, so
+    a rejected step reuses the eigendecomposition of H at the same point.
     """
     if task.hessian is None:
         raise ValueError("cubic Newton requires a Hessian oracle")
     x = task.start.copy()
-    f = _finite_scalar(task.objective(x))
-    g = _finite_vec(task.gradient(x))
+    f, g = _value_grad(task, x)
     H = np.asarray(task.hessian(x), dtype=float)
     calls = 1
     trace = [f]
@@ -257,10 +283,13 @@ def cubic_newton_solve(task: InnerTask) -> InnerResult:
 
     iters = 0
     accepted_steps = 0
+    eig = None  # eigendecomposition at x, kept across rejected steps
     while float(np.linalg.norm(g)) > task.eps:
         if iters >= _CUBIC_CAP:
             raise IterationCapExceeded("cubic Newton exceeded its iteration cap")
-        s = solve_cubic_model(g, H, M)
+        if eig is None:
+            eig = _model_eig(g, H)
+        s = solve_cubic_model(g, H, M, eig)
         model_dec = -cubic_model_value(g, H, M, s)
         x_trial = x + s
         f_trial = _finite_scalar(task.objective(x_trial))
@@ -270,6 +299,7 @@ def cubic_newton_solve(task: InnerTask) -> InnerResult:
             x, f = x_trial, f_trial
             g = _finite_vec(task.gradient(x))
             H = np.asarray(task.hessian(x), dtype=float)
+            eig = None
             accepted_steps += 1
             M = max(0.5 * M, _M_MIN)
             trace.append(f)

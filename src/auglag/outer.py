@@ -335,6 +335,7 @@ def _build_inner_task(
     return inner.InnerTask(
         objective=objective,
         gradient=gradient,
+        value_grad=lambda x: core.penalty_value_grad(problem, x, mult, sigma),
         hessian=hessian,
         start=start,
         eps=eps,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -59,7 +60,7 @@ class ObjectiveOracle:
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         g = np.asarray(self.grad_fn(x), dtype=float)
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise ObjectiveBelowBound("objective gradient is non-finite")
         return g
 
@@ -79,7 +80,8 @@ class ConstraintSet:
 
     Either an explicit linear form (A, b) with c(x) = A x - b, or general
     callables (c_fn, jac_fn).  The linear form enables the specializations
-    that need a closed-form Lipschitz constant for the penalized gradient.
+    that need a closed-form Lipschitz constant for the penalized gradient;
+    it caches ||A||_F^2 and A^T A, so A must not be mutated afterwards.
     """
 
     m: int
@@ -101,6 +103,11 @@ class ConstraintSet:
             self.norm_A_fro_sq = float(np.sum(self.A * self.A))
         elif self.c_fn is None or self.jac_fn is None:
             raise ValueError("either (A, b) or (c_fn, jac_fn) must be given")
+
+    @cached_property
+    def AtA(self) -> np.ndarray:
+        """A^T A, computed on first use (the Hessian of the penalty term)."""
+        return self.A.T @ self.A
 
     @property
     def kind(self) -> str:
@@ -268,7 +275,7 @@ def _check_n(n: int) -> None:
 def _quadratic_cos_objective(n: int, omega: float = _OMEGA) -> ObjectiveOracle:
     # f(x) = 0.5*||x||^2 + sum_j cos(omega*x_j); nonconvex for omega^2 > 1.
     def fn(x):
-        return 0.5 * float(x @ x) + float(np.sum(np.cos(omega * x)))
+        return 0.5 * float(x @ x) + float(np.cos(omega * x).sum())
 
     def grad(x):
         return x - omega * np.sin(omega * x)
@@ -430,7 +437,9 @@ def load_problem(path: str) -> ProblemSpec:
 
     Schema: {name, n, objective: {kind: "quadratic+cos"|"rosenbrock",
     omega?}, A: row-major nested array, b, m_e, x0, f_low?, L1?, L2?}.
-    Only the parametric objective kinds are loadable.
+    Only the parametric objective kinds are loadable.  Raises
+    ``ValidationError`` naming the field when x0 does not have length n, m_e
+    lies outside [0, m], or A, b, x0, f_low, L1 or L2 holds a non-finite value.
     """
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
@@ -445,11 +454,21 @@ def load_problem(path: str) -> ProblemSpec:
         raise ValidationError(f"unsupported objective kind {kind!r}")
     for key in ("f_low", "L1", "L2"):
         if key in data and data[key] is not None:
-            setattr(obj, key, float(data[key]))
-    A = np.asarray(data["A"], dtype=float).reshape(-1, n)
-    b = np.asarray(data["b"], dtype=float).ravel()
-    cons = ConstraintSet(m=A.shape[0], m_e=int(data["m_e"]), A=A, b=b)
-    return ProblemSpec(
-        name=str(data["name"]), objective=obj, constraints=cons,
-        x0=np.asarray(data["x0"], dtype=float),
-    )
+            setattr(obj, key, float(_finite(data[key], key)))
+    A = _finite(data["A"], "A").reshape(-1, n)
+    b = _finite(data["b"], "b").ravel()
+    x0 = _finite(data["x0"], "x0").ravel()
+    if x0.shape[0] != n:
+        raise ValidationError(f"x0 has length {x0.shape[0]}, expected n = {n}")
+    m_e = int(data["m_e"])
+    if not (0 <= m_e <= A.shape[0]):
+        raise ValidationError(f"m_e = {m_e} lies outside [0, m] with m = {A.shape[0]}")
+    cons = ConstraintSet(m=A.shape[0], m_e=m_e, A=A, b=b)
+    return ProblemSpec(name=str(data["name"]), objective=obj, constraints=cons, x0=x0)
+
+
+def _finite(value, field_name: str) -> np.ndarray:
+    arr = np.asarray(value, dtype=float)
+    if not np.isfinite(arr).all():
+        raise ValidationError(f"{field_name} holds a non-finite value")
+    return arr

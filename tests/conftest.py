@@ -29,3 +29,17 @@ def eq_cos_8():
     from auglag.problems import make_eq_cos
 
     return make_eq_cos(8)
+
+
+@pytest.fixture
+def skewed_forms(monkeypatch):
+    """Make the shifted-square form of P disagree with the branch form."""
+    from auglag import core
+
+    real = core._penalty_terms
+
+    def skewed(*args):
+        c, mask, branch_sum, shifted_sum, scale = real(*args)
+        return c, mask, branch_sum, shifted_sum + 1e-3, scale
+
+    monkeypatch.setattr(core, "_penalty_terms", skewed)

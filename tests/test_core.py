@@ -17,6 +17,7 @@ from auglag.core import (
     lagrangian_grad,
     lipschitz_bound_linear,
     mu_norm,
+    penalty_value_grad,
     theta,
     update_multipliers,
     update_penalty,
@@ -130,6 +131,55 @@ class TestGradP:
             checked += 1
 
 
+class TestPenaltyValueGrad:
+    def _tuples(self, p, rng, count):
+        cons = p.constraints
+        for i in range(count):
+            x = rng.uniform(-1.5, 1.5, p.n)
+            lam = np.concatenate(
+                [rng.normal(0, 2, cons.m_e), np.abs(rng.normal(0, 2, cons.m - cons.m_e))]
+            )
+            sigma = float(10.0 ** rng.uniform(-1, 3))
+            if i % 2 and cons.m > cons.m_e:
+                # put every nonnegative inequality row exactly on its seam,
+                # c_i == lambda_i/sigma, where the tie rule applies
+                c = cons.c(x)
+                rows = np.arange(cons.m_e, cons.m)
+                rows = rows[c[rows] >= 0.0]
+                sigma = 2.0
+                lam[rows] = c[rows] * sigma
+                assert np.all(c[rows] == lam[rows] / sigma)
+            yield x, MultiplierState(lam), sigma
+
+    @pytest.mark.parametrize("name", ["simplex-cos-8", "dup-eq-8", "eq-cos-8"])
+    def test_bitwise_equal_to_eval_and_grad(self, name):
+        p = corpus_problem(name)
+        ties = 0
+        for x, mult, sigma in self._tuples(p, np.random.default_rng(17), 400):
+            value, grad = penalty_value_grad(p, x, mult, sigma)
+            assert value == eval_P(p, x, mult, sigma)
+            assert grad.tobytes() == grad_P(p, x, mult, sigma).tobytes()
+            c = p.constraints.c(x)
+            ties += int(np.sum(c[p.constraints.m_e:] == mult.lam[p.constraints.m_e:] / sigma))
+        if p.constraints.m > p.constraints.m_e:
+            assert ties > 0
+
+    def test_nan_constraint_reaches_value_and_gradient(self):
+        p = make_tiny(0, lambda x: np.array([float("nan")]), lambda x: np.ones((1, 1)))
+        value, grad = penalty_value_grad(p, np.array([1.0]), _mult(1.0), 1.0)
+        assert math.isnan(value) and np.all(np.isnan(grad))
+
+    def test_form_disagreement_raises(self, skewed_forms):
+        p = corpus_problem("simplex-cos-8")
+        with pytest.raises(FormDisagreementError):
+            penalty_value_grad(p, p.x0, MultiplierState(np.zeros(9)), 1.0)
+
+    def test_sigma_must_be_positive(self):
+        p = make_tiny(1, lambda x: x.copy(), lambda x: np.ones((1, 1)))
+        with pytest.raises(ValueError):
+            penalty_value_grad(p, np.array([1.0]), _mult(0.0), 0.0)
+
+
 class TestHessP:
     def test_equality_only_linear(self):
         p = corpus_problem("eq-cos-8")
@@ -142,6 +192,13 @@ class TestHessP:
         p = corpus_problem("simplex-cos-8")
         with pytest.raises(UnsupportedSpecializationError):
             hess_P(p, p.x0, 1.0)
+
+    def test_cached_gram_matrix(self):
+        p = corpus_problem("eq-rosenbrock-32")
+        A = p.constraints.A
+        x = p.x0 + 0.1
+        expected = p.objective.hessian(x) + 5.0 * (A.T @ A)
+        assert hess_P(p, x, 5.0).tobytes() == expected.tobytes()
 
 
 class TestTheta:
@@ -282,6 +339,13 @@ class TestLipschitzBound:
         )
         with pytest.raises(UnsupportedSpecializationError):
             core.lipschitz_bound_for(q, 1.0)
+
+    def test_wrapper_matches_matrix_form_bitwise(self):
+        for name in ("simplex-cos-8", "simplex-cos-64", "dup-eq-32", "eq-cos-8"):
+            p = corpus_problem(name)
+            for sigma in (1.0, 27.0, 1e6):
+                got = core.lipschitz_bound_for(p, sigma)
+                assert got == lipschitz_bound_linear(p.objective.L1, sigma, p.constraints.A)
 
     def test_sampled_quotients_respect_bound(self):
         p = corpus_problem("simplex-cos-8")

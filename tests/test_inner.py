@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from auglag import core, inner
+from auglag import core, inner, outer, problems
 from auglag.inner import (
     BACKTRACKING,
     FIXED_STEP,
@@ -224,6 +224,65 @@ class TestCubicNewton:
         assert res.accepted
         diffs = np.diff(res.objective_trace)
         assert np.all(diffs <= 1e-14)
+
+
+def _penalty_task(name, kind, sigma=1.0, eps=1e-3):
+    p = corpus_problem(name)
+    mult = core.MultiplierState(np.zeros(p.constraints.m))
+    return outer._build_inner_task(p, mult, sigma, p.x0.copy(), eps, kind, -1e9)
+
+
+class TestFusedOracle:
+    def test_default_value_grad_calls_both_oracles(self):
+        task = _quadratic_task([4.0, -2.0], D=np.diag([1.0, 3.0]))
+        value, grad = task.value_grad(np.array([1.0, 1.0]))
+        assert value == 2.0
+        np.testing.assert_array_equal(grad, [1.0, 3.0])
+
+    def test_one_constraint_evaluation_per_fixed_step(self, monkeypatch):
+        task = _penalty_task("simplex-cos-8", outer.INNER_GD_FIXED, sigma=8.0)
+        calls = []
+        real = problems.ConstraintSet.c
+
+        def counted(self, x):
+            calls.append(1)
+            return real(self, x)
+
+        monkeypatch.setattr(problems.ConstraintSet, "c", counted)
+        res = gd_solve(task, FIXED_STEP)
+        assert res.iterations > 0
+        assert len(calls) == res.iterations + 1
+
+    def test_form_disagreement_stops_fixed_step_descent(self, skewed_forms):
+        task = _penalty_task("simplex-cos-8", outer.INNER_GD_FIXED)
+        with pytest.raises(core.FormDisagreementError):
+            gd_solve(task, FIXED_STEP)
+
+
+class TestCubicEigenReuse:
+    def test_one_eigendecomposition_per_accepted_point(self, monkeypatch):
+        task = _penalty_task("eq-rosenbrock-8", outer.INNER_CUBIC, eps=1e-6)
+        calls = []
+        real = np.linalg.eigh
+
+        def counted(a):
+            calls.append(1)
+            return real(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        res = cubic_newton_solve(task)
+        assert res.accepted
+        assert res.iterations > res.accepted_steps  # at least one rejected step
+        assert len(calls) == res.accepted_steps
+
+    def test_precomputed_eigendecomposition_gives_same_step(self):
+        rng = np.random.default_rng(3)
+        B = rng.standard_normal((5, 5))
+        H, g = 0.5 * (B + B.T), rng.standard_normal(5)
+        eig = inner._model_eig(g, H)
+        for M in (0.5, 1.0, 8.0):
+            fresh = solve_cubic_model(g, H, M)
+            assert solve_cubic_model(g, H, M, eig).tobytes() == fresh.tobytes()
 
 
 class TestWarmStart:

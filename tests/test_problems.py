@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from auglag import problems
+from auglag import cli, problems
 from auglag.problems import (
     ConstraintSet,
     ObjectiveOracle,
@@ -206,3 +206,34 @@ class TestLoadProblem:
     def test_missing_file(self):
         with pytest.raises(FileNotFoundError):
             load_problem("/no/such/file.json")
+
+
+_GOOD_FILE = {
+    "name": "file-simplex", "n": 2, "objective": {"kind": "quadratic+cos"},
+    "A": [[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]], "b": [1.0, 0.0, 0.0], "m_e": 1,
+    "x0": [0.5, 0.5], "f_low": -2.0, "L1": 17.0, "L2": 64.0,
+}
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("x0", [0.5, 0.25, 0.25]),
+        ("m_e", -1),
+        ("m_e", 4),
+        ("A", [[1.0, 1.0], [float("nan"), 0.0], [0.0, 1.0]]),
+        ("b", [1.0, float("inf"), 0.0]),
+        ("x0", [0.5, float("nan")]),
+        ("f_low", float("-inf")),
+        ("L1", float("nan")),
+        ("L2", float("inf")),
+    ],
+)
+def test_bad_problem_file_rejected_at_load(tmp_path, field, value):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(dict(_GOOD_FILE, **{field: value})))
+    with pytest.raises(ValidationError, match=rf"^{field} "):
+        load_problem(str(path))
+    code = cli.main(["solve", "--problem", str(path), "--out", str(tmp_path / "run")])
+    assert code == cli.EXIT_USAGE
+    assert not (tmp_path / "run.json").exists()
