@@ -12,7 +12,6 @@ import logging
 import math
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -24,6 +23,12 @@ EXIT_OK = 0
 EXIT_SOLVER_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_MONITOR = 3
+
+# keys a --config file may set, with the JSON type each value must have
+_CONFIG_KEYS = {
+    "eps": float, "alpha": float, "gamma": float, "sigma0": float,
+    "penalty_policy": str, "inner": str, "max_outer": int, "monitor": str,
+}
 
 
 def _setup_logging() -> None:
@@ -39,11 +44,26 @@ def _load_problem(ref: str) -> problems.ProblemSpec:
     return problems.corpus_problem(ref)
 
 
+def _read_overrides(path: str) -> dict:
+    """The --config file as a dict; an unknown key or a wrong-typed value raises ValueError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        overrides = json.load(fh)
+    if not isinstance(overrides, dict):
+        raise ValueError(f"--config file {path} must hold a JSON object")
+    for key, value in overrides.items():
+        if key not in _CONFIG_KEYS:
+            raise ValueError(
+                f"--config key {key!r} is unknown; accepted keys: {', '.join(_CONFIG_KEYS)}"
+            )
+        kind = _CONFIG_KEYS[key]
+        accepted = (int, float) if kind is float else kind
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            raise ValueError(f"--config key {key!r} needs a {kind.__name__} value, got {value!r}")
+    return overrides
+
+
 def _config_from_args(args, problem) -> outer.SolverConfig:
-    overrides = {}
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            overrides.update(json.load(fh))
+    overrides = _read_overrides(args.config) if args.config else {}
     inner_choice = args.inner if args.inner != "auto" else overrides.get("inner", "auto")
     if inner_choice == "auto":
         inner_choice = outer.default_inner_for(problem)
@@ -52,13 +72,13 @@ def _config_from_args(args, problem) -> outer.SolverConfig:
         alpha=args.alpha,
         gamma=args.gamma,
         sigma0=args.sigma0,
-        penalty_policy={"polynomial": "polynomial", "geometric": "geometric"}[args.penalty_policy],
+        penalty_policy=args.penalty_policy,
         inner=inner_choice,
         max_outer=args.max_outer,
         monitor=args.monitor,
     )
     for key, value in overrides.items():
-        if key in fields and key != "inner":
+        if key != "inner":  # the file beats the flags, except for the inner solver
             fields[key] = value
     return outer.SolverConfig(**fields)
 
@@ -93,7 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="solve over an eps grid and fit growth laws")
     _add_common_flags(p_sweep)
     p_sweep.add_argument("--eps-grid", required=True, help="comma-separated eps values")
-    p_sweep.add_argument("--jobs", type=int, default=1)
 
     p_check = sub.add_parser("check", help="validate a problem and the inner solvers")
     p_check.add_argument("--problem", required=True)
@@ -146,7 +165,7 @@ def _cmd_sweep(args) -> int:
     config = _config_from_args(args, problem)
     try:
         grid = [float(v) for v in args.eps_grid.split(",") if v.strip()]
-        result = complexity.sweep(problem, config, grid, jobs=args.jobs)
+        result = complexity.sweep(problem, config, grid)
     except ValueError as exc:
         log.error("invalid sweep request: %s", exc)
         return EXIT_USAGE

@@ -8,15 +8,14 @@ against the matching bound computed from observed inputs.
 """
 from __future__ import annotations
 
-import csv
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import outer
+from .outer import _write_csv, _write_json
 from .problems import ProblemSpec
 
 REGIME_BOUNDED = "BoundedSigma"
@@ -86,7 +85,12 @@ def _bound_inputs_from(report: outer.RunReport, problem: ProblemSpec) -> BoundIn
 
 
 def certify_run(report: outer.RunReport, problem: ProblemSpec, config: outer.SolverConfig) -> Certification:
-    """Check a finished run against the matching outer-iteration bound."""
+    """Check a finished run against the matching outer-iteration bound.
+
+    Every input is read from ``report.config``; ``config`` must equal it.
+    """
+    if config != report.config:
+        raise ValueError("config differs from the config the report was produced with")
     if report.terminated != outer.TERMINATED_KKT:
         raise ValueError(f"cannot certify a run terminated {report.terminated!r}")
     inputs = _bound_inputs_from(report, problem)
@@ -94,7 +98,7 @@ def certify_run(report: outer.RunReport, problem: ProblemSpec, config: outer.Sol
     grew = any(st.sigma > sigma0 for st in report.trace[1:])
     regime = REGIME_GROWING if grew else REGIME_BOUNDED
 
-    half = config.eps / 2.0
+    half = report.config.eps / 2.0
     first_ok: Optional[int] = None
     for st in report.trace[1:]:
         if st.theta is not None and st.theta <= half:
@@ -140,40 +144,15 @@ class SweepResult:
     ).split(",")
 
     def save_csv(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(self.CSV_COLUMNS)
-            for r in self.rows:
-                if r.failed:
-                    continue
-                writer.writerow(
-                    [r.eps, r.T_outer, r.total_inner, r.total_oracle_calls,
-                     r.sigma_final, r.bound_T, r.certified]
-                )
+        """Successful rows only; failed rows appear in the JSON alone."""
+        rows = ([getattr(r, col) for col in self.CSV_COLUMNS] for r in self.successful())
+        _write_csv(path, self.CSV_COLUMNS, rows)
 
     def save_json(self, path: str, fits: Optional[dict] = None) -> None:
-        payload = {
-            "problem": self.problem,
-            "rows": [
-                {
-                    "eps": r.eps,
-                    "T_outer": r.T_outer,
-                    "total_inner": r.total_inner,
-                    "total_oracle_calls": r.total_oracle_calls,
-                    "sigma_final": r.sigma_final,
-                    "bound_T": r.bound_T,
-                    "certified": r.certified,
-                    "failed": r.failed,
-                    "error": r.error,
-                }
-                for r in self.rows
-            ],
-        }
+        payload = {"problem": self.problem, "rows": [asdict(r) for r in self.rows]}
         if fits:
             payload["fits"] = fits
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        _write_json(path, payload)
 
 
 def _solve_row(problem: ProblemSpec, config: outer.SolverConfig) -> SweepRow:
@@ -201,7 +180,6 @@ def sweep(
     problem: ProblemSpec,
     base_config: outer.SolverConfig,
     eps_grid: Sequence[float],
-    jobs: int = 1,
 ) -> SweepResult:
     """One certified solve per eps; rows are ordered by descending eps."""
     if len(eps_grid) == 0:
@@ -210,16 +188,7 @@ def sweep(
         if not (0.0 < e < 1.0):
             raise ValueError(f"eps values must lie in (0,1), got {e}")
     grid = sorted(eps_grid, reverse=True)
-    from dataclasses import replace
-
-    configs = [replace(base_config, eps=e) for e in grid]
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(lambda c: _solve_row(problem, c), configs))
-    else:
-        rows = [_solve_row(problem, c) for c in configs]
+    rows = [_solve_row(problem, replace(base_config, eps=e)) for e in grid]
     return SweepResult(problem=problem.name, rows=rows)
 
 

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import csv
 import json
-import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import asdict, dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -104,14 +103,7 @@ class KKTReport:
     is_eps_kkt: bool
 
     def to_dict(self) -> dict:
-        return {
-            "dual_inf": self.dual_inf,
-            "primal_eq": self.primal_eq,
-            "primal_ineq": self.primal_ineq,
-            "sign_ok": self.sign_ok,
-            "compl_ok": self.compl_ok,
-            "is_eps_kkt": self.is_eps_kkt,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -121,6 +113,21 @@ class MonitorEntry:
     lhs: float
     rhs: float
     passed: bool
+
+
+def _write_json(path: str, payload: dict) -> None:
+    """The one JSON layout of every report: indent 1, sorted keys, final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
+def _write_csv(path: str, columns: Sequence[str], rows) -> None:
+    """Header plus one line per row; each row lists values in column order."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows(rows)
 
 
 @dataclass
@@ -197,9 +204,7 @@ class RunReport:
         }
 
     def save_json(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        _write_json(path, self.to_json_dict())
 
     CSV_COLUMNS = (
         "k,f,theta,sigma,mu_norm_sq,inner_iters,oracle_calls,"
@@ -207,28 +212,20 @@ class RunReport:
     ).split(",")
 
     def save_csv(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=self.CSV_COLUMNS)
-            writer.writeheader()
-            for row in self.trace_rows():
-                if row["theta"] is None:
-                    row["theta"] = ""
-                writer.writerow(row)
+        # theta is None at k = 0 and is written as an empty field
+        rows = ([row[col] for col in self.CSV_COLUMNS] for row in self.trace_rows())
+        _write_csv(path, self.CSV_COLUMNS, rows)
 
 
 def kkt_check(problem: ProblemSpec, x: np.ndarray, mult: core.MultiplierState, eps: float) -> KKTReport:
     """Direct eps-KKT test: stationarity, feasibility, signs, complementarity."""
-    lam = mult.lam
     cons = problem.constraints
     c = cons.c(x)
     me = cons.m_e
     dual = float(np.max(np.abs(core.lagrangian_grad(problem, x, mult))))
-    primal_eq = float(np.max(np.abs(c[:me]))) if me > 0 else 0.0
-    primal_ineq = (
-        float(np.max(np.abs(np.minimum(c[me:], 0.0)))) if me < cons.m else 0.0
-    )
-    sign_ok = bool(np.all(lam[me:] >= 0.0))
-    compl_ok = bool(np.all(lam[me:][c[me:] > eps] == 0.0))
+    primal_eq, primal_ineq = cons.primal_residuals(c)
+    sign_ok = mult.check_signs(me)
+    compl_ok = bool(np.all(mult.lam[me:][c[me:] > eps] == 0.0))
     is_kkt = (
         dual <= eps and primal_eq <= eps and primal_ineq <= eps and sign_ok and compl_ok
     )
@@ -264,22 +261,14 @@ def monitor_step(
     rhs = mu0_norm_sq + 2.0 * gap * (k + 1)
     entries.append(MonitorEntry(k + 1, "mu_growth", lhs, rhs, _slacked(lhs, rhs)))
 
-    c = problem.constraints.c(x_next)
-    me = problem.constraints.m_e
     if k >= 1:
-        eq_res = (
-            float(np.max(np.abs(c[:me] - lam_k.lam[:me] / sigma_k))) if me > 0 else 0.0
-        )
-        ineq_res = (
-            float(np.max(np.abs(np.minimum(c[me:], 0.0))))
-            if me < problem.constraints.m
-            else 0.0
-        )
+        th = core.theta(problem, x_next, lam_k, sigma_k)
+        # theta's shifted-equality and inequality parts; an absent part is -inf
+        residual = max(max(part, 0.0) for part in th.parts[1:])
         rhs = k * (mu0_norm_sq + 4.0 * gap)
-        lhs = sigma_k * max(eq_res, ineq_res) ** 2
+        lhs = sigma_k * residual ** 2
         entries.append(MonitorEntry(k + 1, "penalized_residual", lhs, rhs, _slacked(lhs, rhs)))
 
-        th = core.theta(problem, x_next, lam_k, sigma_k)
         lhs = sigma_k * th.value ** 2
         entries.append(MonitorEntry(k + 1, "penalized_theta", lhs, rhs, _slacked(lhs, rhs)))
 

@@ -137,6 +137,13 @@ class ConstraintSet:
             return self.A
         return np.atleast_2d(np.asarray(self.jac_fn(x), dtype=float))
 
+    def primal_residuals(self, c: np.ndarray) -> tuple[float, float]:
+        """(max |c_eq|, max |min(c_ineq, 0)|) for constraint values c; absent rows give 0."""
+        me = self.m_e
+        eq = float(np.max(np.abs(c[:me]))) if me > 0 else 0.0
+        ineq = float(np.max(np.abs(np.minimum(c[me:], 0.0)))) if me < self.m else 0.0
+        return eq, ineq
+
 
 @dataclass
 class ProblemSpec:
@@ -156,11 +163,7 @@ class ProblemSpec:
 
     def feasibility_violation(self, x: np.ndarray) -> float:
         """max of equality residual and inequality violation at x."""
-        c = self.constraints.c(x)
-        me = self.constraints.m_e
-        eq = float(np.max(np.abs(c[:me]))) if me > 0 else 0.0
-        ineq = float(np.max(np.maximum(-c[me:], 0.0))) if me < self.constraints.m else 0.0
-        return max(eq, ineq)
+        return max(self.constraints.primal_residuals(self.constraints.c(x)))
 
     def check_feasible_start(self) -> None:
         viol = self.feasibility_violation(self.x0)
@@ -438,12 +441,16 @@ def load_problem(path: str) -> ProblemSpec:
     Schema: {name, n, objective: {kind: "quadratic+cos"|"rosenbrock",
     omega?}, A: row-major nested array, b, m_e, x0, f_low?, L1?, L2?}.
     Only the parametric objective kinds are loadable.  Raises
-    ``ValidationError`` naming the field when x0 does not have length n, m_e
-    lies outside [0, m], or A, b, x0, f_low, L1 or L2 holds a non-finite value.
+    ``ValidationError`` naming the field when n < 1, A's size is not a
+    multiple of n, b's length differs from A's row count, x0 does not have
+    length n, m_e lies outside [0, m], L1 or L2 is negative, or A, b, x0,
+    f_low, L1 or L2 holds a non-finite value.
     """
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     n = int(data["n"])
+    if n < 1:
+        raise ValidationError(f"n = {n} must be at least 1")
     spec = data["objective"]
     kind = spec["kind"]
     if kind == "quadratic+cos":
@@ -454,9 +461,17 @@ def load_problem(path: str) -> ProblemSpec:
         raise ValidationError(f"unsupported objective kind {kind!r}")
     for key in ("f_low", "L1", "L2"):
         if key in data and data[key] is not None:
-            setattr(obj, key, float(_finite(data[key], key)))
-    A = _finite(data["A"], "A").reshape(-1, n)
+            value = float(_finite(data[key], key))
+            if key != "f_low" and value < 0.0:
+                raise ValidationError(f"{key} = {value} must be nonnegative")
+            setattr(obj, key, value)
+    A = _finite(data["A"], "A")
+    if A.size % n != 0:
+        raise ValidationError(f"A has {A.size} entries, not a multiple of n = {n}")
+    A = A.reshape(-1, n)
     b = _finite(data["b"], "b").ravel()
+    if b.shape[0] != A.shape[0]:
+        raise ValidationError(f"b has length {b.shape[0]}, expected {A.shape[0]} (the rows of A)")
     x0 = _finite(data["x0"], "x0").ravel()
     if x0.shape[0] != n:
         raise ValidationError(f"x0 has length {x0.shape[0]}, expected n = {n}")

@@ -35,16 +35,18 @@ class TestSolveCommand:
 
     def test_config_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"gamma": 0.25, "max_outer": 500}))
+        cfg.write_text(json.dumps({"gamma": 0.25, "max_outer": 500, "inner": "gd-backtracking"}))
         out = tmp_path / "run"
         code = cli.main(
-            ["solve", "--problem", "eq-qp-analytic", "--eps", "1e-4",
-             "--config", str(cfg), "--out", str(out)]
+            ["solve", "--problem", "eq-qp-analytic", "--eps", "1e-4", "--gamma", "0.75",
+             "--inner", "cubic-newton", "--config", str(cfg), "--out", str(out)]
         )
         assert code == cli.EXIT_OK
         data = json.loads((tmp_path / "run.json").read_text())
+        # the file beats the flags, except for the inner solver
         assert data["config"]["gamma"] == 0.25
         assert data["config"]["max_outer"] == 500
+        assert data["config"]["inner"] == "cubic-newton"
 
     def test_monitor_violation_exit_code(self, tmp_path, monkeypatch):
         def boom(problem, config):
@@ -98,6 +100,40 @@ class TestSweepCommand:
             ["sweep", "--problem", "eq-qp-analytic", "--eps-grid", "2.0,1e-2"]
         )
         assert code == cli.EXIT_USAGE
+
+    def test_jobs_flag_removed(self):
+        code = cli.main(
+            ["sweep", "--problem", "eq-qp-analytic", "--eps-grid", "1e-2", "--jobs", "2"]
+        )
+        assert code == cli.EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "overrides,named",
+    [
+        ({"gama": 0.25}, "'gama'"),
+        ({"inner_eps": 1e-4}, "'inner_eps'"),
+        ({"require_theta_half": True}, "'require_theta_half'"),
+        ({"alpha": "3"}, "'alpha'"),
+        ({"max_outer": 10.5}, "'max_outer'"),
+        ({"sigma0": True}, "'sigma0'"),
+        ({"monitor": 1}, "'monitor'"),
+        ([0.25], "JSON object"),
+    ],
+    ids=["unknown", "inner_eps", "require_theta_half", "str-for-float", "float-for-int",
+         "bool-for-float", "int-for-str", "not-an-object"],
+)
+def test_bad_config_file_is_usage_error(tmp_path, caplog, overrides, named):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(overrides))
+    out = tmp_path / "run"
+    code = cli.main(
+        ["solve", "--problem", "eq-qp-analytic", "--eps", "1e-4",
+         "--config", str(cfg), "--out", str(out)]
+    )
+    assert code == cli.EXIT_USAGE
+    assert named in caplog.text
+    assert not (tmp_path / "run.json").exists()
 
 
 class TestCheckCommand:

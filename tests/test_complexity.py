@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -110,6 +111,15 @@ class TestCertifyRun:
         with pytest.raises(ValueError):
             certify_run(report, p, report.config)
 
+    def test_mismatched_config_rejected(self):
+        p = corpus_problem("simplex-cos-8")
+        report = solve(p, SolverConfig(eps=1e-3, inner="gd-fixed"))
+        other = dataclasses.replace(report.config, eps=1e-2)
+        with pytest.raises(ValueError, match="config"):
+            certify_run(report, p, other)
+        # an equal config built separately is accepted
+        assert certify_run(report, p, dataclasses.replace(report.config)).certified
+
 
 class TestSweep:
     def test_three_point_grid(self):
@@ -143,30 +153,37 @@ class TestSweep:
         result = sweep(p, cfg, [1e-2, 1e-3])
         assert all(r.failed and r.error for r in result.rows)
 
-    def test_parallel_matches_serial(self):
-        p = corpus_problem("eq-qp-analytic")
-        cfg = SolverConfig(eps=1e-2, inner="cubic-newton")
-        grid = [1e-2, 1e-3, 1e-4]
-        serial = sweep(p, cfg, grid, jobs=1)
-        parallel = sweep(p, cfg, grid, jobs=3)
-        assert [(r.eps, r.T_outer, r.total_inner) for r in serial.rows] == [
-            (r.eps, r.T_outer, r.total_inner) for r in parallel.rows
-        ]
-
     def test_save_outputs(self, tmp_path):
         p = corpus_problem("eq-qp-analytic")
         result = sweep(p, SolverConfig(eps=1e-2, inner="cubic-newton"), [1e-2, 1e-3, 1e-4])
+        result.rows.append(SweepRow(
+            eps=1e-5, T_outer=0, total_inner=0, total_oracle_calls=0,
+            sigma_final=float("nan"), bound_T=float("nan"), certified=False,
+            failed=True, error="forced",
+        ))
         csv_path = tmp_path / "sweep.csv"
         json_path = tmp_path / "sweep.json"
         result.save_csv(str(csv_path))
         coeff, slope, r2 = fit_growth(result, LOG_LINEAR)
-        result.save_json(str(json_path), fits={"LogLinear": {"slope": slope}})
+        fits = {"LogLinear": {"slope": slope}}
+        result.save_json(str(json_path), fits=fits)
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0].split(",") == SweepResult.CSV_COLUMNS
-        assert len(lines) == 4
+        assert len(lines) == 4  # the failed row is left out of the CSV
         data = json.loads(json_path.read_text())
         assert data["problem"] == "eq-qp-analytic"
-        assert "fits" in data and len(data["rows"]) == 3
+        assert "fits" in data and len(data["rows"]) == 4  # ...but kept in the JSON
+        assert data["rows"][-1]["failed"] is True and data["rows"][-1]["error"] == "forced"
+        fields = {f.name for f in dataclasses.fields(SweepRow)}
+        assert all(set(row) == fields for row in data["rows"])
+        payload = {
+            "problem": result.problem,
+            "rows": [dataclasses.asdict(r) for r in result.rows],
+            "fits": fits,
+        }
+        assert json_path.read_text(encoding="utf-8") == (
+            json.dumps(payload, indent=1, sort_keys=True) + "\n"
+        )
 
 
 def _synthetic_result(rows):

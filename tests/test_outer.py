@@ -202,6 +202,12 @@ class TestReportSerialization:
         assert len(data["trace"]) == report.T_outer + 1
         assert data["trace"][0]["theta"] is None
 
+    def test_json_layout(self, report, tmp_path):
+        path = tmp_path / "run.json"
+        report.save_json(str(path))
+        want = json.dumps(report.to_json_dict(), indent=1, sort_keys=True) + "\n"
+        assert path.read_text(encoding="utf-8") == want
+
     def test_json_deterministic(self, report, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         report.save_json(str(a))

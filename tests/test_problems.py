@@ -227,6 +227,11 @@ _GOOD_FILE = {
         ("f_low", float("-inf")),
         ("L1", float("nan")),
         ("L2", float("inf")),
+        ("n", 0),
+        ("L1", -1.0),
+        ("L2", -0.5),
+        ("A", [1.0, 1.0, 1.0, 0.0, 0.0]),
+        ("b", [1.0, 0.0]),
     ],
 )
 def test_bad_problem_file_rejected_at_load(tmp_path, field, value):
