@@ -25,8 +25,8 @@ from .core import (
     update_multipliers,
     update_penalty,
 )
-from .inner import InnerResult, InnerTask, cubic_newton_solve, gd_solve, warm_start
-from .outer import KKTReport, RunReport, SolverConfig, kkt_check, solve
+from .inner import InnerResult, InnerTask, cubic_newton_solve, gd_solve
+from .outer import KKTReport, RunReport, SolverConfig, kkt_check, solve, warm_start
 from .complexity import (
     BoundInputs,
     bound_T_bounded,

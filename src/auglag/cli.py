@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from . import complexity, inner, outer, problems
+from . import complexity, core, inner, outer, problems
 
 log = logging.getLogger("auglag")
 
@@ -99,7 +99,6 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--monitor", choices=["strict", "record"], default="strict")
     p.add_argument("--config", help="JSON file with solver-config overrides")
     p.add_argument("--out", default=None, help="output path (extension added per format)")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=["json", "csv", "both"], default="json")
 
 
@@ -239,7 +238,10 @@ def main(argv=None) -> int:
         if args.subcommand == "check":
             return _cmd_check(args)
         return _cmd_list(args)
-    except (ValueError, KeyError, FileNotFoundError, problems.ValidationError) as exc:
+    except (
+        ValueError, KeyError, FileNotFoundError, problems.ValidationError,
+        core.UnsupportedSpecializationError,
+    ) as exc:
         log.error("usage error: %s", exc)
         return EXIT_USAGE
 

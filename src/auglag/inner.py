@@ -25,9 +25,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import core
-from .problems import ProblemSpec
-
 FIXED_STEP = "fixed"
 BACKTRACKING = "backtracking"
 
@@ -318,19 +315,3 @@ def cubic_newton_solve(task: InnerTask) -> InnerResult:
         objective_trace=trace,
     )
 
-
-def warm_start(
-    problem: ProblemSpec,
-    mult: core.MultiplierState,
-    sigma: float,
-    x0: np.ndarray,
-    x_prev: np.ndarray,
-) -> np.ndarray:
-    """The better of {x0, x_prev} under the current augmented Lagrangian.
-
-    Ties return x_prev.  Starting the monotone inner solver here makes the
-    final inner iterate automatically no worse than both candidates.
-    """
-    p0 = core.eval_P(problem, np.asarray(x0, dtype=float), mult, sigma)
-    pp = core.eval_P(problem, np.asarray(x_prev, dtype=float), mult, sigma)
-    return np.asarray(x0 if p0 < pp else x_prev, dtype=float).copy()

@@ -55,7 +55,6 @@ class SolverConfig:
     inner: str = INNER_GD_FIXED
     max_outer: int = 10_000
     monitor: str = MONITOR_STRICT
-    inner_eps: Optional[float] = None  # override; defaults to eps
     # When True, keep iterating until theta <= eps/2 as well as the direct
     # KKT test; certification of the outer-iteration bounds needs the first
     # theta-crossing, which the direct test alone can preempt.
@@ -170,16 +169,8 @@ class RunReport:
         return rows
 
     def to_json_dict(self) -> dict:
-        cfg = {
-            "eps": self.config.eps,
-            "alpha": self.config.alpha,
-            "gamma": self.config.gamma,
-            "sigma0": self.config.sigma0,
-            "penalty_policy": self.config.penalty_policy,
-            "inner": self.config.inner,
-            "max_outer": self.config.max_outer,
-            "monitor": self.config.monitor,
-        }
+        cfg = asdict(self.config)
+        del cfg["require_theta_half"]
         return {
             "problem": self.problem,
             "config": cfg,
@@ -243,11 +234,16 @@ def monitor_step(
     mu0_norm_sq: float,
     f0: float,
     f_low: float,
+    th: core.ThetaStat,
+    p_prev: float,
+    p_zero: float,
 ) -> list[MonitorEntry]:
     """Evaluate the guaranteed inequalities linking two consecutive states.
 
     ``prev`` is the state at index k (multipliers and penalty used by the
-    inner solve), ``next_state`` the state at k+1 it produced.
+    inner solve), ``next_state`` the state at k+1 it produced.  ``th`` is
+    theta at x_{k+1} and ``p_prev``/``p_zero`` are P at x_k and x0, all under
+    (lambda_k, sigma_k), as ``solve`` already computed them.
     """
     k = prev.k
     gap = f0 - f_low
@@ -262,7 +258,6 @@ def monitor_step(
     entries.append(MonitorEntry(k + 1, "mu_growth", lhs, rhs, _slacked(lhs, rhs)))
 
     if k >= 1:
-        th = core.theta(problem, x_next, lam_k, sigma_k)
         # theta's shifted-equality and inequality parts; an absent part is -inf
         residual = max(max(part, 0.0) for part in th.parts[1:])
         rhs = k * (mu0_norm_sq + 4.0 * gap)
@@ -272,16 +267,15 @@ def monitor_step(
         lhs = sigma_k * th.value ** 2
         entries.append(MonitorEntry(k + 1, "penalized_theta", lhs, rhs, _slacked(lhs, rhs)))
 
+    # the inner solver tracks min(f, f_new), not P(x_{k+1}), so evaluate it here
     p_next = core.eval_P(problem, x_next, lam_k, sigma_k)
-    p_prev = core.eval_P(problem, prev.x, lam_k, sigma_k)
-    p_zero = core.eval_P(problem, np.asarray(problem.x0, dtype=float), lam_k, sigma_k)
     rhs = min(p_prev, p_zero)
     entries.append(MonitorEntry(k + 1, "inner_decrease", p_next, rhs, _slacked(p_next, rhs)))
     entries.append(MonitorEntry(k + 1, "feasible_upper_bound", p_zero, f0, _slacked(p_zero, f0)))
 
     # penalty lower bound: P(x) >= f(x) - 0.5*sum(lambda^2)/sigma
     lam_vec = lam_k.lam
-    lhs = problem.objective.value(x_next) - 0.5 * float(np.sum(lam_vec * lam_vec)) / sigma_k
+    lhs = next_state.f - 0.5 * float(np.sum(lam_vec * lam_vec)) / sigma_k
     entries.append(
         MonitorEntry(k + 1, "penalty_lower_bound", lhs, p_next, _slacked(lhs, p_next))
     )
@@ -294,6 +288,25 @@ def monitor_step(
         MonitorEntry(k + 1, "dual_identity", lhs, _DUAL_IDENTITY_TOL, lhs <= _DUAL_IDENTITY_TOL)
     )
     return entries
+
+
+def warm_start(
+    problem: ProblemSpec,
+    mult: core.MultiplierState,
+    sigma: float,
+    x0: np.ndarray,
+    x_prev: np.ndarray,
+) -> tuple[np.ndarray, float, float]:
+    """The better of {x0, x_prev} under the current augmented Lagrangian.
+
+    Returns ``(start, P(x0), P(x_prev))``; ``start`` is a copy, and ties
+    return x_prev.  Starting the monotone inner solver here makes the final
+    inner iterate automatically no worse than both candidates.
+    """
+    p_zero = core.eval_P(problem, np.asarray(x0, dtype=float), mult, sigma)
+    p_prev = core.eval_P(problem, np.asarray(x_prev, dtype=float), mult, sigma)
+    start = np.asarray(x0 if p_zero < p_prev else x_prev, dtype=float).copy()
+    return start, p_zero, p_prev
 
 
 def _build_inner_task(
@@ -361,7 +374,6 @@ def solve(problem: ProblemSpec, config: SolverConfig) -> RunReport:
     """
     problem.check_feasible_start()
     eps = config.eps
-    inner_eps = config.inner_eps if config.inner_eps is not None else eps
     x0 = np.asarray(problem.x0, dtype=float)
     f_low = problem.objective.f_low
     f0 = problem.objective.value(x0)
@@ -398,10 +410,10 @@ def solve(problem: ProblemSpec, config: SolverConfig) -> RunReport:
         if pen.sigma > _SIGMA_CAP:
             terminated = TERMINATED_SIGMA_OVERFLOW
             break
-        start = inner.warm_start(problem, mult, pen.sigma, x0, state.x)
+        start, p_zero, p_prev = warm_start(problem, mult, pen.sigma, x0, state.x)
         total_calls += 2  # warm-start comparison evaluations
         p_low = f_low - 0.5 * mu0_sq - gap0 * k
-        task = _build_inner_task(problem, mult, pen.sigma, start, inner_eps, config.inner, p_low)
+        task = _build_inner_task(problem, mult, pen.sigma, start, eps, config.inner, p_low)
         try:
             res = _run_inner(task, config.inner)
         except (inner.IterationCapExceeded, inner.NonFiniteValue, inner.EigendecompositionFailure) as exc:
@@ -430,7 +442,7 @@ def solve(problem: ProblemSpec, config: SolverConfig) -> RunReport:
             primal_ineq=kkt.primal_ineq,
         )
 
-        entries = monitor_step(state, next_state, problem, mu0_sq, f0, f_low)
+        entries = monitor_step(state, next_state, problem, mu0_sq, f0, f_low, th_next, p_prev, p_zero)
         if kkt.dual_inf > eps:
             entries.append(MonitorEntry(k + 1, "dual_residual", kkt.dual_inf, eps, False))
         if th_next.value <= eps / 2.0 and not kkt.is_eps_kkt:

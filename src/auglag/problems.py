@@ -441,14 +441,15 @@ def load_problem(path: str) -> ProblemSpec:
     Schema: {name, n, objective: {kind: "quadratic+cos"|"rosenbrock",
     omega?}, A: row-major nested array, b, m_e, x0, f_low?, L1?, L2?}.
     Only the parametric objective kinds are loadable.  Raises
-    ``ValidationError`` naming the field when n < 1, A's size is not a
-    multiple of n, b's length differs from A's row count, x0 does not have
-    length n, m_e lies outside [0, m], L1 or L2 is negative, or A, b, x0,
+    ``ValidationError`` naming the field when n or m_e is not a JSON
+    integer, n < 1, A's size is not a multiple of n, b's length differs from
+    A's row count, x0 does not have length n, m_e lies outside [0, m], L1 or
+    L2 is negative, A, b or x0 is not a regular numeric array, or A, b, x0,
     f_low, L1 or L2 holds a non-finite value.
     """
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    n = int(data["n"])
+    n = _integer(data["n"], "n")
     if n < 1:
         raise ValidationError(f"n = {n} must be at least 1")
     spec = data["objective"]
@@ -475,15 +476,24 @@ def load_problem(path: str) -> ProblemSpec:
     x0 = _finite(data["x0"], "x0").ravel()
     if x0.shape[0] != n:
         raise ValidationError(f"x0 has length {x0.shape[0]}, expected n = {n}")
-    m_e = int(data["m_e"])
+    m_e = _integer(data["m_e"], "m_e")
     if not (0 <= m_e <= A.shape[0]):
         raise ValidationError(f"m_e = {m_e} lies outside [0, m] with m = {A.shape[0]}")
     cons = ConstraintSet(m=A.shape[0], m_e=m_e, A=A, b=b)
     return ProblemSpec(name=str(data["name"]), objective=obj, constraints=cons, x0=x0)
 
 
+def _integer(value, field_name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{field_name} = {value!r} must be an integer")
+    return value
+
+
 def _finite(value, field_name: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{field_name} is not a regular numeric array: {exc}") from exc
     if not np.isfinite(arr).all():
         raise ValidationError(f"{field_name} holds a non-finite value")
     return arr

@@ -343,7 +343,7 @@ def test_11_lipschitz_bound_validity():
 
 def test_12_determinism(tmp_path):
     args = ["solve", "--problem", "simplex-cos-8", "--eps", "1e-3",
-            "--inner", "gd-fixed", "--seed", "0", "--format", "both"]
+            "--inner", "gd-fixed", "--format", "both"]
     code_a = cli.main(args + ["--out", str(tmp_path / "a")])
     code_b = cli.main(args + ["--out", str(tmp_path / "b")])
     same_json = (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()

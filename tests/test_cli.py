@@ -68,6 +68,19 @@ class TestSolveCommand:
         )
         assert code == cli.EXIT_SOLVER_FAILURE
 
+    @pytest.mark.parametrize(
+        "problem,inner",
+        [("dup-eq-8", "cubic-newton"), ("simplex-cos-8", "cubic-newton"),
+         ("eq-rosenbrock-8", "gd-fixed")],
+    )
+    def test_unsupported_inner_is_usage_error(self, tmp_path, caplog, problem, inner):
+        code = cli.main(
+            ["solve", "--problem", problem, "--inner", inner, "--out", str(tmp_path / "run")]
+        )
+        assert code == cli.EXIT_USAGE
+        assert "usage error" in caplog.text
+        assert not (tmp_path / "run.json").exists()
+
     def test_solve_from_file(self, tmp_path):
         prob = tmp_path / "prob.json"
         prob.write_text(json.dumps({
@@ -101,9 +114,10 @@ class TestSweepCommand:
         )
         assert code == cli.EXIT_USAGE
 
-    def test_jobs_flag_removed(self):
+    @pytest.mark.parametrize("flag", ["--jobs", "--seed"])
+    def test_removed_flag_rejected(self, flag):
         code = cli.main(
-            ["sweep", "--problem", "eq-qp-analytic", "--eps-grid", "1e-2", "--jobs", "2"]
+            ["sweep", "--problem", "eq-qp-analytic", "--eps-grid", "1e-2", flag, "2"]
         )
         assert code == cli.EXIT_USAGE
 

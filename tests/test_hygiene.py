@@ -31,3 +31,12 @@ def test_scanner_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_inner_solvers_import_no_package_module():
+    """The inner solvers see only an InnerTask, never the problem or the penalty."""
+    tree = ast.parse((SRC / "inner.py").read_text(encoding="utf-8"))
+    relative = [
+        node.lineno for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level
+    ]
+    assert relative == []

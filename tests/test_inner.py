@@ -14,7 +14,6 @@ from auglag.inner import (
     cubic_newton_solve,
     gd_solve,
     solve_cubic_model,
-    warm_start,
 )
 from auglag.problems import corpus_problem
 
@@ -283,37 +282,6 @@ class TestCubicEigenReuse:
         for M in (0.5, 1.0, 8.0):
             fresh = solve_cubic_model(g, H, M)
             assert solve_cubic_model(g, H, M, eig).tobytes() == fresh.tobytes()
-
-
-class TestWarmStart:
-    def _setup(self):
-        p = corpus_problem("eq-qp-analytic")
-        return p, core.MultiplierState(np.zeros(1))
-
-    def test_prev_better(self):
-        p, mult = self._setup()
-        x0 = np.array([2.0, 0.0, 0.0, 0.0])
-        x_prev = np.full(4, 0.25)
-        out = warm_start(p, mult, 1.0, x0, x_prev)
-        np.testing.assert_allclose(out, x_prev)
-
-    def test_x0_better(self):
-        p, mult = self._setup()
-        x0 = np.full(4, 0.25)
-        x_prev = np.array([2.0, 0.0, 0.0, 0.0])
-        out = warm_start(p, mult, 1.0, x0, x_prev)
-        np.testing.assert_allclose(out, x0)
-
-    def test_tie_returns_prev(self):
-        p, mult = self._setup()
-        # distinct points with exactly equal P (coordinate permutation with
-        # dyadic entries, so the sums round identically)
-        x0 = np.array([0.5, 0.0, 0.25, 0.25])
-        x_prev = np.array([0.0, 0.5, 0.25, 0.25])
-        out = warm_start(p, mult, 1.0, x0, x_prev)
-        np.testing.assert_allclose(out, x_prev)
-        out[0] = 99.0  # the result is a copy, not a view
-        assert x_prev[0] != 99.0
 
 
 class TestTaskValidation:

@@ -17,6 +17,7 @@ from auglag.outer import (
     kkt_check,
     monitor_step,
     solve,
+    warm_start,
 )
 from auglag.problems import corpus_problem
 
@@ -174,6 +175,69 @@ class TestMonitorStep:
         _, report = self._run()
         idents = [e for e in report.monitor_log if e.check == "dual_identity"]
         assert idents and all(e.lhs <= 1e-12 for e in idents)
+
+
+class TestOneEvaluationPerIterate:
+    def test_eval_P_and_theta_counts(self, monkeypatch):
+        calls = {"eval_P": 0, "theta": 0}
+
+        def counting(name):
+            original = getattr(core, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(core, name, counting(name))
+        p = corpus_problem("simplex-cos-8")
+        report = solve(p, SolverConfig(eps=1e-3, inner=INNER_GD_FIXED))
+        assert report.T_outer >= 2
+        # per outer iteration: P at x0 and x_k (warm start) and at x_{k+1}
+        # (monitor); theta once, shared by the penalty update and the monitor
+        assert calls["eval_P"] == 3 * report.T_outer
+        assert calls["theta"] == report.T_outer
+
+
+class TestWarmStart:
+    def _setup(self):
+        p = corpus_problem("eq-qp-analytic")
+        return p, core.MultiplierState(np.zeros(1))
+
+    def _check_values(self, p, mult, x0, x_prev, p_zero, p_prev):
+        assert p_zero == core.eval_P(p, x0, mult, 1.0)
+        assert p_prev == core.eval_P(p, x_prev, mult, 1.0)
+
+    def test_prev_better(self):
+        p, mult = self._setup()
+        x0 = np.array([2.0, 0.0, 0.0, 0.0])
+        x_prev = np.full(4, 0.25)
+        out, p_zero, p_prev = warm_start(p, mult, 1.0, x0, x_prev)
+        np.testing.assert_allclose(out, x_prev)
+        self._check_values(p, mult, x0, x_prev, p_zero, p_prev)
+
+    def test_x0_better(self):
+        p, mult = self._setup()
+        x0 = np.full(4, 0.25)
+        x_prev = np.array([2.0, 0.0, 0.0, 0.0])
+        out, p_zero, p_prev = warm_start(p, mult, 1.0, x0, x_prev)
+        np.testing.assert_allclose(out, x0)
+        self._check_values(p, mult, x0, x_prev, p_zero, p_prev)
+
+    def test_tie_returns_prev(self):
+        p, mult = self._setup()
+        # distinct points with exactly equal P (coordinate permutation with
+        # dyadic entries, so the sums round identically)
+        x0 = np.array([0.5, 0.0, 0.25, 0.25])
+        x_prev = np.array([0.0, 0.5, 0.25, 0.25])
+        out, p_zero, p_prev = warm_start(p, mult, 1.0, x0, x_prev)
+        np.testing.assert_allclose(out, x_prev)
+        self._check_values(p, mult, x0, x_prev, p_zero, p_prev)
+        assert p_zero == p_prev
+        out[0] = 99.0  # the result is a copy, not a view
+        assert x_prev[0] != 99.0
 
 
 class TestDefaultInner:

@@ -232,6 +232,12 @@ _GOOD_FILE = {
         ("L2", -0.5),
         ("A", [1.0, 1.0, 1.0, 0.0, 0.0]),
         ("b", [1.0, 0.0]),
+        ("n", 2.5),
+        ("n", True),
+        ("m_e", 0.7),
+        ("A", [[1.0, 1.0], [1.0], [0.0, 1.0]]),
+        ("b", [[1.0], [0.0, 0.0], [0.0]]),
+        ("x0", [[0.5], [0.5, 0.0]]),
     ],
 )
 def test_bad_problem_file_rejected_at_load(tmp_path, field, value):
