@@ -240,7 +240,7 @@ def main(argv=None) -> int:
         return _cmd_list(args)
     except (
         ValueError, KeyError, FileNotFoundError, problems.ValidationError,
-        core.UnsupportedSpecializationError,
+        problems.ObjectiveBelowBound, core.UnsupportedSpecializationError,
     ) as exc:
         log.error("usage error: %s", exc)
         return EXIT_USAGE

@@ -6,7 +6,7 @@ and a shifted-square form with a negative-part clamp.  Every evaluation runs
 both and raises if they disagree beyond rounding, which turns any future
 formula edit that breaks one side into an immediate hard error.
 ``penalty_value_grad`` returns P and its gradient from one evaluation of c(x)
-and runs the same check; ``eval_P`` and ``grad_P`` share its helpers.
+and runs the same check; its helpers take f, c, grad f and J, not x.
 
 Branch tie rule: at c_i(x) == lambda_i/sigma exactly, the inequality term
 takes the constant branch, so its gradient contribution is zero.  P is
@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .problems import ProblemSpec
+from .problems import ConstraintSet, ProblemSpec
 
 POLYNOMIAL_GROWTH = "polynomial"
 GEOMETRIC_GROWTH = "geometric"
@@ -72,29 +72,26 @@ class ThetaStat:
     parts: tuple[float, float, float]  # (mult_over_sigma, eq_shifted, ineq_violation)
 
 
-def lagrangian_grad(problem: ProblemSpec, x: np.ndarray, mult: MultiplierState) -> np.ndarray:
-    """grad f(x) - sum_i lambda_i * grad c_i(x)."""
-    g = problem.objective.gradient(x)
-    J = problem.constraints.jac(x)
+def lagrangian_grad(g: np.ndarray, J: np.ndarray, mult: MultiplierState) -> np.ndarray:
+    """grad f(x) - sum_i lambda_i * grad c_i(x), from g = grad f(x) and J = jac c(x)."""
     return g - J.T @ mult.lam
 
 
-def _residuals(problem: ProblemSpec, x: np.ndarray, lam: np.ndarray, sigma: float):
-    """c(x), the shift lambda/sigma and the mask of rows on the constant branch."""
+def _inactive_rows(cons: ConstraintSet, c: np.ndarray, lam: np.ndarray, sigma: float):
+    """The shift lambda/sigma and the mask of rows on the constant branch."""
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    c = problem.constraints.c(x)
     shift = lam / sigma
     # tie rule: c_i == lambda_i/sigma is inactive; a NaN row stays active, so
     # the NaN reaches both P and its gradient
     inactive = c >= shift
-    inactive[: problem.constraints.m_e] = False
-    return c, shift, inactive
+    inactive[: cons.m_e] = False
+    return shift, inactive
 
 
-def _penalty_terms(problem: ProblemSpec, x: np.ndarray, lam: np.ndarray, sigma: float):
-    """c(x), the inactive-row mask, both penalty sums and the tolerance scale."""
-    c, shift, inactive = _residuals(problem, x, lam, sigma)
+def _penalty_terms(cons: ConstraintSet, c: np.ndarray, lam: np.ndarray, sigma: float):
+    """The inactive-row mask, both penalty sums and the tolerance scale at c = c(x)."""
+    shift, inactive = _inactive_rows(cons, c, lam, sigma)
 
     # branch form
     quad = -lam * c + 0.5 * sigma * c * c
@@ -103,18 +100,17 @@ def _penalty_terms(problem: ProblemSpec, x: np.ndarray, lam: np.ndarray, sigma: 
 
     # shifted-square form, from the shared residual d = c - lambda/sigma
     d = c - shift
-    me = problem.constraints.m_e
+    me = cons.m_e
     d[me:] = np.minimum(d[me:], 0.0)
     shifted_sum = 0.5 * sigma * float(d @ d - shift @ shift)
 
     term_scale = float(np.abs(lam) @ np.abs(c) + 0.5 * sigma * (c @ c) + 0.5 * (lam @ lam) / sigma)
-    return c, inactive, branch_sum, shifted_sum, term_scale
+    return inactive, branch_sum, shifted_sum, term_scale
 
 
-def _checked_P(problem: ProblemSpec, x: np.ndarray, lam: np.ndarray, sigma: float):
-    """P (branch form) after the two-formula cross-check, with c(x) and the mask."""
-    c, inactive, branch_sum, shifted_sum, term_scale = _penalty_terms(problem, x, lam, sigma)
-    f = problem.objective.value(x)
+def _checked_P(cons: ConstraintSet, f: float, c: np.ndarray, lam: np.ndarray, sigma: float):
+    """P (branch form) from f = f(x) and c = c(x), after the two-formula cross-check, and the mask."""
+    inactive, branch_sum, shifted_sum, term_scale = _penalty_terms(cons, c, lam, sigma)
     p_branch = f + branch_sum
     p_shifted = f + shifted_sum
     tol = max(1e-10 * max(1.0, abs(p_branch), abs(p_shifted)), 1e-12 * (abs(f) + term_scale))
@@ -122,32 +118,37 @@ def _checked_P(problem: ProblemSpec, x: np.ndarray, lam: np.ndarray, sigma: floa
         raise FormDisagreementError(
             f"augmented Lagrangian forms disagree: {p_branch!r} vs {p_shifted!r}"
         )
-    return p_branch, c, inactive
+    return p_branch, inactive
 
 
-def _grad_from(problem: ProblemSpec, x: np.ndarray, lam: np.ndarray, sigma: float, c, inactive):
+def _grad_from(g: np.ndarray, J: np.ndarray, lam: np.ndarray, sigma: float, c, inactive):
     coeff = sigma * c - lam
     coeff[inactive] = 0.0
-    return problem.objective.gradient(x) + problem.constraints.jac(x).T @ coeff
+    return g + J.T @ coeff
 
 
 def eval_P(problem: ProblemSpec, x: np.ndarray, mult: MultiplierState, sigma: float) -> float:
     """Augmented Lagrangian P(x, lambda, sigma), cross-checked over both forms."""
-    return _checked_P(problem, x, mult.lam, sigma)[0]
+    c = problem.constraints.c(x)
+    return _checked_P(problem.constraints, problem.objective.value(x), c, mult.lam, sigma)[0]
 
 
 def grad_P(problem: ProblemSpec, x: np.ndarray, mult: MultiplierState, sigma: float) -> np.ndarray:
     """Gradient of P in x; inactive inequality terms contribute zero."""
-    c, _, inactive = _residuals(problem, x, mult.lam, sigma)
-    return _grad_from(problem, x, mult.lam, sigma, c, inactive)
+    cons = problem.constraints
+    c = cons.c(x)
+    _, inactive = _inactive_rows(cons, c, mult.lam, sigma)
+    return _grad_from(problem.objective.gradient(x), cons.jac(x), mult.lam, sigma, c, inactive)
 
 
 def penalty_value_grad(
     problem: ProblemSpec, x: np.ndarray, mult: MultiplierState, sigma: float
 ) -> tuple[float, np.ndarray]:
     """(P, grad P) from one evaluation of c(x); P is cross-checked as in eval_P."""
-    p, c, inactive = _checked_P(problem, x, mult.lam, sigma)
-    return p, _grad_from(problem, x, mult.lam, sigma, c, inactive)
+    cons = problem.constraints
+    c = cons.c(x)
+    p, inactive = _checked_P(cons, problem.objective.value(x), c, mult.lam, sigma)
+    return p, _grad_from(problem.objective.gradient(x), cons.jac(x), mult.lam, sigma, c, inactive)
 
 
 def hess_P(problem: ProblemSpec, x: np.ndarray, sigma: float) -> np.ndarray:
@@ -160,16 +161,14 @@ def hess_P(problem: ProblemSpec, x: np.ndarray, sigma: float) -> np.ndarray:
     return problem.objective.hessian(x) + sigma * cons.AtA
 
 
-def theta(problem: ProblemSpec, x_next: np.ndarray, mult: MultiplierState, sigma: float) -> ThetaStat:
-    """Feasibility statistic driving the penalty update.
+def theta(cons: ConstraintSet, c: np.ndarray, mult: MultiplierState, sigma: float) -> ThetaStat:
+    """Feasibility statistic driving the penalty update, from c = c(x_{k+1}).
 
     max of ||lambda/sigma||_inf, the shifted equality residual, and the
     inequality violation (each in the sup norm); parts without constraints of
     that type are -inf.
     """
     lam = mult.lam
-    cons = problem.constraints
-    c = cons.c(x_next)
     me = cons.m_e
     mult_part = float(np.max(np.abs(lam / sigma))) if cons.m > 0 else 0.0
     eq_part = (
@@ -197,11 +196,10 @@ def update_penalty(k: int, theta_next: float, theta_prev: float | None, state: P
 
 
 def update_multipliers(
-    problem: ProblemSpec, x_next: np.ndarray, mult: MultiplierState, sigma: float
+    cons: ConstraintSet, c: np.ndarray, mult: MultiplierState, sigma: float
 ) -> MultiplierState:
-    """lambda <- lambda - sigma*c(x_next), clamped at zero on inequality rows."""
-    c = problem.constraints.c(x_next)
-    me = problem.constraints.m_e
+    """lambda <- lambda - sigma*c, clamped at zero on inequality rows; c = c(x_{k+1})."""
+    me = cons.m_e
     lam = mult.lam - sigma * c
     lam[me:] = np.maximum(lam[me:], 0.0)
     return MultiplierState(lam=lam)

@@ -83,7 +83,6 @@ class InnerResult:
     grad_norm2: float
     iterations: int
     oracle_calls: int
-    decrease: float
     accepted: bool
     accepted_steps: int = 0
     objective_trace: list[float] = field(default_factory=list)
@@ -119,11 +118,10 @@ def gd_solve(task: InnerTask, variant: str = FIXED_STEP) -> InnerResult:
     f, g = _value_grad(task, x)
     calls = 1
     trace = [f]
-    f_start = f
 
     if variant == FIXED_STEP:
         L = task.known_L
-        decrease_bound = f_start - task.g_low if math.isfinite(task.g_low) else 1.0
+        decrease_bound = f - task.g_low if math.isfinite(task.g_low) else 1.0
         cap = math.ceil(4.0 * L * max(decrease_bound, 1.0) * task.eps ** -2) + 1000
     else:
         cap = _BACKTRACK_CAP
@@ -167,7 +165,6 @@ def gd_solve(task: InnerTask, variant: str = FIXED_STEP) -> InnerResult:
         grad_norm2=gnorm,
         iterations=iters,
         oracle_calls=calls,
-        decrease=max(0.0, f_start - f),
         accepted=gnorm <= task.eps,
         accepted_steps=iters,
         objective_trace=trace,
@@ -275,7 +272,6 @@ def cubic_newton_solve(task: InnerTask) -> InnerResult:
     H = np.asarray(task.hessian(x), dtype=float)
     calls = 1
     trace = [f]
-    f_start = f
     M = max(task.known_L, _M_MIN) if task.known_L is not None else 1.0
 
     iters = 0
@@ -309,7 +305,6 @@ def cubic_newton_solve(task: InnerTask) -> InnerResult:
         grad_norm2=gnorm,
         iterations=iters,
         oracle_calls=calls,
-        decrease=max(0.0, f_start - f),
         accepted=gnorm <= task.eps,
         accepted_steps=accepted_steps,
         objective_trace=trace,

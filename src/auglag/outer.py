@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import core, inner
-from .problems import ProblemSpec
+from .problems import ConstraintSet, ProblemSpec
 
 TERMINATED_KKT = "EpsKKT"
 TERMINATED_MAX_OUTER = "MaxOuter"
@@ -87,6 +87,7 @@ class OuterState:
     mu_norm_sq: float
     inner_stats: Optional[inner.InnerResult] = None
     f: float = float("nan")
+    c: Optional[np.ndarray] = None  # c(x); kept for the warm start, not serialized
     dual_inf: float = float("nan")
     primal_eq: float = float("nan")
     primal_ineq: float = float("nan")
@@ -208,12 +209,12 @@ class RunReport:
         _write_csv(path, self.CSV_COLUMNS, rows)
 
 
-def kkt_check(problem: ProblemSpec, x: np.ndarray, mult: core.MultiplierState, eps: float) -> KKTReport:
-    """Direct eps-KKT test: stationarity, feasibility, signs, complementarity."""
-    cons = problem.constraints
-    c = cons.c(x)
+def kkt_check(
+    cons: ConstraintSet, c: np.ndarray, grad_L: np.ndarray, mult: core.MultiplierState, eps: float
+) -> KKTReport:
+    """Direct eps-KKT test from c = c(x) and grad_L = core.lagrangian_grad at (x, mult)."""
     me = cons.m_e
-    dual = float(np.max(np.abs(core.lagrangian_grad(problem, x, mult))))
+    dual = float(np.max(np.abs(grad_L)))
     primal_eq, primal_ineq = cons.primal_residuals(c)
     sign_ok = mult.check_signs(me)
     compl_ok = bool(np.all(mult.lam[me:][c[me:] > eps] == 0.0))
@@ -228,29 +229,21 @@ def _slacked(lhs: float, rhs: float) -> bool:
 
 
 def monitor_step(
-    prev: OuterState,
-    next_state: OuterState,
-    problem: ProblemSpec,
-    mu0_norm_sq: float,
-    f0: float,
-    f_low: float,
-    th: core.ThetaStat,
-    p_prev: float,
-    p_zero: float,
+    prev: OuterState, next_state: OuterState, mu0_norm_sq: float, f0: float, f_low: float,
+    th: core.ThetaStat, p_prev: float, p_zero: float, p_next: float,
+    grad_L: np.ndarray, grad_p: np.ndarray,
 ) -> list[MonitorEntry]:
     """Evaluate the guaranteed inequalities linking two consecutive states.
 
     ``prev`` is the state at index k (multipliers and penalty used by the
-    inner solve), ``next_state`` the state at k+1 it produced.  ``th`` is
-    theta at x_{k+1} and ``p_prev``/``p_zero`` are P at x_k and x0, all under
-    (lambda_k, sigma_k), as ``solve`` already computed them.
+    inner solve), ``next_state`` the state at k+1 it produced.  The rest is what
+    ``solve`` computed: theta, P at x_k, x0 and x_{k+1} and grad P at x_{k+1}
+    under (lambda_k, sigma_k), and grad L at (x_{k+1}, lambda_{k+1}).
     """
     k = prev.k
     gap = f0 - f_low
     entries: list[MonitorEntry] = []
-    lam_k = prev.mult
     sigma_k = prev.sigma
-    x_next = next_state.x
 
     # scaled-multiplier growth: ||mu^(k+1)||^2 <= ||mu^(0)||^2 + 2*gap*(k+1)
     lhs = next_state.mu_norm_sq
@@ -267,23 +260,20 @@ def monitor_step(
         lhs = sigma_k * th.value ** 2
         entries.append(MonitorEntry(k + 1, "penalized_theta", lhs, rhs, _slacked(lhs, rhs)))
 
-    # the inner solver tracks min(f, f_new), not P(x_{k+1}), so evaluate it here
-    p_next = core.eval_P(problem, x_next, lam_k, sigma_k)
+    # the inner solver tracks min(f, f_new), not P(x_{k+1}), which solve supplies
     rhs = min(p_prev, p_zero)
     entries.append(MonitorEntry(k + 1, "inner_decrease", p_next, rhs, _slacked(p_next, rhs)))
     entries.append(MonitorEntry(k + 1, "feasible_upper_bound", p_zero, f0, _slacked(p_zero, f0)))
 
     # penalty lower bound: P(x) >= f(x) - 0.5*sum(lambda^2)/sigma
-    lam_vec = lam_k.lam
+    lam_vec = prev.mult.lam
     lhs = next_state.f - 0.5 * float(np.sum(lam_vec * lam_vec)) / sigma_k
     entries.append(
         MonitorEntry(k + 1, "penalty_lower_bound", lhs, p_next, _slacked(lhs, p_next))
     )
 
     # dual-residual identity between the new Lagrangian gradient and grad P
-    gl = core.lagrangian_grad(problem, x_next, next_state.mult)
-    gp = core.grad_P(problem, x_next, lam_k, sigma_k)
-    lhs = float(np.max(np.abs(gl - gp)))
+    lhs = float(np.max(np.abs(grad_L - grad_p)))
     entries.append(
         MonitorEntry(k + 1, "dual_identity", lhs, _DUAL_IDENTITY_TOL, lhs <= _DUAL_IDENTITY_TOL)
     )
@@ -291,21 +281,19 @@ def monitor_step(
 
 
 def warm_start(
-    problem: ProblemSpec,
-    mult: core.MultiplierState,
-    sigma: float,
-    x0: np.ndarray,
-    x_prev: np.ndarray,
+    cons: ConstraintSet, mult: core.MultiplierState, sigma: float,
+    first: OuterState, prev: OuterState,
 ) -> tuple[np.ndarray, float, float]:
     """The better of {x0, x_prev} under the current augmented Lagrangian.
 
-    Returns ``(start, P(x0), P(x_prev))``; ``start`` is a copy, and ties
-    return x_prev.  Starting the monotone inner solver here makes the final
-    inner iterate automatically no worse than both candidates.
+    ``first`` and ``prev`` are the states at x0 and x_prev; P comes from the f
+    and c stored on them.  Returns ``(start, P(x0), P(x_prev))``; ``start`` is
+    a copy, and ties return x_prev.  Starting the monotone inner solver here
+    makes the final inner iterate automatically no worse than both candidates.
     """
-    p_zero = core.eval_P(problem, np.asarray(x0, dtype=float), mult, sigma)
-    p_prev = core.eval_P(problem, np.asarray(x_prev, dtype=float), mult, sigma)
-    start = np.asarray(x0 if p_zero < p_prev else x_prev, dtype=float).copy()
+    p_zero = core._checked_P(cons, first.f, first.c, mult.lam, sigma)[0]
+    p_prev = core._checked_P(cons, prev.f, prev.c, mult.lam, sigma)[0]
+    start = (first.x if p_zero < p_prev else prev.x).copy()
     return start, p_zero, p_prev
 
 
@@ -374,19 +362,21 @@ def solve(problem: ProblemSpec, config: SolverConfig) -> RunReport:
     """
     problem.check_feasible_start()
     eps = config.eps
-    x0 = np.asarray(problem.x0, dtype=float)
-    f_low = problem.objective.f_low
-    f0 = problem.objective.value(x0)
+    cons, obj = problem.constraints, problem.objective
+    x0 = problem.x0
+    f_low = obj.f_low
+    f0, c0 = obj.value(x0), cons.c(x0)
     gap0 = f0 - f_low
 
-    mult = core.MultiplierState(lam=np.zeros(problem.constraints.m))
+    mult = core.MultiplierState(lam=np.zeros(cons.m))
     pen = core.PenaltyState(
         sigma=config.sigma0, alpha=config.alpha, gamma=config.gamma, policy=config.penalty_policy
     )
     mu0_sq = core.mu_norm(mult, pen.sigma) ** 2
 
-    k0_kkt = kkt_check(problem, x0, mult, eps)
-    state = OuterState(
+    grad_L0 = core.lagrangian_grad(obj.gradient(x0), cons.jac(x0), mult)
+    k0_kkt = kkt_check(cons, c0, grad_L0, mult, eps)
+    first = state = OuterState(
         k=0,
         x=x0.copy(),
         mult=mult,
@@ -394,6 +384,7 @@ def solve(problem: ProblemSpec, config: SolverConfig) -> RunReport:
         theta=None,
         mu_norm_sq=mu0_sq,
         f=f0,
+        c=c0,
         dual_inf=k0_kkt.dual_inf,
         primal_eq=k0_kkt.primal_eq,
         primal_ineq=k0_kkt.primal_ineq,
@@ -410,8 +401,8 @@ def solve(problem: ProblemSpec, config: SolverConfig) -> RunReport:
         if pen.sigma > _SIGMA_CAP:
             terminated = TERMINATED_SIGMA_OVERFLOW
             break
-        start, p_zero, p_prev = warm_start(problem, mult, pen.sigma, x0, state.x)
-        total_calls += 2  # warm-start comparison evaluations
+        start, p_zero, p_prev = warm_start(cons, mult, pen.sigma, first, state)
+        total_calls += 2  # the warm start's two P comparisons, over stored f and c values
         p_low = f_low - 0.5 * mu0_sq - gap0 * k
         task = _build_inner_task(problem, mult, pen.sigma, start, eps, config.inner, p_low)
         try:
@@ -421,13 +412,18 @@ def solve(problem: ProblemSpec, config: SolverConfig) -> RunReport:
         total_inner += res.iterations
         total_calls += res.oracle_calls
 
+        # every quantity below reads these oracle values at x_{k+1}
         x_next = res.x_final
-        th_next = core.theta(problem, x_next, mult, pen.sigma)
+        c, f = cons.c(x_next), obj.value(x_next)
+        g, J = obj.gradient(x_next), cons.jac(x_next)
+        total_calls += 1  # the constraint evaluation at x_{k+1}
+        th_next = core.theta(cons, c, mult, pen.sigma)
         pen_next = core.update_penalty(k, th_next.value, theta_prev, pen)
-        mult_next = core.update_multipliers(problem, x_next, mult, pen.sigma)
-        total_calls += 1  # theta/multiplier constraint evaluation
-
-        kkt = kkt_check(problem, x_next, mult_next, eps)
+        mult_next = core.update_multipliers(cons, c, mult, pen.sigma)
+        grad_L = core.lagrangian_grad(g, J, mult_next)
+        kkt = kkt_check(cons, c, grad_L, mult_next, eps)
+        p_next, inactive = core._checked_P(cons, f, c, mult.lam, pen.sigma)
+        grad_p = core._grad_from(g, J, mult.lam, pen.sigma, c, inactive)
         next_state = OuterState(
             k=k + 1,
             x=x_next,
@@ -436,13 +432,16 @@ def solve(problem: ProblemSpec, config: SolverConfig) -> RunReport:
             theta=th_next.value,
             mu_norm_sq=core.mu_norm(mult_next, pen_next.sigma) ** 2,
             inner_stats=res,
-            f=problem.objective.value(x_next),
+            f=f,
+            c=c,
             dual_inf=kkt.dual_inf,
             primal_eq=kkt.primal_eq,
             primal_ineq=kkt.primal_ineq,
         )
 
-        entries = monitor_step(state, next_state, problem, mu0_sq, f0, f_low, th_next, p_prev, p_zero)
+        entries = monitor_step(
+            state, next_state, mu0_sq, f0, f_low, th_next, p_prev, p_zero, p_next, grad_L, grad_p
+        )
         if kkt.dual_inf > eps:
             entries.append(MonitorEntry(k + 1, "dual_residual", kkt.dual_inf, eps, False))
         if th_next.value <= eps / 2.0 and not kkt.is_eps_kkt:

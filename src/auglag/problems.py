@@ -441,28 +441,34 @@ def load_problem(path: str) -> ProblemSpec:
     Schema: {name, n, objective: {kind: "quadratic+cos"|"rosenbrock",
     omega?}, A: row-major nested array, b, m_e, x0, f_low?, L1?, L2?}.
     Only the parametric objective kinds are loadable.  Raises
-    ``ValidationError`` naming the field when n or m_e is not a JSON
-    integer, n < 1, A's size is not a multiple of n, b's length differs from
-    A's row count, x0 does not have length n, m_e lies outside [0, m], L1 or
-    L2 is negative, A, b or x0 is not a regular numeric array, or A, b, x0,
-    f_low, L1 or L2 holds a non-finite value.
+    ``ValidationError`` naming the field when the file or objective is not a
+    JSON object, n or m_e is not a JSON integer, n < 1, A's size is not a
+    multiple of n, b's length differs from A's row count, x0 does not have
+    length n, m_e lies outside [0, m], L1 or L2 is negative, A, b or x0 is not
+    a regular array, f_low, L1, L2 or omega is not one number, or any holds a
+    non-finite value.
     """
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValidationError(f"problem file {path} holds a {type(data).__name__}, not an object")
     n = _integer(data["n"], "n")
     if n < 1:
         raise ValidationError(f"n = {n} must be at least 1")
     spec = data["objective"]
+    if not isinstance(spec, dict):
+        raise ValidationError(f"objective = {spec!r} must be a JSON object")
     kind = spec["kind"]
     if kind == "quadratic+cos":
-        obj = _quadratic_cos_objective(n, omega=float(spec.get("omega", _OMEGA)))
+        omega = float(_finite(spec.get("omega", _OMEGA), "omega", scalar=True))
+        obj = _quadratic_cos_objective(n, omega=omega)
     elif kind == "rosenbrock":
         obj = _rosenbrock_objective(n)
     else:
         raise ValidationError(f"unsupported objective kind {kind!r}")
     for key in ("f_low", "L1", "L2"):
         if key in data and data[key] is not None:
-            value = float(_finite(data[key], key))
+            value = float(_finite(data[key], key, scalar=True))
             if key != "f_low" and value < 0.0:
                 raise ValidationError(f"{key} = {value} must be nonnegative")
             setattr(obj, key, value)
@@ -489,11 +495,13 @@ def _integer(value, field_name: str) -> int:
     return value
 
 
-def _finite(value, field_name: str) -> np.ndarray:
+def _finite(value, field_name: str, scalar: bool = False) -> np.ndarray:
     try:
         arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{field_name} is not a regular numeric array: {exc}") from exc
+    if scalar and arr.ndim != 0:
+        raise ValidationError(f"{field_name} = {value!r} must be a single number")
     if not np.isfinite(arr).all():
         raise ValidationError(f"{field_name} holds a non-finite value")
     return arr

@@ -39,7 +39,7 @@ def skewed_forms(monkeypatch):
     real = core._penalty_terms
 
     def skewed(*args):
-        c, mask, branch_sum, shifted_sum, scale = real(*args)
-        return c, mask, branch_sum, shifted_sum + 1e-3, scale
+        mask, branch_sum, shifted_sum, scale = real(*args)
+        return mask, branch_sum, shifted_sum + 1e-3, scale
 
     monkeypatch.setattr(core, "_penalty_terms", skewed)

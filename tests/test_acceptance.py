@@ -83,7 +83,8 @@ def test_01_formula_agreement():
     for _ in range(10_000):
         x, lam, sigma = _random_tuple(rng, p)
         f = p.objective.value(x)
-        _, _, branch_sum, shifted_sum, _ = core._penalty_terms(p, x, lam, sigma)
+        c = p.constraints.c(x)
+        _, branch_sum, shifted_sum, _ = core._penalty_terms(p.constraints, c, lam, sigma)
         pb, ps = f + branch_sum, f + shifted_sum
         rel = abs(pb - ps) / max(1.0, abs(pb), abs(ps))
         worst = max(worst, rel)
@@ -113,7 +114,7 @@ def test_02_derivative_correctness():
         fd = finite_difference_gradient(lambda z: core.eval_P(p, z, mult, sigma), x)
         worst_p = max(worst_p, float(np.max(np.abs(fd - g) / np.maximum(1.0, np.abs(g)))))
 
-        gl = core.lagrangian_grad(p, x, mult)
+        gl = core.lagrangian_grad(p.objective.gradient(x), p.constraints.jac(x), mult)
         fdl = finite_difference_gradient(
             lambda z: p.objective.fn(z) - float(lam @ p.constraints.c(z)), x
         )

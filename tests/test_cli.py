@@ -95,6 +95,18 @@ class TestSolveCommand:
         )
         assert code == cli.EXIT_OK
 
+    def test_lower_bound_above_start_is_usage_error(self, tmp_path, caplog):
+        prob = tmp_path / "prob.json"
+        prob.write_text(json.dumps({
+            "name": "high-f-low", "n": 2, "objective": {"kind": "quadratic+cos"},
+            "A": [[1.0, 1.0]], "b": [1.0], "m_e": 1, "x0": [0.5, 0.5], "f_low": 100,
+        }))
+        out = tmp_path / "run"
+        code = cli.main(["solve", "--problem", str(prob), "--out", str(out)])
+        assert code == cli.EXIT_USAGE
+        assert "violates declared lower bound 100" in caplog.text
+        assert not (tmp_path / "run.json").exists()
+
 
 class TestSweepCommand:
     def test_sweep_with_fits(self, tmp_path):

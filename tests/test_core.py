@@ -31,17 +31,29 @@ def _mult(*vals):
     return MultiplierState(lam=np.array(vals, dtype=float))
 
 
+def _lagrangian_grad_at(p, x, mult):
+    return lagrangian_grad(p.objective.gradient(x), p.constraints.jac(x), mult)
+
+
+def _theta_at(p, x, mult, sigma):
+    return theta(p.constraints, p.constraints.c(x), mult, sigma)
+
+
+def _update_multipliers_at(p, x, mult, sigma):
+    return update_multipliers(p.constraints, p.constraints.c(x), mult, sigma)
+
+
 class TestLagrangianGrad:
     def test_single_equality(self):
         # f = 0, c(x) = x - 1, lambda = 2 -> grad = -2 at any x
         p = make_tiny(1, lambda x: x - 1.0, lambda x: np.ones((1, 1)))
-        g = lagrangian_grad(p, np.array([7.0]), _mult(2.0))
+        g = _lagrangian_grad_at(p, np.array([7.0]), _mult(2.0))
         np.testing.assert_allclose(g, [-2.0])
 
     def test_zero_multipliers(self):
         p = corpus_problem("simplex-cos-8")
         x = p.x0 + 0.1
-        g = lagrangian_grad(p, x, MultiplierState(np.zeros(9)))
+        g = _lagrangian_grad_at(p, x, MultiplierState(np.zeros(9)))
         np.testing.assert_allclose(g, p.objective.gradient(x))
 
     def test_matches_finite_differences(self):
@@ -52,7 +64,7 @@ class TestLagrangianGrad:
         x = np.asarray(p.x0, float)
         fn = lambda z: p.objective.fn(z) - float(lam @ p.constraints.c(z))
         fd = finite_difference_gradient(fn, x)
-        g = lagrangian_grad(p, x, mult)
+        g = _lagrangian_grad_at(p, x, mult)
         rel = np.abs(fd - g) / np.maximum(1.0, np.abs(g))
         assert float(np.max(rel)) <= 1e-6
 
@@ -204,13 +216,13 @@ class TestHessP:
 class TestTheta:
     def test_equality_only(self):
         p = make_tiny(1, lambda x: np.array([0.5]), lambda x: np.ones((1, 1)))
-        th = theta(p, np.zeros(1), _mult(0.0), 1.0)
+        th = _theta_at(p, np.zeros(1), _mult(0.0), 1.0)
         assert th.value == pytest.approx(0.5)
         assert th.parts[2] == float("-inf")
 
     def test_inequality_only(self):
         p = make_tiny(0, lambda x: np.array([-0.3]), lambda x: np.ones((1, 1)))
-        th = theta(p, np.zeros(1), _mult(0.0), 1.0)
+        th = _theta_at(p, np.zeros(1), _mult(0.0), 1.0)
         assert th.value == pytest.approx(0.3)
         assert th.parts[1] == float("-inf")
 
@@ -218,7 +230,7 @@ class TestTheta:
         p = make_tiny(
             1, lambda x: np.array([1.0, 0.2]), lambda x: np.ones((2, 1)), m=2
         )
-        th = theta(p, np.zeros(1), _mult(4.0, 1.0), 2.0)
+        th = _theta_at(p, np.zeros(1), _mult(4.0, 1.0), 2.0)
         assert th.parts == (2.0, 1.0, 0.0)
         assert th.value == pytest.approx(2.0)
 
@@ -266,12 +278,12 @@ class TestUpdatePenalty:
 class TestUpdateMultipliers:
     def test_equality(self):
         p = make_tiny(1, lambda x: np.array([0.25]), lambda x: np.ones((1, 1)))
-        out = update_multipliers(p, np.zeros(1), _mult(1.0), 2.0)
+        out = _update_multipliers_at(p, np.zeros(1), _mult(1.0), 2.0)
         np.testing.assert_allclose(out.lam, [0.5])
 
     def test_inequality_clamp(self):
         p = make_tiny(0, lambda x: np.array([3.0]), lambda x: np.ones((1, 1)))
-        out = update_multipliers(p, np.zeros(1), _mult(1.0), 2.0)
+        out = _update_multipliers_at(p, np.zeros(1), _mult(1.0), 2.0)
         np.testing.assert_allclose(out.lam, [0.0])
 
     def test_scalar_loop_oracle(self):
@@ -280,7 +292,7 @@ class TestUpdateMultipliers:
         x = rng.uniform(-1.0, 1.0, 8)
         lam = np.concatenate([rng.normal(0, 2, 1), np.abs(rng.normal(0, 2, 8))])
         sigma = 3.0
-        out = update_multipliers(p, x, MultiplierState(lam.copy()), sigma)
+        out = _update_multipliers_at(p, x, MultiplierState(lam.copy()), sigma)
         c = p.constraints.c(x)
         expected = np.empty(9)
         for i in range(9):
@@ -296,7 +308,7 @@ class TestUpdateMultipliers:
     )
     def test_inequality_sign_property(self, lam, c, sigma):
         p = make_tiny(0, lambda x, c=c: np.array([c]), lambda x: np.ones((1, 1)))
-        out = update_multipliers(p, np.zeros(1), _mult(max(lam, 0.0)), sigma)
+        out = _update_multipliers_at(p, np.zeros(1), _mult(max(lam, 0.0)), sigma)
         assert out.check_signs(0)
 
 

@@ -40,3 +40,11 @@ def test_inner_solvers_import_no_package_module():
         node.lineno for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level
     ]
     assert relative == []
+
+
+def test_readme_library_example_runs():
+    """The README's "Library use" example runs against the current API."""
+    readme = (SRC.parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library use", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md (Library use)", "exec"), {"__name__": "readme_example"})

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from auglag.outer import (
     solve,
     warm_start,
 )
-from auglag.problems import corpus_problem
+from auglag.problems import ConstraintSet, ObjectiveOracle, corpus_problem
 
 
 def _project_simplex(v):
@@ -49,18 +50,24 @@ class TestConfigValidation:
             SolverConfig(eps=1e-3, max_outer=-1)
 
 
+def _kkt_at(p, x, mult, eps):
+    cons = p.constraints
+    grad_L = core.lagrangian_grad(p.objective.gradient(x), cons.jac(x), mult)
+    return kkt_check(cons, cons.c(x), grad_L, mult, eps)
+
+
 class TestKKTCheck:
     def test_unconstrained_stationary_point(self):
         p = corpus_problem("eq-qp-analytic")
         # lambda = 0 and grad f(0) = 0: stationarity holds, feasibility fails
-        rep = kkt_check(p, np.zeros(4), MultiplierState(np.zeros(1)), 1e-6)
+        rep = _kkt_at(p, np.zeros(4), MultiplierState(np.zeros(1)), 1e-6)
         assert rep.dual_inf == 0.0
         assert not rep.is_eps_kkt  # equality sum(x) = 1 violated
 
     def test_all_pass_at_feasible_stationary(self):
         p = corpus_problem("eq-qp-analytic")
         x = np.full(4, 0.25)
-        rep = kkt_check(p, x, MultiplierState(np.array([0.25])), 1e-6)
+        rep = _kkt_at(p, x, MultiplierState(np.array([0.25])), 1e-6)
         assert rep.is_eps_kkt
         assert rep.dual_inf <= 1e-12 and rep.primal_eq <= 1e-12
 
@@ -70,7 +77,7 @@ class TestKKTCheck:
         x = np.full(8, 0.125)
         lam = np.zeros(9)
         lam[1] = 0.1  # c_1(x) = 0.125 > 2*eps but lambda_1 > 0
-        rep = kkt_check(p, x, MultiplierState(lam), eps)
+        rep = _kkt_at(p, x, MultiplierState(lam), eps)
         assert not rep.compl_ok
         assert not rep.is_eps_kkt
 
@@ -78,7 +85,7 @@ class TestKKTCheck:
         p = corpus_problem("simplex-cos-8")
         lam = np.zeros(9)
         lam[3] = -0.5
-        rep = kkt_check(p, np.full(8, 0.125), MultiplierState(lam), 1e-3)
+        rep = _kkt_at(p, np.full(8, 0.125), MultiplierState(lam), 1e-3)
         assert not rep.sign_ok
 
 
@@ -178,33 +185,57 @@ class TestMonitorStep:
 
 
 class TestOneEvaluationPerIterate:
-    def test_eval_P_and_theta_counts(self, monkeypatch):
-        calls = {"eval_P": 0, "theta": 0}
+    @pytest.mark.parametrize(
+        "name,kind", [("simplex-cos-8", INNER_GD_FIXED), ("eq-cos-8", INNER_CUBIC)]
+    )
+    def test_oracle_calls_outside_inner_solver(self, monkeypatch, name, kind):
+        calls = Counter()
+        inside = [False]
 
-        def counting(name):
-            original = getattr(core, name)
+        def count(owner, attr):
+            original = getattr(owner, attr)
 
             def wrapper(*args, **kwargs):
-                calls[name] += 1
+                if not inside[0]:
+                    calls[attr] += 1
                 return original(*args, **kwargs)
 
-            return wrapper
+            monkeypatch.setattr(owner, attr, wrapper)
 
-        for name in calls:
-            monkeypatch.setattr(core, name, counting(name))
-        p = corpus_problem("simplex-cos-8")
-        report = solve(p, SolverConfig(eps=1e-3, inner=INNER_GD_FIXED))
-        assert report.T_outer >= 2
-        # per outer iteration: P at x0 and x_k (warm start) and at x_{k+1}
-        # (monitor); theta once, shared by the penalty update and the monitor
-        assert calls["eval_P"] == 3 * report.T_outer
-        assert calls["theta"] == report.T_outer
+        for owner, attr in (
+            (ObjectiveOracle, "value"), (ObjectiveOracle, "gradient"),
+            (ConstraintSet, "c"), (ConstraintSet, "jac"),
+        ):
+            count(owner, attr)
+        run_inner = outer._run_inner
+
+        def flagged(task, inner_kind):
+            inside[0] = True
+            try:
+                return run_inner(task, inner_kind)
+            finally:
+                inside[0] = False
+
+        monkeypatch.setattr(outer, "_run_inner", flagged)
+        report = solve(corpus_problem(name), SolverConfig(eps=1e-3, inner=kind))
+        T = report.T_outer
+        assert T >= 2
+        # each oracle once at x0 and at every x_{k+1}; c(x0) once more for the
+        # feasibility check
+        assert calls == {"c": T + 2, "value": T + 1, "gradient": T + 1, "jac": T + 1}
 
 
 class TestWarmStart:
     def _setup(self):
         p = corpus_problem("eq-qp-analytic")
         return p, core.MultiplierState(np.zeros(1))
+
+    def _warm_start(self, p, mult, x0, x_prev):
+        def state(x):
+            return OuterState(k=0, x=x, mult=mult, sigma=1.0, theta=None, mu_norm_sq=0.0,
+                              f=p.objective.value(x), c=p.constraints.c(x))
+
+        return warm_start(p.constraints, mult, 1.0, state(x0), state(x_prev))
 
     def _check_values(self, p, mult, x0, x_prev, p_zero, p_prev):
         assert p_zero == core.eval_P(p, x0, mult, 1.0)
@@ -214,7 +245,7 @@ class TestWarmStart:
         p, mult = self._setup()
         x0 = np.array([2.0, 0.0, 0.0, 0.0])
         x_prev = np.full(4, 0.25)
-        out, p_zero, p_prev = warm_start(p, mult, 1.0, x0, x_prev)
+        out, p_zero, p_prev = self._warm_start(p, mult, x0, x_prev)
         np.testing.assert_allclose(out, x_prev)
         self._check_values(p, mult, x0, x_prev, p_zero, p_prev)
 
@@ -222,7 +253,7 @@ class TestWarmStart:
         p, mult = self._setup()
         x0 = np.full(4, 0.25)
         x_prev = np.array([2.0, 0.0, 0.0, 0.0])
-        out, p_zero, p_prev = warm_start(p, mult, 1.0, x0, x_prev)
+        out, p_zero, p_prev = self._warm_start(p, mult, x0, x_prev)
         np.testing.assert_allclose(out, x0)
         self._check_values(p, mult, x0, x_prev, p_zero, p_prev)
 
@@ -232,7 +263,7 @@ class TestWarmStart:
         # dyadic entries, so the sums round identically)
         x0 = np.array([0.5, 0.0, 0.25, 0.25])
         x_prev = np.array([0.0, 0.5, 0.25, 0.25])
-        out, p_zero, p_prev = warm_start(p, mult, 1.0, x0, x_prev)
+        out, p_zero, p_prev = self._warm_start(p, mult, x0, x_prev)
         np.testing.assert_allclose(out, x_prev)
         self._check_values(p, mult, x0, x_prev, p_zero, p_prev)
         assert p_zero == p_prev

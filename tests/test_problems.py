@@ -215,6 +215,16 @@ _GOOD_FILE = {
 }
 
 
+def _bad_file(field, value):
+    """_GOOD_FILE with one field replaced; "omega" sits in the objective and
+    "problem file" stands for the whole file."""
+    if field == "problem file":
+        return value
+    if field == "omega":
+        return dict(_GOOD_FILE, objective={"kind": "quadratic+cos", "omega": value})
+    return dict(_GOOD_FILE, **{field: value})
+
+
 @pytest.mark.parametrize(
     "field,value",
     [
@@ -238,11 +248,20 @@ _GOOD_FILE = {
         ("A", [[1.0, 1.0], [1.0], [0.0, 1.0]]),
         ("b", [[1.0], [0.0, 0.0], [0.0]]),
         ("x0", [[0.5], [0.5, 0.0]]),
+        ("problem file", [1.0, 2.0]),
+        ("objective", "x"),
+        ("f_low", [1.0, 2.0]),
+        ("L1", [17.0]),
+        ("L2", [[64.0]]),
+        ("omega", [4.0]),
+        ("omega", float("nan")),
+        ("omega", None),
+        ("f_low", -10**400),
     ],
 )
 def test_bad_problem_file_rejected_at_load(tmp_path, field, value):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(dict(_GOOD_FILE, **{field: value})))
+    path.write_text(json.dumps(_bad_file(field, value)))
     with pytest.raises(ValidationError, match=rf"^{field} "):
         load_problem(str(path))
     code = cli.main(["solve", "--problem", str(path), "--out", str(tmp_path / "run")])
