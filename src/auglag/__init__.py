@@ -12,15 +12,12 @@ from .problems import (
 )
 from .core import (
     MultiplierState,
+    Penalty,
     PenaltyState,
     ThetaStat,
-    eval_P,
-    grad_P,
-    hess_P,
     lagrangian_grad,
     lipschitz_bound_linear,
     mu_norm,
-    penalty_value_grad,
     theta,
     update_multipliers,
     update_penalty,

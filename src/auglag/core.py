@@ -5,8 +5,8 @@ formulas: a branch form (per-constraint case split on c_i(x) < lambda_i/sigma)
 and a shifted-square form with a negative-part clamp.  Every evaluation runs
 both and raises if they disagree beyond rounding, which turns any future
 formula edit that breaks one side into an immediate hard error.
-``penalty_value_grad`` returns P and its gradient from one evaluation of c(x)
-and runs the same check; its helpers take f, c, grad f and J, not x.
+``Penalty`` holds P for one (lambda, sigma); its methods take x or the values
+f, c, grad f and J a caller already holds, and evaluate c(x) once per point.
 
 Branch tie rule: at c_i(x) == lambda_i/sigma exactly, the inequality term
 takes the constant branch, so its gradient contribution is zero.  P is
@@ -77,88 +77,98 @@ def lagrangian_grad(g: np.ndarray, J: np.ndarray, mult: MultiplierState) -> np.n
     return g - J.T @ mult.lam
 
 
-def _inactive_rows(cons: ConstraintSet, c: np.ndarray, lam: np.ndarray, sigma: float):
-    """The shift lambda/sigma and the mask of rows on the constant branch."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    shift = lam / sigma
-    # tie rule: c_i == lambda_i/sigma is inactive; a NaN row stays active, so
-    # the NaN reaches both P and its gradient
-    inactive = c >= shift
-    inactive[: cons.m_e] = False
-    return shift, inactive
+class Penalty:
+    """P(., lambda, sigma) for one fixed (lambda, sigma): what one inner solve minimizes.
 
+    The (lambda, sigma)-only terms are computed once.  ``value`` keeps x, c(x)
+    and the mask, which ``grad`` reuses at an equal x; ``from_values`` and
+    ``grad_from`` take oracle values a caller already holds.
+    """
 
-def _penalty_terms(cons: ConstraintSet, c: np.ndarray, lam: np.ndarray, sigma: float):
-    """The inactive-row mask, both penalty sums and the tolerance scale at c = c(x)."""
-    shift, inactive = _inactive_rows(cons, c, lam, sigma)
+    def __init__(self, problem: ProblemSpec, mult: MultiplierState, sigma: float) -> None:
+        if sigma <= 0:
+            raise ValueError("sigma must be positive")
+        lam = mult.lam
+        self.problem, self.lam, self.sigma = problem, lam, sigma
+        self._cons, self._obj = problem.constraints, problem.objective
+        self._shift = lam / sigma
+        self._const = -0.5 * lam * lam / sigma
+        self._shift_sq = self._shift @ self._shift
+        self._abs_lam = np.abs(lam)
+        self._lam_term = 0.5 * (lam @ lam) / sigma
+        self._at = None  # (x, c(x), mask) at the last point evaluated
 
-    # branch form
-    quad = -lam * c + 0.5 * sigma * c * c
-    const = -0.5 * lam * lam / sigma
-    branch_sum = float(np.where(inactive, const, quad).sum())
+    def _inactive(self, c: np.ndarray) -> np.ndarray:
+        """The mask of inequality rows on the constant branch at c = c(x)."""
+        # tie rule: c_i == lambda_i/sigma is inactive; a NaN row stays active, so
+        # the NaN reaches both P and its gradient
+        inactive = c >= self._shift
+        inactive[: self._cons.m_e] = False
+        return inactive
 
-    # shifted-square form, from the shared residual d = c - lambda/sigma
-    d = c - shift
-    me = cons.m_e
-    d[me:] = np.minimum(d[me:], 0.0)
-    shifted_sum = 0.5 * sigma * float(d @ d - shift @ shift)
+    def _sums(self, c: np.ndarray):
+        """The inactive-row mask, both penalty sums and the tolerance scale at c = c(x)."""
+        inactive = self._inactive(c)
 
-    term_scale = float(np.abs(lam) @ np.abs(c) + 0.5 * sigma * (c @ c) + 0.5 * (lam @ lam) / sigma)
-    return inactive, branch_sum, shifted_sum, term_scale
+        # branch form
+        quad = -self.lam * c + 0.5 * self.sigma * c * c
+        branch_sum = float(np.where(inactive, self._const, quad).sum())
 
+        # shifted-square form, from the shared residual d = c - lambda/sigma
+        d = c - self._shift
+        me = self._cons.m_e
+        d[me:] = np.minimum(d[me:], 0.0)
+        shifted_sum = 0.5 * self.sigma * float(d @ d - self._shift_sq)
 
-def _checked_P(cons: ConstraintSet, f: float, c: np.ndarray, lam: np.ndarray, sigma: float):
-    """P (branch form) from f = f(x) and c = c(x), after the two-formula cross-check, and the mask."""
-    inactive, branch_sum, shifted_sum, term_scale = _penalty_terms(cons, c, lam, sigma)
-    p_branch = f + branch_sum
-    p_shifted = f + shifted_sum
-    tol = max(1e-10 * max(1.0, abs(p_branch), abs(p_shifted)), 1e-12 * (abs(f) + term_scale))
-    if abs(p_branch - p_shifted) > tol:
-        raise FormDisagreementError(
-            f"augmented Lagrangian forms disagree: {p_branch!r} vs {p_shifted!r}"
-        )
-    return p_branch, inactive
+        term_scale = float(self._abs_lam @ np.abs(c) + 0.5 * self.sigma * (c @ c) + self._lam_term)
+        return inactive, branch_sum, shifted_sum, term_scale
 
+    def from_values(self, f: float, c: np.ndarray) -> tuple[float, np.ndarray]:
+        """P (branch form) from f = f(x) and c = c(x), after the two-formula cross-check, and the mask."""
+        inactive, branch_sum, shifted_sum, term_scale = self._sums(c)
+        p_branch = f + branch_sum
+        p_shifted = f + shifted_sum
+        tol = max(1e-10 * max(1.0, abs(p_branch), abs(p_shifted)), 1e-12 * (abs(f) + term_scale))
+        if abs(p_branch - p_shifted) > tol:
+            raise FormDisagreementError(
+                f"augmented Lagrangian forms disagree: {p_branch!r} vs {p_shifted!r}"
+            )
+        return p_branch, inactive
 
-def _grad_from(g: np.ndarray, J: np.ndarray, lam: np.ndarray, sigma: float, c, inactive):
-    coeff = sigma * c - lam
-    coeff[inactive] = 0.0
-    return g + J.T @ coeff
+    def grad_from(self, g: np.ndarray, J: np.ndarray, c: np.ndarray, inactive: np.ndarray) -> np.ndarray:
+        """grad P from g = grad f(x), J = jac c(x), c = c(x) and its mask; inactive rows add zero."""
+        coeff = self.sigma * c - self.lam
+        coeff[inactive] = 0.0
+        return g + J.T @ coeff
 
+    def value(self, x: np.ndarray) -> float:
+        """P(x), cross-checked over both forms."""
+        c = self._cons.c(x)
+        p, inactive = self.from_values(self._obj.value(x), c)
+        self._at = (x.copy(), c, inactive)
+        return p
 
-def eval_P(problem: ProblemSpec, x: np.ndarray, mult: MultiplierState, sigma: float) -> float:
-    """Augmented Lagrangian P(x, lambda, sigma), cross-checked over both forms."""
-    c = problem.constraints.c(x)
-    return _checked_P(problem.constraints, problem.objective.value(x), c, mult.lam, sigma)[0]
+    def grad(self, x: np.ndarray) -> np.ndarray:
+        """grad P(x); reuses c(x) from the last point evaluated when x is equal."""
+        if self._at is None or not np.array_equal(self._at[0], x):
+            c = self._cons.c(x)
+            self._at = (x.copy(), c, self._inactive(c))
+        _, c, inactive = self._at
+        return self.grad_from(self._obj.gradient(x), self._cons.jac(x), c, inactive)
 
+    def value_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        """(P(x), grad P(x)) from one evaluation of c(x); P is cross-checked."""
+        c = self._cons.c(x)
+        p, inactive = self.from_values(self._obj.value(x), c)
+        return p, self.grad_from(self._obj.gradient(x), self._cons.jac(x), c, inactive)
 
-def grad_P(problem: ProblemSpec, x: np.ndarray, mult: MultiplierState, sigma: float) -> np.ndarray:
-    """Gradient of P in x; inactive inequality terms contribute zero."""
-    cons = problem.constraints
-    c = cons.c(x)
-    _, inactive = _inactive_rows(cons, c, mult.lam, sigma)
-    return _grad_from(problem.objective.gradient(x), cons.jac(x), mult.lam, sigma, c, inactive)
-
-
-def penalty_value_grad(
-    problem: ProblemSpec, x: np.ndarray, mult: MultiplierState, sigma: float
-) -> tuple[float, np.ndarray]:
-    """(P, grad P) from one evaluation of c(x); P is cross-checked as in eval_P."""
-    cons = problem.constraints
-    c = cons.c(x)
-    p, inactive = _checked_P(cons, problem.objective.value(x), c, mult.lam, sigma)
-    return p, _grad_from(problem.objective.gradient(x), cons.jac(x), mult.lam, sigma, c, inactive)
-
-
-def hess_P(problem: ProblemSpec, x: np.ndarray, sigma: float) -> np.ndarray:
-    """Hessian of P for equality-only linear constraints: hess f + sigma*A^T A."""
-    cons = problem.constraints
-    if not (cons.is_linear and cons.m_e == cons.m):
-        raise UnsupportedSpecializationError(
-            "Hessian of P is only available for equality-only linear constraints"
-        )
-    return problem.objective.hessian(x) + sigma * cons.AtA
+    def hess(self, x: np.ndarray) -> np.ndarray:
+        """Hessian of P for equality-only linear constraints: hess f + sigma*A^T A."""
+        if not (self._cons.is_linear and self._cons.m_e == self._cons.m):
+            raise UnsupportedSpecializationError(
+                "Hessian of P is only available for equality-only linear constraints"
+            )
+        return self._obj.hessian(x) + self.sigma * self._cons.AtA
 
 
 def theta(cons: ConstraintSet, c: np.ndarray, mult: MultiplierState, sigma: float) -> ThetaStat:
@@ -212,10 +222,6 @@ def mu_norm(mult: MultiplierState, sigma: float) -> float:
     return float(np.linalg.norm(mult.lam)) / math.sqrt(sigma)
 
 
-def _lipschitz_linear(n: int, L1: float, sigma: float, norm_A_fro_sq: float) -> float:
-    return math.sqrt(n) * (L1 + sigma * norm_A_fro_sq)
-
-
 def lipschitz_bound_linear(L1: float, sigma: float, A: np.ndarray) -> float:
     """Global 2-norm Lipschitz constant of grad P for linear constraints.
 
@@ -223,7 +229,7 @@ def lipschitz_bound_linear(L1: float, sigma: float, A: np.ndarray) -> float:
     caller is responsible for checking that precondition.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
-    return _lipschitz_linear(A.shape[1], L1, sigma, float(np.sum(A * A)))
+    return math.sqrt(A.shape[1]) * (L1 + sigma * float(np.sum(A * A)))
 
 
 def lipschitz_bound_for(problem: ProblemSpec, sigma: float) -> float:
@@ -237,4 +243,4 @@ def lipschitz_bound_for(problem: ProblemSpec, sigma: float) -> float:
         )
     if problem.objective.L1 is None:
         raise UnsupportedSpecializationError("objective must declare a gradient Lipschitz constant")
-    return _lipschitz_linear(problem.n, problem.objective.L1, sigma, cons.norm_A_fro_sq)
+    return lipschitz_bound_linear(problem.objective.L1, sigma, cons.A)

@@ -102,9 +102,6 @@ class KKTReport:
     compl_ok: bool
     is_eps_kkt: bool
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class MonitorEntry:
@@ -181,7 +178,7 @@ class RunReport:
             "total_oracle_calls": self.total_oracle_calls,
             "x_final": [float(v) for v in self.x_final],
             "lambda_final": [float(v) for v in self.lambda_final],
-            "kkt": self.kkt.to_dict(),
+            "kkt": asdict(self.kkt),
             "trace": self.trace_rows(),
             "monitor_log": [
                 {
@@ -281,38 +278,28 @@ def monitor_step(
 
 
 def warm_start(
-    cons: ConstraintSet, mult: core.MultiplierState, sigma: float,
-    first: OuterState, prev: OuterState,
+    pen: core.Penalty, first: OuterState, prev: OuterState
 ) -> tuple[np.ndarray, float, float]:
-    """The better of {x0, x_prev} under the current augmented Lagrangian.
+    """The better of {x0, x_prev} under the current augmented Lagrangian ``pen``.
 
     ``first`` and ``prev`` are the states at x0 and x_prev; P comes from the f
     and c stored on them.  Returns ``(start, P(x0), P(x_prev))``; ``start`` is
     a copy, and ties return x_prev.  Starting the monotone inner solver here
     makes the final inner iterate automatically no worse than both candidates.
     """
-    p_zero = core._checked_P(cons, first.f, first.c, mult.lam, sigma)[0]
-    p_prev = core._checked_P(cons, prev.f, prev.c, mult.lam, sigma)[0]
+    p_zero = pen.from_values(first.f, first.c)[0]
+    p_prev = pen.from_values(prev.f, prev.c)[0]
     start = (first.x if p_zero < p_prev else prev.x).copy()
     return start, p_zero, p_prev
 
 
 def _build_inner_task(
-    problem: ProblemSpec,
-    mult: core.MultiplierState,
-    sigma: float,
-    start: np.ndarray,
-    eps: float,
-    kind: str,
-    p_low: float,
+    pen: core.Penalty, start: np.ndarray, eps: float, kind: str, p_low: float
 ) -> inner.InnerTask:
-    objective = lambda x: core.eval_P(problem, x, mult, sigma)
-    gradient = lambda x: core.grad_P(problem, x, mult, sigma)
-    hessian = None
-    known_L = None
-    cons = problem.constraints
+    problem, cons = pen.problem, pen.problem.constraints
+    hessian = known_L = None
     if kind == INNER_GD_FIXED:
-        known_L = core.lipschitz_bound_for(problem, sigma)
+        known_L = core.lipschitz_bound_for(problem, pen.sigma)
     elif kind == INNER_CUBIC:
         if not (cons.is_linear and cons.m_e == cons.m):
             raise core.UnsupportedSpecializationError(
@@ -320,17 +307,11 @@ def _build_inner_task(
             )
         if not problem.objective.has_hessian:
             raise core.UnsupportedSpecializationError("cubic Newton requires a Hessian oracle")
-        hessian = lambda x: core.hess_P(problem, x, sigma)
+        hessian = pen.hess
         known_L = problem.objective.L2
     return inner.InnerTask(
-        objective=objective,
-        gradient=gradient,
-        value_grad=lambda x: core.penalty_value_grad(problem, x, mult, sigma),
-        hessian=hessian,
-        start=start,
-        eps=eps,
-        known_L=known_L,
-        g_low=p_low,
+        objective=pen.value, gradient=pen.grad, value_grad=pen.value_grad, hessian=hessian,
+        start=start, eps=eps, known_L=known_L, g_low=p_low,
     )
 
 
@@ -401,10 +382,11 @@ def solve(problem: ProblemSpec, config: SolverConfig) -> RunReport:
         if pen.sigma > _SIGMA_CAP:
             terminated = TERMINATED_SIGMA_OVERFLOW
             break
-        start, p_zero, p_prev = warm_start(cons, mult, pen.sigma, first, state)
+        penalty = core.Penalty(problem, mult, pen.sigma)
+        start, p_zero, p_prev = warm_start(penalty, first, state)
         total_calls += 2  # the warm start's two P comparisons, over stored f and c values
         p_low = f_low - 0.5 * mu0_sq - gap0 * k
-        task = _build_inner_task(problem, mult, pen.sigma, start, eps, config.inner, p_low)
+        task = _build_inner_task(penalty, start, eps, config.inner, p_low)
         try:
             res = _run_inner(task, config.inner)
         except (inner.IterationCapExceeded, inner.NonFiniteValue, inner.EigendecompositionFailure) as exc:
@@ -422,8 +404,8 @@ def solve(problem: ProblemSpec, config: SolverConfig) -> RunReport:
         mult_next = core.update_multipliers(cons, c, mult, pen.sigma)
         grad_L = core.lagrangian_grad(g, J, mult_next)
         kkt = kkt_check(cons, c, grad_L, mult_next, eps)
-        p_next, inactive = core._checked_P(cons, f, c, mult.lam, pen.sigma)
-        grad_p = core._grad_from(g, J, mult.lam, pen.sigma, c, inactive)
+        p_next, inactive = penalty.from_values(f, c)
+        grad_p = penalty.grad_from(g, J, c, inactive)
         next_state = OuterState(
             k=k + 1,
             x=x_next,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -81,7 +81,7 @@ class ConstraintSet:
     Either an explicit linear form (A, b) with c(x) = A x - b, or general
     callables (c_fn, jac_fn).  The linear form enables the specializations
     that need a closed-form Lipschitz constant for the penalized gradient;
-    it caches ||A||_F^2 and A^T A, so A must not be mutated afterwards.
+    it caches A^T A, so A must not be mutated afterwards.
     """
 
     m: int
@@ -90,7 +90,6 @@ class ConstraintSet:
     b: Optional[np.ndarray] = None
     c_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
     jac_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    norm_A_fro_sq: float = field(init=False, default=float("nan"))
 
     def __post_init__(self) -> None:
         if not (0 <= self.m_e <= self.m):
@@ -100,7 +99,6 @@ class ConstraintSet:
             self.b = np.asarray(self.b, dtype=float).ravel()
             if self.A.shape[0] != self.m or self.b.shape[0] != self.m:
                 raise ValueError("A/b shapes inconsistent with m")
-            self.norm_A_fro_sq = float(np.sum(self.A * self.A))
         elif self.c_fn is None or self.jac_fn is None:
             raise ValueError("either (A, b) or (c_fn, jac_fn) must be given")
 
@@ -441,23 +439,29 @@ def load_problem(path: str) -> ProblemSpec:
     Schema: {name, n, objective: {kind: "quadratic+cos"|"rosenbrock",
     omega?}, A: row-major nested array, b, m_e, x0, f_low?, L1?, L2?}.
     Only the parametric objective kinds are loadable.  Raises
-    ``ValidationError`` naming the field when the file or objective is not a
-    JSON object, n or m_e is not a JSON integer, n < 1, A's size is not a
-    multiple of n, b's length differs from A's row count, x0 does not have
-    length n, m_e lies outside [0, m], L1 or L2 is negative, A, b or x0 is not
-    a regular array, f_low, L1, L2 or omega is not one number, or any holds a
-    non-finite value.
+    ``ValidationError`` naming the field when a required field (name, n,
+    objective, objective.kind, A, b, m_e, x0) is missing; when a field has the
+    wrong JSON type (the file and objective are objects, n and m_e integers,
+    f_low, L1, L2 and omega single numbers, A, b and x0 regular arrays of
+    numbers, and a bool or a string is never a number) or shape (A's size a
+    multiple of n, b as long as A has rows, x0 of length n); or when a value
+    is out of range (n >= 1, 0 <= m_e <= m, L1, L2 >= 0, all finite).
     """
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ValidationError(f"problem file {path} holds a {type(data).__name__}, not an object")
+    for key in ("name", "n", "objective", "A", "b", "m_e", "x0"):
+        if key not in data:
+            raise ValidationError(f"{key} is missing")
     n = _integer(data["n"], "n")
     if n < 1:
         raise ValidationError(f"n = {n} must be at least 1")
     spec = data["objective"]
     if not isinstance(spec, dict):
         raise ValidationError(f"objective = {spec!r} must be a JSON object")
+    if "kind" not in spec:
+        raise ValidationError("objective.kind is missing")
     kind = spec["kind"]
     if kind == "quadratic+cos":
         omega = float(_finite(spec.get("omega", _OMEGA), "omega", scalar=True))
@@ -495,11 +499,21 @@ def _integer(value, field_name: str) -> int:
     return value
 
 
+def _numbers(value) -> bool:
+    """True iff value is a JSON number (not a bool) or a list nesting only numbers."""
+    if isinstance(value, list):
+        return all(map(_numbers, value))
+    return type(value) in (int, float)  # a bool is an int subclass, not a JSON number
+
+
 def _finite(value, field_name: str, scalar: bool = False) -> np.ndarray:
     try:
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{field_name} is not a regular numeric array: {exc}") from exc
+    # checked after numpy has bounded the nesting depth
+    if not _numbers(value):
+        raise ValidationError(f"{field_name} = {value!r} must hold only JSON numbers")
     if scalar and arr.ndim != 0:
         raise ValidationError(f"{field_name} = {value!r} must be a single number")
     if not np.isfinite(arr).all():

@@ -36,10 +36,10 @@ def skewed_forms(monkeypatch):
     """Make the shifted-square form of P disagree with the branch form."""
     from auglag import core
 
-    real = core._penalty_terms
+    real = core.Penalty._sums
 
     def skewed(*args):
         mask, branch_sum, shifted_sum, scale = real(*args)
         return mask, branch_sum, shifted_sum + 1e-3, scale
 
-    monkeypatch.setattr(core, "_penalty_terms", skewed)
+    monkeypatch.setattr(core.Penalty, "_sums", skewed)

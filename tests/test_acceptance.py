@@ -84,7 +84,7 @@ def test_01_formula_agreement():
         x, lam, sigma = _random_tuple(rng, p)
         f = p.objective.value(x)
         c = p.constraints.c(x)
-        _, branch_sum, shifted_sum, _ = core._penalty_terms(p.constraints, c, lam, sigma)
+        _, branch_sum, shifted_sum, _ = core.Penalty(p, MultiplierState(lam), sigma)._sums(c)
         pb, ps = f + branch_sum, f + shifted_sum
         rel = abs(pb - ps) / max(1.0, abs(pb), abs(ps))
         worst = max(worst, rel)
@@ -110,8 +110,9 @@ def test_02_derivative_correctness():
         if float(np.min(np.abs(c[1:] - lam[1:] / sigma))) < 1e-4:
             continue  # too close to a branch seam for finite differences
         mult = MultiplierState(lam)
-        g = core.grad_P(p, x, mult, sigma)
-        fd = finite_difference_gradient(lambda z: core.eval_P(p, z, mult, sigma), x)
+        pen = core.Penalty(p, mult, sigma)
+        g = pen.grad(x)
+        fd = finite_difference_gradient(pen.value, x)
         worst_p = max(worst_p, float(np.max(np.abs(fd - g) / np.maximum(1.0, np.abs(g)))))
 
         gl = core.lagrangian_grad(p.objective.gradient(x), p.constraints.jac(x), mult)
@@ -328,10 +329,11 @@ def test_11_lipschitz_bound_validity():
         lam = np.concatenate([rng.normal(0, 2, 1), np.abs(rng.normal(0, 2, 8))])
         mult = MultiplierState(lam)
         bound = core.lipschitz_bound_for(p, sigma)
+        pen = core.Penalty(p, mult, sigma)
         xs = rng.uniform(-2.0, 2.0, (1000, 8))
         ys = rng.uniform(-2.0, 2.0, (1000, 8))
         for x, y in zip(xs, ys):
-            num = float(np.linalg.norm(core.grad_P(p, x, mult, sigma) - core.grad_P(p, y, mult, sigma)))
+            num = float(np.linalg.norm(pen.grad(x) - pen.grad(y)))
             den = float(np.linalg.norm(x - y))
             if den > 0:
                 worst_ratio = max(worst_ratio, num / (den * bound))

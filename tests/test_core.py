@@ -10,14 +10,11 @@ from auglag.core import (
     FormDisagreementError,
     MultiplierState,
     PenaltyState,
+    Penalty,
     UnsupportedSpecializationError,
-    eval_P,
-    grad_P,
-    hess_P,
     lagrangian_grad,
     lipschitz_bound_linear,
     mu_norm,
-    penalty_value_grad,
     theta,
     update_multipliers,
     update_penalty,
@@ -29,6 +26,10 @@ from conftest import make_tiny
 
 def _mult(*vals):
     return MultiplierState(lam=np.array(vals, dtype=float))
+
+
+def _zero_mult(p):
+    return MultiplierState(np.zeros(p.constraints.m))
 
 
 def _lagrangian_grad_at(p, x, mult):
@@ -72,20 +73,20 @@ class TestLagrangianGrad:
 class TestEvalP:
     def test_equality_zero_multiplier(self):
         p = make_tiny(1, lambda x: x.copy(), lambda x: np.ones((1, 1)))
-        assert eval_P(p, np.array([3.0]), _mult(0.0), 2.0) == pytest.approx(9.0)
+        assert Penalty(p, _mult(0.0), 2.0).value(np.array([3.0])) == pytest.approx(9.0)
 
     def test_inactive_inequality_constant_branch(self):
         p = make_tiny(0, lambda x: x.copy(), lambda x: np.ones((1, 1)))
-        assert eval_P(p, np.array([5.0]), _mult(2.0), 1.0) == pytest.approx(-2.0)
+        assert Penalty(p, _mult(2.0), 1.0).value(np.array([5.0])) == pytest.approx(-2.0)
 
     def test_active_inequality_both_forms(self):
         p = make_tiny(0, lambda x: x.copy(), lambda x: np.ones((1, 1)))
-        assert eval_P(p, np.array([1.0]), _mult(4.0), 2.0) == pytest.approx(-3.0)
+        assert Penalty(p, _mult(4.0), 2.0).value(np.array([1.0])) == pytest.approx(-3.0)
 
     def test_sigma_must_be_positive(self):
         p = make_tiny(1, lambda x: x.copy(), lambda x: np.ones((1, 1)))
         with pytest.raises(ValueError):
-            eval_P(p, np.array([1.0]), _mult(0.0), 0.0)
+            Penalty(p, _mult(0.0), 0.0).value(np.array([1.0]))
 
     def test_forms_agree_random(self):
         p = corpus_problem("simplex-cos-8")
@@ -94,7 +95,7 @@ class TestEvalP:
             x = rng.uniform(-2.0, 2.0, 8)
             lam = np.concatenate([rng.normal(0, 2, 1), np.abs(rng.normal(0, 2, 8))])
             sigma = float(10.0 ** rng.uniform(-1, 3))
-            eval_P(p, x, MultiplierState(lam), sigma)  # raises on disagreement
+            Penalty(p, MultiplierState(lam), sigma).value(x)  # raises on disagreement
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -104,24 +105,24 @@ class TestEvalP:
     )
     def test_forms_agree_property(self, x, lam, sigma):
         p = make_tiny(0, lambda z: z.copy(), lambda z: np.ones((1, 1)))
-        eval_P(p, np.array([x]), _mult(lam), sigma)
+        Penalty(p, _mult(lam), sigma).value(np.array([x]))
 
 
 class TestGradP:
     def test_equality_example(self):
         p = make_tiny(1, lambda x: x - 1.0, lambda x: np.ones((1, 1)))
-        g = grad_P(p, np.array([2.0]), _mult(1.0), 2.0)
+        g = Penalty(p, _mult(1.0), 2.0).grad(np.array([2.0]))
         np.testing.assert_allclose(g, [1.0])
 
     def test_inactive_inequality_contributes_zero(self):
         p = make_tiny(0, lambda x: x.copy(), lambda x: np.ones((1, 1)))
-        g = grad_P(p, np.array([5.0]), _mult(1.0), 1.0)
+        g = Penalty(p, _mult(1.0), 1.0).grad(np.array([5.0]))
         np.testing.assert_allclose(g, [0.0])
 
     def test_branch_boundary_takes_inactive_side(self):
         # at c == lambda/sigma exactly the inequality term is flat
         p = make_tiny(0, lambda x: x.copy(), lambda x: np.ones((1, 1)))
-        g = grad_P(p, np.array([2.0]), _mult(4.0), 2.0)
+        g = Penalty(p, _mult(4.0), 2.0).grad(np.array([2.0]))
         np.testing.assert_allclose(g, [0.0])
 
     def test_matches_finite_differences_away_from_seams(self):
@@ -136,8 +137,9 @@ class TestGradP:
             if np.min(np.abs(c[1:] - lam[1:] / sigma)) < 1e-3:
                 continue
             mult = MultiplierState(lam)
-            fd = finite_difference_gradient(lambda z: eval_P(p, z, mult, sigma), x)
-            g = grad_P(p, x, mult, sigma)
+            pen = Penalty(p, mult, sigma)
+            fd = finite_difference_gradient(pen.value, x)
+            g = pen.grad(x)
             rel = np.abs(fd - g) / np.maximum(1.0, np.abs(g))
             assert float(np.max(rel)) <= 1e-6
             checked += 1
@@ -168,9 +170,9 @@ class TestPenaltyValueGrad:
         p = corpus_problem(name)
         ties = 0
         for x, mult, sigma in self._tuples(p, np.random.default_rng(17), 400):
-            value, grad = penalty_value_grad(p, x, mult, sigma)
-            assert value == eval_P(p, x, mult, sigma)
-            assert grad.tobytes() == grad_P(p, x, mult, sigma).tobytes()
+            value, grad = Penalty(p, mult, sigma).value_grad(x)
+            assert value == Penalty(p, mult, sigma).value(x)
+            assert grad.tobytes() == Penalty(p, mult, sigma).grad(x).tobytes()
             c = p.constraints.c(x)
             ties += int(np.sum(c[p.constraints.m_e:] == mult.lam[p.constraints.m_e:] / sigma))
         if p.constraints.m > p.constraints.m_e:
@@ -178,39 +180,60 @@ class TestPenaltyValueGrad:
 
     def test_nan_constraint_reaches_value_and_gradient(self):
         p = make_tiny(0, lambda x: np.array([float("nan")]), lambda x: np.ones((1, 1)))
-        value, grad = penalty_value_grad(p, np.array([1.0]), _mult(1.0), 1.0)
+        value, grad = Penalty(p, _mult(1.0), 1.0).value_grad(np.array([1.0]))
         assert math.isnan(value) and np.all(np.isnan(grad))
 
     def test_form_disagreement_raises(self, skewed_forms):
         p = corpus_problem("simplex-cos-8")
         with pytest.raises(FormDisagreementError):
-            penalty_value_grad(p, p.x0, MultiplierState(np.zeros(9)), 1.0)
+            Penalty(p, MultiplierState(np.zeros(9)), 1.0).value_grad(p.x0)
 
     def test_sigma_must_be_positive(self):
         p = make_tiny(1, lambda x: x.copy(), lambda x: np.ones((1, 1)))
         with pytest.raises(ValueError):
-            penalty_value_grad(p, np.array([1.0]), _mult(0.0), 0.0)
+            Penalty(p, _mult(0.0), 0.0).value_grad(np.array([1.0]))
+
+
+class TestPenaltyReuse:
+    def test_gradient_after_in_place_change_matches_fresh_penalty(self):
+        p = corpus_problem("simplex-cos-8")
+        rng = np.random.default_rng(23)
+        lam = np.concatenate([rng.normal(0, 2, 1), np.abs(rng.normal(0, 2, 8))])
+        mult = MultiplierState(lam)
+        pen = Penalty(p, mult, 4.0)
+        x = rng.uniform(-1.5, 1.5, 8)
+        pen.value(x)
+        x[0] += 0.5  # same array object, different point
+        assert pen.grad(x).tobytes() == Penalty(p, mult, 4.0).grad(x).tobytes()
+
+    def test_gradient_after_value_matches_fresh_penalty(self):
+        p = corpus_problem("simplex-cos-8")
+        mult = MultiplierState(np.concatenate([[0.3], np.full(8, 0.2)]))
+        pen = Penalty(p, mult, 2.0)
+        x = p.x0 + 0.01
+        pen.value(x)
+        assert pen.grad(x).tobytes() == Penalty(p, mult, 2.0).grad(x).tobytes()
 
 
 class TestHessP:
     def test_equality_only_linear(self):
         p = corpus_problem("eq-cos-8")
         x = np.asarray(p.x0, float)
-        H = hess_P(p, x, 3.0)
+        H = Penalty(p, _zero_mult(p), 3.0).hess(x)
         expected = p.objective.hessian(x) + 3.0 * np.ones((8, 8))
         np.testing.assert_allclose(H, expected)
 
     def test_rejects_inequalities(self):
         p = corpus_problem("simplex-cos-8")
         with pytest.raises(UnsupportedSpecializationError):
-            hess_P(p, p.x0, 1.0)
+            Penalty(p, _zero_mult(p), 1.0).hess(p.x0)
 
     def test_cached_gram_matrix(self):
         p = corpus_problem("eq-rosenbrock-32")
         A = p.constraints.A
         x = p.x0 + 0.1
         expected = p.objective.hessian(x) + 5.0 * (A.T @ A)
-        assert hess_P(p, x, 5.0).tobytes() == expected.tobytes()
+        assert Penalty(p, _zero_mult(p), 5.0).hess(x).tobytes() == expected.tobytes()
 
 
 class TestTheta:
@@ -366,10 +389,11 @@ class TestLipschitzBound:
         mult = MultiplierState(lam)
         sigma = 4.0
         bound = core.lipschitz_bound_for(p, sigma)
+        pen = Penalty(p, mult, sigma)
         for _ in range(200):
             x = rng.uniform(-2.0, 2.0, 8)
             y = rng.uniform(-2.0, 2.0, 8)
-            num = float(np.linalg.norm(grad_P(p, x, mult, sigma) - grad_P(p, y, mult, sigma)))
+            num = float(np.linalg.norm(pen.grad(x) - pen.grad(y)))
             den = float(np.linalg.norm(x - y))
             assert num <= bound * den * (1.0 + 1e-12)
 

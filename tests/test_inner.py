@@ -97,9 +97,10 @@ class TestGradientDescent:
         sigma, eps = 1.0, 1e-3
         L = core.lipschitz_bound_for(p, sigma)
         p_low = p.objective.f_low - 0.0  # zero scaled multipliers, k = 0
+        pen = core.Penalty(p, mult, sigma)
         task = InnerTask(
-            objective=lambda x: core.eval_P(p, x, mult, sigma),
-            gradient=lambda x: core.grad_P(p, x, mult, sigma),
+            objective=pen.value,
+            gradient=pen.grad,
             start=np.asarray(p.x0, float),
             eps=eps,
             known_L=L,
@@ -192,10 +193,11 @@ class TestCubicNewton:
         mult = core.MultiplierState(np.zeros(1))
         sigma, eps = 1.0, 1e-4
         L2 = p.objective.L2
+        pen = core.Penalty(p, mult, sigma)
         task = InnerTask(
-            objective=lambda x: core.eval_P(p, x, mult, sigma),
-            gradient=lambda x: core.grad_P(p, x, mult, sigma),
-            hessian=lambda x: core.hess_P(p, x, sigma),
+            objective=pen.value,
+            gradient=pen.grad,
+            hessian=pen.hess,
             start=np.asarray(p.x0, float),
             eps=eps,
             known_L=L2,
@@ -211,10 +213,11 @@ class TestCubicNewton:
     def test_monotone_trace_nonconvex(self):
         p = corpus_problem("eq-cos-8")
         mult = core.MultiplierState(np.zeros(1))
+        pen = core.Penalty(p, mult, 1.0)
         task = InnerTask(
-            objective=lambda x: core.eval_P(p, x, mult, 1.0),
-            gradient=lambda x: core.grad_P(p, x, mult, 1.0),
-            hessian=lambda x: core.hess_P(p, x, 1.0),
+            objective=pen.value,
+            gradient=pen.grad,
+            hessian=pen.hess,
             start=np.asarray(p.x0, float),
             eps=1e-6,
             known_L=p.objective.L2,
@@ -228,7 +231,7 @@ class TestCubicNewton:
 def _penalty_task(name, kind, sigma=1.0, eps=1e-3):
     p = corpus_problem(name)
     mult = core.MultiplierState(np.zeros(p.constraints.m))
-    return outer._build_inner_task(p, mult, sigma, p.x0.copy(), eps, kind, -1e9)
+    return outer._build_inner_task(core.Penalty(p, mult, sigma), p.x0.copy(), eps, kind, -1e9)
 
 
 class TestFusedOracle:

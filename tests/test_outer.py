@@ -184,45 +184,65 @@ class TestMonitorStep:
         assert idents and all(e.lhs <= 1e-12 for e in idents)
 
 
+def _count_oracles(monkeypatch):
+    """Counters of f, grad f, c and jac calls (outside, inside) ``outer._run_inner``."""
+    outside, inside = Counter(), Counter()
+    where = [outside]
+
+    def count(owner, attr):
+        original = getattr(owner, attr)
+
+        def wrapper(*args, **kwargs):
+            where[0][attr] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, wrapper)
+
+    for owner, attr in (
+        (ObjectiveOracle, "value"), (ObjectiveOracle, "gradient"),
+        (ConstraintSet, "c"), (ConstraintSet, "jac"),
+    ):
+        count(owner, attr)
+    run_inner = outer._run_inner
+
+    def flagged(task, inner_kind):
+        where[0] = inside
+        try:
+            return run_inner(task, inner_kind)
+        finally:
+            where[0] = outside
+
+    monkeypatch.setattr(outer, "_run_inner", flagged)
+    return outside, inside
+
+
 class TestOneEvaluationPerIterate:
     @pytest.mark.parametrize(
         "name,kind", [("simplex-cos-8", INNER_GD_FIXED), ("eq-cos-8", INNER_CUBIC)]
     )
     def test_oracle_calls_outside_inner_solver(self, monkeypatch, name, kind):
-        calls = Counter()
-        inside = [False]
-
-        def count(owner, attr):
-            original = getattr(owner, attr)
-
-            def wrapper(*args, **kwargs):
-                if not inside[0]:
-                    calls[attr] += 1
-                return original(*args, **kwargs)
-
-            monkeypatch.setattr(owner, attr, wrapper)
-
-        for owner, attr in (
-            (ObjectiveOracle, "value"), (ObjectiveOracle, "gradient"),
-            (ConstraintSet, "c"), (ConstraintSet, "jac"),
-        ):
-            count(owner, attr)
-        run_inner = outer._run_inner
-
-        def flagged(task, inner_kind):
-            inside[0] = True
-            try:
-                return run_inner(task, inner_kind)
-            finally:
-                inside[0] = False
-
-        monkeypatch.setattr(outer, "_run_inner", flagged)
+        calls, _ = _count_oracles(monkeypatch)
         report = solve(corpus_problem(name), SolverConfig(eps=1e-3, inner=kind))
         T = report.T_outer
         assert T >= 2
         # each oracle once at x0 and at every x_{k+1}; c(x0) once more for the
         # feasibility check
         assert calls == {"c": T + 2, "value": T + 1, "gradient": T + 1, "jac": T + 1}
+
+    @pytest.mark.parametrize(
+        "name,kind",
+        [
+            ("eq-rosenbrock-8", INNER_GD_BACKTRACKING),
+            ("eq-cos-8", INNER_CUBIC),
+            ("simplex-cos-8", INNER_GD_FIXED),
+        ],
+    )
+    def test_one_constraint_evaluation_per_objective_value_inside(self, monkeypatch, name, kind):
+        # a gradient after a value at the same point reuses that point's c(x)
+        _, calls = _count_oracles(monkeypatch)
+        report = solve(corpus_problem(name), SolverConfig(eps=1e-3, inner=kind))
+        assert report.total_inner > 0
+        assert calls["c"] == calls["value"]
 
 
 class TestWarmStart:
@@ -235,11 +255,11 @@ class TestWarmStart:
             return OuterState(k=0, x=x, mult=mult, sigma=1.0, theta=None, mu_norm_sq=0.0,
                               f=p.objective.value(x), c=p.constraints.c(x))
 
-        return warm_start(p.constraints, mult, 1.0, state(x0), state(x_prev))
+        return warm_start(core.Penalty(p, mult, 1.0), state(x0), state(x_prev))
 
     def _check_values(self, p, mult, x0, x_prev, p_zero, p_prev):
-        assert p_zero == core.eval_P(p, x0, mult, 1.0)
-        assert p_prev == core.eval_P(p, x_prev, mult, 1.0)
+        assert p_zero == core.Penalty(p, mult, 1.0).value(x0)
+        assert p_prev == core.Penalty(p, mult, 1.0).value(x_prev)
 
     def test_prev_better(self):
         p, mult = self._setup()

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -215,13 +216,21 @@ _GOOD_FILE = {
 }
 
 
+_MISSING = object()
+
+
 def _bad_file(field, value):
-    """_GOOD_FILE with one field replaced; "omega" sits in the objective and
+    """_GOOD_FILE with one field replaced, or dropped when value is _MISSING;
+    "omega" sits in the objective, "objective.kind" is the objective's kind and
     "problem file" stands for the whole file."""
     if field == "problem file":
         return value
+    if field == "objective.kind":
+        return dict(_GOOD_FILE, objective={})
     if field == "omega":
         return dict(_GOOD_FILE, objective={"kind": "quadratic+cos", "omega": value})
+    if value is _MISSING:
+        return {key: v for key, v in _GOOD_FILE.items() if key != field}
     return dict(_GOOD_FILE, **{field: value})
 
 
@@ -257,12 +266,26 @@ def _bad_file(field, value):
         ("omega", float("nan")),
         ("omega", None),
         ("f_low", -10**400),
+        # a JSON string or bool is not a number, at any depth
+        ("f_low", "-3"),
+        ("L1", True),
+        ("L2", "64"),
+        ("omega", "4"),
+        ("omega", False),
+        ("A", [[1, True], [1.0, 0.0], [0.0, 1.0]]),
+        ("b", [1.0, "0", 0.0]),
+        ("x0", [0.5, False]),
+        ("x0", ["0.5", "0.5"]),
+    ]
+    + [
+        pytest.param(field, _MISSING, id=f"{field}-missing")
+        for field in ("name", "n", "objective", "objective.kind", "A", "b", "m_e", "x0")
     ],
 )
 def test_bad_problem_file_rejected_at_load(tmp_path, field, value):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(_bad_file(field, value)))
-    with pytest.raises(ValidationError, match=rf"^{field} "):
+    with pytest.raises(ValidationError, match=rf"^{re.escape(field)} "):
         load_problem(str(path))
     code = cli.main(["solve", "--problem", str(path), "--out", str(tmp_path / "run")])
     assert code == cli.EXIT_USAGE
