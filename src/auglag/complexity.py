@@ -21,6 +21,9 @@ from .problems import ProblemSpec
 REGIME_BOUNDED = "BoundedSigma"
 REGIME_GROWING = "GrowingSigma"
 
+REASON_LOCAL_LIPSCHITZ = "objective derivatives are Lipschitz only on bounded sets"
+REASON_BOUND_EXCEEDED = "outer iterations exceed the bound"
+
 LOG_LINEAR = "LogLinear"
 POWER_LAW = "PowerLaw"
 
@@ -70,6 +73,7 @@ class Certification:
     regime: str
     first_theta_ok: Optional[int]  # first k >= 1 with theta^(k) <= eps/2
     exceedance_prefix: int  # largest T with theta^(k) > eps/2 for all k = 1..T
+    reason: str = ""  # why certified is False; empty when it is True
 
 
 def _bound_inputs_from(report: outer.RunReport, problem: ProblemSpec) -> BoundInputs:
@@ -87,7 +91,9 @@ def _bound_inputs_from(report: outer.RunReport, problem: ProblemSpec) -> BoundIn
 def certify_run(report: outer.RunReport, problem: ProblemSpec, config: outer.SolverConfig) -> Certification:
     """Check a finished run against the matching outer-iteration bound.
 
-    Every input is read from ``report.config``; ``config`` must equal it.
+    Every input is read from ``report.config``; ``config`` must equal it.  The
+    bounds assume globally Lipschitz derivatives, so a problem whose objective
+    is ``local_lipschitz_only`` is never certified; its bound is still reported.
     """
     if config != report.config:
         raise ValueError("config differs from the config the report was produced with")
@@ -115,7 +121,10 @@ def certify_run(report: outer.RunReport, problem: ProblemSpec, config: outer.Sol
     else:
         bound = bound_T_unbounded(inputs)
         certified = prefix < bound
-    return Certification(bound, certified, regime, first_ok, prefix)
+    reason = "" if certified else REASON_BOUND_EXCEEDED
+    if problem.objective.local_lipschitz_only:
+        certified, reason = False, REASON_LOCAL_LIPSCHITZ
+    return Certification(bound, certified, regime, first_ok, prefix, reason)
 
 
 @dataclass

@@ -91,6 +91,7 @@ class Penalty:
         lam = mult.lam
         self.problem, self.lam, self.sigma = problem, lam, sigma
         self._cons, self._obj = problem.constraints, problem.objective
+        self._neg_lam, self._half_sigma = -lam, 0.5 * sigma
         self._shift = lam / sigma
         self._const = -0.5 * lam * lam / sigma
         self._shift_sq = self._shift @ self._shift
@@ -110,17 +111,20 @@ class Penalty:
         """The inactive-row mask, both penalty sums and the tolerance scale at c = c(x)."""
         inactive = self._inactive(c)
 
-        # branch form
-        quad = -self.lam * c + 0.5 * self.sigma * c * c
-        branch_sum = float(np.where(inactive, self._const, quad).sum())
+        # branch form, built in place: the operands and the pairwise sum of
+        # np.where(inactive, const, -lam*c + 0.5*sigma*c*c).sum()
+        quad = self._neg_lam * c
+        quad += self._half_sigma * c * c
+        np.copyto(quad, self._const, where=inactive)
+        branch_sum = float(np.add.reduce(quad))
 
         # shifted-square form, from the shared residual d = c - lambda/sigma
         d = c - self._shift
-        me = self._cons.m_e
-        d[me:] = np.minimum(d[me:], 0.0)
-        shifted_sum = 0.5 * self.sigma * float(d @ d - self._shift_sq)
+        tail = d[self._cons.m_e:]
+        np.minimum(tail, 0.0, out=tail)
+        shifted_sum = self._half_sigma * float(d @ d - self._shift_sq)
 
-        term_scale = float(self._abs_lam @ np.abs(c) + 0.5 * self.sigma * (c @ c) + self._lam_term)
+        term_scale = float(self._abs_lam @ np.abs(c) + self._half_sigma * (c @ c) + self._lam_term)
         return inactive, branch_sum, shifted_sum, term_scale
 
     def from_values(self, f: float, c: np.ndarray) -> tuple[float, np.ndarray]:
@@ -137,7 +141,8 @@ class Penalty:
 
     def grad_from(self, g: np.ndarray, J: np.ndarray, c: np.ndarray, inactive: np.ndarray) -> np.ndarray:
         """grad P from g = grad f(x), J = jac c(x), c = c(x) and its mask; inactive rows add zero."""
-        coeff = self.sigma * c - self.lam
+        coeff = self.sigma * c
+        coeff -= self.lam
         coeff[inactive] = 0.0
         return g + J.T @ coeff
 
@@ -150,10 +155,12 @@ class Penalty:
 
     def grad(self, x: np.ndarray) -> np.ndarray:
         """grad P(x); reuses c(x) from the last point evaluated when x is equal."""
-        if self._at is None or not np.array_equal(self._at[0], x):
+        at = self._at
+        # np.array_equal without its wrapper: NaN still compares unequal
+        if at is None or at[0].shape != x.shape or not (at[0] == x).all():
             c = self._cons.c(x)
-            self._at = (x.copy(), c, self._inactive(c))
-        _, c, inactive = self._at
+            at = self._at = (x.copy(), c, self._inactive(c))
+        _, c, inactive = at
         return self.grad_from(self._obj.gradient(x), self._cons.jac(x), c, inactive)
 
     def value_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:

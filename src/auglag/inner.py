@@ -95,16 +95,23 @@ def _finite_scalar(v: float) -> float:
     return v
 
 
-def _finite_vec(v: np.ndarray) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    if not np.isfinite(v).all():
+def _grad_sq(g: np.ndarray) -> tuple[np.ndarray, float]:
+    """(g, ||g||_2^2) from one g @ g, raising NonFiniteValue if g is not finite.
+
+    A finite sum of squares implies finite entries, so the entry-wise test
+    runs only when the sum is not finite (which a finite g can also give, by
+    overflow).  sqrt of the sum is np.linalg.norm(g), bit for bit.
+    """
+    g = np.asarray(g, dtype=float)
+    gn2 = float(g @ g)
+    if not math.isfinite(gn2) and not np.isfinite(g).all():
         raise NonFiniteValue("oracle returned a non-finite vector")
-    return v
+    return g, gn2
 
 
-def _value_grad(task: InnerTask, x: np.ndarray) -> tuple[float, np.ndarray]:
+def _value_grad(task: InnerTask, x: np.ndarray) -> tuple[float, np.ndarray, float]:
     f, g = task.value_grad(x)
-    return _finite_scalar(f), _finite_vec(g)
+    return (_finite_scalar(f), *_grad_sq(g))
 
 
 def gd_solve(task: InnerTask, variant: str = FIXED_STEP) -> InnerResult:
@@ -115,7 +122,7 @@ def gd_solve(task: InnerTask, variant: str = FIXED_STEP) -> InnerResult:
         raise ValueError("fixed-step descent requires known_L")
 
     x = task.start.copy()
-    f, g = _value_grad(task, x)
+    f, g, gn2 = _value_grad(task, x)
     calls = 1
     trace = [f]
 
@@ -128,21 +135,20 @@ def gd_solve(task: InnerTask, variant: str = FIXED_STEP) -> InnerResult:
         t_prev = 1.0
 
     iters = 0
-    while float(np.linalg.norm(g)) > task.eps:
+    while math.sqrt(gn2) > task.eps:
         if iters >= cap:
             raise IterationCapExceeded(
                 f"gradient descent exceeded its budget of {cap} iterations"
             )
         if variant == FIXED_STEP:
             x_new = x - g / L
-            f_new, g_new = _value_grad(task, x_new)
+            f_new, g_new, gn2_new = _value_grad(task, x_new)
             calls += 1
             if f_new > f + 1e-14 * max(1.0, abs(f)):
                 raise IterationCapExceeded(
                     f"descent step increased the objective ({f} -> {f_new}); L is too small"
                 )
         else:
-            gn2 = float(g @ g)
             t = 2.0 * t_prev
             while True:
                 x_new = x - t * g
@@ -154,12 +160,12 @@ def gd_solve(task: InnerTask, variant: str = FIXED_STEP) -> InnerResult:
                 if t < _STEP_FLOOR:
                     raise IterationCapExceeded("line search collapsed below the step floor")
             t_prev = t
-            g_new = _finite_vec(task.gradient(x_new))
-        x, f, g = x_new, min(f, f_new), g_new
+            g_new, gn2_new = _grad_sq(task.gradient(x_new))
+        x, f, g, gn2 = x_new, min(f, f_new), g_new, gn2_new
         trace.append(f)
         iters += 1
 
-    gnorm = float(np.linalg.norm(g))
+    gnorm = math.sqrt(gn2)
     return InnerResult(
         x_final=x,
         grad_norm2=gnorm,
@@ -205,8 +211,8 @@ def solve_cubic_model(g: np.ndarray, H: np.ndarray, M: float, eig=None) -> np.nd
     r_lb = max(0.0, -2.0 * w_min / M)
 
     def shifted_norm(r: float) -> float:
-        denom = w + 0.5 * M * r
-        return float(np.linalg.norm(ghat / denom))
+        v = ghat / (w + 0.5 * M * r)
+        return math.sqrt(v @ v)
 
     def residual(r: float) -> float:
         return shifted_norm(r) - r
@@ -268,7 +274,7 @@ def cubic_newton_solve(task: InnerTask) -> InnerResult:
     if task.hessian is None:
         raise ValueError("cubic Newton requires a Hessian oracle")
     x = task.start.copy()
-    f, g = _value_grad(task, x)
+    f, g, gn2 = _value_grad(task, x)
     H = np.asarray(task.hessian(x), dtype=float)
     calls = 1
     trace = [f]
@@ -277,7 +283,7 @@ def cubic_newton_solve(task: InnerTask) -> InnerResult:
     iters = 0
     accepted_steps = 0
     eig = None  # eigendecomposition at x, kept across rejected steps
-    while float(np.linalg.norm(g)) > task.eps:
+    while math.sqrt(gn2) > task.eps:
         if iters >= _CUBIC_CAP:
             raise IterationCapExceeded("cubic Newton exceeded its iteration cap")
         if eig is None:
@@ -290,7 +296,7 @@ def cubic_newton_solve(task: InnerTask) -> InnerResult:
         iters += 1
         if model_dec > 0.0 and f - f_trial >= 0.25 * model_dec:
             x, f = x_trial, f_trial
-            g = _finite_vec(task.gradient(x))
+            g, gn2 = _grad_sq(task.gradient(x))
             H = np.asarray(task.hessian(x), dtype=float)
             eig = None
             accepted_steps += 1
@@ -299,7 +305,7 @@ def cubic_newton_solve(task: InnerTask) -> InnerResult:
         else:
             M *= 2.0
 
-    gnorm = float(np.linalg.norm(g))
+    gnorm = math.sqrt(gn2)
     return InnerResult(
         x_final=x,
         grad_norm2=gnorm,

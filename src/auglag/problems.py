@@ -60,7 +60,9 @@ class ObjectiveOracle:
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         g = np.asarray(self.grad_fn(x), dtype=float)
-        if not np.isfinite(g).all():
+        # a finite sum of squares implies finite entries; the entry-wise test
+        # runs only when the sum is not finite (or g is not a vector)
+        if (g.ndim != 1 or not math.isfinite(g @ g)) and not np.isfinite(g).all():
             raise ObjectiveBelowBound("objective gradient is non-finite")
         return g
 
@@ -297,7 +299,7 @@ def _quadratic_cos_objective(n: int, omega: float = _OMEGA) -> ObjectiveOracle:
 def _rosenbrock_objective(n: int) -> ObjectiveOracle:
     # Chained Rosenbrock; derivatives are Lipschitz only on bounded sets.
     def fn(x):
-        return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
+        return float((100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2).sum())
 
     def grad(x):
         g = np.zeros_like(x)

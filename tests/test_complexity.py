@@ -105,6 +105,29 @@ class TestCertifyRun:
         assert cert.certified
         assert cert.exceedance_prefix < cert.bound_T
 
+    def test_local_lipschitz_problem_not_certified(self):
+        p = corpus_problem("eq-rosenbrock-8")
+        assert p.objective.local_lipschitz_only
+        report = solve(p, SolverConfig(eps=1e-2, inner="gd-backtracking"))
+        cert = certify_run(report, p, report.config)
+        assert not cert.certified
+        assert cert.reason == complexity.REASON_LOCAL_LIPSCHITZ
+        # the bound is still reported; the run is within it
+        assert cert.regime == REGIME_BOUNDED and cert.bound_T == pytest.approx(15.65, abs=0.01)
+        assert cert.first_theta_ok <= math.ceil(cert.bound_T)
+        rows = sweep(p, report.config, [1e-2, 1e-3, 1e-4]).rows
+        assert not any(r.failed or r.certified for r in rows)
+
+    def test_reason_says_why_not_certified(self, monkeypatch):
+        p = corpus_problem("simplex-cos-8")
+        report = solve(p, SolverConfig(eps=1e-3, inner="gd-fixed"))
+        cert = certify_run(report, p, report.config)
+        assert cert.certified and cert.reason == ""
+        monkeypatch.setattr(complexity, "bound_T_bounded", lambda inputs: 0.0)
+        monkeypatch.setattr(complexity, "bound_T_unbounded", lambda inputs: 0.0)
+        cert = certify_run(report, p, report.config)
+        assert not cert.certified and cert.reason == complexity.REASON_BOUND_EXCEEDED
+
     def test_unfinished_run_rejected(self):
         p = corpus_problem("simplex-cos-8")
         report = solve(p, SolverConfig(eps=1e-3, max_outer=0))

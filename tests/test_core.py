@@ -19,7 +19,13 @@ from auglag.core import (
     update_multipliers,
     update_penalty,
 )
-from auglag.problems import corpus_problem, finite_difference_gradient
+from auglag.problems import (
+    ConstraintSet,
+    ObjectiveOracle,
+    ProblemSpec,
+    corpus_problem,
+    finite_difference_gradient,
+)
 
 from conftest import make_tiny
 
@@ -213,6 +219,62 @@ class TestPenaltyReuse:
         x = p.x0 + 0.01
         pen.value(x)
         assert pen.grad(x).tobytes() == Penalty(p, mult, 2.0).grad(x).tobytes()
+
+
+def _reference_sums(lam, sigma, m_e, c):
+    """The penalty sums written as plain expressions, the way ``Penalty._sums`` must compute them."""
+    shift = lam / sigma
+    inactive = c >= shift
+    inactive[:m_e] = False
+    quad = -lam * c + 0.5 * sigma * c * c
+    branch_sum = float(np.where(inactive, -0.5 * lam * lam / sigma, quad).sum())
+    d = c - shift
+    d[m_e:] = np.minimum(d[m_e:], 0.0)
+    shifted_sum = 0.5 * sigma * float(d @ d - shift @ shift)
+    term_scale = float(np.abs(lam) @ np.abs(c) + 0.5 * sigma * (c @ c) + 0.5 * (lam @ lam) / sigma)
+    return inactive, branch_sum, shifted_sum, term_scale
+
+
+class TestPenaltyReference:
+    @staticmethod
+    def _tuples(rng, count):
+        """(problem, lambda, sigma, c) with exact ties, NaN rows, m_e in {0, m} and sigma up to 1e16."""
+        for i in range(count):
+            m = int(rng.choice([1, 2, 9, 66, 130]))
+            m_e = (0, m, int(rng.integers(0, m + 1)))[i % 3]
+            lam = np.concatenate([rng.normal(0.0, 3.0, m_e), np.abs(rng.normal(0.0, 3.0, m - m_e))])
+            sigma = float(10.0 ** rng.uniform(-2.0, 16.0))
+            c = rng.normal(0.0, 10.0 ** rng.uniform(-3.0, 1.0), m)
+            ties = rng.random(m) < 0.3
+            c[ties] = lam[ties] / sigma  # c_i == lambda_i/sigma, where the tie rule applies
+            if i % 7 == 0:
+                c[rng.integers(0, m)] = float("nan")
+            cons = ConstraintSet(m=m, m_e=m_e, A=np.zeros((m, 1)), b=np.zeros(m))
+            p = ProblemSpec("ref", ObjectiveOracle(lambda x: 0.0, lambda x: x, -1.0), cons, np.zeros(1))
+            yield p, lam, sigma, c
+
+    def test_sums_bitwise_equal_to_reference(self):
+        rng = np.random.default_rng(41)
+        ties = nans = 0
+        worst = 0.0
+        for p, lam, sigma, c in self._tuples(rng, 3000):
+            m_e = p.constraints.m_e
+            got = Penalty(p, MultiplierState(lam), sigma)._sums(c.copy())
+            want = _reference_sums(lam, sigma, m_e, c.copy())
+            assert got[0].tobytes() == want[0].tobytes()
+            for g, w in zip(got[1:], want[1:]):
+                assert np.float64(g).tobytes() == np.float64(w).tobytes()
+            ties += int(np.sum(c[m_e:] == lam[m_e:] / sigma))
+            if np.isnan(c).any():
+                nans += 1
+                continue
+            f = float(rng.normal(0.0, 10.0))
+            _, branch_sum, shifted_sum, term_scale = got
+            pb, ps = f + branch_sum, f + shifted_sum
+            tol = max(1e-10 * max(1.0, abs(pb), abs(ps)), 1e-12 * (abs(f) + term_scale))
+            worst = max(worst, abs(pb - ps) / tol)
+        assert ties > 0 and nans > 0
+        assert worst < 1e-2, f"worst |P_branch - P_shifted|/tol = {worst:.3e}"
 
 
 class TestHessP:

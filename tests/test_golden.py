@@ -43,9 +43,24 @@ RUNS = {
 RUNS["sweep-eq-qp-analytic"] = [
     "sweep", "--problem", "eq-qp-analytic", "--eps-grid", "1e-2,1e-3,1e-4"
 ]
+# Runs at the sizes the benchmark solves, where numpy's reductions over c(x),
+# grad f and J^T coeff take their unrolled and blocked paths.
+for problem, kind, eps in (
+    ("simplex-cos-32", "gd-fixed", "1e-4"),
+    ("dup-eq-64", "gd-fixed", "1e-4"),
+    ("eq-rosenbrock-32", "gd-backtracking", "1e-3"),
+):
+    RUNS[f"solve-{problem}-{kind}-eps{eps}"] = [
+        "solve", "--problem", problem, "--inner", kind, "--eps", eps
+    ]
 
 # run -> (json, csv, stdout) SHA-256 digests
 GOLDEN = {
+    "solve-dup-eq-64-gd-fixed-eps1e-4": (
+        "8660639a8dbde5c7dfdbf567b8c33dea03c7845947f91f044de85745d903bb29",
+        "292df41057bb715ced0d61cc3e886c4416637fb512a7d465d373b0403f588e70",
+        "e5c53d19e899de09187d1b9cd4e626b2b5cd651ed5b1c24709efe3cecf044921",
+    ),
     "solve-dup-eq-8-gd-backtracking": (
         "dca7abac2edac41307b8e7316ee3a07615b63a2114148f1d82ca17a21ff93fde",
         "f468d9c3553434acc281cc654da8747b626bfa9aedd0d9c2d03d609f6b093f33",
@@ -86,6 +101,11 @@ GOLDEN = {
         "3d65ecbe30b0348c581a8825bf267412b0464244c5ef3a865de8afbde53e8dc9",
         "b1c454c1ef0c9b972c1910e27e6be3e5b78f35ee1542508948ffeddb32399684",
     ),
+    "solve-eq-rosenbrock-32-gd-backtracking-eps1e-3": (
+        "cb78b9bf450fbf41c8ace67da11e69733ddcd73f1c4c2aaf34c6d862877bb797",
+        "b0e213fcc5c3c9e2adea24c614dc15c507d40288220308d1a849df07641f33b4",
+        "8df04873a76c436ee3487d2f2ab55efd8147fa08d845ce416695e9441499bca9",
+    ),
     "solve-eq-rosenbrock-8-cubic-newton": (
         "e2dcc6f3755974596dd361228a22a2bba49649dd82a8804833cb5f1204d33bad",
         "4511acab41f0bd68778af13e179d1433901dd0f76dd6687347969c7045b7485e",
@@ -95,6 +115,11 @@ GOLDEN = {
         "bda86ad9c7eced43f01bfc210cc1fa6c0b87c1686317e984094598e857f8131c",
         "53475317fd466ff6d06afcf90381b06de3aec9101d377b14f21d9e6430d0ee91",
         "a44b6cd85bb342eea3fb4b18ad187f76386077f63a94d9d8f7ccfe37281de215",
+    ),
+    "solve-simplex-cos-32-gd-fixed-eps1e-4": (
+        "0d42c55e396437b7117848caee0a242b23730e6110a0e408f7810f7be9c6a1c4",
+        "033a9846b1c0d205a5db41dcb4b5918ad88fa96dd04b6801bc7095d4d5545634",
+        "eb54b295927c8f2f0bafdca7d55090cb04172412c7a14363a3d2f9a69002779f",
     ),
     "solve-simplex-cos-8-gd-backtracking": (
         "48a2d1bface07de1ac54533cd0ea7f4e4e6a69cb422fbe1b67b885f557e209d2",

@@ -300,3 +300,57 @@ class TestTaskValidation:
                 start=np.array([float("nan")]),
                 eps=1e-3,
             )
+
+
+def _poisoned_task(bad, from_call):
+    """A 3-D quadratic task whose gradient entry 1 reads ``bad`` from gradient call ``from_call`` on."""
+    D = np.diag([1.0, 5.0, 10.0])
+    calls = []
+
+    def gradient(x):
+        calls.append(1)
+        g = D @ x
+        if len(calls) > from_call:
+            g[1] = bad
+        return g
+
+    task = InnerTask(
+        objective=lambda x: 0.5 * float(x @ (D @ x)),
+        gradient=gradient,
+        hessian=lambda x: D,
+        start=np.array([4.0, -2.0, 1.0]),
+        eps=1e-6,
+        known_L=10.0,
+    )
+    return task, calls
+
+
+INNER_KINDS = [outer.INNER_GD_FIXED, outer.INNER_GD_BACKTRACKING, outer.INNER_CUBIC]
+
+
+class TestNonFiniteGradient:
+    @pytest.mark.parametrize("kind", INNER_KINDS)
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("from_call", [0, 1, 2])
+    def test_raises_at_the_first_bad_gradient(self, kind, bad, from_call):
+        task, calls = _poisoned_task(bad, from_call)
+        with pytest.raises(NonFiniteValue):
+            outer._run_inner(task, kind)
+        assert len(calls) == from_call + 1
+
+
+class TestReportedGradientNorm:
+    @pytest.mark.parametrize(
+        "name, kind",
+        [
+            ("simplex-cos-32", outer.INNER_GD_FIXED),
+            ("dup-eq-64", outer.INNER_GD_BACKTRACKING),
+            ("eq-cos-32", outer.INNER_CUBIC),
+        ],
+    )
+    def test_grad_norm2_is_numpy_norm_at_x_final(self, name, kind):
+        task = _penalty_task(name, kind, sigma=4.0, eps=1e-4)
+        res = outer._run_inner(task, kind)
+        assert res.iterations > 0
+        want = float(np.linalg.norm(task.gradient(res.x_final)))
+        assert res.grad_norm2.hex() == want.hex()

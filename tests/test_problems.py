@@ -290,3 +290,35 @@ def test_bad_problem_file_rejected_at_load(tmp_path, field, value):
     code = cli.main(["solve", "--problem", str(path), "--out", str(tmp_path / "run")])
     assert code == cli.EXIT_USAGE
     assert not (tmp_path / "run.json").exists()
+
+
+class TestObjectiveGradientFiniteness:
+    NAN, INF = float("nan"), float("inf")
+
+    @pytest.mark.parametrize(
+        "grad",
+        [
+            [1.0, NAN, 2.0],
+            [INF, 0.0],
+            [0.0, -INF],
+            [INF, -INF, NAN],
+            [[1.0, NAN], [0.0, 0.0]],
+            NAN,
+        ],
+    )
+    def test_non_finite_gradient_rejected(self, grad):
+        obj = ObjectiveOracle(fn=lambda x: 0.0, grad_fn=lambda x: np.array(grad), f_low=-1.0)
+        with pytest.raises(ObjectiveBelowBound, match="gradient is non-finite"):
+            obj.gradient(np.zeros(2))
+
+    # g @ g overflows for entries of 1e200, and numpy reports that as a warning
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize(
+        "grad",
+        [[1e200, -1e200, 1e200], [[1e200, 1.0], [2.0, 3.0]], [[1.0], [2.0]], 1e200, 3.0, []],
+    )
+    def test_finite_gradient_returned_unchanged(self, grad):
+        want = np.array(grad, dtype=float)
+        obj = ObjectiveOracle(fn=lambda x: 0.0, grad_fn=lambda x: np.array(grad), f_low=-1.0)
+        got = obj.gradient(np.zeros(2))
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
