@@ -7,6 +7,7 @@ files, and the console summary only echoes values present in the report.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import math
@@ -122,12 +123,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses: built on the first call, then reused in this process."""
+    return build_parser()
+
+
 def _out_paths(args, default_stem: str):
     stem = args.out or default_stem
     for ext in (".json", ".csv"):
         if stem.endswith(ext):
             stem = stem[: -len(ext)]
     return stem + ".json", stem + ".csv"
+
+
+def _save_reports(args, default_stem: str, save_json, save_csv) -> bool:
+    """Write the formats ``--format`` asks for; False, after logging the path, if one cannot be written."""
+    json_path, csv_path = _out_paths(args, default_stem)
+    for fmt, path, save in (("json", json_path, save_json), ("csv", csv_path, save_csv)):
+        if args.format in (fmt, "both"):
+            try:
+                save(path)
+            except OSError as exc:
+                log.error("cannot write report %s: %s", path, exc.strerror or exc)
+                return False
+    return True
 
 
 def _cmd_solve(args) -> int:
@@ -142,11 +162,8 @@ def _cmd_solve(args) -> int:
         log.error("inner solver failure: %s", exc)
         return EXIT_SOLVER_FAILURE
 
-    json_path, csv_path = _out_paths(args, f"{problem.name}-run")
-    if args.format in ("json", "both"):
-        report.save_json(json_path)
-    if args.format in ("csv", "both"):
-        report.save_csv(csv_path)
+    if not _save_reports(args, f"{problem.name}-run", report.save_json, report.save_csv):
+        return EXIT_USAGE
     last = report.trace[-1]
     print(
         f"terminated={report.terminated} T_outer={report.T_outer} "
@@ -173,11 +190,9 @@ def _cmd_sweep(args) -> int:
         for model in (complexity.LOG_LINEAR, complexity.POWER_LAW):
             coeff, slope, r2 = complexity.fit_growth(result, model)
             fits[model] = {"coefficient": coeff, "exponent_or_slope": slope, "r_squared": r2}
-    json_path, csv_path = _out_paths(args, f"{problem.name}-sweep")
-    if args.format in ("json", "both"):
-        result.save_json(json_path, fits=fits)
-    if args.format in ("csv", "both"):
-        result.save_csv(csv_path)
+    save_json = functools.partial(result.save_json, fits=fits)
+    if not _save_reports(args, f"{problem.name}-sweep", save_json, result.save_csv):
+        return EXIT_USAGE
     n_fail = sum(1 for r in result.rows if r.failed)
     print(
         f"rows={len(result.rows)} failed={n_fail} "
@@ -225,9 +240,8 @@ def _cmd_list(args) -> int:
 
 def main(argv=None) -> int:
     _setup_logging()
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -175,7 +176,12 @@ class Penalty:
             raise UnsupportedSpecializationError(
                 "Hessian of P is only available for equality-only linear constraints"
             )
-        return self._obj.hessian(x) + self.sigma * self._cons.AtA
+        return self._obj.hessian(x) + self._sigma_AtA
+
+    @cached_property
+    def _sigma_AtA(self) -> np.ndarray:
+        """sigma * A^T A, the constant part of hess P, formed on the first ``hess`` call."""
+        return self.sigma * self._cons.AtA
 
 
 def theta(cons: ConstraintSet, c: np.ndarray, mult: MultiplierState, sigma: float) -> ThetaStat:

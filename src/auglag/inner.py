@@ -179,7 +179,7 @@ def gd_solve(task: InnerTask, variant: str = FIXED_STEP) -> InnerResult:
 
 def cubic_model_value(g: np.ndarray, H: np.ndarray, M: float, s: np.ndarray):
     """<g,s> + 0.5<Hs,s> + (M/6)||s||^3."""
-    return float(g @ s) + 0.5 * float(s @ (H @ s)) + (M / 6.0) * float(np.linalg.norm(s)) ** 3
+    return float(g @ s) + 0.5 * float(s @ (H @ s)) + (M / 6.0) * math.sqrt(s @ s) ** 3
 
 
 def _model_eig(g: np.ndarray, H: np.ndarray):
@@ -190,6 +190,32 @@ def _model_eig(g: np.ndarray, H: np.ndarray):
     return w, Q, Q.T @ g
 
 
+def _off_min_part(ghat: np.ndarray, denom: np.ndarray, skip: np.ndarray):
+    """(p, ||p||) with p = ghat/denom off the ``skip`` components and 0 on them."""
+    p = np.where(skip, 0.0, ghat / np.where(skip, 1.0, denom))
+    return p, float(np.linalg.norm(p))
+
+
+def _hard_case_step(Q: np.ndarray, p: np.ndarray, pnorm: float, r: float, sign: float) -> np.ndarray:
+    """Q (-p + sign*tau*e_0), with tau giving length r where ||p|| <= r."""
+    tau = math.sqrt(max(0.0, r * r - pnorm * pnorm))
+    e = np.zeros_like(p)
+    e[0] = sign
+    return Q @ (-p + tau * e)
+
+
+def _rounded_root_step(Q: np.ndarray, ghat: np.ndarray, denom: np.ndarray, r: float) -> np.ndarray:
+    """The step at a secular root r where denom = w + (M/2) r has a zero.
+
+    Such an r lies within float spacing of r_lb, and -ghat/denom would be
+    inf or NaN there, so the step is the hard-case step of length r that
+    drops the non-positive components, its minimal-eigenvector part signed
+    against ghat_0 (the sign that lowers the model).
+    """
+    p, pnorm = _off_min_part(ghat, denom, denom <= 0.0)
+    return _hard_case_step(Q, p, pnorm, r, -1.0 if ghat[0] > 0.0 else 1.0)
+
+
 def solve_cubic_model(g: np.ndarray, H: np.ndarray, M: float, eig=None) -> np.ndarray:
     """Exact global minimizer of the cubic-regularized quadratic model.
 
@@ -197,7 +223,9 @@ def solve_cubic_model(g: np.ndarray, H: np.ndarray, M: float, eig=None) -> np.nd
     ||(H + (M/2) r I)^{-1} g||_2 = r by safeguarded Newton with bisection
     fallback, to residual tolerance 1e-12.  The degenerate case where the
     gradient has no component on the minimal eigenspace is handled by adding
-    an eigenvector component of the right length.
+    an eigenvector component of the right length.  So is a root within float
+    spacing of r_lb = -2 w_min/M, where w + (M/2) r rounds to zero on the
+    minimal eigenvalue (see ``_rounded_root_step``).
 
     ``eig`` is ``_model_eig(g, H)`` from an earlier call with the same g and
     H; passing it skips the eigendecomposition when only M has changed.
@@ -208,26 +236,19 @@ def solve_cubic_model(g: np.ndarray, H: np.ndarray, M: float, eig=None) -> np.nd
         return np.zeros_like(g)
 
     w_min = float(w[0])
+    half_M = 0.5 * M
     r_lb = max(0.0, -2.0 * w_min / M)
-
-    def shifted_norm(r: float) -> float:
-        v = ghat / (w + 0.5 * M * r)
-        return math.sqrt(v @ v)
-
-    def residual(r: float) -> float:
-        return shifted_norm(r) - r
 
     min_mask = (w - w_min) <= 1e-12 * max(1.0, abs(w_min))
     hard_candidate = r_lb > 0.0 and float(np.max(np.abs(ghat[min_mask]), initial=0.0)) <= 1e-13 * max(1.0, gnorm)
     if hard_candidate:
-        denom = w + 0.5 * M * r_lb
-        p = np.where(min_mask, 0.0, ghat / np.where(min_mask, 1.0, denom))
-        pnorm = float(np.linalg.norm(p))
+        p, pnorm = _off_min_part(ghat, w + half_M * r_lb, min_mask)
         if pnorm <= r_lb:
-            tau = math.sqrt(max(0.0, r_lb * r_lb - pnorm * pnorm))
-            e = np.zeros_like(ghat)
-            e[0] = 1.0
-            return Q @ (-p + tau * e)
+            return _hard_case_step(Q, p, pnorm, r_lb, 1.0)
+
+    def residual(r: float) -> float:
+        v = ghat / (w + half_M * r)
+        return math.sqrt(v @ v) - r
 
     # bracket the root of the (decreasing) residual
     lo = r_lb
@@ -239,28 +260,38 @@ def solve_cubic_model(g: np.ndarray, H: np.ndarray, M: float, eig=None) -> np.nd
     else:
         raise EigendecompositionFailure("failed to bracket the secular-equation root")
 
+    # One shifted spectrum, quotient and norm per iteration serve F and F'.  A
+    # root within rounding of r_lb can make w_min + (M/2) r round to 0; F is
+    # then inf or NaN, which moves the bracket like any other value, and
+    # _rounded_root_step handles such a final r.
+    gg = ghat * ghat
     r = 0.5 * (lo + hi)
-    for _ in range(500):
-        F = residual(r)
-        if abs(F) <= _SECULAR_TOL:
-            break
-        if F > 0.0:
-            lo = r
-        else:
-            hi = r
-        denom = w + 0.5 * M * r
-        n2 = shifted_norm(r)
-        dn2 = -(0.5 * M) * float(np.sum(ghat * ghat / denom ** 3)) / n2 if n2 > 0 else 0.0
-        dF = dn2 - 1.0
-        r_newton = r - F / dF if dF != 0.0 else r
-        if lo < r_newton < hi:
-            r = r_newton
-        else:
-            r = 0.5 * (lo + hi)
-        if hi - lo <= 1e-17 * max(1.0, r):
-            break
-    denom = w + 0.5 * M * r
-    return Q @ (-ghat / denom)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(500):
+            denom = w + half_M * r
+            v = ghat / denom
+            n2 = math.sqrt(v @ v)
+            F = n2 - r
+            if abs(F) <= _SECULAR_TOL:
+                break
+            if F > 0.0:
+                lo = r
+            else:
+                hi = r
+            dn2 = -half_M * float(np.add.reduce(gg / denom ** 3)) / n2 if n2 > 0 else 0.0
+            dF = dn2 - 1.0
+            r_newton = r - F / dF if dF != 0.0 else r
+            if lo < r_newton < hi:
+                r = r_newton
+            else:
+                r = 0.5 * (lo + hi)
+            if hi - lo <= 1e-17 * max(1.0, r):
+                break
+    denom = w + half_M * r
+    # w is ascending, so denom[0] is the smallest shifted eigenvalue
+    if denom[0] > 0.0 or denom.all():
+        return Q @ (-ghat / denom)
+    return _rounded_root_step(Q, ghat, denom, r)
 
 
 def cubic_newton_solve(task: InnerTask) -> InnerResult:

@@ -114,9 +114,9 @@ class MonitorEntry:
 
 def _write_json(path: str, payload: dict) -> None:
     """The one JSON layout of every report: indent 1, sorted keys, final newline."""
+    text = json.dumps(payload, indent=1, sort_keys=True) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)  # one write, not one per encoder chunk
 
 
 def _write_csv(path: str, columns: Sequence[str], rows) -> None:

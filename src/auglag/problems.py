@@ -416,10 +416,9 @@ def corpus() -> list[ProblemSpec]:
 
 
 def corpus_problem(name: str) -> ProblemSpec:
-    for p in corpus():
-        if p.name == name:
-            return p
-    # parametric names like simplex-cos-16
+    """The named problem, built alone: a ``corpus()`` name, or a family name with its n like simplex-cos-16."""
+    if name == "eq-qp-analytic":
+        return make_eq_qp_analytic()
     for prefix, maker in (
         ("simplex-cos-", make_simplex_cos),
         ("eq-cos-", make_eq_cos),

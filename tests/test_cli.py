@@ -185,3 +185,31 @@ class TestListAndUsage:
 
     def test_help_exits_cleanly(self, capsys):
         assert cli.main(["--help"]) == cli.EXIT_OK
+
+
+class TestParserReuse:
+    def test_one_process_runs_error_solve_and_help(self, tmp_path, capsys):
+        assert cli.main(["solve", "--problem", "eq-qp-analytic", "--bogus"]) == cli.EXIT_USAGE
+        out = tmp_path / "run"
+        code = cli.main(["solve", "--problem", "eq-qp-analytic", "--eps", "1e-4", "--out", str(out)])
+        assert code == cli.EXIT_OK
+        data = json.loads((tmp_path / "run.json").read_text())
+        assert data["problem"] == "eq-qp-analytic" and data["config"]["eps"] == 1e-4
+        assert data["kkt"]["is_eps_kkt"] is True
+        assert cli.main(["--help"]) == cli.EXIT_OK
+        assert "usage: auglag" in capsys.readouterr().out
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+
+
+class TestReportWriteFailure:
+    @pytest.mark.parametrize("command", [
+        ["solve", "--problem", "eq-qp-analytic"],
+        ["sweep", "--problem", "eq-qp-analytic", "--eps-grid", "1e-2,1e-3"],
+    ])
+    def test_directory_in_the_way_is_usage_error(self, tmp_path, caplog, capsys, command):
+        (tmp_path / "x.json").mkdir()
+        code = cli.main(command + ["--out", str(tmp_path / "x")])
+        assert code == cli.EXIT_USAGE
+        assert str(tmp_path / "x.json") in caplog.text

@@ -44,11 +44,14 @@ RUNS["sweep-eq-qp-analytic"] = [
     "sweep", "--problem", "eq-qp-analytic", "--eps-grid", "1e-2,1e-3,1e-4"
 ]
 # Runs at the sizes the benchmark solves, where numpy's reductions over c(x),
-# grad f and J^T coeff take their unrolled and blocked paths.
+# grad f and J^T coeff take their unrolled and blocked paths, and the cubic
+# model's eigendecomposition and secular sums run at n = 32 and 64.
 for problem, kind, eps in (
     ("simplex-cos-32", "gd-fixed", "1e-4"),
     ("dup-eq-64", "gd-fixed", "1e-4"),
     ("eq-rosenbrock-32", "gd-backtracking", "1e-3"),
+    ("eq-cos-64", "cubic-newton", "1e-4"),
+    ("eq-rosenbrock-32", "cubic-newton", "1e-3"),
 ):
     RUNS[f"solve-{problem}-{kind}-eps{eps}"] = [
         "solve", "--problem", problem, "--inner", kind, "--eps", eps
@@ -70,6 +73,11 @@ GOLDEN = {
         "30e50fd9a846f4646b94e8ed496e5c537af97c1c70d58fcb2414cbfad2130dd9",
         "75a4d2840ef1b88edc7bb0983adf5de4fb7a139ac43008ed453dbef1e0834f03",
         "e724d1d6754efcd458efdf8f4f3c96b7ee47505ec64f873091a1e89944f3b9b5",
+    ),
+    "solve-eq-cos-64-cubic-newton-eps1e-4": (
+        "f02fd9d9b249e334403d83d26fd15bc663760b203bad0bfd0b85b960f3bba7fe",
+        "5bd601c8274c0f2076b92a8bfaceb8916382fd08eb62969baa0b5917f9370ccc",
+        "f1248d9159b341488484f8e9b1a506a3e4e33dd575307d1b2e2a907963e240c5",
     ),
     "solve-eq-cos-8-cubic-newton": (
         "6d5b48a3fe5476e41e1c6e36ebb72b5b3c5cb4fa071ff9a2f58d6bb3dff3cd57",
@@ -100,6 +108,11 @@ GOLDEN = {
         "14f59834577c8c1e29d31d5b877075bf1cad04c1d1277e303706766a1debc608",
         "3d65ecbe30b0348c581a8825bf267412b0464244c5ef3a865de8afbde53e8dc9",
         "b1c454c1ef0c9b972c1910e27e6be3e5b78f35ee1542508948ffeddb32399684",
+    ),
+    "solve-eq-rosenbrock-32-cubic-newton-eps1e-3": (
+        "8bc6c666db7d896c13f856db13418e81d994bf169318bc4471ba3db7016b72c0",
+        "885accefc8a1da76fa4bd3690a326b78488d40651a81cafdf7403636d4bfc079",
+        "969d29c6efa3e9267cb5a282263adf9daf44296767fb77ee4a0b28e64784124f",
     ),
     "solve-eq-rosenbrock-32-gd-backtracking-eps1e-3": (
         "cb78b9bf450fbf41c8ace67da11e69733ddcd73f1c4c2aaf34c6d862877bb797",

@@ -287,6 +287,160 @@ class TestCubicEigenReuse:
             assert solve_cubic_model(g, H, M, eig).tobytes() == fresh.tobytes()
 
 
+def _reference_cubic_step(eig, M):
+    """``solve_cubic_model``'s secular solve as first written, each residual evaluated afresh."""
+    w, Q, ghat = eig
+    gnorm = float(np.linalg.norm(ghat))
+    if gnorm == 0.0 and w[0] >= 0.0:
+        return np.zeros_like(ghat)
+
+    w_min = float(w[0])
+    r_lb = max(0.0, -2.0 * w_min / M)
+
+    def shifted_norm(r):
+        v = ghat / (w + 0.5 * M * r)
+        return math.sqrt(v @ v)
+
+    def residual(r):
+        return shifted_norm(r) - r
+
+    min_mask = (w - w_min) <= 1e-12 * max(1.0, abs(w_min))
+    hard_candidate = r_lb > 0.0 and float(np.max(np.abs(ghat[min_mask]), initial=0.0)) <= 1e-13 * max(1.0, gnorm)
+    if hard_candidate:
+        denom = w + 0.5 * M * r_lb
+        p = np.where(min_mask, 0.0, ghat / np.where(min_mask, 1.0, denom))
+        pnorm = float(np.linalg.norm(p))
+        if pnorm <= r_lb:
+            tau = math.sqrt(max(0.0, r_lb * r_lb - pnorm * pnorm))
+            e = np.zeros_like(ghat)
+            e[0] = 1.0
+            return Q @ (-p + tau * e)
+
+    lo = r_lb
+    hi = max(1.0, 2.0 * (r_lb + 1.0))
+    for _ in range(200):
+        if residual(hi) < 0.0:
+            break
+        hi *= 2.0
+    else:
+        raise inner.EigendecompositionFailure("failed to bracket the secular-equation root")
+
+    r = 0.5 * (lo + hi)
+    for _ in range(500):
+        F = residual(r)
+        if abs(F) <= inner._SECULAR_TOL:
+            break
+        if F > 0.0:
+            lo = r
+        else:
+            hi = r
+        denom = w + 0.5 * M * r
+        n2 = shifted_norm(r)
+        dn2 = -(0.5 * M) * float(np.sum(ghat * ghat / denom ** 3)) / n2 if n2 > 0 else 0.0
+        dF = dn2 - 1.0
+        r_newton = r - F / dF if dF != 0.0 else r
+        if lo < r_newton < hi:
+            r = r_newton
+        else:
+            r = 0.5 * (lo + hi)
+        if hi - lo <= 1e-17 * max(1.0, r):
+            break
+    denom = w + 0.5 * M * r
+    return Q @ (-ghat / denom)
+
+
+def _model_instances(rng, count):
+    """(kind, g, H, M) with n in 1..64 and M in [1e-8, 1e4], cycling over four kinds.
+
+    psd and indefinite draw a random spectrum in a random basis; near-hard
+    gives g a component of 1e-20..1e-6 (or none) on the minimal eigenvector;
+    rounded-root is diagonal, with M near its floor, so the secular root can
+    fall within float spacing of r_lb.
+    """
+    kinds = ("psd", "indefinite", "near-hard", "rounded-root")
+    for i in range(count):
+        kind = kinds[i % 4]
+        n = int(rng.integers(1, 65))
+        M = float(10.0 ** rng.uniform(-8.0, 4.0))
+        if kind == "psd":
+            w = 10.0 ** rng.uniform(-4.0, 2.0, n)
+            w[rng.random(n) < 0.1] = 0.0
+        else:
+            w = rng.normal(0.0, 10.0 ** rng.uniform(-2.0, 2.0), n)
+        ghat = rng.normal(0.0, 10.0 ** rng.uniform(-3.0, 1.0), n)
+        if kind in ("near-hard", "rounded-root"):
+            k = int(np.argmin(w))
+            w[k] = -abs(w[k]) - 1e-3
+            ghat[k] = 0.0 if rng.random() < 0.2 else rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-20.0, -6.0)
+        if kind == "rounded-root":
+            M = float(10.0 ** rng.uniform(-8.0, -5.0))
+            yield kind, ghat, np.diag(w), M
+            continue
+        Qr, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        yield kind, Qr @ ghat, (Qr * w) @ Qr.T, M
+
+
+class TestSecularReference:
+    def test_steps_bitwise_equal_to_reference(self, monkeypatch):
+        rounded = []
+        real = inner._rounded_root_step
+
+        def spy(*args):
+            rounded.append(current)
+            return real(*args)
+
+        monkeypatch.setattr(inner, "_rounded_root_step", spy)
+        rng = np.random.default_rng(2011)
+        nonfinite, kinds = [], set()
+        for current, (kind, g, H, M) in enumerate(_model_instances(rng, 3200)):
+            eig = inner._model_eig(g, H)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                want = _reference_cubic_step(eig, M)
+            got = solve_cubic_model(g, H, M, eig)
+            assert np.isfinite(got).all(), (current, kind)
+            if np.isfinite(want).all():
+                assert got.tobytes() == want.tobytes(), (current, kind)
+            else:
+                nonfinite.append(current)
+                kinds.add(kind)
+        # the reference fails exactly where the rounded-root step is taken
+        assert nonfinite and rounded == nonfinite
+        print(f"{len(nonfinite)} non-finite reference steps, kinds {sorted(kinds)}")
+
+
+class TestRoundedSecularRoot:
+    G, H, M = np.array([1e-9, 1e-7]), np.diag([-1.0, 1.0]), 1e-8
+
+    def test_step_is_finite_and_no_worse_than_hard_case_steps(self):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            assert not np.isfinite(_reference_cubic_step(inner._model_eig(self.G, self.H), self.M)).all()
+        s = solve_cubic_model(self.G, self.H, self.M)
+        assert np.isfinite(s).all()
+        # -p +- tau*e, with e the minimal eigenvector and length 2|w_min|/M
+        r = float(np.linalg.norm(s))
+        assert r == pytest.approx(2.0 / self.M, rel=1e-12)
+        p = np.array([0.0, self.G[1] / (1.0 + 0.5 * self.M * r)])
+        tau = math.sqrt(r * r - p @ p)
+        e = np.array([1.0, 0.0])
+        value = cubic_model_value(self.G, self.H, self.M, s)
+        for sign in (1.0, -1.0):
+            assert value <= cubic_model_value(self.G, self.H, self.M, -p + sign * tau * e)
+
+    def test_solver_stays_finite(self):
+        # f = -x0^2/2 + x0^4/4 + x1^2/2, with M at its floor 1e-8
+        task = InnerTask(
+            objective=lambda x: -0.5 * x[0] ** 2 + 0.25 * x[0] ** 4 + 0.5 * x[1] ** 2,
+            gradient=lambda x: np.array([-x[0] + x[0] ** 3, x[1]]),
+            hessian=lambda x: np.diag([-1.0 + 3.0 * x[0] ** 2, 1.0]),
+            start=self.G,
+            eps=1e-8,
+            known_L=1e-9,
+        )
+        res = cubic_newton_solve(task)
+        assert res.accepted
+        assert abs(abs(res.x_final[0]) - 1.0) <= 1e-8 and abs(res.x_final[1]) <= 1e-8
+
+
 class TestTaskValidation:
     def test_eps_positive(self):
         with pytest.raises(ValueError):

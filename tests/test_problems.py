@@ -61,6 +61,25 @@ class TestCorpusContract:
         with pytest.raises(KeyError):
             corpus_problem("no-such-problem")
 
+    def test_lookup_matches_corpus_field_for_field(self):
+        for want in corpus():
+            got = corpus_problem(want.name)
+            cons, want_cons = got.constraints, want.constraints
+            assert got.name == want.name and cons.m_e == want_cons.m_e
+            for a, b in ((cons.A, want_cons.A), (cons.b, want_cons.b), (got.x0, want.x0)):
+                assert a.tobytes() == b.tobytes() and a.shape == b.shape
+            for field in ("f_low", "L1", "L2"):
+                assert getattr(got.objective, field) == getattr(want.objective, field)
+
+    @pytest.mark.parametrize("name", ["simplex-cos-", "foo", "simplex-cos-x"])
+    def test_lookup_rejects_bad_names(self, name):
+        with pytest.raises(KeyError):
+            corpus_problem(name)
+
+    def test_lookup_rejects_n_out_of_range(self):
+        with pytest.raises(ValueError):
+            corpus_problem("eq-cos-65")
+
     def test_dimension_range(self):
         with pytest.raises(ValueError):
             problems.make_simplex_cos(1)
