@@ -11,9 +11,7 @@ from .problems import (
     validate,
 )
 from .core import (
-    MultiplierState,
     Penalty,
-    PenaltyState,
     ThetaStat,
     lagrangian_grad,
     lipschitz_bound_linear,

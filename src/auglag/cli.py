@@ -253,7 +253,7 @@ def main(argv=None) -> int:
             return _cmd_check(args)
         return _cmd_list(args)
     except (
-        ValueError, KeyError, FileNotFoundError, problems.ValidationError,
+        ValueError, KeyError, OSError, problems.ValidationError,
         problems.ObjectiveBelowBound, core.UnsupportedSpecializationError,
     ) as exc:
         log.error("usage error: %s", exc)

@@ -15,12 +15,16 @@ continuous there; the gradient convention is one-sided by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .problems import ConstraintSet, ProblemSpec
+
+if TYPE_CHECKING:
+    from .outer import SolverConfig
 
 POLYNOMIAL_GROWTH = "polynomial"
 GEOMETRIC_GROWTH = "geometric"
@@ -35,37 +39,6 @@ class UnsupportedSpecializationError(RuntimeError):
 
 
 @dataclass
-class MultiplierState:
-    """Multiplier vector; inequality components are kept nonnegative."""
-
-    lam: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.lam = np.asarray(self.lam, dtype=float).ravel()
-
-    def check_signs(self, m_e: int) -> bool:
-        return bool(np.all(self.lam[m_e:] >= 0.0))
-
-
-@dataclass
-class PenaltyState:
-    sigma: float
-    alpha: float = 3.0
-    gamma: float = 0.5
-    policy: str = POLYNOMIAL_GROWTH
-
-    def __post_init__(self) -> None:
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
-        if self.alpha <= 1:
-            raise ValueError("alpha must exceed 1")
-        if not (0.0 < self.gamma < 1.0):
-            raise ValueError("gamma must lie in (0,1)")
-        if self.policy not in (POLYNOMIAL_GROWTH, GEOMETRIC_GROWTH):
-            raise ValueError(f"unknown penalty policy {self.policy!r}")
-
-
-@dataclass
 class ThetaStat:
     """Feasibility statistic: max of three parts (absent parts are -inf)."""
 
@@ -73,9 +46,9 @@ class ThetaStat:
     parts: tuple[float, float, float]  # (mult_over_sigma, eq_shifted, ineq_violation)
 
 
-def lagrangian_grad(g: np.ndarray, J: np.ndarray, mult: MultiplierState) -> np.ndarray:
+def lagrangian_grad(g: np.ndarray, J: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """grad f(x) - sum_i lambda_i * grad c_i(x), from g = grad f(x) and J = jac c(x)."""
-    return g - J.T @ mult.lam
+    return g - J.T @ lam
 
 
 class Penalty:
@@ -86,10 +59,9 @@ class Penalty:
     ``grad_from`` take oracle values a caller already holds.
     """
 
-    def __init__(self, problem: ProblemSpec, mult: MultiplierState, sigma: float) -> None:
+    def __init__(self, problem: ProblemSpec, lam: np.ndarray, sigma: float) -> None:
         if sigma <= 0:
             raise ValueError("sigma must be positive")
-        lam = mult.lam
         self.problem, self.lam, self.sigma = problem, lam, sigma
         self._cons, self._obj = problem.constraints, problem.objective
         self._neg_lam, self._half_sigma = -lam, 0.5 * sigma
@@ -184,14 +156,13 @@ class Penalty:
         return self.sigma * self._cons.AtA
 
 
-def theta(cons: ConstraintSet, c: np.ndarray, mult: MultiplierState, sigma: float) -> ThetaStat:
+def theta(cons: ConstraintSet, c: np.ndarray, lam: np.ndarray, sigma: float) -> ThetaStat:
     """Feasibility statistic driving the penalty update, from c = c(x_{k+1}).
 
     max of ||lambda/sigma||_inf, the shifted equality residual, and the
     inequality violation (each in the sup norm); parts without constraints of
     that type are -inf.
     """
-    lam = mult.lam
     me = cons.m_e
     mult_part = float(np.max(np.abs(lam / sigma))) if cons.m > 0 else 0.0
     eq_part = (
@@ -203,36 +174,36 @@ def theta(cons: ConstraintSet, c: np.ndarray, mult: MultiplierState, sigma: floa
     return ThetaStat(value=max(mult_part, eq_part, ineq_part), parts=(mult_part, eq_part, ineq_part))
 
 
-def update_penalty(k: int, theta_next: float, theta_prev: float | None, state: PenaltyState) -> PenaltyState:
-    """Penalty update: keep sigma at k=0 or on sufficient theta decrease."""
+def update_penalty(
+    k: int, theta_next: float, theta_prev: float | None, sigma: float, config: SolverConfig
+) -> float:
+    """The next sigma: kept at k=0 or on sufficient theta decrease, else grown by
+    ``config.penalty_policy`` and never lowered; ``config`` validated alpha, gamma and the policy.
+    """
     if k < 0:
         raise ValueError("k must be >= 0")
-    if k == 0:
-        return replace(state)
-    if theta_prev is not None and theta_next <= state.gamma * theta_prev:
-        return replace(state)
-    if state.policy == POLYNOMIAL_GROWTH:
-        candidate = float(k + 1) ** state.alpha
+    if k == 0 or (theta_prev is not None and theta_next <= config.gamma * theta_prev):
+        return sigma
+    if config.penalty_policy == POLYNOMIAL_GROWTH:
+        candidate = float(k + 1) ** config.alpha
     else:
         candidate = 4.0 ** (k + 1)
-    return replace(state, sigma=max(candidate, state.sigma))
+    return max(candidate, sigma)
 
 
-def update_multipliers(
-    cons: ConstraintSet, c: np.ndarray, mult: MultiplierState, sigma: float
-) -> MultiplierState:
-    """lambda <- lambda - sigma*c, clamped at zero on inequality rows; c = c(x_{k+1})."""
+def update_multipliers(cons: ConstraintSet, c: np.ndarray, lam: np.ndarray, sigma: float) -> np.ndarray:
+    """lambda - sigma*c, clamped at zero on inequality rows, as a new array; c = c(x_{k+1})."""
     me = cons.m_e
-    lam = mult.lam - sigma * c
-    lam[me:] = np.maximum(lam[me:], 0.0)
-    return MultiplierState(lam=lam)
+    lam_next = lam - sigma * c
+    lam_next[me:] = np.maximum(lam_next[me:], 0.0)
+    return lam_next
 
 
-def mu_norm(mult: MultiplierState, sigma: float) -> float:
+def mu_norm(lam: np.ndarray, sigma: float) -> float:
     """||lambda||_2 / sqrt(sigma), the scaled-multiplier norm."""
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    return float(np.linalg.norm(mult.lam)) / math.sqrt(sigma)
+    return float(np.linalg.norm(lam)) / math.sqrt(sigma)
 
 
 def lipschitz_bound_linear(L1: float, sigma: float, A: np.ndarray) -> float:

@@ -281,10 +281,10 @@ def solve_cubic_model(g: np.ndarray, H: np.ndarray, M: float, eig=None) -> np.nd
             dn2 = -half_M * float(np.add.reduce(gg / denom ** 3)) / n2 if n2 > 0 else 0.0
             dF = dn2 - 1.0
             r_newton = r - F / dF if dF != 0.0 else r
-            if lo < r_newton < hi:
-                r = r_newton
-            else:
-                r = 0.5 * (lo + hi)
+            r_next = r_newton if lo < r_newton < hi else 0.5 * (lo + hi)
+            if r_next == r:
+                break  # a fixed point: every later iteration would repeat this one
+            r = r_next
             if hi - lo <= 1e-17 * max(1.0, r):
                 break
     denom = w + half_M * r

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
@@ -63,34 +64,21 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if not (0.0 < self.eps < 1.0):
             raise ValueError("eps must lie in (0,1)")
-        if self.alpha <= 1.0:
-            raise ValueError("alpha must exceed 1")
+        # each test is written so that NaN fails it
+        if not (1.0 < self.alpha < math.inf):
+            raise ValueError(f"alpha must be finite and exceed 1, got {self.alpha!r}")
         if not (0.0 < self.gamma < 1.0):
             raise ValueError("gamma must lie in (0,1)")
-        if self.sigma0 <= 0.0:
-            raise ValueError("sigma0 must be positive")
+        if not (0.0 < self.sigma0 < math.inf):
+            raise ValueError(f"sigma0 must be finite and positive, got {self.sigma0!r}")
+        if self.penalty_policy not in (core.POLYNOMIAL_GROWTH, core.GEOMETRIC_GROWTH):
+            raise ValueError(f"unknown penalty_policy {self.penalty_policy!r}")
         if self.inner not in (INNER_GD_FIXED, INNER_GD_BACKTRACKING, INNER_CUBIC):
             raise ValueError(f"unknown inner solver {self.inner!r}")
         if self.monitor not in (MONITOR_STRICT, MONITOR_RECORD):
             raise ValueError(f"unknown monitor mode {self.monitor!r}")
         if self.max_outer < 0:
             raise ValueError("max_outer must be >= 0")
-
-
-@dataclass
-class OuterState:
-    k: int
-    x: np.ndarray
-    mult: core.MultiplierState
-    sigma: float
-    theta: Optional[float]  # undefined at k = 0
-    mu_norm_sq: float
-    inner_stats: Optional[inner.InnerResult] = None
-    f: float = float("nan")
-    c: Optional[np.ndarray] = None  # c(x); kept for the warm start, not serialized
-    dual_inf: float = float("nan")
-    primal_eq: float = float("nan")
-    primal_ineq: float = float("nan")
 
 
 @dataclass
@@ -101,6 +89,20 @@ class KKTReport:
     sign_ok: bool
     compl_ok: bool
     is_eps_kkt: bool
+
+
+@dataclass
+class OuterState:
+    k: int
+    x: np.ndarray
+    lam: np.ndarray
+    sigma: float
+    theta: Optional[float]  # undefined at k = 0
+    mu_norm_sq: float
+    kkt: KKTReport  # the direct eps-KKT test at (x, lam)
+    inner_stats: Optional[inner.InnerResult] = None
+    f: float = float("nan")
+    c: Optional[np.ndarray] = None  # c(x); kept for the warm start, not serialized
 
 
 @dataclass
@@ -133,7 +135,6 @@ class RunReport:
     config: SolverConfig
     trace: list[OuterState]
     monitor_log: list[MonitorEntry]
-    kkt: KKTReport
     terminated: str
     T_outer: int
     total_inner: int
@@ -145,7 +146,11 @@ class RunReport:
 
     @property
     def lambda_final(self) -> np.ndarray:
-        return self.trace[-1].mult.lam
+        return self.trace[-1].lam
+
+    @property
+    def kkt(self) -> KKTReport:
+        return self.trace[-1].kkt
 
     def trace_rows(self) -> list[dict]:
         rows = []
@@ -159,9 +164,9 @@ class RunReport:
                     "mu_norm_sq": st.mu_norm_sq,
                     "inner_iters": st.inner_stats.iterations if st.inner_stats else 0,
                     "oracle_calls": st.inner_stats.oracle_calls if st.inner_stats else 0,
-                    "dual_inf": st.dual_inf,
-                    "primal_eq": st.primal_eq,
-                    "primal_ineq": st.primal_ineq,
+                    "dual_inf": st.kkt.dual_inf,
+                    "primal_eq": st.kkt.primal_eq,
+                    "primal_ineq": st.kkt.primal_ineq,
                 }
             )
         return rows
@@ -207,14 +212,14 @@ class RunReport:
 
 
 def kkt_check(
-    cons: ConstraintSet, c: np.ndarray, grad_L: np.ndarray, mult: core.MultiplierState, eps: float
+    cons: ConstraintSet, c: np.ndarray, grad_L: np.ndarray, lam: np.ndarray, eps: float
 ) -> KKTReport:
-    """Direct eps-KKT test from c = c(x) and grad_L = core.lagrangian_grad at (x, mult)."""
+    """Direct eps-KKT test from c = c(x) and grad_L = core.lagrangian_grad at (x, lam)."""
     me = cons.m_e
     dual = float(np.max(np.abs(grad_L)))
     primal_eq, primal_ineq = cons.primal_residuals(c)
-    sign_ok = mult.check_signs(me)
-    compl_ok = bool(np.all(mult.lam[me:][c[me:] > eps] == 0.0))
+    sign_ok = bool(np.all(lam[me:] >= 0.0))
+    compl_ok = bool(np.all(lam[me:][c[me:] > eps] == 0.0))
     is_kkt = (
         dual <= eps and primal_eq <= eps and primal_ineq <= eps and sign_ok and compl_ok
     )
@@ -263,8 +268,7 @@ def monitor_step(
     entries.append(MonitorEntry(k + 1, "feasible_upper_bound", p_zero, f0, _slacked(p_zero, f0)))
 
     # penalty lower bound: P(x) >= f(x) - 0.5*sum(lambda^2)/sigma
-    lam_vec = prev.mult.lam
-    lhs = next_state.f - 0.5 * float(np.sum(lam_vec * lam_vec)) / sigma_k
+    lhs = next_state.f - 0.5 * float(np.sum(prev.lam * prev.lam)) / sigma_k
     entries.append(
         MonitorEntry(k + 1, "penalty_lower_bound", lhs, p_next, _slacked(lhs, p_next))
     )
@@ -349,40 +353,33 @@ def solve(problem: ProblemSpec, config: SolverConfig) -> RunReport:
     f0, c0 = obj.value(x0), cons.c(x0)
     gap0 = f0 - f_low
 
-    mult = core.MultiplierState(lam=np.zeros(cons.m))
-    pen = core.PenaltyState(
-        sigma=config.sigma0, alpha=config.alpha, gamma=config.gamma, policy=config.penalty_policy
-    )
-    mu0_sq = core.mu_norm(mult, pen.sigma) ** 2
+    lam, sigma = np.zeros(cons.m), config.sigma0
+    mu0_sq = core.mu_norm(lam, sigma) ** 2
 
-    grad_L0 = core.lagrangian_grad(obj.gradient(x0), cons.jac(x0), mult)
-    k0_kkt = kkt_check(cons, c0, grad_L0, mult, eps)
+    grad_L0 = core.lagrangian_grad(obj.gradient(x0), cons.jac(x0), lam)
     first = state = OuterState(
         k=0,
         x=x0.copy(),
-        mult=mult,
-        sigma=pen.sigma,
+        lam=lam,
+        sigma=sigma,
         theta=None,
         mu_norm_sq=mu0_sq,
+        kkt=kkt_check(cons, c0, grad_L0, lam, eps),
         f=f0,
         c=c0,
-        dual_inf=k0_kkt.dual_inf,
-        primal_eq=k0_kkt.primal_eq,
-        primal_ineq=k0_kkt.primal_ineq,
     )
     trace = [state]
     monitor_log: list[MonitorEntry] = []
     total_inner = 0
     total_calls = 0
     terminated = TERMINATED_MAX_OUTER
-    kkt = k0_kkt
     theta_prev: Optional[float] = None
 
     for k in range(config.max_outer):
-        if pen.sigma > _SIGMA_CAP:
+        if sigma > _SIGMA_CAP:
             terminated = TERMINATED_SIGMA_OVERFLOW
             break
-        penalty = core.Penalty(problem, mult, pen.sigma)
+        penalty = core.Penalty(problem, lam, sigma)
         start, p_zero, p_prev = warm_start(penalty, first, state)
         total_calls += 2  # the warm start's two P comparisons, over stored f and c values
         p_low = f_low - 0.5 * mu0_sq - gap0 * k
@@ -399,26 +396,24 @@ def solve(problem: ProblemSpec, config: SolverConfig) -> RunReport:
         c, f = cons.c(x_next), obj.value(x_next)
         g, J = obj.gradient(x_next), cons.jac(x_next)
         total_calls += 1  # the constraint evaluation at x_{k+1}
-        th_next = core.theta(cons, c, mult, pen.sigma)
-        pen_next = core.update_penalty(k, th_next.value, theta_prev, pen)
-        mult_next = core.update_multipliers(cons, c, mult, pen.sigma)
-        grad_L = core.lagrangian_grad(g, J, mult_next)
-        kkt = kkt_check(cons, c, grad_L, mult_next, eps)
+        th_next = core.theta(cons, c, lam, sigma)
+        sigma_next = core.update_penalty(k, th_next.value, theta_prev, sigma, config)
+        lam_next = core.update_multipliers(cons, c, lam, sigma)
+        grad_L = core.lagrangian_grad(g, J, lam_next)
+        kkt = kkt_check(cons, c, grad_L, lam_next, eps)
         p_next, inactive = penalty.from_values(f, c)
         grad_p = penalty.grad_from(g, J, c, inactive)
         next_state = OuterState(
             k=k + 1,
             x=x_next,
-            mult=mult_next,
-            sigma=pen_next.sigma,
+            lam=lam_next,
+            sigma=sigma_next,
             theta=th_next.value,
-            mu_norm_sq=core.mu_norm(mult_next, pen_next.sigma) ** 2,
+            mu_norm_sq=core.mu_norm(lam_next, sigma_next) ** 2,
+            kkt=kkt,
             inner_stats=res,
             f=f,
             c=c,
-            dual_inf=kkt.dual_inf,
-            primal_eq=kkt.primal_eq,
-            primal_ineq=kkt.primal_ineq,
         )
 
         entries = monitor_step(
@@ -439,7 +434,7 @@ def solve(problem: ProblemSpec, config: SolverConfig) -> RunReport:
 
         trace.append(next_state)
         state = next_state
-        mult, pen, theta_prev = mult_next, pen_next, th_next.value
+        lam, sigma, theta_prev = lam_next, sigma_next, th_next.value
         if kkt.is_eps_kkt and (
             not config.require_theta_half or th_next.value <= eps / 2.0
         ):
@@ -451,7 +446,6 @@ def solve(problem: ProblemSpec, config: SolverConfig) -> RunReport:
         config=config,
         trace=trace,
         monitor_log=monitor_log,
-        kkt=kkt,
         terminated=terminated,
         T_outer=len(trace) - 1,
         total_inner=total_inner,

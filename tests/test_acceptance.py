@@ -17,7 +17,6 @@ import pytest
 
 from auglag import cli, complexity, core, problems
 from auglag.complexity import bound_T_bounded, certify_run, fit_growth, sweep
-from auglag.core import MultiplierState
 from auglag.inner import solve_cubic_model
 from auglag.outer import (
     MONITOR_RECORD,
@@ -84,7 +83,7 @@ def test_01_formula_agreement():
         x, lam, sigma = _random_tuple(rng, p)
         f = p.objective.value(x)
         c = p.constraints.c(x)
-        _, branch_sum, shifted_sum, _ = core.Penalty(p, MultiplierState(lam), sigma)._sums(c)
+        _, branch_sum, shifted_sum, _ = core.Penalty(p, lam, sigma)._sums(c)
         pb, ps = f + branch_sum, f + shifted_sum
         rel = abs(pb - ps) / max(1.0, abs(pb), abs(ps))
         worst = max(worst, rel)
@@ -109,13 +108,12 @@ def test_02_derivative_correctness():
         c = p.constraints.c(x)
         if float(np.min(np.abs(c[1:] - lam[1:] / sigma))) < 1e-4:
             continue  # too close to a branch seam for finite differences
-        mult = MultiplierState(lam)
-        pen = core.Penalty(p, mult, sigma)
+        pen = core.Penalty(p, lam, sigma)
         g = pen.grad(x)
         fd = finite_difference_gradient(pen.value, x)
         worst_p = max(worst_p, float(np.max(np.abs(fd - g) / np.maximum(1.0, np.abs(g)))))
 
-        gl = core.lagrangian_grad(p.objective.gradient(x), p.constraints.jac(x), mult)
+        gl = core.lagrangian_grad(p.objective.gradient(x), p.constraints.jac(x), lam)
         fdl = finite_difference_gradient(
             lambda z: p.objective.fn(z) - float(lam @ p.constraints.c(z)), x
         )
@@ -158,8 +156,8 @@ def test_04_dual_residual_guarantee(corpus_runs):
     worst_ident = 0.0
     for (name, eps), (p, report) in corpus_runs.items():
         for st in report.trace[1:]:
-            if st.dual_inf > eps:
-                bad.append(f"{name}@{eps} k={st.k}: dual_inf {st.dual_inf:.2e}")
+            if st.kkt.dual_inf > eps:
+                bad.append(f"{name}@{eps} k={st.k}: dual_inf {st.kkt.dual_inf:.2e}")
         for e in report.monitor_log:
             if e.check == "dual_identity":
                 worst_ident = max(worst_ident, e.lhs)
@@ -327,9 +325,8 @@ def test_11_lipschitz_bound_validity():
     worst_ratio = 0.0
     for sigma in sigmas:
         lam = np.concatenate([rng.normal(0, 2, 1), np.abs(rng.normal(0, 2, 8))])
-        mult = MultiplierState(lam)
         bound = core.lipschitz_bound_for(p, sigma)
-        pen = core.Penalty(p, mult, sigma)
+        pen = core.Penalty(p, lam, sigma)
         xs = rng.uniform(-2.0, 2.0, (1000, 8))
         ys = rng.uniform(-2.0, 2.0, (1000, 8))
         for x, y in zip(xs, ys):

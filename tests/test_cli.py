@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -145,21 +146,38 @@ class TestSweepCommand:
         ({"sigma0": True}, "'sigma0'"),
         ({"monitor": 1}, "'monitor'"),
         ([0.25], "JSON object"),
+        ({"alpha": math.nan}, "alpha"),
+        ({"sigma0": math.nan}, "sigma0"),
+        ({"alpha": math.inf}, "alpha"),
+        ({"penalty_policy": "linear"}, "penalty_policy"),
     ],
     ids=["unknown", "inner_eps", "require_theta_half", "str-for-float", "float-for-int",
-         "bool-for-float", "int-for-str", "not-an-object"],
+         "bool-for-float", "int-for-str", "not-an-object", "nan-alpha", "nan-sigma0",
+         "inf-alpha", "unknown-policy"],
 )
 def test_bad_config_file_is_usage_error(tmp_path, caplog, overrides, named):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(overrides))
+    cfg.write_text(json.dumps(overrides))  # NaN and Infinity as Python's json writes them
     out = tmp_path / "run"
-    code = cli.main(
-        ["solve", "--problem", "eq-qp-analytic", "--eps", "1e-4",
-         "--config", str(cfg), "--out", str(out)]
-    )
-    assert code == cli.EXIT_USAGE
-    assert named in caplog.text
-    assert not (tmp_path / "run.json").exists()
+    for command in (["solve"], ["sweep", "--eps-grid", "1e-2,1e-3"]):
+        caplog.clear()
+        code = cli.main(
+            command + ["--problem", "eq-qp-analytic", "--eps", "1e-4",
+                       "--config", str(cfg), "--out", str(out)]
+        )
+        assert code == cli.EXIT_USAGE, command
+        assert named in caplog.text, command
+        assert not (tmp_path / "run.json").exists()
+
+
+@pytest.mark.parametrize("flag", ["--problem", "--config"])
+def test_directory_as_input_is_usage_error(tmp_path, caplog, flag):
+    args = {"--problem": "eq-qp-analytic", flag: str(tmp_path)}
+    for command in (["solve"], ["sweep", "--eps-grid", "1e-2,1e-3"]):
+        caplog.clear()
+        argv = command + [item for pair in args.items() for item in pair]
+        assert cli.main(argv + ["--out", str(tmp_path / "run")]) == cli.EXIT_USAGE, command
+        assert "usage error" in caplog.text and str(tmp_path) in caplog.text, command
 
 
 class TestCheckCommand:

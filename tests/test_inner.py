@@ -93,11 +93,11 @@ class TestGradientDescent:
         # augmented Lagrangian inner solve stays within the L*decrease/eps^2
         # iteration budget computed from the certified Lipschitz constant
         p = corpus_problem("simplex-cos-8")
-        mult = core.MultiplierState(np.zeros(9))
+        lam = np.zeros(9)
         sigma, eps = 1.0, 1e-3
         L = core.lipschitz_bound_for(p, sigma)
         p_low = p.objective.f_low - 0.0  # zero scaled multipliers, k = 0
-        pen = core.Penalty(p, mult, sigma)
+        pen = core.Penalty(p, lam, sigma)
         task = InnerTask(
             objective=pen.value,
             gradient=pen.grad,
@@ -190,10 +190,10 @@ class TestCubicNewton:
 
     def test_second_order_budget(self):
         p = corpus_problem("eq-cos-8")
-        mult = core.MultiplierState(np.zeros(1))
+        lam = np.zeros(1)
         sigma, eps = 1.0, 1e-4
         L2 = p.objective.L2
-        pen = core.Penalty(p, mult, sigma)
+        pen = core.Penalty(p, lam, sigma)
         task = InnerTask(
             objective=pen.value,
             gradient=pen.grad,
@@ -212,8 +212,7 @@ class TestCubicNewton:
 
     def test_monotone_trace_nonconvex(self):
         p = corpus_problem("eq-cos-8")
-        mult = core.MultiplierState(np.zeros(1))
-        pen = core.Penalty(p, mult, 1.0)
+        pen = core.Penalty(p, np.zeros(1), 1.0)
         task = InnerTask(
             objective=pen.value,
             gradient=pen.grad,
@@ -230,8 +229,8 @@ class TestCubicNewton:
 
 def _penalty_task(name, kind, sigma=1.0, eps=1e-3):
     p = corpus_problem(name)
-    mult = core.MultiplierState(np.zeros(p.constraints.m))
-    return outer._build_inner_task(core.Penalty(p, mult, sigma), p.x0.copy(), eps, kind, -1e9)
+    pen = core.Penalty(p, np.zeros(p.constraints.m), sigma)
+    return outer._build_inner_task(pen, p.x0.copy(), eps, kind, -1e9)
 
 
 class TestFusedOracle:

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from auglag import core, outer
-from auglag.core import MultiplierState
 from auglag.outer import (
     INNER_CUBIC,
     INNER_GD_BACKTRACKING,
@@ -21,6 +20,8 @@ from auglag.outer import (
     warm_start,
 )
 from auglag.problems import ConstraintSet, ObjectiveOracle, corpus_problem
+
+from conftest import make_tiny
 
 
 def _project_simplex(v):
@@ -39,6 +40,8 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SolverConfig(eps=1e-3, gamma=1.5)
         with pytest.raises(ValueError):
+            SolverConfig(eps=1e-3, gamma=1.0)
+        with pytest.raises(ValueError):
             SolverConfig(eps=1e-3, alpha=1.0)
         with pytest.raises(ValueError):
             SolverConfig(eps=1e-3, sigma0=0.0)
@@ -48,26 +51,36 @@ class TestConfigValidation:
             SolverConfig(eps=1e-3, monitor="loose")
         with pytest.raises(ValueError):
             SolverConfig(eps=1e-3, max_outer=-1)
+        with pytest.raises(ValueError, match="penalty_policy"):
+            SolverConfig(eps=1e-3, penalty_policy="linear")
+        # NaN and infinity fail every range test
+        for field in ("alpha", "sigma0"):
+            for bad in (float("nan"), float("inf")):
+                with pytest.raises(ValueError, match=field):
+                    SolverConfig(eps=1e-3, **{field: bad})
+        for field in ("eps", "gamma"):
+            with pytest.raises(ValueError):
+                SolverConfig(**{"eps": 1e-3, field: float("nan")})
 
 
-def _kkt_at(p, x, mult, eps):
+def _kkt_at(p, x, lam, eps):
     cons = p.constraints
-    grad_L = core.lagrangian_grad(p.objective.gradient(x), cons.jac(x), mult)
-    return kkt_check(cons, cons.c(x), grad_L, mult, eps)
+    grad_L = core.lagrangian_grad(p.objective.gradient(x), cons.jac(x), lam)
+    return kkt_check(cons, cons.c(x), grad_L, lam, eps)
 
 
 class TestKKTCheck:
     def test_unconstrained_stationary_point(self):
         p = corpus_problem("eq-qp-analytic")
         # lambda = 0 and grad f(0) = 0: stationarity holds, feasibility fails
-        rep = _kkt_at(p, np.zeros(4), MultiplierState(np.zeros(1)), 1e-6)
+        rep = _kkt_at(p, np.zeros(4), np.zeros(1), 1e-6)
         assert rep.dual_inf == 0.0
         assert not rep.is_eps_kkt  # equality sum(x) = 1 violated
 
     def test_all_pass_at_feasible_stationary(self):
         p = corpus_problem("eq-qp-analytic")
         x = np.full(4, 0.25)
-        rep = _kkt_at(p, x, MultiplierState(np.array([0.25])), 1e-6)
+        rep = _kkt_at(p, x, np.array([0.25]), 1e-6)
         assert rep.is_eps_kkt
         assert rep.dual_inf <= 1e-12 and rep.primal_eq <= 1e-12
 
@@ -77,7 +90,7 @@ class TestKKTCheck:
         x = np.full(8, 0.125)
         lam = np.zeros(9)
         lam[1] = 0.1  # c_1(x) = 0.125 > 2*eps but lambda_1 > 0
-        rep = _kkt_at(p, x, MultiplierState(lam), eps)
+        rep = _kkt_at(p, x, lam, eps)
         assert not rep.compl_ok
         assert not rep.is_eps_kkt
 
@@ -85,8 +98,14 @@ class TestKKTCheck:
         p = corpus_problem("simplex-cos-8")
         lam = np.zeros(9)
         lam[3] = -0.5
-        rep = _kkt_at(p, np.full(8, 0.125), MultiplierState(lam), 1e-3)
+        rep = _kkt_at(p, np.full(8, 0.125), lam, 1e-3)
         assert not rep.sign_ok
+
+    def test_sign_test_skips_equality_rows(self):
+        # one equality row, one inequality row: only the inequality sign counts
+        p = make_tiny(1, lambda x: np.zeros(2), lambda x: np.zeros((2, 1)), m=2)
+        assert _kkt_at(p, np.zeros(1), np.array([-1.0, 2.0]), 1e-3).sign_ok
+        assert not _kkt_at(p, np.zeros(1), np.array([2.0, -1.0]), 1e-3).sign_ok
 
 
 class TestSolve:
@@ -138,7 +157,7 @@ class TestSolve:
         eps = 1e-3
         report = solve(p, SolverConfig(eps=eps, inner=INNER_CUBIC))
         for st in report.trace[1:]:
-            assert st.dual_inf <= eps * (1.0 + 1e-9)
+            assert st.kkt.dual_inf <= eps * (1.0 + 1e-9)
 
     def test_strict_monitor_aborts(self, monkeypatch):
         entry = outer.MonitorEntry(1, "mu_growth", 2.0, 1.0, False)
@@ -248,44 +267,45 @@ class TestOneEvaluationPerIterate:
 class TestWarmStart:
     def _setup(self):
         p = corpus_problem("eq-qp-analytic")
-        return p, core.MultiplierState(np.zeros(1))
+        return p, np.zeros(1)
 
-    def _warm_start(self, p, mult, x0, x_prev):
+    def _warm_start(self, p, lam, x0, x_prev):
         def state(x):
-            return OuterState(k=0, x=x, mult=mult, sigma=1.0, theta=None, mu_norm_sq=0.0,
-                              f=p.objective.value(x), c=p.constraints.c(x))
+            return OuterState(k=0, x=x, lam=lam, sigma=1.0, theta=None, mu_norm_sq=0.0,
+                              kkt=_kkt_at(p, x, lam, 1e-3), f=p.objective.value(x),
+                              c=p.constraints.c(x))
 
-        return warm_start(core.Penalty(p, mult, 1.0), state(x0), state(x_prev))
+        return warm_start(core.Penalty(p, lam, 1.0), state(x0), state(x_prev))
 
-    def _check_values(self, p, mult, x0, x_prev, p_zero, p_prev):
-        assert p_zero == core.Penalty(p, mult, 1.0).value(x0)
-        assert p_prev == core.Penalty(p, mult, 1.0).value(x_prev)
+    def _check_values(self, p, lam, x0, x_prev, p_zero, p_prev):
+        assert p_zero == core.Penalty(p, lam, 1.0).value(x0)
+        assert p_prev == core.Penalty(p, lam, 1.0).value(x_prev)
 
     def test_prev_better(self):
-        p, mult = self._setup()
+        p, lam = self._setup()
         x0 = np.array([2.0, 0.0, 0.0, 0.0])
         x_prev = np.full(4, 0.25)
-        out, p_zero, p_prev = self._warm_start(p, mult, x0, x_prev)
+        out, p_zero, p_prev = self._warm_start(p, lam, x0, x_prev)
         np.testing.assert_allclose(out, x_prev)
-        self._check_values(p, mult, x0, x_prev, p_zero, p_prev)
+        self._check_values(p, lam, x0, x_prev, p_zero, p_prev)
 
     def test_x0_better(self):
-        p, mult = self._setup()
+        p, lam = self._setup()
         x0 = np.full(4, 0.25)
         x_prev = np.array([2.0, 0.0, 0.0, 0.0])
-        out, p_zero, p_prev = self._warm_start(p, mult, x0, x_prev)
+        out, p_zero, p_prev = self._warm_start(p, lam, x0, x_prev)
         np.testing.assert_allclose(out, x0)
-        self._check_values(p, mult, x0, x_prev, p_zero, p_prev)
+        self._check_values(p, lam, x0, x_prev, p_zero, p_prev)
 
     def test_tie_returns_prev(self):
-        p, mult = self._setup()
+        p, lam = self._setup()
         # distinct points with exactly equal P (coordinate permutation with
         # dyadic entries, so the sums round identically)
         x0 = np.array([0.5, 0.0, 0.25, 0.25])
         x_prev = np.array([0.0, 0.5, 0.25, 0.25])
-        out, p_zero, p_prev = self._warm_start(p, mult, x0, x_prev)
+        out, p_zero, p_prev = self._warm_start(p, lam, x0, x_prev)
         np.testing.assert_allclose(out, x_prev)
-        self._check_values(p, mult, x0, x_prev, p_zero, p_prev)
+        self._check_values(p, lam, x0, x_prev, p_zero, p_prev)
         assert p_zero == p_prev
         out[0] = 99.0  # the result is a copy, not a view
         assert x_prev[0] != 99.0
