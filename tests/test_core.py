@@ -454,3 +454,17 @@ class TestLipschitzBound:
             den = float(np.linalg.norm(x - y))
             assert num <= bound * den * (1.0 + 1e-12)
 
+
+
+class TestStateValidation:
+    def test_penalty_state_ranges(self):
+        # sigma, alpha, gamma and the growth policy live on SolverConfig,
+        # which rejects the same out-of-range values the penalty state did
+        with pytest.raises(ValueError, match="sigma0"):
+            SolverConfig(eps=1e-3, sigma0=0.0)
+        with pytest.raises(ValueError, match="alpha"):
+            SolverConfig(eps=1e-3, alpha=1.0)
+        with pytest.raises(ValueError, match="gamma"):
+            SolverConfig(eps=1e-3, gamma=1.0)
+        with pytest.raises(ValueError, match="penalty_policy"):
+            SolverConfig(eps=1e-3, penalty_policy="linear")
