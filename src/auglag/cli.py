@@ -7,6 +7,7 @@ files, and the console summary only echoes values present in the report.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import logging
@@ -25,12 +26,6 @@ EXIT_SOLVER_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_MONITOR = 3
 
-# keys a --config file may set, with the JSON type each value must have
-_CONFIG_KEYS = {
-    "eps": float, "alpha": float, "gamma": float, "sigma0": float,
-    "penalty_policy": str, "inner": str, "max_outer": int, "monitor": str,
-}
-
 
 def _setup_logging() -> None:
     level = {"quiet": logging.ERROR, "info": logging.INFO, "trace": logging.DEBUG}.get(
@@ -46,58 +41,48 @@ def _load_problem(ref: str) -> problems.ProblemSpec:
 
 
 def _read_overrides(path: str) -> dict:
-    """The --config file as a dict; an unknown key or a wrong-typed value raises ValueError."""
+    """The --config file as a dict; a non-object or an unknown key raises ValueError.
+
+    The values are checked by ``outer.SolverConfig``, like every other option.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         overrides = json.load(fh)
     if not isinstance(overrides, dict):
         raise ValueError(f"--config file {path} must hold a JSON object")
-    for key, value in overrides.items():
-        if key not in _CONFIG_KEYS:
+    for key in overrides:
+        if key not in outer.CONFIG_KEYS:
             raise ValueError(
-                f"--config key {key!r} is unknown; accepted keys: {', '.join(_CONFIG_KEYS)}"
+                f"--config key {key!r} is unknown; accepted keys: {', '.join(outer.CONFIG_KEYS)}"
             )
-        kind = _CONFIG_KEYS[key]
-        accepted = (int, float) if kind is float else kind
-        if isinstance(value, bool) or not isinstance(value, accepted):
-            raise ValueError(f"--config key {key!r} needs a {kind.__name__} value, got {value!r}")
     return overrides
 
 
 def _config_from_args(args, problem) -> outer.SolverConfig:
-    overrides = _read_overrides(args.config) if args.config else {}
-    inner_choice = args.inner if args.inner != "auto" else overrides.get("inner", "auto")
-    if inner_choice == "auto":
-        inner_choice = outer.default_inner_for(problem)
-    fields = dict(
-        eps=args.eps,
-        alpha=args.alpha,
-        gamma=args.gamma,
-        sigma0=args.sigma0,
-        penalty_policy=args.penalty_policy,
-        inner=inner_choice,
-        max_outer=args.max_outer,
-        monitor=args.monitor,
-    )
-    for key, value in overrides.items():
-        if key != "inner":  # the file beats the flags, except for the inner solver
-            fields[key] = value
-    return outer.SolverConfig(**fields)
+    """The flags, then the --config file over them, except that an explicit --inner wins."""
+    fields = {key: getattr(args, key) for key in outer.CONFIG_KEYS}
+    if args.config:
+        fields.update(_read_overrides(args.config))
+    if fields["inner"] == "auto":
+        fields["inner"] = outer.default_inner_for(problem)
+    config = outer.SolverConfig(**fields)  # checks every value, the file's inner solver too
+    if args.inner != "auto" and config.inner != args.inner:
+        config = dataclasses.replace(config, inner=args.inner)
+    return config
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
+    default = outer.SolverConfig
     p.add_argument("--problem", required=True, help="corpus name or JSON file path")
-    p.add_argument("--eps", type=float, default=1e-3)
-    p.add_argument("--alpha", type=float, default=3.0)
-    p.add_argument("--gamma", type=float, default=0.5)
-    p.add_argument("--sigma0", type=float, default=1.0)
-    p.add_argument("--penalty-policy", choices=["polynomial", "geometric"], default="polynomial")
+    p.add_argument("--eps", type=float, default=default.eps)
+    p.add_argument("--alpha", type=float, default=default.alpha)
+    p.add_argument("--gamma", type=float, default=default.gamma)
+    p.add_argument("--sigma0", type=float, default=default.sigma0)
     p.add_argument(
-        "--inner",
-        choices=["auto", "gd-fixed", "gd-backtracking", "cubic-newton"],
-        default="auto",
+        "--penalty-policy", choices=core.PENALTY_POLICIES, default=default.penalty_policy
     )
-    p.add_argument("--max-outer", type=int, default=10000)
-    p.add_argument("--monitor", choices=["strict", "record"], default="strict")
+    p.add_argument("--inner", choices=("auto",) + outer.INNER_SOLVERS, default="auto")
+    p.add_argument("--max-outer", type=int, default=default.max_outer)
+    p.add_argument("--monitor", choices=outer.MONITOR_MODES, default=default.monitor)
     p.add_argument("--config", help="JSON file with solver-config overrides")
     p.add_argument("--out", default=None, help="output path (extension added per format)")
     p.add_argument("--format", choices=["json", "csv", "both"], default="json")
@@ -220,13 +205,9 @@ def _cmd_check(args) -> int:
         g_low=0.0,
     )
     ok = True
-    for name, run in (
-        ("gd-fixed", lambda: inner.gd_solve(task, inner.FIXED_STEP)),
-        ("gd-backtracking", lambda: inner.gd_solve(task, inner.BACKTRACKING)),
-        ("cubic-newton", lambda: inner.cubic_newton_solve(task)),
-    ):
-        res = run()
-        good = res.accepted and float(np.linalg.norm(res.x_final)) < 1e-6
+    for name in outer.INNER_SOLVERS:
+        res = outer._run_inner(task, name)
+        good = float(np.linalg.norm(res.x_final)) < 1e-6
         ok = ok and good
         print(f"inner {name}: {'pass' if good else 'FAIL'} (iterations {res.iterations})")
     return EXIT_OK if (report.passed and ok) else EXIT_SOLVER_FAILURE

@@ -193,12 +193,9 @@ def sweep(
     """One certified solve per eps; rows are ordered by descending eps."""
     if len(eps_grid) == 0:
         raise ValueError("eps_grid must be nonempty")
-    for e in eps_grid:
-        if not (0.0 < e < 1.0):
-            raise ValueError(f"eps values must lie in (0,1), got {e}")
-    grid = sorted(eps_grid, reverse=True)
-    rows = [_solve_row(problem, replace(base_config, eps=e)) for e in grid]
-    return SweepResult(problem=problem.name, rows=rows)
+    # every config is checked before the first solve
+    configs = [replace(base_config, eps=e) for e in sorted(eps_grid, reverse=True)]
+    return SweepResult(problem=problem.name, rows=[_solve_row(problem, c) for c in configs])
 
 
 def fit_growth(result: SweepResult, model: str, field: Optional[str] = None):

@@ -28,6 +28,7 @@ if TYPE_CHECKING:
 
 POLYNOMIAL_GROWTH = "polynomial"
 GEOMETRIC_GROWTH = "geometric"
+PENALTY_POLICIES = (POLYNOMIAL_GROWTH, GEOMETRIC_GROWTH)
 
 
 class FormDisagreementError(RuntimeError):

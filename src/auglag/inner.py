@@ -83,7 +83,6 @@ class InnerResult:
     grad_norm2: float
     iterations: int
     oracle_calls: int
-    accepted: bool
     accepted_steps: int = 0
     objective_trace: list[float] = field(default_factory=list)
 
@@ -165,13 +164,11 @@ def gd_solve(task: InnerTask, variant: str = FIXED_STEP) -> InnerResult:
         trace.append(f)
         iters += 1
 
-    gnorm = math.sqrt(gn2)
     return InnerResult(
         x_final=x,
-        grad_norm2=gnorm,
+        grad_norm2=math.sqrt(gn2),
         iterations=iters,
         oracle_calls=calls,
-        accepted=gnorm <= task.eps,
         accepted_steps=iters,
         objective_trace=trace,
     )
@@ -205,10 +202,11 @@ def _hard_case_step(Q: np.ndarray, p: np.ndarray, pnorm: float, r: float, sign: 
 
 
 def _rounded_root_step(Q: np.ndarray, ghat: np.ndarray, denom: np.ndarray, r: float) -> np.ndarray:
-    """The step at a secular root r where denom = w + (M/2) r has a zero.
+    """The step at a secular root r where denom = w + (M/2) r is not positive.
 
-    Such an r lies within float spacing of r_lb, and -ghat/denom would be
-    inf or NaN there, so the step is the hard-case step of length r that
+    Such an r lies within float spacing of r_lb, where denom[0] rounds to
+    zero or below; -ghat/denom would be inf, NaN or a step far shorter than
+    r there, so the step is the hard-case step of length r that
     drops the non-positive components, its minimal-eigenvector part signed
     against ghat_0 (the sign that lowers the model).
     """
@@ -224,8 +222,8 @@ def solve_cubic_model(g: np.ndarray, H: np.ndarray, M: float, eig=None) -> np.nd
     fallback, to residual tolerance 1e-12.  The degenerate case where the
     gradient has no component on the minimal eigenspace is handled by adding
     an eigenvector component of the right length.  So is a root within float
-    spacing of r_lb = -2 w_min/M, where w + (M/2) r rounds to zero on the
-    minimal eigenvalue (see ``_rounded_root_step``).
+    spacing of r_lb = -2 w_min/M, where w + (M/2) r rounds to zero or below
+    on the minimal eigenvalue (see ``_rounded_root_step``).
 
     ``eig`` is ``_model_eig(g, H)`` from an earlier call with the same g and
     H; passing it skips the eigendecomposition when only M has changed.
@@ -261,9 +259,9 @@ def solve_cubic_model(g: np.ndarray, H: np.ndarray, M: float, eig=None) -> np.nd
         raise EigendecompositionFailure("failed to bracket the secular-equation root")
 
     # One shifted spectrum, quotient and norm per iteration serve F and F'.  A
-    # root within rounding of r_lb can make w_min + (M/2) r round to 0; F is
-    # then inf or NaN, which moves the bracket like any other value, and
-    # _rounded_root_step handles such a final r.
+    # root within rounding of r_lb can make w_min + (M/2) r round to 0 or
+    # below; F is then inf, NaN or far off, which moves the bracket like any
+    # other value, and _rounded_root_step handles such a final r.
     gg = ghat * ghat
     r = 0.5 * (lo + hi)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -289,7 +287,7 @@ def solve_cubic_model(g: np.ndarray, H: np.ndarray, M: float, eig=None) -> np.nd
                 break
     denom = w + half_M * r
     # w is ascending, so denom[0] is the smallest shifted eigenvalue
-    if denom[0] > 0.0 or denom.all():
+    if denom[0] > 0.0:
         return Q @ (-ghat / denom)
     return _rounded_root_step(Q, ghat, denom, r)
 
@@ -336,13 +334,11 @@ def cubic_newton_solve(task: InnerTask) -> InnerResult:
         else:
             M *= 2.0
 
-    gnorm = math.sqrt(gn2)
     return InnerResult(
         x_final=x,
-        grad_norm2=gnorm,
+        grad_norm2=math.sqrt(gn2),
         iterations=iters,
         oracle_calls=calls,
-        accepted=gnorm <= task.eps,
         accepted_steps=accepted_steps,
         objective_trace=trace,
     )

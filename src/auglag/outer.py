@@ -13,7 +13,8 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass
+import numbers
+from dataclasses import asdict, dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -23,15 +24,16 @@ from .problems import ConstraintSet, ProblemSpec
 
 TERMINATED_KKT = "EpsKKT"
 TERMINATED_MAX_OUTER = "MaxOuter"
-TERMINATED_INNER_FAILURE = "InnerFailure"
 TERMINATED_SIGMA_OVERFLOW = "SigmaOverflow"
 
 INNER_GD_FIXED = "gd-fixed"
 INNER_GD_BACKTRACKING = "gd-backtracking"
 INNER_CUBIC = "cubic-newton"
+INNER_SOLVERS = (INNER_GD_FIXED, INNER_GD_BACKTRACKING, INNER_CUBIC)
 
 MONITOR_STRICT = "strict"
 MONITOR_RECORD = "record"
+MONITOR_MODES = (MONITOR_STRICT, MONITOR_RECORD)
 
 _SIGMA_CAP = 1e16
 _MONITOR_SLACK = 1e-9
@@ -48,7 +50,9 @@ class InnerFailure(RuntimeError):
 
 @dataclass
 class SolverConfig:
-    eps: float
+    """The run options, and their one validator: types, ranges and names."""
+
+    eps: float = 1e-3
     alpha: float = 3.0
     gamma: float = 0.5
     sigma0: float = 1.0
@@ -62,23 +66,35 @@ class SolverConfig:
     require_theta_half: bool = False
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.eps < 1.0):
-            raise ValueError("eps must lie in (0,1)")
-        # each test is written so that NaN fails it
-        if not (1.0 < self.alpha < math.inf):
-            raise ValueError(f"alpha must be finite and exceed 1, got {self.alpha!r}")
-        if not (0.0 < self.gamma < 1.0):
-            raise ValueError("gamma must lie in (0,1)")
-        if not (0.0 < self.sigma0 < math.inf):
-            raise ValueError(f"sigma0 must be finite and positive, got {self.sigma0!r}")
-        if self.penalty_policy not in (core.POLYNOMIAL_GROWTH, core.GEOMETRIC_GROWTH):
-            raise ValueError(f"unknown penalty_policy {self.penalty_policy!r}")
-        if self.inner not in (INNER_GD_FIXED, INNER_GD_BACKTRACKING, INNER_CUBIC):
-            raise ValueError(f"unknown inner solver {self.inner!r}")
-        if self.monitor not in (MONITOR_STRICT, MONITOR_RECORD):
-            raise ValueError(f"unknown monitor mode {self.monitor!r}")
-        if self.max_outer < 0:
-            raise ValueError("max_outer must be >= 0")
+        for name, kind, low, high in (
+            ("eps", numbers.Real, 0.0, 1.0),
+            ("alpha", numbers.Real, 1.0, math.inf),
+            ("gamma", numbers.Real, 0.0, 1.0),
+            ("sigma0", numbers.Real, 0.0, math.inf),
+            ("max_outer", numbers.Integral, -1, math.inf),
+        ):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                noun = "a real number" if kind is numbers.Real else "an integer"
+                raise ValueError(f"{name!r} must be {noun}, got {value!r}")
+            if not (low < value < high):  # written so that NaN fails it
+                raise ValueError(f"{name!r} must lie in ({low:g}, {high:g}), got {value!r}")
+        for name, allowed in (
+            ("penalty_policy", core.PENALTY_POLICIES),
+            ("inner", INNER_SOLVERS),
+            ("monitor", MONITOR_MODES),
+        ):
+            value = getattr(self, name)
+            if not (isinstance(value, str) and value in allowed):
+                raise ValueError(f"{name!r} must be one of {', '.join(allowed)}, got {value!r}")
+        if not isinstance(self.require_theta_half, bool):
+            raise ValueError(
+                f"'require_theta_half' must be a bool, got {self.require_theta_half!r}"
+            )
+
+
+# the options a user sets; require_theta_half is for library callers only
+CONFIG_KEYS = tuple(f.name for f in fields(SolverConfig) if f.name != "require_theta_half")
 
 
 @dataclass
@@ -172,11 +188,9 @@ class RunReport:
         return rows
 
     def to_json_dict(self) -> dict:
-        cfg = asdict(self.config)
-        del cfg["require_theta_half"]
         return {
             "problem": self.problem,
-            "config": cfg,
+            "config": {key: getattr(self.config, key) for key in CONFIG_KEYS},
             "terminated": self.terminated,
             "T_outer": self.T_outer,
             "total_inner": self.total_inner,

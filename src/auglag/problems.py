@@ -110,10 +110,6 @@ class ConstraintSet:
         return self.A.T @ self.A
 
     @property
-    def kind(self) -> str:
-        return "linear" if self.A is not None else "general"
-
-    @property
     def is_linear(self) -> bool:
         return self.A is not None
 

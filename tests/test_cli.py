@@ -170,6 +170,39 @@ def test_bad_config_file_is_usage_error(tmp_path, caplog, overrides, named):
         assert not (tmp_path / "run.json").exists()
 
 
+def test_config_inner_is_checked_under_an_explicit_inner_flag(tmp_path, caplog):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"inner": 5}))
+    for command in (["solve"], ["sweep", "--eps-grid", "1e-2,1e-3"]):
+        caplog.clear()
+        code = cli.main(
+            command + ["--problem", "eq-qp-analytic", "--inner", "gd-fixed",
+                       "--config", str(cfg), "--out", str(tmp_path / "run")]
+        )
+        assert code == cli.EXIT_USAGE, command
+        assert "'inner'" in caplog.text, command
+
+
+def test_flag_defaults_are_the_solver_config_defaults():
+    args = cli.build_parser().parse_args(["solve", "--problem", "eq-qp-analytic"])
+    for key in outer.CONFIG_KEYS:
+        want = "auto" if key == "inner" else getattr(outer.SolverConfig, key)
+        assert getattr(args, key) == want, key
+
+
+def test_sigma_overflow_exits_1(tmp_path, capsys):
+    out = tmp_path / "run"
+    code = cli.main(["solve", "--problem", "eq-qp-analytic", "--sigma0", "1e17", "--out", str(out)])
+    assert code == cli.EXIT_SOLVER_FAILURE
+    data = json.loads((tmp_path / "run.json").read_text())
+    assert data["terminated"] == "SigmaOverflow" and data["T_outer"] == 0
+    code = cli.main(["sweep", "--problem", "eq-qp-analytic", "--sigma0", "1e17",
+                     "--eps-grid", "1e-2,1e-3", "--out", str(tmp_path / "sw")])
+    assert code == cli.EXIT_SOLVER_FAILURE
+    rows = json.loads((tmp_path / "sw.json").read_text())["rows"]
+    assert len(rows) == 2 and all(r["failed"] for r in rows)
+
+
 @pytest.mark.parametrize("flag", ["--problem", "--config"])
 def test_directory_as_input_is_usage_error(tmp_path, caplog, flag):
     args = {"--problem": "eq-qp-analytic", flag: str(tmp_path)}

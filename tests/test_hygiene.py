@@ -33,6 +33,45 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+def unread_constants(sources: dict[str, str]) -> list[str]:
+    """Module-level UPPER_CASE names that no module in ``sources`` reads.
+
+    A read is a name loaded anywhere, or an attribute of that name (as in
+    ``outer.INNER_CUBIC``); the sources are keyed by module file name.
+    """
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+            for target in targets:
+                name = getattr(target, "id", "")
+                if name.lstrip("_").isupper() and name not in read:
+                    unread.append(f"{module} line {node.lineno}: {name}")
+    return unread
+
+
+def test_scanner_flags_an_unread_constant():
+    sources = {
+        "a.py": "USED = 1\nUNUSED = 2\n_PRIVATE: int = 3\nprint(_PRIVATE)\nlower = 4\n",
+        "b.py": "from . import a\na.USED\n",
+    }
+    assert unread_constants(sources) == ["a.py line 2: UNUSED"]
+
+
+def test_every_constant_is_read():
+    """A module-level constant no library module reads is dead code."""
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert unread_constants(sources) == []
+
+
 def test_inner_solvers_import_no_package_module():
     """The inner solvers see only an InnerTask, never the problem or the penalty."""
     tree = ast.parse((SRC / "inner.py").read_text(encoding="utf-8"))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from collections import Counter
 
@@ -61,6 +62,26 @@ class TestConfigValidation:
         for field in ("eps", "gamma"):
             with pytest.raises(ValueError):
                 SolverConfig(**{"eps": 1e-3, field: float("nan")})
+
+    @pytest.mark.parametrize(
+        "field,bad",
+        [("max_outer", 5.5), ("sigma0", True), ("max_outer", True),
+         ("require_theta_half", "no"), ("eps", "0.001"), ("alpha", "3")],
+    )
+    def test_types(self, field, bad):
+        with pytest.raises(ValueError, match=f"'{field}'"):
+            SolverConfig(**{"eps": 1e-3, field: bad})
+
+    def test_config_keys_are_the_user_fields(self):
+        keys = ("eps", "alpha", "gamma", "sigma0", "penalty_policy", "inner", "max_outer", "monitor")
+        assert outer.CONFIG_KEYS == keys
+        assert [f.name for f in dataclasses.fields(SolverConfig)] == [*keys, "require_theta_half"]
+
+
+def test_sigma_overflow_stops_before_the_first_inner_solve():
+    report = solve(corpus_problem("eq-qp-analytic"), SolverConfig(eps=1e-3, sigma0=1e17))
+    assert report.terminated == outer.TERMINATED_SIGMA_OVERFLOW == "SigmaOverflow"
+    assert report.T_outer == 0 and report.total_inner == 0
 
 
 def _kkt_at(p, x, lam, eps):

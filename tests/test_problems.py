@@ -99,7 +99,6 @@ class TestCorpusContract:
         )
         assert not cons.is_linear
         assert not cons.nonneg_ineq_rows
-        assert cons.kind == "general"
         np.testing.assert_allclose(cons.c(np.array([2.0, 0.0])), [3.0])
 
     def test_constraint_set_validation(self):
