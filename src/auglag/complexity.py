@@ -165,24 +165,22 @@ class SweepResult:
 
 
 def _solve_row(problem: ProblemSpec, config: outer.SolverConfig) -> SweepRow:
-    try:
+    """One sweep row, marked failed when the solve fails or certification refuses it.
+
+    A run that certification refuses keeps its own counts in the row.
+    """
+    nan = float("nan")
+    row = SweepRow(eps=config.eps, T_outer=0, total_inner=0, total_oracle_calls=0,
+                   sigma_final=nan, bound_T=nan, certified=False)
+    try:  # row-level isolation; the sweep continues
         report = outer.solve(problem, config)
+        row = replace(row, T_outer=report.T_outer, total_inner=report.total_inner,
+                      total_oracle_calls=report.total_oracle_calls,
+                      sigma_final=report.trace[-1].sigma)
         cert = certify_run(report, problem, config)
-        return SweepRow(
-            eps=config.eps,
-            T_outer=report.T_outer,
-            total_inner=report.total_inner,
-            total_oracle_calls=report.total_oracle_calls,
-            sigma_final=report.trace[-1].sigma,
-            bound_T=cert.bound_T,
-            certified=cert.certified,
-        )
-    except Exception as exc:  # row-level isolation; the sweep continues
-        return SweepRow(
-            eps=config.eps, T_outer=0, total_inner=0, total_oracle_calls=0,
-            sigma_final=float("nan"), bound_T=float("nan"), certified=False,
-            failed=True, error=str(exc),
-        )
+    except Exception as exc:
+        return replace(row, failed=True, error=str(exc))
+    return replace(row, bound_T=cert.bound_T, certified=cert.certified)
 
 
 def sweep(

@@ -10,12 +10,20 @@ Two families are provided:
   solved exactly through an eigendecomposition and a one-dimensional root
   find on the secular equation in r = ||s||.
 
+All three run one loop, ``_descend``: it evaluates the start, takes the
+iteration cap from g(start), counts iterations and oracle calls, and keeps
+the monotone value min(f, f_new) and its trace until ||grad g||_2 <= eps.
+Each iteration calls a step rule on (x, f, grad g, ||grad g||^2), which
+returns ``(point | None, calls)``: the next point in that form, or None when
+it rejected its trial.  Only cubic Newton rejects; it forms the Hessian with
+its eigendecomposition at each point where it solves a model, and keeps both
+across rejected trials.
+
 One oracle call is one joint evaluation of value + gradient (+ Hessian where
 requested); line-search trial points count as one call each.  A task may
 supply that joint evaluation as ``value_grad``, which the solvers use wherever
-they need both at one point (every gradient-descent start and fixed step, and
-the cubic-Newton start); Armijo trial points and cubic trial steps need only
-the value and call ``objective``.
+they need both at one point (every start and every fixed step); Armijo trial
+points and cubic trial steps need only the value and call ``objective``.
 """
 from __future__ import annotations
 
@@ -113,65 +121,71 @@ def _value_grad(task: InnerTask, x: np.ndarray) -> tuple[float, np.ndarray, floa
     return (_finite_scalar(f), *_grad_sq(g))
 
 
+def _descend(task: InnerTask, step, budget, what: str) -> InnerResult:
+    """Run ``step`` from ``task.start`` to ||grad g||_2 <= eps, within ``budget(g(start))`` steps.
+
+    ``what`` names the solver in the ``IterationCapExceeded`` message.
+    """
+    x = task.start.copy()
+    f, g, gn2 = _value_grad(task, x)
+    cap = budget(f)
+    calls, iters, trace = 1, 0, [f]
+    while math.sqrt(gn2) > task.eps:
+        if iters >= cap:
+            raise IterationCapExceeded(f"{what} exceeded its budget of {cap} iterations")
+        moved, used = step(x, f, g, gn2)
+        calls += used
+        iters += 1
+        if moved is not None:
+            x, f_new, g, gn2 = moved
+            f = min(f, f_new)
+            trace.append(f)
+    return InnerResult(x_final=x, grad_norm2=math.sqrt(gn2), iterations=iters, oracle_calls=calls,
+                       accepted_steps=len(trace) - 1, objective_trace=trace)
+
+
 def gd_solve(task: InnerTask, variant: str = FIXED_STEP) -> InnerResult:
     """Monotone gradient descent to ||grad g||_2 <= eps."""
     if variant not in (FIXED_STEP, BACKTRACKING):
         raise ValueError(f"unknown variant {variant!r}")
     if variant == FIXED_STEP and task.known_L is None:
         raise ValueError("fixed-step descent requires known_L")
+    L = task.known_L
 
-    x = task.start.copy()
-    f, g, gn2 = _value_grad(task, x)
-    calls = 1
-    trace = [f]
+    def fixed_budget(f0: float) -> int:
+        decrease_bound = f0 - task.g_low if math.isfinite(task.g_low) else 1.0
+        return math.ceil(4.0 * L * max(decrease_bound, 1.0) * task.eps ** -2) + 1000
+
+    def fixed_step(x, f, g, gn2):
+        x_new = x - g / L
+        f_new, g_new, gn2_new = _value_grad(task, x_new)
+        if f_new > f + 1e-14 * max(1.0, abs(f)):
+            raise IterationCapExceeded(
+                f"descent step increased the objective ({f} -> {f_new}); L is too small"
+            )
+        return (x_new, f_new, g_new, gn2_new), 1
+
+    t_prev = 1.0
+
+    def armijo_step(x, f, g, gn2):
+        nonlocal t_prev
+        t = 2.0 * t_prev
+        trials = 0
+        while True:
+            x_new = x - t * g
+            f_new = _finite_scalar(task.objective(x_new))
+            trials += 1
+            if f_new <= f - _ARMIJO_C1 * t * gn2:
+                break
+            t *= 0.5
+            if t < _STEP_FLOOR:
+                raise IterationCapExceeded("line search collapsed below the step floor")
+        t_prev = t
+        return (x_new, f_new, *_grad_sq(task.gradient(x_new))), trials
 
     if variant == FIXED_STEP:
-        L = task.known_L
-        decrease_bound = f - task.g_low if math.isfinite(task.g_low) else 1.0
-        cap = math.ceil(4.0 * L * max(decrease_bound, 1.0) * task.eps ** -2) + 1000
-    else:
-        cap = _BACKTRACK_CAP
-        t_prev = 1.0
-
-    iters = 0
-    while math.sqrt(gn2) > task.eps:
-        if iters >= cap:
-            raise IterationCapExceeded(
-                f"gradient descent exceeded its budget of {cap} iterations"
-            )
-        if variant == FIXED_STEP:
-            x_new = x - g / L
-            f_new, g_new, gn2_new = _value_grad(task, x_new)
-            calls += 1
-            if f_new > f + 1e-14 * max(1.0, abs(f)):
-                raise IterationCapExceeded(
-                    f"descent step increased the objective ({f} -> {f_new}); L is too small"
-                )
-        else:
-            t = 2.0 * t_prev
-            while True:
-                x_new = x - t * g
-                f_new = _finite_scalar(task.objective(x_new))
-                calls += 1
-                if f_new <= f - _ARMIJO_C1 * t * gn2:
-                    break
-                t *= 0.5
-                if t < _STEP_FLOOR:
-                    raise IterationCapExceeded("line search collapsed below the step floor")
-            t_prev = t
-            g_new, gn2_new = _grad_sq(task.gradient(x_new))
-        x, f, g, gn2 = x_new, min(f, f_new), g_new, gn2_new
-        trace.append(f)
-        iters += 1
-
-    return InnerResult(
-        x_final=x,
-        grad_norm2=math.sqrt(gn2),
-        iterations=iters,
-        oracle_calls=calls,
-        accepted_steps=iters,
-        objective_trace=trace,
-    )
+        return _descend(task, fixed_step, fixed_budget, "gradient descent")
+    return _descend(task, armijo_step, lambda f0: _BACKTRACK_CAP, "gradient descent")
 
 
 def cubic_model_value(g: np.ndarray, H: np.ndarray, M: float, s: np.ndarray):
@@ -298,48 +312,29 @@ def cubic_newton_solve(task: InnerTask) -> InnerResult:
     Steps are accepted when the actual decrease reaches a quarter of the
     model decrease; the regularization weight doubles on rejection and halves
     (down to a floor) on acceptance.  Only accepted steps move the iterate, so
-    a rejected step reuses the eigendecomposition of H at the same point.
+    a rejected step reuses the Hessian and its eigendecomposition at the same
+    point; both are formed only where a model is solved.
     """
     if task.hessian is None:
         raise ValueError("cubic Newton requires a Hessian oracle")
-    x = task.start.copy()
-    f, g, gn2 = _value_grad(task, x)
-    H = np.asarray(task.hessian(x), dtype=float)
-    calls = 1
-    trace = [f]
     M = max(task.known_L, _M_MIN) if task.known_L is not None else 1.0
+    model = None  # (H, eigendecomposition) at the current x, kept across rejected steps
 
-    iters = 0
-    accepted_steps = 0
-    eig = None  # eigendecomposition at x, kept across rejected steps
-    while math.sqrt(gn2) > task.eps:
-        if iters >= _CUBIC_CAP:
-            raise IterationCapExceeded("cubic Newton exceeded its iteration cap")
-        if eig is None:
-            eig = _model_eig(g, H)
+    def step(x, f, g, gn2):
+        nonlocal M, model
+        if model is None:
+            H = np.asarray(task.hessian(x), dtype=float)
+            model = H, _model_eig(g, H)
+        H, eig = model
         s = solve_cubic_model(g, H, M, eig)
         model_dec = -cubic_model_value(g, H, M, s)
         x_trial = x + s
         f_trial = _finite_scalar(task.objective(x_trial))
-        calls += 1
-        iters += 1
         if model_dec > 0.0 and f - f_trial >= 0.25 * model_dec:
-            x, f = x_trial, f_trial
-            g, gn2 = _grad_sq(task.gradient(x))
-            H = np.asarray(task.hessian(x), dtype=float)
-            eig = None
-            accepted_steps += 1
+            model = None
             M = max(0.5 * M, _M_MIN)
-            trace.append(f)
-        else:
-            M *= 2.0
+            return (x_trial, f_trial, *_grad_sq(task.gradient(x_trial))), 1
+        M *= 2.0
+        return None, 1
 
-    return InnerResult(
-        x_final=x,
-        grad_norm2=math.sqrt(gn2),
-        iterations=iters,
-        oracle_calls=calls,
-        accepted_steps=accepted_steps,
-        objective_trace=trace,
-    )
-
+    return _descend(task, step, lambda f0: _CUBIC_CAP, "cubic Newton")

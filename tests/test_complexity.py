@@ -176,6 +176,22 @@ class TestSweep:
         result = sweep(p, cfg, [1e-2, 1e-3])
         assert all(r.failed and r.error for r in result.rows)
 
+    def test_refused_certification_keeps_the_run_counts(self):
+        # one outer iteration ends the runs at MaxOuter, which certify_run refuses
+        p = corpus_problem("simplex-cos-8")
+        cfg = SolverConfig(eps=1e-2, max_outer=1)
+        result = sweep(p, cfg, [1e-2, 1e-3])
+        for row in result.rows:
+            report = solve(p, dataclasses.replace(cfg, eps=row.eps))
+            assert row.failed
+            assert row.error == f"cannot certify a run terminated {outer.TERMINATED_MAX_OUTER!r}"
+            assert not row.certified and math.isnan(row.bound_T)
+            assert (row.T_outer, row.total_inner, row.total_oracle_calls, row.sigma_final) == (
+                report.T_outer, report.total_inner, report.total_oracle_calls,
+                report.trace[-1].sigma,
+            )
+            assert row.T_outer == 1 and row.total_inner > 0
+
     def test_save_outputs(self, tmp_path):
         p = corpus_problem("eq-qp-analytic")
         result = sweep(p, SolverConfig(eps=1e-2, inner="cubic-newton"), [1e-2, 1e-3, 1e-4])

@@ -271,10 +271,19 @@ class TestCubicEigenReuse:
             return real(a)
 
         monkeypatch.setattr(np.linalg, "eigh", counted)
+        hessians = []
+        real_hessian = task.hessian
+
+        def counted_hessian(x):
+            hessians.append(1)
+            return real_hessian(x)
+
+        task.hessian = counted_hessian
         res = cubic_newton_solve(task)
         assert res.grad_norm2 <= task.eps
         assert res.iterations > res.accepted_steps  # at least one rejected step
         assert len(calls) == res.accepted_steps
+        assert len(hessians) == res.accepted_steps  # none at the final point
 
     def test_precomputed_eigendecomposition_gives_same_step(self):
         rng = np.random.default_rng(3)
@@ -284,6 +293,24 @@ class TestCubicEigenReuse:
         for M in (0.5, 1.0, 8.0):
             fresh = solve_cubic_model(g, H, M)
             assert solve_cubic_model(g, H, M, eig).tobytes() == fresh.tobytes()
+
+
+class TestIterationBudget:
+    @pytest.mark.parametrize(
+        "cap, kind, solve",
+        [
+            ("_BACKTRACK_CAP", outer.INNER_GD_BACKTRACKING, lambda t: gd_solve(t, BACKTRACKING)),
+            ("_CUBIC_CAP", outer.INNER_CUBIC, cubic_newton_solve),
+        ],
+    )
+    def test_cap_raises_and_outer_solve_wraps_it(self, monkeypatch, cap, kind, solve):
+        monkeypatch.setattr(inner, cap, 2)
+        task = _penalty_task("eq-rosenbrock-8", kind)
+        with pytest.raises(IterationCapExceeded, match="exceeded its budget of 2 iterations"):
+            solve(task)
+        config = outer.SolverConfig(eps=1e-3, inner=kind)
+        with pytest.raises(outer.InnerFailure, match="outer iteration 0: .* budget of 2 iterations"):
+            outer.solve(corpus_problem("eq-rosenbrock-8"), config)
 
 
 def _reference_cubic_step(eig, M):
@@ -324,8 +351,11 @@ def _reference_cubic_step(eig, M):
     else:
         raise inner.EigendecompositionFailure("failed to bracket the secular-equation root")
 
-    r = 0.5 * (lo + hi)
+    r, r_prev = 0.5 * (lo + hi), None
     for _ in range(500):
+        if r == r_prev:
+            break  # every later iteration would repeat the last one
+        r_prev = r
         F = residual(r)
         if abs(F) <= inner._SECULAR_TOL:
             break
