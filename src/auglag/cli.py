@@ -138,15 +138,7 @@ def _save_reports(args, default_stem: str, save_json, save_csv) -> bool:
 def _cmd_solve(args) -> int:
     problem = _load_problem(args.problem)
     config = _config_from_args(args, problem)
-    try:
-        report = outer.solve(problem, config)
-    except outer.MonitorViolation as exc:
-        log.error("strict monitor violation: %s", exc)
-        return EXIT_MONITOR
-    except outer.InnerFailure as exc:
-        log.error("inner solver failure: %s", exc)
-        return EXIT_SOLVER_FAILURE
-
+    report = outer.solve(problem, config)
     if not _save_reports(args, f"{problem.name}-run", report.save_json, report.save_csv):
         return EXIT_USAGE
     last = report.trace[-1]
@@ -164,12 +156,8 @@ def _cmd_solve(args) -> int:
 def _cmd_sweep(args) -> int:
     problem = _load_problem(args.problem)
     config = _config_from_args(args, problem)
-    try:
-        grid = [float(v) for v in args.eps_grid.split(",") if v.strip()]
-        result = complexity.sweep(problem, config, grid)
-    except ValueError as exc:
-        log.error("invalid sweep request: %s", exc)
-        return EXIT_USAGE
+    grid = [float(v) for v in args.eps_grid.split(",") if v.strip()]
+    result = complexity.sweep(problem, config, grid)
     fits = {}
     if len(result.successful()) >= 3:
         for model in (complexity.LOG_LINEAR, complexity.POWER_LAW):
@@ -233,6 +221,12 @@ def main(argv=None) -> int:
         if args.subcommand == "check":
             return _cmd_check(args)
         return _cmd_list(args)
+    except outer.MonitorViolation as exc:
+        log.error("strict monitor violation: %s", exc)
+        return EXIT_MONITOR
+    except outer.InnerFailure as exc:
+        log.error("inner solver failure: %s", exc)
+        return EXIT_SOLVER_FAILURE
     except (
         ValueError, KeyError, OSError, problems.ValidationError,
         problems.ObjectiveBelowBound, core.UnsupportedSpecializationError,

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import outer
+from . import core, outer
 from .outer import _write_csv, _write_json
 from .problems import ProblemSpec
 
@@ -167,7 +167,9 @@ class SweepResult:
 def _solve_row(problem: ProblemSpec, config: outer.SolverConfig) -> SweepRow:
     """One sweep row, marked failed when the solve fails or certification refuses it.
 
-    A run that certification refuses keeps its own counts in the row.
+    A run that certification refuses keeps its own counts in the row.  A
+    strict-monitor violation or a P form disagreement is an implementation
+    bug, not a row failure: it propagates and ends the sweep.
     """
     nan = float("nan")
     row = SweepRow(eps=config.eps, T_outer=0, total_inner=0, total_oracle_calls=0,
@@ -178,6 +180,8 @@ def _solve_row(problem: ProblemSpec, config: outer.SolverConfig) -> SweepRow:
                       total_oracle_calls=report.total_oracle_calls,
                       sigma_final=report.trace[-1].sigma)
         cert = certify_run(report, problem, config)
+    except (outer.MonitorViolation, core.FormDisagreementError):
+        raise
     except Exception as exc:
         return replace(row, failed=True, error=str(exc))
     return replace(row, bound_T=cert.bound_T, certified=cert.certified)
@@ -196,12 +200,12 @@ def sweep(
     return SweepResult(problem=problem.name, rows=[_solve_row(problem, c) for c in configs])
 
 
-def fit_growth(result: SweepResult, model: str, field: Optional[str] = None):
+def fit_growth(result: SweepResult, model: str):
     """Least-squares growth-law fit over the successful sweep rows.
 
-    LogLinear regresses T_outer on |log eps|; PowerLaw regresses the log of
-    the chosen count (total_inner by default) on log(1/eps).  Returns
-    (coefficient, exponent_or_slope, r_squared).
+    LogLinear regresses T_outer on |log eps|; PowerLaw regresses log
+    total_inner on log(1/eps).  Returns (coefficient, exponent_or_slope,
+    r_squared).
     """
     rows = result.successful()
     if len(rows) < 3:
@@ -210,9 +214,8 @@ def fit_growth(result: SweepResult, model: str, field: Optional[str] = None):
         x = np.array([abs(math.log(r.eps)) for r in rows])
         y = np.array([float(r.T_outer) for r in rows])
     elif model == POWER_LAW:
-        field = field or "total_inner"
         x = np.array([math.log(1.0 / r.eps) for r in rows])
-        y = np.array([math.log(float(getattr(r, field))) for r in rows])
+        y = np.array([math.log(float(r.total_inner)) for r in rows])
     else:
         raise ValueError(f"unknown fit model {model!r}")
     if np.ptp(x) == 0.0:

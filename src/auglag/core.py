@@ -210,22 +210,21 @@ def mu_norm(lam: np.ndarray, sigma: float) -> float:
 def lipschitz_bound_linear(L1: float, sigma: float, A: np.ndarray) -> float:
     """Global 2-norm Lipschitz constant of grad P for linear constraints.
 
-    Valid only when every inequality-row coefficient is nonnegative; the
-    caller is responsible for checking that precondition.
+    For c(x) = A x - b, grad P = grad f + A^T phi(A x - b), and each phi_i is
+    sigma-Lipschitz whatever the sign of row i: sigma*t - lambda_i on equality
+    rows, min(sigma*t - lambda_i, 0) on inequality rows (the tie rule takes
+    the zero branch).  So L1 + sigma*||A||_2^2 is a Lipschitz constant, and
+    the value returned, sqrt(n)*(L1 + sigma*||A||_F^2), is at least as large.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     return math.sqrt(A.shape[1]) * (L1 + sigma * float(np.sum(A * A)))
 
 
 def lipschitz_bound_for(problem: ProblemSpec, sigma: float) -> float:
-    """Problem-level wrapper for the linear Lipschitz bound, with checks."""
+    """Problem-level wrapper for the linear Lipschitz bound: linear constraints and a declared L1."""
     cons = problem.constraints
     if not cons.is_linear:
         raise UnsupportedSpecializationError("Lipschitz bound requires linear constraints")
-    if not cons.nonneg_ineq_rows:
-        raise UnsupportedSpecializationError(
-            "Lipschitz bound requires nonnegative inequality-row coefficients"
-        )
     if problem.objective.L1 is None:
         raise UnsupportedSpecializationError("objective must declare a gradient Lipschitz constant")
     return lipschitz_bound_linear(problem.objective.L1, sigma, cons.A)

@@ -339,7 +339,7 @@ def default_inner_for(problem: ProblemSpec) -> str:
     obj = problem.objective
     if cons.is_linear and cons.m_e == cons.m and obj.has_hessian and obj.L2 is not None:
         return INNER_CUBIC
-    if cons.is_linear and cons.nonneg_ineq_rows and obj.L1 is not None:
+    if cons.is_linear and obj.L1 is not None:
         return INNER_GD_FIXED
     return INNER_GD_BACKTRACKING
 

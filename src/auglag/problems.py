@@ -113,16 +113,6 @@ class ConstraintSet:
     def is_linear(self) -> bool:
         return self.A is not None
 
-    @property
-    def nonneg_ineq_rows(self) -> bool:
-        """True iff every inequality-row coefficient is nonnegative.
-
-        For general constraints this cannot be verified, so it is False.
-        """
-        if not self.is_linear:
-            return False
-        return bool(np.all(self.A[self.m_e:] >= 0.0))
-
     def c(self, x: np.ndarray) -> np.ndarray:
         if self.is_linear:
             return self.A @ x - self.b
@@ -323,8 +313,7 @@ def _rosenbrock_objective(n: int) -> ObjectiveOracle:
 def make_simplex_cos(n: int = 8) -> ProblemSpec:
     """Quadratic-plus-cosine objective on the unit simplex in standard form.
 
-    Equality sum(x) = 1 followed by coordinate nonnegativity rows, so every
-    inequality coefficient is nonnegative.
+    Equality sum(x) = 1 followed by the coordinate rows x_i >= 0.
     """
     _check_n(n)
     A = np.vstack([np.ones((1, n)), np.eye(n)])

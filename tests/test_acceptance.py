@@ -318,26 +318,28 @@ def test_10_cubic_subproblem_oracle():
     )
 
 
-def test_11_lipschitz_bound_validity():
-    p = corpus_problem("simplex-cos-8")
-    rng = np.random.default_rng(5)
+def test_11_lipschitz_bound_validity(mixed_sign):
     sigmas = [0.5, 1.0, 2.0, 4.0, 7.0, 10.0, 20.0, 50.0, 75.0, 100.0]
     worst_ratio = 0.0
-    for sigma in sigmas:
-        lam = np.concatenate([rng.normal(0, 2, 1), np.abs(rng.normal(0, 2, 8))])
-        bound = core.lipschitz_bound_for(p, sigma)
-        pen = core.Penalty(p, lam, sigma)
-        xs = rng.uniform(-2.0, 2.0, (1000, 8))
-        ys = rng.uniform(-2.0, 2.0, (1000, 8))
-        for x, y in zip(xs, ys):
-            num = float(np.linalg.norm(pen.grad(x) - pen.grad(y)))
-            den = float(np.linalg.norm(x - y))
-            if den > 0:
-                worst_ratio = max(worst_ratio, num / (den * bound))
+    # simplex-cos-8's inequality rows are nonnegative; mixed_sign's have both signs
+    for p in (corpus_problem("simplex-cos-8"), mixed_sign):
+        rng = np.random.default_rng(5)
+        m_e, m_i = p.constraints.m_e, p.constraints.m - p.constraints.m_e
+        for sigma in sigmas:
+            lam = np.concatenate([rng.normal(0, 2, m_e), np.abs(rng.normal(0, 2, m_i))])
+            bound = core.lipschitz_bound_for(p, sigma)
+            pen = core.Penalty(p, lam, sigma)
+            xs = rng.uniform(-2.0, 2.0, (1000, p.n))
+            ys = rng.uniform(-2.0, 2.0, (1000, p.n))
+            for x, y in zip(xs, ys):
+                num = float(np.linalg.norm(pen.grad(x) - pen.grad(y)))
+                den = float(np.linalg.norm(x - y))
+                if den > 0:
+                    worst_ratio = max(worst_ratio, num / (den * bound))
     _verdict(
         11, "gradient difference quotients within Lipschitz bound",
         worst_ratio <= 1.0 + 1e-12,
-        f"worst quotient/bound ratio {worst_ratio:.4f} over 10 settings x 1000 pairs",
+        f"worst quotient/bound ratio {worst_ratio:.4f} over 2 problems x 10 settings x 1000 pairs",
     )
 
 

@@ -54,10 +54,12 @@ class TestSolveCommand:
             raise outer.MonitorViolation("forced")
 
         monkeypatch.setattr(cli.outer, "solve", boom)
-        code = cli.main(
-            ["solve", "--problem", "eq-qp-analytic", "--out", str(tmp_path / "r")]
-        )
-        assert code == cli.EXIT_MONITOR
+        for command in (["solve"], ["sweep", "--eps-grid", "1e-2,1e-3"]):
+            code = cli.main(
+                command + ["--problem", "eq-qp-analytic", "--out", str(tmp_path / "r")]
+            )
+            assert code == cli.EXIT_MONITOR, command
+            assert not (tmp_path / "r.json").exists()
 
     def test_inner_failure_exit_code(self, tmp_path, monkeypatch):
         def boom(problem, config):
@@ -95,6 +97,14 @@ class TestSolveCommand:
             ["solve", "--problem", str(prob), "--eps", "1e-3", "--out", str(out)]
         )
         assert code == cli.EXIT_OK
+
+    def test_fixed_step_on_mixed_sign_rows(self, tmp_path, capsys, mixed_sign_file):
+        code = cli.main(
+            ["solve", "--problem", mixed_sign_file, "--inner", "gd-fixed",
+             "--monitor", "strict", "--out", str(tmp_path / "run")]
+        )
+        assert code == cli.EXIT_OK
+        assert "terminated=EpsKKT" in capsys.readouterr().out
 
     def test_lower_bound_above_start_is_usage_error(self, tmp_path, caplog):
         prob = tmp_path / "prob.json"

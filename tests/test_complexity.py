@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from auglag import complexity, outer
+from auglag import complexity, core, outer
 from auglag.complexity import (
     BoundInputs,
     LOG_LINEAR,
@@ -175,6 +175,12 @@ class TestSweep:
         cfg = SolverConfig(eps=1e-2, inner="cubic-newton")  # inequalities present
         result = sweep(p, cfg, [1e-2, 1e-3])
         assert all(r.failed and r.error for r in result.rows)
+
+    def test_form_disagreement_ends_the_sweep(self, skewed_forms):
+        # an implementation bug propagates instead of becoming a failed row
+        p = corpus_problem("simplex-cos-8")
+        with pytest.raises(core.FormDisagreementError):
+            sweep(p, SolverConfig(eps=1e-2), [1e-2, 1e-3])
 
     def test_refused_certification_keeps_the_run_counts(self):
         # one outer iteration ends the runs at MaxOuter, which certify_run refuses

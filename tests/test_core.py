@@ -440,6 +440,13 @@ class TestLipschitzBound:
                 got = core.lipschitz_bound_for(p, sigma)
                 assert got == lipschitz_bound_linear(p.objective.L1, sigma, p.constraints.A)
 
+    def test_mixed_sign_rows_use_the_matrix_form(self, mixed_sign):
+        for sigma in (1.0, 27.0, 1e6):
+            got = core.lipschitz_bound_for(mixed_sign, sigma)
+            assert got == lipschitz_bound_linear(
+                mixed_sign.objective.L1, sigma, mixed_sign.constraints.A
+            )
+
     def test_sampled_quotients_respect_bound(self):
         p = corpus_problem("simplex-cos-8")
         rng = np.random.default_rng(5)

@@ -4,8 +4,12 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from auglag import core, outer
+from auglag.complexity import certify_run
 from auglag.outer import (
     INNER_CUBIC,
     INNER_GD_BACKTRACKING,
@@ -20,7 +24,7 @@ from auglag.outer import (
     solve,
     warm_start,
 )
-from auglag.problems import ConstraintSet, ObjectiveOracle, corpus_problem
+from auglag.problems import ConstraintSet, ObjectiveOracle, ProblemSpec, corpus_problem, make_eq_cos
 
 from conftest import make_tiny
 
@@ -332,7 +336,40 @@ class TestWarmStart:
         assert x_prev[0] != 99.0
 
 
+@st.composite
+def _mixed_sign_problems(draw):
+    """sum(x) = sum(x0) and 1-4 random inequality rows, the first with both signs, feasible at x0."""
+    n = draw(st.integers(2, 5))
+    m_i = draw(st.integers(1, 4))
+    G = draw(arrays(float, (m_i, n), elements=st.floats(-2.0, 2.0)))
+    G[0, 0] = -0.5 - abs(G[0, 0])
+    G[0, -1] = 0.5 + abs(G[0, -1])
+    x0 = draw(arrays(float, n, elements=st.floats(-1.0, 1.0)))
+    slack = draw(arrays(float, m_i, elements=st.floats(0.0, 1.0)))
+    A = np.vstack([np.ones((1, n)), G])
+    b = A @ x0 - np.concatenate([[0.0], slack])
+    return ProblemSpec(
+        name="fuzz-mixed-sign",
+        objective=make_eq_cos(n).objective,  # quadratic+cos with its declared L1
+        constraints=ConstraintSet(m=m_i + 1, m_e=1, A=A, b=b),
+        x0=x0,
+    )
+
+
+class TestMixedSignFuzz:
+    @settings(max_examples=25, deadline=None)
+    @given(p=_mixed_sign_problems(), eps=st.sampled_from([1e-2, 1e-3]))
+    def test_fixed_step_reaches_certified_kkt(self, p, eps):
+        config = SolverConfig(eps=eps, inner=INNER_GD_FIXED, monitor=outer.MONITOR_STRICT)
+        report = solve(p, config)
+        assert report.terminated == outer.TERMINATED_KKT
+        assert certify_run(report, p, report.config).certified
+
+
 class TestDefaultInner:
+    def test_mixed_sign_rows_map_to_fixed_step(self, mixed_sign):
+        assert default_inner_for(mixed_sign) == INNER_GD_FIXED
+
     def test_mapping(self):
         assert default_inner_for(corpus_problem("eq-cos-8")) == INNER_CUBIC
         assert default_inner_for(corpus_problem("eq-qp-analytic")) == INNER_CUBIC

@@ -87,18 +87,12 @@ class TestCorpusContract:
             problems.make_eq_cos(65)
         assert problems.make_eq_cos(64).n == 64
 
-    def test_nonneg_ineq_rows(self):
-        assert corpus_problem("simplex-cos-8").constraints.nonneg_ineq_rows
-        cons = ConstraintSet(m=1, m_e=0, A=np.array([[-1.0, 0.0]]), b=np.zeros(1))
-        assert not cons.nonneg_ineq_rows
-
     def test_general_constraints_not_linear(self):
         cons = ConstraintSet(
             m=1, m_e=1, c_fn=lambda x: np.array([x[0] ** 2 - 1.0]),
             jac_fn=lambda x: np.array([[2.0 * x[0], 0.0]]),
         )
         assert not cons.is_linear
-        assert not cons.nonneg_ineq_rows
         np.testing.assert_allclose(cons.c(np.array([2.0, 0.0])), [3.0])
 
     def test_constraint_set_validation(self):
