@@ -1,8 +1,10 @@
 """Command-line front end: solve, sweep, check, list-problems.
 
-Exit status: 0 success, 1 solver failure, 2 usage error, 3 strict-monitor
-violation.  Diagnostics go to stderr; numerical data goes to the output
-files, and the console summary only echoes values present in the report.
+Exit status: 0 success, 1 solver failure, 2 usage error, 3 a run-time
+invariant check failed (a strict-monitor violation or a disagreement between
+the two forms of P), which means an implementation bug.  Diagnostics go to
+stderr; numerical data goes to the output files, and the console summary
+only echoes values present in the report.
 """
 from __future__ import annotations
 
@@ -223,6 +225,9 @@ def main(argv=None) -> int:
         return _cmd_list(args)
     except outer.MonitorViolation as exc:
         log.error("strict monitor violation: %s", exc)
+        return EXIT_MONITOR
+    except core.FormDisagreementError as exc:
+        log.error("P form disagreement: %s", exc)
         return EXIT_MONITOR
     except outer.InnerFailure as exc:
         log.error("inner solver failure: %s", exc)

@@ -148,13 +148,14 @@ def gd_solve(task: InnerTask, variant: str = FIXED_STEP) -> InnerResult:
     """Monotone gradient descent to ||grad g||_2 <= eps."""
     if variant not in (FIXED_STEP, BACKTRACKING):
         raise ValueError(f"unknown variant {variant!r}")
-    if variant == FIXED_STEP and task.known_L is None:
-        raise ValueError("fixed-step descent requires known_L")
     L = task.known_L
+    if variant == FIXED_STEP and not (L is not None and 0.0 < L < math.inf):
+        raise ValueError(f"fixed-step descent requires a finite positive known_L, got {L!r}")
 
-    def fixed_budget(f0: float) -> int:
+    def fixed_budget(f0: float) -> float:
         decrease_bound = f0 - task.g_low if math.isfinite(task.g_low) else 1.0
-        return math.ceil(4.0 * L * max(decrease_bound, 1.0) * task.eps ** -2) + 1000
+        bound = 4.0 * L * max(decrease_bound, 1.0) * task.eps ** -2
+        return math.ceil(bound) + 1000 if bound < math.inf else math.inf
 
     def fixed_step(x, f, g, gn2):
         x_new = x - g / L
@@ -163,6 +164,8 @@ def gd_solve(task: InnerTask, variant: str = FIXED_STEP) -> InnerResult:
             raise IterationCapExceeded(
                 f"descent step increased the objective ({f} -> {f_new}); L is too small"
             )
+        if f_new == f and (x_new == x).all():  # every later step would repeat this one
+            raise IterationCapExceeded(f"the step g/L no longer moves x; L = {L!r} is too large")
         return (x_new, f_new, g_new, gn2_new), 1
 
     t_prev = 1.0
@@ -329,6 +332,8 @@ def cubic_newton_solve(task: InnerTask) -> InnerResult:
         s = solve_cubic_model(g, H, M, eig)
         model_dec = -cubic_model_value(g, H, M, s)
         x_trial = x + s
+        if (x_trial == x).all():  # M only grows from here, and s only shrinks
+            raise IterationCapExceeded(f"the cubic step no longer moves x; M = {M!r} is too large")
         f_trial = _finite_scalar(task.objective(x_trial))
         if model_dec > 0.0 and f - f_trial >= 0.25 * model_dec:
             model = None

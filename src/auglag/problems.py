@@ -76,6 +76,21 @@ class ObjectiveOracle:
         return self.hess_fn is not None
 
 
+def gram_max_eig(G: np.ndarray) -> float:
+    """The largest eigenvalue of a Gram matrix G = A^T A, rounded up.
+
+    ``eigvalsh`` is backward stable: its top value is the top eigenvalue of a
+    symmetric matrix within about n*u*||G||_2 of G (n the order of G,
+    u = 2^-53), so the factor 1 + n*2^-52 = 1 + 2n*u lifts it above the top
+    eigenvalue of G.  The rounding that forms G (at most gamma_m =
+    m*u/(1 - m*u) times |A|^T |A| entry by entry, m the rows of A) is not
+    covered in general; an error of that relative size is far inside the
+    factor 2 between the gd-fixed step 1/L and the step 2/L at which a
+    gradient step stops decreasing P.
+    """
+    return float(np.linalg.eigvalsh(G)[-1]) * (1.0 + G.shape[0] * 2.0**-52)
+
+
 @dataclass
 class ConstraintSet:
     """Constraints c_i(x) = 0 for i < m_e, c_i(x) >= 0 for i >= m_e.
@@ -83,7 +98,8 @@ class ConstraintSet:
     Either an explicit linear form (A, b) with c(x) = A x - b, or general
     callables (c_fn, jac_fn).  The linear form enables the specializations
     that need a closed-form Lipschitz constant for the penalized gradient;
-    it caches A^T A, so A must not be mutated afterwards.
+    it caches A^T A and its top eigenvalue, so A must not be mutated
+    afterwards.
     """
 
     m: int
@@ -108,6 +124,11 @@ class ConstraintSet:
     def AtA(self) -> np.ndarray:
         """A^T A, computed on first use (the Hessian of the penalty term)."""
         return self.A.T @ self.A
+
+    @cached_property
+    def AtA_max_eig(self) -> float:
+        """``gram_max_eig(AtA)``, an upper bound on ||A||_2^2, computed on first use."""
+        return gram_max_eig(self.AtA)
 
     @property
     def is_linear(self) -> bool:
@@ -278,7 +299,7 @@ def _quadratic_cos_objective(n: int, omega: float = _OMEGA) -> ObjectiveOracle:
         hess_fn=hess,
         f_low=-float(n),
         L1=1.0 + omega * omega,
-        L2=omega ** 3,
+        L2=abs(omega * omega * omega),  # inf, not OverflowError, for a huge omega
     )
 
 
@@ -431,7 +452,8 @@ def load_problem(path: str) -> ProblemSpec:
     f_low, L1, L2 and omega single numbers, A, b and x0 regular arrays of
     numbers, and a bool or a string is never a number) or shape (A's size a
     multiple of n, b as long as A has rows, x0 of length n); or when a value
-    is out of range (n >= 1, 0 <= m_e <= m, L1, L2 >= 0, all finite).
+    is out of range (n >= 1, 0 <= m_e <= m, L1, L2 >= 0, all finite, and
+    |omega|^3 finite).
     """
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
@@ -452,6 +474,8 @@ def load_problem(path: str) -> ProblemSpec:
     if kind == "quadratic+cos":
         omega = float(_finite(spec.get("omega", _OMEGA), "omega", scalar=True))
         obj = _quadratic_cos_objective(n, omega=omega)
+        if not math.isfinite(obj.L2):
+            raise ValidationError(f"omega = {omega!r} is too large: |omega|^3 overflows")
     elif kind == "rosenbrock":
         obj = _rosenbrock_objective(n)
     else:

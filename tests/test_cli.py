@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from auglag import cli, outer
 
@@ -59,6 +64,17 @@ class TestSolveCommand:
                 command + ["--problem", "eq-qp-analytic", "--out", str(tmp_path / "r")]
             )
             assert code == cli.EXIT_MONITOR, command
+            assert not (tmp_path / "r.json").exists()
+
+    def test_form_disagreement_exit_code(self, tmp_path, caplog, capsys, skewed_forms):
+        for command in (["solve"], ["sweep", "--eps-grid", "1e-2,1e-3"]):
+            caplog.clear()
+            code = cli.main(
+                command + ["--problem", "eq-qp-analytic", "--out", str(tmp_path / "r")]
+            )
+            assert code == cli.EXIT_MONITOR, command
+            assert "P form disagreement" in caplog.text, command
+            assert "Traceback" not in capsys.readouterr().err, command
             assert not (tmp_path / "r.json").exists()
 
     def test_inner_failure_exit_code(self, tmp_path, monkeypatch):
@@ -274,3 +290,113 @@ class TestReportWriteFailure:
         code = cli.main(command + ["--out", str(tmp_path / "x")])
         assert code == cli.EXIT_USAGE
         assert str(tmp_path / "x.json") in caplog.text
+
+
+_SMALL = {"name": "small", "n": 2, "objective": {"kind": "quadratic+cos"},
+          "A": [[1.0, 1.0]], "b": [1.0], "m_e": 1, "x0": [0.5, 0.5]}
+
+
+@pytest.mark.parametrize(
+    "changes,code",
+    [
+        ({"objective": {"kind": "quadratic+cos", "omega": 1e300}}, cli.EXIT_USAGE),
+        ({"A": [[1e200, 1e200]], "b": [1e200]}, cli.EXIT_USAGE),  # A^T A overflows: L = inf
+        ({"A": [], "b": [], "m_e": 0, "L1": 0.0}, cli.EXIT_USAGE),  # L = 0
+        ({"L1": 1e300}, cli.EXIT_SOLVER_FAILURE),  # the step 1/L cannot move x
+        ({"f_low": -1e308}, cli.EXIT_OK),  # the fixed-step budget overflows
+    ],
+    ids=["omega-cubed-overflows", "gram-overflows", "zero-L", "huge-L", "budget-overflows"],
+)
+def test_extreme_values_exit_cleanly(tmp_path, capsys, changes, code):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(dict(_SMALL, **changes)))
+    argv = ["solve", "--problem", str(path), "--inner", "gd-fixed", "--eps", "0.1",
+            "--out", str(tmp_path / "run")]
+    assert cli.main(argv) == code
+    assert "Traceback" not in capsys.readouterr().err
+
+
+# the values a wrong-typed field gets: JSON of every other type, and numbers
+# that are non-finite or of the wrong kind
+_JUNK = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=3), st.integers(-5, 5),
+    st.floats(-10.0, 10.0), st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.lists(st.one_of(st.floats(-10.0, 10.0), st.booleans(), st.text(max_size=2)), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(-5, 5), max_size=2),
+)
+_FIELDS = ("name", "n", "objective", "A", "b", "m_e", "x0", "f_low", "L1", "L2")
+_ARRAYS = ("A", "b", "x0")
+
+
+@st.composite
+def problem_documents(draw):
+    """A small feasible linear problem as a JSON document, perhaps broken in one way."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(0, 3))
+    m_e = draw(st.integers(0, m))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = rng.standard_normal((m, n))
+    x0 = rng.uniform(0.0, 1.0, n)
+    slack = rng.uniform(0.0, 1.0, m)
+    slack[:m_e] = 0.0
+    doc = {
+        "name": "fuzz", "n": n,
+        "objective": {"kind": draw(st.sampled_from(["quadratic+cos", "rosenbrock"]))},
+        "A": A.tolist(), "b": (A @ x0 - slack).tolist(), "m_e": m_e, "x0": x0.tolist(),
+    }
+    for key, values in (("f_low", st.floats(-100.0, 10.0)), ("L1", st.floats(0.0, 50.0)),
+                        ("L2", st.floats(0.0, 50.0))):
+        if draw(st.booleans()):
+            doc[key] = draw(values)
+    if draw(st.booleans()):
+        doc["objective"]["omega"] = draw(st.floats(0.0, 5.0))
+    how = draw(st.sampled_from(["valid", "missing", "wrong-type", "wrong-shape", "non-finite",
+                                "extreme", "not-an-object"]))
+    if how == "missing":
+        key = draw(st.sampled_from(_FIELDS[:7] + ("objective.kind",)))
+        if key == "objective.kind":
+            del doc["objective"]["kind"]
+        else:
+            del doc[key]
+    elif how == "wrong-type":
+        key = draw(st.sampled_from(_FIELDS + ("objective.kind", "objective.omega")))
+        if key.startswith("objective."):
+            doc["objective"][key.split(".")[1]] = draw(_JUNK)
+        else:
+            doc[key] = draw(_JUNK)
+    elif how == "wrong-shape":
+        key = draw(st.sampled_from(_ARRAYS))
+        value = doc[key]
+        doc[key] = draw(st.sampled_from([value + [0.5], value[:-1], [value], value[1:] + [[1.0]]]))
+    elif how in ("non-finite", "extreme"):
+        key = draw(st.sampled_from(_ARRAYS + ("f_low", "L1", "L2", "objective.omega")))
+        if how == "non-finite":
+            bad = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        else:  # finite, but its square or cube overflows or underflows
+            bad = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.sampled_from([-300, 110, 160, 300]))
+        if key in _ARRAYS:
+            flat = np.array(doc[key], dtype=float)
+            if flat.size:
+                flat.flat[draw(st.integers(0, flat.size - 1))] = bad
+            doc[key] = flat.tolist()
+        elif key == "objective.omega":
+            doc["objective"]["omega"] = bad
+        else:
+            doc[key] = bad
+    elif how == "not-an-object":
+        doc = draw(_JUNK)
+    return doc
+
+
+class TestProblemFileFuzz:
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(doc=problem_documents(), inner=st.sampled_from(("auto",) + outer.INNER_SOLVERS))
+    def test_solve_exits_0_1_or_2_without_a_traceback(self, tmp_path_factory, doc, inner):
+        work = tmp_path_factory.mktemp("fuzz")
+        path = work / "problem.json"
+        path.write_text(json.dumps(doc))  # NaN and Infinity as Python's json writes them
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["solve", "--problem", str(path), "--inner", inner,
+                             "--max-outer", "3", "--eps", "0.1", "--out", str(work / "run")])
+        assert code in (cli.EXIT_OK, cli.EXIT_SOLVER_FAILURE, cli.EXIT_USAGE)
+        assert "Traceback" not in err.getvalue()

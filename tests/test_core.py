@@ -22,6 +22,7 @@ from auglag.problems import (
     ConstraintSet,
     ObjectiveOracle,
     ProblemSpec,
+    corpus,
     corpus_problem,
     finite_difference_gradient,
 )
@@ -411,17 +412,100 @@ class TestMuNorm:
 class TestLipschitzBound:
     def test_identity_rows(self):
         got = lipschitz_bound_linear(1.0, 3.0, np.eye(2))
-        assert got == pytest.approx(7.0 * math.sqrt(2.0))
+        assert got >= 4.0 and got == pytest.approx(4.0, rel=1e-14)
 
     def test_sigma_zero_formula(self):
-        got = lipschitz_bound_linear(5.0, 0.0, np.eye(3))
-        assert got == pytest.approx(math.sqrt(3.0) * 5.0)
+        assert lipschitz_bound_linear(5.0, 0.0, np.eye(3)) == 5.0
 
     def test_problem_wrapper(self):
         p = corpus_problem("simplex-cos-8")
         got = core.lipschitz_bound_for(p, 2.0)
-        # ||A||_F^2 = 8 (ones row) + 8 (identity) = 16
-        assert got == pytest.approx(math.sqrt(8.0) * (17.0 + 2.0 * 16.0))
+        # A^T A = I + 11^T (identity rows plus the ones row), so lambda_max = 1 + 8 = 9
+        assert got >= 17.0 + 2.0 * 9.0 and got == pytest.approx(17.0 + 2.0 * 9.0, rel=1e-14)
+
+    def test_top_eigenvalue_is_lazy_and_computed_once(self, monkeypatch):
+        calls = []
+        real = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda G: calls.append(1) or real(G))
+        p = corpus_problem("simplex-cos-16")
+        assert calls == []
+        bounds = [core.lipschitz_bound_for(p, sigma) for sigma in (1.0, 2.0, 4.0, 1e3)]
+        assert calls == [1] and bounds == sorted(bounds)
+
+    def test_attained_along_the_top_eigenvector(self):
+        # f linear and every row an equality row: grad P(x) - grad P(y) = sigma A^T A (x - y)
+        rng = np.random.default_rng(3)
+        n, m = 6, 4
+        A = rng.standard_normal((m, n))
+        p = ProblemSpec(
+            name="linear-eq",
+            objective=ObjectiveOracle(fn=lambda x: float(x.sum()), grad_fn=lambda x: np.ones(n),
+                                      f_low=-1e6, L1=0.0),
+            constraints=ConstraintSet(m=m, m_e=m, A=A, b=rng.standard_normal(m)),
+            x0=np.zeros(n),
+        )
+        top = np.linalg.eigh(A.T @ A)[1][:, -1]
+        for sigma in (0.5, 3.0, 1e4):
+            bound = core.lipschitz_bound_for(p, sigma)
+            pen = Penalty(p, rng.standard_normal(m), sigma)
+            x = rng.uniform(-2.0, 2.0, n)
+            y = x + 1.5 * top
+            quotient = float(np.linalg.norm(pen.grad(x) - pen.grad(y))) / float(np.linalg.norm(x - y))
+            assert quotient <= bound
+            assert quotient == pytest.approx(bound, rel=1e-9)
+
+    def test_at_least_the_spectral_norm_bound(self, mixed_sign):
+        linear = [q for q in corpus() if q.constraints.is_linear] + [
+            corpus_problem(f"{fam}-{n}") for fam in ("simplex-cos", "dup-eq", "eq-cos") for n in (32, 64)
+        ]
+        for p in linear + [mixed_sign]:
+            A, L1 = p.constraints.A, p.objective.L1 or 0.0  # eq-rosenbrock declares no L1
+            for sigma in (0.5, 1.0, 27.0, 1e6):
+                got = lipschitz_bound_linear(L1, sigma, A)
+                assert got >= L1 + sigma * np.linalg.norm(A, 2) ** 2, (p.name, sigma)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(2, 12),
+        m=st.integers(1, 8),
+        eq_share=st.floats(0.0, 1.0),
+        shape=st.sampled_from(("full", "duplicated-rows", "rank-one")),
+        seed=st.integers(0, 2**32 - 1),
+        L1=st.floats(0.0, 100.0),
+        sigma=st.floats(1e-3, 1e4),
+    )
+    def test_sound_on_random_mixed_sign_rows(self, n, m, eq_share, shape, seed, L1, sigma):
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((m, n))
+        if shape == "duplicated-rows":
+            A[rng.integers(0, m, m)] = A[0]  # a random subset of rows repeat row 0
+        elif shape == "rank-one":
+            A = np.outer(rng.standard_normal(m), rng.standard_normal(n))
+        A *= 10.0 ** rng.uniform(-3.0, 3.0, (m, 1))
+        m_e = round(eq_share * m)
+        lam = rng.normal(0.0, 2.0, m)
+        lam[m_e:] = np.abs(lam[m_e:])
+        b = rng.normal(0.0, 1.0, m)
+        p = ProblemSpec(
+            name="fuzz",
+            objective=ObjectiveOracle(fn=lambda x: 0.5 * L1 * float(x @ x),
+                                      grad_fn=lambda x: L1 * x, f_low=0.0, L1=L1),
+            constraints=ConstraintSet(m=m, m_e=m_e, A=A, b=b),
+            x0=np.zeros(n),
+        )
+        bound = core.lipschitz_bound_for(p, sigma)
+        pen = Penalty(p, lam, sigma)
+        top = np.linalg.eigh(A.T @ A)[1][:, -1]
+        # sample a box where sigma*A x outweighs lambda and sigma*b on every row, so
+        # that the rounding of grad P(x) - grad P(y) stays far below the 1e-12 margin;
+        # each row's kink c_i = lambda_i/sigma still lies inside it
+        R = max(2.0, 10.0 * float(np.max((np.abs(lam) / sigma + np.abs(b)) / np.linalg.norm(A, axis=1))))
+        for i in range(40):
+            x = rng.uniform(-R, R, n)
+            # half the pairs step along the top eigenvector, where the bound is nearly reached
+            y = x + rng.uniform(0.25, 1.0) * R * top if i % 2 else rng.uniform(-R, R, n)
+            num = float(np.linalg.norm(pen.grad(x) - pen.grad(y)))
+            assert num <= bound * float(np.linalg.norm(x - y)) * (1.0 + 1e-12)
 
     def test_wrapper_preconditions(self):
         p = corpus_problem("eq-rosenbrock-8")  # linear but no declared L1

@@ -60,9 +60,9 @@ for problem, kind, eps in (
 # run -> (json, csv, stdout) SHA-256 digests
 GOLDEN = {
     "solve-dup-eq-64-gd-fixed-eps1e-4": (
-        "8660639a8dbde5c7dfdbf567b8c33dea03c7845947f91f044de85745d903bb29",
-        "292df41057bb715ced0d61cc3e886c4416637fb512a7d465d373b0403f588e70",
-        "e5c53d19e899de09187d1b9cd4e626b2b5cd651ed5b1c24709efe3cecf044921",
+        "d04c44b86afe8762d7ef36bec39c75ad3b6e976dcf1c6761234fd210d07281bc",
+        "e8349ac1f46d3c09e84eed9d61ce5bd0f1e6e8920f32524abb69d5d58ea4fbc9",
+        "64c1888d4b0663961802d83620ba3aa4083e1417e1e4810272cadc543039671d",
     ),
     "solve-dup-eq-8-gd-backtracking": (
         "dca7abac2edac41307b8e7316ee3a07615b63a2114148f1d82ca17a21ff93fde",
@@ -70,9 +70,9 @@ GOLDEN = {
         "b26c2d5b80f74357dbf63e67afacf754d0087598f46d7d3dadaf845e975874b3",
     ),
     "solve-dup-eq-8-gd-fixed": (
-        "30e50fd9a846f4646b94e8ed496e5c537af97c1c70d58fcb2414cbfad2130dd9",
-        "75a4d2840ef1b88edc7bb0983adf5de4fb7a139ac43008ed453dbef1e0834f03",
-        "e724d1d6754efcd458efdf8f4f3c96b7ee47505ec64f873091a1e89944f3b9b5",
+        "433a17377bb6af09f5583ccb470c3b0fc5853e673b38b85b9ba1c652c9fa6ac9",
+        "88c585dd5dd563482a7983c5c85613f92e849a8f2e82794304726d302cbcdb5a",
+        "7e6ad6509bb818ef4172bebae7ffc6231ee1f6f2f9aab645f3976914449c9c4d",
     ),
     "solve-eq-cos-64-cubic-newton-eps1e-4": (
         "f02fd9d9b249e334403d83d26fd15bc663760b203bad0bfd0b85b960f3bba7fe",
@@ -90,9 +90,9 @@ GOLDEN = {
         "f645f18d84ac6b136d920ae5bcd38ded24214021384d1169abb00b8acc7258b0",
     ),
     "solve-eq-cos-8-gd-fixed": (
-        "ae63a03df7cd9b4ce1812404b8eab28b9be5743e251ea136cc46b6bc8efb2ce0",
-        "1008d7704507dc89a9a42eeda005d94449fd92d9d27183e1b1af27c8457dcec9",
-        "4091a4451d0cd0b990cbd25c9b3bf5955eb8b74fd443ab041233c2e0ed1083a8",
+        "4f9fae95fbdbd09df06581f2c25d082e3f70149a14a3bc191e5cd1644bee5d67",
+        "2a9ea7a266f7377049050a1612b91461a4db899386e247669422b79bbd47fb8a",
+        "3d870c455557f2a7e263935f3fa2140842619af398b33415fc7d65a4139e534c",
     ),
     "solve-eq-qp-analytic-cubic-newton": (
         "056810cbed8a22e4d0d098e666b37511e4e81f6529c530a164342a45fcdeffc2",
@@ -105,9 +105,9 @@ GOLDEN = {
         "1b67786e112633d2141fcdc7c358892a88ca96ff2a47786e0e675ca79c9106df",
     ),
     "solve-eq-qp-analytic-gd-fixed": (
-        "14f59834577c8c1e29d31d5b877075bf1cad04c1d1277e303706766a1debc608",
-        "3d65ecbe30b0348c581a8825bf267412b0464244c5ef3a865de8afbde53e8dc9",
-        "b1c454c1ef0c9b972c1910e27e6be3e5b78f35ee1542508948ffeddb32399684",
+        "591316a01809ce7ad235825b2ff0402f71ee6e25ff1cf106b18e28df4a700cb7",
+        "1cd38e9243bd7b91fcf33923b764ef047a3fa121a1ad54a90768ed0b907c9687",
+        "061d382ab961d85b32b7939a21550fb48ae21c91ea5d5d0cc40f98a30818a34c",
     ),
     "solve-eq-rosenbrock-32-cubic-newton-eps1e-3": (
         "8bc6c666db7d896c13f856db13418e81d994bf169318bc4471ba3db7016b72c0",
@@ -130,9 +130,9 @@ GOLDEN = {
         "a44b6cd85bb342eea3fb4b18ad187f76386077f63a94d9d8f7ccfe37281de215",
     ),
     "solve-simplex-cos-32-gd-fixed-eps1e-4": (
-        "0d42c55e396437b7117848caee0a242b23730e6110a0e408f7810f7be9c6a1c4",
-        "033a9846b1c0d205a5db41dcb4b5918ad88fa96dd04b6801bc7095d4d5545634",
-        "eb54b295927c8f2f0bafdca7d55090cb04172412c7a14363a3d2f9a69002779f",
+        "9fcfbef8ecc3d75f3eecf175d8f6789780da10327ef43fc2e818f398dfd2452b",
+        "3452e9088a1a7f60ed1599603dee278e71983aab1d210a882f2ef604269e9e9c",
+        "b0d5366dadb4182ca22a2c27fe2ec5234507f5c2a5b6ddfed9ba0220075ef809",
     ),
     "solve-simplex-cos-8-gd-backtracking": (
         "48a2d1bface07de1ac54533cd0ea7f4e4e6a69cb422fbe1b67b885f557e209d2",
@@ -140,9 +140,9 @@ GOLDEN = {
         "5a482dc836c4dafdfbf9842ced52dffdcaa86ebdfd7a07364f0ebc62129bee47",
     ),
     "solve-simplex-cos-8-gd-fixed": (
-        "e5211bbcba1c05cf306d10538c830d875e1135e8fce0b24cc19e03929919044f",
-        "67359fbf61257e629e0af7f298d9f7307e3a1f812e470db30c4605f45dbf4c46",
-        "7a411d21e8cfcdb977855f02a2d34aa5fda329e001d618cff65e3dc63ad7f2e4",
+        "10a4e2096de84f7c04cfe8012295fffe585e29f4bb87ed76d0ce481a3b65fd3f",
+        "d472170a52c85d0e4ab0b568745f5f569b87f976b78bd328c518759a28b57d7f",
+        "aa4dd628ce30ee7512e79ec695da37e09809de5f2f41a624cec61178adfe87d0",
     ),
     "sweep-eq-qp-analytic": (
         "1bd6bd854ac527b70bff05fea09e056c4ea25716b6850f0cf73c1e4781e6edcc",

@@ -48,6 +48,23 @@ class TestGradientDescent:
         with pytest.raises(ValueError):
             gd_solve(_quadratic_task([1.0]), FIXED_STEP)
 
+    @pytest.mark.parametrize("L", [0.0, -1.0, math.inf, math.nan])
+    def test_fixed_step_requires_finite_positive_L(self, L):
+        with pytest.raises(ValueError, match="finite positive known_L"):
+            gd_solve(_quadratic_task([1.0], known_L=L), FIXED_STEP)
+
+    def test_step_that_no_longer_moves_x_stops(self):
+        # g/L is below half a unit in the last place of every coordinate
+        task = _quadratic_task([4.0, 3.0], known_L=1e300)
+        with pytest.raises(IterationCapExceeded, match="no longer moves x"):
+            gd_solve(task, FIXED_STEP)
+
+    def test_budget_may_overflow_to_no_cap(self):
+        # 4 L (g(start) - g_low) / eps^2 overflows; the solve runs uncapped
+        task = _quadratic_task([4.0, 3.0], known_L=1.0, g_low=-1e308)
+        res = gd_solve(task, FIXED_STEP)
+        assert res.iterations == 1
+
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
             gd_solve(_quadratic_task([1.0], known_L=1.0), "newton")
@@ -177,6 +194,12 @@ class TestCubicNewton:
         task = _quadratic_task([0.0, 0.0], eps=1e-6, known_L=0.0)
         res = cubic_newton_solve(task)
         assert res.iterations == 0
+
+    def test_step_that_no_longer_moves_x_stops(self):
+        # with M = 1e300 the model step has length about 1e-150
+        task = _quadratic_task([4.0, 3.0], known_L=1e300)
+        with pytest.raises(IterationCapExceeded, match="no longer moves x"):
+            cubic_newton_solve(task)
 
     def test_requires_hessian(self):
         task = InnerTask(

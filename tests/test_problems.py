@@ -304,6 +304,22 @@ def test_bad_problem_file_rejected_at_load(tmp_path, field, value):
     assert not (tmp_path / "run.json").exists()
 
 
+def test_omega_whose_cube_overflows_rejected_at_load(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_bad_file("omega", -1e300)))
+    with pytest.raises(ValidationError, match=r"^omega = -1e\+300 is too large"):
+        load_problem(str(path))
+
+
+def test_negative_omega_declares_the_constants_of_its_magnitude(tmp_path):
+    # cos is even, so omega and -omega give the same objective and constants
+    path = tmp_path / "neg.json"
+    doc = {k: v for k, v in _bad_file("omega", -3.0).items() if k not in ("L1", "L2")}
+    path.write_text(json.dumps(doc))
+    obj = load_problem(str(path)).objective
+    assert (obj.L1, obj.L2) == (10.0, 27.0)
+
+
 class TestObjectiveGradientFiniteness:
     NAN, INF = float("nan"), float("inf")
 
