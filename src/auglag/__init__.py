@@ -14,7 +14,6 @@ from .core import (
     Penalty,
     ThetaStat,
     lagrangian_grad,
-    lipschitz_bound_linear,
     mu_norm,
     theta,
     update_multipliers,

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .problems import ConstraintSet, ProblemSpec, gram_max_eig
+from .problems import ConstraintSet, ProblemSpec
 
 if TYPE_CHECKING:
     from .outer import SolverConfig
@@ -207,35 +207,22 @@ def mu_norm(lam: np.ndarray, sigma: float) -> float:
     return float(np.linalg.norm(lam)) / math.sqrt(sigma)
 
 
-def lipschitz_bound_linear(L1: float, sigma: float, A: np.ndarray) -> float:
-    """Global 2-norm Lipschitz constant of grad P for linear constraints.
+def lipschitz_bound_for(problem: ProblemSpec, sigma: float) -> float:
+    """Global 2-norm Lipschitz constant of grad P for linear constraints and a declared L1.
 
     For c(x) = A x - b, grad P = grad f + A^T phi(A x - b), and each phi_i is
     sigma-Lipschitz whatever the sign of row i: sigma*t - lambda_i on equality
     rows, min(sigma*t - lambda_i, 0) on inequality rows (the tie rule takes
     the zero branch).  So L1 + sigma*||A||_2^2 = L1 + sigma*lambda_max(A^T A)
     is a Lipschitz constant, and the value returned, with lambda_max rounded
-    up by ``problems.gram_max_eig``, is at least as large.  With f linear and
-    every row an equality row it is attained along the top eigenvector of
-    A^T A.
-    """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    return _lipschitz_bound(L1, sigma, gram_max_eig(A.T @ A))
-
-
-def _lipschitz_bound(L1: float, sigma: float, gram_top: float) -> float:
-    return L1 + sigma * gram_top
-
-
-def lipschitz_bound_for(problem: ProblemSpec, sigma: float) -> float:
-    """``lipschitz_bound_linear`` for a problem with linear constraints and a declared L1.
-
-    It reads the top eigenvalue of A^T A that the constraint set caches, so a
-    new sigma costs no eigendecomposition; the value has the same bits.
+    up by ``ConstraintSet.AtA_max_eig``, is at least as large.  With f linear
+    and every row an equality row it is attained along the top eigenvector of
+    A^T A.  The constraint set caches lambda_max, so a new sigma costs no
+    eigendecomposition.
     """
     cons = problem.constraints
     if not cons.is_linear:
         raise UnsupportedSpecializationError("Lipschitz bound requires linear constraints")
     if problem.objective.L1 is None:
         raise UnsupportedSpecializationError("objective must declare a gradient Lipschitz constant")
-    return _lipschitz_bound(problem.objective.L1, sigma, cons.AtA_max_eig)
+    return problem.objective.L1 + sigma * cons.AtA_max_eig

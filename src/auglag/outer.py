@@ -152,9 +152,19 @@ class RunReport:
     trace: list[OuterState]
     monitor_log: list[MonitorEntry]
     terminated: str
-    T_outer: int
-    total_inner: int
-    total_oracle_calls: int
+
+    @property
+    def T_outer(self) -> int:
+        return len(self.trace) - 1
+
+    @property
+    def total_inner(self) -> int:
+        return sum(st.inner_stats.iterations for st in self.trace[1:])
+
+    @property
+    def total_oracle_calls(self) -> int:
+        """Per outer iteration: the inner solve's calls, two warm-start P comparisons and c(x_{k+1})."""
+        return sum(st.inner_stats.oracle_calls + 3 for st in self.trace[1:])
 
     @property
     def x_final(self) -> np.ndarray:
@@ -384,8 +394,6 @@ def solve(problem: ProblemSpec, config: SolverConfig) -> RunReport:
     )
     trace = [state]
     monitor_log: list[MonitorEntry] = []
-    total_inner = 0
-    total_calls = 0
     terminated = TERMINATED_MAX_OUTER
     theta_prev: Optional[float] = None
 
@@ -395,21 +403,17 @@ def solve(problem: ProblemSpec, config: SolverConfig) -> RunReport:
             break
         penalty = core.Penalty(problem, lam, sigma)
         start, p_zero, p_prev = warm_start(penalty, first, state)
-        total_calls += 2  # the warm start's two P comparisons, over stored f and c values
         p_low = f_low - 0.5 * mu0_sq - gap0 * k
         task = _build_inner_task(penalty, start, eps, config.inner, p_low)
         try:
             res = _run_inner(task, config.inner)
         except (inner.IterationCapExceeded, inner.NonFiniteValue, inner.EigendecompositionFailure) as exc:
             raise InnerFailure(f"inner solver failed at outer iteration {k}: {exc}") from exc
-        total_inner += res.iterations
-        total_calls += res.oracle_calls
 
         # every quantity below reads these oracle values at x_{k+1}
         x_next = res.x_final
         c, f = cons.c(x_next), obj.value(x_next)
         g, J = obj.gradient(x_next), cons.jac(x_next)
-        total_calls += 1  # the constraint evaluation at x_{k+1}
         th_next = core.theta(cons, c, lam, sigma)
         sigma_next = core.update_penalty(k, th_next.value, theta_prev, sigma, config)
         lam_next = core.update_multipliers(cons, c, lam, sigma)
@@ -461,7 +465,4 @@ def solve(problem: ProblemSpec, config: SolverConfig) -> RunReport:
         trace=trace,
         monitor_log=monitor_log,
         terminated=terminated,
-        T_outer=len(trace) - 1,
-        total_inner=total_inner,
-        total_oracle_calls=total_calls,
     )

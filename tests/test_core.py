@@ -11,7 +11,6 @@ from auglag.core import (
     Penalty,
     UnsupportedSpecializationError,
     lagrangian_grad,
-    lipschitz_bound_linear,
     mu_norm,
     theta,
     update_multipliers,
@@ -409,13 +408,25 @@ class TestMuNorm:
             mu_norm(_lam(1.0), 0.0)
 
 
+def _linear_problem(A, L1):
+    """Equality rows c(x) = A x with f = L1*||x||^2/2, which declares L1."""
+    m, n = A.shape
+    return ProblemSpec(
+        name="linear",
+        objective=ObjectiveOracle(fn=lambda x: 0.5 * L1 * float(x @ x), grad_fn=lambda x: L1 * x,
+                                  f_low=0.0, L1=L1),
+        constraints=ConstraintSet(m=m, m_e=m, A=A, b=np.zeros(m)),
+        x0=np.zeros(n),
+    )
+
+
 class TestLipschitzBound:
     def test_identity_rows(self):
-        got = lipschitz_bound_linear(1.0, 3.0, np.eye(2))
+        got = core.lipschitz_bound_for(_linear_problem(np.eye(2), 1.0), 3.0)
         assert got >= 4.0 and got == pytest.approx(4.0, rel=1e-14)
 
     def test_sigma_zero_formula(self):
-        assert lipschitz_bound_linear(5.0, 0.0, np.eye(3)) == 5.0
+        assert core.lipschitz_bound_for(_linear_problem(np.eye(3), 5.0), 0.0) == 5.0
 
     def test_problem_wrapper(self):
         p = corpus_problem("simplex-cos-8")
@@ -458,10 +469,12 @@ class TestLipschitzBound:
         linear = [q for q in corpus() if q.constraints.is_linear] + [
             corpus_problem(f"{fam}-{n}") for fam in ("simplex-cos", "dup-eq", "eq-cos") for n in (32, 64)
         ]
-        for p in linear + [mixed_sign]:
-            A, L1 = p.constraints.A, p.objective.L1 or 0.0  # eq-rosenbrock declares no L1
+        declared = [p for p in linear + [mixed_sign] if p.objective.L1 is not None]
+        assert len(declared) == 11  # eq-rosenbrock-8 declares no L1
+        for p in declared:
+            A, L1 = p.constraints.A, p.objective.L1
             for sigma in (0.5, 1.0, 27.0, 1e6):
-                got = lipschitz_bound_linear(L1, sigma, A)
+                got = core.lipschitz_bound_for(p, sigma)
                 assert got >= L1 + sigma * np.linalg.norm(A, 2) ** 2, (p.name, sigma)
 
     @settings(max_examples=30, deadline=None)
@@ -516,20 +529,6 @@ class TestLipschitzBound:
         )
         with pytest.raises(UnsupportedSpecializationError):
             core.lipschitz_bound_for(q, 1.0)
-
-    def test_wrapper_matches_matrix_form_bitwise(self):
-        for name in ("simplex-cos-8", "simplex-cos-64", "dup-eq-32", "eq-cos-8"):
-            p = corpus_problem(name)
-            for sigma in (1.0, 27.0, 1e6):
-                got = core.lipschitz_bound_for(p, sigma)
-                assert got == lipschitz_bound_linear(p.objective.L1, sigma, p.constraints.A)
-
-    def test_mixed_sign_rows_use_the_matrix_form(self, mixed_sign):
-        for sigma in (1.0, 27.0, 1e6):
-            got = core.lipschitz_bound_for(mixed_sign, sigma)
-            assert got == lipschitz_bound_linear(
-                mixed_sign.objective.L1, sigma, mixed_sign.constraints.A
-            )
 
     def test_sampled_quotients_respect_bound(self):
         p = corpus_problem("simplex-cos-8")
