@@ -23,7 +23,10 @@ One oracle call is one joint evaluation of value + gradient (+ Hessian where
 requested); line-search trial points count as one call each.  A task may
 supply that joint evaluation as ``value_grad``, which the solvers use wherever
 they need both at one point (every start and every fixed step); Armijo trial
-points and cubic trial steps need only the value and call ``objective``.
+points and cubic trial steps need only the value and call ``objective``.  A
+trial whose value is not finite (an overflowing f or c) is rejected like any
+other failed trial; a non-finite value at the start or at a fixed step raises
+``NonFiniteValue``.
 """
 from __future__ import annotations
 
@@ -121,6 +124,14 @@ def _value_grad(task: InnerTask, x: np.ndarray) -> tuple[float, np.ndarray, floa
     return (_finite_scalar(f), *_grad_sq(g))
 
 
+def _trial_value(task: InnerTask, x: np.ndarray) -> float:
+    """g(x) at a trial point, or inf where g (or c inside it) is not finite, which rejects the trial."""
+    try:
+        return _finite_scalar(task.objective(x))
+    except NonFiniteValue:
+        return math.inf
+
+
 def _descend(task: InnerTask, step, budget, what: str) -> InnerResult:
     """Run ``step`` from ``task.start`` to ||grad g||_2 <= eps, within ``budget(g(start))`` steps.
 
@@ -176,7 +187,7 @@ def gd_solve(task: InnerTask, variant: str = FIXED_STEP) -> InnerResult:
         trials = 0
         while True:
             x_new = x - t * g
-            f_new = _finite_scalar(task.objective(x_new))
+            f_new = _trial_value(task, x_new)
             trials += 1
             if f_new <= f - _ARMIJO_C1 * t * gn2:
                 break
@@ -334,7 +345,7 @@ def cubic_newton_solve(task: InnerTask) -> InnerResult:
         x_trial = x + s
         if (x_trial == x).all():  # M only grows from here, and s only shrinks
             raise IterationCapExceeded(f"the cubic step no longer moves x; M = {M!r} is too large")
-        f_trial = _finite_scalar(task.objective(x_trial))
+        f_trial = _trial_value(task, x_trial)
         if model_dec > 0.0 and f - f_trial >= 0.25 * model_dec:
             model = None
             M = max(0.5 * M, _M_MIN)

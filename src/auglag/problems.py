@@ -16,6 +16,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .inner import NonFiniteValue
+
 FEASIBILITY_TOL = 1e-10
 GRAD_CHECK_TOL = 1e-6
 
@@ -26,6 +28,10 @@ class ValidationError(RuntimeError):
 
 class ObjectiveBelowBound(RuntimeError):
     """The objective returned a value below its declared lower bound."""
+
+
+class NonFiniteObjective(ObjectiveBelowBound, NonFiniteValue):
+    """The objective returned NaN or infinity: a usage error at x0, a rejected trial in a line search."""
 
 
 @dataclass
@@ -51,7 +57,7 @@ class ObjectiveOracle:
     def value(self, x: np.ndarray) -> float:
         v = float(self.fn(x))
         if not math.isfinite(v):
-            raise ObjectiveBelowBound(f"objective returned non-finite value {v!r}")
+            raise NonFiniteObjective(f"objective returned non-finite value {v!r}")
         if v < self.f_low - 1e-12 * max(1.0, abs(self.f_low)):
             raise ObjectiveBelowBound(
                 f"objective value {v} violates declared lower bound {self.f_low}"

@@ -316,6 +316,20 @@ def test_extreme_values_exit_cleanly(tmp_path, capsys, changes, code):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_overflowing_line_search_trial_exits_cleanly(tmp_path, capsys):
+    # f(x0) = 1e122 is finite; the first Armijo trial overflows f and must halve t
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"name": "big", "n": 2, "objective": {"kind": "rosenbrock"},
+                                "A": [[1, 1]], "b": [1e30], "m_e": 1, "x0": [1e30, 1]}))
+    argv = ["solve", "--problem", str(path), "--inner", "gd-backtracking", "--eps", "0.1",
+            "--out", str(tmp_path / "run")]
+    with np.errstate(over="ignore"):
+        code = cli.main(argv)
+    assert code in (cli.EXIT_OK, cli.EXIT_SOLVER_FAILURE)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "non-finite" not in err
+
+
 # the values a wrong-typed field gets: JSON of every other type, and numbers
 # that are non-finite or of the wrong kind
 _JUNK = st.one_of(

@@ -130,6 +130,54 @@ class TestGradientDescent:
         print(f"first-order budget constant measured: C = {measured_c:.3e}")
 
 
+def _ball_task(outside, hessian=None):
+    """f = ||x||^2 inside the ball ||x|| <= 2 and ``outside`` beyond it, from (1, 0).
+
+    The first Armijo trial, t = 2, lands at (-3, 0), outside the ball.
+    """
+    return InnerTask(
+        objective=lambda x: float(x @ x) if x @ x <= 4.0 else outside,
+        gradient=lambda x: 2.0 * x,
+        hessian=hessian,
+        start=np.array([1.0, 0.0]),
+        eps=1e-8,
+    )
+
+
+class TestNonFiniteTrial:
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_armijo_rejects_the_trial_and_halves_t(self, bad):
+        res = gd_solve(_ball_task(bad), BACKTRACKING)
+        # t = 2 is not finite, t = 1 reaches (-1, 0) with no decrease, t = 1/2 reaches 0
+        assert res.grad_norm2 <= 1e-8 and res.iterations == 1 and res.oracle_calls == 4
+        np.testing.assert_array_equal(res.x_final, [0.0, 0.0])
+
+    def test_overflowing_objective_oracle_is_a_rejected_trial(self):
+        obj = problems.ObjectiveOracle(fn=lambda x: float(x @ x) if x @ x <= 4.0 else 1e300 * 1e300,
+                                       grad_fn=lambda x: 2.0 * x, f_low=0.0)
+        task = InnerTask(objective=obj.value, gradient=obj.gradient, start=np.array([1.0, 0.0]), eps=1e-8)
+        assert gd_solve(task, BACKTRACKING).grad_norm2 <= 1e-8
+
+    def test_finite_value_below_the_bound_still_raises(self):
+        obj = problems.ObjectiveOracle(fn=lambda x: float(x @ x) if x @ x <= 4.0 else -1.0,
+                                       grad_fn=lambda x: 2.0 * x, f_low=0.0)
+        task = InnerTask(objective=obj.value, gradient=obj.gradient, start=np.array([1.0, 0.0]), eps=1e-8)
+        with pytest.raises(problems.ObjectiveBelowBound, match="violates declared lower bound"):
+            gd_solve(task, BACKTRACKING)
+
+    def test_cubic_newton_rejects_the_trial(self):
+        # a Hessian 20 times too small makes the first model steps leave the ball
+        res = cubic_newton_solve(_ball_task(math.inf, hessian=lambda x: 0.1 * np.eye(2)))
+        assert res.grad_norm2 <= 1e-8 and res.accepted_steps < res.iterations
+
+    @pytest.mark.parametrize("variant", [FIXED_STEP, BACKTRACKING])
+    def test_non_finite_start_still_raises(self, variant):
+        task = _ball_task(math.inf)
+        task.start, task.known_L = np.array([3.0, 0.0]), 2.0
+        with pytest.raises(NonFiniteValue):
+            gd_solve(task, variant)
+
+
 class TestCubicSubproblem:
     @staticmethod
     def _check_stationarity(g, H, M, s):
