@@ -146,6 +146,8 @@ class SweepRow:
     certified: bool
     failed: bool = False
     error: str = ""
+    terminated: str = ""  # the run's termination status; empty when the solve failed
+    reason: str = ""  # Certification.reason: why certified is False
 
 
 @dataclass
@@ -175,7 +177,7 @@ class SweepResult:
 def _solve_row(problem: ProblemSpec, config: outer.SolverConfig) -> SweepRow:
     """One sweep row, marked failed when the solve fails or certification refuses it.
 
-    A run that certification refuses keeps its own counts in the row.  A
+    A run that certification refuses keeps its own counts and status in the row.  A
     strict-monitor violation or a P form disagreement is an implementation
     bug, not a row failure: it propagates and ends the sweep.
     """
@@ -186,13 +188,13 @@ def _solve_row(problem: ProblemSpec, config: outer.SolverConfig) -> SweepRow:
         report = outer.solve(problem, config)
         row = replace(row, T_outer=report.T_outer, total_inner=report.total_inner,
                       total_oracle_calls=report.total_oracle_calls,
-                      sigma_final=report.trace[-1].sigma)
+                      sigma_final=report.trace[-1].sigma, terminated=report.terminated)
         cert = certify_run(report, problem, config)
     except (outer.MonitorViolation, core.FormDisagreementError):
         raise
     except Exception as exc:
         return replace(row, failed=True, error=str(exc))
-    return replace(row, bound_T=cert.bound_T, certified=cert.certified)
+    return replace(row, bound_T=cert.bound_T, certified=cert.certified, reason=cert.reason)
 
 
 def sweep(

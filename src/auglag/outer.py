@@ -163,8 +163,9 @@ class RunReport:
 
     @property
     def total_oracle_calls(self) -> int:
-        """Per outer iteration: the inner solve's calls, two warm-start P comparisons and c(x_{k+1})."""
-        return sum(st.inner_stats.oracle_calls + 3 for st in self.trace[1:])
+        """The f evaluations the run made, each paired with one c(x): one at x0, then per
+        outer iteration the inner solve's calls and one at x_{k+1}."""
+        return 1 + sum(st.inner_stats.oracle_calls + 1 for st in self.trace[1:])
 
     @property
     def x_final(self) -> np.ndarray:

@@ -217,6 +217,21 @@ class TestSweep:
                 report.trace[-1].sigma,
             )
             assert row.T_outer == 1 and row.total_inner > 0
+            assert row.terminated == outer.TERMINATED_MAX_OUTER and row.reason == ""
+
+    def test_rows_carry_the_status_and_the_certification_reason(self):
+        cfg = SolverConfig(eps=1e-2, inner="gd-backtracking")
+        certified = sweep(corpus_problem("eq-qp-analytic"), cfg, [1e-2, 1e-3]).rows
+        local = sweep(corpus_problem("eq-rosenbrock-8"), cfg, [1e-2, 1e-3]).rows
+        for row in certified + local:
+            assert not row.failed and row.terminated == outer.TERMINATED_KKT
+        assert all(row.certified and row.reason == "" for row in certified)
+        assert all(not row.certified and row.reason == complexity.REASON_LOCAL_LIPSCHITZ for row in local)
+
+    def test_failed_solve_has_no_status(self):
+        p = corpus_problem("simplex-cos-8")
+        row = sweep(p, SolverConfig(eps=1e-2, inner="cubic-newton"), [1e-2]).rows[0]
+        assert row.failed and row.terminated == "" and row.reason == ""
 
     def test_save_outputs(self, tmp_path):
         p = corpus_problem("eq-qp-analytic")

@@ -289,6 +289,16 @@ class TestOneEvaluationPerIterate:
         assert calls["c"] == calls["value"]
 
 
+    @pytest.mark.parametrize("kind", [INNER_GD_FIXED, INNER_GD_BACKTRACKING, INNER_CUBIC])
+    def test_total_oracle_calls_counts_every_objective_value(self, monkeypatch, kind):
+        outside, inside = _count_oracles(monkeypatch)
+        report = solve(corpus_problem("eq-cos-8"), SolverConfig(eps=1e-3, inner=kind))
+        f_calls = outside["value"] + inside["value"]
+        assert report.T_outer >= 2 and f_calls == report.total_oracle_calls
+        # one c(x) per f value, and c(x0) once more for the feasibility check
+        assert outside["c"] + inside["c"] == f_calls + 1
+
+
 class TestWarmStart:
     def _setup(self):
         p = corpus_problem("eq-qp-analytic")
