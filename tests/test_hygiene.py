@@ -33,6 +33,18 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+def _names_read(trees) -> set[str]:
+    """Every name loaded, and every attribute taken, anywhere in ``trees``."""
+    read = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return read
+
+
 def unread_constants(sources: dict[str, str]) -> list[str]:
     """Module-level UPPER_CASE names that no module in ``sources`` reads.
 
@@ -40,13 +52,7 @@ def unread_constants(sources: dict[str, str]) -> list[str]:
     ``outer.INNER_CUBIC``); the sources are keyed by module file name.
     """
     trees = {module: ast.parse(source) for module, source in sources.items()}
-    read = set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
+    read = _names_read(trees.values())
     unread = []
     for module, tree in trees.items():
         for node in tree.body:
@@ -70,6 +76,51 @@ def test_every_constant_is_read():
     """A module-level constant no library module reads is dead code."""
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
     assert unread_constants(sources) == []
+
+
+def uncalled_functions(sources: dict[str, str]) -> list[str]:
+    """Module-level functions and methods whose name no module in ``sources`` reads.
+
+    Reads are counted as in ``unread_constants``, by name; an import alone is
+    not a read, so a function that a package ``__init__`` only re-exports is
+    reported.  Dunder methods and nested functions are left out.
+    """
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = _names_read(trees.values())
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    uncalled = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, functions):
+                defs = [(node, node.name)]
+            elif isinstance(node, ast.ClassDef):
+                defs = [(d, f"{node.name}.{d.name}") for d in node.body if isinstance(d, functions)]
+            else:
+                defs = []
+            for d, qualname in defs:
+                dunder = d.name.startswith("__") and d.name.endswith("__")
+                if not dunder and d.name not in read:
+                    uncalled.append(f"{module} line {d.lineno}: {qualname}")
+    return uncalled
+
+
+def test_scanner_flags_an_uncalled_function():
+    sources = {
+        "a.py": (
+            "def used():\n    def nested():\n        pass\n"
+            "def unused():\n    pass\n"
+            "class K:\n    def __init__(self):\n        pass\n"
+            "    def method(self):\n        pass\n    def dead(self):\n        pass\n"
+        ),
+        "b.py": "from a import K, unused, used\nused()\nK().method()\n",
+    }
+    assert uncalled_functions(sources) == ["a.py line 4: unused", "a.py line 11: K.dead"]
+
+
+def test_every_function_is_called():
+    """A function or method no library module reads is dead code, or a twin kept for a test."""
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert uncalled_functions(sources) == []
 
 
 def test_inner_solvers_import_no_package_module():
