@@ -177,9 +177,9 @@ class SweepResult:
 def _solve_row(problem: ProblemSpec, config: outer.SolverConfig) -> SweepRow:
     """One sweep row, marked failed when the solve fails or certification refuses it.
 
-    A run that certification refuses keeps its own counts and status in the row.  A
-    strict-monitor violation or a P form disagreement is an implementation
-    bug, not a row failure: it propagates and ends the sweep.
+    A run that certification refuses keeps its own counts and status in the
+    row.  A strict-monitor violation or a P form disagreement is an
+    implementation bug, not a row failure: it propagates and ends the sweep.
     """
     nan = float("nan")
     row = SweepRow(eps=config.eps, T_outer=0, total_inner=0, total_oracle_calls=0,
