@@ -316,7 +316,7 @@ def test_extreme_values_exit_cleanly(tmp_path, capsys, changes, code):
     assert "Traceback" not in capsys.readouterr().err
 
 
-def test_overflowing_line_search_trial_exits_cleanly(tmp_path, capsys):
+def test_overflowing_line_search_trial_exits_cleanly(tmp_path, capsys, caplog):
     # f(x0) = 1e122 is finite; the first Armijo trial overflows f and must halve t
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"name": "big", "n": 2, "objective": {"kind": "rosenbrock"},
@@ -326,8 +326,8 @@ def test_overflowing_line_search_trial_exits_cleanly(tmp_path, capsys):
     with np.errstate(over="ignore"):
         code = cli.main(argv)
     assert code in (cli.EXIT_OK, cli.EXIT_SOLVER_FAILURE)
-    err = capsys.readouterr().err
-    assert "Traceback" not in err and "non-finite" not in err
+    assert "Traceback" not in capsys.readouterr().err
+    assert "non-finite" not in caplog.text  # the overflow was a rejected trial, not the failure
 
 
 # the values a wrong-typed field gets: JSON of every other type, and numbers

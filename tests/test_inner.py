@@ -152,22 +152,25 @@ class TestNonFiniteTrial:
         assert res.grad_norm2 <= 1e-8 and res.iterations == 1 and res.oracle_calls == 4
         np.testing.assert_array_equal(res.x_final, [0.0, 0.0])
 
-    def test_overflowing_objective_oracle_is_a_rejected_trial(self):
-        obj = problems.ObjectiveOracle(fn=lambda x: float(x @ x) if x @ x <= 4.0 else 1e300 * 1e300,
-                                       grad_fn=lambda x: 2.0 * x, f_low=0.0)
-        task = InnerTask(objective=obj.value, gradient=obj.gradient, start=np.array([1.0, 0.0]), eps=1e-8)
-        assert gd_solve(task, BACKTRACKING).grad_norm2 <= 1e-8
+    @staticmethod
+    def _checked(task):
+        """``task`` with its values checked by an ``ObjectiveOracle`` declaring f_low = 0."""
+        obj = problems.ObjectiveOracle(fn=task.objective, grad_fn=task.gradient, f_low=0.0)
+        return InnerTask(objective=obj.value, gradient=obj.gradient, start=task.start, eps=task.eps)
+
+    def test_non_finite_objective_oracle_value_is_a_rejected_trial(self):
+        # ObjectiveOracle.value raises NonFiniteObjective, which the trial turns into a rejection
+        assert gd_solve(self._checked(_ball_task(math.inf)), BACKTRACKING).grad_norm2 <= 1e-8
 
     def test_finite_value_below_the_bound_still_raises(self):
-        obj = problems.ObjectiveOracle(fn=lambda x: float(x @ x) if x @ x <= 4.0 else -1.0,
-                                       grad_fn=lambda x: 2.0 * x, f_low=0.0)
-        task = InnerTask(objective=obj.value, gradient=obj.gradient, start=np.array([1.0, 0.0]), eps=1e-8)
         with pytest.raises(problems.ObjectiveBelowBound, match="violates declared lower bound"):
-            gd_solve(task, BACKTRACKING)
+            gd_solve(self._checked(_ball_task(-1.0)), BACKTRACKING)
 
     def test_cubic_newton_rejects_the_trial(self):
-        # a Hessian 20 times too small makes the first model steps leave the ball
-        res = cubic_newton_solve(_ball_task(math.inf, hessian=lambda x: 0.1 * np.eye(2)))
+        # a Hessian 20 times too small and M = 1e-3 make the first model step about 18 long
+        task = _ball_task(math.inf, hessian=lambda x: 0.1 * np.eye(2))
+        task.known_L = 1e-3
+        res = cubic_newton_solve(task)
         assert res.grad_norm2 <= 1e-8 and res.accepted_steps < res.iterations
 
     @pytest.mark.parametrize("variant", [FIXED_STEP, BACKTRACKING])
