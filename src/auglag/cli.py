@@ -3,8 +3,9 @@
 Exit status: 0 success, 1 solver failure, 2 usage error, 3 a run-time
 invariant check failed (a strict-monitor violation or a disagreement between
 the two forms of P), which means an implementation bug.  Diagnostics go to
-stderr; numerical data goes to the output files, and the console summary
-only echoes values present in the report.
+stderr through the ``auglag`` logger, numpy's floating-point warnings among
+them at DEBUG; numerical data goes to the output files, and the console
+summary only echoes values present in the report.
 """
 from __future__ import annotations
 
@@ -209,6 +210,11 @@ def _cmd_list(args) -> int:
     return EXIT_OK
 
 
+def _log_float_error(kind: str, flag: int) -> None:
+    """numpy's floating-point error callback inside ``main``: log it instead of warning on stderr."""
+    log.debug("numpy floating-point error: %s", kind)
+
+
 def main(argv=None) -> int:
     _setup_logging()
     try:
@@ -216,13 +222,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        if args.subcommand == "solve":
-            return _cmd_solve(args)
-        if args.subcommand == "sweep":
-            return _cmd_sweep(args)
-        if args.subcommand == "check":
-            return _cmd_check(args)
-        return _cmd_list(args)
+        with np.errstate(divide="call", over="call", invalid="call", call=_log_float_error):
+            if args.subcommand == "solve":
+                return _cmd_solve(args)
+            if args.subcommand == "sweep":
+                return _cmd_sweep(args)
+            if args.subcommand == "check":
+                return _cmd_check(args)
+            return _cmd_list(args)
     except outer.MonitorViolation as exc:
         log.error("strict monitor violation: %s", exc)
         return EXIT_MONITOR

@@ -69,12 +69,15 @@ class Penalty:
         self._shift = lam / sigma
         self._const = -0.5 * lam * lam / sigma
         self._shift_sq = self._shift @ self._shift
-        self._abs_lam = np.abs(lam)
-        self._lam_term = 0.5 * (lam @ lam) / sigma
+        # with no inequality rows the mask is all False and the inactive-row
+        # steps below would change nothing, so they are skipped
+        self._has_ineq = self._cons.m_e < self._cons.m
         self._at = None  # (x, c(x), mask) at the last point evaluated
 
     def _inactive(self, c: np.ndarray) -> np.ndarray:
-        """The mask of inequality rows on the constant branch at c = c(x)."""
+        """The mask of inequality rows on the constant branch at c = c(x), as a new array."""
+        if not self._has_ineq:
+            return np.zeros(self._cons.m, bool)
         # tie rule: c_i == lambda_i/sigma is inactive; a NaN row stays active, so
         # the NaN reaches both P and its gradient
         inactive = c >= self._shift
@@ -82,32 +85,46 @@ class Penalty:
         return inactive
 
     def _sums(self, c: np.ndarray):
-        """The inactive-row mask, both penalty sums and the tolerance scale at c = c(x)."""
+        """The inactive-row mask and both penalty sums at c = c(x)."""
         inactive = self._inactive(c)
 
         # branch form, built in place: the operands and the pairwise sum of
         # np.where(inactive, const, -lam*c + 0.5*sigma*c*c).sum()
         quad = self._neg_lam * c
         quad += self._half_sigma * c * c
-        np.copyto(quad, self._const, where=inactive)
+        if self._has_ineq:
+            np.copyto(quad, self._const, where=inactive)
         branch_sum = float(np.add.reduce(quad))
 
         # shifted-square form, from the shared residual d = c - lambda/sigma
         d = c - self._shift
-        tail = d[self._cons.m_e:]
-        np.minimum(tail, 0.0, out=tail)
+        if self._has_ineq:
+            tail = d[self._cons.m_e:]
+            np.minimum(tail, 0.0, out=tail)
         shifted_sum = self._half_sigma * float(d @ d - self._shift_sq)
+        return inactive, branch_sum, shifted_sum
 
-        term_scale = float(self._abs_lam @ np.abs(c) + self._half_sigma * (c @ c) + self._lam_term)
-        return inactive, branch_sum, shifted_sum, term_scale
+    def _term_scale(self, c: np.ndarray) -> float:
+        """|lambda|.|c| + (sigma/2)||c||^2 + ||lambda||^2/(2 sigma): the size of the terms P sums."""
+        lam = self.lam
+        return float(np.abs(lam) @ np.abs(c) + self._half_sigma * (c @ c) + 0.5 * (lam @ lam) / self.sigma)
 
     def from_values(self, f: float, c: np.ndarray) -> tuple[float, np.ndarray]:
-        """P (branch form) from f = f(x) and c = c(x), after the two-formula cross-check, and the mask."""
-        inactive, branch_sum, shifted_sum, term_scale = self._sums(c)
+        """P (branch form) from f = f(x) and c = c(x), after the two-formula cross-check, and the mask.
+
+        The forms disagree when |P_branch - P_shifted| exceeds both the relative
+        bound 1e-10*max(1, |P_branch|, |P_shifted|) and the absolute bound
+        1e-12*(|f| + term scale); the scale is computed only once the relative
+        bound has failed.  A NaN difference passes; a NaN scale leaves the
+        relative bound alone in force.
+        """
+        inactive, branch_sum, shifted_sum = self._sums(c)
         p_branch = f + branch_sum
         p_shifted = f + shifted_sum
-        tol = max(1e-10 * max(1.0, abs(p_branch), abs(p_shifted)), 1e-12 * (abs(f) + term_scale))
-        if abs(p_branch - p_shifted) > tol:
+        diff = abs(p_branch - p_shifted)
+        if diff > 1e-10 * max(1.0, abs(p_branch), abs(p_shifted)) and not (
+            diff <= 1e-12 * (abs(f) + self._term_scale(c))
+        ):
             raise FormDisagreementError(
                 f"augmented Lagrangian forms disagree: {p_branch!r} vs {p_shifted!r}"
             )
@@ -117,7 +134,8 @@ class Penalty:
         """grad P from g = grad f(x), J = jac c(x), c = c(x) and its mask; inactive rows add zero."""
         coeff = self.sigma * c
         coeff -= self.lam
-        coeff[inactive] = 0.0
+        if self._has_ineq:
+            coeff[inactive] = 0.0
         return g + J.T @ coeff
 
     def value(self, x: np.ndarray) -> float:

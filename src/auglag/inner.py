@@ -187,13 +187,15 @@ def gd_solve(task: InnerTask, variant: str = FIXED_STEP) -> InnerResult:
         trials = 0
         while True:
             x_new = x - t * g
+            # below the floor the search gives up only once the trial no longer
+            # moves x, so a steep g whose decreasing steps are all tiny still descends
+            if t < _STEP_FLOOR and (x_new == x).all():
+                raise IterationCapExceeded("line search collapsed below the step floor: x no longer moves")
             f_new = _trial_value(task, x_new)
             trials += 1
             if f_new <= f - _ARMIJO_C1 * t * gn2:
                 break
             t *= 0.5
-            if t < _STEP_FLOOR:
-                raise IterationCapExceeded("line search collapsed below the step floor")
         t_prev = t
         return (x_new, f_new, *_grad_sq(task.gradient(x_new))), trials
 

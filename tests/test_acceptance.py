@@ -83,7 +83,7 @@ def test_01_formula_agreement():
         x, lam, sigma = _random_tuple(rng, p)
         f = p.objective.value(x)
         c = p.constraints.c(x)
-        _, branch_sum, shifted_sum, _ = core.Penalty(p, lam, sigma)._sums(c)
+        _, branch_sum, shifted_sum = core.Penalty(p, lam, sigma)._sums(c)
         pb, ps = f + branch_sum, f + shifted_sum
         rel = abs(pb - ps) / max(1.0, abs(pb), abs(ps))
         worst = max(worst, rel)

@@ -10,6 +10,9 @@ from hypothesis import strategies as st
 
 from auglag import cli, outer
 
+# a numpy warning that escapes cli.main would reach the user's stderr
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 class TestSolveCommand:
     def test_solve_writes_report(self, tmp_path, capsys):
@@ -314,6 +317,19 @@ def test_extreme_values_exit_cleanly(tmp_path, capsys, changes, code):
             "--out", str(tmp_path / "run")]
     assert cli.main(argv) == code
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_float_warnings_are_debug_events(tmp_path, capsys, caplog):
+    # A^T A overflows while the problem loads; numpy's defaults hold again after main
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(dict(_SMALL, A=[[1e200, 1e200]], b=[1e200])))
+    before = np.geterr()
+    with caplog.at_level("DEBUG", logger="auglag"):
+        argv = ["solve", "--problem", str(path), "--inner", "gd-fixed", "--out", str(tmp_path / "run")]
+        assert cli.main(argv) == cli.EXIT_USAGE
+    assert "numpy floating-point error: overflow" in caplog.text
+    assert "RuntimeWarning" not in capsys.readouterr().err
+    assert np.geterr() == before and np.geterrcall() is None
 
 
 def test_overflowing_line_search_trial_exits_cleanly(tmp_path, capsys, caplog):

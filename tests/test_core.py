@@ -16,7 +16,7 @@ from auglag.core import (
     update_multipliers,
     update_penalty,
 )
-from auglag.outer import SolverConfig
+from auglag.outer import OuterState, SolverConfig, warm_start
 from auglag.problems import (
     ConstraintSet,
     ObjectiveOracle,
@@ -35,6 +35,11 @@ def _lam(*vals):
 
 def _zero_lam(p):
     return np.zeros(p.constraints.m)
+
+
+def _state(x, f, c):
+    """An outer state at x that holds only what ``warm_start`` reads."""
+    return OuterState(k=0, x=x, lam=None, sigma=1.0, theta=None, mu_norm_sq=0.0, kkt=None, f=f, c=c)
 
 
 def _lagrangian_grad_at(p, x, lam):
@@ -191,6 +196,35 @@ class TestPenaltyValueGrad:
         with pytest.raises(FormDisagreementError):
             Penalty(p, np.zeros(9), 1.0).value_grad(p.x0)
 
+    @pytest.mark.parametrize("name", ["simplex-cos-8", "eq-rosenbrock-8", "eq-cos-8"])
+    @pytest.mark.parametrize("entry", ["value", "value_grad", "from_values", "warm_start"])
+    def test_form_disagreement_raises_through_every_entry(self, skewed_forms, name, entry):
+        p = corpus_problem(name)
+        pen = Penalty(p, _zero_lam(p), 1.0)
+        x = p.x0
+        f, c = p.objective.value(x), p.constraints.c(x)
+        calls = {
+            "value": lambda: pen.value(x),
+            "value_grad": lambda: pen.value_grad(x),
+            "from_values": lambda: pen.from_values(f, c),
+            "warm_start": lambda: warm_start(pen, _state(x, f, c), _state(x, f, c)),
+        }
+        with pytest.raises(FormDisagreementError):
+            calls[entry]()
+
+    @pytest.mark.parametrize("name", ["eq-rosenbrock-8", "eq-cos-8"])
+    def test_equality_only_gradient_is_the_plain_formula(self, name):
+        p = corpus_problem(name)
+        cons = p.constraints
+        for x, lam, sigma in self._tuples(p, np.random.default_rng(29), 200):
+            c = cons.c(x)
+            g, J = p.objective.gradient(x), cons.jac(x)
+            pen = Penalty(p, lam, sigma)
+            _, mask = pen.from_values(p.objective.value(x), c)
+            assert mask.dtype == bool and mask.shape == (cons.m,) and not mask.any()
+            assert mask.flags.writeable and mask is not pen.from_values(0.0, c)[1]
+            assert pen.grad_from(g, J, c, mask).tobytes() == (g + J.T @ (sigma * c - lam)).tobytes()
+
     def test_sigma_must_be_positive(self):
         p = make_tiny(1, lambda x: x.copy(), lambda x: np.ones((1, 1)))
         with pytest.raises(ValueError):
@@ -255,7 +289,8 @@ class TestPenaltyReference:
         worst = 0.0
         for p, lam, sigma, c in self._tuples(rng, 3000):
             m_e = p.constraints.m_e
-            got = Penalty(p, lam, sigma)._sums(c.copy())
+            pen = Penalty(p, lam, sigma)
+            got = (*pen._sums(c.copy()), pen._term_scale(c.copy()))
             want = _reference_sums(lam, sigma, m_e, c.copy())
             assert got[0].tobytes() == want[0].tobytes()
             for g, w in zip(got[1:], want[1:]):
@@ -271,6 +306,91 @@ class TestPenaltyReference:
             worst = max(worst, abs(pb - ps) / tol)
         assert ties > 0 and nans > 0
         assert worst < 1e-2, f"worst |P_branch - P_shifted|/tol = {worst:.3e}"
+
+    def test_verdict_matches_eager_tolerance(self):
+        """``from_values`` raises exactly where the eager max(relative, absolute) bound fails.
+
+        The shifted sum is skewed by up to twice one of the two bounds, drawn
+        at random, so the tuples land on both sides of each bound.
+        """
+        rng = np.random.default_rng(43)
+        verdicts = {"raised": 0, "quiet": 0, "quiet_by_absolute_only": 0}
+        for p, lam, sigma, c in self._tuples(np.random.default_rng(41), 3000):
+            ref = _reference_sums(lam, sigma, p.constraints.m_e, c.copy())
+            f = float(rng.normal(0.0, 10.0))
+            bound = _eager_bounds(f, ref, 0.0)[int(rng.integers(0, 2))]
+            delta = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.0, 2.0) * bound)
+            want = _eager_raises(f, ref, delta)
+            assert _skewed_raises(Penalty(p, lam, sigma), f, c, delta) == want
+            verdicts["raised" if want else "quiet"] += 1
+            if not want and _diff(f, ref, delta) > _eager_bounds(f, ref, delta)[0]:
+                verdicts["quiet_by_absolute_only"] += 1
+        assert min(verdicts.values()) > 25, verdicts
+
+    # one equality row, c = 1e10, lambda = 0, sigma = 2: both sums are exactly
+    # 1e20 and the term scale is 1e20, so with f = -1e20 P is near 0 and the
+    # absolute bound 1e-12*(|f| + scale) = 2e8 dwarfs the relative one
+    @pytest.mark.parametrize("delta, raises", [(1e4, False), (1e9, True)])
+    def test_cancellation(self, delta, raises):
+        lam, c = np.zeros(1), np.array([1e10])
+        cons = ConstraintSet(m=1, m_e=1, A=np.ones((1, 1)), b=np.zeros(1))
+        p = ProblemSpec("cancel", ObjectiveOracle(lambda x: 0.0, lambda x: x, -1e30), cons, np.zeros(1))
+        ref = _reference_sums(lam, 2.0, 1, c.copy())
+        assert ref[1] == ref[2] == ref[3] == 1e20
+        rel, abs_ = _eager_bounds(-1e20, ref, delta)
+        diff = _diff(-1e20, ref, delta)
+        assert diff > rel  # the relative bound fails in both cases
+        assert (diff > abs_) == raises == _eager_raises(-1e20, ref, delta)
+        assert _skewed_raises(Penalty(p, lam, 2.0), -1e20, c, delta) == raises
+
+    def test_nan_scale_leaves_the_relative_bound(self):
+        """An inequality row with c = inf and lambda = 0 has a NaN term scale.
+
+        The eager max(relative, NaN) is the relative bound, so a skew past it raises.
+        """
+        lam, c = np.zeros(2), np.array([0.5, np.inf])
+        cons = ConstraintSet(m=2, m_e=1, A=np.ones((2, 1)), b=np.zeros(2))
+        p = ProblemSpec("inf-row", ObjectiveOracle(lambda x: 0.0, lambda x: x, -1.0), cons, np.zeros(1))
+        with np.errstate(invalid="ignore", over="ignore"):
+            ref = _reference_sums(lam, 1.0, 1, c.copy())
+            assert math.isfinite(ref[1]) and math.isfinite(ref[2]) and math.isnan(ref[3])
+            for delta, raises in ((1e-12, False), (1e-3, True)):
+                assert _eager_raises(1.0, ref, delta) == raises
+                assert _skewed_raises(Penalty(p, lam, 1.0), 1.0, c, delta) == raises
+
+
+def _eager_bounds(f, ref, delta):
+    """The cross-check's relative and absolute bounds, from reference sums with a skewed shifted sum."""
+    _, branch_sum, shifted_sum, term_scale = ref
+    pb, ps = f + branch_sum, f + (shifted_sum + delta)
+    return 1e-10 * max(1.0, abs(pb), abs(ps)), 1e-12 * (abs(f) + term_scale)
+
+
+def _diff(f, ref, delta):
+    """|P_branch - P_shifted| from reference sums with the shifted sum skewed."""
+    _, branch_sum, shifted_sum, _ = ref
+    return abs((f + branch_sum) - (f + (shifted_sum + delta)))
+
+
+def _eager_raises(f, ref, delta):
+    """The cross-check's verdict with both bounds computed up front."""
+    return _diff(f, ref, delta) > max(*_eager_bounds(f, ref, delta))
+
+
+def _skewed_raises(pen, f, c, delta):
+    """Whether ``pen.from_values(f, c)`` raises once its shifted sum is moved by ``delta``."""
+    real = pen._sums
+
+    def skewed(c):
+        mask, branch_sum, shifted_sum = real(c)
+        return mask, branch_sum, shifted_sum + delta
+
+    pen._sums = skewed
+    try:
+        pen.from_values(f, c.copy())
+    except FormDisagreementError:
+        return True
+    return False
 
 
 class TestHessP:

@@ -144,6 +144,22 @@ def _ball_task(outside, hessian=None):
     )
 
 
+class TestArmijoStepFloor:
+    def test_steep_quadratic_descends_below_the_floor(self):
+        # g = 1e40 x^2 / 2 from x = 1: every decreasing step is shorter than 2e-40
+        res = gd_solve(_quadratic_task([1.0], eps=1.0, D=np.array([[1e40]])), BACKTRACKING)
+        assert res.grad_norm2 <= 1.0 and res.accepted_steps > 0
+        assert np.all(np.diff(res.objective_trace) <= 0.0)
+
+    def test_floor_stops_a_search_that_no_longer_moves_x(self):
+        # the gradient points uphill on a constant objective, so no step decreases it;
+        # at x = 1e10 every step below the floor leaves x where it is
+        task = InnerTask(objective=lambda x: 0.0, gradient=lambda x: np.ones(1),
+                         start=np.array([1e10]), eps=1e-6)
+        with pytest.raises(IterationCapExceeded, match="step floor"):
+            gd_solve(task, BACKTRACKING)
+
+
 class TestNonFiniteTrial:
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_armijo_rejects_the_trial_and_halves_t(self, bad):
