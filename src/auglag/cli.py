@@ -164,7 +164,11 @@ def _cmd_sweep(args) -> int:
     fits = {}
     if len(result.successful()) >= 3:
         for model in (complexity.LOG_LINEAR, complexity.POWER_LAW):
-            coeff, slope, r2 = complexity.fit_growth(result, model)
+            try:
+                coeff, slope, r2 = complexity.fit_growth(result, model)
+            except ValueError as exc:  # an undefined fit is left out of the report
+                log.warning("%s fit skipped: %s", model, exc)
+                continue
             fits[model] = {"coefficient": coeff, "exponent_or_slope": slope, "r_squared": r2}
     save_json = functools.partial(result.save_json, fits=fits)
     if not _save_reports(args, f"{problem.name}-sweep", save_json, result.save_csv):

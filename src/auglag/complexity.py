@@ -214,8 +214,9 @@ def fit_growth(result: SweepResult, model: str):
     """Least-squares growth-law fit over the successful sweep rows.
 
     LogLinear regresses T_outer on |log eps|; PowerLaw regresses log
-    total_inner on log(1/eps).  Returns (coefficient, exponent_or_slope,
-    r_squared).
+    total_inner on log(1/eps), so it is undefined when a row has no inner
+    iteration.  Returns (coefficient, exponent_or_slope, r_squared); raises
+    ValueError, saying why, when the fit is undefined.
     """
     rows = result.successful()
     if len(rows) < 3:
@@ -224,6 +225,11 @@ def fit_growth(result: SweepResult, model: str):
         x = np.array([abs(math.log(r.eps)) for r in rows])
         y = np.array([float(r.T_outer) for r in rows])
     elif model == POWER_LAW:
+        idle = [r.eps for r in rows if r.total_inner <= 0]
+        if idle:
+            raise ValueError(
+                f"PowerLaw takes log(total_inner), and the rows at eps {idle} ran no inner iteration"
+            )
         x = np.array([math.log(1.0 / r.eps) for r in rows])
         y = np.array([math.log(float(r.total_inner)) for r in rows])
     else:

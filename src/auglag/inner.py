@@ -3,8 +3,9 @@
 Two families are provided:
 
 * gradient descent, either with the fixed step 1/L (requires a certified
-  Lipschitz constant) or with Armijo backtracking, for the first-order
-  iteration budget C * L * (g(start) - g_low) / eps^2;
+  Lipschitz constant) or with Armijo backtracking, whose searches start at
+  the last accepted step and grow it only after a first-trial acceptance,
+  for the first-order iteration budget C * L * (g(start) - g_low) / eps^2;
 * adaptive cubic-regularized Newton for the second-order budget
   C * sqrt(L) * (g(start) - g_low) / eps^(3/2), with the cubic subproblem
   solved exactly through an eigendecomposition and a one-dimensional root
@@ -156,7 +157,14 @@ def _descend(task: InnerTask, step, budget, what: str) -> InnerResult:
 
 
 def gd_solve(task: InnerTask, variant: str = FIXED_STEP) -> InnerResult:
-    """Monotone gradient descent to ||grad g||_2 <= eps."""
+    """Monotone gradient descent to ||grad g||_2 <= eps.
+
+    ``FIXED_STEP`` steps by grad g / known_L.  ``BACKTRACKING`` halves an
+    Armijo trial step until g(x - t grad g) <= g(x) - 1e-4 t ||grad g||^2;
+    each search starts at the last accepted t, doubled only when the last
+    search accepted its first trial.  Both raise ``IterationCapExceeded``
+    where a step no longer moves x and every later step would repeat it.
+    """
     if variant not in (FIXED_STEP, BACKTRACKING):
         raise ValueError(f"unknown variant {variant!r}")
     L = task.known_L
@@ -179,11 +187,20 @@ def gd_solve(task: InnerTask, variant: str = FIXED_STEP) -> InnerResult:
             raise IterationCapExceeded(f"the step g/L no longer moves x; L = {L!r} is too large")
         return (x_new, f_new, g_new, gn2_new), 1
 
-    t_prev = 1.0
+    # The start rule is the initial step choice of Nocedal & Wright, Numerical
+    # Optimization, 2nd ed., 3.5; the first search starts at 2.  If grad g is
+    # L-Lipschitz, every t <= 2(1 - c1)/L passes the Armijo test, since
+    # g(x - t grad) <= g(x) - t (1 - L t / 2) ||grad||^2.  An accepted t is its
+    # search's first trial, at least t_prev, or half of a rejected trial, more
+    # than (1 - c1)/L; by induction t >= t_min = min(2, (1 - c1)/L).  So each
+    # accepted step with ||grad|| > eps lowers g by at least c1 t_min eps^2.
+    # Halvings <= doublings + log2(1/t_min) and doublings <= iterations, so a
+    # solve makes at most 2 iterations + log2(1/t_min) trials.
+    t_prev, grow = 1.0, True
 
     def armijo_step(x, f, g, gn2):
-        nonlocal t_prev
-        t = 2.0 * t_prev
+        nonlocal t_prev, grow
+        t = 2.0 * t_prev if grow else t_prev
         trials = 0
         while True:
             x_new = x - t * g
@@ -196,7 +213,12 @@ def gd_solve(task: InnerTask, variant: str = FIXED_STEP) -> InnerResult:
             if f_new <= f - _ARMIJO_C1 * t * gn2:
                 break
             t *= 0.5
-        t_prev = t
+        # An accepted trial equal to x after a rejected 2t at this same x: the
+        # next search accepts t as its first trial, the one after rejects 2t
+        # again, and so on, without end.
+        if trials > 1 and f_new == f and (x_new == x).all():
+            raise IterationCapExceeded(f"the accepted Armijo step t = {t!r} no longer moves x")
+        t_prev, grow = t, trials == 1
         return (x_new, f_new, *_grad_sq(task.gradient(x_new))), trials
 
     if variant == FIXED_STEP:

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -149,6 +150,20 @@ class TestSweepCommand:
         data = json.loads((tmp_path / "sw.json").read_text())
         assert len(data["rows"]) == 3
         assert "fits" in data and "PowerLaw" in data["fits"]
+
+    def test_fit_undefined_on_zero_inner_rows_is_skipped(self, tmp_path, caplog):
+        # x0 = 0 is already an eps-KKT point: every row runs 0 inner iterations,
+        # so PowerLaw's log(total_inner) is undefined and only LogLinear is fitted
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps({"name": "zero", "n": 2, "objective": {"kind": "quadratic+cos", "omega": 0.5},
+                                    "A": [[1, 1]], "b": [0], "m_e": 1, "x0": [0, 0], "f_low": -2, "L1": 2}))
+        code = cli.main(["sweep", "--problem", str(path), "--eps-grid", "1e-1,1e-2,1e-3",
+                         "--out", str(tmp_path / "sw")])
+        assert code == cli.EXIT_OK
+        data = json.loads((tmp_path / "sw.json").read_text())
+        assert [row["total_inner"] for row in data["rows"]] == [0, 0, 0]
+        assert list(data["fits"]) == ["LogLinear"]
+        assert "PowerLaw fit skipped" in caplog.text
 
     def test_bad_grid(self):
         code = cli.main(
@@ -344,6 +359,17 @@ def test_overflowing_line_search_trial_exits_cleanly(tmp_path, capsys, caplog):
     assert code in (cli.EXIT_OK, cli.EXIT_SOLVER_FAILURE)
     assert "Traceback" not in capsys.readouterr().err
     assert "non-finite" not in caplog.text  # the overflow was a rejected trial, not the failure
+
+
+def test_accepted_step_that_no_longer_moves_x_exits_1(tmp_path, capsys, caplog):
+    # eps = 1e-8 lies below the gradient norm reachable in double precision on eq-cos-8
+    argv = ["solve", "--problem", "eq-cos-8", "--inner", "gd-backtracking", "--eps", "1e-8",
+            "--out", str(tmp_path / "run")]
+    start = time.perf_counter()
+    assert cli.main(argv) == cli.EXIT_SOLVER_FAILURE
+    assert time.perf_counter() - start < 10.0  # it used to spin towards the 10^7 iteration cap
+    assert "Traceback" not in capsys.readouterr().err
+    assert "accepted Armijo step" in caplog.text and "no longer moves x" in caplog.text
 
 
 # the values a wrong-typed field gets: JSON of every other type, and numbers

@@ -310,3 +310,9 @@ class TestFitGrowth:
         rows = [_row(1e-2) for _ in range(3)]
         with pytest.raises(ValueError):
             fit_growth(_synthetic_result(rows), LOG_LINEAR)
+
+    def test_power_law_undefined_on_a_row_without_inner_iterations(self):
+        rows = [_row(1e-1, inner=0), _row(1e-2), _row(1e-3)]
+        with pytest.raises(ValueError, match=r"rows at eps \[0\.1\] ran no inner iteration"):
+            fit_growth(_synthetic_result(rows), POWER_LAW)
+        assert fit_growth(_synthetic_result(rows), LOG_LINEAR)[2] == 1.0

@@ -65,8 +65,8 @@ GOLDEN = {
         "64c1888d4b0663961802d83620ba3aa4083e1417e1e4810272cadc543039671d",
     ),
     "solve-dup-eq-8-gd-backtracking": (
-        "2acf07233ce949a6131acacda8e32ce0ddf941320f3548eb6d4c3926a9e2f98b",
-        "f468d9c3553434acc281cc654da8747b626bfa9aedd0d9c2d03d609f6b093f33",
+        "65a3939beffcf573ef4f928788f67c412759898a017753810ffe520dfb9d0ef5",
+        "2c2155579f9489518f269f72a517d33d7e8b1677b90832f2255e5fa096944373",
         "b26c2d5b80f74357dbf63e67afacf754d0087598f46d7d3dadaf845e975874b3",
     ),
     "solve-dup-eq-8-gd-fixed": (
@@ -85,8 +85,8 @@ GOLDEN = {
         "4f99c324267414ae08aecac6b0daa8ac849fac649aef019debab4c07b7d1e517",
     ),
     "solve-eq-cos-8-gd-backtracking": (
-        "e7354b963da3c76e5791c048fbe7f2dbb227821a2626e282d9d3ef70f2d01351",
-        "6ff6bdad5db26b1f07255a048e1286a613ca6bc11fb9cfe3d64ab1dd8dba855f",
+        "56b822029602702169f234a92f4ea2bdda5ff593c9428bad32e304d3c6a540fa",
+        "9bac905dc4a420b603a3cb63ed2cdf0dca2dcf83782b9c6c73fa83c56442310b",
         "f645f18d84ac6b136d920ae5bcd38ded24214021384d1169abb00b8acc7258b0",
     ),
     "solve-eq-cos-8-gd-fixed": (
@@ -100,8 +100,8 @@ GOLDEN = {
         "061d382ab961d85b32b7939a21550fb48ae21c91ea5d5d0cc40f98a30818a34c",
     ),
     "solve-eq-qp-analytic-gd-backtracking": (
-        "b1cc644709d4516748c690390d797db74c176c17e74eb9961498fad5f6715117",
-        "38ddfa1846f8f347abc07a8fcb280d3a22bb0b48112f739af43e0532b24daeda",
+        "06f21921f337092145b777929282cea7e6c640099cdac0c05faa2f7c9a289a6b",
+        "b5986ac96aa7e938ad710b3de15b67f5e5c8cbad29008c5fdf83e757e389bd6c",
         "1b67786e112633d2141fcdc7c358892a88ca96ff2a47786e0e675ca79c9106df",
     ),
     "solve-eq-qp-analytic-gd-fixed": (
@@ -115,9 +115,9 @@ GOLDEN = {
         "969d29c6efa3e9267cb5a282263adf9daf44296767fb77ee4a0b28e64784124f",
     ),
     "solve-eq-rosenbrock-32-gd-backtracking-eps1e-3": (
-        "dc27adb0cd506d2314ea79f767f53e23d35ef516e7f1a4e262879dd58440d80b",
-        "b0e213fcc5c3c9e2adea24c614dc15c507d40288220308d1a849df07641f33b4",
-        "8df04873a76c436ee3487d2f2ab55efd8147fa08d845ce416695e9441499bca9",
+        "39045fa4aac2434438815ac6a687189dae368c074c44765a91bbb7f24f5fe8a5",
+        "d6ca935f41a225cd860f414ad3abf5ecc58d5975380ee3d368936ef3b8ebde92",
+        "fa827c2e8e8126db771882e32bf443d27a8d131253120db5c0672329b653635f",
     ),
     "solve-eq-rosenbrock-8-cubic-newton": (
         "7cb684b91d5f2b876c43807e5f974cea034d54dee0f3cc84aa4257f784a947cd",
@@ -125,9 +125,9 @@ GOLDEN = {
         "f55cfad37082937260b11442add43a9b4964baf37eace783375e2ae803234fe3",
     ),
     "solve-eq-rosenbrock-8-gd-backtracking": (
-        "0f85ccb1d878f1c0fcfb6a19b767966777c82fdb5b30d827576510be7654a950",
-        "53475317fd466ff6d06afcf90381b06de3aec9101d377b14f21d9e6430d0ee91",
-        "a44b6cd85bb342eea3fb4b18ad187f76386077f63a94d9d8f7ccfe37281de215",
+        "49a13f19d0529edc72cd4e3442f37f6afdb87d892258064994afe350bb180edb",
+        "4c9574824b30ca1e99b6a6acde51a40fd863380e64800ed24e6ed3a768cd487a",
+        "c7301036f88e0bcf21017a7b89ef44fd90dd46ed6cea2e8b8c49184238e0af8d",
     ),
     "solve-simplex-cos-32-gd-fixed-eps1e-4": (
         "92bbaea43e5cc074fede60376a0d49fbadd7a30efbcd782e1d0d2c3d7712e0a4",
@@ -135,8 +135,8 @@ GOLDEN = {
         "b0d5366dadb4182ca22a2c27fe2ec5234507f5c2a5b6ddfed9ba0220075ef809",
     ),
     "solve-simplex-cos-8-gd-backtracking": (
-        "2cf6395baed750023f011c867902da5e045cc34f00a9448af17f4e4bfe30ff2d",
-        "2957f01eaf9e57d964b06685a632b9003b3346f52529c2444cdd9bd6b018bd07",
+        "0e9570e6f76d3e056073455145e01b4f813e5a39e139fb60e136a1b086e8f00b",
+        "f20fb2e0247047f2f0988ae567b94c250920f0e3ba3fc2ba182536a2eb7c5920",
         "5a482dc836c4dafdfbf9842ced52dffdcaa86ebdfd7a07364f0ebc62129bee47",
     ),
     "solve-simplex-cos-8-gd-fixed": (

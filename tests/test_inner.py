@@ -160,6 +160,49 @@ class TestArmijoStepFloor:
             gd_solve(task, BACKTRACKING)
 
 
+class TestArmijoInitialStep:
+    @pytest.mark.parametrize("iters, calls", [(1, 3), (2, 4), (3, 6), (4, 7), (5, 9), (6, 10)])
+    def test_first_trial_acceptance_alone_doubles_the_start(self, iters, calls):
+        # g = 0.75 x^2 from x = 1: t = 1 passes the Armijo test (x -> -x/2), t = 2 fails
+        # (x -> -2x).  The searches start at 2, 1, 2, 1, ... and take 2, 1, 2, 1, ... trials.
+        eps = 1.8 * 0.5**iters  # |grad g| = 1.5 * 0.5^k after k steps
+        res = gd_solve(_quadratic_task([1.0], eps=eps, D=[[1.5]]), BACKTRACKING)
+        assert res.iterations == iters and res.oracle_calls == calls
+        assert res.x_final[0] == (-0.5) ** iters
+
+    def test_accepted_step_that_no_longer_moves_x_stops(self):
+        # g is 1 at x = 1e10 and 2 anywhere else, with grad 1e-6: t = 2 and t = 1 move x
+        # by an ulp and are rejected; t = 1/2 leaves x where it is, and 1 - c1 t 1e-12
+        # rounds to 1, so it passes the test.  Every later search would repeat the cycle.
+        task = InnerTask(objective=lambda x: 1.0 if x[0] == 1e10 else 2.0, gradient=lambda x: np.full(1, 1e-6),
+                         start=np.array([1e10]), eps=1e-9)
+        with pytest.raises(IterationCapExceeded, match="accepted Armijo step t = 0.5 no longer moves x"):
+            gd_solve(task, BACKTRACKING)
+
+    @pytest.mark.parametrize("name", ["simplex-cos-8", "eq-cos-8", "dup-eq-8", "eq-qp-analytic"])
+    def test_steps_and_trials_within_the_t_min_bounds(self, name, monkeypatch):
+        # every inner solve of an outer run, against the bounds proved in gd_solve
+        # from t_min = min(2, (1 - c1)/L) with L the certified constant of grad P
+        solves, run = [], outer._run_inner
+
+        def recording_run(task, kind):
+            res = run(task, kind)
+            solves.append((task.objective.__self__, task, res))  # objective is Penalty.value
+            return res
+
+        monkeypatch.setattr(outer, "_run_inner", recording_run)
+        p = corpus_problem(name)
+        report = outer.solve(p, outer.SolverConfig(eps=1e-3, inner=outer.INNER_GD_BACKTRACKING))
+        assert report.terminated == outer.TERMINATED_KKT and len(solves) == report.T_outer
+        c1 = inner._ARMIJO_C1
+        for pen, task, res in solves:
+            t_min = min(2.0, (1.0 - c1) / core.lipschitz_bound_for(p, pen.sigma))
+            p_low = p.objective.f_low - float(pen.lam @ pen.lam) / (2.0 * pen.sigma)  # P >= p_low
+            assert res.accepted_steps == res.iterations
+            assert res.accepted_steps <= (res.objective_trace[0] - p_low) / (c1 * t_min * task.eps**2) + 1
+            assert res.oracle_calls <= 1 + 2 * res.iterations + max(0, math.ceil(math.log2(1.0 / t_min)))
+
+
 class TestNonFiniteTrial:
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_armijo_rejects_the_trial_and_halves_t(self, bad):

@@ -24,7 +24,9 @@ from auglag.outer import (
     solve,
     warm_start,
 )
-from auglag.problems import ConstraintSet, ObjectiveOracle, ProblemSpec, corpus_problem, make_eq_cos
+from auglag.problems import (
+    ConstraintSet, ObjectiveOracle, ProblemSpec, corpus_problem, make_eq_cos, make_eq_rosenbrock,
+)
 
 from conftest import make_tiny
 
@@ -374,6 +376,40 @@ class TestMixedSignFuzz:
         report = solve(p, config)
         assert report.terminated == outer.TERMINATED_KKT
         assert certify_run(report, p, report.config).certified
+
+
+@st.composite
+def _linear_problems(draw):
+    """0-2 equality and 0-3 inequality rows (at least one row), random A, feasible at x0."""
+    n = draw(st.integers(2, 5))
+    m_e, m_i = draw(st.integers(0, 2)), draw(st.integers(0, 3))
+    m = max(m_e + m_i, 1)
+    A = draw(arrays(float, (m, n), elements=st.floats(-2.0, 2.0)))
+    x0 = draw(arrays(float, n, elements=st.floats(-1.0, 1.0)))
+    slack = draw(arrays(float, m - m_e, elements=st.floats(0.0, 1.0)))
+    family = draw(st.sampled_from([make_eq_cos, make_eq_rosenbrock]))
+    return ProblemSpec(
+        name="fuzz-linear",
+        objective=family(n).objective,
+        constraints=ConstraintSet(m=m, m_e=m_e, A=A, b=A @ x0 - np.concatenate([np.zeros(m_e), slack])),
+        x0=x0,
+    )
+
+
+class TestBacktrackingFuzz:
+    @settings(max_examples=20, deadline=None)
+    @given(p=_linear_problems(), eps=st.sampled_from([1e-2, 1e-3]))
+    def test_ends_with_a_documented_status(self, p, eps):
+        # a strict-monitor violation or a P form disagreement would raise out of solve
+        config = SolverConfig(eps=eps, inner=INNER_GD_BACKTRACKING, max_outer=20, monitor=outer.MONITOR_STRICT)
+        try:
+            report = solve(p, config)
+        except outer.InnerFailure:
+            return
+        assert report.terminated in (
+            outer.TERMINATED_KKT, outer.TERMINATED_MAX_OUTER, outer.TERMINATED_SIGMA_OVERFLOW
+        )
+        assert not [e for e in report.monitor_log if not e.passed]
 
 
 class TestDefaultInner:
