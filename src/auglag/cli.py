@@ -80,9 +80,6 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha", type=float, default=default.alpha)
     p.add_argument("--gamma", type=float, default=default.gamma)
     p.add_argument("--sigma0", type=float, default=default.sigma0)
-    p.add_argument(
-        "--penalty-policy", choices=core.PENALTY_POLICIES, default=default.penalty_policy
-    )
     p.add_argument("--inner", choices=("auto",) + outer.INNER_SOLVERS, default="auto")
     p.add_argument("--max-outer", type=int, default=default.max_outer)
     p.add_argument("--monitor", choices=outer.MONITOR_MODES, default=default.monitor)

@@ -23,9 +23,6 @@ REGIME_GROWING = "GrowingSigma"
 
 REASON_LOCAL_LIPSCHITZ = "objective derivatives are Lipschitz only on bounded sets"
 REASON_BOUND_EXCEEDED = "outer iterations exceed the bound"
-REASON_GEOMETRIC_GROWTH = (
-    "sigma grew geometrically, not on the (k+1)^alpha schedule the growing-penalty bound assumes"
-)
 
 LOG_LINEAR = "LogLinear"
 POWER_LAW = "PowerLaw"
@@ -97,9 +94,6 @@ def certify_run(report: outer.RunReport, problem: ProblemSpec, config: outer.Sol
     Every input is read from ``report.config``; ``config`` must equal it.  The
     bounds assume globally Lipschitz derivatives, so a problem whose objective
     is ``local_lipschitz_only`` is never certified; its bound is still reported.
-    Nor is a ``geometric`` run in which sigma grew: the growing-penalty bound
-    assumes sigma_k = (k+1)^alpha, not 4^(k+1).  A geometric run whose sigma
-    never grew is certified as any other, since the schedule played no part.
     """
     if config != report.config:
         raise ValueError("config differs from the config the report was produced with")
@@ -128,8 +122,6 @@ def certify_run(report: outer.RunReport, problem: ProblemSpec, config: outer.Sol
         bound = bound_T_unbounded(inputs)
         certified = prefix < bound
     reason = "" if certified else REASON_BOUND_EXCEEDED
-    if regime == REGIME_GROWING and report.config.penalty_policy == core.GEOMETRIC_GROWTH:
-        certified, reason = False, REASON_GEOMETRIC_GROWTH
     if problem.objective.local_lipschitz_only:
         certified, reason = False, REASON_LOCAL_LIPSCHITZ
     return Certification(bound, certified, regime, first_ok, prefix, reason)

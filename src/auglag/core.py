@@ -26,11 +26,6 @@ from .problems import ConstraintSet, ProblemSpec
 if TYPE_CHECKING:
     from .outer import SolverConfig
 
-POLYNOMIAL_GROWTH = "polynomial"
-GEOMETRIC_GROWTH = "geometric"
-PENALTY_POLICIES = (POLYNOMIAL_GROWTH, GEOMETRIC_GROWTH)
-
-
 class FormDisagreementError(RuntimeError):
     """The two augmented-Lagrangian formulas disagreed: implementation bug."""
 
@@ -196,18 +191,14 @@ def theta(cons: ConstraintSet, c: np.ndarray, lam: np.ndarray, sigma: float) -> 
 def update_penalty(
     k: int, theta_next: float, theta_prev: float | None, sigma: float, config: SolverConfig
 ) -> float:
-    """The next sigma: kept at k=0 or on sufficient theta decrease, else grown by
-    ``config.penalty_policy`` and never lowered; ``config`` validated alpha, gamma and the policy.
+    """The next sigma: kept at k=0 or on sufficient theta decrease, else grown to
+    max((k+1)^alpha, sigma), so never lowered; ``config`` validated alpha and gamma.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
     if k == 0 or (theta_prev is not None and theta_next <= config.gamma * theta_prev):
         return sigma
-    if config.penalty_policy == POLYNOMIAL_GROWTH:
-        candidate = float(k + 1) ** config.alpha
-    else:
-        candidate = 4.0 ** (k + 1)
-    return max(candidate, sigma)
+    return max(float(k + 1) ** config.alpha, sigma)
 
 
 def update_multipliers(cons: ConstraintSet, c: np.ndarray, lam: np.ndarray, sigma: float) -> np.ndarray:

@@ -56,7 +56,6 @@ class SolverConfig:
     alpha: float = 3.0
     gamma: float = 0.5
     sigma0: float = 1.0
-    penalty_policy: str = core.POLYNOMIAL_GROWTH
     inner: str = INNER_GD_FIXED
     max_outer: int = 10_000
     monitor: str = MONITOR_STRICT
@@ -80,7 +79,6 @@ class SolverConfig:
             if not (low < value < high):  # written so that NaN fails it
                 raise ValueError(f"{name!r} must lie in ({low:g}, {high:g}), got {value!r}")
         for name, allowed in (
-            ("penalty_policy", core.PENALTY_POLICIES),
             ("inner", INNER_SOLVERS),
             ("monitor", MONITOR_MODES),
         ):

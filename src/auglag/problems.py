@@ -230,6 +230,8 @@ def validate(problem: ProblemSpec, samples: int = 10, seed: int = 0) -> Validati
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     checks: list[CheckResult] = []
 

@@ -171,12 +171,13 @@ class TestSweepCommand:
         )
         assert code == cli.EXIT_USAGE
 
-    @pytest.mark.parametrize("flag", ["--jobs", "--seed"])
-    def test_removed_flag_rejected(self, flag):
+    @pytest.mark.parametrize("flag", ["--jobs", "--seed", "--penalty-policy"])
+    def test_removed_flag_rejected(self, capsys, flag):
         code = cli.main(
             ["sweep", "--problem", "eq-qp-analytic", "--eps-grid", "1e-2", flag, "2"]
         )
         assert code == cli.EXIT_USAGE
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -193,11 +194,11 @@ class TestSweepCommand:
         ({"alpha": math.nan}, "alpha"),
         ({"sigma0": math.nan}, "sigma0"),
         ({"alpha": math.inf}, "alpha"),
-        ({"penalty_policy": "linear"}, "penalty_policy"),
+        ({"penalty_policy": "polynomial"}, "'penalty_policy'"),
     ],
     ids=["unknown", "inner_eps", "require_theta_half", "str-for-float", "float-for-int",
          "bool-for-float", "int-for-str", "not-an-object", "nan-alpha", "nan-sigma0",
-         "inf-alpha", "unknown-policy"],
+         "inf-alpha", "removed-policy-key"],
 )
 def test_bad_config_file_is_usage_error(tmp_path, caplog, overrides, named):
     cfg = tmp_path / "cfg.json"

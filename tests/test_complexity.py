@@ -128,26 +128,6 @@ class TestCertifyRun:
         cert = certify_run(report, p, report.config)
         assert not cert.certified and cert.reason == complexity.REASON_BOUND_EXCEEDED
 
-    def test_geometric_growth_not_certified(self):
-        p = corpus_problem("simplex-cos-8")
-        config = SolverConfig(eps=1e-3, inner="gd-fixed", penalty_policy=core.GEOMETRIC_GROWTH)
-        report = solve(p, config)
-        assert [st.sigma for st in report.trace[:3]] == [1.0, 1.0, 16.0]  # 4^(k+1), k = 1
-        cert = certify_run(report, p, config)
-        assert cert.regime == REGIME_GROWING
-        assert not cert.certified and cert.reason == complexity.REASON_GEOMETRIC_GROWTH
-        # the polynomial bound is still reported
-        assert cert.bound_T == bound_T_unbounded(complexity._bound_inputs_from(report, p))
-
-    def test_geometric_run_with_bounded_sigma_certified(self):
-        p = corpus_problem("simplex-cos-8")
-        config = SolverConfig(eps=1e-2, inner="gd-fixed", sigma0=100.0,
-                              penalty_policy=core.GEOMETRIC_GROWTH)
-        report = solve(p, config)
-        assert report.T_outer >= 2 and {st.sigma for st in report.trace} == {100.0}
-        cert = certify_run(report, p, config)
-        assert cert.regime == REGIME_BOUNDED and cert.certified and cert.reason == ""
-
     def test_unfinished_run_rejected(self):
         p = corpus_problem("simplex-cos-8")
         report = solve(p, SolverConfig(eps=1e-3, max_outer=0))

@@ -450,10 +450,6 @@ class TestUpdatePenalty:
     def test_decrease_branch(self):
         assert update_penalty(3, 0.4, 1.0, 10.0, self._config(gamma=0.5)) == 10.0
 
-    def test_geometric_policy(self):
-        config = self._config(penalty_policy=core.GEOMETRIC_GROWTH)
-        assert update_penalty(2, 1.0, 1.0, 1.0, config) == 64.0
-
     def test_never_shrinks(self):
         assert update_penalty(3, 1.0, 1.0, 1e6, self._config(alpha=3.0)) == 1e6
 
@@ -668,13 +664,11 @@ class TestLipschitzBound:
 
 class TestStateValidation:
     def test_penalty_state_ranges(self):
-        # sigma, alpha, gamma and the growth policy live on SolverConfig,
-        # which rejects the same out-of-range values the penalty state did
+        # sigma, alpha and gamma live on SolverConfig, which rejects the
+        # same out-of-range values the penalty state did
         with pytest.raises(ValueError, match="sigma0"):
             SolverConfig(eps=1e-3, sigma0=0.0)
         with pytest.raises(ValueError, match="alpha"):
             SolverConfig(eps=1e-3, alpha=1.0)
         with pytest.raises(ValueError, match="gamma"):
             SolverConfig(eps=1e-3, gamma=1.0)
-        with pytest.raises(ValueError, match="penalty_policy"):
-            SolverConfig(eps=1e-3, penalty_policy="linear")

@@ -60,87 +60,87 @@ for problem, kind, eps in (
 # run -> (json, csv, stdout) SHA-256 digests
 GOLDEN = {
     "solve-dup-eq-64-gd-fixed-eps1e-4": (
-        "b7455d27e22a9a28325bc34943d0829b1dfa29297469456b3bcc7a2c1103c68d",
+        "48c9e16d8afcc52eb2fcd7685f95fd78a721f8ef9ed51a6ed7ce787a1bd8c87b",
         "e8349ac1f46d3c09e84eed9d61ce5bd0f1e6e8920f32524abb69d5d58ea4fbc9",
         "64c1888d4b0663961802d83620ba3aa4083e1417e1e4810272cadc543039671d",
     ),
     "solve-dup-eq-8-gd-backtracking": (
-        "65a3939beffcf573ef4f928788f67c412759898a017753810ffe520dfb9d0ef5",
+        "e1bf4f48024c5a0caac5b58737347a4d74bbc13bb385aad717ae491d9b185d8e",
         "2c2155579f9489518f269f72a517d33d7e8b1677b90832f2255e5fa096944373",
         "b26c2d5b80f74357dbf63e67afacf754d0087598f46d7d3dadaf845e975874b3",
     ),
     "solve-dup-eq-8-gd-fixed": (
-        "65bde5271a79fab4c36bc1d56301c26e724d38a5dba75e42237f19e961aa5b28",
+        "fa2c947ef106752e685cc95d5497738a16508a280a9a066e36c78da09bb335ee",
         "88c585dd5dd563482a7983c5c85613f92e849a8f2e82794304726d302cbcdb5a",
         "7e6ad6509bb818ef4172bebae7ffc6231ee1f6f2f9aab645f3976914449c9c4d",
     ),
     "solve-eq-cos-64-cubic-newton-eps1e-4": (
-        "a8abcdb80a8951240fba06bad3845392e789d19c1d88f23bc5d6efee1b4949c0",
+        "dd233017846ec9f32c0ab608274e9e44ffddb89a63edac12beebaeb057a2ec01",
         "5bd601c8274c0f2076b92a8bfaceb8916382fd08eb62969baa0b5917f9370ccc",
         "f1248d9159b341488484f8e9b1a506a3e4e33dd575307d1b2e2a907963e240c5",
     ),
     "solve-eq-cos-8-cubic-newton": (
-        "a7f36480e434d2fbb04900f2c039cc30be624abdb4b598828bfb565615deb069",
+        "1f3ab3e77becaa2aec0f3e9c267be2215639a90d9d266640b70373b56043c292",
         "a4bfdf2165ec44cd721dbc34dadb464226d7fc9d13193ce60113a382ceb664cf",
         "4f99c324267414ae08aecac6b0daa8ac849fac649aef019debab4c07b7d1e517",
     ),
     "solve-eq-cos-8-gd-backtracking": (
-        "56b822029602702169f234a92f4ea2bdda5ff593c9428bad32e304d3c6a540fa",
+        "0fb2a3e2f92ee2454839613d7c4942f9e06ee6170392018bc97bc2ce816c223d",
         "9bac905dc4a420b603a3cb63ed2cdf0dca2dcf83782b9c6c73fa83c56442310b",
         "f645f18d84ac6b136d920ae5bcd38ded24214021384d1169abb00b8acc7258b0",
     ),
     "solve-eq-cos-8-gd-fixed": (
-        "e9c4d66a18bfa73e17f48804b47f7d2e73660ebb43a57430e485ab16f5bdfa72",
+        "a6e1ad215ec3344073249dd2e0aa3d5b797e2afef21b50505d88f615bfe9b3f6",
         "2a9ea7a266f7377049050a1612b91461a4db899386e247669422b79bbd47fb8a",
         "3d870c455557f2a7e263935f3fa2140842619af398b33415fc7d65a4139e534c",
     ),
     "solve-eq-qp-analytic-cubic-newton": (
-        "5b3412a68b0a1ae281f1c84b2b26a7bad9e5212816c40c293342af0b228033d1",
+        "a7462d920595357c66b9560b97851d31a99d34bb6b9e5fa60daaa9f448b8dec1",
         "7d4661d1461ac37838d0a22ba572aa5e9f83a3c86271d783c63ac2bcc771b57c",
         "061d382ab961d85b32b7939a21550fb48ae21c91ea5d5d0cc40f98a30818a34c",
     ),
     "solve-eq-qp-analytic-gd-backtracking": (
-        "06f21921f337092145b777929282cea7e6c640099cdac0c05faa2f7c9a289a6b",
+        "e5468ed5d7071f2bfc10f22e15fcb897fc2a12e03ce112fe8d961e148610e810",
         "b5986ac96aa7e938ad710b3de15b67f5e5c8cbad29008c5fdf83e757e389bd6c",
         "1b67786e112633d2141fcdc7c358892a88ca96ff2a47786e0e675ca79c9106df",
     ),
     "solve-eq-qp-analytic-gd-fixed": (
-        "94ed9323f595310d4f04ffe6a5ec3da4441d409bd879ecdee58b2838702cdcef",
+        "0396b754bc2e4d3272dcd98471ee39bd05e2aec5957ad4af54b74d601a8d8f22",
         "1cd38e9243bd7b91fcf33923b764ef047a3fa121a1ad54a90768ed0b907c9687",
         "061d382ab961d85b32b7939a21550fb48ae21c91ea5d5d0cc40f98a30818a34c",
     ),
     "solve-eq-rosenbrock-32-cubic-newton-eps1e-3": (
-        "8e1fd1cd6d0b2b38d0d831e574df2f571d3f69114099d34025b71c3798a2b69a",
+        "2ffd4d32d6857970f01187f79033e3ff7a077d65208b59dff2cccaa468c5ca34",
         "885accefc8a1da76fa4bd3690a326b78488d40651a81cafdf7403636d4bfc079",
         "969d29c6efa3e9267cb5a282263adf9daf44296767fb77ee4a0b28e64784124f",
     ),
     "solve-eq-rosenbrock-32-gd-backtracking-eps1e-3": (
-        "39045fa4aac2434438815ac6a687189dae368c074c44765a91bbb7f24f5fe8a5",
+        "7cd501022fb8101e5d28338b9a517fd25934fdd30c021e4c0f0b04e1f6e80e05",
         "d6ca935f41a225cd860f414ad3abf5ecc58d5975380ee3d368936ef3b8ebde92",
         "fa827c2e8e8126db771882e32bf443d27a8d131253120db5c0672329b653635f",
     ),
     "solve-eq-rosenbrock-8-cubic-newton": (
-        "7cb684b91d5f2b876c43807e5f974cea034d54dee0f3cc84aa4257f784a947cd",
+        "9ec8b0821eb094659f20609fe556723dece46e2feb33ce0a4698daac8368250a",
         "4511acab41f0bd68778af13e179d1433901dd0f76dd6687347969c7045b7485e",
         "f55cfad37082937260b11442add43a9b4964baf37eace783375e2ae803234fe3",
     ),
     "solve-eq-rosenbrock-8-gd-backtracking": (
-        "49a13f19d0529edc72cd4e3442f37f6afdb87d892258064994afe350bb180edb",
+        "b3a4c4a68ba627a9fed30dca75aac6d14c10454bcfa08cea8b3ade54a614eada",
         "4c9574824b30ca1e99b6a6acde51a40fd863380e64800ed24e6ed3a768cd487a",
         "c7301036f88e0bcf21017a7b89ef44fd90dd46ed6cea2e8b8c49184238e0af8d",
     ),
     "solve-simplex-cos-32-gd-fixed-eps1e-4": (
-        "92bbaea43e5cc074fede60376a0d49fbadd7a30efbcd782e1d0d2c3d7712e0a4",
+        "72f95d924c5e5b48c93a8c8cbe5c4ba7227c099c695bf16c214d35d76902c033",
         "3452e9088a1a7f60ed1599603dee278e71983aab1d210a882f2ef604269e9e9c",
         "b0d5366dadb4182ca22a2c27fe2ec5234507f5c2a5b6ddfed9ba0220075ef809",
     ),
     "solve-simplex-cos-8-gd-backtracking": (
-        "0e9570e6f76d3e056073455145e01b4f813e5a39e139fb60e136a1b086e8f00b",
+        "fd91a84336598e32e320aeb4bfc08800a2b899e52fde333c6a102e722b1a0723",
         "f20fb2e0247047f2f0988ae567b94c250920f0e3ba3fc2ba182536a2eb7c5920",
         "5a482dc836c4dafdfbf9842ced52dffdcaa86ebdfd7a07364f0ebc62129bee47",
     ),
     "solve-simplex-cos-8-gd-fixed": (
-        "92ec23f05d13553eef65d4549b7acebe4d6534bc88927d2124d55bf607fa686f",
+        "4116621bf682c7ef2efbe17993dba67596de7dc302d7c3da1cc73be907532059",
         "d472170a52c85d0e4ab0b568745f5f569b87f976b78bd328c518759a28b57d7f",
         "aa4dd628ce30ee7512e79ec695da37e09809de5f2f41a624cec61178adfe87d0",
     ),

@@ -1,8 +1,12 @@
 """Static checks over the library sources."""
+import argparse
 import ast
+import re
 from pathlib import Path
 
 import pytest
+
+from auglag import cli
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "auglag"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")  # __init__ re-exports
@@ -138,3 +142,22 @@ def test_readme_library_example_runs():
     section = readme.split("## Library use", 1)[1]
     code = section.split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(code, "README.md (Library use)", "exec"), {"__name__": "readme_example"})
+
+
+def readme_flags_unknown_to(parser: argparse.ArgumentParser, readme: str) -> list[str]:
+    """The ``--flags`` in README's "CLI" section that no subcommand of ``parser`` accepts."""
+    section = ("\n" + readme).split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    known = {flag for sub in subcommands.choices.values() for flag in sub._option_string_actions}
+    return sorted(set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", section)) - known)
+
+
+def test_scanner_flags_a_stale_readme_flag():
+    readme = "## CLI\n`--eps`, `--eps-grid` and `--retired-flag 2`\n## Next\n`--later`\n"
+    assert readme_flags_unknown_to(cli.build_parser(), readme) == ["--retired-flag"]
+
+
+def test_readme_cli_flags_exist():
+    """Every flag the README's "CLI" section names is an option of some subcommand."""
+    readme = (SRC.parent.parent / "README.md").read_text(encoding="utf-8")
+    assert readme_flags_unknown_to(cli.build_parser(), readme) == []

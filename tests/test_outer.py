@@ -58,8 +58,6 @@ class TestConfigValidation:
             SolverConfig(eps=1e-3, monitor="loose")
         with pytest.raises(ValueError):
             SolverConfig(eps=1e-3, max_outer=-1)
-        with pytest.raises(ValueError, match="penalty_policy"):
-            SolverConfig(eps=1e-3, penalty_policy="linear")
         # NaN and infinity fail every range test
         for field in ("alpha", "sigma0"):
             for bad in (float("nan"), float("inf")):
@@ -79,7 +77,7 @@ class TestConfigValidation:
             SolverConfig(**{"eps": 1e-3, field: bad})
 
     def test_config_keys_are_the_user_fields(self):
-        keys = ("eps", "alpha", "gamma", "sigma0", "penalty_policy", "inner", "max_outer", "monitor")
+        keys = ("eps", "alpha", "gamma", "sigma0", "inner", "max_outer", "monitor")
         assert outer.CONFIG_KEYS == keys
         assert [f.name for f in dataclasses.fields(SolverConfig)] == [*keys, "require_theta_half"]
 

@@ -171,8 +171,10 @@ class TestValidate:
         assert not check.passed and check.worst_error == pytest.approx(1.0)
 
     def test_samples_validated(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="samples must be >= 1"):
             validate(corpus_problem("eq-cos-8"), samples=0)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            validate(corpus_problem("eq-cos-8"), seed=-1)
 
 
 class TestFiniteDifference:
