@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import core, outer
+from . import core, inner, outer
 from .outer import _write_csv, _write_json
 from .problems import ProblemSpec
 
@@ -129,6 +129,8 @@ def certify_run(report: outer.RunReport, problem: ProblemSpec, config: outer.Sol
 
 @dataclass
 class SweepRow:
+    # The counts are those of the row's own run: rows share their first inner
+    # descent, but each counts it as a solve at its eps alone would.
     eps: float
     T_outer: int
     total_inner: int
@@ -166,18 +168,21 @@ class SweepResult:
         _write_json(path, payload)
 
 
-def _solve_row(problem: ProblemSpec, config: outer.SolverConfig) -> SweepRow:
+def _solve_row(
+    problem: ProblemSpec, config: outer.SolverConfig, first: Optional[inner.InnerResult] = None
+) -> SweepRow:
     """One sweep row, marked failed when the solve fails or certification refuses it.
 
-    A run that certification refuses keeps its own counts and status in the
-    row.  A strict-monitor violation or a P form disagreement is an
-    implementation bug, not a row failure: it propagates and ends the sweep.
+    ``first`` is the run's k = 0 inner result, when already computed.  A run
+    that certification refuses keeps its own counts and status in the row.
+    A strict-monitor violation or a P form disagreement is an implementation
+    bug, not a row failure: it propagates and ends the sweep.
     """
     nan = float("nan")
     row = SweepRow(eps=config.eps, T_outer=0, total_inner=0, total_oracle_calls=0,
                    sigma_final=nan, bound_T=nan, certified=False)
     try:  # row-level isolation; the sweep continues
-        report = outer.solve(problem, config)
+        report = outer.solve(problem, config, _first=first)
         row = replace(row, T_outer=report.T_outer, total_inner=report.total_inner,
                       total_oracle_calls=report.total_oracle_calls,
                       sigma_final=report.trace[-1].sigma, terminated=report.terminated)
@@ -194,12 +199,26 @@ def sweep(
     base_config: outer.SolverConfig,
     eps_grid: Sequence[float],
 ) -> SweepResult:
-    """One certified solve per eps; rows are ordered by descending eps."""
+    """One certified solve per eps; rows are ordered by descending eps.
+
+    Every row's first inner solve minimizes the same P(., 0, sigma0) from x0
+    and differs only in its stop tolerance, so one descent to the smallest
+    eps serves them all (``outer.first_inner_results``).  Each row still
+    holds the report of its solve alone, with the counts of that run, while
+    the sweep makes fewer f evaluations than the rows' counts add up to.  If
+    that descent raises, every row solves alone and meets the failure itself.
+    """
     if len(eps_grid) == 0:
         raise ValueError("eps_grid must be nonempty")
     # every config is checked before the first solve
     configs = [replace(base_config, eps=e) for e in sorted(eps_grid, reverse=True)]
-    return SweepResult(problem=problem.name, rows=[_solve_row(problem, c) for c in configs])
+    try:
+        firsts = outer.first_inner_results(problem, base_config, [c.eps for c in configs])
+    except Exception:  # each row then solves alone and fails or raises as it would
+        firsts = None
+    firsts = firsts or [None] * len(configs)
+    rows = [_solve_row(problem, c, first) for c, first in zip(configs, firsts)]
+    return SweepResult(problem=problem.name, rows=rows)
 
 
 def fit_growth(result: SweepResult, model: str):
@@ -230,8 +249,8 @@ def fit_growth(result: SweepResult, model: str):
         raise ValueError("degenerate design: all eps values equal")
     slope, intercept = np.polyfit(x, y, 1)
     pred = slope * x + intercept
-    ss_res = float(np.sum((y - pred) ** 2))
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
+    ss_res = float(((y - pred) ** 2).sum())
+    ss_tot = float(((y - y.mean()) ** 2).sum())
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     coeff = intercept if model == LOG_LINEAR else math.exp(intercept)
     return float(coeff), float(slope), float(r2)

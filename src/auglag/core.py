@@ -178,13 +178,9 @@ def theta(cons: ConstraintSet, c: np.ndarray, lam: np.ndarray, sigma: float) -> 
     that type are -inf.
     """
     me = cons.m_e
-    mult_part = float(np.max(np.abs(lam / sigma))) if cons.m > 0 else 0.0
-    eq_part = (
-        float(np.max(np.abs(c[:me] - lam[:me] / sigma))) if me > 0 else float("-inf")
-    )
-    ineq_part = (
-        float(np.max(np.abs(np.minimum(c[me:], 0.0)))) if me < cons.m else float("-inf")
-    )
+    mult_part = float(np.abs(lam / sigma).max()) if cons.m > 0 else 0.0
+    eq_part = float(np.abs(c[:me] - lam[:me] / sigma).max()) if me > 0 else float("-inf")
+    ineq_part = cons.ineq_violation(c) if me < cons.m else float("-inf")
     return ThetaStat(value=max(mult_part, eq_part, ineq_part), parts=(mult_part, eq_part, ineq_part))
 
 

@@ -11,9 +11,12 @@ Two families are provided:
   solved exactly through an eigendecomposition and a one-dimensional root
   find on the secular equation in r = ||s||.
 
-All three run one loop, ``_descend``: it evaluates the start, takes the
-iteration cap from g(start), counts iterations and oracle calls, and keeps
-the monotone value min(f, f_new) and its trace until ||grad g||_2 <= eps.
+All three run one loop, ``_descend``: it evaluates the start, counts
+iterations and oracle calls, and keeps the monotone value min(f, f_new) and
+its trace until ||grad g||_2 <= eps, within an iteration cap taken from
+g(start) and eps.  It can pass through several descending tolerances in one
+run and return the result each would have stopped at alone, which lets an
+eps-sweep share the descent that its rows repeat.
 Each iteration calls a step rule on (x, f, grad g, ||grad g||^2), which
 returns ``(point | None, calls)``: the next point in that form, or None when
 it rejected its trial.  Only cubic Newton rejects; it forms the Hessian with
@@ -85,7 +88,7 @@ class InnerTask:
         self.start = np.asarray(self.start, dtype=float).ravel()
         if not (self.eps > 0.0):
             raise ValueError("eps must be positive")
-        if not np.all(np.isfinite(self.start)):
+        if not np.isfinite(self.start).all():
             raise ValueError("start must be finite")
 
 
@@ -133,27 +136,40 @@ def _trial_value(task: InnerTask, x: np.ndarray) -> float:
         return math.inf
 
 
-def _descend(task: InnerTask, step, budget, what: str) -> InnerResult:
-    """Run ``step`` from ``task.start`` to ||grad g||_2 <= eps, within ``budget(g(start))`` steps.
+def _descend(task: InnerTask, step, budget, what: str, tolerances=None) -> list[InnerResult]:
+    """Run ``step`` from ``task.start`` through each tolerance in turn; one result per tolerance.
 
+    ``tolerances`` is a descending sequence, ``(task.eps,)`` by default.  The
+    result for a tolerance is taken at the first iterate with ||grad g||_2 at
+    or below it, and equals what a run to that tolerance alone returns: the
+    step rule keeps its state from one tolerance to the next, and the cap
+    while working toward eps is ``budget(g(start), eps)`` iterations from the
+    start.  Every result but the last holds copies of x and of the trace.
     ``what`` names the solver in the ``IterationCapExceeded`` message.
     """
+    tolerances = (task.eps,) if tolerances is None else tolerances
     x = task.start.copy()
     f, g, gn2 = _value_grad(task, x)
-    cap = budget(f)
-    calls, iters, trace = 1, 0, [f]
-    while math.sqrt(gn2) > task.eps:
-        if iters >= cap:
-            raise IterationCapExceeded(f"{what} exceeded its budget of {cap} iterations")
-        moved, used = step(x, f, g, gn2)
-        calls += used
-        iters += 1
-        if moved is not None:
-            x, f_new, g, gn2 = moved
-            f = min(f, f_new)
-            trace.append(f)
-    return InnerResult(x_final=x, grad_norm2=math.sqrt(gn2), iterations=iters, oracle_calls=calls,
-                       accepted_steps=len(trace) - 1, objective_trace=trace)
+    f_start, calls, iters, trace = f, 1, 0, [f]
+    results, last = [], len(tolerances) - 1
+    for i, eps in enumerate(tolerances):
+        cap = budget(f_start, eps)
+        while math.sqrt(gn2) > eps:
+            if iters >= cap:
+                raise IterationCapExceeded(f"{what} exceeded its budget of {cap} iterations")
+            moved, used = step(x, f, g, gn2)
+            calls += used
+            iters += 1
+            if moved is not None:
+                x, f_new, g, gn2 = moved
+                f = min(f, f_new)
+                trace.append(f)
+        results.append(InnerResult(
+            x_final=x if i == last else x.copy(), grad_norm2=math.sqrt(gn2), iterations=iters,
+            oracle_calls=calls, accepted_steps=len(trace) - 1,
+            objective_trace=trace if i == last else trace.copy(),
+        ))
+    return results
 
 
 def gd_solve(task: InnerTask, variant: str = FIXED_STEP) -> InnerResult:
@@ -165,15 +181,20 @@ def gd_solve(task: InnerTask, variant: str = FIXED_STEP) -> InnerResult:
     search accepted its first trial.  Both raise ``IterationCapExceeded``
     where a step no longer moves x and every later step would repeat it.
     """
+    return _descend(task, *_gd_rule(task, variant))[0]
+
+
+def _gd_rule(task: InnerTask, variant: str):
+    """(step, budget, name) of ``gd_solve`` on ``task``, for ``_descend``."""
     if variant not in (FIXED_STEP, BACKTRACKING):
         raise ValueError(f"unknown variant {variant!r}")
     L = task.known_L
     if variant == FIXED_STEP and not (L is not None and 0.0 < L < math.inf):
         raise ValueError(f"fixed-step descent requires a finite positive known_L, got {L!r}")
 
-    def fixed_budget(f0: float) -> float:
+    def fixed_budget(f0: float, eps: float) -> float:
         decrease_bound = f0 - task.g_low if math.isfinite(task.g_low) else 1.0
-        bound = 4.0 * L * max(decrease_bound, 1.0) * task.eps ** -2
+        bound = 4.0 * L * max(decrease_bound, 1.0) * eps ** -2
         return math.ceil(bound) + 1000 if bound < math.inf else math.inf
 
     def fixed_step(x, f, g, gn2):
@@ -222,8 +243,8 @@ def gd_solve(task: InnerTask, variant: str = FIXED_STEP) -> InnerResult:
         return (x_new, f_new, *_grad_sq(task.gradient(x_new))), trials
 
     if variant == FIXED_STEP:
-        return _descend(task, fixed_step, fixed_budget, "gradient descent")
-    return _descend(task, armijo_step, lambda f0: _BACKTRACK_CAP, "gradient descent")
+        return fixed_step, fixed_budget, "gradient descent"
+    return armijo_step, lambda f0, eps: _BACKTRACK_CAP, "gradient descent"
 
 
 def cubic_model_value(g: np.ndarray, H: np.ndarray, M: float, s: np.ndarray):
@@ -233,7 +254,7 @@ def cubic_model_value(g: np.ndarray, H: np.ndarray, M: float, s: np.ndarray):
 
 def _model_eig(g: np.ndarray, H: np.ndarray):
     """(w, Q, Q^T g) for the symmetric part of H = Q diag(w) Q^T."""
-    if not (np.all(np.isfinite(H)) and np.all(np.isfinite(g))):
+    if not (np.isfinite(H).all() and np.isfinite(g).all()):
         raise EigendecompositionFailure("non-finite Hessian or gradient")
     w, Q = np.linalg.eigh(0.5 * (H + H.T))
     return w, Q, Q.T @ g
@@ -290,7 +311,7 @@ def solve_cubic_model(g: np.ndarray, H: np.ndarray, M: float, eig=None) -> np.nd
     r_lb = max(0.0, -2.0 * w_min / M)
 
     min_mask = (w - w_min) <= 1e-12 * max(1.0, abs(w_min))
-    hard_candidate = r_lb > 0.0 and float(np.max(np.abs(ghat[min_mask]), initial=0.0)) <= 1e-13 * max(1.0, gnorm)
+    hard_candidate = r_lb > 0.0 and float(np.abs(ghat[min_mask]).max(initial=0.0)) <= 1e-13 * max(1.0, gnorm)
     if hard_candidate:
         p, pnorm = _off_min_part(ghat, w + half_M * r_lb, min_mask)
         if pnorm <= r_lb:
@@ -353,6 +374,11 @@ def cubic_newton_solve(task: InnerTask) -> InnerResult:
     a rejected step reuses the Hessian and its eigendecomposition at the same
     point; both are formed only where a model is solved.
     """
+    return _descend(task, *_cubic_rule(task))[0]
+
+
+def _cubic_rule(task: InnerTask):
+    """(step, budget, name) of ``cubic_newton_solve`` on ``task``, for ``_descend``."""
     if task.hessian is None:
         raise ValueError("cubic Newton requires a Hessian oracle")
     M = max(task.known_L, _M_MIN) if task.known_L is not None else 1.0
@@ -377,4 +403,4 @@ def cubic_newton_solve(task: InnerTask) -> InnerResult:
         M *= 2.0
         return None, 1
 
-    return _descend(task, step, lambda f0: _CUBIC_CAP, "cubic Newton")
+    return step, lambda f0, eps: _CUBIC_CAP, "cubic Newton"

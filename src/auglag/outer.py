@@ -239,10 +239,10 @@ def kkt_check(
 ) -> KKTReport:
     """Direct eps-KKT test from c = c(x) and grad_L = core.lagrangian_grad at (x, lam)."""
     me = cons.m_e
-    dual = float(np.max(np.abs(grad_L)))
+    dual = float(np.abs(grad_L).max())
     primal_eq, primal_ineq = cons.primal_residuals(c)
-    sign_ok = bool(np.all(lam[me:] >= 0.0))
-    compl_ok = bool(np.all(lam[me:][c[me:] > eps] == 0.0))
+    sign_ok = bool((lam[me:] >= 0.0).all())
+    compl_ok = bool((lam[me:][c[me:] > eps] == 0.0).all())
     is_kkt = (
         dual <= eps and primal_eq <= eps and primal_ineq <= eps and sign_ok and compl_ok
     )
@@ -291,13 +291,13 @@ def monitor_step(
     entries.append(MonitorEntry(k + 1, "feasible_upper_bound", p_zero, f0, _slacked(p_zero, f0)))
 
     # penalty lower bound: P(x) >= f(x) - 0.5*sum(lambda^2)/sigma
-    lhs = next_state.f - 0.5 * float(np.sum(prev.lam * prev.lam)) / sigma_k
+    lhs = next_state.f - 0.5 * float((prev.lam * prev.lam).sum()) / sigma_k
     entries.append(
         MonitorEntry(k + 1, "penalty_lower_bound", lhs, p_next, _slacked(lhs, p_next))
     )
 
     # dual-residual identity between the new Lagrangian gradient and grad P
-    lhs = float(np.max(np.abs(grad_L - grad_p)))
+    lhs = float(np.abs(grad_L - grad_p).max())
     entries.append(
         MonitorEntry(k + 1, "dual_identity", lhs, _DUAL_IDENTITY_TOL, lhs <= _DUAL_IDENTITY_TOL)
     )
@@ -353,20 +353,58 @@ def default_inner_for(problem: ProblemSpec) -> str:
     return INNER_GD_BACKTRACKING
 
 
+_GD_VARIANTS = {INNER_GD_FIXED: inner.FIXED_STEP, INNER_GD_BACKTRACKING: inner.BACKTRACKING}
+
+
 def _run_inner(task: inner.InnerTask, kind: str) -> inner.InnerResult:
-    if kind == INNER_GD_FIXED:
-        return inner.gd_solve(task, inner.FIXED_STEP)
-    if kind == INNER_GD_BACKTRACKING:
-        return inner.gd_solve(task, inner.BACKTRACKING)
-    return inner.cubic_newton_solve(task)
+    if kind == INNER_CUBIC:
+        return inner.cubic_newton_solve(task)
+    return inner.gd_solve(task, _GD_VARIANTS[kind])
 
 
-def solve(problem: ProblemSpec, config: SolverConfig) -> RunReport:
+def _first_task(problem: ProblemSpec, config: SolverConfig) -> tuple[core.Penalty, np.ndarray, float]:
+    """(P(., lambda = 0, sigma0), x0, p_low): the penalty, start and lower bound of the k = 0 inner solve.
+
+    p_low = f_low - ||mu0||^2/2.  Nothing here reads an oracle value or eps,
+    so the rows of an eps-sweep share this task up to their stop tolerance.
+    """
+    lam = np.zeros(problem.constraints.m)
+    p_low = problem.objective.f_low - 0.5 * core.mu_norm(lam, config.sigma0) ** 2
+    return core.Penalty(problem, lam, config.sigma0), problem.x0.copy(), p_low
+
+
+def first_inner_results(
+    problem: ProblemSpec, config: SolverConfig, tolerances: Sequence[float]
+) -> Optional[list[inner.InnerResult]]:
+    """The k = 0 inner results of solves under ``config`` at each eps in ``tolerances``, from one descent.
+
+    ``tolerances`` is descending.  Each result is the one ``solve`` at that
+    eps computes alone (the descent passes through each stopping point), so
+    ``solve(problem, replace(config, eps=e), _first=result)`` skips its k = 0
+    inner solve and returns the same report.  None when such a solve runs no
+    inner solve: no outer iteration allowed, or sigma0 above the cap.  Raises
+    whatever the descent raises; a solve alone may still succeed then.
+    """
+    if config.max_outer == 0 or config.sigma0 > _SIGMA_CAP:
+        return None
+    penalty, start, p_low = _first_task(problem, config)
+    task = _build_inner_task(penalty, start, tolerances[-1], config.inner, p_low)
+    if config.inner == INNER_CUBIC:
+        rule = inner._cubic_rule(task)
+    else:
+        rule = inner._gd_rule(task, _GD_VARIANTS[config.inner])
+    return inner._descend(task, *rule, tolerances)
+
+
+def solve(
+    problem: ProblemSpec, config: SolverConfig, _first: Optional[inner.InnerResult] = None
+) -> RunReport:
     """Run the augmented Lagrangian outer loop until an eps-KKT point.
 
     Terminates at the first k >= 1 whose pair (x_k, lambda^(k)) passes the
     direct eps-KKT test; theta <= eps/2 is monitored as the sufficient
-    condition the analysis counts.
+    condition the analysis counts.  ``_first`` is this run's k = 0 inner
+    result from ``first_inner_results``, which an eps-sweep passes.
     """
     problem.check_feasible_start()
     eps = config.eps
@@ -376,7 +414,8 @@ def solve(problem: ProblemSpec, config: SolverConfig) -> RunReport:
     f0, c0 = obj.value(x0), cons.c(x0)
     gap0 = f0 - f_low
 
-    lam, sigma = np.zeros(cons.m), config.sigma0
+    penalty, start, p_low0 = _first_task(problem, config)
+    lam, sigma = penalty.lam, penalty.sigma
     mu0_sq = core.mu_norm(lam, sigma) ** 2
 
     grad_L0 = core.lagrangian_grad(obj.gradient(x0), cons.jac(x0), lam)
@@ -400,14 +439,19 @@ def solve(problem: ProblemSpec, config: SolverConfig) -> RunReport:
         if sigma > _SIGMA_CAP:
             terminated = TERMINATED_SIGMA_OVERFLOW
             break
-        penalty = core.Penalty(problem, lam, sigma)
-        start, p_zero, p_prev = warm_start(penalty, first, state)
-        p_low = f_low - 0.5 * mu0_sq - gap0 * k
-        task = _build_inner_task(penalty, start, eps, config.inner, p_low)
-        try:
-            res = _run_inner(task, config.inner)
-        except (inner.IterationCapExceeded, inner.NonFiniteValue, inner.EigendecompositionFailure) as exc:
-            raise InnerFailure(f"inner solver failed at outer iteration {k}: {exc}") from exc
+        if k == 0:  # the start is x0, and P(x0) plays both warm-start roles
+            p_zero = p_prev = penalty.from_values(f0, c0)[0]
+        else:
+            penalty = core.Penalty(problem, lam, sigma)
+            start, p_zero, p_prev = warm_start(penalty, first, state)
+        if k == 0 and _first is not None:
+            res = _first
+        else:
+            task = _build_inner_task(penalty, start, eps, config.inner, p_low0 - gap0 * k)
+            try:
+                res = _run_inner(task, config.inner)
+            except (inner.IterationCapExceeded, inner.NonFiniteValue, inner.EigendecompositionFailure) as exc:
+                raise InnerFailure(f"inner solver failed at outer iteration {k}: {exc}") from exc
 
         # every quantity below reads these oracle values at x_{k+1}
         x_next = res.x_final

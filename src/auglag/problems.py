@@ -146,12 +146,13 @@ class ConstraintSet:
             return self.A
         return np.atleast_2d(np.asarray(self.jac_fn(x), dtype=float))
 
+    def ineq_violation(self, c: np.ndarray) -> float:
+        """max |min(c_ineq, 0)| for constraint values c; 0 without inequality rows."""
+        return 0.0 - float(c[self.m_e:].min(initial=0.0))  # +0.0, not -0.0, when none is violated
+
     def primal_residuals(self, c: np.ndarray) -> tuple[float, float]:
         """(max |c_eq|, max |min(c_ineq, 0)|) for constraint values c; absent rows give 0."""
-        me = self.m_e
-        eq = float(np.max(np.abs(c[:me]))) if me > 0 else 0.0
-        ineq = float(np.max(np.abs(np.minimum(c[me:], 0.0)))) if me < self.m else 0.0
-        return eq, ineq
+        return float(np.abs(c[:self.m_e]).max(initial=0.0)), self.ineq_violation(c)
 
 
 @dataclass

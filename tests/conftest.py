@@ -1,8 +1,10 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from auglag import outer
 from auglag.problems import ConstraintSet, ObjectiveOracle, ProblemSpec, load_problem
 
 # sum(x) = 1, x_i <= 0.3 and x_0 - x_1 >= -0.2: inequality rows of both signs
@@ -69,3 +71,35 @@ def mixed_sign_file(tmp_path_factory):
 def mixed_sign(mixed_sign_file):
     """A linear problem with a declared L1 whose inequality rows have coefficients of both signs."""
     return load_problem(mixed_sign_file)
+
+
+def count_oracles(monkeypatch):
+    """Counters of f, grad f, c and jac calls (outside, inside) ``outer._run_inner``."""
+    outside, inside = Counter(), Counter()
+    where = [outside]
+
+    def count(owner, attr):
+        original = getattr(owner, attr)
+
+        def wrapper(*args, **kwargs):
+            where[0][attr] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, wrapper)
+
+    for owner, attr in (
+        (ObjectiveOracle, "value"), (ObjectiveOracle, "gradient"),
+        (ConstraintSet, "c"), (ConstraintSet, "jac"),
+    ):
+        count(owner, attr)
+    run_inner = outer._run_inner
+
+    def flagged(task, inner_kind):
+        where[0] = inside
+        try:
+            return run_inner(task, inner_kind)
+        finally:
+            where[0] = outside
+
+    monkeypatch.setattr(outer, "_run_inner", flagged)
+    return outside, inside

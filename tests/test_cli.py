@@ -59,7 +59,7 @@ class TestSolveCommand:
         assert data["config"]["inner"] == "cubic-newton"
 
     def test_monitor_violation_exit_code(self, tmp_path, monkeypatch):
-        def boom(problem, config):
+        def boom(*args, **kwargs):
             raise outer.MonitorViolation("forced")
 
         monkeypatch.setattr(cli.outer, "solve", boom)

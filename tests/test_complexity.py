@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from auglag import complexity, core, outer
+from auglag import complexity, core, inner, outer
 from auglag.complexity import (
     BoundInputs,
     LOG_LINEAR,
@@ -22,6 +24,8 @@ from auglag.complexity import (
 )
 from auglag.outer import SolverConfig, solve
 from auglag.problems import corpus_problem
+
+from conftest import count_oracles
 
 
 def _bounded_oracle(mu0_sq, gap, gamma, alpha, eps, sigma_max):
@@ -213,6 +217,83 @@ class TestSweep:
         row = sweep(p, SolverConfig(eps=1e-2, inner="cubic-newton"), [1e-2]).rows[0]
         assert row.failed and row.terminated == "" and row.reason == ""
 
+    @pytest.mark.parametrize("grid", [[1e-3], [1e-1, 1e-2], [1e-2, 1e-3, 1e-4]])
+    @pytest.mark.parametrize("name,kind", [
+        ("eq-qp-analytic", "gd-fixed"), ("eq-qp-analytic", "gd-backtracking"),
+        ("eq-qp-analytic", "cubic-newton"), ("simplex-cos-8", "gd-fixed"),
+        ("simplex-cos-8", "gd-backtracking"), ("eq-rosenbrock-8", "gd-backtracking"),
+        ("eq-cos-8", "cubic-newton"),
+        ("simplex-cos-8", "cubic-newton"),  # every row fails: inequality rows
+    ])
+    def test_rows_equal_their_solves_alone(self, name, kind, grid):
+        p = corpus_problem(name)
+        cfg = SolverConfig(eps=grid[0], inner=kind)
+        assert repr(sweep(p, cfg, grid).rows) == repr(_rows_alone(p, cfg, grid))
+
+    @pytest.mark.parametrize("kind", outer.INNER_SOLVERS)
+    def test_rows_refused_certification_equal_their_solves_alone(self, kind):
+        p = corpus_problem("eq-qp-analytic")
+        cfg = SolverConfig(eps=1e-2, inner=kind, max_outer=1)
+        rows = sweep(p, cfg, [1e-2, 1e-3, 1e-4]).rows
+        assert all(r.failed and r.T_outer == 1 for r in rows)
+        assert repr(rows) == repr(_rows_alone(p, cfg, [1e-2, 1e-3, 1e-4]))
+
+    def test_a_failed_shared_descent_leaves_each_row_to_its_own_solve(self, monkeypatch):
+        # the rows' first descents take 998, 1533 and 2079 iterations: with a
+        # cap of 1200 the shared descent fails, and the row at 1e-2 alone does not
+        monkeypatch.setattr(inner, "_BACKTRACK_CAP", 1200)
+        p = corpus_problem("eq-rosenbrock-8")
+        cfg = SolverConfig(eps=1e-2, inner="gd-backtracking")
+        grid = [1e-2, 1e-3, 1e-4]
+        with pytest.raises(inner.IterationCapExceeded):
+            outer.first_inner_results(p, cfg, grid)
+        rows = sweep(p, cfg, grid).rows
+        assert [r.failed for r in rows] == [False, True, True]
+        assert repr(rows) == repr(_rows_alone(p, cfg, grid))
+
+    @pytest.mark.parametrize("name,kind", [
+        ("simplex-cos-8", "gd-fixed"), ("eq-rosenbrock-8", "gd-backtracking"),
+        ("eq-cos-8", "cubic-newton"),
+    ])
+    def test_shared_results_equal_the_first_inner_results_alone(self, name, kind):
+        p = corpus_problem(name)
+        cfg = SolverConfig(eps=1e-2, inner=kind)
+        grid = [1e-1, 1e-2, 1e-2, 1e-4]  # a repeated eps gets an equal result
+        shared = outer.first_inner_results(p, cfg, grid)
+        assert len(shared) == len(grid)
+        for eps, got in zip(grid, shared):
+            want = solve(p, dataclasses.replace(cfg, eps=eps)).trace[1].inner_stats
+            assert np.array_equal(got.x_final, want.x_final)
+            assert dataclasses.replace(got, x_final=None) == dataclasses.replace(want, x_final=None)
+        assert shared[1].x_final is not shared[2].x_final  # copies, not views of the descent
+
+    def test_no_shared_descent_without_an_outer_iteration(self):
+        p = corpus_problem("eq-qp-analytic")
+        assert outer.first_inner_results(p, SolverConfig(max_outer=0), [1e-2, 1e-3]) is None
+        assert outer.first_inner_results(p, SolverConfig(sigma0=1e17), [1e-2, 1e-3]) is None
+
+    def test_the_shared_descent_adds_no_evaluation(self, monkeypatch):
+        p = corpus_problem("eq-rosenbrock-8")
+        cfg = SolverConfig(eps=1e-2, inner="gd-backtracking")
+        first_alone = solve(p, cfg).trace[1].inner_stats.oracle_calls
+        outside, inside = count_oracles(monkeypatch)
+        rows = sweep(p, cfg, [1e-2, 1e-3]).rows
+        assert all(r.T_outer == 1 for r in rows)
+        # the row at 1e-3 descends through the row at 1e-2's stopping point
+        f_calls = outside["value"] + inside["value"]
+        assert f_calls == sum(r.total_oracle_calls for r in rows) - first_alone
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        name=st.sampled_from(["eq-qp-analytic", "simplex-cos-8"]),
+        exponents=st.lists(st.floats(1.0, 4.0), min_size=1, max_size=3),
+    )
+    def test_fuzz_rows_equal_their_solves_alone(self, name, exponents):
+        grid = [10.0 ** -e for e in exponents]
+        p = corpus_problem(name)
+        cfg = SolverConfig(eps=grid[0], inner="gd-fixed")
+        assert repr(sweep(p, cfg, grid).rows) == repr(_rows_alone(p, cfg, grid))
+
     def test_save_outputs(self, tmp_path):
         p = corpus_problem("eq-qp-analytic")
         result = sweep(p, SolverConfig(eps=1e-2, inner="cubic-newton"), [1e-2, 1e-3, 1e-4])
@@ -244,6 +325,12 @@ class TestSweep:
         assert json_path.read_text(encoding="utf-8") == (
             json.dumps(payload, indent=1, sort_keys=True) + "\n"
         )
+
+
+def _rows_alone(problem, base_config, grid):
+    """The rows ``sweep`` returns, each from its own solve with nothing shared."""
+    return [complexity._solve_row(problem, dataclasses.replace(base_config, eps=e))
+            for e in sorted(grid, reverse=True)]
 
 
 def _synthetic_result(rows):

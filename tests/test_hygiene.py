@@ -37,6 +37,36 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+def numpy_reduction_wrappers(source: str) -> list[str]:
+    """Each use of numpy's module-level max, min, sum, all or any.
+
+    The ndarray method (``x.max()``, ``x.sum()``, ...) runs the same reduction
+    without the wrapper's Python-level dispatch.
+    """
+    uses = [
+        (node.lineno, f"{node.value.id}.{node.attr}")
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr in ("max", "min", "sum", "all", "any")
+        and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")
+    ]
+    return [f"line {line}: {name}" for line, name in sorted(uses)]
+
+
+def test_scanner_flags_a_numpy_reduction_wrapper():
+    source = (
+        "import numpy as np\nx = np.zeros(2)\nnp.max(x, initial=0.0)\nx.max()\n"
+        "np.add.reduce(x)\nreduce = np.all\nnumpy.sum(x)\n"
+    )
+    assert numpy_reduction_wrappers(source) == [
+        "line 3: np.max", "line 6: np.all", "line 7: numpy.sum",
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_numpy_reduction_wrappers(path):
+    assert numpy_reduction_wrappers(path.read_text(encoding="utf-8")) == []
+
+
 def _names_read(trees) -> set[str]:
     """Every name loaded, and every attribute taken, anywhere in ``trees``."""
     read = set()

@@ -1,6 +1,5 @@
 import dataclasses
 import json
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -25,10 +24,10 @@ from auglag.outer import (
     warm_start,
 )
 from auglag.problems import (
-    ConstraintSet, ObjectiveOracle, ProblemSpec, corpus_problem, make_eq_cos, make_eq_rosenbrock,
+    ConstraintSet, ProblemSpec, corpus_problem, make_eq_cos, make_eq_rosenbrock,
 )
 
-from conftest import make_tiny
+from conftest import count_oracles, make_tiny
 
 
 def _project_simplex(v):
@@ -228,44 +227,12 @@ class TestMonitorStep:
         assert idents and all(e.lhs <= 1e-12 for e in idents)
 
 
-def _count_oracles(monkeypatch):
-    """Counters of f, grad f, c and jac calls (outside, inside) ``outer._run_inner``."""
-    outside, inside = Counter(), Counter()
-    where = [outside]
-
-    def count(owner, attr):
-        original = getattr(owner, attr)
-
-        def wrapper(*args, **kwargs):
-            where[0][attr] += 1
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(owner, attr, wrapper)
-
-    for owner, attr in (
-        (ObjectiveOracle, "value"), (ObjectiveOracle, "gradient"),
-        (ConstraintSet, "c"), (ConstraintSet, "jac"),
-    ):
-        count(owner, attr)
-    run_inner = outer._run_inner
-
-    def flagged(task, inner_kind):
-        where[0] = inside
-        try:
-            return run_inner(task, inner_kind)
-        finally:
-            where[0] = outside
-
-    monkeypatch.setattr(outer, "_run_inner", flagged)
-    return outside, inside
-
-
 class TestOneEvaluationPerIterate:
     @pytest.mark.parametrize(
         "name,kind", [("simplex-cos-8", INNER_GD_FIXED), ("eq-cos-8", INNER_CUBIC)]
     )
     def test_oracle_calls_outside_inner_solver(self, monkeypatch, name, kind):
-        calls, _ = _count_oracles(monkeypatch)
+        calls, _ = count_oracles(monkeypatch)
         report = solve(corpus_problem(name), SolverConfig(eps=1e-3, inner=kind))
         T = report.T_outer
         assert T >= 2
@@ -283,7 +250,7 @@ class TestOneEvaluationPerIterate:
     )
     def test_one_constraint_evaluation_per_objective_value_inside(self, monkeypatch, name, kind):
         # a gradient after a value at the same point reuses that point's c(x)
-        _, calls = _count_oracles(monkeypatch)
+        _, calls = count_oracles(monkeypatch)
         report = solve(corpus_problem(name), SolverConfig(eps=1e-3, inner=kind))
         assert report.total_inner > 0
         assert calls["c"] == calls["value"]
@@ -291,7 +258,7 @@ class TestOneEvaluationPerIterate:
 
     @pytest.mark.parametrize("kind", [INNER_GD_FIXED, INNER_GD_BACKTRACKING, INNER_CUBIC])
     def test_total_oracle_calls_counts_every_objective_value(self, monkeypatch, kind):
-        outside, inside = _count_oracles(monkeypatch)
+        outside, inside = count_oracles(monkeypatch)
         report = solve(corpus_problem("eq-cos-8"), SolverConfig(eps=1e-3, inner=kind))
         f_calls = outside["value"] + inside["value"]
         assert report.T_outer >= 2 and f_calls == report.total_oracle_calls
