@@ -188,7 +188,7 @@ def _cmd_check(args) -> int:
         )
     # inner-solver self-test on a tiny strongly convex quadratic
     task = inner.InnerTask(
-        objective=lambda x: 0.5 * float(x @ x),
+        objective=lambda x: 0.5 * float(x.dot(x)),
         gradient=lambda x: x,
         hessian=lambda x: np.eye(x.shape[0]),
         start=np.array([4.0, 3.0]),
@@ -236,6 +236,9 @@ def main(argv=None) -> int:
         return EXIT_MONITOR
     except core.FormDisagreementError as exc:
         log.error("P form disagreement: %s", exc)
+        return EXIT_MONITOR
+    except outer.EvaluationMismatch as exc:
+        log.error("evaluation mismatch: %s", exc)
         return EXIT_MONITOR
     except outer.InnerFailure as exc:
         log.error("inner solver failure: %s", exc)

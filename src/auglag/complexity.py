@@ -175,8 +175,9 @@ def _solve_row(
 
     ``first`` is the run's k = 0 inner result, when already computed.  A run
     that certification refuses keeps its own counts and status in the row.
-    A strict-monitor violation or a P form disagreement is an implementation
-    bug, not a row failure: it propagates and ends the sweep.
+    A strict-monitor violation, a P form disagreement or an evaluation
+    mismatch is an implementation bug, not a row failure: it propagates and
+    ends the sweep.
     """
     nan = float("nan")
     row = SweepRow(eps=config.eps, T_outer=0, total_inner=0, total_oracle_calls=0,
@@ -187,7 +188,7 @@ def _solve_row(
                       total_oracle_calls=report.total_oracle_calls,
                       sigma_final=report.trace[-1].sigma, terminated=report.terminated)
         cert = certify_run(report, problem, config)
-    except (outer.MonitorViolation, core.FormDisagreementError):
+    except (outer.MonitorViolation, core.FormDisagreementError, outer.EvaluationMismatch):
         raise
     except Exception as exc:
         return replace(row, failed=True, error=str(exc))
@@ -204,9 +205,10 @@ def sweep(
     Every row's first inner solve minimizes the same P(., 0, sigma0) from x0
     and differs only in its stop tolerance, so one descent to the smallest
     eps serves them all (``outer.first_inner_results``).  Each row still
-    holds the report of its solve alone, with the counts of that run, while
-    the sweep makes fewer f evaluations than the rows' counts add up to.  If
-    that descent raises, every row solves alone and meets the failure itself.
+    holds the report of its solve alone, with the counts of that run.  The
+    sweep's f evaluations are the rows' counts summed, less the k = 0 inner
+    calls of every row but the last, plus one at x0 for the descent's start.
+    If that descent raises, every row solves alone and meets the failure itself.
     """
     if len(eps_grid) == 0:
         raise ValueError("eps_grid must be nonempty")

@@ -7,6 +7,8 @@ both and raises if they disagree beyond rounding, which turns any future
 formula edit that breaks one side into an immediate hard error.
 ``Penalty`` holds P for one (lambda, sigma); its methods take x or the values
 f, c, grad f and J a caller already holds, and evaluate c(x) once per point.
+Each joint evaluation of P and its gradient is kept as an ``Evaluation``, so
+the outer loop reads an inner solve's last iterate without evaluating it again.
 
 Branch tie rule: at c_i(x) == lambda_i/sigma exactly, the inequality term
 takes the constant branch, so its gradient contribution is zero.  P is
@@ -17,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 import numpy as np
 
@@ -44,15 +46,30 @@ class ThetaStat:
 
 def lagrangian_grad(g: np.ndarray, J: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """grad f(x) - sum_i lambda_i * grad c_i(x), from g = grad f(x) and J = jac c(x)."""
-    return g - J.T @ lam
+    return g - J.T.dot(lam)
+
+
+class Evaluation(NamedTuple):
+    """The oracle values at one point x and P, grad P there under one ``Penalty``."""
+
+    key: bytes  # x.tobytes()
+    f: float
+    c: np.ndarray
+    g: np.ndarray  # grad f(x)
+    J: np.ndarray  # jac c(x)
+    p: float
+    grad_p: np.ndarray
 
 
 class Penalty:
     """P(., lambda, sigma) for one fixed (lambda, sigma): what one inner solve minimizes.
 
-    The (lambda, sigma)-only terms are computed once.  ``value`` keeps x, c(x)
-    and the mask, which ``grad`` reuses at an equal x; ``from_values`` and
-    ``grad_from`` take oracle values a caller already holds.
+    The (lambda, sigma)-only terms are computed once.  ``value`` keeps f(x),
+    c(x), the mask and P(x), keyed on the bytes of x, and ``grad`` reuses them
+    at a point with the same bytes; ``from_values`` and ``grad_from`` take
+    oracle values a caller already holds.  The last joint evaluation of P and
+    grad P, by ``value_grad``, by ``grad`` after ``value`` or by ``evaluation``,
+    is ``last_evaluation()``.
     """
 
     def __init__(self, problem: ProblemSpec, lam: np.ndarray, sigma: float) -> None:
@@ -63,11 +80,12 @@ class Penalty:
         self._neg_lam, self._half_sigma = -lam, 0.5 * sigma
         self._shift = lam / sigma
         self._const = -0.5 * lam * lam / sigma
-        self._shift_sq = self._shift @ self._shift
+        self._shift_sq = self._shift.dot(self._shift)
         # with no inequality rows the mask is all False and the inactive-row
         # steps below would change nothing, so they are skipped
         self._has_ineq = self._cons.m_e < self._cons.m
-        self._at = None  # (x, c(x), mask) at the last point evaluated
+        self._at = None  # (x.tobytes(), f(x), c(x), (P(x), mask)) at the last point valued
+        self._last: Optional[Evaluation] = None
 
     def _inactive(self, c: np.ndarray) -> np.ndarray:
         """The mask of inequality rows on the constant branch at c = c(x), as a new array."""
@@ -96,13 +114,13 @@ class Penalty:
         if self._has_ineq:
             tail = d[self._cons.m_e:]
             np.minimum(tail, 0.0, out=tail)
-        shifted_sum = self._half_sigma * float(d @ d - self._shift_sq)
+        shifted_sum = self._half_sigma * float(d.dot(d) - self._shift_sq)
         return inactive, branch_sum, shifted_sum
 
     def _term_scale(self, c: np.ndarray) -> float:
         """|lambda|.|c| + (sigma/2)||c||^2 + ||lambda||^2/(2 sigma): the size of the terms P sums."""
         lam = self.lam
-        return float(np.abs(lam) @ np.abs(c) + self._half_sigma * (c @ c) + 0.5 * (lam @ lam) / self.sigma)
+        return float(np.abs(lam).dot(np.abs(c)) + self._half_sigma * c.dot(c) + 0.5 * lam.dot(lam) / self.sigma)
 
     def from_values(self, f: float, c: np.ndarray) -> tuple[float, np.ndarray]:
         """P (branch form) from f = f(x) and c = c(x), after the two-formula cross-check, and the mask.
@@ -131,30 +149,50 @@ class Penalty:
         coeff -= self.lam
         if self._has_ineq:
             coeff[inactive] = 0.0
-        return g + J.T @ coeff
+        return g + J.T.dot(coeff)
+
+    def evaluation(
+        self, x: np.ndarray, f: float, c: np.ndarray, g: np.ndarray, J: np.ndarray, p_mask=None
+    ) -> Evaluation:
+        """P and grad P at x from its oracle values f, c, g = grad f and J = jac c, kept as the last evaluation.
+
+        ``p_mask`` is ``from_values(f, c)`` when the caller already holds it.
+        """
+        p, inactive = self.from_values(f, c) if p_mask is None else p_mask
+        self._last = Evaluation(x.tobytes(), f, c, g, J, p, self.grad_from(g, J, c, inactive))
+        return self._last
+
+    def last_evaluation(self) -> Optional[Evaluation]:
+        """The last joint evaluation of P and grad P, or None before the first."""
+        return self._last
 
     def value(self, x: np.ndarray) -> float:
         """P(x), cross-checked over both forms."""
         c = self._cons.c(x)
-        p, inactive = self.from_values(self._obj.value(x), c)
-        self._at = (x.copy(), c, inactive)
-        return p
+        f = self._obj.value(x)
+        p_mask = self.from_values(f, c)
+        self._at = (x.tobytes(), f, c, p_mask)
+        return p_mask[0]
 
     def grad(self, x: np.ndarray) -> np.ndarray:
-        """grad P(x); reuses c(x) from the last point evaluated when x is equal."""
-        at = self._at
-        # np.array_equal without its wrapper: NaN still compares unequal
-        if at is None or at[0].shape != x.shape or not (at[0] == x).all():
+        """grad P(x); reuses c(x) from the last point valued when x has its bytes.
+
+        After ``value`` at such a point the result is kept as the last evaluation.
+        """
+        key, at = x.tobytes(), self._at
+        if at is None or at[0] != key:  # a NaN matches itself here, as c(x) would repeat
             c = self._cons.c(x)
-            at = self._at = (x.copy(), c, self._inactive(c))
-        _, c, inactive = at
-        return self.grad_from(self._obj.gradient(x), self._cons.jac(x), c, inactive)
+            return self.grad_from(self._obj.gradient(x), self._cons.jac(x), c, self._inactive(c))
+        _, f, c, p_mask = at
+        return self.evaluation(x, f, c, self._obj.gradient(x), self._cons.jac(x), p_mask).grad_p
 
     def value_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         """(P(x), grad P(x)) from one evaluation of c(x); P is cross-checked."""
         c = self._cons.c(x)
-        p, inactive = self.from_values(self._obj.value(x), c)
-        return p, self.grad_from(self._obj.gradient(x), self._cons.jac(x), c, inactive)
+        f = self._obj.value(x)
+        p_mask = self.from_values(f, c)
+        ev = self.evaluation(x, f, c, self._obj.gradient(x), self._cons.jac(x), p_mask)
+        return ev.p, ev.grad_p
 
     def hess(self, x: np.ndarray) -> np.ndarray:
         """Hessian of P for equality-only linear constraints: hess f + sigma*A^T A."""

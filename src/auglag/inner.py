@@ -11,10 +11,10 @@ Two families are provided:
   solved exactly through an eigendecomposition and a one-dimensional root
   find on the secular equation in r = ||s||.
 
-All three run one loop, ``_descend``: it evaluates the start, counts
-iterations and oracle calls, and keeps the monotone value min(f, f_new) and
-its trace until ||grad g||_2 <= eps, within an iteration cap taken from
-g(start) and eps.  It can pass through several descending tolerances in one
+All three run one loop, ``_descend``: it evaluates the start (unless the
+task supplies its values), counts iterations and oracle calls, and keeps
+the monotone value min(f, f_new) and its trace until ||grad g||_2 <= eps,
+within an iteration cap taken from g(start) and eps.  It can pass through several descending tolerances in one
 run and return the result each would have stopped at alone, which lets an
 eps-sweep share the descent that its rows repeat.
 Each iteration calls a step rule on (x, f, grad g, ||grad g||^2), which
@@ -28,6 +28,8 @@ requested); line-search trial points count as one call each.  A task may
 supply that joint evaluation as ``value_grad``, which the solvers use wherever
 they need both at one point (every start and every fixed step); Armijo trial
 points and cubic trial steps need only the value and call ``objective``.  A
+task whose caller already holds g and grad g at the start passes them as
+``start_pair``, and the solve then makes no call there.  A
 trial whose value is not finite (an overflowing f or c) is rejected like any
 other failed trial; a non-finite value at the start or at a fixed step raises
 ``NonFiniteValue``.
@@ -71,6 +73,9 @@ class InnerTask:
     ``objective`` and ``gradient``; a caller that can share work between the
     two (such as one evaluation of c(x) for P and its gradient) passes it, and
     otherwise it defaults to calling ``objective`` then ``gradient``.
+    ``start_pair`` is ``(g(start), grad g(start))`` when the caller holds them,
+    and ``last_evaluation()`` the caller's record of its last joint evaluation
+    of g and grad g, which each result keeps as ``evaluation``.
     """
 
     objective: Callable[[np.ndarray], float]
@@ -81,6 +86,8 @@ class InnerTask:
     known_L: Optional[float] = None
     g_low: float = float("-inf")
     value_grad: Optional[Callable[[np.ndarray], tuple[float, np.ndarray]]] = None
+    start_pair: Optional[tuple[float, np.ndarray]] = None
+    last_evaluation: Optional[Callable[[], object]] = None
 
     def __post_init__(self) -> None:
         if self.value_grad is None:
@@ -100,6 +107,8 @@ class InnerResult:
     oracle_calls: int
     accepted_steps: int = 0
     objective_trace: list[float] = field(default_factory=list)
+    # task.last_evaluation() when the result was taken: the record at x_final
+    evaluation: object = field(default=None, compare=False, repr=False)
 
 
 def _finite_scalar(v: float) -> float:
@@ -110,22 +119,26 @@ def _finite_scalar(v: float) -> float:
 
 
 def _grad_sq(g: np.ndarray) -> tuple[np.ndarray, float]:
-    """(g, ||g||_2^2) from one g @ g, raising NonFiniteValue if g is not finite.
+    """(g, ||g||_2^2) from one g.dot(g), raising NonFiniteValue if g is not finite.
 
     A finite sum of squares implies finite entries, so the entry-wise test
     runs only when the sum is not finite (which a finite g can also give, by
     overflow).  sqrt of the sum is np.linalg.norm(g), bit for bit.
     """
     g = np.asarray(g, dtype=float)
-    gn2 = float(g @ g)
+    gn2 = float(g.dot(g))
     if not math.isfinite(gn2) and not np.isfinite(g).all():
         raise NonFiniteValue("oracle returned a non-finite vector")
     return g, gn2
 
 
-def _value_grad(task: InnerTask, x: np.ndarray) -> tuple[float, np.ndarray, float]:
-    f, g = task.value_grad(x)
+def _checked(f: float, g: np.ndarray) -> tuple[float, np.ndarray, float]:
+    """(f, g, ||g||_2^2), raising NonFiniteValue if f or g is not finite."""
     return (_finite_scalar(f), *_grad_sq(g))
+
+
+def _value_grad(task: InnerTask, x: np.ndarray) -> tuple[float, np.ndarray, float]:
+    return _checked(*task.value_grad(x))
 
 
 def _trial_value(task: InnerTask, x: np.ndarray) -> float:
@@ -145,12 +158,20 @@ def _descend(task: InnerTask, step, budget, what: str, tolerances=None) -> list[
     step rule keeps its state from one tolerance to the next, and the cap
     while working toward eps is ``budget(g(start), eps)`` iterations from the
     start.  Every result but the last holds copies of x and of the trace.
-    ``what`` names the solver in the ``IterationCapExceeded`` message.
+    ``what`` names the solver in the ``IterationCapExceeded`` message.  A
+    ``task.start_pair`` replaces the evaluation at the start, which is then
+    not counted.
     """
     tolerances = (task.eps,) if tolerances is None else tolerances
     x = task.start.copy()
-    f, g, gn2 = _value_grad(task, x)
-    f_start, calls, iters, trace = f, 1, 0, [f]
+    if task.start_pair is None:
+        f, g, gn2 = _value_grad(task, x)
+        calls = 1
+    else:
+        f, g, gn2 = _checked(*task.start_pair)
+        calls = 0
+    f_start, iters, trace = f, 0, [f]
+    last_evaluation = task.last_evaluation or (lambda: None)
     results, last = [], len(tolerances) - 1
     for i, eps in enumerate(tolerances):
         cap = budget(f_start, eps)
@@ -167,7 +188,7 @@ def _descend(task: InnerTask, step, budget, what: str, tolerances=None) -> list[
         results.append(InnerResult(
             x_final=x if i == last else x.copy(), grad_norm2=math.sqrt(gn2), iterations=iters,
             oracle_calls=calls, accepted_steps=len(trace) - 1,
-            objective_trace=trace if i == last else trace.copy(),
+            objective_trace=trace if i == last else trace.copy(), evaluation=last_evaluation(),
         ))
     return results
 
@@ -249,7 +270,7 @@ def _gd_rule(task: InnerTask, variant: str):
 
 def cubic_model_value(g: np.ndarray, H: np.ndarray, M: float, s: np.ndarray):
     """<g,s> + 0.5<Hs,s> + (M/6)||s||^3."""
-    return float(g @ s) + 0.5 * float(s @ (H @ s)) + (M / 6.0) * math.sqrt(s @ s) ** 3
+    return float(g.dot(s)) + 0.5 * float(s.dot(H.dot(s))) + (M / 6.0) * math.sqrt(s.dot(s)) ** 3
 
 
 def _model_eig(g: np.ndarray, H: np.ndarray):
@@ -257,7 +278,7 @@ def _model_eig(g: np.ndarray, H: np.ndarray):
     if not (np.isfinite(H).all() and np.isfinite(g).all()):
         raise EigendecompositionFailure("non-finite Hessian or gradient")
     w, Q = np.linalg.eigh(0.5 * (H + H.T))
-    return w, Q, Q.T @ g
+    return w, Q, Q.T.dot(g)
 
 
 def _off_min_part(ghat: np.ndarray, denom: np.ndarray, skip: np.ndarray):
@@ -271,7 +292,7 @@ def _hard_case_step(Q: np.ndarray, p: np.ndarray, pnorm: float, r: float, sign: 
     tau = math.sqrt(max(0.0, r * r - pnorm * pnorm))
     e = np.zeros_like(p)
     e[0] = sign
-    return Q @ (-p + tau * e)
+    return Q.dot(-p + tau * e)
 
 
 def _rounded_root_step(Q: np.ndarray, ghat: np.ndarray, denom: np.ndarray, r: float) -> np.ndarray:
@@ -319,7 +340,7 @@ def solve_cubic_model(g: np.ndarray, H: np.ndarray, M: float, eig=None) -> np.nd
 
     def residual(r: float) -> float:
         v = ghat / (w + half_M * r)
-        return math.sqrt(v @ v) - r
+        return math.sqrt(v.dot(v)) - r
 
     # bracket the root of the (decreasing) residual
     lo = r_lb
@@ -341,7 +362,7 @@ def solve_cubic_model(g: np.ndarray, H: np.ndarray, M: float, eig=None) -> np.nd
         for _ in range(500):
             denom = w + half_M * r
             v = ghat / denom
-            n2 = math.sqrt(v @ v)
+            n2 = math.sqrt(v.dot(v))
             F = n2 - r
             if abs(F) <= _SECULAR_TOL:
                 break
@@ -361,7 +382,7 @@ def solve_cubic_model(g: np.ndarray, H: np.ndarray, M: float, eig=None) -> np.nd
     denom = w + half_M * r
     # w is ascending, so denom[0] is the smallest shifted eigenvalue
     if denom[0] > 0.0:
-        return Q @ (-ghat / denom)
+        return Q.dot(-ghat / denom)
     return _rounded_root_step(Q, ghat, denom, r)
 
 

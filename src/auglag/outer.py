@@ -48,6 +48,10 @@ class InnerFailure(RuntimeError):
     """The inner solver failed; wraps the underlying error."""
 
 
+class EvaluationMismatch(RuntimeError):
+    """An inner result's evaluation is not at its final iterate: implementation bug."""
+
+
 @dataclass
 class SolverConfig:
     """The run options, and their one validator: types, ranges and names."""
@@ -116,7 +120,10 @@ class OuterState:
     kkt: KKTReport  # the direct eps-KKT test at (x, lam)
     inner_stats: Optional[inner.InnerResult] = None
     f: float = float("nan")
-    c: Optional[np.ndarray] = None  # c(x); kept for the warm start, not serialized
+    # c(x), grad f(x) and jac c(x); kept for the warm start, not serialized
+    c: Optional[np.ndarray] = None
+    g: Optional[np.ndarray] = None
+    J: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -162,8 +169,8 @@ class RunReport:
     @property
     def total_oracle_calls(self) -> int:
         """The f evaluations the run made, each paired with one c(x): one at x0, then per
-        outer iteration the inner solve's calls and one at x_{k+1}."""
-        return 1 + sum(st.inner_stats.oracle_calls + 1 for st in self.trace[1:])
+        outer iteration the inner solve's calls (its start and x_{k+1} are read, not evaluated)."""
+        return 1 + sum(st.inner_stats.oracle_calls for st in self.trace[1:])
 
     @property
     def x_final(self) -> np.ndarray:
@@ -306,23 +313,26 @@ def monitor_step(
 
 def warm_start(
     pen: core.Penalty, first: OuterState, prev: OuterState
-) -> tuple[np.ndarray, float, float]:
+) -> tuple[np.ndarray, tuple[float, np.ndarray], float, float]:
     """The better of {x0, x_prev} under the current augmented Lagrangian ``pen``.
 
-    ``first`` and ``prev`` are the states at x0 and x_prev; P comes from the f
-    and c stored on them.  Returns ``(start, P(x0), P(x_prev))``; ``start`` is
-    a copy, and ties return x_prev.  Starting the monotone inner solver here
-    makes the final inner iterate automatically no worse than both candidates.
+    ``first`` and ``prev`` are the states at x0 and x_prev; P and grad P come
+    from the f, c, grad f and J stored on them, so no oracle runs.  Returns
+    ``(start, (P(start), grad P(start)), P(x0), P(x_prev))``; ``start`` is a
+    copy, ties return x_prev, and ``pen`` keeps the start's evaluation as its
+    last.  Starting the monotone inner solver here makes the final inner
+    iterate automatically no worse than both candidates.
     """
-    p_zero = pen.from_values(first.f, first.c)[0]
-    p_prev = pen.from_values(prev.f, prev.c)[0]
-    start = (first.x if p_zero < p_prev else prev.x).copy()
-    return start, p_zero, p_prev
+    at_zero, at_prev = pen.from_values(first.f, first.c), pen.from_values(prev.f, prev.c)  # (P, mask)
+    state, p_mask = (first, at_zero) if at_zero[0] < at_prev[0] else (prev, at_prev)
+    ev = pen.evaluation(state.x, state.f, state.c, state.g, state.J, p_mask)
+    return state.x.copy(), (ev.p, ev.grad_p), at_zero[0], at_prev[0]
 
 
 def _build_inner_task(
-    pen: core.Penalty, start: np.ndarray, eps: float, kind: str, p_low: float
+    pen: core.Penalty, start: np.ndarray, eps: float, kind: str, p_low: float, start_pair=None
 ) -> inner.InnerTask:
+    """The inner solve of P = ``pen`` from ``start``; ``start_pair`` is (P, grad P) there when known."""
     problem, cons = pen.problem, pen.problem.constraints
     hessian = known_L = None
     if kind == INNER_GD_FIXED:
@@ -338,7 +348,8 @@ def _build_inner_task(
         known_L = problem.objective.L2
     return inner.InnerTask(
         objective=pen.value, gradient=pen.grad, value_grad=pen.value_grad, hessian=hessian,
-        start=start, eps=eps, known_L=known_L, g_low=p_low,
+        start=start, eps=eps, known_L=known_L, g_low=p_low, start_pair=start_pair,
+        last_evaluation=pen.last_evaluation,
     )
 
 
@@ -381,14 +392,17 @@ def first_inner_results(
     ``tolerances`` is descending.  Each result is the one ``solve`` at that
     eps computes alone (the descent passes through each stopping point), so
     ``solve(problem, replace(config, eps=e), _first=result)`` skips its k = 0
-    inner solve and returns the same report.  None when such a solve runs no
-    inner solve: no outer iteration allowed, or sigma0 above the cap.  Raises
-    whatever the descent raises; a solve alone may still succeed then.
+    inner solve and returns the same report.  The descent evaluates x0 once
+    for its start, which, as in ``solve``, no result counts.  None when such a
+    solve runs no inner solve: no outer iteration allowed, or sigma0 above the
+    cap.  Raises whatever the descent raises; a solve alone may still succeed
+    then.
     """
     if config.max_outer == 0 or config.sigma0 > _SIGMA_CAP:
         return None
     penalty, start, p_low = _first_task(problem, config)
-    task = _build_inner_task(penalty, start, tolerances[-1], config.inner, p_low)
+    start_pair = penalty.value_grad(start)
+    task = _build_inner_task(penalty, start, tolerances[-1], config.inner, p_low, start_pair)
     if config.inner == INNER_CUBIC:
         rule = inner._cubic_rule(task)
     else:
@@ -411,14 +425,15 @@ def solve(
     cons, obj = problem.constraints, problem.objective
     x0 = problem.x0
     f_low = obj.f_low
-    f0, c0 = obj.value(x0), cons.c(x0)
+    # the run's only oracle calls outside its inner solves
+    f0, c0, g0, J0 = obj.value(x0), cons.c(x0), obj.gradient(x0), cons.jac(x0)
     gap0 = f0 - f_low
 
     penalty, start, p_low0 = _first_task(problem, config)
     lam, sigma = penalty.lam, penalty.sigma
     mu0_sq = core.mu_norm(lam, sigma) ** 2
 
-    grad_L0 = core.lagrangian_grad(obj.gradient(x0), cons.jac(x0), lam)
+    grad_L0 = core.lagrangian_grad(g0, J0, lam)
     first = state = OuterState(
         k=0,
         x=x0.copy(),
@@ -429,6 +444,8 @@ def solve(
         kkt=kkt_check(cons, c0, grad_L0, lam, eps),
         f=f0,
         c=c0,
+        g=g0,
+        J=J0,
     )
     trace = [state]
     monitor_log: list[MonitorEntry] = []
@@ -440,30 +457,32 @@ def solve(
             terminated = TERMINATED_SIGMA_OVERFLOW
             break
         if k == 0:  # the start is x0, and P(x0) plays both warm-start roles
-            p_zero = p_prev = penalty.from_values(f0, c0)[0]
+            ev = penalty.evaluation(x0, f0, c0, g0, J0)
+            start_pair, p_zero, p_prev = (ev.p, ev.grad_p), ev.p, ev.p
         else:
             penalty = core.Penalty(problem, lam, sigma)
-            start, p_zero, p_prev = warm_start(penalty, first, state)
+            start, start_pair, p_zero, p_prev = warm_start(penalty, first, state)
         if k == 0 and _first is not None:
             res = _first
         else:
-            task = _build_inner_task(penalty, start, eps, config.inner, p_low0 - gap0 * k)
+            task = _build_inner_task(penalty, start, eps, config.inner, p_low0 - gap0 * k, start_pair)
             try:
                 res = _run_inner(task, config.inner)
             except (inner.IterationCapExceeded, inner.NonFiniteValue, inner.EigendecompositionFailure) as exc:
                 raise InnerFailure(f"inner solver failed at outer iteration {k}: {exc}") from exc
 
-        # every quantity below reads these oracle values at x_{k+1}
-        x_next = res.x_final
-        c, f = cons.c(x_next), obj.value(x_next)
-        g, J = obj.gradient(x_next), cons.jac(x_next)
+        # every quantity below reads the inner solve's last evaluation, at x_{k+1}
+        x_next, ev = res.x_final, res.evaluation
+        if ev is None or ev.key != x_next.tobytes():
+            raise EvaluationMismatch(
+                f"outer iteration {k}: the inner solve's last evaluation is not at its final iterate"
+            )
+        f, c, g, J, p_next, grad_p = ev.f, ev.c, ev.g, ev.J, ev.p, ev.grad_p
         th_next = core.theta(cons, c, lam, sigma)
         sigma_next = core.update_penalty(k, th_next.value, theta_prev, sigma, config)
         lam_next = core.update_multipliers(cons, c, lam, sigma)
         grad_L = core.lagrangian_grad(g, J, lam_next)
         kkt = kkt_check(cons, c, grad_L, lam_next, eps)
-        p_next, inactive = penalty.from_values(f, c)
-        grad_p = penalty.grad_from(g, J, c, inactive)
         next_state = OuterState(
             k=k + 1,
             x=x_next,
@@ -475,6 +494,8 @@ def solve(
             inner_stats=res,
             f=f,
             c=c,
+            g=g,
+            J=J,
         )
 
         entries = monitor_step(

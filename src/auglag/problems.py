@@ -43,7 +43,9 @@ class ObjectiveOracle:
     certification.  ``L1``/``L2`` are global Lipschitz constants of the
     gradient / Hessian when known; ``local_lipschitz_only`` marks objectives
     whose derivatives are Lipschitz only on bounded sets (such problems are
-    excluded from bound certification).
+    excluded from bound certification).  ``gradient`` raises
+    ``ValidationError`` when ``grad_fn`` returns an array whose shape is not
+    x's, (n,).
     """
 
     fn: Callable[[np.ndarray], float]
@@ -66,9 +68,13 @@ class ObjectiveOracle:
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         g = np.asarray(self.grad_fn(x), dtype=float)
+        if g.shape != x.shape:
+            raise ValidationError(
+                f"objective gradient has shape {g.shape}; expected {x.shape}, the shape of x"
+            )
         # a finite sum of squares implies finite entries; the entry-wise test
-        # runs only when the sum is not finite (or g is not a vector)
-        if (g.ndim != 1 or not math.isfinite(g @ g)) and not np.isfinite(g).all():
+        # runs only when the sum is not finite
+        if not math.isfinite(g.dot(g)) and not np.isfinite(g).all():
             raise ObjectiveBelowBound("objective gradient is non-finite")
         return g
 
@@ -114,7 +120,7 @@ class ConstraintSet:
     @cached_property
     def AtA(self) -> np.ndarray:
         """A^T A, computed on first use (the Hessian of the penalty term)."""
-        return self.A.T @ self.A
+        return self.A.T.dot(self.A)
 
     @cached_property
     def AtA_max_eig(self) -> float:
@@ -138,7 +144,7 @@ class ConstraintSet:
 
     def c(self, x: np.ndarray) -> np.ndarray:
         if self.is_linear:
-            return self.A @ x - self.b
+            return self.A.dot(x) - self.b
         return np.asarray(self.c_fn(x), dtype=float)
 
     def jac(self, x: np.ndarray) -> np.ndarray:
@@ -281,7 +287,7 @@ def _check_n(n: int) -> None:
 def _quadratic_cos_objective(n: int, omega: float = _OMEGA) -> ObjectiveOracle:
     # f(x) = 0.5*||x||^2 + sum_j cos(omega*x_j); nonconvex for omega^2 > 1.
     def fn(x):
-        return 0.5 * float(x @ x) + float(np.cos(omega * x).sum())
+        return 0.5 * float(x.dot(x)) + float(np.cos(omega * x).sum())
 
     def grad(x):
         return x - omega * np.sin(omega * x)
@@ -389,7 +395,7 @@ def make_eq_qp_analytic() -> ProblemSpec:
     n = 4
 
     def fn(x):
-        return 0.5 * float(x @ x)
+        return 0.5 * float(x.dot(x))
 
     def grad(x):
         return x.copy()

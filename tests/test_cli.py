@@ -70,6 +70,19 @@ class TestSolveCommand:
             assert code == cli.EXIT_MONITOR, command
             assert not (tmp_path / "r.json").exists()
 
+    def test_evaluation_mismatch_exit_code(self, tmp_path, caplog, capsys, monkeypatch):
+        # an inner solve whose last evaluation is not at its final iterate
+        monkeypatch.setattr(cli.core.Penalty, "last_evaluation", lambda pen: None)
+        for command in (["solve"], ["sweep", "--eps-grid", "1e-2,1e-3"]):
+            caplog.clear()
+            code = cli.main(
+                command + ["--problem", "eq-qp-analytic", "--out", str(tmp_path / "r")]
+            )
+            assert code == cli.EXIT_MONITOR, command
+            assert "evaluation mismatch" in caplog.text, command
+            assert "Traceback" not in capsys.readouterr().err, command
+            assert not (tmp_path / "r.json").exists()
+
     def test_form_disagreement_exit_code(self, tmp_path, caplog, capsys, skewed_forms):
         for command in (["solve"], ["sweep", "--eps-grid", "1e-2,1e-3"]):
             caplog.clear()

@@ -272,16 +272,17 @@ class TestSweep:
         assert outer.first_inner_results(p, SolverConfig(max_outer=0), [1e-2, 1e-3]) is None
         assert outer.first_inner_results(p, SolverConfig(sigma0=1e17), [1e-2, 1e-3]) is None
 
-    def test_the_shared_descent_adds_no_evaluation(self, monkeypatch):
+    def test_the_shared_descent_adds_one_evaluation_at_x0(self, monkeypatch):
         p = corpus_problem("eq-rosenbrock-8")
         cfg = SolverConfig(eps=1e-2, inner="gd-backtracking")
         first_alone = solve(p, cfg).trace[1].inner_stats.oracle_calls
         outside, inside = count_oracles(monkeypatch)
         rows = sweep(p, cfg, [1e-2, 1e-3]).rows
         assert all(r.T_outer == 1 for r in rows)
-        # the row at 1e-3 descends through the row at 1e-2's stopping point
+        # the row at 1e-3 descends through the row at 1e-2's stopping point, and
+        # the descent evaluates x0 once for its start
         f_calls = outside["value"] + inside["value"]
-        assert f_calls == sum(r.total_oracle_calls for r in rows) - first_alone
+        assert f_calls == sum(r.total_oracle_calls for r in rows) - first_alone + 1
 
     @settings(max_examples=25, deadline=None)
     @given(

@@ -251,6 +251,35 @@ class TestPenaltyReuse:
         assert pen.grad(x).tobytes() == Penalty(p, lam, 2.0).grad(x).tobytes()
 
 
+    def test_gradient_at_a_zero_of_the_other_sign_matches_fresh_penalty(self):
+        # c(x) = x on one equality row, so c(x) keeps the sign of a zero of x
+        p = ProblemSpec(
+            "signed-zero", ObjectiveOracle(lambda x: 0.5 * float(x.dot(x)), lambda x: x.copy(), 0.0),
+            ConstraintSet(m=1, m_e=1, A=np.ones((1, 1)), b=np.zeros(1)), np.zeros(1),
+        )
+        lam = np.zeros(1)
+        pen = Penalty(p, lam, 4.0)
+        pen.value(np.array([0.0]))
+        x = np.array([-0.0])  # equal to the point valued under ==, not in its bytes
+        assert pen.grad(x).tobytes() == Penalty(p, lam, 4.0).grad(x).tobytes()
+
+    def test_gradient_at_a_point_holding_a_nan_matches_fresh_penalty(self, monkeypatch):
+        p = ProblemSpec(
+            "nan-row", ObjectiveOracle(lambda x: 0.0, lambda x: np.zeros(2), -1.0),
+            ConstraintSet(m=2, m_e=1, A=np.eye(2), b=np.zeros(2)), np.zeros(2),
+        )
+        lam = np.array([0.5, 0.25])
+        want = Penalty(p, lam, 2.0).grad(np.array([np.nan, 1.0]))
+        calls = []
+        real = ConstraintSet.c
+        monkeypatch.setattr(ConstraintSet, "c", lambda cons, x: calls.append(1) or real(cons, x))
+        pen = Penalty(p, lam, 2.0)
+        x = np.array([np.nan, 1.0])
+        assert math.isnan(pen.value(x))
+        # a NaN has the same bytes as itself, so the gradient reuses c(x)
+        assert pen.grad(x.copy()).tobytes() == want.tobytes() and len(calls) == 1
+
+
 def _reference_sums(lam, sigma, m_e, c):
     """The penalty sums written as plain expressions, the way ``Penalty._sums`` must compute them."""
     shift = lam / sigma

@@ -60,93 +60,93 @@ for problem, kind, eps in (
 # run -> (json, csv, stdout) SHA-256 digests
 GOLDEN = {
     "solve-dup-eq-64-gd-fixed-eps1e-4": (
-        "48c9e16d8afcc52eb2fcd7685f95fd78a721f8ef9ed51a6ed7ce787a1bd8c87b",
-        "e8349ac1f46d3c09e84eed9d61ce5bd0f1e6e8920f32524abb69d5d58ea4fbc9",
+        "4848391afcd0b4467083ef360719dd6aca0159c24e09dcaf89077e7f21520f3d",
+        "0a544d12a8d7ec19a8471dd9ad3bf8ecaf9c36d52b2c95897b2b619e69f8309e",
         "64c1888d4b0663961802d83620ba3aa4083e1417e1e4810272cadc543039671d",
     ),
     "solve-dup-eq-8-gd-backtracking": (
-        "e1bf4f48024c5a0caac5b58737347a4d74bbc13bb385aad717ae491d9b185d8e",
-        "2c2155579f9489518f269f72a517d33d7e8b1677b90832f2255e5fa096944373",
+        "68fa6c510857acc8203ce0ebeee9bb426a276ad16f05139646725cc679afea79",
+        "b36a3a86e0e62971fabf3225ea62165d122ae385abd659506e1554a4261d9d57",
         "b26c2d5b80f74357dbf63e67afacf754d0087598f46d7d3dadaf845e975874b3",
     ),
     "solve-dup-eq-8-gd-fixed": (
-        "fa2c947ef106752e685cc95d5497738a16508a280a9a066e36c78da09bb335ee",
-        "88c585dd5dd563482a7983c5c85613f92e849a8f2e82794304726d302cbcdb5a",
+        "9be4d17366f533039d641eaf2a476ff104afaf54e19f5872c1e1dd09af9b86e8",
+        "74405c6a4e04208d5381076b42e23317d67b5d3416ee29b6386205b0c437777a",
         "7e6ad6509bb818ef4172bebae7ffc6231ee1f6f2f9aab645f3976914449c9c4d",
     ),
     "solve-eq-cos-64-cubic-newton-eps1e-4": (
-        "dd233017846ec9f32c0ab608274e9e44ffddb89a63edac12beebaeb057a2ec01",
-        "5bd601c8274c0f2076b92a8bfaceb8916382fd08eb62969baa0b5917f9370ccc",
+        "266228abe1c4665a2863bec30c7916a4d660586b204aa2a6150a808174046cd3",
+        "a3296a16476cd8eef121a6d96f42480f8ded52c35a71f545f9b4de790ae0d3fa",
         "f1248d9159b341488484f8e9b1a506a3e4e33dd575307d1b2e2a907963e240c5",
     ),
     "solve-eq-cos-8-cubic-newton": (
-        "1f3ab3e77becaa2aec0f3e9c267be2215639a90d9d266640b70373b56043c292",
-        "a4bfdf2165ec44cd721dbc34dadb464226d7fc9d13193ce60113a382ceb664cf",
+        "5f7d21f9e2d02582ccf4001cdd4316d8ee398253144ec7df9ea4f1dffadc4aee",
+        "0aedf3bbc0a412827c3836d0a695b7bac47d30c980ba5d31b7b8969b0285306c",
         "4f99c324267414ae08aecac6b0daa8ac849fac649aef019debab4c07b7d1e517",
     ),
     "solve-eq-cos-8-gd-backtracking": (
-        "0fb2a3e2f92ee2454839613d7c4942f9e06ee6170392018bc97bc2ce816c223d",
-        "9bac905dc4a420b603a3cb63ed2cdf0dca2dcf83782b9c6c73fa83c56442310b",
+        "6ebbe40d5f923d7370665d4e501c242ae4333ab1bcc60430074c293af4b382bd",
+        "23ccb5e9725a6b2123f51c22273731c32e4b99a027a91f8d0688552b28f2d1c9",
         "f645f18d84ac6b136d920ae5bcd38ded24214021384d1169abb00b8acc7258b0",
     ),
     "solve-eq-cos-8-gd-fixed": (
-        "a6e1ad215ec3344073249dd2e0aa3d5b797e2afef21b50505d88f615bfe9b3f6",
-        "2a9ea7a266f7377049050a1612b91461a4db899386e247669422b79bbd47fb8a",
+        "48c5dffdda966c1eca4059553a8c82c0aba8772234cd20b4a8202b744fe665a8",
+        "ee0c415153cf2843afe449967dd1177cf8de081d50fb6719d27df17dd340f741",
         "3d870c455557f2a7e263935f3fa2140842619af398b33415fc7d65a4139e534c",
     ),
     "solve-eq-qp-analytic-cubic-newton": (
-        "a7462d920595357c66b9560b97851d31a99d34bb6b9e5fa60daaa9f448b8dec1",
-        "7d4661d1461ac37838d0a22ba572aa5e9f83a3c86271d783c63ac2bcc771b57c",
+        "52d5d620bf662d8de6ddbd358126fa9c7db4ec08f8fe9df1b5811b7106de6566",
+        "b6e53f0c253028f55635993cd73da5541fc5423524ac7701aab3bf5c6d6cbf72",
         "061d382ab961d85b32b7939a21550fb48ae21c91ea5d5d0cc40f98a30818a34c",
     ),
     "solve-eq-qp-analytic-gd-backtracking": (
-        "e5468ed5d7071f2bfc10f22e15fcb897fc2a12e03ce112fe8d961e148610e810",
-        "b5986ac96aa7e938ad710b3de15b67f5e5c8cbad29008c5fdf83e757e389bd6c",
+        "c28b2c7339e5201af19e7107a3f4fa9051307f391064884a79ee435148d478da",
+        "5da34a6ee146b02044d4996dc00968f0293800cf650bf5b8f1ed2419340a4d94",
         "1b67786e112633d2141fcdc7c358892a88ca96ff2a47786e0e675ca79c9106df",
     ),
     "solve-eq-qp-analytic-gd-fixed": (
-        "0396b754bc2e4d3272dcd98471ee39bd05e2aec5957ad4af54b74d601a8d8f22",
-        "1cd38e9243bd7b91fcf33923b764ef047a3fa121a1ad54a90768ed0b907c9687",
+        "2f2465914a089dc3026479171b1286cb55ff9d26ea04d3277b59302938d12a5d",
+        "b9ed2df3e8865e47788e78097b868deaa2fb0ea235aa7cd6c5f01eb2fe85c0f1",
         "061d382ab961d85b32b7939a21550fb48ae21c91ea5d5d0cc40f98a30818a34c",
     ),
     "solve-eq-rosenbrock-32-cubic-newton-eps1e-3": (
-        "2ffd4d32d6857970f01187f79033e3ff7a077d65208b59dff2cccaa468c5ca34",
-        "885accefc8a1da76fa4bd3690a326b78488d40651a81cafdf7403636d4bfc079",
+        "a39a1246f487bae0f0be780fdd0678ddd6a735a8c501a387356320e2eb4c88ef",
+        "0d221594f6fd7b6edad4f504af111f5dcaa94219362f11136ac0844679b4b2a9",
         "969d29c6efa3e9267cb5a282263adf9daf44296767fb77ee4a0b28e64784124f",
     ),
     "solve-eq-rosenbrock-32-gd-backtracking-eps1e-3": (
-        "7cd501022fb8101e5d28338b9a517fd25934fdd30c021e4c0f0b04e1f6e80e05",
-        "d6ca935f41a225cd860f414ad3abf5ecc58d5975380ee3d368936ef3b8ebde92",
+        "af9c5572e8b58b47c7483a5e271e371f4776713c726fc16416dd46b015195281",
+        "f4e5de29bcf4f4b2374475038e67f61033234756f8a19f979cd810a3b1bf824c",
         "fa827c2e8e8126db771882e32bf443d27a8d131253120db5c0672329b653635f",
     ),
     "solve-eq-rosenbrock-8-cubic-newton": (
-        "9ec8b0821eb094659f20609fe556723dece46e2feb33ce0a4698daac8368250a",
-        "4511acab41f0bd68778af13e179d1433901dd0f76dd6687347969c7045b7485e",
+        "68ee9a43e7167275302faa4c4fb03b75ab3c09f802cf52f73484a48ab27730f1",
+        "ba62c0cf64d75c9a020bd4021ef5f90c9a66afe7a9de2e5728775c9a49a9a1ef",
         "f55cfad37082937260b11442add43a9b4964baf37eace783375e2ae803234fe3",
     ),
     "solve-eq-rosenbrock-8-gd-backtracking": (
-        "b3a4c4a68ba627a9fed30dca75aac6d14c10454bcfa08cea8b3ade54a614eada",
-        "4c9574824b30ca1e99b6a6acde51a40fd863380e64800ed24e6ed3a768cd487a",
+        "d926506799d6d6d7608bc327add8c8fc0b46d3f0b53ad9ae6f525c6c6f5fbe0b",
+        "1da7b9d11b8f6cda27fa2db2ef1968697760138429acc47fd8846665327fc201",
         "c7301036f88e0bcf21017a7b89ef44fd90dd46ed6cea2e8b8c49184238e0af8d",
     ),
     "solve-simplex-cos-32-gd-fixed-eps1e-4": (
-        "72f95d924c5e5b48c93a8c8cbe5c4ba7227c099c695bf16c214d35d76902c033",
-        "3452e9088a1a7f60ed1599603dee278e71983aab1d210a882f2ef604269e9e9c",
+        "185363a0362ffd037c349ab4f9a849a9995eea6806a9706b18cef813ac597565",
+        "8103a12123fc99caa423628b1c55ed2e6972cb1af79f0e1e63b0d7859bcb39b7",
         "b0d5366dadb4182ca22a2c27fe2ec5234507f5c2a5b6ddfed9ba0220075ef809",
     ),
     "solve-simplex-cos-8-gd-backtracking": (
-        "fd91a84336598e32e320aeb4bfc08800a2b899e52fde333c6a102e722b1a0723",
-        "f20fb2e0247047f2f0988ae567b94c250920f0e3ba3fc2ba182536a2eb7c5920",
+        "63829de8e44c8f32f53d1f604df6e2bf5dcc7d1c9941a11dfe85d8e91ea0ffd6",
+        "3131f845e6ae454bf7e5938a9e17ab50512409a8a82a251a8460d3ea5019ce17",
         "5a482dc836c4dafdfbf9842ced52dffdcaa86ebdfd7a07364f0ebc62129bee47",
     ),
     "solve-simplex-cos-8-gd-fixed": (
-        "4116621bf682c7ef2efbe17993dba67596de7dc302d7c3da1cc73be907532059",
-        "d472170a52c85d0e4ab0b568745f5f569b87f976b78bd328c518759a28b57d7f",
+        "5db330c910cfc894a4f585713fdd7ed1ddf312273a1157ccc6d255002118f4bc",
+        "3f0231d7cff2e59d287e757dd5b15e6780a4a6e24478963dd5d2b5e706767362",
         "aa4dd628ce30ee7512e79ec695da37e09809de5f2f41a624cec61178adfe87d0",
     ),
     "sweep-eq-qp-analytic": (
-        "60ed4b8cdffd85bede3d25df1444dec8a29a35dd1aca8bf77dedb589777263a2",
-        "25d64964af85d63d5c1894b61e7ab3105be9d9285776be00d813945679163e3c",
+        "b41bb8026f608fefba6477afa7db83a889810352732f7152a349397b85ea3ca6",
+        "c907cb0a979940b6ec2e0c518b3cd31cbba06aacc07f85ba6dab56dbd7c9ac6e",
         "8b4cece7b6443950c170cfeaebade56381f8bb743f21dea12b6678bc39acf5e7",
     ),
 }

@@ -393,6 +393,57 @@ class TestFusedOracle:
             gd_solve(task, FIXED_STEP)
 
 
+class TestStartPair:
+    """A task given (g(start), grad g(start)) makes no evaluation at its start."""
+
+    @pytest.mark.parametrize(
+        "name, kind",
+        [
+            ("simplex-cos-8", outer.INNER_GD_FIXED),
+            ("eq-cos-8", outer.INNER_GD_BACKTRACKING),
+            ("eq-cos-8", outer.INNER_CUBIC),
+        ],
+    )
+    def test_same_descent_one_call_fewer(self, monkeypatch, name, kind):
+        p = corpus_problem(name)
+        lam = np.zeros(p.constraints.m)
+        alone = outer._run_inner(_penalty_task(name, kind, sigma=4.0), kind)
+        pen = core.Penalty(p, lam, 4.0)
+        pair = core.Penalty(p, lam, 4.0).value_grad(p.x0)
+        task = outer._build_inner_task(pen, p.x0.copy(), 1e-3, kind, -1e9, start_pair=pair)
+        calls = []
+        real = problems.ObjectiveOracle.value
+
+        def counted(self, x):
+            calls.append(1)
+            return real(self, x)
+
+        monkeypatch.setattr(problems.ObjectiveOracle, "value", counted)
+        res = outer._run_inner(task, kind)
+        assert alone.iterations > 0
+        assert len(calls) == res.oracle_calls == alone.oracle_calls - 1
+        assert res.x_final.tobytes() == alone.x_final.tobytes()
+        assert [v.hex() for v in res.objective_trace] == [v.hex() for v in alone.objective_trace]
+        assert (res.iterations, res.accepted_steps) == (alone.iterations, alone.accepted_steps)
+        assert res.grad_norm2.hex() == alone.grad_norm2.hex()
+        assert res.evaluation.key == res.x_final.tobytes() == alone.evaluation.key
+
+    def test_a_start_pair_already_at_tolerance_makes_no_call(self):
+        task = _quadratic_task([1e-9, 0.0], eps=1e-6, known_L=1.0)
+        task.objective = task.value_grad = task.gradient = None  # never called
+        task.start_pair = (0.5e-18, np.array([1e-9, 0.0]))
+        res = gd_solve(task, FIXED_STEP)
+        assert (res.iterations, res.oracle_calls, res.objective_trace) == (0, 0, [0.5e-18])
+        assert res.evaluation is None  # the task keeps no record of evaluations
+
+    @pytest.mark.parametrize("pair", [(float("nan"), np.zeros(2)), (0.0, np.array([float("inf"), 0.0]))])
+    def test_a_non_finite_start_pair_is_rejected(self, pair):
+        task = _quadratic_task([1.0, 0.0], known_L=1.0)
+        task.start_pair = pair
+        with pytest.raises(NonFiniteValue):
+            gd_solve(task, FIXED_STEP)
+
+
 class TestCubicEigenReuse:
     def test_one_eigendecomposition_per_accepted_point(self, monkeypatch):
         task = _penalty_task("eq-rosenbrock-8", outer.INNER_CUBIC, eps=1e-6)

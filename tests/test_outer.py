@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from auglag import core, outer
-from auglag.complexity import certify_run
+from auglag.complexity import certify_run, sweep
 from auglag.outer import (
     INNER_CUBIC,
     INNER_GD_BACKTRACKING,
@@ -229,16 +229,20 @@ class TestMonitorStep:
 
 class TestOneEvaluationPerIterate:
     @pytest.mark.parametrize(
-        "name,kind", [("simplex-cos-8", INNER_GD_FIXED), ("eq-cos-8", INNER_CUBIC)]
+        "name,kind",
+        [
+            ("simplex-cos-8", INNER_GD_FIXED),
+            ("eq-cos-8", INNER_GD_BACKTRACKING),
+            ("eq-cos-8", INNER_CUBIC),
+        ],
     )
     def test_oracle_calls_outside_inner_solver(self, monkeypatch, name, kind):
         calls, _ = count_oracles(monkeypatch)
         report = solve(corpus_problem(name), SolverConfig(eps=1e-3, inner=kind))
-        T = report.T_outer
-        assert T >= 2
-        # each oracle once at x0 and at every x_{k+1}; c(x0) once more for the
-        # feasibility check
-        assert calls == {"c": T + 2, "value": T + 1, "gradient": T + 1, "jac": T + 1}
+        assert report.T_outer >= 2
+        # each oracle once at x0, and c(x0) once more for the feasibility check;
+        # every start and every x_{k+1} is read from an evaluation already made
+        assert calls == {"c": 2, "value": 1, "gradient": 1, "jac": 1}
 
     @pytest.mark.parametrize(
         "name,kind",
@@ -266,6 +270,28 @@ class TestOneEvaluationPerIterate:
         assert outside["c"] + inside["c"] == f_calls + 1
 
 
+    @pytest.mark.parametrize("kind", [INNER_GD_FIXED, INNER_GD_BACKTRACKING, INNER_CUBIC])
+    def test_states_hold_the_oracle_values_at_their_iterates(self, kind):
+        p = corpus_problem("eq-cos-8")
+        report = solve(p, SolverConfig(eps=1e-3, inner=kind))
+        for st in report.trace:
+            want = (p.objective.value(st.x), p.constraints.c(st.x), p.objective.gradient(st.x),
+                    p.constraints.jac(st.x))
+            assert st.f == want[0]
+            for got, value in zip((st.c, st.g, st.J), want[1:]):
+                assert got.tobytes() == value.tobytes()
+
+    @pytest.mark.parametrize("stale", [lambda ev: None, lambda ev: ev._replace(key=b"stale")])
+    def test_an_evaluation_off_the_final_iterate_is_a_bug(self, monkeypatch, stale):
+        real = core.Penalty.last_evaluation
+        monkeypatch.setattr(core.Penalty, "last_evaluation", lambda pen: stale(real(pen)))
+        p = corpus_problem("eq-qp-analytic")
+        with pytest.raises(outer.EvaluationMismatch, match="outer iteration 0"):
+            solve(p, SolverConfig(eps=1e-3))
+        with pytest.raises(outer.EvaluationMismatch):
+            sweep(p, SolverConfig(eps=1e-2), [1e-2, 1e-3])
+
+
 class TestWarmStart:
     def _setup(self):
         p = corpus_problem("eq-qp-analytic")
@@ -275,9 +301,17 @@ class TestWarmStart:
         def state(x):
             return OuterState(k=0, x=x, lam=lam, sigma=1.0, theta=None, mu_norm_sq=0.0,
                               kkt=_kkt_at(p, x, lam, 1e-3), f=p.objective.value(x),
-                              c=p.constraints.c(x))
+                              c=p.constraints.c(x), g=p.objective.gradient(x),
+                              J=p.constraints.jac(x))
 
-        return warm_start(core.Penalty(p, lam, 1.0), state(x0), state(x_prev))
+        pen = core.Penalty(p, lam, 1.0)
+        out, pair, p_zero, p_prev = warm_start(pen, state(x0), state(x_prev))
+        # the start pair is P and grad P at the start, and the penalty's last evaluation
+        fresh = core.Penalty(p, lam, 1.0)
+        assert pair[0] == fresh.value(out) and pair[1].tobytes() == fresh.grad(out).tobytes()
+        last = pen.last_evaluation()
+        assert last.key == out.tobytes() and last.p == pair[0] and last.grad_p is pair[1]
+        return out, p_zero, p_prev
 
     def _check_values(self, p, lam, x0, x_prev, p_zero, p_prev):
         assert p_zero == core.Penalty(p, lam, 1.0).value(x0)

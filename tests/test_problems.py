@@ -332,23 +332,54 @@ class TestObjectiveGradientFiniteness:
             [INF, 0.0],
             [0.0, -INF],
             [INF, -INF, NAN],
-            [[1.0, NAN], [0.0, 0.0]],
-            NAN,
         ],
     )
     def test_non_finite_gradient_rejected(self, grad):
         obj = ObjectiveOracle(fn=lambda x: 0.0, grad_fn=lambda x: np.array(grad), f_low=-1.0)
         with pytest.raises(ObjectiveBelowBound, match="gradient is non-finite"):
-            obj.gradient(np.zeros(2))
+            obj.gradient(np.zeros(len(grad)))
 
-    # g @ g overflows for entries of 1e200, and numpy reports that as a warning
+    # g.dot(g) overflows for entries of 1e200, and numpy reports that as a warning
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.parametrize(
-        "grad",
-        [[1e200, -1e200, 1e200], [[1e200, 1.0], [2.0, 3.0]], [[1.0], [2.0]], 1e200, 3.0, []],
-    )
+    @pytest.mark.parametrize("grad", [[1e200, -1e200, 1e200], [3.0], []])
     def test_finite_gradient_returned_unchanged(self, grad):
         want = np.array(grad, dtype=float)
         obj = ObjectiveOracle(fn=lambda x: 0.0, grad_fn=lambda x: np.array(grad), f_low=-1.0)
-        got = obj.gradient(np.zeros(2))
+        got = obj.gradient(np.zeros(len(grad)))
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestObjectiveGradientShape:
+    """A gradient whose shape is not x's, (n,), is a bad oracle, finite or not."""
+
+    NAN = float("nan")
+
+    @pytest.mark.parametrize(
+        "grad",
+        [[1.0, 2.0, 3.0], [[1.0, NAN], [0.0, 0.0]], [[1e200, 1.0], [2.0, 3.0]], [[1.0], [2.0]], NAN, 3.0, []],
+    )
+    def test_wrong_shape_rejected(self, grad):
+        obj = ObjectiveOracle(fn=lambda x: 0.0, grad_fn=lambda x: np.array(grad), f_low=-1.0)
+        with pytest.raises(ValidationError, match=re.escape("expected (2,)")):
+            obj.gradient(np.zeros(2))
+
+    @staticmethod
+    def _column_gradient(name):
+        """The corpus problem with a gradient oracle that returns shape (n, 1)."""
+        p = corpus_problem(name)
+        grad = p.objective.grad_fn
+        p.objective.grad_fn = lambda x: grad(x)[:, None]
+        return p
+
+    def test_validate_names_the_expected_shape(self):
+        p = self._column_gradient("eq-cos-4")
+        with pytest.raises(ValidationError, match=re.escape("shape (4, 1); expected (4,)")):
+            validate(p)
+
+    @pytest.mark.parametrize("kind", ["gd-fixed", "gd-backtracking", "cubic-newton"])
+    def test_solve_names_the_expected_shape(self, kind):
+        from auglag.outer import SolverConfig, solve
+
+        p = self._column_gradient("eq-cos-4")
+        with pytest.raises(ValidationError, match=re.escape("shape (4, 1); expected (4,)")):
+            solve(p, SolverConfig(eps=1e-3, inner=kind))
