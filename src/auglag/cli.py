@@ -231,14 +231,8 @@ def main(argv=None) -> int:
             if args.subcommand == "check":
                 return _cmd_check(args)
             return _cmd_list(args)
-    except outer.MonitorViolation as exc:
-        log.error("strict monitor violation: %s", exc)
-        return EXIT_MONITOR
-    except core.FormDisagreementError as exc:
-        log.error("P form disagreement: %s", exc)
-        return EXIT_MONITOR
-    except outer.EvaluationMismatch as exc:
-        log.error("evaluation mismatch: %s", exc)
+    except core.ImplementationError as exc:
+        log.error("%s: %s", exc.what, exc)
         return EXIT_MONITOR
     except outer.InnerFailure as exc:
         log.error("inner solver failure: %s", exc)

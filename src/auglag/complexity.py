@@ -175,9 +175,9 @@ def _solve_row(
 
     ``first`` is the run's k = 0 inner result, when already computed.  A run
     that certification refuses keeps its own counts and status in the row.
-    A strict-monitor violation, a P form disagreement or an evaluation
-    mismatch is an implementation bug, not a row failure: it propagates and
-    ends the sweep.
+    A ``core.ImplementationError`` (a strict-monitor violation, a P form
+    disagreement or an evaluation mismatch) is not a row failure: it
+    propagates and ends the sweep.
     """
     nan = float("nan")
     row = SweepRow(eps=config.eps, T_outer=0, total_inner=0, total_oracle_calls=0,
@@ -188,7 +188,7 @@ def _solve_row(
                       total_oracle_calls=report.total_oracle_calls,
                       sigma_final=report.trace[-1].sigma, terminated=report.terminated)
         cert = certify_run(report, problem, config)
-    except (outer.MonitorViolation, core.FormDisagreementError, outer.EvaluationMismatch):
+    except core.ImplementationError:
         raise
     except Exception as exc:
         return replace(row, failed=True, error=str(exc))

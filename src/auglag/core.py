@@ -6,9 +6,10 @@ and a shifted-square form with a negative-part clamp.  Every evaluation runs
 both and raises if they disagree beyond rounding, which turns any future
 formula edit that breaks one side into an immediate hard error.
 ``Penalty`` holds P for one (lambda, sigma); its methods take x or the values
-f, c, grad f and J a caller already holds, and evaluate c(x) once per point.
-Each joint evaluation of P and its gradient is kept as an ``Evaluation``, so
-the outer loop reads an inner solve's last iterate without evaluating it again.
+f, c, grad f and J a caller already holds.  Each gradient completes a joint,
+cross-checked evaluation of P and grad P from one c(x), kept as an
+``Evaluation``, so the outer loop reads an inner solve's last iterate without
+evaluating it again.
 
 Branch tie rule: at c_i(x) == lambda_i/sigma exactly, the inequality term
 takes the constant branch, so its gradient contribution is zero.  P is
@@ -28,8 +29,14 @@ from .problems import ConstraintSet, ProblemSpec
 if TYPE_CHECKING:
     from .outer import SolverConfig
 
-class FormDisagreementError(RuntimeError):
+class ImplementationError(RuntimeError):
+    """A guaranteed invariant failed: an implementation bug, not bad input; each subclass names it as ``what``."""
+
+
+class FormDisagreementError(ImplementationError):
     """The two augmented-Lagrangian formulas disagreed: implementation bug."""
+
+    what = "P form disagreement"
 
 
 class UnsupportedSpecializationError(RuntimeError):
@@ -65,11 +72,11 @@ class Penalty:
     """P(., lambda, sigma) for one fixed (lambda, sigma): what one inner solve minimizes.
 
     The (lambda, sigma)-only terms are computed once.  ``value`` keeps f(x),
-    c(x), the mask and P(x), keyed on the bytes of x, and ``grad`` reuses them
-    at a point with the same bytes; ``from_values`` and ``grad_from`` take
-    oracle values a caller already holds.  The last joint evaluation of P and
-    grad P, by ``value_grad``, by ``grad`` after ``value`` or by ``evaluation``,
-    is ``last_evaluation()``.
+    c(x), the mask and P(x), keyed on the bytes of x, and ``grad`` completes
+    that record with grad f(x) and J(x), calling ``value`` first at a point
+    without those bytes; ``from_values`` and ``grad_from`` take oracle values
+    a caller already holds.  The last joint evaluation of P and grad P, by
+    ``grad`` or by ``evaluation``, is ``last_evaluation()``.
     """
 
     def __init__(self, problem: ProblemSpec, lam: np.ndarray, sigma: float) -> None:
@@ -152,13 +159,13 @@ class Penalty:
         return g + J.T.dot(coeff)
 
     def evaluation(
-        self, x: np.ndarray, f: float, c: np.ndarray, g: np.ndarray, J: np.ndarray, p_mask=None
+        self, x: np.ndarray, f: float, c: np.ndarray, g: np.ndarray, J: np.ndarray, p_mask
     ) -> Evaluation:
         """P and grad P at x from its oracle values f, c, g = grad f and J = jac c, kept as the last evaluation.
 
-        ``p_mask`` is ``from_values(f, c)`` when the caller already holds it.
+        ``p_mask`` is ``from_values(f, c)``, the cross-checked P and the mask.
         """
-        p, inactive = self.from_values(f, c) if p_mask is None else p_mask
+        p, inactive = p_mask
         self._last = Evaluation(x.tobytes(), f, c, g, J, p, self.grad_from(g, J, c, inactive))
         return self._last
 
@@ -175,24 +182,17 @@ class Penalty:
         return p_mask[0]
 
     def grad(self, x: np.ndarray) -> np.ndarray:
-        """grad P(x); reuses c(x) from the last point valued when x has its bytes.
-
-        After ``value`` at such a point the result is kept as the last evaluation.
-        """
-        key, at = x.tobytes(), self._at
-        if at is None or at[0] != key:  # a NaN matches itself here, as c(x) would repeat
-            c = self._cons.c(x)
-            return self.grad_from(self._obj.gradient(x), self._cons.jac(x), c, self._inactive(c))
+        """grad P(x), kept with P(x) as the last evaluation; calls ``value`` first unless x was valued last."""
+        at = self._at
+        if at is None or at[0] != x.tobytes():  # a NaN matches itself here, as c(x) would repeat
+            self.value(x)
+            at = self._at
         _, f, c, p_mask = at
         return self.evaluation(x, f, c, self._obj.gradient(x), self._cons.jac(x), p_mask).grad_p
 
     def value_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        """(P(x), grad P(x)) from one evaluation of c(x); P is cross-checked."""
-        c = self._cons.c(x)
-        f = self._obj.value(x)
-        p_mask = self.from_values(f, c)
-        ev = self.evaluation(x, f, c, self._obj.gradient(x), self._cons.jac(x), p_mask)
-        return ev.p, ev.grad_p
+        """(P(x), grad P(x)): ``value`` then ``grad``, so from one evaluation of c(x)."""
+        return self.value(x), self.grad(x)
 
     def hess(self, x: np.ndarray) -> np.ndarray:
         """Hessian of P for equality-only linear constraints: hess f + sigma*A^T A."""

@@ -24,15 +24,16 @@ its eigendecomposition at each point where it solves a model, and keeps both
 across rejected trials.
 
 One oracle call is one joint evaluation of value + gradient (+ Hessian where
-requested); line-search trial points count as one call each.  A task may
-supply that joint evaluation as ``value_grad``, which the solvers use wherever
-they need both at one point (every start and every fixed step); Armijo trial
-points and cubic trial steps need only the value and call ``objective``.  A
+requested); line-search trial points count as one call each.  Where the
+solvers need both at one point (every start and every fixed step) they call
+``objective`` then ``gradient`` there, and an accepted trial point, already
+valued, calls ``gradient`` alone; a task can share work between the two calls
+at one point (such as one evaluation of c(x) for P and its gradient).  A
 task whose caller already holds g and grad g at the start passes them as
 ``start_pair``, and the solve then makes no call there.  A
 trial whose value is not finite (an overflowing f or c) is rejected like any
-other failed trial; a non-finite value at the start or at a fixed step raises
-``NonFiniteValue``.
+other failed trial; a non-finite value at the start or at a fixed step, or a
+non-finite gradient anywhere, raises ``NonFiniteValue``.
 """
 from __future__ import annotations
 
@@ -69,13 +70,11 @@ class EigendecompositionFailure(RuntimeError):
 class InnerTask:
     """One unconstrained minimization of g from ``start`` to ||grad g||_2 <= eps.
 
-    ``value_grad(x)`` returns ``(g(x), grad g(x))`` and must agree with
-    ``objective`` and ``gradient``; a caller that can share work between the
-    two (such as one evaluation of c(x) for P and its gradient) passes it, and
-    otherwise it defaults to calling ``objective`` then ``gradient``.
-    ``start_pair`` is ``(g(start), grad g(start))`` when the caller holds them,
-    and ``last_evaluation()`` the caller's record of its last joint evaluation
-    of g and grad g, which each result keeps as ``evaluation``.
+    The solvers call ``gradient`` at x only right after ``objective`` at x, so
+    the two may share work.  ``start_pair`` is ``(g(start), grad g(start))``
+    when the caller holds them, and ``last_evaluation()`` the caller's record
+    of its last joint evaluation of g and grad g, which each result keeps as
+    ``evaluation``.
     """
 
     objective: Callable[[np.ndarray], float]
@@ -85,13 +84,10 @@ class InnerTask:
     hessian: Optional[Callable[[np.ndarray], np.ndarray]] = None
     known_L: Optional[float] = None
     g_low: float = float("-inf")
-    value_grad: Optional[Callable[[np.ndarray], tuple[float, np.ndarray]]] = None
     start_pair: Optional[tuple[float, np.ndarray]] = None
     last_evaluation: Optional[Callable[[], object]] = None
 
     def __post_init__(self) -> None:
-        if self.value_grad is None:
-            self.value_grad = lambda x: (self.objective(x), self.gradient(x))
         self.start = np.asarray(self.start, dtype=float).ravel()
         if not (self.eps > 0.0):
             raise ValueError("eps must be positive")
@@ -138,7 +134,7 @@ def _checked(f: float, g: np.ndarray) -> tuple[float, np.ndarray, float]:
 
 
 def _value_grad(task: InnerTask, x: np.ndarray) -> tuple[float, np.ndarray, float]:
-    return _checked(*task.value_grad(x))
+    return _checked(task.objective(x), task.gradient(x))
 
 
 def _trial_value(task: InnerTask, x: np.ndarray) -> float:

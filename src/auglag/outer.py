@@ -40,16 +40,20 @@ _MONITOR_SLACK = 1e-9
 _DUAL_IDENTITY_TOL = 1e-12
 
 
-class MonitorViolation(RuntimeError):
+class MonitorViolation(core.ImplementationError):
     """A guaranteed per-iteration inequality failed in strict mode."""
+
+    what = "strict monitor violation"
 
 
 class InnerFailure(RuntimeError):
     """The inner solver failed; wraps the underlying error."""
 
 
-class EvaluationMismatch(RuntimeError):
+class EvaluationMismatch(core.ImplementationError):
     """An inner result's evaluation is not at its final iterate: implementation bug."""
+
+    what = "evaluation mismatch"
 
 
 @dataclass
@@ -347,7 +351,7 @@ def _build_inner_task(
         hessian = pen.hess
         known_L = problem.objective.L2
     return inner.InnerTask(
-        objective=pen.value, gradient=pen.grad, value_grad=pen.value_grad, hessian=hessian,
+        objective=pen.value, gradient=pen.grad, hessian=hessian,
         start=start, eps=eps, known_L=known_L, g_low=p_low, start_pair=start_pair,
         last_evaluation=pen.last_evaluation,
     )
@@ -373,15 +377,15 @@ def _run_inner(task: inner.InnerTask, kind: str) -> inner.InnerResult:
     return inner.gd_solve(task, _GD_VARIANTS[kind])
 
 
-def _first_task(problem: ProblemSpec, config: SolverConfig) -> tuple[core.Penalty, np.ndarray, float]:
-    """(P(., lambda = 0, sigma0), x0, p_low): the penalty, start and lower bound of the k = 0 inner solve.
+def _first_task(problem: ProblemSpec, config: SolverConfig) -> tuple[core.Penalty, float]:
+    """(P(., lambda = 0, sigma0), p_low): the penalty and lower bound of the k = 0 inner solve from x0.
 
     p_low = f_low - ||mu0||^2/2.  Nothing here reads an oracle value or eps,
     so the rows of an eps-sweep share this task up to their stop tolerance.
     """
     lam = np.zeros(problem.constraints.m)
     p_low = problem.objective.f_low - 0.5 * core.mu_norm(lam, config.sigma0) ** 2
-    return core.Penalty(problem, lam, config.sigma0), problem.x0.copy(), p_low
+    return core.Penalty(problem, lam, config.sigma0), p_low
 
 
 def first_inner_results(
@@ -400,7 +404,8 @@ def first_inner_results(
     """
     if config.max_outer == 0 or config.sigma0 > _SIGMA_CAP:
         return None
-    penalty, start, p_low = _first_task(problem, config)
+    penalty, p_low = _first_task(problem, config)
+    start = problem.x0.copy()
     start_pair = penalty.value_grad(start)
     task = _build_inner_task(penalty, start, tolerances[-1], config.inner, p_low, start_pair)
     if config.inner == INNER_CUBIC:
@@ -429,7 +434,7 @@ def solve(
     f0, c0, g0, J0 = obj.value(x0), cons.c(x0), obj.gradient(x0), cons.jac(x0)
     gap0 = f0 - f_low
 
-    penalty, start, p_low0 = _first_task(problem, config)
+    penalty, p_low0 = _first_task(problem, config)
     lam, sigma = penalty.lam, penalty.sigma
     mu0_sq = core.mu_norm(lam, sigma) ** 2
 
@@ -456,12 +461,10 @@ def solve(
         if sigma > _SIGMA_CAP:
             terminated = TERMINATED_SIGMA_OVERFLOW
             break
-        if k == 0:  # the start is x0, and P(x0) plays both warm-start roles
-            ev = penalty.evaluation(x0, f0, c0, g0, J0)
-            start_pair, p_zero, p_prev = (ev.p, ev.grad_p), ev.p, ev.p
-        else:
+        if k > 0:
             penalty = core.Penalty(problem, lam, sigma)
-            start, start_pair, p_zero, p_prev = warm_start(penalty, first, state)
+        # at k = 0 both states are at x0, and the tie rule starts there
+        start, start_pair, p_zero, p_prev = warm_start(penalty, first, state)
         if k == 0 and _first is not None:
             res = _first
         else:

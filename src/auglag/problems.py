@@ -31,7 +31,7 @@ class ObjectiveBelowBound(RuntimeError):
 
 
 class NonFiniteObjective(ObjectiveBelowBound, NonFiniteValue):
-    """The objective returned NaN or infinity: a usage error at x0, a rejected trial in a line search."""
+    """NaN or infinity from the objective or its gradient: a usage error at x0, an inner failure in a solve."""
 
 
 @dataclass
@@ -75,7 +75,7 @@ class ObjectiveOracle:
         # a finite sum of squares implies finite entries; the entry-wise test
         # runs only when the sum is not finite
         if not math.isfinite(g.dot(g)) and not np.isfinite(g).all():
-            raise ObjectiveBelowBound("objective gradient is non-finite")
+            raise NonFiniteObjective("objective gradient is non-finite")
         return g
 
     def hessian(self, x: np.ndarray) -> np.ndarray:
@@ -178,12 +178,12 @@ class ProblemSpec:
         return self.x0.shape[0]
 
     def feasibility_violation(self, x: np.ndarray) -> float:
-        """max of equality residual and inequality violation at x."""
-        return max(self.constraints.primal_residuals(self.constraints.c(x)))
+        """max of equality residual and inequality violation at x; NaN if c(x) holds one (Python's max can drop it)."""
+        return float(np.maximum(*self.constraints.primal_residuals(self.constraints.c(x))))
 
     def check_feasible_start(self) -> None:
         viol = self.feasibility_violation(self.x0)
-        if viol > FEASIBILITY_TOL:
+        if not (viol <= FEASIBILITY_TOL):  # written so that NaN fails it
             raise ValidationError(
                 f"{self.name}: starting point infeasible (violation {viol:.3e})"
             )

@@ -197,7 +197,7 @@ class TestPenaltyValueGrad:
             Penalty(p, np.zeros(9), 1.0).value_grad(p.x0)
 
     @pytest.mark.parametrize("name", ["simplex-cos-8", "eq-rosenbrock-8", "eq-cos-8"])
-    @pytest.mark.parametrize("entry", ["value", "value_grad", "from_values", "warm_start"])
+    @pytest.mark.parametrize("entry", ["value", "grad", "value_grad", "from_values", "warm_start"])
     def test_form_disagreement_raises_through_every_entry(self, skewed_forms, name, entry):
         p = corpus_problem(name)
         pen = Penalty(p, _zero_lam(p), 1.0)
@@ -205,6 +205,7 @@ class TestPenaltyValueGrad:
         f, c = p.objective.value(x), p.constraints.c(x)
         calls = {
             "value": lambda: pen.value(x),
+            "grad": lambda: pen.grad(x),
             "value_grad": lambda: pen.value_grad(x),
             "from_values": lambda: pen.from_values(f, c),
             "warm_start": lambda: warm_start(pen, _state(x, f, c), _state(x, f, c)),
@@ -278,6 +279,51 @@ class TestPenaltyReuse:
         assert math.isnan(pen.value(x))
         # a NaN has the same bytes as itself, so the gradient reuses c(x)
         assert pen.grad(x.copy()).tobytes() == want.tobytes() and len(calls) == 1
+
+
+class TestOneGradPath:
+    """``grad`` completes the evaluation that ``value`` began at x, and values x first when it must."""
+
+    LAM = np.concatenate([[0.3], np.full(8, 0.2)])
+
+    @staticmethod
+    def _record_oracles(monkeypatch):
+        """The names of the oracles called from here on, in call order."""
+        calls = []
+        for owner, attr in (
+            (ObjectiveOracle, "value"), (ObjectiveOracle, "gradient"),
+            (ConstraintSet, "c"), (ConstraintSet, "jac"),
+        ):
+            real = getattr(owner, attr)
+            monkeypatch.setattr(
+                owner, attr, lambda self, x, real=real, attr=attr: calls.append(attr) or real(self, x)
+            )
+        return calls
+
+    def test_grad_at_a_point_not_valued_evaluates_f_and_c_once(self, monkeypatch):
+        p = corpus_problem("simplex-cos-8")
+        x = p.x0 + 0.01
+        want = Penalty(p, self.LAM, 2.0).value(x)
+        pen = Penalty(p, self.LAM, 2.0)
+        pen.value(p.x0)  # the last point valued is another point
+        calls = self._record_oracles(monkeypatch)
+        grad = pen.grad(x)
+        assert calls == ["c", "value", "gradient", "jac"]
+        ev = pen.last_evaluation()
+        assert ev.key == x.tobytes() and ev.p.hex() == want.hex()
+        assert ev.grad_p.tobytes() == grad.tobytes()
+
+    def test_value_grad_is_value_then_grad(self, monkeypatch):
+        p = corpus_problem("simplex-cos-8")
+        x = p.x0 + 0.01
+        calls = self._record_oracles(monkeypatch)
+        pen = Penalty(p, self.LAM, 2.0)
+        value, grad = pen.value_grad(x)
+        assert calls == ["c", "value", "gradient", "jac"]
+        assert pen.last_evaluation().key == x.tobytes()
+        alone = Penalty(p, self.LAM, 2.0)
+        assert value.hex() == alone.value(x).hex()
+        assert grad.tobytes() == alone.grad(x).tobytes()
 
 
 def _reference_sums(lam, sigma, m_e, c):

@@ -184,6 +184,33 @@ def test_every_function_is_called():
     assert uncalled_functions(sources) == []
 
 
+def unread_fields(source: str, cls: str) -> list[str]:
+    """The annotated fields of class ``cls`` that no code outside the class body reads."""
+    tree = ast.parse(source)
+    body = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == cls)
+    fields = [(n.lineno, n.target.id) for n in body.body if isinstance(n, ast.AnnAssign)]
+    inside = {id(n) for n in ast.walk(body)}
+    read = {
+        n.attr for n in ast.walk(tree)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load) and id(n) not in inside
+    }
+    return [f"line {line}: {name}" for line, name in fields if name not in read]
+
+
+def test_scanner_flags_an_unread_field():
+    source = (
+        "from dataclasses import dataclass\n@dataclass\nclass Task:\n    used: int\n"
+        "    checked_only: int = 0\n    def __post_init__(self):\n        assert self.checked_only >= 0\n"
+        "def run(task):\n    task.checked_only = 1\n    return task.used\n"
+    )
+    assert unread_fields(source, "Task") == ["line 5: checked_only"]
+
+
+def test_every_inner_task_field_is_read():
+    """The inner/outer seam keeps no write-only field: the solvers read every ``InnerTask`` field."""
+    assert unread_fields((SRC / "inner.py").read_text(encoding="utf-8"), "InnerTask") == []
+
+
 def test_inner_solvers_import_no_package_module():
     """The inner solvers see only an InnerTask, never the problem or the penalty."""
     tree = ast.parse((SRC / "inner.py").read_text(encoding="utf-8"))

@@ -367,12 +367,6 @@ def _penalty_task(name, kind, sigma=1.0, eps=1e-3):
 
 
 class TestFusedOracle:
-    def test_default_value_grad_calls_both_oracles(self):
-        task = _quadratic_task([4.0, -2.0], D=np.diag([1.0, 3.0]))
-        value, grad = task.value_grad(np.array([1.0, 1.0]))
-        assert value == 2.0
-        np.testing.assert_array_equal(grad, [1.0, 3.0])
-
     def test_one_constraint_evaluation_per_fixed_step(self, monkeypatch):
         task = _penalty_task("simplex-cos-8", outer.INNER_GD_FIXED, sigma=8.0)
         calls = []
@@ -430,7 +424,7 @@ class TestStartPair:
 
     def test_a_start_pair_already_at_tolerance_makes_no_call(self):
         task = _quadratic_task([1e-9, 0.0], eps=1e-6, known_L=1.0)
-        task.objective = task.value_grad = task.gradient = None  # never called
+        task.objective = task.gradient = None  # never called
         task.start_pair = (0.5e-18, np.array([1e-9, 0.0]))
         res = gd_solve(task, FIXED_STEP)
         assert (res.iterations, res.oracle_calls, res.objective_trace) == (0, 0, [0.5e-18])

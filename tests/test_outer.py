@@ -24,7 +24,7 @@ from auglag.outer import (
     warm_start,
 )
 from auglag.problems import (
-    ConstraintSet, ProblemSpec, corpus_problem, make_eq_cos, make_eq_rosenbrock,
+    ConstraintSet, ObjectiveBelowBound, ProblemSpec, corpus_problem, make_eq_cos, make_eq_rosenbrock,
 )
 
 from conftest import count_oracles, make_tiny
@@ -196,6 +196,33 @@ class TestSolve:
         p = corpus_problem("eq-qp-analytic")
         report = solve(p, SolverConfig(eps=1e-3, monitor=outer.MONITOR_RECORD))
         assert any(not e.passed for e in report.monitor_log)
+
+
+class TestNonFiniteObjectiveGradient:
+    """A non-finite grad f inside an inner solve fails the solve; at x0 it is a usage error."""
+
+    @staticmethod
+    def _problem(finite_calls):
+        """eq-cos-4 whose grad f is non-finite after its first ``finite_calls`` calls."""
+        p = make_eq_cos(4)
+        real, calls = p.objective.grad_fn, []
+
+        def grad(x):
+            calls.append(1)
+            g = real(x)
+            return g if len(calls) <= finite_calls else g * np.inf
+
+        p.objective.grad_fn = grad
+        return p
+
+    @pytest.mark.parametrize("inner_kind", outer.INNER_SOLVERS)
+    def test_inside_an_inner_solve_is_an_inner_failure(self, inner_kind):
+        with pytest.raises(outer.InnerFailure, match="gradient is non-finite"):
+            solve(self._problem(3), SolverConfig(inner=inner_kind))
+
+    def test_at_x0_is_objective_below_bound(self):
+        with pytest.raises(ObjectiveBelowBound, match="gradient is non-finite"):
+            solve(self._problem(0), SolverConfig())
 
 
 class TestMonitorStep:

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from auglag import cli, problems
+from auglag import cli, outer, problems
 from auglag.problems import (
     ConstraintSet,
     ObjectiveOracle,
@@ -18,6 +18,8 @@ from auglag.problems import (
     load_problem,
     validate,
 )
+
+from conftest import make_tiny
 
 
 class TestCorpusContract:
@@ -121,6 +123,30 @@ class TestFeasibility:
         )
         with pytest.raises(ValidationError):
             bad.check_feasible_start()
+
+
+class TestNaNConstraintAtStart:
+    """A NaN in c(x0) fails every feasibility check, on an equality row or an inequality row."""
+
+    @pytest.mark.parametrize("m_e", [0, 1])
+    def test_every_check_rejects_it(self, m_e):
+        p = make_tiny(m_e, lambda x: np.array([math.nan]), lambda x: np.ones((1, 1)))
+        assert math.isnan(p.feasibility_violation(p.x0))
+        with pytest.raises(ValidationError, match="starting point infeasible"):
+            p.check_feasible_start()
+        check = {c.name: c for c in validate(p, samples=1).checks}["feasible_start"]
+        assert not check.passed and math.isnan(check.worst_error)
+        with pytest.raises(ValidationError, match="starting point infeasible"):
+            outer.solve(p, outer.SolverConfig())
+
+    def test_finite_violation_keeps_its_bits(self):
+        rng = np.random.default_rng(5)
+        for p in corpus():
+            cons = p.constraints
+            for _ in range(20):
+                x = p.x0 + rng.normal(0.0, 0.5, p.n)
+                want = max(cons.primal_residuals(cons.c(x)))
+                assert p.feasibility_violation(x).hex() == want.hex()
 
 
 class TestObjectiveOracle:
