@@ -45,10 +45,15 @@ class BoundInputs:
 
 
 def _log_term(inputs: BoundInputs) -> float:
+    # a count of gamma-contractions, so never below 0 (and no log of s = 0):
+    # a threshold larger than the formula's is still a valid bound
     s = inputs.mu0_norm_sq + 4.0 * inputs.f0_gap
-    return (0.5 * math.log(s) + math.log(2.0) + abs(math.log(inputs.eps))) / math.log(
+    if s == 0.0:
+        return 0.0
+    count = (0.5 * math.log(s) + math.log(2.0) + abs(math.log(inputs.eps))) / math.log(
         1.0 / inputs.gamma
     )
+    return max(count, 0.0)
 
 
 def bound_T_bounded(inputs: BoundInputs) -> float:
@@ -62,7 +67,10 @@ def bound_T_bounded(inputs: BoundInputs) -> float:
 def bound_T_unbounded(inputs: BoundInputs) -> float:
     """Outer-iteration threshold for the growing-penalty regime."""
     s4 = 4.0 * inputs.mu0_norm_sq + 16.0 * inputs.f0_gap
-    power = s4 ** (1.0 / (inputs.alpha - 1.0)) * inputs.eps ** (-2.0 / (inputs.alpha - 1.0))
+    try:
+        power = s4 ** (1.0 / (inputs.alpha - 1.0)) * inputs.eps ** (-2.0 / (inputs.alpha - 1.0))
+    except OverflowError:  # alpha near 1: an infinite threshold is a valid, if empty, bound
+        power = math.inf
     return 4.0 + power + _log_term(inputs)
 
 
@@ -80,7 +88,8 @@ def _bound_inputs_from(report: outer.RunReport, problem: ProblemSpec) -> BoundIn
     first = report.trace[0]
     return BoundInputs(
         mu0_norm_sq=first.mu_norm_sq,
-        f0_gap=first.f - problem.objective.f_low,
+        # f accepts values down to 1e-12 below f_low, so the observed gap may be just below 0
+        f0_gap=max(first.f - problem.objective.f_low, 0.0),
         gamma=report.config.gamma,
         alpha=report.config.alpha,
         eps=report.config.eps,
@@ -216,7 +225,9 @@ def sweep(
     configs = [replace(base_config, eps=e) for e in sorted(eps_grid, reverse=True)]
     try:
         firsts = outer.first_inner_results(problem, base_config, [c.eps for c in configs])
-    except Exception:  # each row then solves alone and fails or raises as it would
+    except core.ImplementationError:  # a bug, as in ``_solve_row``: it ends the sweep
+        raise
+    except Exception:  # each row then solves alone and fails as it would
         firsts = None
     firsts = firsts or [None] * len(configs)
     rows = [_solve_row(problem, c, first) for c, first in zip(configs, firsts)]

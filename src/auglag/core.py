@@ -7,9 +7,9 @@ both and raises if they disagree beyond rounding, which turns any future
 formula edit that breaks one side into an immediate hard error.
 ``Penalty`` holds P for one (lambda, sigma); its methods take x or the values
 f, c, grad f and J a caller already holds.  Each gradient completes a joint,
-cross-checked evaluation of P and grad P from one c(x), kept as an
-``Evaluation``, so the outer loop reads an inner solve's last iterate without
-evaluating it again.
+cross-checked evaluation of P and grad P from one c(x), formed in one place,
+``Penalty.evaluation``, and kept as an ``Evaluation``, so the outer loop reads
+an inner solve's last iterate without evaluating it again.
 
 Branch tie rule: at c_i(x) == lambda_i/sigma exactly, the inequality term
 takes the constant branch, so its gradient contribution is zero.  P is
@@ -74,9 +74,10 @@ class Penalty:
     The (lambda, sigma)-only terms are computed once.  ``value`` keeps f(x),
     c(x), the mask and P(x), keyed on the bytes of x, and ``grad`` completes
     that record with grad f(x) and J(x), calling ``value`` first at a point
-    without those bytes; ``from_values`` and ``grad_from`` take oracle values
-    a caller already holds.  The last joint evaluation of P and grad P, by
-    ``grad`` or by ``evaluation``, is ``last_evaluation()``.
+    without those bytes; ``from_values`` and ``evaluation`` take oracle values
+    a caller already holds.  ``evaluation`` is where grad P is formed, for
+    ``grad`` as for the outer loop's warm start; its last result is
+    ``last_evaluation()``.
     """
 
     def __init__(self, problem: ProblemSpec, lam: np.ndarray, sigma: float) -> None:
@@ -150,23 +151,20 @@ class Penalty:
             )
         return p_branch, inactive
 
-    def grad_from(self, g: np.ndarray, J: np.ndarray, c: np.ndarray, inactive: np.ndarray) -> np.ndarray:
-        """grad P from g = grad f(x), J = jac c(x), c = c(x) and its mask; inactive rows add zero."""
-        coeff = self.sigma * c
-        coeff -= self.lam
-        if self._has_ineq:
-            coeff[inactive] = 0.0
-        return g + J.T.dot(coeff)
-
     def evaluation(
         self, x: np.ndarray, f: float, c: np.ndarray, g: np.ndarray, J: np.ndarray, p_mask
     ) -> Evaluation:
         """P and grad P at x from its oracle values f, c, g = grad f and J = jac c, kept as the last evaluation.
 
-        ``p_mask`` is ``from_values(f, c)``, the cross-checked P and the mask.
+        ``p_mask`` is ``from_values(f, c)``, the cross-checked P and the mask;
+        inactive rows add zero to grad P.
         """
         p, inactive = p_mask
-        self._last = Evaluation(x.tobytes(), f, c, g, J, p, self.grad_from(g, J, c, inactive))
+        coeff = self.sigma * c
+        coeff -= self.lam
+        if self._has_ineq:
+            coeff[inactive] = 0.0
+        self._last = Evaluation(x.tobytes(), f, c, g, J, p, g + J.T.dot(coeff))
         return self._last
 
     def last_evaluation(self) -> Optional[Evaluation]:
@@ -189,10 +187,6 @@ class Penalty:
             at = self._at
         _, f, c, p_mask = at
         return self.evaluation(x, f, c, self._obj.gradient(x), self._cons.jac(x), p_mask).grad_p
-
-    def value_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        """(P(x), grad P(x)): ``value`` then ``grad``, so from one evaluation of c(x)."""
-        return self.value(x), self.grad(x)
 
     def hess(self, x: np.ndarray) -> np.ndarray:
         """Hessian of P for equality-only linear constraints: hess f + sigma*A^T A."""

@@ -377,15 +377,36 @@ def _run_inner(task: inner.InnerTask, kind: str) -> inner.InnerResult:
     return inner.gd_solve(task, _GD_VARIANTS[kind])
 
 
-def _first_task(problem: ProblemSpec, config: SolverConfig) -> tuple[core.Penalty, float]:
-    """(P(., lambda = 0, sigma0), p_low): the penalty and lower bound of the k = 0 inner solve from x0.
+def _state(
+    cons: ConstraintSet, eps: float, k: int, x: np.ndarray, lam: np.ndarray, sigma: float,
+    theta: Optional[float], f: float, c: np.ndarray, g: np.ndarray, J: np.ndarray,
+    inner_stats: Optional[inner.InnerResult] = None,
+) -> tuple[OuterState, np.ndarray]:
+    """The ``OuterState`` at x under (lam, sigma), from f, c, g = grad f and J there, and grad L(x, lam)."""
+    grad_L = core.lagrangian_grad(g, J, lam)
+    state = OuterState(
+        k=k, x=x, lam=lam, sigma=sigma, theta=theta, mu_norm_sq=core.mu_norm(lam, sigma) ** 2,
+        kkt=kkt_check(cons, c, grad_L, lam, eps), inner_stats=inner_stats, f=f, c=c, g=g, J=J,
+    )
+    return state, grad_L
 
-    p_low = f_low - ||mu0||^2/2.  Nothing here reads an oracle value or eps,
-    so the rows of an eps-sweep share this task up to their stop tolerance.
+
+def _start(problem: ProblemSpec, config: SolverConfig) -> tuple[OuterState, core.Penalty, float]:
+    """The k = 0 state at x0, P(., lambda = 0, sigma0) and p_low = f_low - ||mu0||^2/2.
+
+    Evaluates c, f, grad f and J once each at x0: a run's only oracle calls
+    outside its inner solves.  An infeasible x0 raises before f is evaluated.
     """
-    lam = np.zeros(problem.constraints.m)
-    p_low = problem.objective.f_low - 0.5 * core.mu_norm(lam, config.sigma0) ** 2
-    return core.Penalty(problem, lam, config.sigma0), p_low
+    cons, obj, x0 = problem.constraints, problem.objective, problem.x0
+    c0 = cons.c(x0)
+    problem.check_feasible_start(c0)
+    lam = np.zeros(cons.m)
+    first, _ = _state(
+        cons, config.eps, 0, x0.copy(), lam, config.sigma0, None,
+        obj.value(x0), c0, obj.gradient(x0), cons.jac(x0),
+    )
+    p_low = obj.f_low - 0.5 * first.mu_norm_sq
+    return first, core.Penalty(problem, lam, config.sigma0), p_low
 
 
 def first_inner_results(
@@ -396,17 +417,16 @@ def first_inner_results(
     ``tolerances`` is descending.  Each result is the one ``solve`` at that
     eps computes alone (the descent passes through each stopping point), so
     ``solve(problem, replace(config, eps=e), _first=result)`` skips its k = 0
-    inner solve and returns the same report.  The descent evaluates x0 once
-    for its start, which, as in ``solve``, no result counts.  None when such a
-    solve runs no inner solve: no outer iteration allowed, or sigma0 above the
-    cap.  Raises whatever the descent raises; a solve alone may still succeed
-    then.
+    inner solve and returns the same report.  The descent starts as
+    ``solve`` does at k = 0, from ``_start`` and ``warm_start``; no result
+    counts that one evaluation of x0.  None when such a solve runs no inner
+    solve: no outer iteration allowed, or sigma0 above the cap.  Raises
+    whatever the start or the descent raises.
     """
     if config.max_outer == 0 or config.sigma0 > _SIGMA_CAP:
         return None
-    penalty, p_low = _first_task(problem, config)
-    start = problem.x0.copy()
-    start_pair = penalty.value_grad(start)
+    first, penalty, p_low = _start(problem, config)
+    start, start_pair, _, _ = warm_start(penalty, first, first)
     task = _build_inner_task(penalty, start, tolerances[-1], config.inner, p_low, start_pair)
     if config.inner == INNER_CUBIC:
         rule = inner._cubic_rule(task)
@@ -425,39 +445,18 @@ def solve(
     condition the analysis counts.  ``_first`` is this run's k = 0 inner
     result from ``first_inner_results``, which an eps-sweep passes.
     """
-    problem.check_feasible_start()
     eps = config.eps
-    cons, obj = problem.constraints, problem.objective
-    x0 = problem.x0
-    f_low = obj.f_low
-    # the run's only oracle calls outside its inner solves
-    f0, c0, g0, J0 = obj.value(x0), cons.c(x0), obj.gradient(x0), cons.jac(x0)
-    gap0 = f0 - f_low
-
-    penalty, p_low0 = _first_task(problem, config)
-    lam, sigma = penalty.lam, penalty.sigma
-    mu0_sq = core.mu_norm(lam, sigma) ** 2
-
-    grad_L0 = core.lagrangian_grad(g0, J0, lam)
-    first = state = OuterState(
-        k=0,
-        x=x0.copy(),
-        lam=lam,
-        sigma=sigma,
-        theta=None,
-        mu_norm_sq=mu0_sq,
-        kkt=kkt_check(cons, c0, grad_L0, lam, eps),
-        f=f0,
-        c=c0,
-        g=g0,
-        J=J0,
-    )
+    cons = problem.constraints
+    first, penalty, p_low0 = _start(problem, config)
+    f_low = problem.objective.f_low
+    gap0 = first.f - f_low
+    state = first
     trace = [state]
     monitor_log: list[MonitorEntry] = []
     terminated = TERMINATED_MAX_OUTER
-    theta_prev: Optional[float] = None
 
     for k in range(config.max_outer):
+        lam, sigma = state.lam, state.sigma
         if sigma > _SIGMA_CAP:
             terminated = TERMINATED_SIGMA_OVERFLOW
             break
@@ -480,29 +479,18 @@ def solve(
             raise EvaluationMismatch(
                 f"outer iteration {k}: the inner solve's last evaluation is not at its final iterate"
             )
-        f, c, g, J, p_next, grad_p = ev.f, ev.c, ev.g, ev.J, ev.p, ev.grad_p
-        th_next = core.theta(cons, c, lam, sigma)
-        sigma_next = core.update_penalty(k, th_next.value, theta_prev, sigma, config)
-        lam_next = core.update_multipliers(cons, c, lam, sigma)
-        grad_L = core.lagrangian_grad(g, J, lam_next)
-        kkt = kkt_check(cons, c, grad_L, lam_next, eps)
-        next_state = OuterState(
-            k=k + 1,
-            x=x_next,
-            lam=lam_next,
-            sigma=sigma_next,
-            theta=th_next.value,
-            mu_norm_sq=core.mu_norm(lam_next, sigma_next) ** 2,
-            kkt=kkt,
-            inner_stats=res,
-            f=f,
-            c=c,
-            g=g,
-            J=J,
+        th_next = core.theta(cons, ev.c, lam, sigma)
+        sigma_next = core.update_penalty(k, th_next.value, state.theta, sigma, config)
+        lam_next = core.update_multipliers(cons, ev.c, lam, sigma)
+        next_state, grad_L = _state(
+            cons, eps, k + 1, x_next, lam_next, sigma_next, th_next.value,
+            ev.f, ev.c, ev.g, ev.J, res,
         )
+        kkt = next_state.kkt
 
         entries = monitor_step(
-            state, next_state, mu0_sq, f0, f_low, th_next, p_prev, p_zero, p_next, grad_L, grad_p
+            state, next_state, first.mu_norm_sq, first.f, f_low, th_next, p_prev, p_zero, ev.p,
+            grad_L, ev.grad_p,
         )
         if kkt.dual_inf > eps:
             entries.append(MonitorEntry(k + 1, "dual_residual", kkt.dual_inf, eps, False))
@@ -519,7 +507,6 @@ def solve(
 
         trace.append(next_state)
         state = next_state
-        lam, sigma, theta_prev = lam_next, sigma_next, th_next.value
         if kkt.is_eps_kkt and (
             not config.require_theta_half or th_next.value <= eps / 2.0
         ):

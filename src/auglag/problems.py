@@ -181,8 +181,9 @@ class ProblemSpec:
         """max of equality residual and inequality violation at x; NaN if c(x) holds one (Python's max can drop it)."""
         return float(np.maximum(*self.constraints.primal_residuals(self.constraints.c(x))))
 
-    def check_feasible_start(self) -> None:
-        viol = self.feasibility_violation(self.x0)
+    def check_feasible_start(self, c0: np.ndarray) -> None:
+        """Raise ``ValidationError`` unless c0 = c(x0) puts x0 within FEASIBILITY_TOL of feasible."""
+        viol = float(np.maximum(*self.constraints.primal_residuals(c0)))
         if not (viol <= FEASIBILITY_TOL):  # written so that NaN fails it
             raise ValidationError(
                 f"{self.name}: starting point infeasible (violation {viol:.3e})"

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from auglag.complexity import (
     sweep,
 )
 from auglag.outer import SolverConfig, solve
-from auglag.problems import corpus_problem
+from auglag.problems import ValidationError, corpus_problem, load_problem
 
 from conftest import count_oracles
 
@@ -91,6 +92,11 @@ class TestBoundFormulas:
         want_u = _unbounded_oracle(inp.mu0_norm_sq, inp.f0_gap, inp.gamma, inp.alpha, inp.eps)
         assert abs(got_u - want_u) <= 1e-12
 
+    def test_log_term_is_never_negative(self):
+        # 2 sqrt(s) = 2e-5 < eps: no gamma-contraction is needed, and none is counted
+        inp = BoundInputs(mu0_norm_sq=0.0, f0_gap=1e-10, gamma=0.5, alpha=3.0, eps=0.1)
+        assert bound_T_bounded(inp) == 3.0
+
 
 class TestCertifyRun:
     def test_bounded_regime_certified(self):
@@ -148,6 +154,59 @@ class TestCertifyRun:
         assert certify_run(report, p, dataclasses.replace(report.config)).certified
 
 
+class TestCertifyEdgeCases:
+    """Runs that end eps-KKT get a verdict, however small the start's gap or alpha - 1."""
+
+    @staticmethod
+    def _convex_at_min(tmp_path, f_low):
+        """A convex f whose minimizer, f = 2, is the feasible x0."""
+        path = tmp_path / "convex-at-min.json"
+        path.write_text(json.dumps({
+            "name": "convex-at-min", "n": 2, "objective": {"kind": "quadratic+cos", "omega": 0.5},
+            "A": [[1, 1]], "b": [0], "m_e": 1, "x0": [0, 0], "f_low": f_low,
+        }))
+        return load_problem(str(path))
+
+    @pytest.mark.parametrize("kind", outer.INNER_SOLVERS)
+    def test_a_start_at_f_low_gets_a_verdict(self, tmp_path, kind):
+        # lambda0 = 0 and f(x0) = f_low, so s = ||mu0||^2 + 4(f0 - f_low) = 0
+        p = self._convex_at_min(tmp_path, 2.0)
+        cfg = SolverConfig(eps=1e-3, inner=kind)
+        report = solve(p, cfg)
+        assert report.terminated == outer.TERMINATED_KKT and report.T_outer == 1
+        assert report.trace[0].f == p.objective.f_low
+        cert = certify_run(report, p, cfg)
+        assert cert.certified and cert.regime == REGIME_BOUNDED and cert.bound_T == 3.0
+        rows = sweep(p, cfg, [1e-2, 1e-3]).rows
+        assert all(r.certified and not r.failed for r in rows)
+
+    def test_rosenbrock_at_its_minimizer_is_refused_for_its_lipschitz_class(self):
+        p = dataclasses.replace(corpus_problem("eq-rosenbrock-8"), x0=np.ones(8))
+        report = solve(p, SolverConfig(eps=1e-3, inner="gd-backtracking"))
+        assert report.trace[0].f == p.objective.f_low
+        cert = certify_run(report, p, report.config)
+        assert not cert.certified and cert.reason == complexity.REASON_LOCAL_LIPSCHITZ
+        assert cert.bound_T == 3.0
+
+    def test_a_start_within_f_tolerance_below_f_low_gets_a_verdict(self, tmp_path):
+        p = self._convex_at_min(tmp_path, 2.0 + 1e-13)
+        report = solve(p, SolverConfig(eps=1e-3))
+        assert report.trace[0].f < p.objective.f_low  # accepted by f's 1e-12 tolerance
+        cert = certify_run(report, p, report.config)
+        assert cert.certified and cert.bound_T == 3.0
+        with pytest.raises(ValueError, match="nonnegative"):  # a truly negative gap is still refused
+            BoundInputs(mu0_norm_sq=0.0, f0_gap=report.trace[0].f - p.objective.f_low,
+                        gamma=0.5, alpha=3.0, eps=1e-3)
+
+    @pytest.mark.parametrize("name", ["simplex-cos-8", "dup-eq-8", "eq-cos-8"])
+    def test_an_overflowing_power_term_gives_an_infinite_bound(self, name):
+        p = corpus_problem(name)
+        cfg = SolverConfig(eps=1e-3, alpha=1.01, gamma=0.01, inner="gd-fixed")
+        report = solve(p, cfg)
+        cert = certify_run(report, p, cfg)
+        assert cert.regime == REGIME_GROWING and cert.bound_T == math.inf and cert.certified
+
+
 class TestSweep:
     def test_three_point_grid(self):
         p = corpus_problem("simplex-cos-8")
@@ -180,11 +239,15 @@ class TestSweep:
         result = sweep(p, cfg, [1e-2, 1e-3])
         assert all(r.failed and r.error for r in result.rows)
 
-    def test_form_disagreement_ends_the_sweep(self, skewed_forms):
-        # an implementation bug propagates instead of becoming a failed row
+    def test_form_disagreement_ends_the_sweep(self, monkeypatch, skewed_forms):
+        # an implementation bug propagates instead of becoming a failed row; the
+        # shared descent meets it first, and no row solves alone
+        solves = []
+        monkeypatch.setattr(outer, "solve", lambda *args, **kwargs: solves.append(args))
         p = corpus_problem("simplex-cos-8")
         with pytest.raises(core.FormDisagreementError):
             sweep(p, SolverConfig(eps=1e-2), [1e-2, 1e-3])
+        assert solves == []
 
     def test_refused_certification_keeps_the_run_counts(self):
         # one outer iteration ends the runs at MaxOuter, which certify_run refuses
@@ -277,12 +340,30 @@ class TestSweep:
         cfg = SolverConfig(eps=1e-2, inner="gd-backtracking")
         first_alone = solve(p, cfg).trace[1].inner_stats.oracle_calls
         outside, inside = count_oracles(monkeypatch)
+        solve(p, dataclasses.replace(cfg, eps=1e-3))
+        last_alone = outside + inside
+        outside.clear()
+        inside.clear()
         rows = sweep(p, cfg, [1e-2, 1e-3]).rows
         assert all(r.T_outer == 1 for r in rows)
         # the row at 1e-3 descends through the row at 1e-2's stopping point, and
         # the descent evaluates x0 once for its start
         f_calls = outside["value"] + inside["value"]
         assert f_calls == sum(r.total_oracle_calls for r in rows) - first_alone + 1
+        # so the sweep is the row at 1e-3 alone, plus c, f, grad f and J once
+        # each at x0 for the row at 1e-2 and once for the descent
+        once = Counter(dict.fromkeys(("value", "gradient", "c", "jac"), 1))
+        assert outside + inside == last_alone + once + once
+
+    def test_an_infeasible_start_fails_the_shared_descent_and_every_row(self):
+        p = dataclasses.replace(corpus_problem("eq-cos-8"), x0=np.zeros(8))
+        cfg = SolverConfig(eps=1e-2)
+        grid = [1e-2, 1e-3]
+        with pytest.raises(ValidationError, match="starting point infeasible"):
+            outer.first_inner_results(p, cfg, grid)
+        rows = sweep(p, cfg, grid).rows
+        assert all(r.failed and "starting point infeasible" in r.error for r in rows)
+        assert repr(rows) == repr(_rows_alone(p, cfg, grid))
 
     @settings(max_examples=25, deadline=None)
     @given(

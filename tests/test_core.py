@@ -16,7 +16,7 @@ from auglag.core import (
     update_multipliers,
     update_penalty,
 )
-from auglag.outer import OuterState, SolverConfig, warm_start
+from auglag.outer import OuterState, SolverConfig, first_inner_results, warm_start
 from auglag.problems import (
     ConstraintSet,
     ObjectiveOracle,
@@ -178,7 +178,9 @@ class TestPenaltyValueGrad:
         p = corpus_problem(name)
         ties = 0
         for x, lam, sigma in self._tuples(p, np.random.default_rng(17), 400):
-            value, grad = Penalty(p, lam, sigma).value_grad(x)
+            # grad after value at one point completes that evaluation, bit for bit a fresh one
+            pen = Penalty(p, lam, sigma)
+            value, grad = pen.value(x), pen.grad(x)
             assert value == Penalty(p, lam, sigma).value(x)
             assert grad.tobytes() == Penalty(p, lam, sigma).grad(x).tobytes()
             c = p.constraints.c(x)
@@ -188,16 +190,19 @@ class TestPenaltyValueGrad:
 
     def test_nan_constraint_reaches_value_and_gradient(self):
         p = make_tiny(0, lambda x: np.array([float("nan")]), lambda x: np.ones((1, 1)))
-        value, grad = Penalty(p, _lam(1.0), 1.0).value_grad(np.array([1.0]))
+        pen, x = Penalty(p, _lam(1.0), 1.0), np.array([1.0])
+        value, grad = pen.value(x), pen.grad(x)
         assert math.isnan(value) and np.all(np.isnan(grad))
 
     def test_form_disagreement_raises(self, skewed_forms):
         p = corpus_problem("simplex-cos-8")
         with pytest.raises(FormDisagreementError):
-            Penalty(p, np.zeros(9), 1.0).value_grad(p.x0)
+            Penalty(p, np.zeros(9), 1.0).grad(p.x0)
 
     @pytest.mark.parametrize("name", ["simplex-cos-8", "eq-rosenbrock-8", "eq-cos-8"])
-    @pytest.mark.parametrize("entry", ["value", "grad", "value_grad", "from_values", "warm_start"])
+    @pytest.mark.parametrize(
+        "entry", ["value", "grad", "first_inner_results", "from_values", "warm_start"]
+    )
     def test_form_disagreement_raises_through_every_entry(self, skewed_forms, name, entry):
         p = corpus_problem(name)
         pen = Penalty(p, _zero_lam(p), 1.0)
@@ -206,7 +211,7 @@ class TestPenaltyValueGrad:
         calls = {
             "value": lambda: pen.value(x),
             "grad": lambda: pen.grad(x),
-            "value_grad": lambda: pen.value_grad(x),
+            "first_inner_results": lambda: first_inner_results(p, SolverConfig(), [1e-3]),
             "from_values": lambda: pen.from_values(f, c),
             "warm_start": lambda: warm_start(pen, _state(x, f, c), _state(x, f, c)),
         }
@@ -221,15 +226,18 @@ class TestPenaltyValueGrad:
             c = cons.c(x)
             g, J = p.objective.gradient(x), cons.jac(x)
             pen = Penalty(p, lam, sigma)
-            _, mask = pen.from_values(p.objective.value(x), c)
+            f = p.objective.value(x)
+            p_mask = pen.from_values(f, c)
+            mask = p_mask[1]
             assert mask.dtype == bool and mask.shape == (cons.m,) and not mask.any()
             assert mask.flags.writeable and mask is not pen.from_values(0.0, c)[1]
-            assert pen.grad_from(g, J, c, mask).tobytes() == (g + J.T @ (sigma * c - lam)).tobytes()
+            grad_p = pen.evaluation(x, f, c, g, J, p_mask).grad_p
+            assert grad_p.tobytes() == (g + J.T @ (sigma * c - lam)).tobytes()
 
     def test_sigma_must_be_positive(self):
         p = make_tiny(1, lambda x: x.copy(), lambda x: np.ones((1, 1)))
         with pytest.raises(ValueError):
-            Penalty(p, _lam(0.0), 0.0).value_grad(np.array([1.0]))
+            Penalty(p, _lam(0.0), 0.0)
 
 
 class TestPenaltyReuse:
@@ -312,18 +320,6 @@ class TestOneGradPath:
         ev = pen.last_evaluation()
         assert ev.key == x.tobytes() and ev.p.hex() == want.hex()
         assert ev.grad_p.tobytes() == grad.tobytes()
-
-    def test_value_grad_is_value_then_grad(self, monkeypatch):
-        p = corpus_problem("simplex-cos-8")
-        x = p.x0 + 0.01
-        calls = self._record_oracles(monkeypatch)
-        pen = Penalty(p, self.LAM, 2.0)
-        value, grad = pen.value_grad(x)
-        assert calls == ["c", "value", "gradient", "jac"]
-        assert pen.last_evaluation().key == x.tobytes()
-        alone = Penalty(p, self.LAM, 2.0)
-        assert value.hex() == alone.value(x).hex()
-        assert grad.tobytes() == alone.grad(x).tobytes()
 
 
 def _reference_sums(lam, sigma, m_e, c):

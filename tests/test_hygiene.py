@@ -245,3 +245,69 @@ def test_readme_cli_flags_exist():
     """Every flag the README's "CLI" section names is an option of some subcommand."""
     readme = (SRC.parent.parent / "README.md").read_text(encoding="utf-8")
     assert readme_flags_unknown_to(cli.build_parser(), readme) == []
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def private_cross_references(sources: dict[str, str]) -> list[str]:
+    """Each private name a module reaches in another module of ``sources``, one entry per use.
+
+    Three forms count: ``module._name``, ``from .module import _name`` and a
+    ``_keyword=`` argument in a call of ``module.function``.  The sources are
+    keyed by module file name; an entry reads "cli.py: outer._run_inner".
+    """
+    modules = {Path(name).stem for name in sources}
+    found = []
+    for name, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                found += [
+                    f"{name}: from .{node.module or ''} import {alias.name}"
+                    for alias in node.names if _private(alias.name)
+                ]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if node.value.id in modules and _private(node.attr):
+                    found.append(f"{name}: {node.value.id}.{node.attr}")
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                owner = node.func.value
+                if isinstance(owner, ast.Name) and owner.id in modules:
+                    found += [
+                        f"{name}: {owner.id}.{node.func.attr}({kw.arg}=)"
+                        for kw in node.keywords if kw.arg and _private(kw.arg)
+                    ]
+    return sorted(found)
+
+
+def test_scanner_flags_private_cross_references():
+    sources = {
+        "a.py": "def _helper(x, _flag=None):\n    return x\npublic = _helper\n_helper(1, _flag=2)\n",
+        "b.py": (
+            "from . import a\nfrom .a import _helper, public\n"
+            "a._helper(1)\na.public(2)\na.public(3, _flag=4)\nobj._attr\na.__name__\n"
+        ),
+    }
+    assert private_cross_references(sources) == [
+        "b.py: a._helper", "b.py: a.public(_flag=)", "b.py: from .a import _helper",
+    ]
+
+
+# Today's private cross-module references, each waiting on a ROADMAP item;
+# the list may only shrink.  Item 14 gives the inner solvers one public entry
+# point, and item 5 lets the benchmark trace a new public function.
+PRIVATE_CROSS_REFERENCES = {
+    "cli.py: outer._run_inner": "item 14",
+    "complexity.py: from .outer import _write_csv": "item 5",
+    "complexity.py: from .outer import _write_json": "item 5",
+    "complexity.py: outer.solve(_first=)": "item 14",
+    "outer.py: inner._cubic_rule": "item 14",
+    "outer.py: inner._descend": "item 14",
+    "outer.py: inner._gd_rule": "item 14",
+}
+
+
+def test_private_cross_references_are_only_the_listed_ones():
+    """No new private cross-module reference, and no stale entry in the list."""
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert private_cross_references(sources) == sorted(PRIVATE_CROSS_REFERENCES)

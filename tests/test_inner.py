@@ -403,7 +403,8 @@ class TestStartPair:
         lam = np.zeros(p.constraints.m)
         alone = outer._run_inner(_penalty_task(name, kind, sigma=4.0), kind)
         pen = core.Penalty(p, lam, 4.0)
-        pair = core.Penalty(p, lam, 4.0).value_grad(p.x0)
+        fresh = core.Penalty(p, lam, 4.0)
+        pair = fresh.value(p.x0), fresh.grad(p.x0)
         task = outer._build_inner_task(pen, p.x0.copy(), 1e-3, kind, -1e9, start_pair=pair)
         calls = []
         real = problems.ObjectiveOracle.value

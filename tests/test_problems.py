@@ -46,7 +46,7 @@ class TestCorpusContract:
 
     def test_feasible_starts(self):
         for p in corpus():
-            p.check_feasible_start()
+            p.check_feasible_start(p.constraints.c(p.x0))
 
     def test_nonconvexity_witness(self):
         # the cosine term dominates the quadratic at the origin
@@ -122,7 +122,7 @@ class TestFeasibility:
             x0=np.zeros(8),
         )
         with pytest.raises(ValidationError):
-            bad.check_feasible_start()
+            bad.check_feasible_start(bad.constraints.c(bad.x0))
 
 
 class TestNaNConstraintAtStart:
@@ -133,7 +133,7 @@ class TestNaNConstraintAtStart:
         p = make_tiny(m_e, lambda x: np.array([math.nan]), lambda x: np.ones((1, 1)))
         assert math.isnan(p.feasibility_violation(p.x0))
         with pytest.raises(ValidationError, match="starting point infeasible"):
-            p.check_feasible_start()
+            p.check_feasible_start(p.constraints.c(p.x0))
         check = {c.name: c for c in validate(p, samples=1).checks}["feasible_start"]
         assert not check.passed and math.isnan(check.worst_error)
         with pytest.raises(ValidationError, match="starting point infeasible"):
