@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from . import complexity, core, inner, outer, problems
+from . import complexity, core, outer, problems
 
 log = logging.getLogger("auglag")
 
@@ -186,22 +186,16 @@ def _cmd_check(args) -> int:
             f"{check.name}: {'pass' if check.passed else 'FAIL'} "
             f"(worst error {check.worst_error:.3e}){' ' + check.detail if check.detail else ''}"
         )
-    # inner-solver self-test on a tiny strongly convex quadratic
-    task = inner.InnerTask(
-        objective=lambda x: 0.5 * float(x.dot(x)),
-        gradient=lambda x: x,
-        hessian=lambda x: np.eye(x.shape[0]),
-        start=np.array([4.0, 3.0]),
-        eps=1e-8,
-        known_L=1.0,
-        g_low=0.0,
-    )
+    # each inner solver through solve on a problem with a closed-form KKT pair,
+    # x = lambda = 1/4, which the eps-KKT conditions place within 9*eps/4 < 3*eps
+    analytic, eps = problems.corpus_problem("eq-qp-analytic"), 1e-8
     ok = True
     for name in outer.INNER_SOLVERS:
-        res = outer._run_inner(task, name)
-        good = float(np.linalg.norm(res.x_final)) < 1e-6
+        run = outer.solve(analytic, outer.SolverConfig(eps=eps, inner=name))
+        pair = np.concatenate([run.x_final, run.lambda_final])
+        good = run.terminated == outer.TERMINATED_KKT and float(np.abs(pair - 0.25).max()) <= 3 * eps
         ok = ok and good
-        print(f"inner {name}: {'pass' if good else 'FAIL'} (iterations {res.iterations})")
+        print(f"inner {name}: {'pass' if good else 'FAIL'} (iterations {run.total_inner})")
     return EXIT_OK if (report.passed and ok) else EXIT_SOLVER_FAILURE
 
 

@@ -23,6 +23,7 @@ REGIME_GROWING = "GrowingSigma"
 
 REASON_LOCAL_LIPSCHITZ = "objective derivatives are Lipschitz only on bounded sets"
 REASON_BOUND_EXCEEDED = "outer iterations exceed the bound"
+REASON_BOUND_INFINITE = "the bound is infinite, so no run can exceed it"
 
 LOG_LINEAR = "LogLinear"
 POWER_LAW = "PowerLaw"
@@ -102,7 +103,8 @@ def certify_run(report: outer.RunReport, problem: ProblemSpec, config: outer.Sol
 
     Every input is read from ``report.config``; ``config`` must equal it.  The
     bounds assume globally Lipschitz derivatives, so a problem whose objective
-    is ``local_lipschitz_only`` is never certified; its bound is still reported.
+    is ``local_lipschitz_only`` is never certified, and neither is a run whose
+    bound is infinite (alpha near 1), which bounds nothing; the bound is still reported.
     """
     if config != report.config:
         raise ValueError("config differs from the config the report was produced with")
@@ -131,6 +133,8 @@ def certify_run(report: outer.RunReport, problem: ProblemSpec, config: outer.Sol
         bound = bound_T_unbounded(inputs)
         certified = prefix < bound
     reason = "" if certified else REASON_BOUND_EXCEEDED
+    if bound == math.inf:
+        certified, reason = False, REASON_BOUND_INFINITE
     if problem.objective.local_lipschitz_only:
         certified, reason = False, REASON_LOCAL_LIPSCHITZ
     return Certification(bound, certified, regime, first_ok, prefix, reason)

@@ -14,9 +14,9 @@ Two families are provided:
 All three run one loop, ``_descend``: it evaluates the start (unless the
 task supplies its values), counts iterations and oracle calls, and keeps
 the monotone value min(f, f_new) and its trace until ||grad g||_2 <= eps,
-within an iteration cap taken from g(start) and eps.  It can pass through several descending tolerances in one
-run and return the result each would have stopped at alone, which lets an
-eps-sweep share the descent that its rows repeat.
+within an iteration cap taken from g(start) and eps.  On the way it passes
+the task's larger ``stops``, whose results ride on the last one, so an
+eps-sweep can share the descent that its rows repeat.
 Each iteration calls a step rule on (x, f, grad g, ||grad g||^2), which
 returns ``(point | None, calls)``: the next point in that form, or None when
 it rejected its trial.  Only cubic Newton rejects; it forms the Hessian with
@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -74,7 +74,7 @@ class InnerTask:
     the two may share work.  ``start_pair`` is ``(g(start), grad g(start))``
     when the caller holds them, and ``last_evaluation()`` the caller's record
     of its last joint evaluation of g and grad g, which each result keeps as
-    ``evaluation``.
+    ``evaluation``.  The solve passes ``stops``, descending tolerances above eps, on the way.
     """
 
     objective: Callable[[np.ndarray], float]
@@ -86,6 +86,7 @@ class InnerTask:
     g_low: float = float("-inf")
     start_pair: Optional[tuple[float, np.ndarray]] = None
     last_evaluation: Optional[Callable[[], object]] = None
+    stops: Sequence[float] = ()
 
     def __post_init__(self) -> None:
         self.start = np.asarray(self.start, dtype=float).ravel()
@@ -105,6 +106,8 @@ class InnerResult:
     objective_trace: list[float] = field(default_factory=list)
     # task.last_evaluation() when the result was taken: the record at x_final
     evaluation: object = field(default=None, compare=False, repr=False)
+    # the results at the task's stops, each equal to a solve to that stop alone
+    earlier: list[InnerResult] = field(default_factory=list, compare=False, repr=False)
 
 
 def _finite_scalar(v: float) -> float:
@@ -145,20 +148,19 @@ def _trial_value(task: InnerTask, x: np.ndarray) -> float:
         return math.inf
 
 
-def _descend(task: InnerTask, step, budget, what: str, tolerances=None) -> list[InnerResult]:
-    """Run ``step`` from ``task.start`` through each tolerance in turn; one result per tolerance.
+def _descend(task: InnerTask, step, budget, what: str) -> InnerResult:
+    """Run ``step`` from ``task.start`` through each of ``task.stops``, then to ``task.eps``.
 
-    ``tolerances`` is a descending sequence, ``(task.eps,)`` by default.  The
-    result for a tolerance is taken at the first iterate with ||grad g||_2 at
-    or below it, and equals what a run to that tolerance alone returns: the
+    The result at a tolerance is taken at the first iterate with ||grad g||_2
+    at or below it, and equals what a run to that tolerance alone returns: the
     step rule keeps its state from one tolerance to the next, and the cap
     while working toward eps is ``budget(g(start), eps)`` iterations from the
-    start.  Every result but the last holds copies of x and of the trace.
+    start.  The result at ``task.eps`` is returned, with those at the stops as
+    its ``earlier``; each of them holds copies of x and of the trace.
     ``what`` names the solver in the ``IterationCapExceeded`` message.  A
     ``task.start_pair`` replaces the evaluation at the start, which is then
     not counted.
     """
-    tolerances = (task.eps,) if tolerances is None else tolerances
     x = task.start.copy()
     if task.start_pair is None:
         f, g, gn2 = _value_grad(task, x)
@@ -168,8 +170,8 @@ def _descend(task: InnerTask, step, budget, what: str, tolerances=None) -> list[
         calls = 0
     f_start, iters, trace = f, 0, [f]
     last_evaluation = task.last_evaluation or (lambda: None)
-    results, last = [], len(tolerances) - 1
-    for i, eps in enumerate(tolerances):
+    results, last = [], len(task.stops)
+    for i, eps in enumerate((*task.stops, task.eps)):
         cap = budget(f_start, eps)
         while math.sqrt(gn2) > eps:
             if iters >= cap:
@@ -186,7 +188,8 @@ def _descend(task: InnerTask, step, budget, what: str, tolerances=None) -> list[
             oracle_calls=calls, accepted_steps=len(trace) - 1,
             objective_trace=trace if i == last else trace.copy(), evaluation=last_evaluation(),
         ))
-    return results
+    results[-1].earlier = results[:-1]
+    return results[-1]
 
 
 def gd_solve(task: InnerTask, variant: str = FIXED_STEP) -> InnerResult:
@@ -198,7 +201,7 @@ def gd_solve(task: InnerTask, variant: str = FIXED_STEP) -> InnerResult:
     search accepted its first trial.  Both raise ``IterationCapExceeded``
     where a step no longer moves x and every later step would repeat it.
     """
-    return _descend(task, *_gd_rule(task, variant))[0]
+    return _descend(task, *_gd_rule(task, variant))
 
 
 def _gd_rule(task: InnerTask, variant: str):
@@ -391,7 +394,7 @@ def cubic_newton_solve(task: InnerTask) -> InnerResult:
     a rejected step reuses the Hessian and its eigendecomposition at the same
     point; both are formed only where a model is solved.
     """
-    return _descend(task, *_cubic_rule(task))[0]
+    return _descend(task, *_cubic_rule(task))
 
 
 def _cubic_rule(task: InnerTask):

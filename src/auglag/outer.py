@@ -334,9 +334,10 @@ def warm_start(
 
 
 def _build_inner_task(
-    pen: core.Penalty, start: np.ndarray, eps: float, kind: str, p_low: float, start_pair=None
+    pen: core.Penalty, start: np.ndarray, eps: float, kind: str, p_low: float, start_pair=None,
+    stops: Sequence[float] = (),
 ) -> inner.InnerTask:
-    """The inner solve of P = ``pen`` from ``start``; ``start_pair`` is (P, grad P) there when known."""
+    """The inner solve of P = ``pen`` from ``start``, through ``stops`` to eps; ``start_pair`` is (P, grad P) there."""
     problem, cons = pen.problem, pen.problem.constraints
     hessian = known_L = None
     if kind == INNER_GD_FIXED:
@@ -353,7 +354,7 @@ def _build_inner_task(
     return inner.InnerTask(
         objective=pen.value, gradient=pen.grad, hessian=hessian,
         start=start, eps=eps, known_L=known_L, g_low=p_low, start_pair=start_pair,
-        last_evaluation=pen.last_evaluation,
+        last_evaluation=pen.last_evaluation, stops=stops,
     )
 
 
@@ -414,25 +415,22 @@ def first_inner_results(
 ) -> Optional[list[inner.InnerResult]]:
     """The k = 0 inner results of solves under ``config`` at each eps in ``tolerances``, from one descent.
 
-    ``tolerances`` is descending.  Each result is the one ``solve`` at that
-    eps computes alone (the descent passes through each stopping point), so
-    ``solve(problem, replace(config, eps=e), _first=result)`` skips its k = 0
-    inner solve and returns the same report.  The descent starts as
-    ``solve`` does at k = 0, from ``_start`` and ``warm_start``; no result
-    counts that one evaluation of x0.  None when such a solve runs no inner
-    solve: no outer iteration allowed, or sigma0 above the cap.  Raises
-    whatever the start or the descent raises.
+    ``tolerances`` is descending.  The descent is ``solve``'s k = 0 inner solve
+    to the last eps, with the others as its stops; like every inner solve it
+    goes through ``_build_inner_task`` and ``_run_inner``.  Each result is the
+    one ``solve`` at that eps computes alone, so ``solve(problem,
+    replace(config, eps=e), _first=result)`` returns the same report.  None
+    when such a solve runs no inner solve: no outer iteration allowed, or
+    sigma0 above the cap.  Raises whatever the start or the descent raises.
     """
     if config.max_outer == 0 or config.sigma0 > _SIGMA_CAP:
         return None
     first, penalty, p_low = _start(problem, config)
     start, start_pair, _, _ = warm_start(penalty, first, first)
-    task = _build_inner_task(penalty, start, tolerances[-1], config.inner, p_low, start_pair)
-    if config.inner == INNER_CUBIC:
-        rule = inner._cubic_rule(task)
-    else:
-        rule = inner._gd_rule(task, _GD_VARIANTS[config.inner])
-    return inner._descend(task, *rule, tolerances)
+    *stops, eps = tolerances
+    task = _build_inner_task(penalty, start, eps, config.inner, p_low, start_pair, stops)
+    res = _run_inner(task, config.inner)
+    return [*res.earlier, res]
 
 
 def solve(

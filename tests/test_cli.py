@@ -277,7 +277,8 @@ class TestCheckCommand:
         assert code == cli.EXIT_OK
         text = capsys.readouterr().out
         assert "feasible_start: pass" in text
-        assert "inner cubic-newton: pass" in text
+        for name in outer.INNER_SOLVERS:
+            assert f"inner {name}: pass" in text
 
 
 class TestListAndUsage:

@@ -204,7 +204,8 @@ class TestCertifyEdgeCases:
         cfg = SolverConfig(eps=1e-3, alpha=1.01, gamma=0.01, inner="gd-fixed")
         report = solve(p, cfg)
         cert = certify_run(report, p, cfg)
-        assert cert.regime == REGIME_GROWING and cert.bound_T == math.inf and cert.certified
+        assert cert.regime == REGIME_GROWING and cert.bound_T == math.inf
+        assert not cert.certified and cert.reason == complexity.REASON_BOUND_INFINITE
 
 
 class TestSweep:
@@ -329,6 +330,30 @@ class TestSweep:
             assert np.array_equal(got.x_final, want.x_final)
             assert dataclasses.replace(got, x_final=None) == dataclasses.replace(want, x_final=None)
         assert shared[1].x_final is not shared[2].x_final  # copies, not views of the descent
+
+    @pytest.mark.parametrize("name,kind", [
+        ("simplex-cos-8", "gd-fixed"), ("eq-rosenbrock-8", "gd-backtracking"),
+        ("eq-cos-8", "cubic-newton"),
+    ])
+    def test_the_public_entries_see_every_inner_descent(self, monkeypatch, name, kind):
+        # wrapped by module attribute, as the benchmark's tracer wraps them to count inner work
+        p = corpus_problem(name)
+        cfg = SolverConfig(eps=1e-2, inner=kind)
+        grid = [1e-2, 1e-3, 1e-4]
+        firsts = [solve(p, dataclasses.replace(cfg, eps=e)).trace[1].inner_stats.iterations
+                  for e in grid]
+        seen = []
+        for entry in ("gd_solve", "cubic_newton_solve"):
+            def counted(*args, _entry=getattr(inner, entry)):
+                res = _entry(*args)
+                seen.append(res.iterations)
+                return res
+            monkeypatch.setattr(inner, entry, counted)
+        rows = sweep(p, cfg, grid).rows
+        assert not any(r.failed for r in rows)
+        # the work performed: each row's counts, less the k = 0 descents the rows share,
+        # which the descent to the smallest eps performs once
+        assert sum(seen) == sum(r.total_inner for r in rows) - sum(firsts[:-1])
 
     def test_no_shared_descent_without_an_outer_iteration(self):
         p = corpus_problem("eq-qp-analytic")

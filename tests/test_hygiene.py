@@ -211,13 +211,30 @@ def test_every_inner_task_field_is_read():
     assert unread_fields((SRC / "inner.py").read_text(encoding="utf-8"), "InnerTask") == []
 
 
+def package_imports(source: str) -> list[str]:
+    """The package modules a module imports, by relative import, as "line 3: inner"."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            names = [node.module] if node.module else [alias.name for alias in node.names]
+            found += [f"line {node.lineno}: {name.split('.')[0]}" for name in names]
+    return found
+
+
+def test_scanner_flags_package_imports():
+    source = "import json\nfrom . import core, inner\nfrom .inner import gd_solve\nfrom numpy import ndarray\n"
+    assert package_imports(source) == ["line 2: core", "line 2: inner", "line 3: inner"]
+
+
 def test_inner_solvers_import_no_package_module():
     """The inner solvers see only an InnerTask, never the problem or the penalty."""
-    tree = ast.parse((SRC / "inner.py").read_text(encoding="utf-8"))
-    relative = [
-        node.lineno for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level
-    ]
-    assert relative == []
+    assert package_imports((SRC / "inner.py").read_text(encoding="utf-8")) == []
+
+
+def test_cli_imports_nothing_from_inner():
+    """The CLI reaches the inner solvers only through ``outer``, as every run does."""
+    imports = package_imports((SRC / "cli.py").read_text(encoding="utf-8"))
+    assert [entry for entry in imports if entry.endswith(": inner")] == []
 
 
 def test_readme_library_example_runs():
@@ -294,16 +311,12 @@ def test_scanner_flags_private_cross_references():
 
 
 # Today's private cross-module references, each waiting on a ROADMAP item;
-# the list may only shrink.  Item 14 gives the inner solvers one public entry
-# point, and item 5 lets the benchmark trace a new public function.
+# the list may only shrink.  Item 5 lets the benchmark trace new public
+# functions, which item 14 needs to give the inner solvers one public entry point.
 PRIVATE_CROSS_REFERENCES = {
-    "cli.py: outer._run_inner": "item 14",
     "complexity.py: from .outer import _write_csv": "item 5",
     "complexity.py: from .outer import _write_json": "item 5",
     "complexity.py: outer.solve(_first=)": "item 14",
-    "outer.py: inner._cubic_rule": "item 14",
-    "outer.py: inner._descend": "item 14",
-    "outer.py: inner._gd_rule": "item 14",
 }
 
 

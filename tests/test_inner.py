@@ -494,15 +494,14 @@ class TestIterationBudget:
 
     def test_each_tolerance_has_its_own_cap(self):
         # x_{k+1} = 0.75 x_k from ||grad|| = sqrt(2): 10 iterations reach 0.1, 26 reach 1e-3
-        task = _quadratic_task([1.0, 1.0], eps=1e-3, known_L=4.0)
+        task = _quadratic_task([1.0, 1.0], eps=1e-3, known_L=4.0, stops=(1e-1,))
         step, budget, _ = inner._gd_rule(task, FIXED_STEP)
         assert budget(0.0, 1e-1) < budget(0.0, 1e-3)  # the fixed-step cap grows as eps falls
-        tolerances = (1e-1, 1e-3)
-        results = inner._descend(task, step, lambda f0, eps: 10 if eps > 1e-2 else 26, "gd", tolerances)
-        assert [r.iterations for r in results] == [10, 26]
+        res = inner._descend(task, step, lambda f0, eps: 10 if eps > 1e-2 else 26, "gd")
+        assert [r.iterations for r in [*res.earlier, res]] == [10, 26]
         for caps, hit in (((9, 26), 9), ((10, 25), 25)):
             with pytest.raises(IterationCapExceeded, match=f"budget of {hit} iterations"):
-                inner._descend(task, step, lambda f0, eps: caps[eps < 1e-2], "gd", tolerances)
+                inner._descend(task, step, lambda f0, eps: caps[eps < 1e-2], "gd")
 
 
 def _reference_cubic_step(eig, M):
