@@ -25,6 +25,7 @@ from .problems import ConstraintSet, ProblemSpec
 TERMINATED_KKT = "EpsKKT"
 TERMINATED_MAX_OUTER = "MaxOuter"
 TERMINATED_SIGMA_OVERFLOW = "SigmaOverflow"
+TERMINATED_ORACLE_BUDGET = "OracleBudget"
 
 INNER_GD_FIXED = "gd-fixed"
 INNER_GD_BACKTRACKING = "gd-backtracking"
@@ -36,6 +37,7 @@ MONITOR_RECORD = "record"
 MONITOR_MODES = (MONITOR_STRICT, MONITOR_RECORD)
 
 _SIGMA_CAP = 1e16
+_ORACLE_BUDGET = 1_000_000  # f evaluations per solve, as total_oracle_calls counts them
 _MONITOR_SLACK = 1e-9
 _DUAL_IDENTITY_TOL = 1e-12
 
@@ -335,9 +337,12 @@ def warm_start(
 
 def _build_inner_task(
     pen: core.Penalty, start: np.ndarray, eps: float, kind: str, p_low: float, start_pair=None,
-    stops: Sequence[float] = (),
+    stops: Sequence[float] = (), max_calls: float = math.inf,
 ) -> inner.InnerTask:
-    """The inner solve of P = ``pen`` from ``start``, through ``stops`` to eps; ``start_pair`` is (P, grad P) there."""
+    """The inner solve of P = ``pen`` from ``start``, through ``stops`` to eps, in ``max_calls`` oracle calls.
+
+    ``start_pair`` is (P, grad P) at ``start``.
+    """
     problem, cons = pen.problem, pen.problem.constraints
     hessian = known_L = None
     if kind == INNER_GD_FIXED:
@@ -354,7 +359,7 @@ def _build_inner_task(
     return inner.InnerTask(
         objective=pen.value, gradient=pen.grad, hessian=hessian,
         start=start, eps=eps, known_L=known_L, g_low=p_low, start_pair=start_pair,
-        last_evaluation=pen.last_evaluation, stops=stops,
+        last_evaluation=pen.last_evaluation, stops=stops, max_calls=max_calls,
     )
 
 
@@ -428,7 +433,9 @@ def first_inner_results(
     first, penalty, p_low = _start(problem, config)
     start, start_pair, _, _ = warm_start(penalty, first, first)
     *stops, eps = tolerances
-    task = _build_inner_task(penalty, start, eps, config.inner, p_low, start_pair, stops)
+    task = _build_inner_task(
+        penalty, start, eps, config.inner, p_low, start_pair, stops, _ORACLE_BUDGET - 1
+    )
     res = _run_inner(task, config.inner)
     return [*res.earlier, res]
 
@@ -440,8 +447,11 @@ def solve(
 
     Terminates at the first k >= 1 whose pair (x_k, lambda^(k)) passes the
     direct eps-KKT test; theta <= eps/2 is monitored as the sufficient
-    condition the analysis counts.  ``_first`` is this run's k = 0 inner
-    result from ``first_inner_results``, which an eps-sweep passes.
+    condition the analysis counts.  Ends ``TERMINATED_ORACLE_BUDGET``, with
+    the outer iterations completed before, where an inner solve would take
+    ``total_oracle_calls`` past ``_ORACLE_BUDGET``.  ``_first`` is
+    this run's k = 0 inner result from ``first_inner_results``, which an
+    eps-sweep passes.
     """
     eps = config.eps
     cons = problem.constraints
@@ -452,6 +462,7 @@ def solve(
     trace = [state]
     monitor_log: list[MonitorEntry] = []
     terminated = TERMINATED_MAX_OUTER
+    calls = 1  # total_oracle_calls so far
 
     for k in range(config.max_outer):
         lam, sigma = state.lam, state.sigma
@@ -465,12 +476,19 @@ def solve(
         if k == 0 and _first is not None:
             res = _first
         else:
-            task = _build_inner_task(penalty, start, eps, config.inner, p_low0 - gap0 * k, start_pair)
+            task = _build_inner_task(
+                penalty, start, eps, config.inner, p_low0 - gap0 * k, start_pair,
+                max_calls=_ORACLE_BUDGET - calls,
+            )
             try:
                 res = _run_inner(task, config.inner)
+            except inner.OracleBudgetExceeded:
+                terminated = TERMINATED_ORACLE_BUDGET
+                break
             except (inner.IterationCapExceeded, inner.NonFiniteValue, inner.EigendecompositionFailure) as exc:
                 raise InnerFailure(f"inner solver failed at outer iteration {k}: {exc}") from exc
 
+        calls += res.oracle_calls
         # every quantity below reads the inner solve's last evaluation, at x_{k+1}
         x_next, ev = res.x_final, res.evaluation
         if ev is None or ev.key != x_next.tobytes():

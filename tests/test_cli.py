@@ -362,29 +362,54 @@ def test_float_warnings_are_debug_events(tmp_path, capsys, caplog):
     assert np.geterr() == before and np.geterrcall() is None
 
 
-def test_overflowing_line_search_trial_exits_cleanly(tmp_path, capsys, caplog):
+def test_overflowing_line_search_trial_exits_cleanly(tmp_path, capsys, caplog, monkeypatch):
     # f(x0) = 1e122 is finite; the first Armijo trial overflows f and must halve t
+    monkeypatch.setattr(outer, "_ORACLE_BUDGET", 20_000)
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"name": "big", "n": 2, "objective": {"kind": "rosenbrock"},
                                 "A": [[1, 1]], "b": [1e30], "m_e": 1, "x0": [1e30, 1]}))
     argv = ["solve", "--problem", str(path), "--inner", "gd-backtracking", "--eps", "0.1",
             "--out", str(tmp_path / "run")]
+    start = time.perf_counter()
     with np.errstate(over="ignore"):
         code = cli.main(argv)
+    assert time.perf_counter() - start < 5.0  # P stays near 5e59 while x drifts, up to the budget
     assert code in (cli.EXIT_OK, cli.EXIT_SOLVER_FAILURE)
     assert "Traceback" not in capsys.readouterr().err
     assert "non-finite" not in caplog.text  # the overflow was a rejected trial, not the failure
 
 
 def test_accepted_step_that_no_longer_moves_x_exits_1(tmp_path, capsys, caplog):
-    # eps = 1e-8 lies below the gradient norm reachable in double precision on eq-cos-8
-    argv = ["solve", "--problem", "eq-cos-8", "--inner", "gd-backtracking", "--eps", "1e-8",
+    # eps = 1e-12 lies below the gradient norm reachable in double precision on eq-cos-8
+    argv = ["solve", "--problem", "eq-cos-8", "--inner", "gd-backtracking", "--eps", "1e-12",
             "--out", str(tmp_path / "run")]
     start = time.perf_counter()
     assert cli.main(argv) == cli.EXIT_SOLVER_FAILURE
     assert time.perf_counter() - start < 10.0  # it used to spin towards the 10^7 iteration cap
     assert "Traceback" not in capsys.readouterr().err
     assert "accepted Armijo step" in caplog.text and "no longer moves x" in caplog.text
+
+
+def test_armijo_steps_that_repeat_a_cycle_exit_1(tmp_path, capsys, caplog):
+    # at eps = 1e-16 the Armijo steps on eq-cos-8 repeat a cycle of points with P unchanged
+    argv = ["solve", "--problem", "eq-cos-8", "--inner", "gd-backtracking", "--eps", "1e-16",
+            "--out", str(tmp_path / "run")]
+    start = time.perf_counter()
+    assert cli.main(argv) == cli.EXIT_SOLVER_FAILURE
+    assert time.perf_counter() - start < 10.0  # it would otherwise run towards the 10^7 iteration cap
+    assert "Traceback" not in capsys.readouterr().err
+    assert "Armijo steps repeat a cycle" in caplog.text
+
+
+def test_oracle_budget_ends_the_solve_with_exit_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(outer, "_ORACLE_BUDGET", 40)
+    argv = ["solve", "--problem", "eq-rosenbrock-8", "--inner", "gd-backtracking",
+            "--format", "both", "--out", str(tmp_path / "run")]
+    assert cli.main(argv) == cli.EXIT_SOLVER_FAILURE
+    assert capsys.readouterr().out.startswith("terminated=OracleBudget T_outer=0 ")
+    data = json.loads((tmp_path / "run.json").read_text())
+    assert data["terminated"] == "OracleBudget" and "max_oracle_calls" not in data["config"]
+    assert data["total_oracle_calls"] == 1 and len(data["trace"]) == 1
 
 
 # the values a wrong-typed field gets: JSON of every other type, and numbers

@@ -303,9 +303,9 @@ class TestSweep:
         assert repr(rows) == repr(_rows_alone(p, cfg, [1e-2, 1e-3, 1e-4]))
 
     def test_a_failed_shared_descent_leaves_each_row_to_its_own_solve(self, monkeypatch):
-        # the rows' first descents take 998, 1533 and 2079 iterations: with a
-        # cap of 1200 the shared descent fails, and the row at 1e-2 alone does not
-        monkeypatch.setattr(inner, "_BACKTRACK_CAP", 1200)
+        # the rows' first descents take 158, 196 and 223 iterations: with a
+        # cap of 180 the shared descent fails, and the row at 1e-2 alone does not
+        monkeypatch.setattr(inner, "_BACKTRACK_CAP", 180)
         p = corpus_problem("eq-rosenbrock-8")
         cfg = SolverConfig(eps=1e-2, inner="gd-backtracking")
         grid = [1e-2, 1e-3, 1e-4]

@@ -65,9 +65,9 @@ GOLDEN = {
         "64c1888d4b0663961802d83620ba3aa4083e1417e1e4810272cadc543039671d",
     ),
     "solve-dup-eq-8-gd-backtracking": (
-        "68fa6c510857acc8203ce0ebeee9bb426a276ad16f05139646725cc679afea79",
-        "b36a3a86e0e62971fabf3225ea62165d122ae385abd659506e1554a4261d9d57",
-        "b26c2d5b80f74357dbf63e67afacf754d0087598f46d7d3dadaf845e975874b3",
+        "2ad003ce47daa609c34966dfdc7e9b3c4c06bbfb4faed8479b56bc06309c45dc",
+        "e001e3e8d00ff16a81c255ce4a8e65e9e27f4caf6eba70a23e5cf353d8ae6596",
+        "eb47ee0b0aba95c2be4782d38fcd883fe6d2a0b6486b19563eaa9408ff2d9785",
     ),
     "solve-dup-eq-8-gd-fixed": (
         "9be4d17366f533039d641eaf2a476ff104afaf54e19f5872c1e1dd09af9b86e8",
@@ -85,9 +85,9 @@ GOLDEN = {
         "4f99c324267414ae08aecac6b0daa8ac849fac649aef019debab4c07b7d1e517",
     ),
     "solve-eq-cos-8-gd-backtracking": (
-        "6ebbe40d5f923d7370665d4e501c242ae4333ab1bcc60430074c293af4b382bd",
-        "23ccb5e9725a6b2123f51c22273731c32e4b99a027a91f8d0688552b28f2d1c9",
-        "f645f18d84ac6b136d920ae5bcd38ded24214021384d1169abb00b8acc7258b0",
+        "f92f232f33f188243f7f3a46a4d6e94a58abccbdd58693d4900379f0db7dee0c",
+        "d078156008132c1c4b43997feacb3b473daca8e3775913a4da2d46583d006cb0",
+        "4914a98d996904e063d219922c3d6c6e0cd66f64b06f5c2246c7dad4b519faad",
     ),
     "solve-eq-cos-8-gd-fixed": (
         "48c5dffdda966c1eca4059553a8c82c0aba8772234cd20b4a8202b744fe665a8",
@@ -100,9 +100,9 @@ GOLDEN = {
         "061d382ab961d85b32b7939a21550fb48ae21c91ea5d5d0cc40f98a30818a34c",
     ),
     "solve-eq-qp-analytic-gd-backtracking": (
-        "c28b2c7339e5201af19e7107a3f4fa9051307f391064884a79ee435148d478da",
-        "5da34a6ee146b02044d4996dc00968f0293800cf650bf5b8f1ed2419340a4d94",
-        "1b67786e112633d2141fcdc7c358892a88ca96ff2a47786e0e675ca79c9106df",
+        "4d47394c6b8cb7035f4f576fed213e2ed8929ba8e13c6ff6fa2ab4c577e864d3",
+        "240534ba699e26f6b05d6ed8c25729f85e9216a84a073b63d0a0578dc6a6a5e4",
+        "5fc5f783e1bc572cb4850615a16f8e254b4d493e0ebcc3cacdfca39cebae8a94",
     ),
     "solve-eq-qp-analytic-gd-fixed": (
         "2f2465914a089dc3026479171b1286cb55ff9d26ea04d3277b59302938d12a5d",
@@ -115,9 +115,9 @@ GOLDEN = {
         "969d29c6efa3e9267cb5a282263adf9daf44296767fb77ee4a0b28e64784124f",
     ),
     "solve-eq-rosenbrock-32-gd-backtracking-eps1e-3": (
-        "af9c5572e8b58b47c7483a5e271e371f4776713c726fc16416dd46b015195281",
-        "f4e5de29bcf4f4b2374475038e67f61033234756f8a19f979cd810a3b1bf824c",
-        "fa827c2e8e8126db771882e32bf443d27a8d131253120db5c0672329b653635f",
+        "4638ac42382d4fe70c8dbb1c2ee647636d70a29818b18c0e4f4bb8bde9e10557",
+        "c4b66f1aa004150016e723ba99cd76d23dfe2aa95d88f571fc2dde604463e128",
+        "167175502ab1238976ff235d2e46f618a913bbd22dfa19352081eb9837235147",
     ),
     "solve-eq-rosenbrock-8-cubic-newton": (
         "68ee9a43e7167275302faa4c4fb03b75ab3c09f802cf52f73484a48ab27730f1",
@@ -125,9 +125,9 @@ GOLDEN = {
         "f55cfad37082937260b11442add43a9b4964baf37eace783375e2ae803234fe3",
     ),
     "solve-eq-rosenbrock-8-gd-backtracking": (
-        "d926506799d6d6d7608bc327add8c8fc0b46d3f0b53ad9ae6f525c6c6f5fbe0b",
-        "1da7b9d11b8f6cda27fa2db2ef1968697760138429acc47fd8846665327fc201",
-        "c7301036f88e0bcf21017a7b89ef44fd90dd46ed6cea2e8b8c49184238e0af8d",
+        "a5d29e30d1ebd4fbbf39c30631d8cc17e01cdb4a766727c180e03450a0f72683",
+        "353e71957075db3e9b0ffe6898ebb02b26ff0814a16740142633128006edabdd",
+        "cd3a61c0ddb2668f9a1ae1f4b4e87635f6130d1ec855b7491b9a51b611f9b93c",
     ),
     "solve-simplex-cos-32-gd-fixed-eps1e-4": (
         "185363a0362ffd037c349ab4f9a849a9995eea6806a9706b18cef813ac597565",
@@ -135,9 +135,9 @@ GOLDEN = {
         "b0d5366dadb4182ca22a2c27fe2ec5234507f5c2a5b6ddfed9ba0220075ef809",
     ),
     "solve-simplex-cos-8-gd-backtracking": (
-        "63829de8e44c8f32f53d1f604df6e2bf5dcc7d1c9941a11dfe85d8e91ea0ffd6",
-        "3131f845e6ae454bf7e5938a9e17ab50512409a8a82a251a8460d3ea5019ce17",
-        "5a482dc836c4dafdfbf9842ced52dffdcaa86ebdfd7a07364f0ebc62129bee47",
+        "649b6e4174371e1e47901e1750e2255cf8ce10b1fe33084efc539f7617db4a9b",
+        "4f935132d42ce7c7f3a8bbd50e4655967a698adb67c6b810c967220afc2ccff5",
+        "17f3b2e31964abdca1b49f94c54720df877049abf0b4fa054b4c9bf778c76999",
     ),
     "solve-simplex-cos-8-gd-fixed": (
         "5db330c910cfc894a4f585713fdd7ed1ddf312273a1157ccc6d255002118f4bc",

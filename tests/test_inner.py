@@ -10,6 +10,7 @@ from auglag.inner import (
     InnerTask,
     IterationCapExceeded,
     NonFiniteValue,
+    OracleBudgetExceeded,
     cubic_model_value,
     cubic_newton_solve,
     gd_solve,
@@ -160,15 +161,84 @@ class TestArmijoStepFloor:
             gd_solve(task, BACKTRACKING)
 
 
+def _armijo_log(fn, grad, x0, calls):
+    """The points where gd-backtracking evaluates g ("f") and grad g ("g") in its first ``calls`` oracle calls."""
+    log = []
+
+    def objective(x):
+        log.append(("f", x.copy()))
+        return fn(x)
+
+    def gradient(x):
+        log.append(("g", x.copy()))
+        return grad(x)
+
+    task = InnerTask(objective=objective, gradient=gradient, start=np.asarray(x0, float),
+                     eps=1e-300, max_calls=calls)
+    with pytest.raises(OracleBudgetExceeded):
+        gd_solve(task, BACKTRACKING)
+    return log
+
+
+def _search_starts(log):
+    """(iterates, first trials): x_k where grad g was taken, and the first trial of the search from each."""
+    iterates = [x for kind, x in log if kind == "g"]
+    firsts = [x for (kind, x), (prev, _) in zip(log[1:], log) if kind == "f" and prev == "g"]
+    return iterates, firsts
+
+
+class TestOracleBudget:
+    @pytest.mark.parametrize("calls", [1, 2, 10])
+    def test_a_line_search_stops_at_the_budget(self, calls):
+        # the first search on g = 1e14 x^2 halves t = 2 about 48 times before a trial passes
+        log = _armijo_log(lambda x: 1e14 * float(x[0]) ** 2, lambda x: 2e14 * x, [1.0], calls)
+        assert [kind for kind, _ in log] == ["f", "g"] + ["f"] * (calls - 1)
+
+    @pytest.mark.parametrize("variant", [FIXED_STEP, BACKTRACKING])
+    def test_no_call_left_for_the_start(self, variant):
+        with pytest.raises(OracleBudgetExceeded, match="no oracle call left for its start"):
+            gd_solve(_quadratic_task([1.0], known_L=1.0, max_calls=0), variant)
+
+
 class TestArmijoInitialStep:
-    @pytest.mark.parametrize("iters, calls", [(1, 3), (2, 4), (3, 6), (4, 7), (5, 9), (6, 10)])
-    def test_first_trial_acceptance_alone_doubles_the_start(self, iters, calls):
-        # g = 0.75 x^2 from x = 1: t = 1 passes the Armijo test (x -> -x/2), t = 2 fails
-        # (x -> -2x).  The searches start at 2, 1, 2, 1, ... and take 2, 1, 2, 1, ... trials.
-        eps = 1.8 * 0.5**iters  # |grad g| = 1.5 * 0.5^k after k steps
+    @pytest.mark.parametrize("iters, calls", [(1, 3), (2, 4)])
+    def test_first_search_starts_at_2_the_next_at_the_bb_step(self, iters, calls):
+        # g = 0.75 x^2 from x = 1: t = 2 fails (x -> -2x), t = 1 passes (x -> -x/2).  Then
+        # s = -3/2 and y = 1.5 s, so the BB step s^2/(s y) = 2/3 lands on the minimizer.
+        eps = 1.8 * 0.5**iters  # |grad g| = 0.75 after one step
         res = gd_solve(_quadratic_task([1.0], eps=eps, D=[[1.5]]), BACKTRACKING)
         assert res.iterations == iters and res.oracle_calls == calls
-        assert res.x_final[0] == (-0.5) ** iters
+        assert res.x_final[0] == [-0.5, 0.0][iters - 1]
+
+    def test_later_searches_start_at_the_bb_step(self):
+        D = np.array([1.0, 10.0])
+        log = _armijo_log(lambda x: 0.5 * float(x.dot(D * x)), lambda x: D * x, [1.0, 1.0], 12)
+        xs, firsts = _search_starts(log)
+        assert len(firsts) >= 4
+        np.testing.assert_array_equal(firsts[0], xs[0] - 2.0 * D * xs[0])
+        for k in range(1, len(firsts)):
+            s, y = xs[k] - xs[k - 1], D * xs[k] - D * xs[k - 1]
+            t = float(s.dot(s)) / float(s.dot(y))
+            np.testing.assert_array_equal(firsts[k], xs[k] - t * (D * xs[k]))
+
+    @pytest.mark.parametrize("a, t, calls", [(1e-14, 256.0 * 2.0, 3), (1e14, inner._BB_LO, 100)])
+    def test_the_bb_step_is_clipped(self, a, t, calls):
+        # g = a x^2 has the BB step 1/(2a): 5e13 above 256 times the first search's
+        # accepted t = 2, and 5e-15 below 1e-12, which lies below 256 times t = 2^-47
+        log = _armijo_log(lambda x: a * float(x[0]) ** 2, lambda x: 2.0 * a * x, [1.0], calls)
+        xs, firsts = _search_starts(log)
+        assert (inner._BB_LO, inner._BB_GROWTH) == (1e-12, 256.0)
+        np.testing.assert_array_equal(firsts[1], xs[1] - t * (2.0 * a * xs[1]))
+
+    def test_falls_back_to_the_last_step_where_s_y_is_not_positive(self):
+        # g = cos x is concave near 0.1: t = 2 passes at once, and the next search,
+        # with s'y < 0, starts at 2t = 4
+        log = _armijo_log(lambda x: math.cos(x[0]), lambda x: -np.sin(x), [0.1], 3)
+        xs, firsts = _search_starts(log)
+        np.testing.assert_array_equal(firsts[0], xs[0] - 2.0 * -np.sin(xs[0]))
+        s, y = xs[1] - xs[0], -np.sin(xs[1]) + np.sin(xs[0])
+        assert float(s.dot(y)) < 0.0
+        np.testing.assert_array_equal(firsts[1], xs[1] - 4.0 * -np.sin(xs[1]))
 
     def test_accepted_step_that_no_longer_moves_x_stops(self):
         # g is 1 at x = 1e10 and 2 anywhere else, with grad 1e-6: t = 2 and t = 1 move x
@@ -179,10 +249,30 @@ class TestArmijoInitialStep:
         with pytest.raises(IterationCapExceeded, match="accepted Armijo step t = 0.5 no longer moves x"):
             gd_solve(task, BACKTRACKING)
 
+    def test_bb_steps_that_repeat_a_cycle_stop(self):
+        # g is 1 everywhere, with a made-up gradient at p = 1 and at q = 1 - 2^-53, the float
+        # below it.  From p, t = 2 rounds to q.  From q, y rounds to -2^-53 = s, so the BB step
+        # is 1, which rounds back to p; from p it is 1 again and rounds to q.  The state after
+        # that third step, at q from p with t = 1, recurs after the fifth, found by Brent's check.
+        p, q = 1.0, 1.0 - 2.0**-53
+        grads = {p: 2.0**-54 + 2.0**-106, q: -(2.0**-54)}
+        points = []
+
+        def gradient(x):
+            points.append(float(x[0]))
+            return np.array([grads[float(x[0])]])
+
+        task = InnerTask(objective=lambda x: 1.0, gradient=gradient, start=np.array([p]), eps=1e-20)
+        with pytest.raises(IterationCapExceeded, match="Armijo steps repeat a cycle of 2 steps at g = 1.0"):
+            gd_solve(task, BACKTRACKING)
+        assert points == [p, q, p, q, p]
+
     @pytest.mark.parametrize("name", ["simplex-cos-8", "eq-cos-8", "dup-eq-8", "eq-qp-analytic"])
     def test_steps_and_trials_within_the_t_min_bounds(self, name, monkeypatch):
-        # every inner solve of an outer run, against the bounds proved in gd_solve
-        # from t_min = min(2, (1 - c1)/L) with L the certified constant of grad P
+        # every inner solve of an outer run, against the bounds proved in _gd_rule
+        # from t_min = min(2, (1 - c1)/L) with L the certified constant of grad P:
+        # each accepted t is at least t_min, and each search's first trial at most
+        # 256 times the last accepted t (2 for the first), so trials <= 9 N + log2(2 / t_min)
         solves, run = [], outer._run_inner
 
         def recording_run(task, kind):
@@ -200,7 +290,8 @@ class TestArmijoInitialStep:
             p_low = p.objective.f_low - float(pen.lam @ pen.lam) / (2.0 * pen.sigma)  # P >= p_low
             assert res.accepted_steps == res.iterations
             assert res.accepted_steps <= (res.objective_trace[0] - p_low) / (c1 * t_min * task.eps**2) + 1
-            assert res.oracle_calls <= 1 + 2 * res.iterations + max(0, math.ceil(math.log2(1.0 / t_min)))
+            growth = math.log2(inner._BB_GROWTH)
+            assert res.oracle_calls <= 1 + (1 + growth) * res.iterations + math.log2(2.0 / t_min)
 
 
 class TestNonFiniteTrial:

@@ -81,6 +81,43 @@ class TestConfigValidation:
         assert [f.name for f in dataclasses.fields(SolverConfig)] == [*keys, "require_theta_half"]
 
 
+class TestOracleBudget:
+    @pytest.mark.parametrize("name,kind", [
+        ("eq-cos-8", INNER_GD_BACKTRACKING), ("simplex-cos-8", INNER_GD_FIXED), ("eq-cos-8", INNER_CUBIC),
+    ])
+    def test_a_budget_below_the_run_ends_it_with_the_iterations_completed(self, name, kind, monkeypatch):
+        p = corpus_problem(name)
+        config = SolverConfig(eps=1e-3, inner=kind)
+        full = solve(p, config)
+        needed = full.total_oracle_calls
+        after_first = 1 + full.trace[1].inner_stats.oracle_calls
+        assert full.terminated == outer.TERMINATED_KKT and full.T_outer >= 2
+        assert outer._ORACLE_BUDGET == 1_000_000 > needed
+        monkeypatch.setattr(outer, "_ORACLE_BUDGET", needed)
+        assert solve(p, config).to_json_dict() == full.to_json_dict()
+        outside, inside = count_oracles(monkeypatch)
+        for budget, T in ((needed - 1, full.T_outer - 1), (after_first, 1), (after_first - 1, 0), (1, 0)):
+            outside.clear()
+            inside.clear()
+            monkeypatch.setattr(outer, "_ORACLE_BUDGET", budget)
+            report = solve(p, config)
+            assert report.terminated == outer.TERMINATED_ORACLE_BUDGET == "OracleBudget"
+            assert report.T_outer == T and report.trace[-1].x.tobytes() == full.trace[T].x.tobytes()
+            assert report.total_oracle_calls <= budget
+            # the f evaluations made, in the inner solve it stopped too, stay within the budget
+            assert outside["value"] + inside["value"] <= budget
+
+    def test_a_sweep_row_fails_with_the_status(self, monkeypatch):
+        p = corpus_problem("eq-rosenbrock-8")
+        config = SolverConfig(eps=1e-2, inner=INNER_GD_BACKTRACKING)
+        monkeypatch.setattr(outer, "_ORACLE_BUDGET", solve(p, config).total_oracle_calls)
+        rows = sweep(p, config, [1e-2, 1e-3]).rows
+        assert [(r.failed, r.terminated) for r in rows] == [
+            (False, outer.TERMINATED_KKT), (True, outer.TERMINATED_ORACLE_BUDGET)
+        ]
+        assert "cannot certify a run terminated 'OracleBudget'" in rows[1].error
+
+
 def test_sigma_overflow_stops_before_the_first_inner_solve():
     report = solve(corpus_problem("eq-qp-analytic"), SolverConfig(eps=1e-3, sigma0=1e17))
     assert report.terminated == outer.TERMINATED_SIGMA_OVERFLOW == "SigmaOverflow"
@@ -429,13 +466,19 @@ class TestBacktrackingFuzz:
         # a strict-monitor violation or a P form disagreement would raise out of solve
         config = SolverConfig(eps=eps, inner=INNER_GD_BACKTRACKING, max_outer=20, monitor=outer.MONITOR_STRICT)
         try:
-            report = solve(p, config)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(outer, "_ORACLE_BUDGET", 20_000)
+                report = solve(p, config)
         except outer.InnerFailure:
             return
         assert report.terminated in (
-            outer.TERMINATED_KKT, outer.TERMINATED_MAX_OUTER, outer.TERMINATED_SIGMA_OVERFLOW
+            outer.TERMINATED_KKT, outer.TERMINATED_MAX_OUTER, outer.TERMINATED_SIGMA_OVERFLOW,
+            outer.TERMINATED_ORACLE_BUDGET,
         )
+        assert report.total_oracle_calls <= 20_000
         assert not [e for e in report.monitor_log if not e.passed]
+        if report.terminated == outer.TERMINATED_KKT and p.objective.L1 is not None:
+            assert certify_run(report, p, config).certified
 
 
 class TestDefaultInner:
