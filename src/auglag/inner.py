@@ -4,7 +4,7 @@ Two families are provided:
 
 * gradient descent, either with the fixed step 1/L (requires a certified
   Lipschitz constant) or with monotone Armijo backtracking, whose searches
-  start at the Barzilai-Borwein step of the last two iterates, for the
+  start at an adaptive Barzilai-Borwein step of the last two iterates, for the
   first-order iteration budget C * L * (g(start) - g_low) / eps^2;
 * adaptive cubic-regularized Newton for the second-order budget
   C * sqrt(L) * (g(start) - g_low) / eps^(3/2), with the cubic subproblem
@@ -53,6 +53,8 @@ _ARMIJO_C1 = 1e-4
 _STEP_FLOOR = 1e-16
 # an Armijo search's first trial is at least _BB_LO and at most _BB_GROWTH times the last accepted t
 _BB_LO, _BB_GROWTH = 1e-12, 256.0
+# and is the short BB step s'y / y'y where that is below _BB_KAPPA times s's / s'y, but not below _BB_DELTA times it
+_BB_KAPPA, _BB_DELTA = 0.2, 0.1
 _M_MIN = 1e-8
 _SECULAR_TOL = 1e-12
 
@@ -212,13 +214,15 @@ def gd_solve(task: InnerTask, variant: str = FIXED_STEP) -> InnerResult:
     ``FIXED_STEP`` steps by grad g / known_L.  ``BACKTRACKING`` halves an
     Armijo trial step until g(x - t grad g) <= g(x) - 1e-4 t ||grad g||^2;
     each search starts at the Barzilai-Borwein step s's / s'y of the last
-    step s and gradient change y, or, where there is none or s'y <= 0, at
-    the last accepted t, doubled only when the last search accepted its
-    first trial; the start is at least 1e-12 and at most 256 times the last
-    accepted t.  Both raise ``IterationCapExceeded`` where a step no longer
-    moves x and every later step would repeat it, and ``BACKTRACKING`` also
-    where its steps, with g unchanged, return to a state they were in and
-    would repeat the cycle between.
+    step s and gradient change y, or at the short step s'y / y'y where that
+    is below a fifth of it, but at no less than a tenth of it; where there
+    is no last step or s'y <= 0, it starts at the last accepted t, doubled
+    only when the last search accepted its first trial.  The start is at
+    least 1e-12 and at most 256 times the last accepted t.  Both raise
+    ``IterationCapExceeded`` where a step no longer moves x and every later
+    step would repeat it, and ``BACKTRACKING`` also where its steps, with g
+    unchanged, return to a state they were in and would repeat the cycle
+    between.
     """
     return _descend(task, *_gd_rule(task, variant))
 
@@ -249,26 +253,33 @@ def _gd_rule(task: InnerTask, variant: str):
 
     # The first trial of a search is the Barzilai-Borwein step t = s's / s'y,
     # from s = x - x_prev and y = grad - grad_prev (Barzilai & Borwein, IMA J.
-    # Numer. Anal. 8, 1988).  Without a previous pair, or where s'y <= 0 or is
-    # not finite, it is the last accepted t, doubled after a first-trial
-    # acceptance, with 2 for the first search (Nocedal & Wright, Numerical
-    # Optimization, 2nd ed., 3.5).  Either is raised to _BB_LO = 1e-12, a
-    # guard against rounding in s's / s'y, and then cut to _BB_GROWTH = 256
-    # times the last accepted t.  Acceptance stays the monotone Armijo test
-    # with halving.
+    # Numer. Anal. 8, 1988), or the short step s'y / y'y where that is below
+    # _BB_KAPPA = 0.2 times it, as s and y point far apart, but not below
+    # _BB_DELTA = 0.1 times it (the adaptive rule of Zhou, Gao & Dai, Comput.
+    # Optim. Appl. 35, 2006, with a floor).  Without a previous pair, or where
+    # s'y <= 0 or is not finite, it is the last accepted t, doubled after a
+    # first-trial acceptance, with 2 for the first search (Nocedal & Wright,
+    # Numerical Optimization, 2nd ed., 3.5).  The start is raised to _BB_LO =
+    # 1e-12, a guard against rounding, and then cut to _BB_GROWTH = 256 times
+    # the last accepted t.  Acceptance stays the monotone Armijo test with halving.
     # If grad g is L-Lipschitz, every t <= 2(1 - c1)/L passes the test, since
     # g(x - t grad) <= g(x) - t (1 - L t / 2) ||grad||^2.  An accepted t is
     # its search's first trial or half of a rejected trial, which is more than
-    # (1 - c1)/L.  A first trial is at least min(1/L, t_prev), as a BB step is
-    # at least 1/L (s'y <= L s's) and the cut lies above t_prev; by induction
-    # t >= t_min = min(2, (1 - c1)/L), the bound of the plain start rule.
+    # (1 - c1)/L.  A first trial is at least min(delta/L, t_prev), as s's / s'y
+    # is at least 1/L (s'y <= L s's), the short step is taken only down to
+    # delta times it, and the cut lies above t_prev; by induction t >= t_min =
+    # min(2, delta/L), as delta < 1 - c1: (1 - c1)/delta, about 10, times
+    # below the min(2, (1 - c1)/L) of the plain BB start, so the bounds below
+    # are that much looser.  The floor is what keeps them: the short step
+    # alone has no lower bound where g is not convex.
     # Each accepted step with ||grad|| > eps lowers g by at least
-    # c1 t_min eps^2, so a solve makes O(eps^-2) steps.  A search whose first
+    # c1 t_min eps^2, so a solve makes O(eps^-2) steps, at most
+    # (g(start) - g_low) / (c1 t_min eps^2) + 1.  A search whose first
     # trial is t1 and accepted step t makes 1 + log2(t1 / t) trials, and
     # t1 <= 256 t_prev, with 2 for the first search; the sum telescopes, so
     # N searches make at most 9 N + log2(2 / t_min) trials.  On the corpus
-    # and on backtracking-sweep a cut at 256 takes the same steps as no cut,
-    # while one at 128 takes 8 % and 41 % more iterations.
+    # and on backtracking-sweep a cut at 256, or at 128, takes the same steps
+    # as no cut.
     t_prev, grow = 1.0, True
     x_prev = g_prev = None  # the last accepted point and its gradient
     seen, power, count = None, 1, 0  # Brent's cycle check over the steps that leave g unchanged
@@ -280,7 +291,9 @@ def _gd_rule(task: InnerTask, variant: str):
             s, y = x - x_prev, g - g_prev
             sy = float(s.dot(y))
             if 0.0 < sy < math.inf:  # false for NaN too
-                t = float(s.dot(s)) / sy
+                t, yy = float(s.dot(s)) / sy, float(y.dot(y))
+                if sy < _BB_KAPPA * t * yy:  # s'y / y'y < kappa t, with no division by y'y = 0
+                    t = max(sy / yy, _BB_DELTA * t)
         t = min(max(t, _BB_LO), _BB_GROWTH * t_prev)
         trials = 0
         while True:

@@ -303,16 +303,18 @@ class TestSweep:
         assert repr(rows) == repr(_rows_alone(p, cfg, [1e-2, 1e-3, 1e-4]))
 
     def test_a_failed_shared_descent_leaves_each_row_to_its_own_solve(self, monkeypatch):
-        # the rows' first descents take 158, 196 and 223 iterations: with a
-        # cap of 180 the shared descent fails, and the row at 1e-2 alone does not
-        monkeypatch.setattr(inner, "_BACKTRACK_CAP", 180)
+        # with the cap at the iterations of the row at 1e-2, the shared descent
+        # fails, and each row alone fails just where its first descent needs more
         p = corpus_problem("eq-rosenbrock-8")
         cfg = SolverConfig(eps=1e-2, inner="gd-backtracking")
         grid = [1e-2, 1e-3, 1e-4]
+        iters = [r.iterations for r in outer.first_inner_results(p, cfg, grid)]
+        assert iters[0] < iters[-1] and all(solve(p, dataclasses.replace(cfg, eps=e)).T_outer == 1 for e in grid)
+        monkeypatch.setattr(inner, "_BACKTRACK_CAP", iters[0])
         with pytest.raises(inner.IterationCapExceeded):
             outer.first_inner_results(p, cfg, grid)
         rows = sweep(p, cfg, grid).rows
-        assert [r.failed for r in rows] == [False, True, True]
+        assert [r.failed for r in rows] == [i > iters[0] for i in iters]
         assert repr(rows) == repr(_rows_alone(p, cfg, grid))
 
     @pytest.mark.parametrize("name,kind", [

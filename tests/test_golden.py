@@ -115,9 +115,9 @@ GOLDEN = {
         "969d29c6efa3e9267cb5a282263adf9daf44296767fb77ee4a0b28e64784124f",
     ),
     "solve-eq-rosenbrock-32-gd-backtracking-eps1e-3": (
-        "4638ac42382d4fe70c8dbb1c2ee647636d70a29818b18c0e4f4bb8bde9e10557",
-        "c4b66f1aa004150016e723ba99cd76d23dfe2aa95d88f571fc2dde604463e128",
-        "167175502ab1238976ff235d2e46f618a913bbd22dfa19352081eb9837235147",
+        "3c0c8ef512d4174de7a07c3eb01ca74c8350000198a9eebac62205ab33ea1026",
+        "1812792dd5f0680c05a7cf7ece05929a8419be933d84d7b7b367d15714231548",
+        "8546496029c9d32002bc6415830acaed7ba4f382dea01079078f73a00ad200d3",
     ),
     "solve-eq-rosenbrock-8-cubic-newton": (
         "68ee9a43e7167275302faa4c4fb03b75ab3c09f802cf52f73484a48ab27730f1",
@@ -125,9 +125,9 @@ GOLDEN = {
         "f55cfad37082937260b11442add43a9b4964baf37eace783375e2ae803234fe3",
     ),
     "solve-eq-rosenbrock-8-gd-backtracking": (
-        "a5d29e30d1ebd4fbbf39c30631d8cc17e01cdb4a766727c180e03450a0f72683",
-        "353e71957075db3e9b0ffe6898ebb02b26ff0814a16740142633128006edabdd",
-        "cd3a61c0ddb2668f9a1ae1f4b4e87635f6130d1ec855b7491b9a51b611f9b93c",
+        "7701c2fb971599abe30cad06c4b70e6b65d85b891f0029acbcf0e5c065fc3462",
+        "763b4a67731d3d78855b3720e3dc4644cb4923df51431f8084fdf49c982edb98",
+        "1726055fc565dc6b5d2e9d503310e47b47cb8944daf9f87f1a72d5682e606ed1",
     ),
     "solve-simplex-cos-32-gd-fixed-eps1e-4": (
         "185363a0362ffd037c349ab4f9a849a9995eea6806a9706b18cef813ac597565",

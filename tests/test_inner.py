@@ -230,6 +230,22 @@ class TestArmijoInitialStep:
         assert (inner._BB_LO, inner._BB_GROWTH) == (1e-12, 256.0)
         np.testing.assert_array_equal(firsts[1], xs[1] - t * (2.0 * a * xs[1]))
 
+    @pytest.mark.parametrize("a, x2, floored", [(30.0, 0.01, False), (100.0, 0.001, True)])
+    def test_the_short_bb_step_starts_where_s_and_y_point_far_apart(self, a, x2, floored):
+        # g = x'Dx/2 with D = diag(1, a) from (1, x2): after the first step s'y / y'y is 0.15
+        # (a = 30) or 0.04 (a = 100) times s's / s'y, below kappa = 0.2 times it; 0.04 is
+        # also below delta = 0.1 times it, so that search starts at the floor
+        D = np.array([1.0, a])
+        log = _armijo_log(lambda x: 0.5 * float(x.dot(D * x)), lambda x: D * x, [1.0, x2], 8)
+        xs, firsts = _search_starts(log)
+        s, y = xs[1] - xs[0], D * xs[1] - D * xs[0]
+        sy = float(s.dot(y))
+        long, short = float(s.dot(s)) / sy, sy / float(y.dot(y))
+        assert (inner._BB_KAPPA, inner._BB_DELTA) == (0.2, 0.1)
+        assert short < 0.2 * long and (short < 0.1 * long) == floored
+        t = 0.1 * long if floored else short
+        np.testing.assert_array_equal(firsts[1], xs[1] - t * (D * xs[1]))
+
     def test_falls_back_to_the_last_step_where_s_y_is_not_positive(self):
         # g = cos x is concave near 0.1: t = 2 passes at once, and the next search,
         # with s'y < 0, starts at 2t = 4
@@ -267,10 +283,18 @@ class TestArmijoInitialStep:
             gd_solve(task, BACKTRACKING)
         assert points == [p, q, p, q, p]
 
+    @pytest.mark.parametrize("n, plain_bb", [(8, 468), (32, 332)])
+    def test_the_shared_descent_makes_fewer_f_evaluations_than_the_plain_bb_start(self, n, plain_bb):
+        # a ratchet: the k = 0 descent of eq-rosenbrock-n to 1e-4, from a sweep's stops,
+        # made plain_bb oracle calls, one f evaluation each, when every search started at s's / s'y
+        config = outer.SolverConfig(eps=1e-2, inner=outer.INNER_GD_BACKTRACKING)
+        res = outer.first_inner_results(corpus_problem(f"eq-rosenbrock-{n}"), config, [1e-2, 1e-3, 1e-4])[-1]
+        assert res.grad_norm2 <= 1e-4 and res.oracle_calls < plain_bb
+
     @pytest.mark.parametrize("name", ["simplex-cos-8", "eq-cos-8", "dup-eq-8", "eq-qp-analytic"])
     def test_steps_and_trials_within_the_t_min_bounds(self, name, monkeypatch):
         # every inner solve of an outer run, against the bounds proved in _gd_rule
-        # from t_min = min(2, (1 - c1)/L) with L the certified constant of grad P:
+        # from t_min = min(2, delta/L) with L the certified constant of grad P:
         # each accepted t is at least t_min, and each search's first trial at most
         # 256 times the last accepted t (2 for the first), so trials <= 9 N + log2(2 / t_min)
         solves, run = [], outer._run_inner
@@ -286,7 +310,7 @@ class TestArmijoInitialStep:
         assert report.terminated == outer.TERMINATED_KKT and len(solves) == report.T_outer
         c1 = inner._ARMIJO_C1
         for pen, task, res in solves:
-            t_min = min(2.0, (1.0 - c1) / core.lipschitz_bound_for(p, pen.sigma))
+            t_min = min(2.0, inner._BB_DELTA / core.lipschitz_bound_for(p, pen.sigma))
             p_low = p.objective.f_low - float(pen.lam @ pen.lam) / (2.0 * pen.sigma)  # P >= p_low
             assert res.accepted_steps == res.iterations
             assert res.accepted_steps <= (res.objective_trace[0] - p_low) / (c1 * t_min * task.eps**2) + 1

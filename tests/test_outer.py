@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from auglag import core, outer
+from auglag import core, outer, problems
 from auglag.complexity import certify_run, sweep
 from auglag.outer import (
     INNER_CUBIC,
@@ -108,10 +108,13 @@ class TestOracleBudget:
             assert outside["value"] + inside["value"] <= budget
 
     def test_a_sweep_row_fails_with_the_status(self, monkeypatch):
+        # a budget of the calls of the run at 1e-2, which the run at 1e-4 passes
         p = corpus_problem("eq-rosenbrock-8")
         config = SolverConfig(eps=1e-2, inner=INNER_GD_BACKTRACKING)
-        monkeypatch.setattr(outer, "_ORACLE_BUDGET", solve(p, config).total_oracle_calls)
-        rows = sweep(p, config, [1e-2, 1e-3]).rows
+        budget = solve(p, config).total_oracle_calls
+        assert solve(p, dataclasses.replace(config, eps=1e-4)).total_oracle_calls > budget
+        monkeypatch.setattr(outer, "_ORACLE_BUDGET", budget)
+        rows = sweep(p, config, [1e-2, 1e-4]).rows
         assert [(r.failed, r.terminated) for r in rows] == [
             (False, outer.TERMINATED_KKT), (True, outer.TERMINATED_ORACLE_BUDGET)
         ]
@@ -441,19 +444,27 @@ class TestMixedSignFuzz:
         assert certify_run(report, p, report.config).certified
 
 
+def _corpus_objectives(n):
+    return st.sampled_from([make_eq_cos, make_eq_rosenbrock]).map(lambda family: family(n).objective)
+
+
+def _cos_objectives(n):
+    """quadratic+cos with omega in [1.5, 4], and its declared L1."""
+    return st.floats(1.5, 4.0).map(lambda omega: problems._quadratic_cos_objective(n, omega=omega))
+
+
 @st.composite
-def _linear_problems(draw):
+def _linear_problems(draw, max_n=5, objectives=_corpus_objectives):
     """0-2 equality and 0-3 inequality rows (at least one row), random A, feasible at x0."""
-    n = draw(st.integers(2, 5))
+    n = draw(st.integers(2, max_n))
     m_e, m_i = draw(st.integers(0, 2)), draw(st.integers(0, 3))
     m = max(m_e + m_i, 1)
     A = draw(arrays(float, (m, n), elements=st.floats(-2.0, 2.0)))
     x0 = draw(arrays(float, n, elements=st.floats(-1.0, 1.0)))
     slack = draw(arrays(float, m - m_e, elements=st.floats(0.0, 1.0)))
-    family = draw(st.sampled_from([make_eq_cos, make_eq_rosenbrock]))
     return ProblemSpec(
         name="fuzz-linear",
-        objective=family(n).objective,
+        objective=draw(objectives(n)),
         constraints=ConstraintSet(m=m, m_e=m_e, A=A, b=A @ x0 - np.concatenate([np.zeros(m_e), slack])),
         x0=x0,
     )
@@ -479,6 +490,25 @@ class TestBacktrackingFuzz:
         assert not [e for e in report.monitor_log if not e.passed]
         if report.terminated == outer.TERMINATED_KKT and p.objective.L1 is not None:
             assert certify_run(report, p, config).certified
+
+
+class TestCertifiedFuzz:
+    @settings(max_examples=15, deadline=None)
+    @given(p=_linear_problems(max_n=6, objectives=_cos_objectives))
+    def test_every_kkt_run_is_certified(self, p):
+        # L1 is declared and the rows are linear, so each first-order run that ends at
+        # an eps-KKT point must meet the paper's outer-iteration bound; a degenerate
+        # draw (such as a feasible set of one point) ends at the oracle budget instead
+        for kind in (INNER_GD_FIXED, INNER_GD_BACKTRACKING):
+            for eps in (1e-2, 1e-3):
+                config = SolverConfig(eps=eps, inner=kind, require_theta_half=True)
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(outer, "_ORACLE_BUDGET", 20_000)
+                    report = solve(p, config)
+                assert report.terminated in (outer.TERMINATED_KKT, outer.TERMINATED_ORACLE_BUDGET)
+                assert report.total_oracle_calls <= 20_000
+                if report.terminated == outer.TERMINATED_KKT:
+                    assert certify_run(report, p, config).certified
 
 
 class TestDefaultInner:
