@@ -123,15 +123,9 @@ def certify_run(report: outer.RunReport, problem: ProblemSpec, config: outer.Sol
             break
     prefix = (first_ok - 1) if first_ok is not None else report.T_outer
 
-    if regime == REGIME_BOUNDED:
-        bound = bound_T_bounded(inputs)
-        if first_ok is not None:
-            certified = first_ok <= math.ceil(bound)
-        else:
-            certified = report.T_outer <= math.ceil(bound)
-    else:
-        bound = bound_T_unbounded(inputs)
-        certified = prefix < bound
+    bound = (bound_T_bounded if regime == REGIME_BOUNDED else bound_T_unbounded)(inputs)
+    # theta <= eps/2 at every T above the bound, so theta > eps/2 up to T = prefix needs prefix < bound
+    certified = prefix < bound
     reason = "" if certified else REASON_BOUND_EXCEEDED
     if bound == math.inf:
         certified, reason = False, REASON_BOUND_INFINITE

@@ -14,8 +14,9 @@ Two families are provided:
 All three run one loop, ``_descend``: it evaluates the start (unless the
 task supplies its values), counts iterations and oracle calls, and keeps
 the monotone value min(f, f_new) and its trace until ||grad g||_2 <= eps,
-within an iteration cap taken from g(start) and eps and within the task's
-oracle budget ``max_calls``.  On the way it passes the task's larger
+within the task's oracle budget ``max_calls``, by default ``ORACLE_BUDGET``
+calls, and for fixed-step descent also within the iteration cap certified
+from L, g(start) and eps.  On the way it passes the task's larger
 ``stops``, whose results ride on the last one, so an eps-sweep can share the
 descent that its rows repeat.
 Each iteration calls a step rule on (x, f, grad g, ||grad g||^2) and the
@@ -47,8 +48,7 @@ import numpy as np
 FIXED_STEP = "fixed"
 BACKTRACKING = "backtracking"
 
-_BACKTRACK_CAP = 10_000_000
-_CUBIC_CAP = 1_000_000
+ORACLE_BUDGET = 1_000_000  # oracle calls: an inner solve's unless its task sets one, a run's in outer.solve
 _ARMIJO_C1 = 1e-4
 _STEP_FLOOR = 1e-16
 # an Armijo search's first trial is at least _BB_LO and at most _BB_GROWTH times the last accepted t
@@ -60,7 +60,8 @@ _SECULAR_TOL = 1e-12
 
 
 class IterationCapExceeded(RuntimeError):
-    """The inner solver exhausted its iteration budget (bad L or assumptions)."""
+    """The inner solver cannot reach eps: fixed-step descent passed its certified
+    iteration cap, or a step shows that no later one makes progress (bad L or assumptions)."""
 
 
 class OracleBudgetExceeded(RuntimeError):
@@ -84,7 +85,8 @@ class InnerTask:
     when the caller holds them, and ``last_evaluation()`` the caller's record
     of its last joint evaluation of g and grad g, which each result keeps as
     ``evaluation``.  The solve passes ``stops``, descending tolerances above eps, on the way,
-    and raises ``OracleBudgetExceeded`` rather than make more than ``max_calls`` oracle calls.
+    and raises ``OracleBudgetExceeded`` rather than make more than ``max_calls`` oracle calls,
+    which is ``ORACLE_BUDGET`` when the task is built without it.
     """
 
     objective: Callable[[np.ndarray], float]
@@ -97,7 +99,8 @@ class InnerTask:
     start_pair: Optional[tuple[float, np.ndarray]] = None
     last_evaluation: Optional[Callable[[], object]] = None
     stops: Sequence[float] = ()
-    max_calls: float = math.inf  # the most oracle calls the solve may make, counted as oracle_calls
+    # the most oracle calls the solve may make, counted as oracle_calls
+    max_calls: int = field(default_factory=lambda: ORACLE_BUDGET)
 
     def __post_init__(self) -> None:
         self.start = np.asarray(self.start, dtype=float).ravel()
@@ -164,11 +167,11 @@ def _descend(task: InnerTask, step, budget, what: str) -> InnerResult:
 
     The result at a tolerance is taken at the first iterate with ||grad g||_2
     at or below it, and equals what a run to that tolerance alone returns: the
-    step rule keeps its state from one tolerance to the next, and the cap
-    while working toward eps is ``budget(g(start), eps)`` iterations from the
-    start.  The result at ``task.eps`` is returned, with those at the stops as
-    its ``earlier``; each of them holds copies of x and of the trace.
-    ``what`` names the solver in the ``IterationCapExceeded`` message.  A
+    step rule keeps its state from one tolerance to the next, and, for a rule
+    with a ``budget``, the cap while working toward eps is ``budget(g(start),
+    eps)`` iterations from the start.  The result at ``task.eps`` is returned,
+    with those at the stops as its ``earlier``; each of them holds copies of x
+    and of the trace.  ``what`` names the solver in the error messages.  A
     ``task.start_pair`` replaces the evaluation at the start, which is then
     not counted.  ``step`` is passed the calls left under ``task.max_calls``,
     at least 1; a step that would need more raises ``OracleBudgetExceeded``.
@@ -186,7 +189,7 @@ def _descend(task: InnerTask, step, budget, what: str) -> InnerResult:
     last_evaluation = task.last_evaluation or (lambda: None)
     results, last = [], len(task.stops)
     for i, eps in enumerate((*task.stops, task.eps)):
-        cap = budget(f_start, eps)
+        cap = budget(f_start, eps) if budget else math.inf
         while math.sqrt(gn2) > eps:
             if iters >= cap:
                 raise IterationCapExceeded(f"{what} exceeded its budget of {cap} iterations")
@@ -228,7 +231,7 @@ def gd_solve(task: InnerTask, variant: str = FIXED_STEP) -> InnerResult:
 
 
 def _gd_rule(task: InnerTask, variant: str):
-    """(step, budget, name) of ``gd_solve`` on ``task``, for ``_descend``."""
+    """(step, budget, name) of ``gd_solve`` on ``task``, for ``_descend``; only ``FIXED_STEP`` has a budget."""
     if variant not in (FIXED_STEP, BACKTRACKING):
         raise ValueError(f"unknown variant {variant!r}")
     L = task.known_L
@@ -331,7 +334,7 @@ def _gd_rule(task: InnerTask, variant: str):
 
     if variant == FIXED_STEP:
         return fixed_step, fixed_budget, "gradient descent"
-    return armijo_step, lambda f0, eps: _BACKTRACK_CAP, "gradient descent"
+    return armijo_step, None, "gradient descent"
 
 
 def cubic_model_value(g: np.ndarray, H: np.ndarray, M: float, s: np.ndarray):
@@ -456,7 +459,8 @@ def cubic_newton_solve(task: InnerTask) -> InnerResult:
     """Adaptive cubic-regularized Newton to ||grad g||_2 <= eps.
 
     Steps are accepted when the actual decrease reaches a quarter of the
-    model decrease; the regularization weight doubles on rejection and halves
+    model decrease, or, where the model decrease is within 16 ulps of g(x),
+    when g does not rise; the regularization weight doubles on rejection and halves
     (down to a floor) on acceptance.  Only accepted steps move the iterate, so
     a rejected step reuses the Hessian and its eigendecomposition at the same
     point; both are formed only where a model is solved.
@@ -465,7 +469,7 @@ def cubic_newton_solve(task: InnerTask) -> InnerResult:
 
 
 def _cubic_rule(task: InnerTask):
-    """(step, budget, name) of ``cubic_newton_solve`` on ``task``, for ``_descend``."""
+    """(step, None, name) of ``cubic_newton_solve`` on ``task``, for ``_descend``."""
     if task.hessian is None:
         raise ValueError("cubic Newton requires a Hessian oracle")
     M = max(task.known_L, _M_MIN) if task.known_L is not None else 1.0
@@ -483,11 +487,13 @@ def _cubic_rule(task: InnerTask):
         if (x_trial == x).all():  # M only grows from here, and s only shrinks
             raise IterationCapExceeded(f"the cubic step no longer moves x; M = {M!r} is too large")
         f_trial = _trial_value(task, x_trial)
-        if model_dec > 0.0 and f - f_trial >= 0.25 * model_dec:
+        # a model decrease within a few ulps of f is below the rounding of f - f_trial,
+        # so the ratio test would only compare rounding errors: any step not raising g passes
+        if f - f_trial >= 0.25 * model_dec if model_dec > 16.0 * math.ulp(f) else f_trial <= f:
             model = None
             M = max(0.5 * M, _M_MIN)
             return (x_trial, f_trial, *_grad_sq(task.gradient(x_trial))), 1
         M *= 2.0
         return None, 1
 
-    return step, lambda f0, eps: _CUBIC_CAP, "cubic Newton"
+    return step, None, "cubic Newton"

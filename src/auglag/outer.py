@@ -37,7 +37,6 @@ MONITOR_RECORD = "record"
 MONITOR_MODES = (MONITOR_STRICT, MONITOR_RECORD)
 
 _SIGMA_CAP = 1e16
-_ORACLE_BUDGET = 1_000_000  # f evaluations per solve, as total_oracle_calls counts them
 _MONITOR_SLACK = 1e-9
 _DUAL_IDENTITY_TOL = 1e-12
 
@@ -337,11 +336,13 @@ def warm_start(
 
 def _build_inner_task(
     pen: core.Penalty, start: np.ndarray, eps: float, kind: str, p_low: float, start_pair=None,
-    stops: Sequence[float] = (), max_calls: float = math.inf,
+    stops: Sequence[float] = (), spent: int = 1,
 ) -> inner.InnerTask:
-    """The inner solve of P = ``pen`` from ``start``, through ``stops`` to eps, in ``max_calls`` oracle calls.
+    """The inner solve of P = ``pen`` from ``start``, through ``stops`` to eps.
 
-    ``start_pair`` is (P, grad P) at ``start``.
+    ``start_pair`` is (P, grad P) at ``start``.  ``spent`` is the run's oracle
+    calls so far, 1 (at x0) before its first inner solve; the solve may make
+    the rest of ``inner.ORACLE_BUDGET``, as ``total_oracle_calls`` counts them.
     """
     problem, cons = pen.problem, pen.problem.constraints
     hessian = known_L = None
@@ -359,7 +360,7 @@ def _build_inner_task(
     return inner.InnerTask(
         objective=pen.value, gradient=pen.grad, hessian=hessian,
         start=start, eps=eps, known_L=known_L, g_low=p_low, start_pair=start_pair,
-        last_evaluation=pen.last_evaluation, stops=stops, max_calls=max_calls,
+        last_evaluation=pen.last_evaluation, stops=stops, max_calls=inner.ORACLE_BUDGET - spent,
     )
 
 
@@ -433,9 +434,7 @@ def first_inner_results(
     first, penalty, p_low = _start(problem, config)
     start, start_pair, _, _ = warm_start(penalty, first, first)
     *stops, eps = tolerances
-    task = _build_inner_task(
-        penalty, start, eps, config.inner, p_low, start_pair, stops, _ORACLE_BUDGET - 1
-    )
+    task = _build_inner_task(penalty, start, eps, config.inner, p_low, start_pair, stops)
     res = _run_inner(task, config.inner)
     return [*res.earlier, res]
 
@@ -449,7 +448,7 @@ def solve(
     direct eps-KKT test; theta <= eps/2 is monitored as the sufficient
     condition the analysis counts.  Ends ``TERMINATED_ORACLE_BUDGET``, with
     the outer iterations completed before, where an inner solve would take
-    ``total_oracle_calls`` past ``_ORACLE_BUDGET``.  ``_first`` is
+    ``total_oracle_calls`` past ``inner.ORACLE_BUDGET``.  ``_first`` is
     this run's k = 0 inner result from ``first_inner_results``, which an
     eps-sweep passes.
     """
@@ -477,8 +476,7 @@ def solve(
             res = _first
         else:
             task = _build_inner_task(
-                penalty, start, eps, config.inner, p_low0 - gap0 * k, start_pair,
-                max_calls=_ORACLE_BUDGET - calls,
+                penalty, start, eps, config.inner, p_low0 - gap0 * k, start_pair, spent=calls,
             )
             try:
                 res = _run_inner(task, config.inner)

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from auglag import cli, outer
+from auglag import cli, inner, outer, problems
 
 # a numpy warning that escapes cli.main would reach the user's stderr
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -42,6 +43,14 @@ class TestSolveCommand:
         )
         assert code == cli.EXIT_OK
         assert (tmp_path / "run.json").exists() and (tmp_path / "run.csv").exists()
+
+    @pytest.mark.parametrize("suffix", [".json", ".csv"])
+    def test_out_with_a_report_suffix_names_both_reports(self, tmp_path, suffix):
+        code = cli.main(
+            ["solve", "--problem", "eq-qp-analytic", "--format", "both", "--out", str(tmp_path / f"run{suffix}")]
+        )
+        assert code == cli.EXIT_OK
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.csv", "run.json"]
 
     def test_config_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -115,6 +124,22 @@ class TestSolveCommand:
         )
         assert code == cli.EXIT_USAGE
         assert "usage error" in caplog.text
+        assert not (tmp_path / "run.json").exists()
+
+    def test_cubic_newton_without_a_hessian_is_usage_error(self, tmp_path, caplog, monkeypatch):
+        # eq-cos-8 has linear equality constraints only, which cubic Newton accepts, but no Hessian here
+        real = problems.corpus_problem
+
+        def without_hessian(name):
+            p = real(name)
+            return dataclasses.replace(p, objective=dataclasses.replace(p.objective, hess_fn=None))
+
+        monkeypatch.setattr(cli.problems, "corpus_problem", without_hessian)
+        code = cli.main(
+            ["solve", "--problem", "eq-cos-8", "--inner", "cubic-newton", "--out", str(tmp_path / "run")]
+        )
+        assert code == cli.EXIT_USAGE
+        assert "usage error: cubic Newton requires a Hessian oracle" in caplog.text
         assert not (tmp_path / "run.json").exists()
 
     def test_solve_from_file(self, tmp_path):
@@ -364,7 +389,7 @@ def test_float_warnings_are_debug_events(tmp_path, capsys, caplog):
 
 def test_overflowing_line_search_trial_exits_cleanly(tmp_path, capsys, caplog, monkeypatch):
     # f(x0) = 1e122 is finite; the first Armijo trial overflows f and must halve t
-    monkeypatch.setattr(outer, "_ORACLE_BUDGET", 20_000)
+    monkeypatch.setattr(inner, "ORACLE_BUDGET", 20_000)
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"name": "big", "n": 2, "objective": {"kind": "rosenbrock"},
                                 "A": [[1, 1]], "b": [1e30], "m_e": 1, "x0": [1e30, 1]}))
@@ -402,7 +427,7 @@ def test_armijo_steps_that_repeat_a_cycle_exit_1(tmp_path, capsys, caplog):
 
 
 def test_oracle_budget_ends_the_solve_with_exit_1(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(outer, "_ORACLE_BUDGET", 40)
+    monkeypatch.setattr(inner, "ORACLE_BUDGET", 40)
     argv = ["solve", "--problem", "eq-rosenbrock-8", "--inner", "gd-backtracking",
             "--format", "both", "--out", str(tmp_path / "run")]
     assert cli.main(argv) == cli.EXIT_SOLVER_FAILURE

@@ -138,6 +138,25 @@ class TestCertifyRun:
         cert = certify_run(report, p, report.config)
         assert not cert.certified and cert.reason == complexity.REASON_BOUND_EXCEEDED
 
+    def test_a_bounded_run_without_a_crossing_is_refused_at_the_bound_rounded_up(self):
+        # theta <= eps/2 at every T above the bound, so theta > eps/2 for all T_outer = ceil(bound)
+        # iterations exceeds it; the report is edited to keep sigma at sigma0 and theta above eps/2
+        p = corpus_problem("simplex-cos-8")
+        report = solve(p, SolverConfig(eps=1e-3, inner="gd-fixed"))
+        first, later = report.trace[0], report.trace[1]
+
+        def certify_edited(T):
+            trace = [first] + [dataclasses.replace(later, k=k, sigma=first.sigma, theta=1.0) for k in range(1, T + 1)]
+            return certify_run(dataclasses.replace(report, trace=trace), p, report.config)
+
+        bound = certify_edited(1).bound_T
+        assert math.floor(bound) < bound < math.ceil(bound)
+        below, above = certify_edited(math.floor(bound)), certify_edited(math.ceil(bound))
+        assert below.regime == above.regime == REGIME_BOUNDED and below.bound_T == above.bound_T == bound
+        assert below.first_theta_ok is None and below.certified and below.reason == ""
+        assert above.exceedance_prefix == math.ceil(bound) and not above.certified
+        assert above.reason == complexity.REASON_BOUND_EXCEEDED
+
     def test_unfinished_run_rejected(self):
         p = corpus_problem("simplex-cos-8")
         report = solve(p, SolverConfig(eps=1e-3, max_outer=0))
@@ -303,18 +322,19 @@ class TestSweep:
         assert repr(rows) == repr(_rows_alone(p, cfg, [1e-2, 1e-3, 1e-4]))
 
     def test_a_failed_shared_descent_leaves_each_row_to_its_own_solve(self, monkeypatch):
-        # with the cap at the iterations of the row at 1e-2, the shared descent
+        # with the budget at the calls of the run at 1e-2, the shared descent
         # fails, and each row alone fails just where its first descent needs more
         p = corpus_problem("eq-rosenbrock-8")
         cfg = SolverConfig(eps=1e-2, inner="gd-backtracking")
         grid = [1e-2, 1e-3, 1e-4]
-        iters = [r.iterations for r in outer.first_inner_results(p, cfg, grid)]
-        assert iters[0] < iters[-1] and all(solve(p, dataclasses.replace(cfg, eps=e)).T_outer == 1 for e in grid)
-        monkeypatch.setattr(inner, "_BACKTRACK_CAP", iters[0])
-        with pytest.raises(inner.IterationCapExceeded):
+        calls = [r.oracle_calls for r in outer.first_inner_results(p, cfg, grid)]
+        assert calls[0] < calls[-1] and all(solve(p, dataclasses.replace(cfg, eps=e)).T_outer == 1 for e in grid)
+        monkeypatch.setattr(inner, "ORACLE_BUDGET", 1 + calls[0])
+        with pytest.raises(inner.OracleBudgetExceeded):
             outer.first_inner_results(p, cfg, grid)
         rows = sweep(p, cfg, grid).rows
-        assert [r.failed for r in rows] == [i > iters[0] for i in iters]
+        assert [r.failed for r in rows] == [c > calls[0] for c in calls] == [False, False, True]
+        assert rows[-1].terminated == outer.TERMINATED_ORACLE_BUDGET
         assert repr(rows) == repr(_rows_alone(p, cfg, grid))
 
     @pytest.mark.parametrize("name,kind", [

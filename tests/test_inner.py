@@ -426,6 +426,25 @@ class TestCubicNewton:
         with pytest.raises(IterationCapExceeded, match="no longer moves x"):
             cubic_newton_solve(task)
 
+    def test_a_model_decrease_below_the_rounding_of_g_asks_only_for_no_increase(self):
+        # g = 1e8 + x^2 / 2 from x = 1e-5: the model decrease, about 5e-11, is below the ulp
+        # of g (1.5e-8), so the actual decrease rounds to 0, which the ratio test rejected
+        task = InnerTask(
+            objective=lambda x: 1e8 + 0.5 * float(x @ x), gradient=lambda x: x.copy(),
+            hessian=lambda x: np.eye(1), start=[1e-5], eps=1e-9, known_L=0.0,
+        )
+        res = cubic_newton_solve(task)
+        assert (res.iterations, res.accepted_steps) == (1, 1) and res.grad_norm2 <= 1e-9
+
+    def test_no_rejection_at_the_rounding_of_p_near_eps(self):
+        # eq-qp-analytic at eps 1e-8, as `auglag check` runs it: the last inner solve starts with
+        # ||grad P|| near eps, where the model decrease lies below the ulp of P (1.4e-17 at P = 0.125)
+        config = outer.SolverConfig(eps=1e-8, inner=outer.INNER_CUBIC)
+        report = outer.solve(corpus_problem("eq-qp-analytic"), config)
+        assert report.terminated == outer.TERMINATED_KKT
+        work = [(st.inner_stats.iterations, st.inner_stats.accepted_steps) for st in report.trace[1:]]
+        assert work == [(1, 1)] * 6
+
     def test_requires_hessian(self):
         task = InnerTask(
             objective=lambda x: 0.5 * float(x @ x),
@@ -590,22 +609,35 @@ class TestCubicEigenReuse:
 
 
 class TestIterationBudget:
-    @pytest.mark.parametrize(
-        "cap, kind, solve",
-        [
-            ("_BACKTRACK_CAP", outer.INNER_GD_BACKTRACKING, lambda t: gd_solve(t, BACKTRACKING)),
-            ("_CUBIC_CAP", outer.INNER_CUBIC, cubic_newton_solve),
-        ],
-    )
-    def test_cap_raises_and_outer_solve_wraps_it(self, monkeypatch, cap, kind, solve):
-        monkeypatch.setattr(inner, cap, 2)
-        task = _penalty_task("eq-rosenbrock-8", kind)
-        with pytest.raises(IterationCapExceeded, match="exceeded its budget of 2 iterations"):
-            solve(task)
-        config = outer.SolverConfig(eps=1e-3, inner=kind)
-        with pytest.raises(outer.InnerFailure, match="outer iteration 0: .* budget of 2 iterations"):
-            outer.solve(corpus_problem("eq-rosenbrock-8"), config)
+    def test_a_cap_raised_inside_solve_is_an_inner_failure_naming_the_outer_iteration(self, monkeypatch):
+        # L is a hundredth of the certified bound once sigma has grown, which it first has at outer
+        # iteration 2 here, and the first fixed step there raises P
+        real = core.lipschitz_bound_for
+        monkeypatch.setattr(
+            core, "lipschitz_bound_for", lambda p, sigma: real(p, sigma) / (100.0 if sigma > 1.0 else 1.0)
+        )
+        config = outer.SolverConfig(eps=1e-3, inner=outer.INNER_GD_FIXED)
+        failure = "outer iteration 2: descent step increased the objective"
+        with pytest.raises(outer.InnerFailure, match=failure) as info:
+            outer.solve(corpus_problem("simplex-cos-8"), config)
+        assert isinstance(info.value.__cause__, IterationCapExceeded)
 
+    @pytest.mark.parametrize("solve", [
+        lambda t: gd_solve(t, FIXED_STEP), lambda t: gd_solve(t, BACKTRACKING), cubic_newton_solve,
+    ])
+    def test_a_task_built_without_max_calls_stops_at_the_library_budget(self, monkeypatch, solve):
+        assert _quadratic_task([1.0]).max_calls == inner.ORACLE_BUDGET == 1_000_000
+        # g = -x has no minimizer, so only the budget ends a descent; a small one keeps the test short
+        monkeypatch.setattr(inner, "ORACLE_BUDGET", 50)
+        values = []
+        task = InnerTask(
+            objective=lambda x: values.append(x) or -float(x[0]), gradient=lambda x: -np.ones(1),
+            hessian=lambda x: np.zeros((1, 1)), start=[0.0], eps=1e-3, known_L=1.0,
+        )
+        assert task.max_calls == 50
+        with pytest.raises(OracleBudgetExceeded):
+            solve(task)
+        assert len(values) == 50
 
     def test_each_tolerance_has_its_own_cap(self):
         # x_{k+1} = 0.75 x_k from ||grad|| = sqrt(2): 10 iterations reach 0.1, 26 reach 1e-3

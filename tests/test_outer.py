@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from auglag import core, outer, problems
+from auglag import core, inner, outer, problems
 from auglag.complexity import certify_run, sweep
 from auglag.outer import (
     INNER_CUBIC,
@@ -92,14 +92,14 @@ class TestOracleBudget:
         needed = full.total_oracle_calls
         after_first = 1 + full.trace[1].inner_stats.oracle_calls
         assert full.terminated == outer.TERMINATED_KKT and full.T_outer >= 2
-        assert outer._ORACLE_BUDGET == 1_000_000 > needed
-        monkeypatch.setattr(outer, "_ORACLE_BUDGET", needed)
+        assert inner.ORACLE_BUDGET == 1_000_000 > needed
+        monkeypatch.setattr(inner, "ORACLE_BUDGET", needed)
         assert solve(p, config).to_json_dict() == full.to_json_dict()
         outside, inside = count_oracles(monkeypatch)
         for budget, T in ((needed - 1, full.T_outer - 1), (after_first, 1), (after_first - 1, 0), (1, 0)):
             outside.clear()
             inside.clear()
-            monkeypatch.setattr(outer, "_ORACLE_BUDGET", budget)
+            monkeypatch.setattr(inner, "ORACLE_BUDGET", budget)
             report = solve(p, config)
             assert report.terminated == outer.TERMINATED_ORACLE_BUDGET == "OracleBudget"
             assert report.T_outer == T and report.trace[-1].x.tobytes() == full.trace[T].x.tobytes()
@@ -113,7 +113,7 @@ class TestOracleBudget:
         config = SolverConfig(eps=1e-2, inner=INNER_GD_BACKTRACKING)
         budget = solve(p, config).total_oracle_calls
         assert solve(p, dataclasses.replace(config, eps=1e-4)).total_oracle_calls > budget
-        monkeypatch.setattr(outer, "_ORACLE_BUDGET", budget)
+        monkeypatch.setattr(inner, "ORACLE_BUDGET", budget)
         rows = sweep(p, config, [1e-2, 1e-4]).rows
         assert [(r.failed, r.terminated) for r in rows] == [
             (False, outer.TERMINATED_KKT), (True, outer.TERMINATED_ORACLE_BUDGET)
@@ -236,6 +236,22 @@ class TestSolve:
         p = corpus_problem("eq-qp-analytic")
         report = solve(p, SolverConfig(eps=1e-3, monitor=outer.MONITOR_RECORD))
         assert any(not e.passed for e in report.monitor_log)
+
+    def test_record_mode_logs_the_dual_residual_and_theta_sufficiency_checks(self, monkeypatch):
+        # a faulty KKT test that reads dual_inf = 1 and never passes: solve's own two
+        # checks then fail at every iteration they cover, and the run goes on to max_outer
+        real = outer.kkt_check
+        monkeypatch.setattr(
+            outer, "kkt_check", lambda *a: dataclasses.replace(real(*a), dual_inf=1.0, is_eps_kkt=False)
+        )
+        p = corpus_problem("eq-qp-analytic")
+        report = solve(p, SolverConfig(eps=1e-2, monitor=outer.MONITOR_RECORD, max_outer=6))
+        assert report.terminated == outer.TERMINATED_MAX_OUTER and report.T_outer == 6
+        crossed = [st.k for st in report.trace[1:] if st.theta <= 0.5e-2]
+        assert crossed
+        failed = [(e.iteration, e.check) for e in report.monitor_log if not e.passed]
+        expected = [(k, "dual_residual") for k in range(1, 7)] + [(k, "theta_sufficiency") for k in crossed]
+        assert failed == sorted(expected)
 
 
 class TestNonFiniteObjectiveGradient:
@@ -478,7 +494,7 @@ class TestBacktrackingFuzz:
         config = SolverConfig(eps=eps, inner=INNER_GD_BACKTRACKING, max_outer=20, monitor=outer.MONITOR_STRICT)
         try:
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(outer, "_ORACLE_BUDGET", 20_000)
+                mp.setattr(inner, "ORACLE_BUDGET", 20_000)
                 report = solve(p, config)
         except outer.InnerFailure:
             return
@@ -503,7 +519,7 @@ class TestCertifiedFuzz:
             for eps in (1e-2, 1e-3):
                 config = SolverConfig(eps=eps, inner=kind, require_theta_half=True)
                 with pytest.MonkeyPatch.context() as mp:
-                    mp.setattr(outer, "_ORACLE_BUDGET", 20_000)
+                    mp.setattr(inner, "ORACLE_BUDGET", 20_000)
                     report = solve(p, config)
                 assert report.terminated in (outer.TERMINATED_KKT, outer.TERMINATED_ORACLE_BUDGET)
                 assert report.total_oracle_calls <= 20_000
