@@ -21,6 +21,7 @@ import sys
 import numpy as np
 
 from . import complexity, core, outer, problems
+from .report import fit_entry
 
 log = logging.getLogger("auglag")
 
@@ -44,12 +45,15 @@ def _load_problem(ref: str) -> problems.ProblemSpec:
 
 
 def _read_overrides(path: str) -> dict:
-    """The --config file as a dict; a non-object or an unknown key raises ValueError.
+    """The --config file as a dict; a non-object, an unknown key or too deep a nesting raises ValueError.
 
     The values are checked by ``outer.SolverConfig``, like every other option.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        overrides = json.load(fh)
+        try:
+            overrides = json.load(fh)
+        except RecursionError:  # nested deeper than the decoder's recursion limit
+            raise ValueError(f"--config file {path} nests too deeply to parse") from None
     if not isinstance(overrides, dict):
         raise ValueError(f"--config file {path} must hold a JSON object")
     for key in overrides:
@@ -162,11 +166,9 @@ def _cmd_sweep(args) -> int:
     if len(result.successful()) >= 3:
         for model in (complexity.LOG_LINEAR, complexity.POWER_LAW):
             try:
-                coeff, slope, r2 = complexity.fit_growth(result, model)
+                fits[model] = fit_entry(complexity.fit_growth(result, model))
             except ValueError as exc:  # an undefined fit is left out of the report
                 log.warning("%s fit skipped: %s", model, exc)
-                continue
-            fits[model] = {"coefficient": coeff, "exponent_or_slope": slope, "r_squared": r2}
     save_json = functools.partial(result.save_json, fits=fits)
     if not _save_reports(args, f"{problem.name}-sweep", save_json, result.save_csv):
         return EXIT_USAGE

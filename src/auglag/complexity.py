@@ -9,14 +9,14 @@ against the matching bound computed from observed inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import core, inner, outer
-from .outer import _write_csv, _write_json
 from .problems import ProblemSpec
+from .report import SWEEP_COLUMNS, sweep_payload, write_json, write_sweep_csv
 
 REGIME_BOUNDED = "BoundedSigma"
 REGIME_GROWING = "GrowingSigma"
@@ -159,20 +159,13 @@ class SweepResult:
     def successful(self) -> list[SweepRow]:
         return [r for r in self.rows if not r.failed]
 
-    CSV_COLUMNS = (
-        "eps,T_outer,total_inner,total_oracle_calls,sigma_final,bound_T,certified"
-    ).split(",")
+    CSV_COLUMNS = SWEEP_COLUMNS
 
     def save_csv(self, path: str) -> None:
-        """Successful rows only; failed rows appear in the JSON alone."""
-        rows = ([getattr(r, col) for col in self.CSV_COLUMNS] for r in self.successful())
-        _write_csv(path, self.CSV_COLUMNS, rows)
+        write_sweep_csv(path, self)
 
     def save_json(self, path: str, fits: Optional[dict] = None) -> None:
-        payload = {"problem": self.problem, "rows": [asdict(r) for r in self.rows]}
-        if fits:
-            payload["fits"] = fits
-        _write_json(path, payload)
+        write_json(path, sweep_payload(self, fits))
 
 
 def _solve_row(

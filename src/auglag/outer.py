@@ -10,17 +10,16 @@ mode aborts the run.
 """
 from __future__ import annotations
 
-import csv
-import json
 import math
 import numbers
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import core, inner
 from .problems import ConstraintSet, ProblemSpec
+from .report import run_payload, write_json, write_run_csv
 
 TERMINATED_KKT = "EpsKKT"
 TERMINATED_MAX_OUTER = "MaxOuter"
@@ -140,21 +139,6 @@ class MonitorEntry:
     passed: bool
 
 
-def _write_json(path: str, payload: dict) -> None:
-    """The one JSON layout of every report: indent 1, sorted keys, final newline."""
-    text = json.dumps(payload, indent=1, sort_keys=True) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)  # one write, not one per encoder chunk
-
-
-def _write_csv(path: str, columns: Sequence[str], rows) -> None:
-    """Header plus one line per row; each row lists values in column order."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        writer.writerows(rows)
-
-
 @dataclass
 class RunReport:
     problem: str
@@ -189,61 +173,14 @@ class RunReport:
     def kkt(self) -> KKTReport:
         return self.trace[-1].kkt
 
-    def trace_rows(self) -> list[dict]:
-        rows = []
-        for st in self.trace:
-            rows.append(
-                {
-                    "k": st.k,
-                    "f": st.f,
-                    "theta": st.theta,
-                    "sigma": st.sigma,
-                    "mu_norm_sq": st.mu_norm_sq,
-                    "inner_iters": st.inner_stats.iterations if st.inner_stats else 0,
-                    "oracle_calls": st.inner_stats.oracle_calls if st.inner_stats else 0,
-                    "dual_inf": st.kkt.dual_inf,
-                    "primal_eq": st.kkt.primal_eq,
-                    "primal_ineq": st.kkt.primal_ineq,
-                }
-            )
-        return rows
-
     def to_json_dict(self) -> dict:
-        return {
-            "problem": self.problem,
-            "config": {key: getattr(self.config, key) for key in CONFIG_KEYS},
-            "terminated": self.terminated,
-            "T_outer": self.T_outer,
-            "total_inner": self.total_inner,
-            "total_oracle_calls": self.total_oracle_calls,
-            "x_final": [float(v) for v in self.x_final],
-            "lambda_final": [float(v) for v in self.lambda_final],
-            "kkt": asdict(self.kkt),
-            "trace": self.trace_rows(),
-            "monitor_log": [
-                {
-                    "iteration": e.iteration,
-                    "check": e.check,
-                    "lhs": e.lhs,
-                    "rhs": e.rhs,
-                    "pass": e.passed,
-                }
-                for e in self.monitor_log
-            ],
-        }
+        return run_payload(self, CONFIG_KEYS)
 
     def save_json(self, path: str) -> None:
-        _write_json(path, self.to_json_dict())
-
-    CSV_COLUMNS = (
-        "k,f,theta,sigma,mu_norm_sq,inner_iters,oracle_calls,"
-        "dual_inf,primal_eq,primal_ineq"
-    ).split(",")
+        write_json(path, self.to_json_dict())
 
     def save_csv(self, path: str) -> None:
-        # theta is None at k = 0 and is written as an empty field
-        rows = ([row[col] for col in self.CSV_COLUMNS] for row in self.trace_rows())
-        _write_csv(path, self.CSV_COLUMNS, rows)
+        write_run_csv(path, self)
 
 
 def kkt_check(

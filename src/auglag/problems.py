@@ -452,7 +452,8 @@ def load_problem(path: str) -> ProblemSpec:
     Only the parametric objective kinds are loadable.  Raises
     ``ValidationError`` naming the field when a required field (name, n,
     objective, objective.kind, A, b, m_e, x0) is missing; when a field has the
-    wrong JSON type (the file and objective are objects, n and m_e integers,
+    wrong JSON type (the file and objective are objects, name a non-empty
+    string with no '/', '\\' or NUL, n and m_e integers,
     f_low, L1, L2 and omega single numbers, A, b and x0 regular arrays of
     numbers, and a bool or a string is never a number) or shape (A's size a
     multiple of n, b as long as A has rows, x0 of length n); or when a value
@@ -460,12 +461,18 @@ def load_problem(path: str) -> ProblemSpec:
     |omega|^3 finite).
     """
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:  # nested deeper than the decoder's recursion limit
+            raise ValidationError(f"problem file {path} nests too deeply to parse") from None
     if not isinstance(data, dict):
         raise ValidationError(f"problem file {path} holds a {type(data).__name__}, not an object")
     for key in ("name", "n", "objective", "A", "b", "m_e", "x0"):
         if key not in data:
             raise ValidationError(f"{key} is missing")
+    name = data["name"]  # the CLI's default report stem, so it must name a file in the working directory
+    if not (isinstance(name, str) and name) or any(ch in name for ch in "/\\\0"):
+        raise ValidationError(f"name = {name!r} must be a non-empty string without '/', '\\' or NUL")
     n = _integer(data["n"], "n")
     if n < 1:
         raise ValidationError(f"n = {n} must be at least 1")
@@ -504,7 +511,7 @@ def load_problem(path: str) -> ProblemSpec:
     if not (0 <= m_e <= A.shape[0]):
         raise ValidationError(f"m_e = {m_e} lies outside [0, m] with m = {A.shape[0]}")
     cons = ConstraintSet(m=A.shape[0], m_e=m_e, A=A, b=b)
-    return ProblemSpec(name=str(data["name"]), objective=obj, constraints=cons, x0=x0)
+    return ProblemSpec(name=name, objective=obj, constraints=cons, x0=x0)
 
 
 def _integer(value, field_name: str) -> int:

@@ -253,6 +253,41 @@ def test_bad_config_file_is_usage_error(tmp_path, caplog, overrides, named):
         assert not (tmp_path / "run.json").exists()
 
 
+@pytest.mark.parametrize("flag", ["--problem", "--config"])
+def test_too_deeply_nested_input_is_usage_error(tmp_path, caplog, capsys, flag):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    args = {"--problem": "eq-qp-analytic", flag: str(deep)}
+    for command in (["solve"], ["sweep", "--eps-grid", "1e-2,1e-3"]):
+        caplog.clear()
+        argv = command + [item for pair in args.items() for item in pair]
+        assert cli.main(argv + ["--out", str(tmp_path / "run")]) == cli.EXIT_USAGE, command
+        assert "nests too deeply to parse" in caplog.text, command
+        assert "Traceback" not in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["deep.json"]
+
+
+@pytest.mark.parametrize("name", ["../escaped", {"a": 1}], ids=["escaping-path", "object"])
+def test_problem_name_that_is_no_plain_file_name_writes_no_report(tmp_path, monkeypatch, caplog, name):
+    # without --out the report stem is the problem's name, so "../escaped" would write outside the working directory
+    work = tmp_path / "work" / "sub"
+    work.mkdir(parents=True)
+    prob = tmp_path / "prob.json"
+    prob.write_text(json.dumps({
+        "name": name, "n": 2, "objective": {"kind": "quadratic+cos"},
+        "A": [[1.0, 1.0]], "b": [1.0], "m_e": 1, "x0": [0.5, 0.5], "f_low": -2.0, "L1": 17.0,
+    }))
+    monkeypatch.chdir(work)
+    for command in (["solve"], ["sweep", "--eps-grid", "1e-2,1e-3,1e-4"]):
+        caplog.clear()
+        code = cli.main(command + ["--problem", str(prob), "--format", "both"])
+        assert code == cli.EXIT_USAGE, command
+        assert "usage error: name = " in caplog.text, command
+    assert sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")) == [
+        "prob.json", "work", "work/sub",
+    ]
+
+
 def test_config_inner_is_checked_under_an_explicit_inner_flag(tmp_path, caplog):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"inner": 5}))

@@ -231,6 +231,11 @@ def test_inner_solvers_import_no_package_module():
     assert package_imports((SRC / "inner.py").read_text(encoding="utf-8")) == []
 
 
+def test_report_imports_no_package_module():
+    """The report layouts read runs and sweeps by attribute, so ``outer`` and ``complexity`` can import them."""
+    assert package_imports((SRC / "report.py").read_text(encoding="utf-8")) == []
+
+
 def test_cli_imports_nothing_from_inner():
     """The CLI reaches the inner solvers only through ``outer``, as every run does."""
     imports = package_imports((SRC / "cli.py").read_text(encoding="utf-8"))
@@ -311,11 +316,9 @@ def test_scanner_flags_private_cross_references():
 
 
 # Today's private cross-module references, each waiting on a ROADMAP item;
-# the list may only shrink.  Item 5 lets the benchmark trace new public
-# functions, which item 14 needs to give the inner solvers one public entry point.
+# the list may only shrink.  Item 14 gives the inner solvers one public entry
+# point, which the sweep's shared first descent can then take.
 PRIVATE_CROSS_REFERENCES = {
-    "complexity.py: from .outer import _write_csv": "item 5",
-    "complexity.py: from .outer import _write_json": "item 5",
     "complexity.py: outer.solve(_first=)": "item 14",
 }
 
@@ -324,3 +327,35 @@ def test_private_cross_references_are_only_the_listed_ones():
     """No new private cross-module reference, and no stale entry in the list."""
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
     assert private_cross_references(sources) == sorted(PRIVATE_CROSS_REFERENCES)
+
+
+REPORT_WRITERS = {"json": ("dump", "dumps"), "csv": ("writer",)}
+
+
+def report_writers(source: str) -> list[str]:
+    """Each use of ``json.dump``, ``json.dumps`` or ``csv.writer``, by attribute or by import."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.attr in REPORT_WRITERS.get(node.value.id, ()):
+                found.append((node.lineno, f"{node.value.id}.{node.attr}"))
+        elif isinstance(node, ast.ImportFrom) and node.module in REPORT_WRITERS:
+            found += [
+                (node.lineno, f"{node.module}.{alias.name}")
+                for alias in node.names if alias.name in REPORT_WRITERS[node.module]
+            ]
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+def test_scanner_flags_report_writers():
+    source = (
+        "import csv\nimport json\nfrom json import dumps, load\n"
+        "json.load(fh)\njson.dumps({})\ncsv.writer(fh).writerow([])\ncsv.reader(fh)\n"
+    )
+    assert report_writers(source) == ["line 3: json.dumps", "line 5: json.dumps", "line 6: csv.writer"]
+
+
+def test_only_report_writes_reports():
+    """``auglag.report`` is the one module that encodes JSON or writes CSV, so every report has one layout."""
+    writers = {p.name: report_writers(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
+    assert [name for name, uses in writers.items() if uses] == ["report.py"]

@@ -24,7 +24,8 @@ from auglag.outer import (
     warm_start,
 )
 from auglag.problems import (
-    ConstraintSet, ObjectiveBelowBound, ProblemSpec, corpus_problem, make_eq_cos, make_eq_rosenbrock,
+    ConstraintSet, ObjectiveBelowBound, ObjectiveOracle, ProblemSpec, corpus_problem, make_eq_cos,
+    make_eq_rosenbrock,
 )
 
 from conftest import count_oracles, make_tiny
@@ -525,6 +526,89 @@ class TestCertifiedFuzz:
                 assert report.total_oracle_calls <= 20_000
                 if report.terminated == outer.TERMINATED_KKT:
                     assert certify_run(report, p, config).certified
+
+
+def _strongly_convex_qps(count):
+    """The first ``count`` random strongly convex QPs from ``default_rng(0)``, each with its KKT pair.
+
+    Each is (problem, x*, lambda* on the equality rows, ||K^-1||_2), with K the
+    equality KKT matrix.  The draw order is fixed, so a draw keeps its index:
+    n in 2..8, m_e in 1..n-1, m_i in 0..2, Q = B^T B + U[0.5, 2] I, q, A_eq, x0,
+    then the inequality rows, set strictly inactive at x* and x0.
+    """
+    rng = np.random.default_rng(0)
+    qps = []
+    for index in range(count):
+        n = int(rng.integers(2, 9))
+        m_e, m_i = int(rng.integers(1, n)), int(rng.integers(0, 3))
+        B = rng.standard_normal((n, n))
+        Q = B.T.dot(B) + rng.uniform(0.5, 2.0) * np.eye(n)
+        q = rng.standard_normal(n)
+        A_eq = rng.uniform(-2.0, 2.0, (m_e, n))
+        x0 = rng.uniform(-1.0, 1.0, n)
+        b_eq = A_eq.dot(x0)
+        # stationarity Q x + q - A_eq^T lambda = 0 and feasibility A_eq x = b_eq
+        K = np.block([[Q, -A_eq.T], [A_eq, np.zeros((m_e, m_e))]])
+        pair = np.linalg.solve(K, np.concatenate([-q, b_eq]))
+        x_star = pair[:n]
+        A_in = rng.uniform(-2.0, 2.0, (m_i, n))
+        b_in = np.minimum(A_in.dot(x0), A_in.dot(x_star)) - rng.uniform(0.1, 1.0, m_i)
+        objective = ObjectiveOracle(
+            fn=lambda x, Q=Q, q=q: 0.5 * x.dot(Q.dot(x)) + q.dot(x),
+            grad_fn=lambda x, Q=Q, q=q: Q.dot(x) + q,
+            hess_fn=lambda x, Q=Q: Q,
+            f_low=-0.5 * q.dot(np.linalg.solve(Q, q)),  # the unconstrained minimum
+            L1=float(np.linalg.eigvalsh(Q)[-1]),
+            L2=0.0,
+        )
+        cons = ConstraintSet(
+            m=m_e + m_i, m_e=m_e, A=np.vstack([A_eq, A_in]), b=np.concatenate([b_eq, b_in]),
+        )
+        problem = ProblemSpec(name=f"qp-{index}", objective=objective, constraints=cons, x0=x0)
+        qps.append((problem, x_star, pair[n:], np.linalg.norm(np.linalg.inv(K), 2)))
+    return qps
+
+
+_QPS = _strongly_convex_qps(12)
+
+
+def _qp_runs():
+    """Every applicable solver on every draw; cubic Newton needs equality rows only."""
+    for index, (p, *_) in enumerate(_QPS):
+        cubic = [INNER_CUBIC] if p.constraints.m == p.constraints.m_e else []
+        for kind in [INNER_GD_FIXED, INNER_GD_BACKTRACKING] + cubic:
+            for eps in (1e-3, 1e-4):
+                yield pytest.param(index, kind, eps, id=f"draw{index}-{kind}-{eps:g}")
+
+
+class TestClosedFormOracle:
+    """Solves of QPs whose KKT pair is known, compared with that pair rather than with the solver's own test."""
+
+    @staticmethod
+    def _check(index, kind, eps):
+        p, x_star, lam_star, k_inv_norm = _QPS[index]
+        config = SolverConfig(eps=eps, inner=kind)
+        report = solve(p, config)
+        assert report.terminated == outer.TERMINATED_KKT
+        assert certify_run(report, p, config).certified
+        m_e = p.constraints.m_e
+        # the inequality rows hold c > eps near x*, where complementarity forces lambda = 0
+        assert (report.lambda_final[m_e:] == 0.0).all()
+        # so K (x - x*, lambda_eq - lambda*) = (grad L, c_eq), whose n + m_e entries are each at most eps
+        error = np.concatenate([report.x_final - x_star, report.lambda_final[:m_e] - lam_star])
+        assert np.linalg.norm(error) <= k_inv_norm * np.sqrt(p.n + m_e) * eps
+
+    @pytest.mark.parametrize("index,kind,eps", list(_qp_runs()))
+    def test_eps_kkt_point_lies_within_the_bound_of_the_kkt_pair(self, index, kind, eps):
+        self._check(index, kind, eps)
+
+    @pytest.mark.xfail(
+        strict=True, raises=outer.InnerFailure,
+        reason="ROADMAP item 17: an Armijo search whose true decrease is below P's rounding "
+        "halves t until the accepted step no longer moves x",
+    )
+    def test_backtracking_reaches_1e_6_on_the_seventh_draw(self):
+        self._check(6, INNER_GD_BACKTRACKING, 1e-6)
 
 
 class TestDefaultInner:

@@ -316,6 +316,14 @@ def _bad_file(field, value):
         ("b", [1.0, "0", 0.0]),
         ("x0", [0.5, False]),
         ("x0", ["0.5", "0.5"]),
+        # the name is the CLI's default report stem: a plain, non-empty file name
+        ("name", "../escaped"),
+        ("name", "sub\\run"),
+        ("name", "nul\0"),
+        ("name", ""),
+        ("name", {"a": 1}),
+        ("name", 7),
+        ("name", None),
     ]
     + [
         pytest.param(field, _MISSING, id=f"{field}-missing")
@@ -330,6 +338,13 @@ def test_bad_problem_file_rejected_at_load(tmp_path, field, value):
     code = cli.main(["solve", "--problem", str(path), "--out", str(tmp_path / "run")])
     assert code == cli.EXIT_USAGE
     assert not (tmp_path / "run.json").exists()
+
+
+def test_too_deeply_nested_problem_file_rejected_at_load(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    with pytest.raises(ValidationError, match=r"^problem file .* nests too deeply"):
+        load_problem(str(path))
 
 
 def test_omega_whose_cube_overflows_rejected_at_load(tmp_path):
