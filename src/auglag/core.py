@@ -221,12 +221,16 @@ def update_penalty(
 ) -> float:
     """The next sigma: kept at k=0 or on sufficient theta decrease, else grown to
     max((k+1)^alpha, sigma), so never lowered; ``config`` validated alpha and gamma.
+    A (k+1)^alpha past the largest double gives inf, which the outer loop's cap ends.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
     if k == 0 or (theta_prev is not None and theta_next <= config.gamma * theta_prev):
         return sigma
-    return max(float(k + 1) ** config.alpha, sigma)
+    try:
+        return max(float(k + 1) ** config.alpha, sigma)
+    except OverflowError:  # raised by ** where the power would round to inf
+        return math.inf
 
 
 def update_multipliers(cons: ConstraintSet, c: np.ndarray, lam: np.ndarray, sigma: float) -> np.ndarray:

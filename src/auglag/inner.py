@@ -40,6 +40,7 @@ non-finite gradient anywhere, raises ``NonFiniteValue``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -145,6 +146,22 @@ def _grad_sq(g: np.ndarray) -> tuple[np.ndarray, float]:
     return g, gn2
 
 
+def _norm(g: np.ndarray, gn2: float) -> float:
+    """||g||_2 from gn2 = g.dot(g), also where the squares underflowed.
+
+    It is sqrt(gn2) unless gn2 is below the smallest normal double, where the
+    square of an entry below about 2e-162 rounds to 0; there the sum is taken
+    again over g / max |g_i|.
+    """
+    if gn2 >= sys.float_info.min:
+        return math.sqrt(gn2)
+    top = float(np.abs(g).max(initial=0.0))
+    if top == 0.0:
+        return 0.0
+    h = g / top
+    return top * math.sqrt(float(h.dot(h)))
+
+
 def _checked(f: float, g: np.ndarray) -> tuple[float, np.ndarray, float]:
     """(f, g, ||g||_2^2), raising NonFiniteValue if f or g is not finite."""
     return (_finite_scalar(f), *_grad_sq(g))
@@ -190,7 +207,7 @@ def _descend(task: InnerTask, step, budget, what: str) -> InnerResult:
     results, last = [], len(task.stops)
     for i, eps in enumerate((*task.stops, task.eps)):
         cap = budget(f_start, eps) if budget else math.inf
-        while math.sqrt(gn2) > eps:
+        while _norm(g, gn2) > eps:
             if iters >= cap:
                 raise IterationCapExceeded(f"{what} exceeded its budget of {cap} iterations")
             if calls >= limit:
@@ -203,7 +220,7 @@ def _descend(task: InnerTask, step, budget, what: str) -> InnerResult:
                 f = min(f, f_new)
                 trace.append(f)
         results.append(InnerResult(
-            x_final=x if i == last else x.copy(), grad_norm2=math.sqrt(gn2), iterations=iters,
+            x_final=x if i == last else x.copy(), grad_norm2=_norm(g, gn2), iterations=iters,
             oracle_calls=calls, accepted_steps=len(trace) - 1,
             objective_trace=trace if i == last else trace.copy(), evaluation=last_evaluation(),
         ))
@@ -222,10 +239,9 @@ def gd_solve(task: InnerTask, variant: str = FIXED_STEP) -> InnerResult:
     is no last step or s'y <= 0, it starts at the last accepted t, doubled
     only when the last search accepted its first trial.  The start is at
     least 1e-12 and at most 256 times the last accepted t.  Both raise
-    ``IterationCapExceeded`` where a step no longer moves x and every later
-    step would repeat it, and ``BACKTRACKING`` also where its steps, with g
-    unchanged, return to a state they were in and would repeat the cycle
-    between.
+    ``IterationCapExceeded`` where no later step can make progress: at a fixed
+    step or a trial below the step floor 1e-16 that no longer moves x, and at
+    Armijo steps that, with g unchanged, return to a state (Brent's check).
     """
     return _descend(task, *_gd_rule(task, variant))
 
@@ -240,7 +256,10 @@ def _gd_rule(task: InnerTask, variant: str):
 
     def fixed_budget(f0: float, eps: float) -> float:
         decrease_bound = f0 - task.g_low if math.isfinite(task.g_low) else 1.0
-        bound = 4.0 * L * max(decrease_bound, 1.0) * eps ** -2
+        try:
+            bound = 4.0 * L * max(decrease_bound, 1.0) * eps ** -2
+        except OverflowError:  # eps^-2 past the largest double (eps below about 7.5e-155): no finite cap
+            return math.inf
         return math.ceil(bound) + 1000 if bound < math.inf else math.inf
 
     def fixed_step(x, f, g, gn2, room):
@@ -304,7 +323,10 @@ def _gd_rule(task: InnerTask, variant: str):
                 raise OracleBudgetExceeded(f"a line search used the last {room} oracle calls of its budget")
             x_new = x - t * g
             # below the floor the search gives up only once the trial no longer
-            # moves x, so a steep g whose decreasing steps are all tiny still descends
+            # moves x, so a steep g whose decreasing steps are all tiny still descends.
+            # Brent's check sees accepted steps only, so this floor ends a search
+            # that accepts none: with gn2 = inf no trial passes, not even t = 0, and
+            # halving from t = 2 reaches t = 0 only after about 1 075 trials.
             if t < _STEP_FLOOR and (x_new == x).all():
                 raise IterationCapExceeded("line search collapsed below the step floor: x no longer moves")
             f_new = _trial_value(task, x_new)
@@ -315,14 +337,11 @@ def _gd_rule(task: InnerTask, variant: str):
         if f_new < f:
             seen, power, count = None, 1, 0
         else:
-            # An accepted trial equal to x after a rejected 2t at this same x: the
-            # next search accepts t as its first trial, the one after rejects 2t
-            # again, and so on, without end.
-            if trials > 1 and (x_new == x).all():
-                raise IterationCapExceeded(f"the accepted Armijo step t = {t!r} no longer moves x")
             # The next step is a function of this state, as g and grad g are of
             # their points: once a state recurs, the steps between its two visits
-            # repeat without end (Brent, BIT 20, 1980, finds the recurrence).
+            # repeat without end (Brent, BIT 20, 1980, finds the recurrence).  An
+            # accepted step that leaves x where it is, after a rejected 2t, is such a
+            # cycle: the next search accepts t at once, and the one after rejects 2t.
             state = (x_new.tobytes(), x.tobytes(), t, trials == 1)
             if state == seen:
                 raise IterationCapExceeded(f"the Armijo steps repeat a cycle of {count + 1} steps at g = {f!r}")

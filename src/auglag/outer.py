@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
@@ -84,7 +85,8 @@ class SolverConfig:
             if isinstance(value, bool) or not isinstance(value, kind):
                 noun = "a real number" if kind is numbers.Real else "an integer"
                 raise ValueError(f"{name!r} must be {noun}, got {value!r}")
-            if not (low < value < high):  # written so that NaN fails it
+            # written so that NaN fails it, and an integer past the largest double fails as inf does
+            if not (low < value < high) or (kind is numbers.Real and abs(value) > sys.float_info.max):
                 raise ValueError(f"{name!r} must lie in ({low:g}, {high:g}), got {value!r}")
         for name, allowed in (
             ("inner", INNER_SOLVERS),
@@ -203,18 +205,20 @@ def _slacked(lhs: float, rhs: float) -> bool:
 
 
 def monitor_step(
-    prev: OuterState, next_state: OuterState, mu0_norm_sq: float, f0: float, f_low: float,
-    th: core.ThetaStat, p_prev: float, p_zero: float, p_next: float,
-    grad_L: np.ndarray, grad_p: np.ndarray,
+    first: OuterState, prev: OuterState, next_state: OuterState, f_low: float,
+    th: core.ThetaStat, p_prev: float, p_zero: float, ev: core.Evaluation,
+    grad_L: np.ndarray, eps: float,
 ) -> list[MonitorEntry]:
     """Evaluate the guaranteed inequalities linking two consecutive states.
 
-    ``prev`` is the state at index k (multipliers and penalty used by the
-    inner solve), ``next_state`` the state at k+1 it produced.  The rest is what
-    ``solve`` computed: theta, P at x_k, x0 and x_{k+1} and grad P at x_{k+1}
-    under (lambda_k, sigma_k), and grad L at (x_{k+1}, lambda_{k+1}).
+    ``first``, ``prev`` and ``next_state`` are the states at 0, k (whose multipliers
+    and penalty the inner solve used) and k+1, and ``ev`` the inner solve's last
+    evaluation, at x_{k+1}.  The rest is what ``solve`` computed: theta, P at x_k and
+    x0 under (lambda_k, sigma_k), and grad L at (x_{k+1}, lambda_{k+1}).  The last
+    two checks, ``dual_residual`` and ``theta_sufficiency``, are logged only when they fail.
     """
     k = prev.k
+    f0, mu0_norm_sq, p_next = first.f, first.mu_norm_sq, ev.p
     gap = f0 - f_low
     entries: list[MonitorEntry] = []
     sigma_k = prev.sigma
@@ -246,10 +250,16 @@ def monitor_step(
     )
 
     # dual-residual identity between the new Lagrangian gradient and grad P
-    lhs = float(np.abs(grad_L - grad_p).max())
+    lhs = float(np.abs(grad_L - ev.grad_p).max())
     entries.append(
         MonitorEntry(k + 1, "dual_identity", lhs, _DUAL_IDENTITY_TOL, lhs <= _DUAL_IDENTITY_TOL)
     )
+    # the inner solve's ||grad P|| <= eps bounds the new dual residual, and theta <= eps/2 implies eps-KKT
+    kkt = next_state.kkt
+    if kkt.dual_inf > eps:
+        entries.append(MonitorEntry(k + 1, "dual_residual", kkt.dual_inf, eps, False))
+    if th.value <= eps / 2.0 and not kkt.is_eps_kkt:
+        entries.append(MonitorEntry(k + 1, "theta_sufficiency", th.value, eps / 2.0, False))
     return entries
 
 
@@ -437,16 +447,7 @@ def solve(
             cons, eps, k + 1, x_next, lam_next, sigma_next, th_next.value,
             ev.f, ev.c, ev.g, ev.J, res,
         )
-        kkt = next_state.kkt
-
-        entries = monitor_step(
-            state, next_state, first.mu_norm_sq, first.f, f_low, th_next, p_prev, p_zero, ev.p,
-            grad_L, ev.grad_p,
-        )
-        if kkt.dual_inf > eps:
-            entries.append(MonitorEntry(k + 1, "dual_residual", kkt.dual_inf, eps, False))
-        if th_next.value <= eps / 2.0 and not kkt.is_eps_kkt:
-            entries.append(MonitorEntry(k + 1, "theta_sufficiency", th_next.value, eps / 2.0, False))
+        entries = monitor_step(first, state, next_state, f_low, th_next, p_prev, p_zero, ev, grad_L, eps)
         monitor_log.extend(entries)
         failed = [e for e in entries if not e.passed]
         if failed and config.monitor == MONITOR_STRICT:
@@ -458,7 +459,7 @@ def solve(
 
         trace.append(next_state)
         state = next_state
-        if kkt.is_eps_kkt and (
+        if next_state.kkt.is_eps_kkt and (
             not config.require_theta_half or th_next.value <= eps / 2.0
         ):
             terminated = TERMINATED_KKT

@@ -145,12 +145,23 @@ class ConstraintSet:
     def c(self, x: np.ndarray) -> np.ndarray:
         if self.is_linear:
             return self.A.dot(x) - self.b
-        return np.asarray(self.c_fn(x), dtype=float)
+        c = np.asarray(self.c_fn(x), dtype=float)
+        if c.shape != (self.m,):
+            raise ValidationError(
+                f"constraint values have shape {c.shape}; expected {(self.m,)}, one per constraint"
+            )
+        return c
 
     def jac(self, x: np.ndarray) -> np.ndarray:
         if self.is_linear:
             return self.A
-        return np.atleast_2d(np.asarray(self.jac_fn(x), dtype=float))
+        J = np.atleast_2d(np.asarray(self.jac_fn(x), dtype=float))
+        if J.shape != (self.m, x.shape[0]):
+            raise ValidationError(
+                f"constraint Jacobian has shape {J.shape}; expected {(self.m, x.shape[0])}, "
+                "a row per constraint and a column per variable"
+            )
+        return J
 
     def ineq_violation(self, c: np.ndarray) -> float:
         """max |min(c_ineq, 0)| for constraint values c; 0 without inequality rows."""

@@ -528,6 +528,12 @@ class TestUpdatePenalty:
         with pytest.raises(ValueError):
             update_penalty(-1, 1.0, 1.0, 1.0, self._config())
 
+    @pytest.mark.parametrize("k, alpha", [(1, 1025.0), (1, 1e54), (1, 1.7e308), (9, 309.0)])
+    def test_growth_past_the_largest_double_is_inf(self, k, alpha):
+        # (k+1)^alpha: 2^1025, 2^1e54, 2^1.7e308 and 10^309 each pass the largest double
+        assert update_penalty(k, 1.0, 1.0, 10.0, self._config(alpha=alpha)) == math.inf
+        assert update_penalty(k, 1.0, 1.0, 10.0, self._config(alpha=1023.0 / math.log2(k + 1))) < math.inf
+
     @settings(max_examples=60, deadline=None)
     @given(
         k=st.integers(1, 50),

@@ -359,3 +359,73 @@ def test_only_report_writes_reports():
     """``auglag.report`` is the one module that encodes JSON or writes CSV, so every report has one layout."""
     writers = {p.name: report_writers(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
     assert [name for name, uses in writers.items() if uses] == ["report.py"]
+
+
+def monitor_entries(sources: dict[str, str]) -> list[str]:
+    """Each ``MonitorEntry(...)`` call in ``sources``, as "outer.py: monitor_step: mu_growth", in source order.
+
+    The check is the call's second positional argument or its ``check=``
+    keyword, "?" where that is not a string literal; the function is the
+    innermost ``def`` around the call, "<module>" outside every one.
+    """
+    found = []
+
+    def visit(node, module, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Call) and "MonitorEntry" in (getattr(node.func, "id", None),
+                                                             getattr(node.func, "attr", None)):
+            check = node.args[1:2] + [kw.value for kw in node.keywords if kw.arg == "check"]
+            literal = check and isinstance(check[0], ast.Constant) and isinstance(check[0].value, str)
+            found.append(f"{module}: {where}: {check[0].value if literal else '?'}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, where)
+
+    for module, source in sources.items():
+        visit(ast.parse(source), module, "<module>")
+    return found
+
+
+def test_scanner_finds_monitor_entries():
+    sources = {
+        "a.py": (
+            "def monitor_step(k):\n    out = [MonitorEntry(k, 'one', 0.0, 1.0, True)]\n"
+            "    out.append(outer.MonitorEntry(k, check='two', lhs=0.0, rhs=1.0, passed=True))\n"
+            "    return out\n"
+            "def solve(name):\n    return MonitorEntry(1, name, 0.0, 1.0, False)\n"
+        ),
+        "b.py": "E = MonitorEntry(1, 'three', 0.0, 1.0, True)\nMonitorEntrySet()\n",
+    }
+    assert monitor_entries(sources) == [
+        "a.py: monitor_step: one", "a.py: monitor_step: two", "a.py: solve: ?", "b.py: <module>: three",
+    ]
+
+
+def readme_monitor_checks(readme: str) -> list[str]:
+    """The check names in the first column of the table in README's "Monitors" section, in order."""
+    section = ("\n" + readme).split("\n## Monitors\n", 1)[1].split("\n## ", 1)[0]
+    return re.findall(r"^\| `(\w+)` \|", section, flags=re.MULTILINE)
+
+
+def test_scanner_reads_the_readme_monitor_table():
+    readme = (
+        "## Monitors\n| check | inequality |\n|---|---|\n| `mu_growth` | a ≤ b |\n"
+        "| `dual_identity` | `x` ≤ 1e-12 |\ntext with | `not_a_row` |\n## Next\n| `later` | c |\n"
+    )
+    assert readme_monitor_checks(readme) == ["mu_growth", "dual_identity"]
+
+
+def test_monitor_entries_are_built_in_monitor_step_only():
+    """One function builds every monitor entry, so the one traced ``outer.monitor_step`` span times them all."""
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    places = {entry.rsplit(": ", 1)[0] for entry in monitor_entries(sources)}
+    assert places == {"outer.py: monitor_step"}
+
+
+def test_readme_monitor_table_lists_every_check():
+    """README's "Monitors" table names each check ``monitor_step`` logs, in its order: none missing, none stale."""
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    checks = [entry.rsplit(": ", 1)[1] for entry in monitor_entries(sources)]
+    readme = (SRC.parent.parent / "README.md").read_text(encoding="utf-8")
+    assert readme_monitor_checks(readme) == checks
+    assert len(checks) == len(set(checks)) == 9

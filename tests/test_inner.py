@@ -256,14 +256,25 @@ class TestArmijoInitialStep:
         assert float(s.dot(y)) < 0.0
         np.testing.assert_array_equal(firsts[1], xs[1] - 4.0 * -np.sin(xs[1]))
 
-    def test_accepted_step_that_no_longer_moves_x_stops(self):
+    def test_accepted_step_that_no_longer_moves_x_is_a_cycle_of_2_steps(self):
         # g is 1 at x = 1e10 and 2 anywhere else, with grad 1e-6: t = 2 and t = 1 move x
         # by an ulp and are rejected; t = 1/2 leaves x where it is, and 1 - c1 t 1e-12
-        # rounds to 1, so it passes the test.  Every later search would repeat the cycle.
-        task = InnerTask(objective=lambda x: 1.0 if x[0] == 1e10 else 2.0, gradient=lambda x: np.full(1, 1e-6),
-                         start=np.array([1e10]), eps=1e-9)
-        with pytest.raises(IterationCapExceeded, match="accepted Armijo step t = 0.5 no longer moves x"):
+        # rounds to 1, so it passes the test.  The next search accepts t = 1/2 at once and
+        # the one after rejects t = 1 again: its state recurs, found by Brent's check.
+        calls = {"f": 0, "g": 0}
+
+        def objective(x):
+            calls["f"] += 1
+            return 1.0 if x[0] == 1e10 else 2.0
+
+        def gradient(x):
+            calls["g"] += 1
+            return np.full(1, 1e-6)
+
+        task = InnerTask(objective=objective, gradient=gradient, start=np.array([1e10]), eps=1e-9)
+        with pytest.raises(IterationCapExceeded, match="Armijo steps repeat a cycle of 2 steps at g = 1.0"):
             gd_solve(task, BACKTRACKING)
+        assert calls == {"f": 7, "g": 3}
 
     def test_bb_steps_that_repeat_a_cycle_stop(self):
         # g is 1 everywhere, with a made-up gradient at p = 1 and at q = 1 - 2^-53, the float
@@ -882,3 +893,14 @@ class TestReportedGradientNorm:
         assert res.iterations > 0
         want = float(np.linalg.norm(task.gradient(res.x_final)))
         assert res.grad_norm2.hex() == want.hex()
+
+    @pytest.mark.parametrize("variant", [FIXED_STEP, BACKTRACKING])
+    def test_a_gradient_whose_squares_underflow_is_not_below_eps(self, variant):
+        # grad g = (1e-169, 1e-169, 1e-169): g.dot(g) rounds to 0, but ||grad g||_2 = 1.7e-169
+        def task(eps):
+            return InnerTask(objective=lambda x: float(x.sum()) * 1e-169, gradient=lambda x: np.full(3, 1e-169),
+                             start=np.zeros(3), eps=eps, known_L=1.0, max_calls=5)
+
+        assert gd_solve(task(1e-168), variant).grad_norm2 == math.sqrt(3.0) * 1e-169
+        with pytest.raises(OracleBudgetExceeded):
+            gd_solve(task(1e-170), variant)

@@ -66,6 +66,11 @@ class TestConfigValidation:
         for field in ("eps", "gamma"):
             with pytest.raises(ValueError):
                 SolverConfig(**{"eps": 1e-3, field: float("nan")})
+        # so does an integer past the largest double, as a JSON number may be; max_outer takes any integer
+        for field in ("alpha", "sigma0"):
+            with pytest.raises(ValueError, match=rf"'{field}' must lie in"):
+                SolverConfig(eps=1e-3, **{field: 10**400})
+        assert SolverConfig(eps=1e-3, alpha=10**308, sigma0=10**308, max_outer=10**400).max_outer == 10**400
 
     @pytest.mark.parametrize(
         "field,bad",
@@ -605,7 +610,7 @@ class TestClosedFormOracle:
     @pytest.mark.xfail(
         strict=True, raises=outer.InnerFailure,
         reason="ROADMAP item 17: an Armijo search whose true decrease is below P's rounding "
-        "halves t until the accepted step no longer moves x",
+        "halves t until the accepted step no longer moves x, and the Armijo steps repeat a cycle of 2 steps",
     )
     def test_backtracking_reaches_1e_6_on_the_seventh_draw(self):
         self._check(6, INNER_GD_BACKTRACKING, 1e-6)

@@ -424,3 +424,23 @@ class TestObjectiveGradientShape:
         p = self._column_gradient("eq-cos-4")
         with pytest.raises(ValidationError, match=re.escape("shape (4, 1); expected (4,)")):
             solve(p, SolverConfig(eps=1e-3, inner=kind))
+
+
+class TestCallableConstraintShape:
+    """Callable constraints must return c(x) of shape (m,) and J(x) of shape (m, n)."""
+
+    @pytest.mark.parametrize("c_fn, jac_fn, message", [
+        (lambda x: np.array([x[0] + x[1], 0.0]), None, "constraint values have shape (2,); expected (1,)"),
+        (lambda x: x[0] + x[1], None, "constraint values have shape (); expected (1,)"),
+        (None, lambda x: np.ones((2, 2)), "constraint Jacobian has shape (2, 2); expected (1, 2)"),
+        (None, lambda x: np.ones((2, 1)), "constraint Jacobian has shape (2, 1); expected (1, 2)"),
+    ], ids=["c-too-long", "c-scalar", "jac-square", "jac-column"])
+    def test_solve_names_the_wrong_shape(self, c_fn, jac_fn, message):
+        # n = 2 and m = m_e = 1, with c(x) = x_0 + x_1, feasible at x0 = 0
+        p = make_tiny(1, c_fn or (lambda x: np.array([x[0] + x[1]])), jac_fn or (lambda x: np.ones((1, 2))), n=2)
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            outer.solve(p, outer.SolverConfig(inner=outer.INNER_GD_BACKTRACKING))
+
+    def test_one_row_jacobian_may_be_one_dimensional(self):
+        p = make_tiny(1, lambda x: np.array([x[0] + x[1]]), lambda x: np.ones(2), n=2)
+        np.testing.assert_array_equal(p.constraints.jac(np.zeros(2)), np.ones((1, 2)))
