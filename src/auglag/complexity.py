@@ -16,7 +16,7 @@ import numpy as np
 
 from . import core, inner, outer
 from .problems import ProblemSpec
-from .report import SWEEP_COLUMNS, sweep_payload, write_json, write_sweep_csv
+from .report import sweep_payload, write_json, write_sweep_csv
 
 REGIME_BOUNDED = "BoundedSigma"
 REGIME_GROWING = "GrowingSigma"
@@ -158,8 +158,6 @@ class SweepResult:
 
     def successful(self) -> list[SweepRow]:
         return [r for r in self.rows if not r.failed]
-
-    CSV_COLUMNS = SWEEP_COLUMNS
 
     def save_csv(self, path: str) -> None:
         write_sweep_csv(path, self)

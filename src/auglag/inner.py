@@ -15,10 +15,10 @@ All three run one loop, ``_descend``: it evaluates the start (unless the
 task supplies its values), counts iterations and oracle calls, and keeps
 the monotone value min(f, f_new) and its trace until ||grad g||_2 <= eps,
 within the task's oracle budget ``max_calls``, by default ``ORACLE_BUDGET``
-calls, and for fixed-step descent also within the iteration cap certified
-from L, g(start) and eps.  On the way it passes the task's larger
-``stops``, whose results ride on the last one, so an eps-sweep can share the
-descent that its rows repeat.
+calls.  That budget is the loop's one limit; a step rule that sees no later
+step can make progress raises ``IterationCapExceeded`` itself.  On the way
+the loop passes the task's larger ``stops``, whose results ride on the last
+one, so an eps-sweep can share the descent that its rows repeat.
 Each iteration calls a step rule on (x, f, grad g, ||grad g||^2) and the
 oracle calls left, which returns ``(point | None, calls)``: the next point in
 that form, or None when it rejected its trial.  Only cubic Newton rejects; it
@@ -61,8 +61,9 @@ _SECULAR_TOL = 1e-12
 
 
 class IterationCapExceeded(RuntimeError):
-    """The inner solver cannot reach eps: fixed-step descent passed its certified
-    iteration cap, or a step shows that no later one makes progress (bad L or assumptions)."""
+    """The inner solver cannot reach eps: a step shows that no later one makes
+    progress, or that an assumption fails (a fixed step that misses the descent
+    lemma, as L is too small)."""
 
 
 class OracleBudgetExceeded(RuntimeError):
@@ -96,7 +97,6 @@ class InnerTask:
     eps: float
     hessian: Optional[Callable[[np.ndarray], np.ndarray]] = None
     known_L: Optional[float] = None
-    g_low: float = float("-inf")
     start_pair: Optional[tuple[float, np.ndarray]] = None
     last_evaluation: Optional[Callable[[], object]] = None
     stops: Sequence[float] = ()
@@ -130,6 +130,11 @@ def _finite_scalar(v: float) -> float:
     if not math.isfinite(v):
         raise NonFiniteValue(f"oracle returned {v!r}")
     return v
+
+
+def _slack(f: float) -> float:
+    """The rounding a step's test forgives at g = f: 1e-14 max(1, |f|)."""
+    return 1e-14 * max(1.0, abs(f))
 
 
 def _grad_sq(g: np.ndarray) -> tuple[np.ndarray, float]:
@@ -179,14 +184,13 @@ def _trial_value(task: InnerTask, x: np.ndarray) -> float:
         return math.inf
 
 
-def _descend(task: InnerTask, step, budget, what: str) -> InnerResult:
+def _descend(task: InnerTask, step, what: str) -> InnerResult:
     """Run ``step`` from ``task.start`` through each of ``task.stops``, then to ``task.eps``.
 
     The result at a tolerance is taken at the first iterate with ||grad g||_2
     at or below it, and equals what a run to that tolerance alone returns: the
-    step rule keeps its state from one tolerance to the next, and, for a rule
-    with a ``budget``, the cap while working toward eps is ``budget(g(start),
-    eps)`` iterations from the start.  The result at ``task.eps`` is returned,
+    step rule keeps its state from one tolerance to the next, and the loop has
+    no limit but the oracle budget.  The result at ``task.eps`` is returned,
     with those at the stops as its ``earlier``; each of them holds copies of x
     and of the trace.  ``what`` names the solver in the error messages.  A
     ``task.start_pair`` replaces the evaluation at the start, which is then
@@ -202,14 +206,11 @@ def _descend(task: InnerTask, step, budget, what: str) -> InnerResult:
     else:
         f, g, gn2 = _checked(*task.start_pair)
         calls = 0
-    f_start, iters, trace = f, 0, [f]
+    iters, trace = 0, [f]
     last_evaluation = task.last_evaluation or (lambda: None)
     results, last = [], len(task.stops)
     for i, eps in enumerate((*task.stops, task.eps)):
-        cap = budget(f_start, eps) if budget else math.inf
         while _norm(g, gn2) > eps:
-            if iters >= cap:
-                raise IterationCapExceeded(f"{what} exceeded its budget of {cap} iterations")
             if calls >= limit:
                 raise OracleBudgetExceeded(f"{what} used its budget of {limit} oracle calls")
             moved, used = step(x, f, g, gn2, limit - calls)
@@ -238,39 +239,43 @@ def gd_solve(task: InnerTask, variant: str = FIXED_STEP) -> InnerResult:
     is below a fifth of it, but at no less than a tenth of it; where there
     is no last step or s'y <= 0, it starts at the last accepted t, doubled
     only when the last search accepted its first trial.  The start is at
-    least 1e-12 and at most 256 times the last accepted t.  Both raise
+    least 1e-12 and at most 256 times the last accepted t.  Where t ||grad g||^2
+    is within 64 ulps of g(x), below the rounding of the test, a trial also
+    passes where g rises by no more than 1e-14 max(1, |g(x)|).  Both raise
     ``IterationCapExceeded`` where no later step can make progress: at a fixed
-    step or a trial below the step floor 1e-16 that no longer moves x, and at
-    Armijo steps that, with g unchanged, return to a state (Brent's check).
+    step that lowers g by less than ||grad g||^2 / (2L), at a fixed step or a
+    trial below the step floor 1e-16 that no longer moves x, and at Armijo
+    steps that, with g unchanged, return to a state (Brent's check).
     """
     return _descend(task, *_gd_rule(task, variant))
 
 
 def _gd_rule(task: InnerTask, variant: str):
-    """(step, budget, name) of ``gd_solve`` on ``task``, for ``_descend``; only ``FIXED_STEP`` has a budget."""
+    """(step, name) of ``gd_solve`` on ``task``, for ``_descend``."""
     if variant not in (FIXED_STEP, BACKTRACKING):
         raise ValueError(f"unknown variant {variant!r}")
     L = task.known_L
     if variant == FIXED_STEP and not (L is not None and 0.0 < L < math.inf):
         raise ValueError(f"fixed-step descent requires a finite positive known_L, got {L!r}")
 
-    def fixed_budget(f0: float, eps: float) -> float:
-        decrease_bound = f0 - task.g_low if math.isfinite(task.g_low) else 1.0
-        try:
-            bound = 4.0 * L * max(decrease_bound, 1.0) * eps ** -2
-        except OverflowError:  # eps^-2 past the largest double (eps below about 7.5e-155): no finite cap
-            return math.inf
-        return math.ceil(bound) + 1000 if bound < math.inf else math.inf
-
+    # The descent lemma (Nesterov, Introductory Lectures on Convex Optimization,
+    # 2004, Lemma 1.2.3): where grad g is L-Lipschitz, the step 1/L lowers g by
+    # ||grad g||^2 / (2L) or more; missing that by over _slack(f) shows L too small.
+    # f is the loop's running min: g(x), or below it by a rise within the slack.
+    # So each step with ||grad|| > eps lowers f by eps^2 / (2L) - _slack(f) or more.
+    # Where 4 L max(g(start) - g_low, 1) / eps^2 (g_low a lower bound of g) is
+    # below the oracle budget and |g| < 1e8, the slack is below eps^2 / (4L), and
+    # the solve takes at most that many steps; elsewhere the budget bounds it.
     def fixed_step(x, f, g, gn2, room):
         x_new = x - g / L
         f_new, g_new, gn2_new = _value_grad(task, x_new)
-        if f_new > f + 1e-14 * max(1.0, abs(f)):
-            raise IterationCapExceeded(
-                f"descent step increased the objective ({f} -> {f_new}); L is too small"
-            )
         if f_new == f and (x_new == x).all():  # every later step would repeat this one
             raise IterationCapExceeded(f"the step g/L no longer moves x; L = {L!r} is too large")
+        if f_new > f - 0.5 * gn2 / L + _slack(f):
+            raise IterationCapExceeded(
+                f"the step g/L lowered the objective by less than ||grad||^2/(2L) ({f} -> {f_new}); "
+                f"L is too small (L = {L!r})"
+            )
         return (x_new, f_new, g_new, gn2_new), 1
 
     # The first trial of a search is the Barzilai-Borwein step t = s's / s'y,
@@ -283,7 +288,14 @@ def _gd_rule(task: InnerTask, variant: str):
     # first-trial acceptance, with 2 for the first search (Nocedal & Wright,
     # Numerical Optimization, 2nd ed., 3.5).  The start is raised to _BB_LO =
     # 1e-12, a guard against rounding, and then cut to _BB_GROWTH = 256 times
-    # the last accepted t.  Acceptance stays the monotone Armijo test with halving.
+    # the last accepted t.  Acceptance stays the monotone Armijo test with halving,
+    # but where t ||grad||^2 is within 64 ulps of g(x) the test compares rounding
+    # errors, and a trial that raises g by no more than _slack(g(x)) passes too
+    # (after Hager & Zhang's approximate Armijo test, SIAM J. Optim. 16, 2005):
+    # without it the search halves t until the step no longer moves x.  Every
+    # trial is at least t_min (below), and ||grad||^2 > eps^2 while the solve
+    # runs, so this acceptance fires only where eps^2 < 64 ulp(g) L / delta;
+    # above that the bounds below hold as stated.
     # If grad g is L-Lipschitz, every t <= 2(1 - c1)/L passes the test, since
     # g(x - t grad) <= g(x) - t (1 - L t / 2) ||grad||^2.  An accepted t is
     # its search's first trial or half of a rejected trial, which is more than
@@ -333,6 +345,8 @@ def _gd_rule(task: InnerTask, variant: str):
             trials += 1
             if f_new <= f - _ARMIJO_C1 * t * gn2:
                 break
+            if t * gn2 <= 64.0 * math.ulp(f) and f_new <= f + _slack(f):
+                break
             t *= 0.5
         if f_new < f:
             seen, power, count = None, 1, 0
@@ -351,9 +365,7 @@ def _gd_rule(task: InnerTask, variant: str):
         t_prev, grow, x_prev, g_prev = t, trials == 1, x, g
         return (x_new, f_new, *_grad_sq(task.gradient(x_new))), trials
 
-    if variant == FIXED_STEP:
-        return fixed_step, fixed_budget, "gradient descent"
-    return armijo_step, None, "gradient descent"
+    return (fixed_step if variant == FIXED_STEP else armijo_step), "gradient descent"
 
 
 def cubic_model_value(g: np.ndarray, H: np.ndarray, M: float, s: np.ndarray):
@@ -488,7 +500,7 @@ def cubic_newton_solve(task: InnerTask) -> InnerResult:
 
 
 def _cubic_rule(task: InnerTask):
-    """(step, None, name) of ``cubic_newton_solve`` on ``task``, for ``_descend``."""
+    """(step, name) of ``cubic_newton_solve`` on ``task``, for ``_descend``."""
     if task.hessian is None:
         raise ValueError("cubic Newton requires a Hessian oracle")
     M = max(task.known_L, _M_MIN) if task.known_L is not None else 1.0
@@ -515,4 +527,4 @@ def _cubic_rule(task: InnerTask):
         M *= 2.0
         return None, 1
 
-    return step, None, "cubic Newton"
+    return step, "cubic Newton"

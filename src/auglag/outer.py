@@ -282,7 +282,7 @@ def warm_start(
 
 
 def _build_inner_task(
-    pen: core.Penalty, start: np.ndarray, eps: float, kind: str, p_low: float, start_pair=None,
+    pen: core.Penalty, start: np.ndarray, eps: float, kind: str, start_pair=None,
     stops: Sequence[float] = (), spent: int = 1,
 ) -> inner.InnerTask:
     """The inner solve of P = ``pen`` from ``start``, through ``stops`` to eps.
@@ -306,7 +306,7 @@ def _build_inner_task(
         known_L = problem.objective.L2
     return inner.InnerTask(
         objective=pen.value, gradient=pen.grad, hessian=hessian,
-        start=start, eps=eps, known_L=known_L, g_low=p_low, start_pair=start_pair,
+        start=start, eps=eps, known_L=known_L, start_pair=start_pair,
         last_evaluation=pen.last_evaluation, stops=stops, max_calls=inner.ORACLE_BUDGET - spent,
     )
 
@@ -345,8 +345,8 @@ def _state(
     return state, grad_L
 
 
-def _start(problem: ProblemSpec, config: SolverConfig) -> tuple[OuterState, core.Penalty, float]:
-    """The k = 0 state at x0, P(., lambda = 0, sigma0) and p_low = f_low - ||mu0||^2/2.
+def _start(problem: ProblemSpec, config: SolverConfig) -> tuple[OuterState, core.Penalty]:
+    """The k = 0 state at x0 and P(., lambda = 0, sigma0).
 
     Evaluates c, f, grad f and J once each at x0: a run's only oracle calls
     outside its inner solves.  An infeasible x0 raises before f is evaluated.
@@ -359,8 +359,7 @@ def _start(problem: ProblemSpec, config: SolverConfig) -> tuple[OuterState, core
         cons, config.eps, 0, x0.copy(), lam, config.sigma0, None,
         obj.value(x0), c0, obj.gradient(x0), cons.jac(x0),
     )
-    p_low = obj.f_low - 0.5 * first.mu_norm_sq
-    return first, core.Penalty(problem, lam, config.sigma0), p_low
+    return first, core.Penalty(problem, lam, config.sigma0)
 
 
 def first_inner_results(
@@ -378,10 +377,10 @@ def first_inner_results(
     """
     if config.max_outer == 0 or config.sigma0 > _SIGMA_CAP:
         return None
-    first, penalty, p_low = _start(problem, config)
+    first, penalty = _start(problem, config)
     start, start_pair, _, _ = warm_start(penalty, first, first)
     *stops, eps = tolerances
-    task = _build_inner_task(penalty, start, eps, config.inner, p_low, start_pair, stops)
+    task = _build_inner_task(penalty, start, eps, config.inner, start_pair, stops)
     res = _run_inner(task, config.inner)
     return [*res.earlier, res]
 
@@ -401,9 +400,8 @@ def solve(
     """
     eps = config.eps
     cons = problem.constraints
-    first, penalty, p_low0 = _start(problem, config)
+    first, penalty = _start(problem, config)
     f_low = problem.objective.f_low
-    gap0 = first.f - f_low
     state = first
     trace = [state]
     monitor_log: list[MonitorEntry] = []
@@ -422,9 +420,7 @@ def solve(
         if k == 0 and _first is not None:
             res = _first
         else:
-            task = _build_inner_task(
-                penalty, start, eps, config.inner, p_low0 - gap0 * k, start_pair, spent=calls,
-            )
+            task = _build_inner_task(penalty, start, eps, config.inner, start_pair, spent=calls)
             try:
                 res = _run_inner(task, config.inner)
             except inner.OracleBudgetExceeded:

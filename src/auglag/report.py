@@ -9,8 +9,7 @@ from dataclasses import asdict
 
 TRACE_COLUMNS = ("k", "f", "theta", "sigma", "mu_norm_sq", "inner_iters", "oracle_calls",
                  "dual_inf", "primal_eq", "primal_ineq")
-# a list, as ``complexity.SweepResult.CSV_COLUMNS`` has always been
-SWEEP_COLUMNS = ["eps", "T_outer", "total_inner", "total_oracle_calls", "sigma_final", "bound_T", "certified"]
+SWEEP_COLUMNS = ("eps", "T_outer", "total_inner", "total_oracle_calls", "sigma_final", "bound_T", "certified")
 FIT_KEYS = ("coefficient", "exponent_or_slope", "r_squared")
 
 

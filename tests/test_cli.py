@@ -340,8 +340,9 @@ def test_overflowing_penalty_growth_ends_sigma_overflow(tmp_path, capsys, proble
 
 
 @pytest.mark.parametrize("eps", ["1e-155", "1e-300", "5e-324"])
-def test_gd_fixed_at_an_eps_whose_cap_overflows_runs_to_the_oracle_budget(tmp_path, capsys, monkeypatch, eps):
-    # 4 L gap / eps^2 passes the largest double: the certified cap is infinite
+def test_gd_fixed_at_a_tiny_eps_runs_to_the_oracle_budget(tmp_path, capsys, monkeypatch, eps):
+    # no double-precision gradient norm reaches these eps, and every step passes the descent lemma,
+    # so only the oracle budget ends the solve
     monkeypatch.setattr(inner, "ORACLE_BUDGET", 2_000)
     argv = ["solve", "--problem", "simplex-cos-8", "--inner", "gd-fixed", "--eps", eps,
             "--out", str(tmp_path / "run")]
@@ -425,9 +426,9 @@ _SMALL = {"name": "small", "n": 2, "objective": {"kind": "quadratic+cos"},
         ({"A": [[1e200, 1e200]], "b": [1e200]}, cli.EXIT_USAGE),  # A^T A overflows: L = inf
         ({"A": [], "b": [], "m_e": 0, "L1": 0.0}, cli.EXIT_USAGE),  # L = 0
         ({"L1": 1e300}, cli.EXIT_SOLVER_FAILURE),  # the step 1/L cannot move x
-        ({"f_low": -1e308}, cli.EXIT_OK),  # the fixed-step budget overflows
+        ({"f_low": -1e308}, cli.EXIT_OK),  # a gap f(x0) - f_low near the largest double
     ],
-    ids=["omega-cubed-overflows", "gram-overflows", "zero-L", "huge-L", "budget-overflows"],
+    ids=["omega-cubed-overflows", "gram-overflows", "zero-L", "huge-L", "huge-gap"],
 )
 def test_extreme_values_exit_cleanly(tmp_path, capsys, changes, code):
     path = tmp_path / "problem.json"
@@ -436,6 +437,28 @@ def test_extreme_values_exit_cleanly(tmp_path, capsys, changes, code):
             "--out", str(tmp_path / "run")]
     assert cli.main(argv) == code
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("L1, code", [(2.0, cli.EXIT_SOLVER_FAILURE), (8.0, cli.EXIT_SOLVER_FAILURE),
+                                      (17.0, cli.EXIT_OK)])
+def test_a_declared_L1_below_the_true_constant_is_caught(tmp_path, capsys, caplog, L1, code):
+    # simplex-cos-8's data, whose true L1 is 1 + omega^2 = 17: a fixed step under a smaller
+    # declared L1 misses the descent lemma before the solve reaches eps
+    p = problems.corpus_problem("simplex-cos-8")
+    cons = p.constraints
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({
+        "name": "simplex-cos-8-file", "n": p.n, "objective": {"kind": "quadratic+cos"},
+        "A": cons.A.tolist(), "b": cons.b.tolist(), "m_e": cons.m_e, "x0": p.x0.tolist(),
+        "f_low": p.objective.f_low, "L1": L1,
+    }))
+    argv = ["solve", "--problem", str(path), "--inner", "gd-fixed", "--out", str(tmp_path / "run")]
+    assert cli.main(argv) == code
+    assert "Traceback" not in capsys.readouterr().err
+    if code == cli.EXIT_OK:
+        assert json.loads((tmp_path / "run.json").read_text())["terminated"] == "EpsKKT"
+    else:
+        assert "L is too small" in caplog.text
 
 
 def test_float_warnings_are_debug_events(tmp_path, capsys, caplog):
@@ -468,16 +491,15 @@ def test_overflowing_line_search_trial_exits_cleanly(tmp_path, capsys, caplog, m
     assert "non-finite" not in caplog.text  # the overflow was a rejected trial, not the failure
 
 
-@pytest.mark.parametrize("eps", ["1e-12", "1e-16"])
+@pytest.mark.parametrize("eps", ["1e-14", "1e-16"])
 def test_armijo_steps_that_repeat_a_cycle_exit_1(tmp_path, capsys, caplog, eps):
     # both eps lie below the gradient norm reachable in double precision on eq-cos-8: the
-    # Armijo steps repeat a cycle of points with P unchanged (at 1e-12 an accepted step
-    # that leaves x where it is, after a rejected longer one)
+    # Armijo steps repeat a cycle of points with P unchanged
     argv = ["solve", "--problem", "eq-cos-8", "--inner", "gd-backtracking", "--eps", eps,
             "--out", str(tmp_path / "run")]
     start = time.perf_counter()
     assert cli.main(argv) == cli.EXIT_SOLVER_FAILURE
-    assert time.perf_counter() - start < 10.0  # it would otherwise run towards the 10^7 iteration cap
+    assert time.perf_counter() - start < 10.0
     assert "Traceback" not in capsys.readouterr().err
     assert "Armijo steps repeat a cycle" in caplog.text
 

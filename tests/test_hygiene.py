@@ -211,6 +211,38 @@ def test_every_inner_task_field_is_read():
     assert unread_fields((SRC / "inner.py").read_text(encoding="utf-8"), "InnerTask") == []
 
 
+def raised_exceptions(source: str, function: str) -> list[str]:
+    """Each exception that module-level ``function`` raises, as "line 4: OracleBudgetExceeded".
+
+    A ``raise`` names its exception by class or by a call of it, bare or through
+    a module; a bare ``raise`` reads "re-raise" and any other form "?".
+    """
+    tree = ast.parse(source)
+    body = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == function)
+    found = []
+    for node in ast.walk(body):
+        if isinstance(node, ast.Raise):
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            name = "re-raise" if exc is None else getattr(exc, "id", getattr(exc, "attr", "?"))
+            found.append((node.lineno, name))
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+def test_scanner_lists_raised_exceptions():
+    source = (
+        "def solve(x):\n    if x:\n        raise ValueError('x')\n    try:\n        pass\n"
+        "    except KeyError:\n        raise\n    raise inner.Stop from None\n"
+        "def other():\n    raise TypeError\n"
+    )
+    assert raised_exceptions(source, "solve") == ["line 3: ValueError", "line 7: re-raise", "line 8: Stop"]
+
+
+def test_the_inner_loop_raises_only_the_oracle_budget():
+    """One budget ends every inner solve: ``_descend`` has no iteration cap, and each step rule raises its own checks."""
+    raised = raised_exceptions((SRC / "inner.py").read_text(encoding="utf-8"), "_descend")
+    assert {entry.split(": ", 1)[1] for entry in raised} == {"OracleBudgetExceeded"}
+
+
 def package_imports(source: str) -> list[str]:
     """The package modules a module imports, by relative import, as "line 3: inner"."""
     found = []

@@ -607,13 +607,10 @@ class TestClosedFormOracle:
     def test_eps_kkt_point_lies_within_the_bound_of_the_kkt_pair(self, index, kind, eps):
         self._check(index, kind, eps)
 
-    @pytest.mark.xfail(
-        strict=True, raises=outer.InnerFailure,
-        reason="ROADMAP item 17: an Armijo search whose true decrease is below P's rounding "
-        "halves t until the accepted step no longer moves x, and the Armijo steps repeat a cycle of 2 steps",
-    )
-    def test_backtracking_reaches_1e_6_on_the_seventh_draw(self):
-        self._check(6, INNER_GD_BACKTRACKING, 1e-6)
+    @pytest.mark.parametrize("index", range(len(_QPS)), ids=lambda i: f"draw{i}")
+    def test_backtracking_reaches_1e_6_on_every_draw(self, index):
+        # at 1e-6 some Armijo searches test a decrease t ||grad P||^2 below P's rounding
+        self._check(index, INNER_GD_BACKTRACKING, 1e-6)
 
 
 class TestDefaultInner:
