@@ -12,18 +12,18 @@ Two families are provided:
   find on the secular equation in r = ||s||.
 
 All three run one loop, ``_descend``: it evaluates the start (unless the
-task supplies its values), counts iterations and oracle calls, and keeps
-the monotone value min(f, f_new) and its trace until ||grad g||_2 <= eps,
+task supplies its values), counts iterations, accepted steps and oracle
+calls, and keeps the monotone value min(f, f_new) until ||grad g|| <= eps,
 within the task's oracle budget ``max_calls``, by default ``ORACLE_BUDGET``
-calls.  That budget is the loop's one limit; a step rule that sees no later
-step can make progress raises ``IterationCapExceeded`` itself.  On the way
-the loop passes the task's larger ``stops``, whose results ride on the last
-one, so an eps-sweep can share the descent that its rows repeat.
-Each iteration calls a step rule on (x, f, grad g, ||grad g||^2) and the
-oracle calls left, which returns ``(point | None, calls)``: the next point in
-that form, or None when it rejected its trial.  Only cubic Newton rejects; it
-forms the Hessian with its eigendecomposition at each point where it solves a
-model, and keeps both across rejected trials.
+calls.  That budget is the loop's one limit, checked by the one counted
+oracle that each step rule is given; a step rule that sees no later step
+can make progress raises ``IterationCapExceeded`` itself.  On the way the
+loop passes the task's larger ``stops``, whose results ride on the last
+one, so an eps-sweep can share the descent that its rows repeat.  Each
+iteration calls the step rule on (x, f, grad g, ||grad g||^2), which returns
+the next point in that form, or None when it rejected its trial.  Only cubic
+Newton rejects; it forms the Hessian with its eigendecomposition at each
+point where it solves a model, and keeps both across rejected trials.
 
 One oracle call is one joint evaluation of value + gradient (+ Hessian where
 requested); line-search trial points count as one call each.  Where the
@@ -113,12 +113,15 @@ class InnerTask:
 
 @dataclass
 class InnerResult:
+    """Where a solve ended, and its counts: iterations, accepted steps and oracle calls."""
+
     x_final: np.ndarray
     grad_norm2: float
     iterations: int
     oracle_calls: int
-    accepted_steps: int = 0
-    objective_trace: list[float] = field(default_factory=list)
+    accepted_steps: int
+    # g(start): from task.start_pair, or the solve's first oracle call
+    start_value: float
     # task.last_evaluation() when the result was taken: the record at x_final
     evaluation: object = field(default=None, compare=False, repr=False)
     # the results at the task's stops, each equal to a solve to that stop alone
@@ -172,58 +175,58 @@ def _checked(f: float, g: np.ndarray) -> tuple[float, np.ndarray, float]:
     return (_finite_scalar(f), *_grad_sq(g))
 
 
-def _value_grad(task: InnerTask, x: np.ndarray) -> tuple[float, np.ndarray, float]:
-    return _checked(task.objective(x), task.gradient(x))
-
-
-def _trial_value(task: InnerTask, x: np.ndarray) -> float:
+def _trial_value(value: Callable[[np.ndarray], float], x: np.ndarray) -> float:
     """g(x) at a trial point, or inf where g (or c inside it) is not finite, which rejects the trial."""
     try:
-        return _finite_scalar(task.objective(x))
+        return _finite_scalar(value(x))
     except NonFiniteValue:
         return math.inf
 
 
-def _descend(task: InnerTask, step, what: str) -> InnerResult:
-    """Run ``step`` from ``task.start`` through each of ``task.stops``, then to ``task.eps``.
+def _descend(task: InnerTask, rule, *args) -> InnerResult:
+    """Run the step ``rule(task, value, *args)`` from ``task.start`` through ``task.stops`` to ``task.eps``.
+
+    ``value`` is ``task.objective`` counted, the solve's one oracle call: it
+    raises ``OracleBudgetExceeded`` rather than make call ``max_calls + 1``,
+    and the rules make no budget check.  So a step that raises its own error
+    before its first call (a non-finite Hessian or a cubic step that no longer
+    moves x, an Armijo search that starts below the step floor) raises it also
+    where no call is left.  A ``task.start_pair`` replaces the evaluation at
+    the start, which then makes no call.
 
     The result at a tolerance is taken at the first iterate with ||grad g||_2
     at or below it, and equals what a run to that tolerance alone returns: the
     step rule keeps its state from one tolerance to the next, and the loop has
     no limit but the oracle budget.  The result at ``task.eps`` is returned,
-    with those at the stops as its ``earlier``; each of them holds copies of x
-    and of the trace.  ``what`` names the solver in the error messages.  A
-    ``task.start_pair`` replaces the evaluation at the start, which is then
-    not counted.  ``step`` is passed the calls left under ``task.max_calls``,
-    at least 1; a step that would need more raises ``OracleBudgetExceeded``.
+    with those at the stops as its ``earlier``, each holding a copy of x.
     """
-    x, limit = task.start.copy(), task.max_calls
-    if task.start_pair is None:
-        if limit < 1:
-            raise OracleBudgetExceeded(f"{what} has no oracle call left for its start")
-        f, g, gn2 = _value_grad(task, x)
-        calls = 1
-    else:
-        f, g, gn2 = _checked(*task.start_pair)
-        calls = 0
-    iters, trace = 0, [f]
+    calls = 0
+
+    def value(x):
+        nonlocal calls
+        if calls >= task.max_calls:
+            raise OracleBudgetExceeded(f"the inner solve used its budget of {task.max_calls} oracle calls")
+        calls += 1
+        return task.objective(x)
+
+    step = rule(task, value, *args)
+    x = task.start.copy()
+    pair = (value(x), task.gradient(x)) if task.start_pair is None else task.start_pair
+    f, g, gn2 = _checked(*pair)
+    start_value, iters, accepted = f, 0, 0
     last_evaluation = task.last_evaluation or (lambda: None)
     results, last = [], len(task.stops)
     for i, eps in enumerate((*task.stops, task.eps)):
         while _norm(g, gn2) > eps:
-            if calls >= limit:
-                raise OracleBudgetExceeded(f"{what} used its budget of {limit} oracle calls")
-            moved, used = step(x, f, g, gn2, limit - calls)
-            calls += used
+            moved = step(x, f, g, gn2)
             iters += 1
             if moved is not None:
                 x, f_new, g, gn2 = moved
                 f = min(f, f_new)
-                trace.append(f)
+                accepted += 1
         results.append(InnerResult(
             x_final=x if i == last else x.copy(), grad_norm2=_norm(g, gn2), iterations=iters,
-            oracle_calls=calls, accepted_steps=len(trace) - 1,
-            objective_trace=trace if i == last else trace.copy(), evaluation=last_evaluation(),
+            oracle_calls=calls, accepted_steps=accepted, start_value=start_value, evaluation=last_evaluation(),
         ))
     results[-1].earlier = results[:-1]
     return results[-1]
@@ -237,21 +240,21 @@ def gd_solve(task: InnerTask, variant: str = FIXED_STEP) -> InnerResult:
     each search starts at the Barzilai-Borwein step s's / s'y of the last
     step s and gradient change y, or at the short step s'y / y'y where that
     is below a fifth of it, but at no less than a tenth of it; where there
-    is no last step or s'y <= 0, it starts at the last accepted t, doubled
-    only when the last search accepted its first trial.  The start is at
-    least 1e-12 and at most 256 times the last accepted t.  Where t ||grad g||^2
-    is within 64 ulps of g(x), below the rounding of the test, a trial also
-    passes where g rises by no more than 1e-14 max(1, |g(x)|).  Both raise
+    is no last step or s'y <= 0, it starts at twice the last accepted t, at 2
+    for the first search.  The start is at least 1e-12 and at most 256 times
+    the last accepted t.  Where t ||grad g||^2 is within 64 ulps of g(x),
+    below the rounding of the test, a trial also passes where g rises by no
+    more than 1e-14 max(1, |g(x)|).  Both raise
     ``IterationCapExceeded`` where no later step can make progress: at a fixed
     step that lowers g by less than ||grad g||^2 / (2L), at a fixed step or a
     trial below the step floor 1e-16 that no longer moves x, and at Armijo
     steps that, with g unchanged, return to a state (Brent's check).
     """
-    return _descend(task, *_gd_rule(task, variant))
+    return _descend(task, _gd_rule, variant)
 
 
-def _gd_rule(task: InnerTask, variant: str):
-    """(step, name) of ``gd_solve`` on ``task``, for ``_descend``."""
+def _gd_rule(task: InnerTask, value, variant: str):
+    """The step of ``gd_solve`` on ``task``, for ``_descend``, valuing g by ``value``."""
     if variant not in (FIXED_STEP, BACKTRACKING):
         raise ValueError(f"unknown variant {variant!r}")
     L = task.known_L
@@ -266,9 +269,9 @@ def _gd_rule(task: InnerTask, variant: str):
     # Where 4 L max(g(start) - g_low, 1) / eps^2 (g_low a lower bound of g) is
     # below the oracle budget and |g| < 1e8, the slack is below eps^2 / (4L), and
     # the solve takes at most that many steps; elsewhere the budget bounds it.
-    def fixed_step(x, f, g, gn2, room):
+    def fixed_step(x, f, g, gn2):
         x_new = x - g / L
-        f_new, g_new, gn2_new = _value_grad(task, x_new)
+        f_new, g_new, gn2_new = _checked(value(x_new), task.gradient(x_new))
         if f_new == f and (x_new == x).all():  # every later step would repeat this one
             raise IterationCapExceeded(f"the step g/L no longer moves x; L = {L!r} is too large")
         if f_new > f - 0.5 * gn2 / L + _slack(f):
@@ -276,7 +279,7 @@ def _gd_rule(task: InnerTask, variant: str):
                 f"the step g/L lowered the objective by less than ||grad||^2/(2L) ({f} -> {f_new}); "
                 f"L is too small (L = {L!r})"
             )
-        return (x_new, f_new, g_new, gn2_new), 1
+        return x_new, f_new, g_new, gn2_new
 
     # The first trial of a search is the Barzilai-Borwein step t = s's / s'y,
     # from s = x - x_prev and y = grad - grad_prev (Barzilai & Borwein, IMA J.
@@ -284,18 +287,18 @@ def _gd_rule(task: InnerTask, variant: str):
     # _BB_KAPPA = 0.2 times it, as s and y point far apart, but not below
     # _BB_DELTA = 0.1 times it (the adaptive rule of Zhou, Gao & Dai, Comput.
     # Optim. Appl. 35, 2006, with a floor).  Without a previous pair, or where
-    # s'y <= 0 or is not finite, it is the last accepted t, doubled after a
-    # first-trial acceptance, with 2 for the first search (Nocedal & Wright,
-    # Numerical Optimization, 2nd ed., 3.5).  The start is raised to _BB_LO =
-    # 1e-12, a guard against rounding, and then cut to _BB_GROWTH = 256 times
-    # the last accepted t.  Acceptance stays the monotone Armijo test with halving,
-    # but where t ||grad||^2 is within 64 ulps of g(x) the test compares rounding
-    # errors, and a trial that raises g by no more than _slack(g(x)) passes too
-    # (after Hager & Zhang's approximate Armijo test, SIAM J. Optim. 16, 2005):
-    # without it the search halves t until the step no longer moves x.  Every
-    # trial is at least t_min (below), and ||grad||^2 > eps^2 while the solve
-    # runs, so this acceptance fires only where eps^2 < 64 ulp(g) L / delta;
-    # above that the bounds below hold as stated.
+    # s'y <= 0 or is not finite, it is twice the last accepted t, which makes 2
+    # for the first search (Nocedal & Wright, Numerical Optimization, 2nd ed.,
+    # 3.5).  The start is raised to _BB_LO = 1e-12, a guard against rounding,
+    # and then cut to _BB_GROWTH = 256 times the last accepted t.  Acceptance
+    # stays the monotone Armijo test with halving, but where t ||grad||^2 is
+    # within 64 ulps of g(x) the test compares rounding errors, and a trial
+    # that raises g by no more than _slack(g(x)) passes too (after Hager &
+    # Zhang's approximate Armijo test, SIAM J. Optim. 16, 2005): without it
+    # the search halves t until the step no longer moves x.  Every trial is
+    # at least t_min (below), and ||grad||^2 > eps^2 while the solve runs, so
+    # this acceptance fires only where eps^2 < 64 ulp(g) L / delta; above
+    # that the bounds below hold as stated.
     # If grad g is L-Lipschitz, every t <= 2(1 - c1)/L passes the test, since
     # g(x - t grad) <= g(x) - t (1 - L t / 2) ||grad||^2.  An accepted t is
     # its search's first trial or half of a rejected trial, which is more than
@@ -314,13 +317,13 @@ def _gd_rule(task: InnerTask, variant: str):
     # N searches make at most 9 N + log2(2 / t_min) trials.  On the corpus
     # and on backtracking-sweep a cut at 256, or at 128, takes the same steps
     # as no cut.
-    t_prev, grow = 1.0, True
+    t_prev = 1.0
     x_prev = g_prev = None  # the last accepted point and its gradient
     seen, power, count = None, 1, 0  # Brent's cycle check over the steps that leave g unchanged
 
-    def armijo_step(x, f, g, gn2, room):
-        nonlocal t_prev, grow, x_prev, g_prev, seen, power, count
-        t = 2.0 * t_prev if grow else t_prev
+    def armijo_step(x, f, g, gn2):
+        nonlocal t_prev, x_prev, g_prev, seen, power, count
+        t = 2.0 * t_prev
         if x_prev is not None:
             s, y = x - x_prev, g - g_prev
             sy = float(s.dot(y))
@@ -329,10 +332,7 @@ def _gd_rule(task: InnerTask, variant: str):
                 if sy < _BB_KAPPA * t * yy:  # s'y / y'y < kappa t, with no division by y'y = 0
                     t = max(sy / yy, _BB_DELTA * t)
         t = min(max(t, _BB_LO), _BB_GROWTH * t_prev)
-        trials = 0
         while True:
-            if trials == room:
-                raise OracleBudgetExceeded(f"a line search used the last {room} oracle calls of its budget")
             x_new = x - t * g
             # below the floor the search gives up only once the trial no longer
             # moves x, so a steep g whose decreasing steps are all tiny still descends.
@@ -341,8 +341,7 @@ def _gd_rule(task: InnerTask, variant: str):
             # halving from t = 2 reaches t = 0 only after about 1 075 trials.
             if t < _STEP_FLOOR and (x_new == x).all():
                 raise IterationCapExceeded("line search collapsed below the step floor: x no longer moves")
-            f_new = _trial_value(task, x_new)
-            trials += 1
+            f_new = _trial_value(value, x_new)
             if f_new <= f - _ARMIJO_C1 * t * gn2:
                 break
             if t * gn2 <= 64.0 * math.ulp(f) and f_new <= f + _slack(f):
@@ -354,18 +353,19 @@ def _gd_rule(task: InnerTask, variant: str):
             # The next step is a function of this state, as g and grad g are of
             # their points: once a state recurs, the steps between its two visits
             # repeat without end (Brent, BIT 20, 1980, finds the recurrence).  An
-            # accepted step that leaves x where it is, after a rejected 2t, is such a
-            # cycle: the next search accepts t at once, and the one after rejects 2t.
-            state = (x_new.tobytes(), x.tobytes(), t, trials == 1)
+            # accepted step t that leaves x where it is, after a rejected 2t, is such a
+            # cycle, of 1 step: with s = 0 the next search starts at 2t again.
+            state = (x_new.tobytes(), x.tobytes(), t)
             if state == seen:
-                raise IterationCapExceeded(f"the Armijo steps repeat a cycle of {count + 1} steps at g = {f!r}")
+                steps = f"{count + 1} step" + ("s" if count else "")
+                raise IterationCapExceeded(f"the Armijo steps repeat a cycle of {steps} at g = {f!r}")
             count += 1
             if count == power:
                 seen, power, count = state, 2 * power, 0
-        t_prev, grow, x_prev, g_prev = t, trials == 1, x, g
-        return (x_new, f_new, *_grad_sq(task.gradient(x_new))), trials
+        t_prev, x_prev, g_prev = t, x, g
+        return x_new, f_new, *_grad_sq(task.gradient(x_new))
 
-    return (fixed_step if variant == FIXED_STEP else armijo_step), "gradient descent"
+    return fixed_step if variant == FIXED_STEP else armijo_step
 
 
 def cubic_model_value(g: np.ndarray, H: np.ndarray, M: float, s: np.ndarray):
@@ -496,17 +496,17 @@ def cubic_newton_solve(task: InnerTask) -> InnerResult:
     a rejected step reuses the Hessian and its eigendecomposition at the same
     point; both are formed only where a model is solved.
     """
-    return _descend(task, *_cubic_rule(task))
+    return _descend(task, _cubic_rule)
 
 
-def _cubic_rule(task: InnerTask):
-    """(step, name) of ``cubic_newton_solve`` on ``task``, for ``_descend``."""
+def _cubic_rule(task: InnerTask, value):
+    """The step of ``cubic_newton_solve`` on ``task``, for ``_descend``, valuing g by ``value``."""
     if task.hessian is None:
         raise ValueError("cubic Newton requires a Hessian oracle")
     M = max(task.known_L, _M_MIN) if task.known_L is not None else 1.0
     model = None  # (H, eigendecomposition) at the current x, kept across rejected steps
 
-    def step(x, f, g, gn2, room):
+    def step(x, f, g, gn2):
         nonlocal M, model
         if model is None:
             H = np.asarray(task.hessian(x), dtype=float)
@@ -517,14 +517,14 @@ def _cubic_rule(task: InnerTask):
         x_trial = x + s
         if (x_trial == x).all():  # M only grows from here, and s only shrinks
             raise IterationCapExceeded(f"the cubic step no longer moves x; M = {M!r} is too large")
-        f_trial = _trial_value(task, x_trial)
+        f_trial = _trial_value(value, x_trial)
         # a model decrease within a few ulps of f is below the rounding of f - f_trial,
         # so the ratio test would only compare rounding errors: any step not raising g passes
         if f - f_trial >= 0.25 * model_dec if model_dec > 16.0 * math.ulp(f) else f_trial <= f:
             model = None
             M = max(0.5 * M, _M_MIN)
-            return (x_trial, f_trial, *_grad_sq(task.gradient(x_trial))), 1
+            return x_trial, f_trial, *_grad_sq(task.gradient(x_trial))
         M *= 2.0
-        return None, 1
+        return None
 
-    return step, "cubic Newton"
+    return step

@@ -427,7 +427,11 @@ def solve(
                 terminated = TERMINATED_ORACLE_BUDGET
                 break
             except (inner.IterationCapExceeded, inner.NonFiniteValue, inner.EigendecompositionFailure) as exc:
-                raise InnerFailure(f"inner solver failed at outer iteration {k}: {exc}") from exc
+                # gd-fixed's L is L1 + sigma lambda_max(A^T A): name the declared L1 a user can fix
+                where = f"sigma = {sigma!r}"
+                if config.inner == INNER_GD_FIXED:
+                    where += f", L = L1 + sigma lambda_max(A^T A) with the declared L1 = {problem.objective.L1!r}"
+                raise InnerFailure(f"inner solver failed at outer iteration {k}: {exc} ({where})") from exc
 
         calls += res.oracle_calls
         # every quantity below reads the inner solve's last evaluation, at x_{k+1}

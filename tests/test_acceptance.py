@@ -242,7 +242,7 @@ def test_08_inner_iteration_budgets(corpus_runs):
         for k, st in enumerate(report.trace[1:]):
             stats = st.inner_stats
             p_low = p.objective.f_low - 0.5 * mu0_sq - gap * k
-            decrease = stats.objective_trace[0] - p_low
+            decrease = stats.start_value - p_low
             if kind == "gd-fixed":
                 L = core.lipschitz_bound_for(p, report.trace[k].sigma)
                 budget = 4.0 * L * decrease * eps**-2

@@ -458,7 +458,8 @@ def test_a_declared_L1_below_the_true_constant_is_caught(tmp_path, capsys, caplo
     if code == cli.EXIT_OK:
         assert json.loads((tmp_path / "run.json").read_text())["terminated"] == "EpsKKT"
     else:
-        assert "L is too small" in caplog.text
+        # the failure names the declared L1 as well as the penalty's L = L1 + sigma lambda_max(A^T A)
+        assert "L is too small" in caplog.text and f"declared L1 = {L1!r}" in caplog.text
 
 
 def test_float_warnings_are_debug_events(tmp_path, capsys, caplog):

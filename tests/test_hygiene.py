@@ -237,10 +237,27 @@ def test_scanner_lists_raised_exceptions():
     assert raised_exceptions(source, "solve") == ["line 3: ValueError", "line 7: re-raise", "line 8: Stop"]
 
 
+def functions_raising(source: str, exception: str) -> list[str]:
+    """The module-level functions of ``source`` that raise ``exception``, nested functions included."""
+    names = [n.name for n in ast.parse(source).body if isinstance(n, ast.FunctionDef)]
+    return [name for name in names if any(e.endswith(f": {exception}") for e in raised_exceptions(source, name))]
+
+
+def test_scanner_lists_functions_raising_an_exception():
+    source = (
+        "def rule(task):\n    def step(x):\n        raise Stop('x')\n    return step\n"
+        "def loop():\n    raise inner.Stop\ndef other():\n    raise Stopped\n"
+    )
+    assert functions_raising(source, "Stop") == ["rule", "loop"]
+
+
 def test_the_inner_loop_raises_only_the_oracle_budget():
-    """One budget ends every inner solve: ``_descend`` has no iteration cap, and each step rule raises its own checks."""
-    raised = raised_exceptions((SRC / "inner.py").read_text(encoding="utf-8"), "_descend")
-    assert {entry.split(": ", 1)[1] for entry in raised} == {"OracleBudgetExceeded"}
+    """One budget ends every inner solve: ``_descend`` has no iteration cap, each step rule raises
+    its own checks, and only ``_descend``'s counted ``value`` raises ``OracleBudgetExceeded``."""
+    source = (SRC / "inner.py").read_text(encoding="utf-8")
+    raised = raised_exceptions(source, "_descend")
+    assert [entry.split(": ", 1)[1] for entry in raised] == ["OracleBudgetExceeded"]
+    assert functions_raising(source, "OracleBudgetExceeded") == ["_descend"]
 
 
 def package_imports(source: str) -> list[str]:

@@ -476,10 +476,14 @@ def _cos_objectives(n):
 
 
 @st.composite
-def _linear_problems(draw, max_n=5, objectives=_corpus_objectives):
-    """0-2 equality and 0-3 inequality rows (at least one row), random A, feasible at x0."""
+def _linear_problems(draw, max_n=5, objectives=_corpus_objectives, equality_only=False):
+    """0-2 equality and 0-3 inequality rows (at least one row), or 1-3 equality rows
+    alone where ``equality_only``, random A, feasible at x0."""
     n = draw(st.integers(2, max_n))
-    m_e, m_i = draw(st.integers(0, 2)), draw(st.integers(0, 3))
+    if equality_only:
+        m_e, m_i = draw(st.integers(1, 3)), 0
+    else:
+        m_e, m_i = draw(st.integers(0, 2)), draw(st.integers(0, 3))
     m = max(m_e + m_i, 1)
     A = draw(arrays(float, (m, n), elements=st.floats(-2.0, 2.0)))
     x0 = draw(arrays(float, n, elements=st.floats(-1.0, 1.0)))
@@ -493,11 +497,14 @@ def _linear_problems(draw, max_n=5, objectives=_corpus_objectives):
 
 
 class TestBacktrackingFuzz:
+    @pytest.mark.parametrize("kind", [INNER_GD_BACKTRACKING, INNER_CUBIC])
     @settings(max_examples=20, deadline=None)
-    @given(p=_linear_problems(), eps=st.sampled_from([1e-2, 1e-3]))
-    def test_ends_with_a_documented_status(self, p, eps):
-        # a strict-monitor violation or a P form disagreement would raise out of solve
-        config = SolverConfig(eps=eps, inner=INNER_GD_BACKTRACKING, max_outer=20, monitor=outer.MONITOR_STRICT)
+    @given(data=st.data(), eps=st.sampled_from([1e-2, 1e-3, 1e-6]))
+    def test_ends_with_a_documented_status(self, kind, data, eps):
+        # a strict-monitor violation or a P form disagreement would raise out of solve;
+        # cubic Newton takes equality rows only, so its draws have no other
+        p = data.draw(_linear_problems(max_n=6, equality_only=kind == INNER_CUBIC))
+        config = SolverConfig(eps=eps, inner=kind, max_outer=20, monitor=outer.MONITOR_STRICT)
         try:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(inner, "ORACLE_BUDGET", 20_000)
