@@ -2,7 +2,10 @@
 
 Exit status: 0 success, 1 solver failure, 2 usage error, 3 a run-time
 invariant check failed (a strict-monitor violation or a disagreement between
-the two forms of P), which means an implementation bug.  Diagnostics go to
+the two forms of P), which means an implementation bug.  An exception's
+class sets the code: ``core.ImplementationError`` 3, ``outer.InnerFailure``
+1, and ``ValueError`` or ``OSError`` 2; a run that ends without an eps-KKT
+point also exits 1.  Diagnostics go to
 stderr through the ``auglag`` logger, numpy's floating-point warnings among
 them at DEBUG; numerical data goes to the output files, and the console
 summary only echoes values present in the report.
@@ -233,10 +236,7 @@ def main(argv=None) -> int:
     except outer.InnerFailure as exc:
         log.error("inner solver failure: %s", exc)
         return EXIT_SOLVER_FAILURE
-    except (
-        ValueError, KeyError, OSError, problems.ValidationError,
-        problems.ObjectiveBelowBound, core.UnsupportedSpecializationError,
-    ) as exc:
+    except (ValueError, OSError) as exc:
         log.error("usage error: %s", exc)
         return EXIT_USAGE
 

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, NamedTuple, Optional
 
 import numpy as np
 
-from .problems import ConstraintSet, ProblemSpec
+from .problems import ConstraintSet, ProblemSpec, ValidationError
 
 if TYPE_CHECKING:
     from .outer import SolverConfig
@@ -39,8 +39,8 @@ class FormDisagreementError(ImplementationError):
     what = "P form disagreement"
 
 
-class UnsupportedSpecializationError(RuntimeError):
-    """A linear-constraint-only operation was called on an unsuitable problem."""
+class UnsupportedSpecializationError(ValidationError):
+    """A linear-constraint-only operation was called on an unsuitable problem: a usage error."""
 
 
 @dataclass

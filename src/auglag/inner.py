@@ -35,7 +35,8 @@ task whose caller already holds g and grad g at the start passes them as
 ``start_pair``, and the solve then makes no call there.  A
 trial whose value is not finite (an overflowing f or c) is rejected like any
 other failed trial; a non-finite value at the start or at a fixed step, or a
-non-finite gradient anywhere, raises ``NonFiniteValue``.
+non-finite gradient or Hessian anywhere, raises ``NonFiniteValue``, naming
+the oracle.  These are the only finiteness checks a solve makes.
 """
 from __future__ import annotations
 
@@ -63,7 +64,8 @@ _SECULAR_TOL = 1e-12
 class IterationCapExceeded(RuntimeError):
     """The inner solver cannot reach eps: a step shows that no later one makes
     progress, or that an assumption fails (a fixed step that misses the descent
-    lemma, as L is too small)."""
+    lemma, as L is too small, or a cubic model whose secular root cannot be
+    bracketed)."""
 
 
 class OracleBudgetExceeded(RuntimeError):
@@ -72,10 +74,6 @@ class OracleBudgetExceeded(RuntimeError):
 
 class NonFiniteValue(RuntimeError):
     """An oracle returned NaN or infinity."""
-
-
-class EigendecompositionFailure(RuntimeError):
-    """The Hessian could not be factorized (non-finite entries)."""
 
 
 @dataclass
@@ -131,7 +129,7 @@ class InnerResult:
 def _finite_scalar(v: float) -> float:
     v = float(v)
     if not math.isfinite(v):
-        raise NonFiniteValue(f"oracle returned {v!r}")
+        raise NonFiniteValue(f"objective oracle returned {v!r}")
     return v
 
 
@@ -150,7 +148,7 @@ def _grad_sq(g: np.ndarray) -> tuple[np.ndarray, float]:
     g = np.asarray(g, dtype=float)
     gn2 = float(g.dot(g))
     if not math.isfinite(gn2) and not np.isfinite(g).all():
-        raise NonFiniteValue("oracle returned a non-finite vector")
+        raise NonFiniteValue("gradient oracle returned a non-finite vector")
     return g, gn2
 
 
@@ -374,9 +372,10 @@ def cubic_model_value(g: np.ndarray, H: np.ndarray, M: float, s: np.ndarray):
 
 
 def _model_eig(g: np.ndarray, H: np.ndarray):
-    """(w, Q, Q^T g) for the symmetric part of H = Q diag(w) Q^T."""
-    if not (np.isfinite(H).all() and np.isfinite(g).all()):
-        raise EigendecompositionFailure("non-finite Hessian or gradient")
+    """(w, Q, Q^T g) for the symmetric part of H = Q diag(w) Q^T, raising NonFiniteValue if H or g is not finite."""
+    if not np.isfinite(H).all():
+        raise NonFiniteValue("Hessian oracle returned a non-finite matrix")
+    _grad_sq(g)  # a caller of solve_cubic_model supplies g unchecked
     w, Q = np.linalg.eigh(0.5 * (H + H.T))
     return w, Q, Q.T.dot(g)
 
@@ -450,7 +449,7 @@ def solve_cubic_model(g: np.ndarray, H: np.ndarray, M: float, eig=None) -> np.nd
             break
         hi *= 2.0
     else:
-        raise EigendecompositionFailure("failed to bracket the secular-equation root")
+        raise IterationCapExceeded("failed to bracket the secular-equation root")
 
     # One shifted spectrum, quotient and norm per iteration serve F and F'.  A
     # root within rounding of r_lb can make w_min + (M/2) r round to 0 or

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import core, inner
-from .problems import ConstraintSet, ProblemSpec
+from .problems import ConstraintSet, ProblemSpec, ValidationError
 from .report import run_payload, write_json, write_run_csv
 
 TERMINATED_KKT = "EpsKKT"
@@ -291,17 +291,11 @@ def _build_inner_task(
     calls so far, 1 (at x0) before its first inner solve; the solve may make
     the rest of ``inner.ORACLE_BUDGET``, as ``total_oracle_calls`` counts them.
     """
-    problem, cons = pen.problem, pen.problem.constraints
+    problem = pen.problem
     hessian = known_L = None
     if kind == INNER_GD_FIXED:
         known_L = core.lipschitz_bound_for(problem, pen.sigma)
-    elif kind == INNER_CUBIC:
-        if not (cons.is_linear and cons.m_e == cons.m):
-            raise core.UnsupportedSpecializationError(
-                "cubic Newton requires equality-only linear constraints"
-            )
-        if not problem.objective.has_hessian:
-            raise core.UnsupportedSpecializationError("cubic Newton requires a Hessian oracle")
+    elif kind == INNER_CUBIC:  # _start has checked that cubic Newton applies
         hessian = pen.hess
         known_L = problem.objective.L2
     return inner.InnerTask(
@@ -349,15 +343,32 @@ def _start(problem: ProblemSpec, config: SolverConfig) -> tuple[OuterState, core
     """The k = 0 state at x0 and P(., lambda = 0, sigma0).
 
     Evaluates c, f, grad f and J once each at x0: a run's only oracle calls
-    outside its inner solves.  An infeasible x0 raises before f is evaluated.
+    outside its inner solves.  Every check of the input raises a ``ValueError``
+    here, before the first inner solve: an inner solver that cannot apply
+    (``core.UnsupportedSpecializationError``) before any oracle call, an
+    infeasible x0 before f is evaluated, and a non-finite f, grad f or J at x0
+    (``ValidationError`` naming it) once they are.  Inside a solve the inner
+    loop checks every value.
     """
     cons, obj, x0 = problem.constraints, problem.objective, problem.x0
+    if config.inner == INNER_GD_FIXED:
+        core.lipschitz_bound_for(problem, config.sigma0)  # raises where gd-fixed has no L
+    elif config.inner == INNER_CUBIC:
+        if not (cons.is_linear and cons.m_e == cons.m):
+            raise core.UnsupportedSpecializationError(
+                "cubic Newton requires equality-only linear constraints"
+            )
+        if not obj.has_hessian:
+            raise core.UnsupportedSpecializationError("cubic Newton requires a Hessian oracle")
     c0 = cons.c(x0)
     problem.check_feasible_start(c0)
+    f0, g0, J0 = obj.value(x0), obj.gradient(x0), cons.jac(x0)
+    for what, value in (("objective value", f0), ("objective gradient", g0), ("constraint Jacobian", J0)):
+        if not np.isfinite(value).all():
+            raise ValidationError(f"{problem.name}: the {what} at x0 is not finite")
     lam = np.zeros(cons.m)
     first, _ = _state(
-        cons, config.eps, 0, x0.copy(), lam, config.sigma0, None,
-        obj.value(x0), c0, obj.gradient(x0), cons.jac(x0),
+        cons, config.eps, 0, x0.copy(), lam, config.sigma0, None, f0, c0, g0, J0,
     )
     return first, core.Penalty(problem, lam, config.sigma0)
 
@@ -426,7 +437,7 @@ def solve(
             except inner.OracleBudgetExceeded:
                 terminated = TERMINATED_ORACLE_BUDGET
                 break
-            except (inner.IterationCapExceeded, inner.NonFiniteValue, inner.EigendecompositionFailure) as exc:
+            except (inner.IterationCapExceeded, inner.NonFiniteValue) as exc:
                 # gd-fixed's L is L1 + sigma lambda_max(A^T A): name the declared L1 a user can fix
                 where = f"sigma = {sigma!r}"
                 if config.inner == INNER_GD_FIXED:

@@ -5,6 +5,10 @@ plus a finite lower bound and Lipschitz metadata), a constraint set (linear
 rows or general differentiable constraints, equalities first), and a feasible
 starting point.  All oracles are pure functions of ``x`` and a problem may be
 shared read-only across concurrent solver runs.
+
+Every bad input raises a ``ValidationError``, a ``ValueError``.  The oracles
+check shapes and ``f_low``, not finiteness, which the outer loop checks once
+at x0 and the inner solvers after.  This module imports no other ``auglag`` module.
 """
 from __future__ import annotations
 
@@ -16,22 +20,16 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .inner import NonFiniteValue
-
 FEASIBILITY_TOL = 1e-10
 GRAD_CHECK_TOL = 1e-6
 
 
-class ValidationError(RuntimeError):
-    """A problem failed a hard validation check (infeasible start, bad oracle)."""
+class ValidationError(ValueError):
+    """A problem failed a hard validation check (infeasible start, bad oracle): a usage error."""
 
 
-class ObjectiveBelowBound(RuntimeError):
-    """The objective returned a value below its declared lower bound."""
-
-
-class NonFiniteObjective(ObjectiveBelowBound, NonFiniteValue):
-    """NaN or infinity from the objective or its gradient: a usage error at x0, an inner failure in a solve."""
+class ObjectiveBelowBound(ValidationError):
+    """The objective returned a value below its declared lower bound (-inf among them)."""
 
 
 @dataclass
@@ -43,9 +41,10 @@ class ObjectiveOracle:
     certification.  ``L1``/``L2`` are global Lipschitz constants of the
     gradient / Hessian when known; ``local_lipschitz_only`` marks objectives
     whose derivatives are Lipschitz only on bounded sets (such problems are
-    excluded from bound certification).  ``gradient`` raises
+    excluded from bound certification).  ``value`` raises
+    ``ObjectiveBelowBound`` below ``f_low``, and ``gradient`` raises
     ``ValidationError`` when ``grad_fn`` returns an array whose shape is not
-    x's, (n,).
+    x's, (n,); a NaN or infinity otherwise passes through unchanged.
     """
 
     fn: Callable[[np.ndarray], float]
@@ -58,8 +57,6 @@ class ObjectiveOracle:
 
     def value(self, x: np.ndarray) -> float:
         v = float(self.fn(x))
-        if not math.isfinite(v):
-            raise NonFiniteObjective(f"objective returned non-finite value {v!r}")
         if v < self.f_low - 1e-12 * max(1.0, abs(self.f_low)):
             raise ObjectiveBelowBound(
                 f"objective value {v} violates declared lower bound {self.f_low}"
@@ -72,10 +69,6 @@ class ObjectiveOracle:
             raise ValidationError(
                 f"objective gradient has shape {g.shape}; expected {x.shape}, the shape of x"
             )
-        # a finite sum of squares implies finite entries; the entry-wise test
-        # runs only when the sum is not finite
-        if not math.isfinite(g.dot(g)) and not np.isfinite(g).all():
-            raise NonFiniteObjective("objective gradient is non-finite")
         return g
 
     def hessian(self, x: np.ndarray) -> np.ndarray:
@@ -270,6 +263,8 @@ def validate(problem: ProblemSpec, samples: int = 10, seed: int = 0) -> Validati
     for _ in range(samples):
         x = _sample_unit_ball(rng, problem.x0)
         g = problem.objective.gradient(x)
+        if not np.isfinite(g).all():
+            raise ValidationError(f"{problem.name}: the objective gradient at a sampled point is not finite")
         fd = finite_difference_gradient(problem.objective.fn, x)
         rel = np.abs(fd - g) / np.maximum(1.0, np.abs(g))
         j = int(np.argmax(rel))
@@ -452,7 +447,7 @@ def corpus_problem(name: str) -> ProblemSpec:
             except ValueError:
                 break
             return maker(n)
-    raise KeyError(f"unknown corpus problem {name!r}")
+    raise ValidationError(f"unknown corpus problem {name!r}")
 
 
 def load_problem(path: str) -> ProblemSpec:

@@ -114,17 +114,35 @@ class TestSolveCommand:
         assert code == cli.EXIT_SOLVER_FAILURE
 
     @pytest.mark.parametrize(
-        "problem,inner",
-        [("dup-eq-8", "cubic-newton"), ("simplex-cos-8", "cubic-newton"),
-         ("eq-rosenbrock-8", "gd-fixed")],
+        "problem,inner,extra",
+        [
+            pytest.param("dup-eq-8", "cubic-newton", [], id="dup-eq-8-cubic-newton"),
+            pytest.param("simplex-cos-8", "cubic-newton", [], id="simplex-cos-8-cubic-newton"),
+            pytest.param("eq-rosenbrock-8", "gd-fixed", [], id="eq-rosenbrock-8-gd-fixed"),
+            # no inner solve runs under these options, and the solver is refused all the same
+            pytest.param("simplex-cos-8", "cubic-newton", ["--max-outer", "0"], id="simplex-cos-8-cubic-newton-max-outer-0"),
+            pytest.param("simplex-cos-8", "cubic-newton", ["--sigma0", "1e17"], id="simplex-cos-8-cubic-newton-sigma0-1e17"),
+            pytest.param("eq-rosenbrock-8", "gd-fixed", ["--max-outer", "0"], id="eq-rosenbrock-8-gd-fixed-max-outer-0"),
+        ],
     )
-    def test_unsupported_inner_is_usage_error(self, tmp_path, caplog, problem, inner):
+    def test_unsupported_inner_is_usage_error(self, tmp_path, caplog, problem, inner, extra):
         code = cli.main(
-            ["solve", "--problem", problem, "--inner", inner, "--out", str(tmp_path / "run")]
+            ["solve", "--problem", problem, "--inner", inner, *extra, "--out", str(tmp_path / "run")]
         )
         assert code == cli.EXIT_USAGE
         assert "usage error" in caplog.text
         assert not (tmp_path / "run.json").exists()
+
+    def test_unsupported_inner_fails_every_sweep_row(self, tmp_path):
+        code = cli.main(
+            ["sweep", "--problem", "simplex-cos-8", "--inner", "cubic-newton", "--eps-grid", "1e-2,1e-3",
+             "--out", str(tmp_path / "sweep")]
+        )
+        assert code == cli.EXIT_SOLVER_FAILURE
+        rows = json.loads((tmp_path / "sweep.json").read_text())["rows"]
+        assert [(r["failed"], r["error"]) for r in rows] == [
+            (True, "cubic Newton requires equality-only linear constraints")
+        ] * 2
 
     def test_cubic_newton_without_a_hessian_is_usage_error(self, tmp_path, caplog, monkeypatch):
         # eq-cos-8 has linear equality constraints only, which cubic Newton accepts, but no Hessian here

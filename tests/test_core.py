@@ -211,7 +211,8 @@ class TestPenaltyValueGrad:
         calls = {
             "value": lambda: pen.value(x),
             "grad": lambda: pen.grad(x),
-            "first_inner_results": lambda: first_inner_results(p, SolverConfig(), [1e-3]),
+            # gd-backtracking applies to every problem, so the run reaches P
+            "first_inner_results": lambda: first_inner_results(p, SolverConfig(inner="gd-backtracking"), [1e-3]),
             "from_values": lambda: pen.from_values(f, c),
             "warm_start": lambda: warm_start(pen, _state(x, f, c), _state(x, f, c)),
         }

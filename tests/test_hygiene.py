@@ -280,6 +280,11 @@ def test_inner_solvers_import_no_package_module():
     assert package_imports((SRC / "inner.py").read_text(encoding="utf-8")) == []
 
 
+def test_problems_imports_no_package_module():
+    """Problems check only their own inputs, and every check raises a ``ValidationError``, a ``ValueError``."""
+    assert package_imports((SRC / "problems.py").read_text(encoding="utf-8")) == []
+
+
 def test_report_imports_no_package_module():
     """The report layouts read runs and sweeps by attribute, so ``outer`` and ``complexity`` can import them."""
     assert package_imports((SRC / "report.py").read_text(encoding="utf-8")) == []

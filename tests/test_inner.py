@@ -343,7 +343,7 @@ class TestNonFiniteTrial:
         return InnerTask(objective=obj.value, gradient=obj.gradient, start=task.start, eps=task.eps)
 
     def test_non_finite_objective_oracle_value_is_a_rejected_trial(self):
-        # ObjectiveOracle.value raises NonFiniteObjective, which the trial turns into a rejection
+        # ObjectiveOracle.value returns the inf, and the trial's own check turns it into a rejection
         assert gd_solve(self._checked(_ball_task(math.inf)), BACKTRACKING).grad_norm2 <= 1e-8
 
     def test_finite_value_below_the_bound_still_raises(self):
@@ -690,7 +690,7 @@ def _reference_cubic_step(eig, M):
             break
         hi *= 2.0
     else:
-        raise inner.EigendecompositionFailure("failed to bracket the secular-equation root")
+        raise inner.IterationCapExceeded("failed to bracket the secular-equation root")
 
     r, r_prev = 0.5 * (lo + hi), None
     for _ in range(500):

@@ -60,7 +60,7 @@ class TestCorpusContract:
         assert corpus_problem("eq-rosenbrock-4").n == 4
 
     def test_unknown_name(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValidationError, match="unknown corpus problem"):
             corpus_problem("no-such-problem")
 
     def test_lookup_matches_corpus_field_for_field(self):
@@ -75,7 +75,7 @@ class TestCorpusContract:
 
     @pytest.mark.parametrize("name", ["simplex-cos-", "foo", "simplex-cos-x"])
     def test_lookup_rejects_bad_names(self, name):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValidationError, match="unknown corpus problem"):
             corpus_problem(name)
 
     def test_lookup_rejects_n_out_of_range(self):
@@ -137,7 +137,8 @@ class TestNaNConstraintAtStart:
         check = {c.name: c for c in validate(p, samples=1).checks}["feasible_start"]
         assert not check.passed and math.isnan(check.worst_error)
         with pytest.raises(ValidationError, match="starting point infeasible"):
-            outer.solve(p, outer.SolverConfig())
+            # gd-backtracking applies to callable constraints, so the run reaches c(x0)
+            outer.solve(p, outer.SolverConfig(inner=outer.INNER_GD_BACKTRACKING))
 
     def test_finite_violation_keeps_its_bits(self):
         rng = np.random.default_rng(5)
@@ -155,12 +156,12 @@ class TestObjectiveOracle:
         with pytest.raises(ObjectiveBelowBound):
             obj.value(np.zeros(1))
 
-    def test_non_finite_rejected(self):
+    def test_nan_passes_through(self):
+        # finiteness is checked by outer._start at x0 and by the inner loop after
         obj = ObjectiveOracle(
             fn=lambda x: float("nan"), grad_fn=lambda x: np.zeros(1), f_low=-1.0
         )
-        with pytest.raises(ObjectiveBelowBound):
-            obj.value(np.zeros(1))
+        assert math.isnan(obj.value(np.zeros(1)))
 
     def test_missing_hessian(self):
         obj = ObjectiveOracle(fn=lambda x: 0.0, grad_fn=lambda x: np.zeros(1), f_low=-1.0)
@@ -375,10 +376,15 @@ class TestObjectiveGradientFiniteness:
             [INF, -INF, NAN],
         ],
     )
-    def test_non_finite_gradient_rejected(self, grad):
+    def test_non_finite_gradient_is_a_validation_error(self, grad):
+        # the oracle passes it through; solve checks it at x0 and validate at each sampled point
+        n = len(grad)
         obj = ObjectiveOracle(fn=lambda x: 0.0, grad_fn=lambda x: np.array(grad), f_low=-1.0)
-        with pytest.raises(ObjectiveBelowBound, match="gradient is non-finite"):
-            obj.gradient(np.zeros(len(grad)))
+        p = ProblemSpec("bad-grad", obj, ConstraintSet(m=1, m_e=1, A=np.ones((1, n)), b=np.zeros(1)), np.zeros(n))
+        with pytest.raises(ValidationError, match="bad-grad: the objective gradient at x0 is not finite"):
+            outer.solve(p, outer.SolverConfig(inner=outer.INNER_GD_BACKTRACKING))
+        with pytest.raises(ValidationError, match="bad-grad: the objective gradient at a sampled point is not finite"):
+            validate(p, samples=1)
 
     # g.dot(g) overflows for entries of 1e200, and numpy reports that as a warning
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
