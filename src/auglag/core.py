@@ -259,11 +259,18 @@ def lipschitz_bound_for(problem: ProblemSpec, sigma: float) -> float:
     up by ``ConstraintSet.AtA_max_eig``, is at least as large.  With f linear
     and every row an equality row it is attained along the top eigenvector of
     A^T A.  The constraint set caches lambda_max, so a new sigma costs no
-    eigendecomposition.
+    eigendecomposition.  Raises ``ValidationError`` where the bound is not
+    finite, as where A^T A overflows.
     """
     cons = problem.constraints
     if not cons.is_linear:
         raise UnsupportedSpecializationError("Lipschitz bound requires linear constraints")
     if problem.objective.L1 is None:
         raise UnsupportedSpecializationError("objective must declare a gradient Lipschitz constant")
-    return problem.objective.L1 + sigma * cons.AtA_max_eig
+    L = problem.objective.L1 + sigma * cons.AtA_max_eig
+    if not math.isfinite(L):
+        raise ValidationError(
+            f"{problem.name}: the Lipschitz bound L1 + sigma lambda_max(A^T A) = {L!r} "
+            f"at sigma = {sigma!r} is not finite"
+        )
+    return L

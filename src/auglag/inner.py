@@ -21,7 +21,8 @@ can make progress raises ``IterationCapExceeded`` itself.  On the way the
 loop passes the task's larger ``stops``, whose results ride on the last
 one, so an eps-sweep can share the descent that its rows repeat.  Each
 iteration calls the step rule on (x, f, grad g, ||grad g||^2), which returns
-the next point in that form, or None when it rejected its trial.  Only cubic
+the next point in that form with the Armijo step t that reached it (None for
+the other rules), or None when it rejected its trial.  Only cubic
 Newton rejects; it forms the Hessian with its eigendecomposition at each
 point where it solves a model, and keeps both across rejected trials.
 
@@ -86,7 +87,8 @@ class InnerTask:
     of its last joint evaluation of g and grad g, which each result keeps as
     ``evaluation``.  The solve passes ``stops``, descending tolerances above eps, on the way,
     and raises ``OracleBudgetExceeded`` rather than make more than ``max_calls`` oracle calls,
-    which is ``ORACLE_BUDGET`` when the task is built without it.
+    which is ``ORACLE_BUDGET`` when the task is built without it.  gd-backtracking's first
+    Armijo search tries ``first_step`` first; the other solvers ignore it.
     """
 
     objective: Callable[[np.ndarray], float]
@@ -98,6 +100,7 @@ class InnerTask:
     start_pair: Optional[tuple[float, np.ndarray]] = None
     last_evaluation: Optional[Callable[[], object]] = None
     stops: Sequence[float] = ()
+    first_step: float = 2.0
     # the most oracle calls the solve may make, counted as oracle_calls
     max_calls: int = field(default_factory=lambda: ORACLE_BUDGET)
 
@@ -111,7 +114,11 @@ class InnerTask:
 
 @dataclass
 class InnerResult:
-    """Where a solve ended, and its counts: iterations, accepted steps and oracle calls."""
+    """Where a solve ended, and its counts: iterations, accepted steps and oracle calls.
+
+    ``last_step`` is the last Armijo step t that gd-backtracking accepted, and
+    None for the other solvers and for a solve that took no step.
+    """
 
     x_final: np.ndarray
     grad_norm2: float
@@ -120,6 +127,7 @@ class InnerResult:
     accepted_steps: int
     # g(start): from task.start_pair, or the solve's first oracle call
     start_value: float
+    last_step: Optional[float] = None
     # task.last_evaluation() when the result was taken: the record at x_final
     evaluation: object = field(default=None, compare=False, repr=False)
     # the results at the task's stops, each equal to a solve to that stop alone
@@ -211,7 +219,7 @@ def _descend(task: InnerTask, rule, *args) -> InnerResult:
     x = task.start.copy()
     pair = (value(x), task.gradient(x)) if task.start_pair is None else task.start_pair
     f, g, gn2 = _checked(*pair)
-    start_value, iters, accepted = f, 0, 0
+    start_value, iters, accepted, last_step = f, 0, 0, None
     last_evaluation = task.last_evaluation or (lambda: None)
     results, last = [], len(task.stops)
     for i, eps in enumerate((*task.stops, task.eps)):
@@ -219,12 +227,13 @@ def _descend(task: InnerTask, rule, *args) -> InnerResult:
             moved = step(x, f, g, gn2)
             iters += 1
             if moved is not None:
-                x, f_new, g, gn2 = moved
+                x, f_new, g, gn2, last_step = moved
                 f = min(f, f_new)
                 accepted += 1
         results.append(InnerResult(
             x_final=x if i == last else x.copy(), grad_norm2=_norm(g, gn2), iterations=iters,
-            oracle_calls=calls, accepted_steps=accepted, start_value=start_value, evaluation=last_evaluation(),
+            oracle_calls=calls, accepted_steps=accepted, start_value=start_value, last_step=last_step,
+            evaluation=last_evaluation(),
         ))
     results[-1].earlier = results[:-1]
     return results[-1]
@@ -238,11 +247,11 @@ def gd_solve(task: InnerTask, variant: str = FIXED_STEP) -> InnerResult:
     each search starts at the Barzilai-Borwein step s's / s'y of the last
     step s and gradient change y, or at the short step s'y / y'y where that
     is below a fifth of it, but at no less than a tenth of it; where there
-    is no last step or s'y <= 0, it starts at twice the last accepted t, at 2
-    for the first search.  The start is at least 1e-12 and at most 256 times
-    the last accepted t.  Where t ||grad g||^2 is within 64 ulps of g(x),
-    below the rounding of the test, a trial also passes where g rises by no
-    more than 1e-14 max(1, |g(x)|).  Both raise
+    is no last step or s'y <= 0, it starts at twice the last accepted t, at
+    ``task.first_step`` for the first search.  The start is at least 1e-12
+    and at most 256 times the last accepted t.  Where t ||grad g||^2 is
+    within 64 ulps of g(x), below the rounding of the test, a trial also
+    passes where g rises by no more than 1e-14 max(1, |g(x)|).  Both raise
     ``IterationCapExceeded`` where no later step can make progress: at a fixed
     step that lowers g by less than ||grad g||^2 / (2L), at a fixed step or a
     trial below the step floor 1e-16 that no longer moves x, and at Armijo
@@ -277,7 +286,7 @@ def _gd_rule(task: InnerTask, value, variant: str):
                 f"the step g/L lowered the objective by less than ||grad||^2/(2L) ({f} -> {f_new}); "
                 f"L is too small (L = {L!r})"
             )
-        return x_new, f_new, g_new, gn2_new
+        return x_new, f_new, g_new, gn2_new, None
 
     # The first trial of a search is the Barzilai-Borwein step t = s's / s'y,
     # from s = x - x_prev and y = grad - grad_prev (Barzilai & Borwein, IMA J.
@@ -285,15 +294,17 @@ def _gd_rule(task: InnerTask, value, variant: str):
     # _BB_KAPPA = 0.2 times it, as s and y point far apart, but not below
     # _BB_DELTA = 0.1 times it (the adaptive rule of Zhou, Gao & Dai, Comput.
     # Optim. Appl. 35, 2006, with a floor).  Without a previous pair, or where
-    # s'y <= 0 or is not finite, it is twice the last accepted t, which makes 2
-    # for the first search (Nocedal & Wright, Numerical Optimization, 2nd ed.,
-    # 3.5).  The start is raised to _BB_LO = 1e-12, a guard against rounding,
-    # and then cut to _BB_GROWTH = 256 times the last accepted t.  Acceptance
-    # stays the monotone Armijo test with halving, but where t ||grad||^2 is
-    # within 64 ulps of g(x) the test compares rounding errors, and a trial
-    # that raises g by no more than _slack(g(x)) passes too (after Hager &
-    # Zhang's approximate Armijo test, SIAM J. Optim. 16, 2005): without it
-    # the search halves t until the step no longer moves x.  Every trial is
+    # s'y <= 0 or is not finite, it is twice the last accepted t; the first
+    # search starts at t1 = task.first_step, which the outer loop sets to twice
+    # the last t its previous solve accepted, capped at 2 (Nocedal & Wright,
+    # Numerical Optimization, 2nd ed., 3.5).  The start is raised to _BB_LO =
+    # 1e-12, a guard against rounding, and then cut to _BB_GROWTH = 256 times
+    # the last accepted t.  Acceptance stays the monotone Armijo test with
+    # halving, but where t ||grad||^2 is within 64 ulps of g(x) the test
+    # compares rounding errors, and a trial that raises g by no more than
+    # _slack(g(x)) passes too (after Hager & Zhang's approximate Armijo test,
+    # SIAM J. Optim. 16, 2005): without it the search halves t until the step
+    # no longer moves x.  Every trial is
     # at least t_min (below), and ||grad||^2 > eps^2 while the solve runs, so
     # this acceptance fires only where eps^2 < 64 ulp(g) L / delta; above
     # that the bounds below hold as stated.
@@ -302,20 +313,24 @@ def _gd_rule(task: InnerTask, value, variant: str):
     # its search's first trial or half of a rejected trial, which is more than
     # (1 - c1)/L.  A first trial is at least min(delta/L, t_prev), as s's / s'y
     # is at least 1/L (s'y <= L s's), the short step is taken only down to
-    # delta times it, and the cut lies above t_prev; by induction t >= t_min =
-    # min(2, delta/L), as delta < 1 - c1: (1 - c1)/delta, about 10, times
-    # below the min(2, (1 - c1)/L) of the plain BB start, so the bounds below
-    # are that much looser.  The floor is what keeps them: the short step
-    # alone has no lower bound where g is not convex.
+    # delta times it, and the cut lies above t_prev; by induction t >=
+    # min(t1, delta/L), as delta < 1 - c1.  That is t_min = min(2, delta/L),
+    # for t1 = 2 and for a t1 = min(2, 2 t') carried from the outer loop's
+    # last solve: its accepted t' is at least its own t_min, which is at least
+    # this one, as sigma never falls and so neither does the certified L.
+    # t_min is (1 - c1)/delta, about 10, times below the min(2, (1 - c1)/L)
+    # of the plain BB start, so the bounds below are that much looser.  The
+    # floor is what keeps them: the short step alone has no lower bound where
+    # g is not convex.
     # Each accepted step with ||grad|| > eps lowers g by at least
     # c1 t_min eps^2, so a solve makes O(eps^-2) steps, at most
     # (g(start) - g_low) / (c1 t_min eps^2) + 1.  A search whose first
     # trial is t1 and accepted step t makes 1 + log2(t1 / t) trials, and
-    # t1 <= 256 t_prev, with 2 for the first search; the sum telescopes, so
-    # N searches make at most 9 N + log2(2 / t_min) trials.  On the corpus
+    # t1 <= 256 t_prev, with t1 <= 2 for the first search; the sum telescopes,
+    # so N searches make at most 9 N + log2(2 / t_min) trials.  On the corpus
     # and on backtracking-sweep a cut at 256, or at 128, takes the same steps
     # as no cut.
-    t_prev = 1.0
+    t_prev = 0.5 * task.first_step  # so that the first search starts at first_step
     x_prev = g_prev = None  # the last accepted point and its gradient
     seen, power, count = None, 1, 0  # Brent's cycle check over the steps that leave g unchanged
 
@@ -361,7 +376,7 @@ def _gd_rule(task: InnerTask, value, variant: str):
             if count == power:
                 seen, power, count = state, 2 * power, 0
         t_prev, x_prev, g_prev = t, x, g
-        return x_new, f_new, *_grad_sq(task.gradient(x_new))
+        return x_new, f_new, *_grad_sq(task.gradient(x_new)), t
 
     return fixed_step if variant == FIXED_STEP else armijo_step
 
@@ -522,7 +537,7 @@ def _cubic_rule(task: InnerTask, value):
         if f - f_trial >= 0.25 * model_dec if model_dec > 16.0 * math.ulp(f) else f_trial <= f:
             model = None
             M = max(0.5 * M, _M_MIN)
-            return x_trial, f_trial, *_grad_sq(task.gradient(x_trial))
+            return x_trial, f_trial, *_grad_sq(task.gradient(x_trial)), None
         M *= 2.0
         return None
 

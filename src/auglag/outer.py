@@ -283,13 +283,14 @@ def warm_start(
 
 def _build_inner_task(
     pen: core.Penalty, start: np.ndarray, eps: float, kind: str, start_pair=None,
-    stops: Sequence[float] = (), spent: int = 1,
+    stops: Sequence[float] = (), spent: int = 1, first_step: float = 2.0,
 ) -> inner.InnerTask:
     """The inner solve of P = ``pen`` from ``start``, through ``stops`` to eps.
 
     ``start_pair`` is (P, grad P) at ``start``.  ``spent`` is the run's oracle
     calls so far, 1 (at x0) before its first inner solve; the solve may make
     the rest of ``inner.ORACLE_BUDGET``, as ``total_oracle_calls`` counts them.
+    ``first_step`` is gd-backtracking's first trial step.
     """
     problem = pen.problem
     hessian = known_L = None
@@ -301,7 +302,8 @@ def _build_inner_task(
     return inner.InnerTask(
         objective=pen.value, gradient=pen.grad, hessian=hessian,
         start=start, eps=eps, known_L=known_L, start_pair=start_pair,
-        last_evaluation=pen.last_evaluation, stops=stops, max_calls=inner.ORACLE_BUDGET - spent,
+        last_evaluation=pen.last_evaluation, stops=stops, first_step=first_step,
+        max_calls=inner.ORACLE_BUDGET - spent,
     )
 
 
@@ -345,14 +347,15 @@ def _start(problem: ProblemSpec, config: SolverConfig) -> tuple[OuterState, core
     Evaluates c, f, grad f and J once each at x0: a run's only oracle calls
     outside its inner solves.  Every check of the input raises a ``ValueError``
     here, before the first inner solve: an inner solver that cannot apply
-    (``core.UnsupportedSpecializationError``) before any oracle call, an
-    infeasible x0 before f is evaluated, and a non-finite f, grad f or J at x0
-    (``ValidationError`` naming it) once they are.  Inside a solve the inner
-    loop checks every value.
+    (``core.UnsupportedSpecializationError``) or a gd-fixed L that is not
+    finite before any oracle call, a non-finite or infeasible c(x0)
+    (``ProblemSpec.check_feasible_start``) before f is evaluated, and a
+    non-finite f, grad f or J at x0 (``ValidationError`` naming it) once they
+    are.  Inside a solve the inner loop checks every value.
     """
     cons, obj, x0 = problem.constraints, problem.objective, problem.x0
     if config.inner == INNER_GD_FIXED:
-        core.lipschitz_bound_for(problem, config.sigma0)  # raises where gd-fixed has no L
+        core.lipschitz_bound_for(problem, config.sigma0)  # raises where gd-fixed has no finite L
     elif config.inner == INNER_CUBIC:
         if not (cons.is_linear and cons.m_e == cons.m):
             raise core.UnsupportedSpecializationError(
@@ -407,7 +410,9 @@ def solve(
     the outer iterations completed before, where an inner solve would take
     ``total_oracle_calls`` past ``inner.ORACLE_BUDGET``.  ``_first`` is
     this run's k = 0 inner result from ``first_inner_results``, which an
-    eps-sweep passes.
+    eps-sweep passes.  Each gd-backtracking solve starts its first Armijo
+    search at min(2, 2 t), t the last step accepted by the last solve that
+    took one, and at 2 before that.
     """
     eps = config.eps
     cons = problem.constraints
@@ -418,6 +423,7 @@ def solve(
     monitor_log: list[MonitorEntry] = []
     terminated = TERMINATED_MAX_OUTER
     calls = 1  # total_oracle_calls so far
+    first_step = 2.0
 
     for k in range(config.max_outer):
         lam, sigma = state.lam, state.sigma
@@ -431,7 +437,9 @@ def solve(
         if k == 0 and _first is not None:
             res = _first
         else:
-            task = _build_inner_task(penalty, start, eps, config.inner, start_pair, spent=calls)
+            task = _build_inner_task(
+                penalty, start, eps, config.inner, start_pair, spent=calls, first_step=first_step,
+            )
             try:
                 res = _run_inner(task, config.inner)
             except inner.OracleBudgetExceeded:
@@ -445,6 +453,8 @@ def solve(
                 raise InnerFailure(f"inner solver failed at outer iteration {k}: {exc} ({where})") from exc
 
         calls += res.oracle_calls
+        if res.last_step is not None:
+            first_step = min(2.0, 2.0 * res.last_step)
         # every quantity below reads the inner solve's last evaluation, at x_{k+1}
         x_next, ev = res.x_final, res.evaluation
         if ev is None or ev.key != x_next.tobytes():

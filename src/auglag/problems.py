@@ -186,9 +186,15 @@ class ProblemSpec:
         return float(np.maximum(*self.constraints.primal_residuals(self.constraints.c(x))))
 
     def check_feasible_start(self, c0: np.ndarray) -> None:
-        """Raise ``ValidationError`` unless c0 = c(x0) puts x0 within FEASIBILITY_TOL of feasible."""
+        """Raise ``ValidationError`` unless c0 = c(x0) is finite and puts x0 within FEASIBILITY_TOL of feasible.
+
+        The one start check, which a solve and ``validate`` both run.  Finiteness
+        comes first: min(c, 0) reads +inf on an inequality row as feasible.
+        """
+        if not np.isfinite(c0).all():
+            raise ValidationError(f"{self.name}: starting point infeasible: c(x0) is not finite")
         viol = float(np.maximum(*self.constraints.primal_residuals(c0)))
-        if not (viol <= FEASIBILITY_TOL):  # written so that NaN fails it
+        if viol > FEASIBILITY_TOL:
             raise ValidationError(
                 f"{self.name}: starting point infeasible (violation {viol:.3e})"
             )
@@ -236,9 +242,11 @@ def finite_difference_gradient(fn, x: np.ndarray) -> np.ndarray:
 def validate(problem: ProblemSpec, samples: int = 10, seed: int = 0) -> ValidationReport:
     """Check start feasibility and gradient consistency.
 
-    Gradient agreement is tested at ``samples`` random points in the unit ball
-    around x0; each coordinate must match central finite differences with
-    relative error at most 1e-6.
+    The start must pass ``ProblemSpec.check_feasible_start``, the check a
+    solve runs; its worst error is the violation at x0.  Gradient agreement
+    is tested at ``samples`` random points in the unit ball around x0; each
+    coordinate must match central finite differences with relative error at
+    most 1e-6.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -247,15 +255,13 @@ def validate(problem: ProblemSpec, samples: int = 10, seed: int = 0) -> Validati
     rng = np.random.default_rng(seed)
     checks: list[CheckResult] = []
 
-    viol = problem.feasibility_violation(problem.x0)
-    checks.append(
-        CheckResult(
-            "feasible_start",
-            viol <= FEASIBILITY_TOL,
-            viol,
-            "" if viol <= FEASIBILITY_TOL else f"x0 violation {viol:.3e} > {FEASIBILITY_TOL}",
-        )
-    )
+    c0 = problem.constraints.c(problem.x0)
+    try:
+        problem.check_feasible_start(c0)
+        detail = ""
+    except ValidationError as exc:
+        detail = str(exc)
+    checks.append(CheckResult("feasible_start", not detail, problem.feasibility_violation(problem.x0), detail))
 
     worst = 0.0
     bad_detail = ""

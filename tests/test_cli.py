@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import logging
 import math
 import time
 
@@ -457,6 +458,27 @@ def test_extreme_values_exit_cleanly(tmp_path, capsys, changes, code):
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("changes, inner", [
+    ({"A": [[1e300, 1e300]], "b": [-1], "m_e": 0, "x0": [1e10, 1e10]}, "gd-backtracking"),  # c(x0) = +inf >= 0
+    ({"L1": 17, "A": [[1e200, 1e200]], "b": [1e200]}, "gd-fixed"),  # A^T A overflows: L is not finite
+], ids=["infinite-c-at-x0", "infinite-L"])
+@pytest.mark.parametrize("max_outer", [[], ["--max-outer", "0"]], ids=["run", "no-outer-iteration"])
+def test_an_input_no_solve_can_use_exits_2_with_no_report(tmp_path, capsys, changes, inner, max_outer):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(dict(_SMALL, **changes)))
+    argv = ["solve", "--problem", str(path), "--inner", inner, "--out", str(tmp_path / "run"), *max_outer]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert not (tmp_path / "run.json").exists()
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_check_fails_an_infinite_c_at_x0(tmp_path, capsys):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(dict(_SMALL, A=[[1e300, 1e300]], b=[-1], m_e=0, x0=[1e10, 1e10])))
+    assert cli.main(["check", "--problem", str(path), "--samples", "1"]) == cli.EXIT_SOLVER_FAILURE
+    assert "feasible_start: FAIL" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("L1, code", [(2.0, cli.EXIT_SOLVER_FAILURE), (8.0, cli.EXIT_SOLVER_FAILURE),
                                       (17.0, cli.EXIT_OK)])
 def test_a_declared_L1_below_the_true_constant_is_caught(tmp_path, capsys, caplog, L1, code):
@@ -618,6 +640,39 @@ class TestProblemFileFuzz:
                              "--max-outer", "3", "--eps", "0.1", "--out", str(work / "run")])
         assert code in (cli.EXIT_OK, cli.EXIT_SOLVER_FAILURE, cli.EXIT_USAGE)
         assert "Traceback" not in err.getvalue()
+
+
+def _main_logged(argv: list[str]) -> tuple[int, str]:
+    """``cli.main(argv)``'s exit code and the messages it logged, its stdout dropped."""
+    records = []
+    handler = logging.Handler()
+    handler.emit = records.append
+    log = logging.getLogger("auglag")
+    log.addHandler(handler)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(argv)
+    finally:
+        log.removeHandler(handler)
+    return code, "\n".join(r.getMessage() for r in records)
+
+
+class TestUsageVerdictFuzz:
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(doc=problem_documents(), inner=st.sampled_from(("auto",) + outer.INNER_SOLVERS))
+    @example(doc=dict(_SMALL, L1=17, A=[[1e200, 1e200]], b=[1e200]), inner="gd-fixed")
+    def test_a_usage_error_does_not_wait_for_the_solve(self, tmp_path_factory, doc, inner):
+        # a bad input exits 2 whether or not an outer iteration runs; only an f below
+        # the declared f_low waits for the iterate whose evaluation shows it
+        work = tmp_path_factory.mktemp("verdict")
+        path = work / "problem.json"
+        path.write_text(json.dumps(doc))  # NaN and Infinity as Python's json writes them
+        usage = []
+        for max_outer in ("0", "3"):
+            code, logged = _main_logged(["solve", "--problem", str(path), "--inner", inner, "--max-outer",
+                                         max_outer, "--eps", "0.1", "--out", str(work / "run")])
+            usage.append(code == cli.EXIT_USAGE)
+        assert usage[0] == usage[1] or (usage[1] and "violates declared lower bound" in logged)
 
 
 # every value a JSON --config file can hold: numbers across the whole double

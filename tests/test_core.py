@@ -21,6 +21,7 @@ from auglag.problems import (
     ConstraintSet,
     ObjectiveOracle,
     ProblemSpec,
+    ValidationError,
     corpus,
     corpus_problem,
     finite_difference_gradient,
@@ -723,6 +724,13 @@ class TestLipschitzBound:
         )
         with pytest.raises(UnsupportedSpecializationError):
             core.lipschitz_bound_for(q, 1.0)
+
+    @pytest.mark.parametrize("scale, sigma", [(1e200, 1.0), (1e150, 1e16)])
+    def test_a_bound_that_is_not_finite_is_refused(self, scale, sigma):
+        # A^T A overflows to inf (eigvalsh then gives NaN), or sigma lambda_max does
+        p = _linear_problem(np.full((1, 2), scale), 17.0)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValidationError, match="is not finite"):
+            core.lipschitz_bound_for(p, sigma)
 
     def test_sampled_quotients_respect_bound(self):
         p = corpus_problem("simplex-cos-8")

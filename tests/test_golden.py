@@ -65,9 +65,9 @@ GOLDEN = {
         "64c1888d4b0663961802d83620ba3aa4083e1417e1e4810272cadc543039671d",
     ),
     "solve-dup-eq-8-gd-backtracking": (
-        "2ad003ce47daa609c34966dfdc7e9b3c4c06bbfb4faed8479b56bc06309c45dc",
-        "e001e3e8d00ff16a81c255ce4a8e65e9e27f4caf6eba70a23e5cf353d8ae6596",
-        "eb47ee0b0aba95c2be4782d38fcd883fe6d2a0b6486b19563eaa9408ff2d9785",
+        "4bd25578db9ac0d13c8ed04311e30cce7cef66649881445cfc4aafc88b071b9e",
+        "be23c13b2c66ac87121982de8986108b1037155731928d992d8edb6222bc967c",
+        "b3e5bdc138c6db922ee500fa7831dc8a66e287ffb73c8299ef53edde1c6cbfb3",
     ),
     "solve-dup-eq-8-gd-fixed": (
         "9be4d17366f533039d641eaf2a476ff104afaf54e19f5872c1e1dd09af9b86e8",
@@ -85,9 +85,9 @@ GOLDEN = {
         "4f99c324267414ae08aecac6b0daa8ac849fac649aef019debab4c07b7d1e517",
     ),
     "solve-eq-cos-8-gd-backtracking": (
-        "f92f232f33f188243f7f3a46a4d6e94a58abccbdd58693d4900379f0db7dee0c",
-        "d078156008132c1c4b43997feacb3b473daca8e3775913a4da2d46583d006cb0",
-        "4914a98d996904e063d219922c3d6c6e0cd66f64b06f5c2246c7dad4b519faad",
+        "3857d180f2d323e4d436da3561f9cc3a88b7a640e9ba1b65cd2638265592c133",
+        "71617cdcdc803398b0758e888901fb17acded03d75f781beb7361e3c94c7bfb5",
+        "9183e9db60621dc4e2b0b4edece335959c5e866e22dde0cce79d9ee36e5a8a08",
     ),
     "solve-eq-cos-8-gd-fixed": (
         "48c5dffdda966c1eca4059553a8c82c0aba8772234cd20b4a8202b744fe665a8",
@@ -100,9 +100,9 @@ GOLDEN = {
         "061d382ab961d85b32b7939a21550fb48ae21c91ea5d5d0cc40f98a30818a34c",
     ),
     "solve-eq-qp-analytic-gd-backtracking": (
-        "4d47394c6b8cb7035f4f576fed213e2ed8929ba8e13c6ff6fa2ab4c577e864d3",
-        "240534ba699e26f6b05d6ed8c25729f85e9216a84a073b63d0a0578dc6a6a5e4",
-        "5fc5f783e1bc572cb4850615a16f8e254b4d493e0ebcc3cacdfca39cebae8a94",
+        "f3ab43bc8bc1fe04cf8c0c77655fd2fb0a8c3aa8d7e2fc378817e0a85bae98cf",
+        "03401a3b16f33fcad0f9a068bcd35fe431b195feff44cadb57a179efabaaaec0",
+        "8ccdb2519cd0eae8eab31e6c02365af082051d8837d3fb8924a069c33e5d65fd",
     ),
     "solve-eq-qp-analytic-gd-fixed": (
         "2f2465914a089dc3026479171b1286cb55ff9d26ea04d3277b59302938d12a5d",
@@ -135,9 +135,9 @@ GOLDEN = {
         "b0d5366dadb4182ca22a2c27fe2ec5234507f5c2a5b6ddfed9ba0220075ef809",
     ),
     "solve-simplex-cos-8-gd-backtracking": (
-        "649b6e4174371e1e47901e1750e2255cf8ce10b1fe33084efc539f7617db4a9b",
-        "4f935132d42ce7c7f3a8bbd50e4655967a698adb67c6b810c967220afc2ccff5",
-        "17f3b2e31964abdca1b49f94c54720df877049abf0b4fa054b4c9bf778c76999",
+        "4d59af617c73147f356a74dc6a2edca57e19456b64b7c029da5bd421f423bff2",
+        "8d2269945bee132ce5b8c3c5e3c8c137f8169e0a29725349c1c500dd8c035ff5",
+        "f190096e31dbcc9b7d037139c1d15bd42f8be1986a61718b361d879cb12eac23",
     ),
     "solve-simplex-cos-8-gd-fixed": (
         "5db330c910cfc894a4f585713fdd7ed1ddf312273a1157ccc6d255002118f4bc",

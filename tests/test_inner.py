@@ -209,6 +209,34 @@ class TestArmijoInitialStep:
         assert res.iterations == iters and res.oracle_calls == calls
         assert res.x_final[0] == [-0.5, 0.0][iters - 1]
 
+    @pytest.mark.parametrize("first_step", [2.0, 0.5, 1e-3])
+    def test_first_search_starts_at_the_tasks_first_step(self, first_step):
+        points = []
+
+        def objective(x):
+            points.append(float(x[0]))
+            return 0.75 * float(x[0]) ** 2
+
+        task = InnerTask(objective=objective, gradient=lambda x: 1.5 * x, start=np.array([1.0]),
+                         eps=1e-6, first_step=first_step)
+        gd_solve(task, BACKTRACKING)
+        assert points[:2] == [1.0, 1.0 - first_step * 1.5]  # the start, then the first trial
+
+    def test_last_step_at_each_stop_equals_a_solve_alone(self):
+        # g = 0.75 x^2 from x = 1, |grad g| = 1.5: t = 0.05 passes at once (|grad g| = 1.3875),
+        # and the BB step 2/3 lands on the minimizer; the stop 2.0 is met at the start
+        def task(eps, stops=()):
+            return _quadratic_task([1.0], eps=eps, D=[[1.5]], stops=stops, first_step=0.05)
+
+        res = gd_solve(task(1e-6, (2.0, 1.4)), BACKTRACKING)
+        steps = [r.last_step for r in (*res.earlier, res)]
+        assert steps[:2] == [None, 0.05] and steps[2] == pytest.approx(2.0 / 3.0)
+        for got, eps in zip((*res.earlier, res), (2.0, 1.4, 1e-6)):
+            assert got.last_step == gd_solve(task(eps), BACKTRACKING).last_step
+        # the other solvers take no Armijo step
+        assert gd_solve(_quadratic_task([1.0], D=[[1.5]], known_L=1.5), FIXED_STEP).last_step is None
+        assert cubic_newton_solve(task(1e-6)).last_step is None
+
     def test_later_searches_start_at_the_bb_step(self):
         D = np.array([1.0, 10.0])
         log = _armijo_log(lambda x: 0.5 * float(x.dot(D * x)), lambda x: D * x, [1.0, 1.0], 12)
@@ -306,7 +334,7 @@ class TestArmijoInitialStep:
         # every inner solve of an outer run, against the bounds proved in _gd_rule
         # from t_min = min(2, delta/L) with L the certified constant of grad P:
         # each accepted t is at least t_min, and each search's first trial at most
-        # 256 times the last accepted t (2 for the first), so trials <= 9 N + log2(2 / t_min)
+        # 256 times the last accepted t (at most 2 for the first), so trials <= 9 N + log2(2 / t_min)
         solves, run = [], outer._run_inner
 
         def recording_run(task, kind):
@@ -326,6 +354,35 @@ class TestArmijoInitialStep:
             assert res.accepted_steps <= (res.start_value - p_low) / (c1 * t_min * task.eps**2) + 1
             growth = math.log2(inner._BB_GROWTH)
             assert res.oracle_calls <= 1 + (1 + growth) * res.iterations + math.log2(2.0 / t_min)
+
+    @pytest.mark.parametrize("name", ["simplex-cos-8", "dup-eq-8", "eq-qp-analytic"])
+    def test_each_solve_starts_at_twice_the_last_solves_last_step(self, name, monkeypatch):
+        # solve k+1's first trial is min(2, 2 t), t the last step of the last solve
+        # that took one (eq-qp-analytic's last solve takes none), and 2 before that
+        solves, run = [], outer._run_inner
+
+        def recording_run(task, kind):
+            trials, value = [], task.objective
+
+            def recorded(x):
+                trials.append(x.copy())
+                return value(x)
+
+            task.objective = recorded
+            res = run(task, kind)
+            solves.append((task, res, trials))
+            return res
+
+        monkeypatch.setattr(outer, "_run_inner", recording_run)
+        report = outer.solve(corpus_problem(name), outer.SolverConfig(eps=1e-3, inner=outer.INNER_GD_BACKTRACKING))
+        assert report.terminated == outer.TERMINATED_KKT and len(solves) == report.T_outer >= 4
+        want = 2.0
+        for task, res, trials in solves:
+            assert task.first_step == want
+            if res.iterations:  # the start pair is given, so the first call is the first trial
+                np.testing.assert_array_equal(trials[0], task.start - want * task.start_pair[1])
+                want = min(2.0, 2.0 * res.last_step)
+        assert want < 2.0
 
 
 class TestNonFiniteTrial:

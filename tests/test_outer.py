@@ -555,7 +555,7 @@ class TestOnePointFeasibleSet:
 
     @pytest.mark.parametrize("kind, eps, t_outer, f_calls", [
         (INNER_GD_FIXED, 1e-2, 5, 29), (INNER_GD_FIXED, 1e-3, 6, 44),
-        (INNER_GD_BACKTRACKING, 1e-2, 5, 42), (INNER_GD_BACKTRACKING, 1e-3, 6, 54),
+        (INNER_GD_BACKTRACKING, 1e-2, 5, 23), (INNER_GD_BACKTRACKING, 1e-3, 6, 28),
     ])
     def test_ends_eps_kkt_and_certified(self, kind, eps, t_outer, f_calls):
         A = np.array([[1.0, -1.0], [1.0, 1.0], [-1.0, -1.0]])

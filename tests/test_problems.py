@@ -126,7 +126,7 @@ class TestFeasibility:
 
 
 class TestNaNConstraintAtStart:
-    """A NaN in c(x0) fails every feasibility check, on an equality row or an inequality row."""
+    """A NaN in c(x0), or an infinity, fails every feasibility check, on an equality row or an inequality row."""
 
     @pytest.mark.parametrize("m_e", [0, 1])
     def test_every_check_rejects_it(self, m_e):
@@ -138,6 +138,17 @@ class TestNaNConstraintAtStart:
         assert not check.passed and math.isnan(check.worst_error)
         with pytest.raises(ValidationError, match="starting point infeasible"):
             # gd-backtracking applies to callable constraints, so the run reaches c(x0)
+            outer.solve(p, outer.SolverConfig(inner=outer.INNER_GD_BACKTRACKING))
+
+    @pytest.mark.parametrize("m_e", [0, 1])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf])
+    def test_an_infinity_fails_every_check_too(self, m_e, bad):
+        # min(c, 0) reads +inf on an inequality row as feasible, so finiteness is tested first
+        p = make_tiny(m_e, lambda x: np.array([bad]), lambda x: np.ones((1, 1)),
+                      f=lambda x: float(x.dot(x)), grad=lambda x: 2.0 * x)
+        check = {c.name: c for c in validate(p, samples=1).checks}["feasible_start"]
+        assert not check.passed and "c(x0) is not finite" in check.detail
+        with pytest.raises(ValidationError, match=r"starting point infeasible: c\(x0\) is not finite"):
             outer.solve(p, outer.SolverConfig(inner=outer.INNER_GD_BACKTRACKING))
 
     def test_finite_violation_keeps_its_bits(self):
