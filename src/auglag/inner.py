@@ -505,8 +505,10 @@ def cubic_newton_solve(task: InnerTask) -> InnerResult:
 
     Steps are accepted when the actual decrease reaches a quarter of the
     model decrease, or, where the model decrease is within 16 ulps of g(x),
-    when g does not rise; the regularization weight doubles on rejection and halves
-    (down to a floor) on acceptance.  Only accepted steps move the iterate, so
+    when g does not rise.  The regularization weight M halves (down to a
+    floor) on acceptance; on rejection it becomes the larger of 2M and the
+    weight at which the model meets g at the trial, or 2M where that misfit
+    is not finite or is rounding.  Only accepted steps move the iterate, so
     a rejected step reuses the Hessian and its eigendecomposition at the same
     point; both are formed only where a model is solved.
     """
@@ -534,11 +536,34 @@ def _cubic_rule(task: InnerTask, value):
         f_trial = _trial_value(value, x_trial)
         # a model decrease within a few ulps of f is below the rounding of f - f_trial,
         # so the ratio test would only compare rounding errors: any step not raising g passes
-        if f - f_trial >= 0.25 * model_dec if model_dec > 16.0 * math.ulp(f) else f_trial <= f:
+        rounding = 16.0 * math.ulp(f)
+        if f - f_trial >= 0.25 * model_dec if model_dec > rounding else f_trial <= f:
             model = None
             M = max(0.5 * M, _M_MIN)
             return x_trial, f_trial, *_grad_sq(task.gradient(x_trial)), None
-        M *= 2.0
+        # The misfit e = g(x + s) - m_M(s), where m_M(s) = f + g's + s'Hs / 2 +
+        # (M / 6) ||s||^3 = f - model_dec, gives the weight M + 6 e / ||s||^3 at
+        # which the model meets g at the trial (the interpolation update of
+        # Cartis, Gould & Toint, Math. Program. 130, 2011, and Gould, Porcelli
+        # & Toint, Comput. Optim. Appl. 53, 2012); M takes it where it beats
+        # doubling.  A misfit that is not finite (a non-finite trial) or within
+        # the rounding of f, or a model decrease within it, tells nothing of
+        # the weight, nor does an ||s||^3 that underflows, and M doubles.
+        # If the Hessian of g is L-Lipschitz, g(x + s) <= m_L(s) (Nesterov &
+        # Polyak, Math. Program. 108, 2006, Lemma 1), so e <= (L - M) ||s||^3 / 6:
+        # the new weight is at most L, and a trial with M >= L has e <= 0, so
+        # f - f_trial >= model_dec >= 0 (s minimizes the model, which is 0 at
+        # s = 0) and it passes.  So M rises only from below L, to under 2L, and
+        # M <= max(M0, 2L) as under doubling alone (_M_MIN <= M0).  A rejection
+        # at least doubles M and an acceptance at most halves it, so a solve
+        # rejects at most accepted + log2(max(M0, 2L) / M0) trials.  Both hold
+        # in exact arithmetic; where the tests compare rounding errors they can fail.
+        e = f_trial - f + model_dec
+        r3 = math.sqrt(s.dot(s)) ** 3
+        if model_dec > rounding and rounding < e < math.inf and r3 > 0.0:
+            M = max(2.0 * M, M + 6.0 * e / r3)
+        else:
+            M *= 2.0
         return None
 
     return step

@@ -243,10 +243,10 @@ def validate(problem: ProblemSpec, samples: int = 10, seed: int = 0) -> Validati
     """Check start feasibility and gradient consistency.
 
     The start must pass ``ProblemSpec.check_feasible_start``, the check a
-    solve runs; its worst error is the violation at x0.  Gradient agreement
-    is tested at ``samples`` random points in the unit ball around x0; each
-    coordinate must match central finite differences with relative error at
-    most 1e-6.
+    solve runs; its worst error is the violation at x0, NaN where c(x0) holds
+    a NaN and inf where it holds an infinity.  Gradient agreement is tested
+    at ``samples`` random points in the unit ball around x0; each coordinate
+    must match central finite differences with relative error at most 1e-6.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -261,7 +261,10 @@ def validate(problem: ProblemSpec, samples: int = 10, seed: int = 0) -> Validati
         detail = ""
     except ValidationError as exc:
         detail = str(exc)
-    checks.append(CheckResult("feasible_start", not detail, problem.feasibility_violation(problem.x0), detail))
+    viol = problem.feasibility_violation(problem.x0)  # NaN where c(x0) holds a NaN
+    if np.isinf(c0).any() and not math.isnan(viol):  # min(c, 0) reads +inf on an inequality row as 0
+        viol = math.inf
+    checks.append(CheckResult("feasible_start", not detail, viol, detail))
 
     worst = 0.0
     bad_detail = ""

@@ -476,7 +476,7 @@ def test_check_fails_an_infinite_c_at_x0(tmp_path, capsys):
     path = tmp_path / "problem.json"
     path.write_text(json.dumps(dict(_SMALL, A=[[1e300, 1e300]], b=[-1], m_e=0, x0=[1e10, 1e10])))
     assert cli.main(["check", "--problem", str(path), "--samples", "1"]) == cli.EXIT_SOLVER_FAILURE
-    assert "feasible_start: FAIL" in capsys.readouterr().out
+    assert "feasible_start: FAIL (worst error inf)" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("L1, code", [(2.0, cli.EXIT_SOLVER_FAILURE), (8.0, cli.EXIT_SOLVER_FAILURE),

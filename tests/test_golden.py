@@ -8,7 +8,8 @@ output change, regenerate the table with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and log the change.
+which prints a ``# moved: ...`` comment after each run whose outputs
+moved, and log the change.
 """
 import hashlib
 import io
@@ -80,9 +81,9 @@ GOLDEN = {
         "f1248d9159b341488484f8e9b1a506a3e4e33dd575307d1b2e2a907963e240c5",
     ),
     "solve-eq-cos-8-cubic-newton": (
-        "5f7d21f9e2d02582ccf4001cdd4316d8ee398253144ec7df9ea4f1dffadc4aee",
-        "0aedf3bbc0a412827c3836d0a695b7bac47d30c980ba5d31b7b8969b0285306c",
-        "4f99c324267414ae08aecac6b0daa8ac849fac649aef019debab4c07b7d1e517",
+        "5d1c181ad2a1b2a66d62caa337ee872412aa53a4c34797bf6a30e4d7d344511a",
+        "3efb36246c19c7b71c42ce3c2b0918c39dc96cca8cbffd5bc37f7a8f7715b564",
+        "2f6c5cd168751defbf7a80c61121f9838a90dabdb4554fe6698de362269286f0",
     ),
     "solve-eq-cos-8-gd-backtracking": (
         "3857d180f2d323e4d436da3561f9cc3a88b7a640e9ba1b65cd2638265592c133",
@@ -110,9 +111,9 @@ GOLDEN = {
         "061d382ab961d85b32b7939a21550fb48ae21c91ea5d5d0cc40f98a30818a34c",
     ),
     "solve-eq-rosenbrock-32-cubic-newton-eps1e-3": (
-        "a39a1246f487bae0f0be780fdd0678ddd6a735a8c501a387356320e2eb4c88ef",
-        "0d221594f6fd7b6edad4f504af111f5dcaa94219362f11136ac0844679b4b2a9",
-        "969d29c6efa3e9267cb5a282263adf9daf44296767fb77ee4a0b28e64784124f",
+        "8ee19321339cc515ba1d6c1e87372a193331b5f1fe2a6f8fbf39f791c41403f6",
+        "81162b6744fdf089fd29f9b379065c34f79efb71237a551bf132702dc22446df",
+        "166ec5e46e7f437f7ab44fd1c6bae45fee9dce0618c8ad6511ceefc0c83eae55",
     ),
     "solve-eq-rosenbrock-32-gd-backtracking-eps1e-3": (
         "3c0c8ef512d4174de7a07c3eb01ca74c8350000198a9eebac62205ab33ea1026",
@@ -120,9 +121,9 @@ GOLDEN = {
         "8546496029c9d32002bc6415830acaed7ba4f382dea01079078f73a00ad200d3",
     ),
     "solve-eq-rosenbrock-8-cubic-newton": (
-        "68ee9a43e7167275302faa4c4fb03b75ab3c09f802cf52f73484a48ab27730f1",
-        "ba62c0cf64d75c9a020bd4021ef5f90c9a66afe7a9de2e5728775c9a49a9a1ef",
-        "f55cfad37082937260b11442add43a9b4964baf37eace783375e2ae803234fe3",
+        "acc2bceefbce3d0013203c6e677d1130bd7e4e39d7319ebda8d6027f5503bdd8",
+        "53b62284131b1f29fcfcc91172ebcfbfc9e5a93e75080195541e7c5ad47e6c75",
+        "120aeb47b8288ce575a94ce0385c7ceef062c6d220b214a4bd590a73acf957c6",
     ),
     "solve-eq-rosenbrock-8-gd-backtracking": (
         "7701c2fb971599abe30cad06c4b70e6b65d85b891f0029acbcf0e5c065fc3462",
@@ -166,15 +167,17 @@ def run_digests(name: str, out_dir: Path) -> tuple[int, tuple[str, str, str]]:
     return code, tuple(hashlib.sha256(data).hexdigest() for data in outputs)
 
 
+def moved_outputs(name: str, digests: tuple[str, str, str]) -> list[str]:
+    """The outputs of run ``name`` whose digests differ from ``GOLDEN`` (all three for a new run)."""
+    pinned = GOLDEN.get(name, (None, None, None))
+    return [output for output, got, want in zip(("json", "csv", "stdout"), digests, pinned) if got != want]
+
+
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_report_bytes_unchanged(name, tmp_path):
     code, digests = run_digests(name, tmp_path)
     assert code == cli.EXIT_OK
-    moved = [
-        output
-        for output, got, want in zip(("json", "csv", "stdout"), digests, GOLDEN[name])
-        if got != want
-    ]
+    moved = moved_outputs(name, digests)
     assert moved == [], f"{name}: the bytes of {', '.join(moved)} moved"
 
 
@@ -191,4 +194,7 @@ if __name__ == "__main__":
             for digest in digests:
                 print(f'        "{digest}",')
             print("    ),")
+            moved = moved_outputs(name, digests)
+            if moved:
+                print(f"    # moved: {', '.join(moved)}")
         print("}")

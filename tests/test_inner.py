@@ -559,6 +559,58 @@ class TestCubicNewton:
         assert _ends_no_higher(task, res)
 
 
+class TestCubicWeight:
+    """A rejected trial sets M from its misfit, within the bounds that doubling alone keeps."""
+
+    @pytest.mark.parametrize("n", [8, 32, 64])
+    def test_one_rejection_sets_the_weight_on_eq_rosenbrock(self, n):
+        # no declared L2, so M0 = 1, and doubling alone rejected 7, 6 and 5 trials on the way up
+        config = outer.SolverConfig(eps=1e-3, inner=outer.INNER_CUBIC)
+        report = outer.solve(corpus_problem(f"eq-rosenbrock-{n}"), config)
+        assert report.terminated == outer.TERMINATED_KKT and report.T_outer == 1
+        stats = report.trace[1].inner_stats
+        assert stats.iterations - stats.accepted_steps == 1
+
+    @pytest.mark.parametrize("n", [2, 8, 16, 32, 64])
+    def test_weight_and_rejections_within_the_lipschitz_bounds(self, monkeypatch, n):
+        # if the Hessian is L-Lipschitz, M <= max(M0, 2L), and a solve rejects at most
+        # accepted + log2(max(M0, 2L) / M0) trials; the Hessian of P is L2-Lipschitz here
+        p = corpus_problem(f"eq-cos-{n}")
+        L2 = p.objective.L2
+        weights = []
+        real = inner.solve_cubic_model
+
+        def recorded(g, H, M, eig=None):
+            weights.append(M)
+            return real(g, H, M, eig)
+
+        monkeypatch.setattr(inner, "solve_cubic_model", recorded)
+        for sigma in (1.0, 100.0):
+            for M0 in (1e-6, 1e-3, 1.0, L2):
+                for eps in (1e-2, 1e-4, 1e-6):
+                    weights.clear()
+                    pen = core.Penalty(p, np.zeros(p.constraints.m), sigma)
+                    task = InnerTask(objective=pen.value, gradient=pen.grad, hessian=pen.hess,
+                                     start=p.x0.copy(), eps=eps, known_L=M0)
+                    res = cubic_newton_solve(task)
+                    top = max(M0, 2.0 * L2)
+                    case = (sigma, M0, eps)
+                    assert res.grad_norm2 <= eps and max(weights, default=M0) <= top, case
+                    rejected = res.iterations - res.accepted_steps
+                    assert rejected <= res.accepted_steps + math.log2(top / M0), case
+
+    @pytest.mark.parametrize("n, alpha, sigma0", [
+        (2, 2.0, 1e4), (8, 3.0, 1.0), (8, 1.5, 0.1), (8, 2.0, 1e4),
+        (16, 5.0, 100.0), (16, 2.0, 1e4), (64, 3.0, 1.0), (64, 1.5, 0.1),
+    ])
+    def test_a_misfit_within_rounding_only_doubles(self, n, alpha, sigma0):
+        # at eps 1e-8 the misfit of a rejected trial can be rounding; read as a weight it
+        # sent M to 1e32 and beyond, where the cubic step no longer moves x
+        config = outer.SolverConfig(eps=1e-8, alpha=alpha, sigma0=sigma0, inner=outer.INNER_CUBIC)
+        report = outer.solve(corpus_problem(f"eq-cos-{n}"), config)
+        assert report.terminated == outer.TERMINATED_KKT
+
+
 def _penalty_task(name, kind, sigma=1.0, eps=1e-3):
     p = corpus_problem(name)
     pen = core.Penalty(p, np.zeros(p.constraints.m), sigma)
