@@ -260,7 +260,8 @@ def lipschitz_bound_for(problem: ProblemSpec, sigma: float) -> float:
     and every row an equality row it is attained along the top eigenvector of
     A^T A.  The constraint set caches lambda_max, so a new sigma costs no
     eigendecomposition.  Raises ``ValidationError`` where the bound is not
-    finite, as where A^T A overflows.
+    finite, as where A^T A overflows, or is 0, as for a declared L1 = 0 with
+    no rows: a fixed step 1/L needs a finite positive L.
     """
     cons = problem.constraints
     if not cons.is_linear:
@@ -268,9 +269,9 @@ def lipschitz_bound_for(problem: ProblemSpec, sigma: float) -> float:
     if problem.objective.L1 is None:
         raise UnsupportedSpecializationError("objective must declare a gradient Lipschitz constant")
     L = problem.objective.L1 + sigma * cons.AtA_max_eig
-    if not math.isfinite(L):
+    if not 0.0 < L < math.inf:
         raise ValidationError(
             f"{problem.name}: the Lipschitz bound L1 + sigma lambda_max(A^T A) = {L!r} "
-            f"at sigma = {sigma!r} is not finite"
+            f"at sigma = {sigma!r} is not finite and positive"
         )
     return L

@@ -505,10 +505,16 @@ def cubic_newton_solve(task: InnerTask) -> InnerResult:
 
     Steps are accepted when the actual decrease reaches a quarter of the
     model decrease, or, where the model decrease is within 16 ulps of g(x),
-    when g does not rise.  The regularization weight M halves (down to a
-    floor) on acceptance; on rejection it becomes the larger of 2M and the
-    weight at which the model meets g at the trial, or 2M where that misfit
-    is not finite or is rounding.  Only accepted steps move the iterate, so
+    when g rises by no more than 1e-14 max(1, |g(x)|), the rounding
+    gd-backtracking forgives.  The regularization weight M starts at
+    max(known_L / 2, 1e-8) where the task declares the Hessian's Lipschitz
+    constant L (1 where it does not): every trial at M >= L passes, so a
+    start at L would take the shortest step, and one rejection at L/2 lifts M
+    to L or above.  M halves (down to a floor) on acceptance; on rejection it
+    becomes the larger of 2M and the weight at which the model meets g at
+    the trial, or 2M where that misfit is not finite or is rounding.  So M
+    stays at most max(M0, 2L), and a solve rejects at most accepted + 2
+    trials where L is declared.  Only accepted steps move the iterate, so
     a rejected step reuses the Hessian and its eigendecomposition at the same
     point; both are formed only where a model is solved.
     """
@@ -519,7 +525,8 @@ def _cubic_rule(task: InnerTask, value):
     """The step of ``cubic_newton_solve`` on ``task``, for ``_descend``, valuing g by ``value``."""
     if task.hessian is None:
         raise ValueError("cubic Newton requires a Hessian oracle")
-    M = max(task.known_L, _M_MIN) if task.known_L is not None else 1.0
+    # not L: a trial at M >= L always passes (see below) but takes the shortest step
+    M = max(0.5 * task.known_L, _M_MIN) if task.known_L is not None else 1.0
     model = None  # (H, eigendecomposition) at the current x, kept across rejected steps
 
     def step(x, f, g, gn2):
@@ -535,9 +542,10 @@ def _cubic_rule(task: InnerTask, value):
             raise IterationCapExceeded(f"the cubic step no longer moves x; M = {M!r} is too large")
         f_trial = _trial_value(value, x_trial)
         # a model decrease within a few ulps of f is below the rounding of f - f_trial,
-        # so the ratio test would only compare rounding errors: any step not raising g passes
+        # so the ratio test would only compare rounding errors: a step that raises g by
+        # no more than _slack(f) passes, as in gd-backtracking's search (Hager & Zhang)
         rounding = 16.0 * math.ulp(f)
-        if f - f_trial >= 0.25 * model_dec if model_dec > rounding else f_trial <= f:
+        if f - f_trial >= 0.25 * model_dec if model_dec > rounding else f_trial <= f + _slack(f):
             model = None
             M = max(0.5 * M, _M_MIN)
             return x_trial, f_trial, *_grad_sq(task.gradient(x_trial)), None
@@ -556,8 +564,11 @@ def _cubic_rule(task: InnerTask, value):
         # s = 0) and it passes.  So M rises only from below L, to under 2L, and
         # M <= max(M0, 2L) as under doubling alone (_M_MIN <= M0).  A rejection
         # at least doubles M and an acceptance at most halves it, so a solve
-        # rejects at most accepted + log2(max(M0, 2L) / M0) trials.  Both hold
-        # in exact arithmetic; where the tests compare rounding errors they can fail.
+        # rejects at most accepted + log2(max(M0, 2L) / M0) trials, which is
+        # accepted + 2 for M0 = max(L/2, _M_MIN).  Both hold in exact arithmetic.
+        # Where the model decrease is within the 16 ulps, a trial at M >= L has
+        # g(x + s) <= f in exact arithmetic, so it passes wherever the rounding of
+        # f_trial stays within _slack(f), 1e-14 max(1, |f|).
         e = f_trial - f + model_dec
         r3 = math.sqrt(s.dot(s)) ** 3
         if model_dec > rounding and rounding < e < math.inf and r3 > 0.0:

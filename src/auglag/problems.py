@@ -227,26 +227,54 @@ def _sample_unit_ball(rng: np.random.Generator, center: np.ndarray) -> np.ndarra
 
 
 def finite_difference_gradient(fn, x: np.ndarray) -> np.ndarray:
-    """Central finite differences with per-coordinate step 1e-6*max(1,|x_j|)."""
-    g = np.empty_like(x, dtype=float)
+    """Central finite differences with per-coordinate step 1e-6*max(1,|x_j|).
+
+    For a scalar fn this is its gradient; for a vector fn, its Jacobian, whose
+    column j differences fn along coordinate j (the Hessian, for fn = grad f).
+    """
+    columns = []
     for j in range(x.shape[0]):
         h = 1e-6 * max(1.0, abs(x[j]))
         xp = x.copy()
         xm = x.copy()
         xp[j] += h
         xm[j] -= h
-        g[j] = (fn(xp) - fn(xm)) / (2.0 * h)
-    return g
+        columns.append((np.asarray(fn(xp), dtype=float) - np.asarray(fn(xm), dtype=float)) / (2.0 * h))
+    return np.stack(columns, axis=-1)
+
+
+def _worst_entry(got: np.ndarray, fd: np.ndarray) -> tuple[float, int]:
+    """(largest |fd - got| / max(1, |got|), the index of its last axis): a coordinate or a column."""
+    rel = np.abs(fd - got) / np.maximum(1.0, np.abs(got))
+    i = np.unravel_index(int(np.argmax(rel)), rel.shape)
+    return float(rel[i]), int(i[-1])
+
+
+def _sampled_check(name: str, worst: float, tol: float, detail: str) -> CheckResult:
+    """The check ``name`` whose worst error over the samples is ``worst``, passing at or below tol."""
+    ok = worst <= tol
+    return CheckResult(name, ok, worst, "" if ok else detail)
 
 
 def validate(problem: ProblemSpec, samples: int = 10, seed: int = 0) -> ValidationReport:
-    """Check start feasibility and gradient consistency.
+    """Check start feasibility, the objective's derivatives and its declared L2.
 
     The start must pass ``ProblemSpec.check_feasible_start``, the check a
     solve runs; its worst error is the violation at x0, NaN where c(x0) holds
-    a NaN and inf where it holds an infinity.  Gradient agreement is tested
-    at ``samples`` random points in the unit ball around x0; each coordinate
-    must match central finite differences with relative error at most 1e-6.
+    a NaN and inf where it holds an infinity.  The other checks sample
+    ``samples`` random points in the unit ball around x0:
+
+    * ``gradient_finite_difference``: each coordinate of grad f matches
+      central finite differences of f with relative error at most 1e-6;
+    * ``hessian_finite_difference``, for an objective with a Hessian oracle:
+      each column of the Hessian matches central differences of grad f to
+      the same tolerance;
+    * ``hessian_lipschitz_secant``, where an L2 is declared too: over each
+      pair (x, y) of consecutive sampled points, the secant ||H(x) - H(y)||_2 /
+      ||x - y|| (its worst error) is at most L2 (1 + 1e-6).  A larger one
+      proves L2 wrong.
+
+    Each failing check names where its worst error lies.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -266,23 +294,34 @@ def validate(problem: ProblemSpec, samples: int = 10, seed: int = 0) -> Validati
         viol = math.inf
     checks.append(CheckResult("feasible_start", not detail, viol, detail))
 
-    worst = 0.0
-    bad_detail = ""
-    ok = True
+    obj = problem.objective
+    sampled = []  # (x, H(x)) at each sampled point, where the objective has a Hessian oracle
+    grad_worst = hess_worst = (0.0, 0)
     for _ in range(samples):
         x = _sample_unit_ball(rng, problem.x0)
-        g = problem.objective.gradient(x)
+        g = obj.gradient(x)
         if not np.isfinite(g).all():
             raise ValidationError(f"{problem.name}: the objective gradient at a sampled point is not finite")
-        fd = finite_difference_gradient(problem.objective.fn, x)
-        rel = np.abs(fd - g) / np.maximum(1.0, np.abs(g))
-        j = int(np.argmax(rel))
-        if rel[j] > worst:
-            worst = float(rel[j])
-        if rel[j] > GRAD_CHECK_TOL and ok:
-            ok = False
-            bad_detail = f"gradient mismatch at coordinate {j}: rel error {rel[j]:.3e}"
-    checks.append(CheckResult("gradient_finite_difference", ok, worst, bad_detail))
+        grad_worst = max(grad_worst, _worst_entry(g, finite_difference_gradient(obj.fn, x)))
+        if obj.has_hessian:
+            H = obj.hessian(x)
+            if not np.isfinite(H).all():
+                raise ValidationError(f"{problem.name}: the objective Hessian at a sampled point is not finite")
+            hess_worst = max(hess_worst, _worst_entry(H, finite_difference_gradient(obj.gradient, x)))
+            sampled.append((x, H))
+    rel, j = grad_worst
+    checks.append(_sampled_check("gradient_finite_difference", rel, GRAD_CHECK_TOL,
+                                 f"gradient mismatch at coordinate {j}: rel error {rel:.3e}"))
+    if obj.has_hessian:
+        rel, j = hess_worst
+        checks.append(_sampled_check("hessian_finite_difference", rel, GRAD_CHECK_TOL,
+                                     f"Hessian mismatch at column {j}: rel error {rel:.3e}"))
+    if obj.has_hessian and obj.L2 is not None:
+        secant = max((float(np.linalg.norm(Hx - Hy, 2) / np.linalg.norm(x - y))
+                      for (x, Hx), (y, Hy) in zip(sampled, sampled[1:])), default=0.0)
+        checks.append(_sampled_check("hessian_lipschitz_secant", secant, obj.L2 * (1.0 + GRAD_CHECK_TOL),
+                                     f"a secant ||H(x) - H(y)||/||x - y|| of {secant:.6g} exceeds "
+                                     f"the declared L2 = {obj.L2!r}"))
 
     return ValidationReport(problem.name, checks)
 

@@ -386,6 +386,8 @@ class TestCheckCommand:
         assert code == cli.EXIT_OK
         text = capsys.readouterr().out
         assert "feasible_start: pass" in text
+        for name in ("gradient_finite_difference", "hessian_finite_difference", "hessian_lipschitz_secant"):
+            assert f"{name}: pass" in text
         for name in outer.INNER_SOLVERS:
             assert f"inner {name}: pass" in text
 
@@ -477,6 +479,16 @@ def test_check_fails_an_infinite_c_at_x0(tmp_path, capsys):
     path.write_text(json.dumps(dict(_SMALL, A=[[1e300, 1e300]], b=[-1], m_e=0, x0=[1e10, 1e10])))
     assert cli.main(["check", "--problem", str(path), "--samples", "1"]) == cli.EXIT_SOLVER_FAILURE
     assert "feasible_start: FAIL (worst error inf)" in capsys.readouterr().out
+
+
+def test_check_fails_a_declared_L2_below_a_hessian_secant(tmp_path, capsys):
+    # the quadratic+cos Hessian is |omega|^3 = 64-Lipschitz; sampled pairs near x0 show L2 = 1 wrong
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(dict(_SMALL, L2=1.0)))
+    assert cli.main(["check", "--problem", str(path)]) == cli.EXIT_SOLVER_FAILURE
+    out = capsys.readouterr().out
+    assert "hessian_finite_difference: pass" in out
+    assert "hessian_lipschitz_secant: FAIL" in out and "exceeds the declared L2 = 1.0" in out
 
 
 @pytest.mark.parametrize("L1, code", [(2.0, cli.EXIT_SOLVER_FAILURE), (8.0, cli.EXIT_SOLVER_FAILURE),
@@ -661,6 +673,7 @@ class TestUsageVerdictFuzz:
     @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(doc=problem_documents(), inner=st.sampled_from(("auto",) + outer.INNER_SOLVERS))
     @example(doc=dict(_SMALL, L1=17, A=[[1e200, 1e200]], b=[1e200]), inner="gd-fixed")
+    @example(doc=dict(_SMALL, n=1, A=[], b=[], m_e=0, x0=[0.5], L1=0.0), inner="gd-fixed")  # L = 0
     def test_a_usage_error_does_not_wait_for_the_solve(self, tmp_path_factory, doc, inner):
         # a bad input exits 2 whether or not an outer iteration runs; only an f below
         # the declared f_low waits for the iterate whose evaluation shows it

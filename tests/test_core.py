@@ -732,6 +732,13 @@ class TestLipschitzBound:
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValidationError, match="is not finite"):
             core.lipschitz_bound_for(p, sigma)
 
+    def test_a_zero_bound_is_refused(self):
+        # a declared L1 = 0 with no rows: the fixed step 1/L is undefined, and `solve` must say so
+        # before its first inner solve, whatever --max-outer is
+        p = _linear_problem(np.zeros((0, 2)), 0.0)
+        with pytest.raises(ValidationError, match="= 0.0 at sigma = 1.0 is not finite and positive"):
+            core.lipschitz_bound_for(p, 1.0)
+
     def test_sampled_quotients_respect_bound(self):
         p = corpus_problem("simplex-cos-8")
         rng = np.random.default_rng(5)

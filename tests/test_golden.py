@@ -76,14 +76,14 @@ GOLDEN = {
         "7e6ad6509bb818ef4172bebae7ffc6231ee1f6f2f9aab645f3976914449c9c4d",
     ),
     "solve-eq-cos-64-cubic-newton-eps1e-4": (
-        "266228abe1c4665a2863bec30c7916a4d660586b204aa2a6150a808174046cd3",
-        "a3296a16476cd8eef121a6d96f42480f8ded52c35a71f545f9b4de790ae0d3fa",
-        "f1248d9159b341488484f8e9b1a506a3e4e33dd575307d1b2e2a907963e240c5",
+        "03672ad5201e18d81d916e3c97753568f7b8af81bd5d423c2885130c33a3708f",
+        "39efe66c13abb2e20b24c2d2012b1637ed63dcd7e185348fd709f227384e46c8",
+        "12fb2c89d4ba69625609cb775b0f3ac7d6a46ccf1f727fe1502406211e3ec41b",
     ),
     "solve-eq-cos-8-cubic-newton": (
-        "5d1c181ad2a1b2a66d62caa337ee872412aa53a4c34797bf6a30e4d7d344511a",
-        "3efb36246c19c7b71c42ce3c2b0918c39dc96cca8cbffd5bc37f7a8f7715b564",
-        "2f6c5cd168751defbf7a80c61121f9838a90dabdb4554fe6698de362269286f0",
+        "89c4fda6710c30af21114f19d020fdae07391f8d9dfba8106cd49f260dff21ee",
+        "f735a408be04db3dd3976c7adf2d4958323de9faeaf2fff09cfed8ef7e8716b7",
+        "10ef109cfd134716f88bbd4145d73b928741cb398f3b11f39609b173e9d3eeb3",
     ),
     "solve-eq-cos-8-gd-backtracking": (
         "3857d180f2d323e4d436da3561f9cc3a88b7a640e9ba1b65cd2638265592c133",

@@ -610,6 +610,79 @@ class TestCubicWeight:
         report = outer.solve(corpus_problem(f"eq-cos-{n}"), config)
         assert report.terminated == outer.TERMINATED_KKT
 
+    @pytest.mark.parametrize("n", [2, 16, 64])
+    def test_the_first_weight_is_half_the_declared_constant(self, monkeypatch, n):
+        # a trial at M >= L always passes but takes the shortest step, so a solve starts below it
+        p = corpus_problem(f"eq-cos-{n}")
+        weights = []
+        real = inner.solve_cubic_model
+
+        def recorded(g, H, M, eig=None):
+            weights.append(M)
+            return real(g, H, M, eig)
+
+        monkeypatch.setattr(inner, "solve_cubic_model", recorded)
+        for known_L in (1e-6, 1.0, p.objective.L2):
+            weights.clear()
+            pen = core.Penalty(p, np.zeros(p.constraints.m), 4.0)
+            task = InnerTask(objective=pen.value, gradient=pen.grad, hessian=pen.hess,
+                             start=p.x0.copy(), eps=1e-3, known_L=known_L)
+            cubic_newton_solve(task)
+            assert weights[0] == max(known_L / 2.0, 1e-8), known_L
+
+    def test_the_lipschitz_bounds_hold_where_the_model_decrease_is_rounding(self, monkeypatch):
+        # eq-cos-2 at eps 1e-7, (alpha, sigma0) = (2, 1e4): where f_trial <= f alone was asked
+        # of a model decrease within 16 ulps, the first solve rejected 30 of 32 trials and M
+        # passed 1e8 L2; within the rounding gd-backtracking forgives, every trial passes
+        p = corpus_problem("eq-cos-2")
+        L2 = p.objective.L2
+        weights, solves = [], []
+        real_model, real_solve = inner.solve_cubic_model, inner.cubic_newton_solve
+
+        def recorded(g, H, M, eig=None):
+            weights.append(M)
+            return real_model(g, H, M, eig)
+
+        def one_solve(task):
+            weights.clear()
+            res = real_solve(task)
+            solves.append((list(weights), res))
+            return res
+
+        monkeypatch.setattr(inner, "solve_cubic_model", recorded)
+        monkeypatch.setattr(inner, "cubic_newton_solve", one_solve)
+        config = outer.SolverConfig(eps=1e-7, alpha=2.0, sigma0=1e4, inner=outer.INNER_CUBIC)
+        report = outer.solve(p, config)
+        assert report.terminated == outer.TERMINATED_KKT and solves
+        M0, top = L2 / 2.0, 2.0 * L2
+        for k, (seen, res) in enumerate(solves, start=1):
+            assert seen[0] == M0 and max(seen) <= top, k
+            assert res.iterations - res.accepted_steps <= res.accepted_steps + math.log2(top / M0), k
+
+    @pytest.mark.parametrize("n, alpha, sigma0", [(16, 2.0, 1e4), (32, 5.0, 100.0), (32, 2.0, 1e4), (64, 3.0, 1.0)])
+    def test_runs_that_ask_theta_half_reach_eps(self, n, alpha, sigma0):
+        # each ended in "the cubic step no longer moves x" while a rounding-level trial had to
+        # leave g unchanged or lower
+        config = outer.SolverConfig(eps=1e-6, alpha=alpha, sigma0=sigma0, inner=outer.INNER_CUBIC,
+                                    require_theta_half=True)
+        report = outer.solve(corpus_problem(f"eq-cos-{n}"), config)
+        assert report.terminated == outer.TERMINATED_KKT
+
+    @pytest.mark.parametrize("n, most", [(32, 13), (64, 11)])
+    def test_eigendecompositions_per_run(self, monkeypatch, n, most):
+        # one per accepted cubic step; a start at M = L2 made 15 and 14
+        calls = []
+        real = np.linalg.eigh
+
+        def counted(a):
+            calls.append(1)
+            return real(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        report = outer.solve(corpus_problem(f"eq-cos-{n}"), outer.SolverConfig(eps=1e-3, inner=outer.INNER_CUBIC))
+        assert report.terminated == outer.TERMINATED_KKT
+        assert len(calls) <= most
+
 
 def _penalty_task(name, kind, sigma=1.0, eps=1e-3):
     p = corpus_problem(name)

@@ -201,6 +201,48 @@ class TestValidate:
         assert check.worst_error > 1e-6
         assert "coordinate" in check.detail
 
+    @pytest.mark.parametrize("name", ["eq-cos-8", "eq-cos-64", "eq-rosenbrock-8", "eq-rosenbrock-64",
+                                      "eq-qp-analytic"])
+    def test_hessian_checks_pass_on_the_corpus(self, name):
+        p = corpus_problem(name)
+        checks = {c.name: c for c in validate(p, samples=10, seed=0).checks}
+        assert checks["hessian_finite_difference"].passed
+        assert checks["hessian_finite_difference"].worst_error <= 1e-7  # against a tolerance of 1e-6
+        if p.objective.L2 is None:
+            assert "hessian_lipschitz_secant" not in checks
+        else:
+            assert checks["hessian_lipschitz_secant"].worst_error <= p.objective.L2
+
+    def test_no_hessian_check_without_a_hessian_oracle(self):
+        p = corpus_problem("eq-cos-8")
+        plain = ObjectiveOracle(fn=p.objective.fn, grad_fn=p.objective.grad_fn, f_low=p.objective.f_low,
+                                L2=p.objective.L2)
+        names = [c.name for c in validate(ProblemSpec("plain", plain, p.constraints, p.x0), samples=2).checks]
+        assert names == ["feasible_start", "gradient_finite_difference"]
+
+    def test_wrong_hessian_detected(self):
+        p = corpus_problem("eq-cos-8")
+        o = p.objective
+        wrong = ObjectiveOracle(fn=o.fn, grad_fn=o.grad_fn, hess_fn=lambda x: 1.5 * o.hess_fn(x),
+                                f_low=o.f_low, L2=1.5 * o.L2)
+        report = validate(ProblemSpec("wrong-hess", wrong, p.constraints, p.x0), samples=5, seed=1)
+        check = {c.name: c for c in report.checks}["hessian_finite_difference"]
+        assert not report.passed and not check.passed
+        assert check.worst_error > 0.1
+        assert re.fullmatch(r"Hessian mismatch at column [0-7]: rel error \S+", check.detail)
+
+    @pytest.mark.parametrize("L2, passed", [(1.0, False), (16.0, False), (64.0, True)])
+    def test_a_declared_L2_below_a_secant_is_caught(self, L2, passed):
+        # eq-cos-8's Hessian I - omega^2 diag(cos(omega x)) is omega^3 = 64-Lipschitz; sampled
+        # pairs near x0 give secants above 16
+        p = corpus_problem("eq-cos-8")
+        p.objective.L2 = L2
+        check = {c.name: c for c in validate(p, samples=10, seed=0).checks}["hessian_lipschitz_secant"]
+        assert check.passed == passed
+        assert check.worst_error > 16.0
+        if not passed:
+            assert f"exceeds the declared L2 = {L2!r}" in check.detail
+
     def test_infeasible_start_reported(self):
         p = corpus_problem("eq-cos-8")
         bad = ProblemSpec("bad", p.objective, p.constraints, np.zeros(8))
@@ -219,6 +261,11 @@ class TestFiniteDifference:
     def test_quadratic_exact(self):
         g = finite_difference_gradient(lambda x: 0.5 * float(x @ x), np.array([3.0, -1.0]))
         np.testing.assert_allclose(g, [3.0, -1.0], atol=1e-9)
+
+    def test_a_vector_function_gives_its_jacobian(self):
+        # column j differences along coordinate j: J[i, j] = d fn_i / d x_j
+        J = finite_difference_gradient(lambda x: np.array([x[0] * x[1], 3.0 * x[1]]), np.array([2.0, 5.0]))
+        np.testing.assert_allclose(J, [[5.0, 2.0], [0.0, 3.0]], atol=1e-9)
 
 
 class TestLoadProblem:
