@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import json
 import logging
 import math
 import os
@@ -52,13 +51,7 @@ def _read_overrides(path: str) -> dict:
 
     The values are checked by ``outer.SolverConfig``, like every other option.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            overrides = json.load(fh)
-        except RecursionError:  # nested deeper than the decoder's recursion limit
-            raise ValueError(f"--config file {path} nests too deeply to parse") from None
-    if not isinstance(overrides, dict):
-        raise ValueError(f"--config file {path} must hold a JSON object")
+    overrides = problems.read_json_object(path, "--config file")
     for key in overrides:
         if key not in outer.CONFIG_KEYS:
             raise ValueError(

@@ -341,8 +341,8 @@ def _state(
     return state, grad_L
 
 
-def _start(problem: ProblemSpec, config: SolverConfig) -> tuple[OuterState, core.Penalty]:
-    """The k = 0 state at x0 and P(., lambda = 0, sigma0).
+def _start(problem: ProblemSpec, config: SolverConfig) -> OuterState:
+    """The k = 0 state at x0, with lambda = 0 and sigma0.
 
     Evaluates c, f, grad f and J once each at x0: a run's only oracle calls
     outside its inner solves.  Every check of the input raises a ``ValueError``
@@ -369,11 +369,7 @@ def _start(problem: ProblemSpec, config: SolverConfig) -> tuple[OuterState, core
     for what, value in (("objective value", f0), ("objective gradient", g0), ("constraint Jacobian", J0)):
         if not np.isfinite(value).all():
             raise ValidationError(f"{problem.name}: the {what} at x0 is not finite")
-    lam = np.zeros(cons.m)
-    first, _ = _state(
-        cons, config.eps, 0, x0.copy(), lam, config.sigma0, None, f0, c0, g0, J0,
-    )
-    return first, core.Penalty(problem, lam, config.sigma0)
+    return _state(cons, config.eps, 0, x0.copy(), np.zeros(cons.m), config.sigma0, None, f0, c0, g0, J0)[0]
 
 
 def first_inner_results(
@@ -391,7 +387,8 @@ def first_inner_results(
     """
     if config.max_outer == 0 or config.sigma0 > _SIGMA_CAP:
         return None
-    first, penalty = _start(problem, config)
+    first = _start(problem, config)
+    penalty = core.Penalty(problem, first.lam, first.sigma)
     start, start_pair, _, _ = warm_start(penalty, first, first)
     *stops, eps = tolerances
     task = _build_inner_task(penalty, start, eps, config.inner, start_pair, stops)
@@ -416,7 +413,7 @@ def solve(
     """
     eps = config.eps
     cons = problem.constraints
-    first, penalty = _start(problem, config)
+    first = _start(problem, config)
     f_low = problem.objective.f_low
     state = first
     trace = [state]
@@ -430,8 +427,7 @@ def solve(
         if sigma > _SIGMA_CAP:
             terminated = TERMINATED_SIGMA_OVERFLOW
             break
-        if k > 0:
-            penalty = core.Penalty(problem, lam, sigma)
+        penalty = core.Penalty(problem, lam, sigma)
         # at k = 0 both states are at x0, and the tie rule starts there
         start, start_pair, p_zero, p_prev = warm_start(penalty, first, state)
         if k == 0 and _first is not None:

@@ -32,6 +32,14 @@ class ObjectiveBelowBound(ValidationError):
     """The objective returned a value below its declared lower bound (-inf among them)."""
 
 
+def _shaped(out, shape: tuple, what: str, expected: str) -> np.ndarray:
+    """An oracle's output as a float array; a ``ValidationError`` names its shape unless that is ``shape``."""
+    arr = np.asarray(out, dtype=float)
+    if arr.shape != shape:
+        raise ValidationError(f"{what} shape {arr.shape}; expected {shape}, {expected}")
+    return arr
+
+
 @dataclass
 class ObjectiveOracle:
     """Smooth objective with value/gradient (and optional Hessian) oracles.
@@ -42,9 +50,10 @@ class ObjectiveOracle:
     gradient / Hessian when known; ``local_lipschitz_only`` marks objectives
     whose derivatives are Lipschitz only on bounded sets (such problems are
     excluded from bound certification).  ``value`` raises
-    ``ObjectiveBelowBound`` below ``f_low``, and ``gradient`` raises
-    ``ValidationError`` when ``grad_fn`` returns an array whose shape is not
-    x's, (n,); a NaN or infinity otherwise passes through unchanged.
+    ``ObjectiveBelowBound`` below ``f_low``.  f(x) must be a scalar, grad f(x)
+    (n,) and the Hessian (n, n), as c(x) must be (m,) and J(x) (m, n) on a
+    ``ConstraintSet``; any other shape raises ``ValidationError`` naming it.
+    A NaN or infinity passes through unchanged.
     """
 
     fn: Callable[[np.ndarray], float]
@@ -56,7 +65,11 @@ class ObjectiveOracle:
     local_lipschitz_only: bool = False
 
     def value(self, x: np.ndarray) -> float:
-        v = float(self.fn(x))
+        v = self.fn(x)  # called outside the try: a TypeError raised inside fn is fn's own
+        try:
+            v = float(v)
+        except TypeError:  # an array of one or more dimensions, or a list
+            v = float(_shaped(v, (), "objective value has", "a scalar"))
         if v < self.f_low - 1e-12 * max(1.0, abs(self.f_low)):
             raise ObjectiveBelowBound(
                 f"objective value {v} violates declared lower bound {self.f_low}"
@@ -64,17 +77,12 @@ class ObjectiveOracle:
         return v
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        g = np.asarray(self.grad_fn(x), dtype=float)
-        if g.shape != x.shape:
-            raise ValidationError(
-                f"objective gradient has shape {g.shape}; expected {x.shape}, the shape of x"
-            )
-        return g
+        return _shaped(self.grad_fn(x), x.shape, "objective gradient has", "the shape of x")
 
     def hessian(self, x: np.ndarray) -> np.ndarray:
         if self.hess_fn is None:
             raise ValueError("no Hessian oracle available for this objective")
-        return np.asarray(self.hess_fn(x), dtype=float)
+        return _shaped(self.hess_fn(x), x.shape * 2, "objective Hessian has", "a row and a column per variable")
 
     @property
     def has_hessian(self) -> bool:
@@ -138,23 +146,13 @@ class ConstraintSet:
     def c(self, x: np.ndarray) -> np.ndarray:
         if self.is_linear:
             return self.A.dot(x) - self.b
-        c = np.asarray(self.c_fn(x), dtype=float)
-        if c.shape != (self.m,):
-            raise ValidationError(
-                f"constraint values have shape {c.shape}; expected {(self.m,)}, one per constraint"
-            )
-        return c
+        return _shaped(self.c_fn(x), (self.m,), "constraint values have", "one per constraint")
 
     def jac(self, x: np.ndarray) -> np.ndarray:
         if self.is_linear:
             return self.A
-        J = np.atleast_2d(np.asarray(self.jac_fn(x), dtype=float))
-        if J.shape != (self.m, x.shape[0]):
-            raise ValidationError(
-                f"constraint Jacobian has shape {J.shape}; expected {(self.m, x.shape[0])}, "
-                "a row per constraint and a column per variable"
-            )
-        return J
+        return _shaped(np.atleast_2d(self.jac_fn(x)), (self.m, x.shape[0]), "constraint Jacobian has",
+                       "a row per constraint and a column per variable")  # a 1-D J is read as one row
 
     def ineq_violation(self, c: np.ndarray) -> float:
         """max |min(c_ineq, 0)| for constraint values c; 0 without inequality rows."""
@@ -181,19 +179,24 @@ class ProblemSpec:
     def n(self) -> int:
         return self.x0.shape[0]
 
-    def feasibility_violation(self, x: np.ndarray) -> float:
-        """max of equality residual and inequality violation at x; NaN if c(x) holds one (Python's max can drop it)."""
-        return float(np.maximum(*self.constraints.primal_residuals(self.constraints.c(x))))
+    def feasibility_violation(self, x: np.ndarray, c: Optional[np.ndarray] = None) -> float:
+        """max of equality residual and inequality violation at x, from c = c(x) where the caller holds it.
+
+        NaN where c holds a NaN, else inf where it holds an infinity (min(c, 0) reads +inf as feasible).
+        """
+        if c is None:
+            c = self.constraints.c(x)
+        viol = float(np.maximum(*self.constraints.primal_residuals(c)))
+        return viol if math.isnan(viol) or np.isfinite(c).all() else math.inf
 
     def check_feasible_start(self, c0: np.ndarray) -> None:
         """Raise ``ValidationError`` unless c0 = c(x0) is finite and puts x0 within FEASIBILITY_TOL of feasible.
 
-        The one start check, which a solve and ``validate`` both run.  Finiteness
-        comes first: min(c, 0) reads +inf on an inequality row as feasible.
+        The one start check, which a solve and ``validate`` both run.
         """
-        if not np.isfinite(c0).all():
+        viol = self.feasibility_violation(self.x0, c0)
+        if not math.isfinite(viol):
             raise ValidationError(f"{self.name}: starting point infeasible: c(x0) is not finite")
-        viol = float(np.maximum(*self.constraints.primal_residuals(c0)))
         if viol > FEASIBILITY_TOL:
             raise ValidationError(
                 f"{self.name}: starting point infeasible (violation {viol:.3e})"
@@ -274,7 +277,9 @@ def validate(problem: ProblemSpec, samples: int = 10, seed: int = 0) -> Validati
       ||x - y|| (its worst error) is at most L2 (1 + 1e-6).  A larger one
       proves L2 wrong.
 
-    Each failing check names where its worst error lies.
+    Each failing check names where its worst error lies.  The oracles are
+    read through ``ObjectiveOracle`` and ``ConstraintSet``, so a wrong shape,
+    or an f below ``f_low``, raises ``ValidationError``.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -289,9 +294,7 @@ def validate(problem: ProblemSpec, samples: int = 10, seed: int = 0) -> Validati
         detail = ""
     except ValidationError as exc:
         detail = str(exc)
-    viol = problem.feasibility_violation(problem.x0)  # NaN where c(x0) holds a NaN
-    if np.isinf(c0).any() and not math.isnan(viol):  # min(c, 0) reads +inf on an inequality row as 0
-        viol = math.inf
+    viol = problem.feasibility_violation(problem.x0, c0)
     checks.append(CheckResult("feasible_start", not detail, viol, detail))
 
     obj = problem.objective
@@ -302,7 +305,7 @@ def validate(problem: ProblemSpec, samples: int = 10, seed: int = 0) -> Validati
         g = obj.gradient(x)
         if not np.isfinite(g).all():
             raise ValidationError(f"{problem.name}: the objective gradient at a sampled point is not finite")
-        grad_worst = max(grad_worst, _worst_entry(g, finite_difference_gradient(obj.fn, x)))
+        grad_worst = max(grad_worst, _worst_entry(g, finite_difference_gradient(obj.value, x)))
         if obj.has_hessian:
             H = obj.hessian(x)
             if not np.isfinite(H).all():
@@ -498,6 +501,18 @@ def corpus_problem(name: str) -> ProblemSpec:
     raise ValidationError(f"unknown corpus problem {name!r}")
 
 
+def read_json_object(path: str, what: str) -> dict:
+    """The JSON object in the file at ``path``; another value or too deep a nesting raises naming ``what``."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        except RecursionError:  # nested deeper than the decoder's recursion limit
+            raise ValidationError(f"{what} {path} nests too deeply to parse") from None
+    if not isinstance(data, dict):
+        raise ValidationError(f"{what} {path} holds a {type(data).__name__}, not a JSON object")
+    return data
+
+
 def load_problem(path: str) -> ProblemSpec:
     """Load a problem from a JSON file.
 
@@ -514,13 +529,7 @@ def load_problem(path: str) -> ProblemSpec:
     is out of range (n >= 1, 0 <= m_e <= m, L1, L2 >= 0, all finite, and
     |omega|^3 finite).
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except RecursionError:  # nested deeper than the decoder's recursion limit
-            raise ValidationError(f"problem file {path} nests too deeply to parse") from None
-    if not isinstance(data, dict):
-        raise ValidationError(f"problem file {path} holds a {type(data).__name__}, not an object")
+    data = read_json_object(path, "problem file")
     for key in ("name", "n", "objective", "A", "b", "m_e", "x0"):
         if key not in data:
             raise ValidationError(f"{key} is missing")

@@ -383,22 +383,34 @@ def test_private_cross_references_are_only_the_listed_ones():
     assert private_cross_references(sources) == sorted(PRIVATE_CROSS_REFERENCES)
 
 
+# each module-attribute table: the functions only its pinned module may use
 REPORT_WRITERS = {"json": ("dump", "dumps"), "csv": ("writer",)}
+JSON_READERS = {"json": ("load", "loads")}
 
 
-def report_writers(source: str) -> list[str]:
-    """Each use of ``json.dump``, ``json.dumps`` or ``csv.writer``, by attribute or by import."""
+def module_uses(source: str, table: dict[str, tuple[str, ...]]) -> list[str]:
+    """Each use of a function named in ``table`` (module -> names), by attribute or by import."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
-            if node.attr in REPORT_WRITERS.get(node.value.id, ()):
+            if node.attr in table.get(node.value.id, ()):
                 found.append((node.lineno, f"{node.value.id}.{node.attr}"))
-        elif isinstance(node, ast.ImportFrom) and node.module in REPORT_WRITERS:
+        elif isinstance(node, ast.ImportFrom) and node.module in table:
             found += [
                 (node.lineno, f"{node.module}.{alias.name}")
-                for alias in node.names if alias.name in REPORT_WRITERS[node.module]
+                for alias in node.names if alias.name in table[node.module]
             ]
     return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+def report_writers(source: str) -> list[str]:
+    """Each use of ``json.dump``, ``json.dumps`` or ``csv.writer``."""
+    return module_uses(source, REPORT_WRITERS)
+
+
+def modules_using(table: dict[str, tuple[str, ...]]) -> list[str]:
+    """The library modules that use a function named in ``table``."""
+    return [p.name for p in sorted(SRC.glob("*.py")) if module_uses(p.read_text(encoding="utf-8"), table)]
 
 
 def test_scanner_flags_report_writers():
@@ -409,10 +421,19 @@ def test_scanner_flags_report_writers():
     assert report_writers(source) == ["line 3: json.dumps", "line 5: json.dumps", "line 6: csv.writer"]
 
 
+def test_scanner_flags_json_readers():
+    source = "import json\nfrom json import dumps, load\njson.load(fh)\njson.loads(s)\njson.dump({}, fh)\n"
+    assert module_uses(source, JSON_READERS) == ["line 2: json.load", "line 3: json.load", "line 4: json.loads"]
+
+
 def test_only_report_writes_reports():
     """``auglag.report`` is the one module that encodes JSON or writes CSV, so every report has one layout."""
-    writers = {p.name: report_writers(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
-    assert [name for name, uses in writers.items() if uses] == ["report.py"]
+    assert modules_using(REPORT_WRITERS) == ["report.py"]
+
+
+def test_only_problems_decodes_json_input():
+    """``auglag.problems`` is the one module that decodes JSON, so a problem file and a --config file fail alike."""
+    assert modules_using(JSON_READERS) == ["problems.py"]
 
 
 def monitor_entries(sources: dict[str, str]) -> list[str]:

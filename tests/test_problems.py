@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from auglag import cli, outer, problems
 from auglag.problems import (
@@ -114,6 +116,13 @@ class TestFeasibility:
         x_bad = np.zeros(8)
         x_bad[0] = -0.5  # sum = -0.5: equality off by 1.5, one negative coord
         assert p.feasibility_violation(x_bad) == pytest.approx(1.5)
+
+    @pytest.mark.parametrize("m_e", [0, 1])
+    def test_an_infinity_reads_as_infinite(self, m_e):
+        # min(c, 0) alone would read +inf on an inequality row as feasible
+        p = make_tiny(m_e, lambda x: np.array([math.inf]), lambda x: np.ones((1, 1)))
+        assert p.feasibility_violation(p.x0) == math.inf
+        assert p.feasibility_violation(p.x0, np.array([-math.inf])) == math.inf  # from c where it is held
 
     def test_infeasible_start_rejected(self):
         p = corpus_problem("eq-cos-8")
@@ -399,6 +408,17 @@ def test_bad_problem_file_rejected_at_load(tmp_path, field, value):
     assert not (tmp_path / "run.json").exists()
 
 
+@pytest.mark.parametrize("what, read", [
+    ("problem file", load_problem),
+    ("--config file", cli._read_overrides),
+])
+def test_both_input_files_reject_another_json_value_alike(tmp_path, what, read):
+    path = tmp_path / "input.json"
+    path.write_text("[1, 2]")
+    with pytest.raises(ValidationError, match=re.escape(f"{what} {path} holds a list, not a JSON object")):
+        read(str(path))
+
+
 def test_too_deeply_nested_problem_file_rejected_at_load(tmp_path):
     path = tmp_path / "deep.json"
     path.write_text("[" * 100_000 + "]" * 100_000)
@@ -508,3 +528,146 @@ class TestCallableConstraintShape:
     def test_one_row_jacobian_may_be_one_dimensional(self):
         p = make_tiny(1, lambda x: np.array([x[0] + x[1]]), lambda x: np.ones(2), n=2)
         np.testing.assert_array_equal(p.constraints.jac(np.zeros(2)), np.ones((1, 2)))
+
+
+def _swapped(name, attr, wrap):
+    """The corpus problem with its objective's ``attr`` oracle replaced by ``wrap`` of the true one."""
+    p = corpus_problem(name)
+    true = getattr(p.objective, attr)
+    setattr(p.objective, attr, lambda x: wrap(true(x)))
+    return p
+
+
+class TestObjectiveValueShape:
+    """f(x) must be a scalar: a 1-element array or list is a bad oracle, not a TypeError."""
+
+    WRONG = [
+        (lambda v: np.array([v]), "(1,)"),
+        (lambda v: np.array([v, v]), "(2,)"),
+        (lambda v: [v], "(1,)"),
+    ]
+    IDS = ["array-1", "array-2", "list"]
+
+    @pytest.mark.parametrize("wrap, shape", WRONG, ids=IDS)
+    def test_wrong_shape_rejected(self, wrap, shape):
+        obj = ObjectiveOracle(fn=lambda x: wrap(0.0), grad_fn=lambda x: np.zeros(2), f_low=-1.0)
+        message = f"objective value has shape {shape}; expected (), a scalar"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            obj.value(np.zeros(2))
+
+    @pytest.mark.parametrize("kind", outer.INNER_SOLVERS)
+    @pytest.mark.parametrize("wrap, shape", WRONG, ids=IDS)
+    def test_solve_names_the_wrong_shape(self, wrap, shape, kind):
+        p = _swapped("eq-cos-4", "fn", wrap)
+        with pytest.raises(ValidationError, match=re.escape(f"shape {shape}; expected ()")):
+            outer.solve(p, outer.SolverConfig(eps=1e-3, inner=kind))
+
+    @pytest.mark.parametrize("wrap, shape", WRONG, ids=IDS)
+    def test_validate_names_the_wrong_shape(self, wrap, shape):
+        p = _swapped("eq-cos-4", "fn", wrap)
+        with pytest.raises(ValidationError, match=re.escape(f"shape {shape}; expected ()")):
+            validate(p, samples=1)
+
+    def test_a_type_error_inside_fn_is_its_own(self):
+        def fn(x):
+            raise TypeError("inside fn")
+
+        obj = ObjectiveOracle(fn=fn, grad_fn=lambda x: np.zeros(2), f_low=-1.0)
+        with pytest.raises(TypeError, match="inside fn"):
+            obj.value(np.zeros(2))
+
+
+class TestObjectiveHessianShape:
+    """The Hessian must have shape (n, n); a diagonal or a scalar would broadcast into H + sigma A^T A."""
+
+    WRONG = [
+        (np.diag, "(4,)"),
+        (lambda H: np.array(H[0, 0]), "()"),
+        (lambda H: np.hstack([H, H[:, :1]]), "(4, 5)"),
+    ]
+    IDS = ["diagonal", "scalar", "extra-column"]
+
+    @pytest.mark.parametrize("wrap, shape", WRONG, ids=IDS)
+    def test_wrong_shape_rejected(self, wrap, shape):
+        p = _swapped("eq-cos-4", "hess_fn", wrap)
+        message = f"objective Hessian has shape {shape}; expected (4, 4), a row and a column per variable"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            p.objective.hessian(p.x0)
+
+    @pytest.mark.parametrize("eps", [1e-3, 1e-4])
+    @pytest.mark.parametrize("wrap, shape", WRONG, ids=IDS)
+    def test_cubic_newton_names_the_wrong_shape(self, wrap, shape, eps):
+        # without the check a diagonal or scalar Hessian still ends EpsKKT at eps = 1e-4,
+        # after 153 or 132 inner iterations rather than 18
+        p = _swapped("eq-cos-4", "hess_fn", wrap)
+        with pytest.raises(ValidationError, match=re.escape(f"shape {shape}; expected (4, 4)")):
+            outer.solve(p, outer.SolverConfig(eps=eps, inner=outer.INNER_CUBIC))
+
+    @pytest.mark.parametrize("wrap, shape", WRONG, ids=IDS)
+    def test_validate_names_the_wrong_shape(self, wrap, shape):
+        p = _swapped("eq-cos-4", "hess_fn", wrap)
+        with pytest.raises(ValidationError, match=re.escape(f"shape {shape}; expected (4, 4)")):
+            validate(p, samples=1)
+
+
+_FUZZ_N = 2
+# each oracle's true output on the fuzz problem, f = 0.5 ||x - a||^2 under x_0 + x_1 = 0, and its right shapes
+_FUZZ_A = np.array([1.0, 0.0])
+_FUZZ_ORACLES = {
+    "value": (lambda x: 0.5 * float((x - _FUZZ_A).dot(x - _FUZZ_A)), {()}),
+    "gradient": (lambda x: x - _FUZZ_A, {(_FUZZ_N,)}),
+    "hessian": (lambda x: np.eye(_FUZZ_N), {(_FUZZ_N, _FUZZ_N)}),
+    "c": (lambda x: np.array([x.sum()]), {(1,)}),
+    "jac": (lambda x: np.ones((1, _FUZZ_N)), {(1, _FUZZ_N), (_FUZZ_N,)}),  # a 1-D J is read as one row
+}
+
+
+def _fuzz_problem(oracle, out):
+    """The fuzz problem with ``oracle`` returning ``out`` of its true output; linear rows for cubic Newton."""
+    fns = {name: true for name, (true, _) in _FUZZ_ORACLES.items()}
+    true = fns[oracle]
+    fns[oracle] = lambda x: out(true(x))
+    obj = ObjectiveOracle(fn=fns["value"], grad_fn=fns["gradient"], hess_fn=fns["hessian"], f_low=0.0)
+    if oracle == "hessian":
+        cons = ConstraintSet(m=1, m_e=1, A=np.ones((1, _FUZZ_N)), b=np.zeros(1))
+    else:
+        cons = ConstraintSet(m=1, m_e=1, c_fn=fns["c"], jac_fn=fns["jac"])
+    return ProblemSpec("fuzz", obj, cons, np.zeros(_FUZZ_N))
+
+
+@st.composite
+def _oracle_outputs(draw):
+    """(oracle, shape, as_list): one oracle returns its true output resized to shape, as an array or a list."""
+    oracle = draw(st.sampled_from(sorted(_FUZZ_ORACLES)))
+    shape = tuple(draw(st.lists(st.integers(0, _FUZZ_N + 1), max_size=2)))
+    return oracle, shape, draw(st.booleans())
+
+
+class TestOracleShapeFuzz:
+    @settings(max_examples=30, deadline=None)
+    @given(draw=_oracle_outputs())
+    @example(draw=("hessian", (_FUZZ_N,), False))  # a diagonal, which H + sigma A^T A would broadcast
+    @example(draw=("value", (1,), True))  # a 1-element list, which float() rejects with a TypeError
+    @example(draw=("jac", (_FUZZ_N,), True))  # the one-row Jacobian as a 1-D list: accepted
+    def test_a_wrong_shape_is_named_and_never_broadcast(self, draw):
+        oracle, shape, as_list = draw
+
+        def out(value):
+            arr = np.resize(np.asarray(value, dtype=float), shape)
+            return arr.tolist() if as_list else arr
+
+        p = _fuzz_problem(oracle, out)
+        got = np.asarray(out(_FUZZ_ORACLES[oracle][0](p.x0)), dtype=float)
+        got_shape = np.atleast_2d(got).shape if oracle == "jac" else got.shape
+        right = got.shape in _FUZZ_ORACLES[oracle][1]
+        kind = outer.INNER_CUBIC if oracle == "hessian" else outer.INNER_GD_BACKTRACKING
+        runs = (
+            (lambda: outer.solve(p, outer.SolverConfig(eps=1e-3, inner=kind)), True),
+            (lambda: validate(p, samples=2), oracle != "jac"),  # validate reads no Jacobian
+        )
+        for run, reads in runs:
+            if right or not reads:
+                run()
+            else:
+                with pytest.raises(ValidationError, match=re.escape(f"shape {got_shape}; expected")):
+                    run()
