@@ -32,10 +32,18 @@ class ObjectiveBelowBound(ValidationError):
     """The objective returned a value below its declared lower bound (-inf among them)."""
 
 
-def _shaped(out, shape: tuple, what: str, expected: str) -> np.ndarray:
-    """An oracle's output as a float array; a ``ValidationError`` names its shape unless that is ``shape``."""
-    arr = np.asarray(out, dtype=float)
+def _shaped(out, shape: tuple, what: str, expected: str, rows: bool = False) -> np.ndarray:
+    """An oracle's output as a float array; a ``ValidationError`` names its shape unless that is ``shape``.
+
+    With ``rows``, an output of fewer than two dimensions is read as one row.
+    """
+    try:
+        arr = np.asarray(out, dtype=float)
+    except ValueError:  # a ragged nesting, or a string numpy cannot parse
+        raise ValidationError(f"{what} no regular numeric shape; expected {shape}, {expected}") from None
     if arr.shape != shape:
+        if rows:
+            return _shaped(np.atleast_2d(arr), shape, what, expected)
         raise ValidationError(f"{what} shape {arr.shape}; expected {shape}, {expected}")
     return arr
 
@@ -66,10 +74,13 @@ class ObjectiveOracle:
 
     def value(self, x: np.ndarray) -> float:
         v = self.fn(x)  # called outside the try: a TypeError raised inside fn is fn's own
-        try:
-            v = float(v)
-        except TypeError:  # an array of one or more dimensions, or a list
-            v = float(_shaped(v, (), "objective value has", "a scalar"))
+        if type(v) is not float:  # the common case, a Python float, needs no conversion
+            if isinstance(v, (str, bytes)):  # which float() would parse
+                raise ValidationError(f"objective value has type {type(v).__name__}; expected (), a scalar")
+            try:
+                v = float(v)
+            except TypeError:  # an array of one or more dimensions, or a list
+                v = float(_shaped(v, (), "objective value has", "a scalar"))
         if v < self.f_low - 1e-12 * max(1.0, abs(self.f_low)):
             raise ObjectiveBelowBound(
                 f"objective value {v} violates declared lower bound {self.f_low}"
@@ -97,7 +108,9 @@ class ConstraintSet:
     callables (c_fn, jac_fn).  The linear form enables the specializations
     that need a closed-form Lipschitz constant for the penalized gradient;
     it caches A^T A and its top eigenvalue, so A must not be mutated
-    afterwards.
+    afterwards.  An m_e outside [0, m], or an A or b whose rows are not m,
+    raises ``ValidationError`` naming the field first, as ``load_problem``'s
+    messages do.
     """
 
     m: int
@@ -109,14 +122,16 @@ class ConstraintSet:
 
     def __post_init__(self) -> None:
         if not (0 <= self.m_e <= self.m):
-            raise ValueError(f"need 0 <= m_e <= m, got m_e={self.m_e}, m={self.m}")
+            raise ValidationError(f"m_e = {self.m_e} lies outside [0, m] with m = {self.m}")
         if self.A is not None:
             self.A = np.atleast_2d(np.asarray(self.A, dtype=float))
             self.b = np.asarray(self.b, dtype=float).ravel()
-            if self.A.shape[0] != self.m or self.b.shape[0] != self.m:
-                raise ValueError("A/b shapes inconsistent with m")
+            if self.A.shape[0] != self.m:
+                raise ValidationError(f"A has shape {self.A.shape}, expected m = {self.m} rows")
+            if self.b.shape[0] != self.m:
+                raise ValidationError(f"b has length {self.b.shape[0]}, expected {self.m} (the rows of A)")
         elif self.c_fn is None or self.jac_fn is None:
-            raise ValueError("either (A, b) or (c_fn, jac_fn) must be given")
+            raise ValidationError("either (A, b) or (c_fn, jac_fn) must be given")
 
     @cached_property
     def AtA(self) -> np.ndarray:
@@ -151,8 +166,8 @@ class ConstraintSet:
     def jac(self, x: np.ndarray) -> np.ndarray:
         if self.is_linear:
             return self.A
-        return _shaped(np.atleast_2d(self.jac_fn(x)), (self.m, x.shape[0]), "constraint Jacobian has",
-                       "a row per constraint and a column per variable")  # a 1-D J is read as one row
+        return _shaped(self.jac_fn(x), (self.m, x.shape[0]), "constraint Jacobian has",
+                       "a row per constraint and a column per variable", rows=True)  # a 1-D J is one row
 
     def ineq_violation(self, c: np.ndarray) -> float:
         """max |min(c_ineq, 0)| for constraint values c; 0 without inequality rows."""
@@ -165,7 +180,10 @@ class ConstraintSet:
 
 @dataclass
 class ProblemSpec:
-    """A named problem: objective + constraints + feasible starting point."""
+    """A named problem: objective + constraints + feasible starting point.
+
+    For linear constraints, an x0 whose length is not A's column count raises ``ValidationError``.
+    """
 
     name: str
     objective: ObjectiveOracle
@@ -174,6 +192,9 @@ class ProblemSpec:
 
     def __post_init__(self) -> None:
         self.x0 = np.asarray(self.x0, dtype=float).ravel()
+        A = self.constraints.A
+        if A is not None and self.x0.shape[0] != A.shape[1]:
+            raise ValidationError(f"x0 has length {self.x0.shape[0]}, expected n = {A.shape[1]}")
 
     @property
     def n(self) -> int:
@@ -246,21 +267,22 @@ def finite_difference_gradient(fn, x: np.ndarray) -> np.ndarray:
     return np.stack(columns, axis=-1)
 
 
-def _worst_entry(got: np.ndarray, fd: np.ndarray) -> tuple[float, int]:
-    """(largest |fd - got| / max(1, |got|), the index of its last axis): a coordinate or a column."""
-    rel = np.abs(fd - got) / np.maximum(1.0, np.abs(got))
-    i = np.unravel_index(int(np.argmax(rel)), rel.shape)
-    return float(rel[i]), int(i[-1])
+def _sampled_check(name: str, errors: list, tol: float, detail: str) -> CheckResult:
+    """The check ``name`` whose worst error, the largest of ``errors`` (0 for none), is at most tol.
 
-
-def _sampled_check(name: str, worst: float, tol: float, detail: str) -> CheckResult:
-    """The check ``name`` whose worst error over the samples is ``worst``, passing at or below tol."""
-    ok = worst <= tol
-    return CheckResult(name, ok, worst, "" if ok else detail)
+    A NaN counts as the largest.  A failing check keeps ``detail``, formatted
+    with the worst error and the index of its last axis: a coordinate or a column.
+    """
+    errors = np.asarray(errors, dtype=float)
+    worst = float(errors.max(initial=0.0))  # NaN where any error is NaN
+    if worst <= tol:
+        return CheckResult(name, True, worst)
+    i = np.unravel_index(int(np.argmax(errors)), errors.shape)  # argmax finds a NaN first too
+    return CheckResult(name, False, worst, detail.format(worst, i[-1]))
 
 
 def validate(problem: ProblemSpec, samples: int = 10, seed: int = 0) -> ValidationReport:
-    """Check start feasibility, the objective's derivatives and its declared L2.
+    """Check start feasibility, the derivative oracles and the declared L1 and L2.
 
     The start must pass ``ProblemSpec.check_feasible_start``, the check a
     solve runs; its worst error is the violation at x0, NaN where c(x0) holds
@@ -272,59 +294,65 @@ def validate(problem: ProblemSpec, samples: int = 10, seed: int = 0) -> Validati
     * ``hessian_finite_difference``, for an objective with a Hessian oracle:
       each column of the Hessian matches central differences of grad f to
       the same tolerance;
-    * ``hessian_lipschitz_secant``, where an L2 is declared too: over each
-      pair (x, y) of consecutive sampled points, the secant ||H(x) - H(y)||_2 /
-      ||x - y|| (its worst error) is at most L2 (1 + 1e-6).  A larger one
-      proves L2 wrong.
+    * ``jacobian_finite_difference``, for a callable constraint set: each
+      column of J matches central differences of c to the same tolerance
+      (a linear set's J is A);
+    * ``gradient_lipschitz_secant``, where L1 is declared, and
+      ``hessian_lipschitz_secant``, where an L2 is declared for an objective
+      with a Hessian oracle: over each pair (x, y) of consecutive sampled
+      points, the secant ||D(x) - D(y)||_2 / ||x - y|| of the gradient or the
+      Hessian D (its worst error) is at most the constant times 1 + 1e-6.  A
+      larger one proves the constant wrong.
 
-    Each failing check names where its worst error lies.  The oracles are
-    read through ``ObjectiveOracle`` and ``ConstraintSet``, so a wrong shape,
-    or an f below ``f_low``, raises ``ValidationError``.
+    A relative error of NaN, as where f or c is not finite at a differenced
+    point, is the worst and fails its check.  Each failing check names where
+    its worst error lies.  The oracles are read through ``ObjectiveOracle``
+    and ``ConstraintSet``, so a wrong shape, or an f below ``f_low``, raises
+    ``ValidationError``; so does a gradient, Hessian or J that is not finite
+    at a sampled point.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
-    checks: list[CheckResult] = []
+    obj, cons = problem.objective, problem.constraints
 
-    c0 = problem.constraints.c(problem.x0)
+    c0 = cons.c(problem.x0)
     try:
         problem.check_feasible_start(c0)
         detail = ""
     except ValidationError as exc:
         detail = str(exc)
-    viol = problem.feasibility_violation(problem.x0, c0)
-    checks.append(CheckResult("feasible_start", not detail, viol, detail))
+    checks = [CheckResult("feasible_start", not detail, problem.feasibility_violation(problem.x0, c0), detail)]
 
-    obj = problem.objective
-    sampled = []  # (x, H(x)) at each sampled point, where the objective has a Hessian oracle
-    grad_worst = hess_worst = (0.0, 0)
-    for _ in range(samples):
-        x = _sample_unit_ball(rng, problem.x0)
-        g = obj.gradient(x)
-        if not np.isfinite(g).all():
-            raise ValidationError(f"{problem.name}: the objective gradient at a sampled point is not finite")
-        grad_worst = max(grad_worst, _worst_entry(g, finite_difference_gradient(obj.value, x)))
-        if obj.has_hessian:
-            H = obj.hessian(x)
-            if not np.isfinite(H).all():
-                raise ValidationError(f"{problem.name}: the objective Hessian at a sampled point is not finite")
-            hess_worst = max(hess_worst, _worst_entry(H, finite_difference_gradient(obj.gradient, x)))
-            sampled.append((x, H))
-    rel, j = grad_worst
-    checks.append(_sampled_check("gradient_finite_difference", rel, GRAD_CHECK_TOL,
-                                 f"gradient mismatch at coordinate {j}: rel error {rel:.3e}"))
+    xs = [_sample_unit_ball(rng, problem.x0) for _ in range(samples)]
+    # (check, oracle, the function it differences, its noun, the axis a worst error names)
+    rows = [("gradient_finite_difference", obj.gradient, obj.value, "objective gradient", "coordinate")]
     if obj.has_hessian:
-        rel, j = hess_worst
-        checks.append(_sampled_check("hessian_finite_difference", rel, GRAD_CHECK_TOL,
-                                     f"Hessian mismatch at column {j}: rel error {rel:.3e}"))
-    if obj.has_hessian and obj.L2 is not None:
-        secant = max((float(np.linalg.norm(Hx - Hy, 2) / np.linalg.norm(x - y))
-                      for (x, Hx), (y, Hy) in zip(sampled, sampled[1:])), default=0.0)
-        checks.append(_sampled_check("hessian_lipschitz_secant", secant, obj.L2 * (1.0 + GRAD_CHECK_TOL),
-                                     f"a secant ||H(x) - H(y)||/||x - y|| of {secant:.6g} exceeds "
-                                     f"the declared L2 = {obj.L2!r}"))
+        rows.append(("hessian_finite_difference", obj.hessian, obj.gradient, "objective Hessian", "column"))
+    if not cons.is_linear:  # a linear set's J is A
+        rows.append(("jacobian_finite_difference", cons.jac, cons.c, "constraint Jacobian", "column"))
+    at = {}  # each oracle's outputs at the sampled points, by its check
+    with np.errstate(all="ignore"):  # a non-finite f or c, or an overflow, reads as an error, not a warning
+        for name, oracle, fn, noun, axis in rows:
+            at[name] = got = [oracle(x) for x in xs]
+            if not np.isfinite(got).all():
+                raise ValidationError(f"{problem.name}: the {noun} at a sampled point is not finite")
+            rel = [np.abs(finite_difference_gradient(fn, x) - d) / np.maximum(1.0, np.abs(d))
+                   for x, d in zip(xs, got)]
+            checks.append(_sampled_check(name, rel, GRAD_CHECK_TOL,
+                                         f"{noun.split()[1]} mismatch at {axis} {{1}}: rel error {{0:.3e}}"))
+        # (check, the derivative's check above, its symbol, the name of its declared Lipschitz constant)
+        for name, of, D, key in (("gradient_lipschitz_secant", "gradient_finite_difference", "g", "L1"),
+                                 ("hessian_lipschitz_secant", "hessian_finite_difference", "H", "L2")):
+            L = getattr(obj, key)
+            if of in at and L is not None:
+                secants = [np.linalg.norm(Dx - Dy, 2) / np.linalg.norm(x - y)
+                           for x, y, Dx, Dy in zip(xs, xs[1:], at[of], at[of][1:])]
+                checks.append(_sampled_check(name, secants, L * (1.0 + GRAD_CHECK_TOL),
+                                             f"a secant ||{D}(x) - {D}(y)||/||x - y|| of {{0:.6g}} exceeds "
+                                             f"the declared {key} = {L!r}"))
 
     return ValidationReport(problem.name, checks)
 
@@ -564,17 +592,10 @@ def load_problem(path: str) -> ProblemSpec:
     if A.size % n != 0:
         raise ValidationError(f"A has {A.size} entries, not a multiple of n = {n}")
     A = A.reshape(-1, n)
-    b = _finite(data["b"], "b").ravel()
-    if b.shape[0] != A.shape[0]:
-        raise ValidationError(f"b has length {b.shape[0]}, expected {A.shape[0]} (the rows of A)")
-    x0 = _finite(data["x0"], "x0").ravel()
-    if x0.shape[0] != n:
-        raise ValidationError(f"x0 has length {x0.shape[0]}, expected n = {n}")
-    m_e = _integer(data["m_e"], "m_e")
-    if not (0 <= m_e <= A.shape[0]):
-        raise ValidationError(f"m_e = {m_e} lies outside [0, m] with m = {A.shape[0]}")
-    cons = ConstraintSet(m=A.shape[0], m_e=m_e, A=A, b=b)
-    return ProblemSpec(name=name, objective=obj, constraints=cons, x0=x0)
+    b = _finite(data["b"], "b")
+    x0 = _finite(data["x0"], "x0")
+    cons = ConstraintSet(m=A.shape[0], m_e=_integer(data["m_e"], "m_e"), A=A, b=b)  # checks m_e and b's length
+    return ProblemSpec(name=name, objective=obj, constraints=cons, x0=x0)  # checks x0's length
 
 
 def _integer(value, field_name: str) -> int:

@@ -4,9 +4,10 @@ import ast
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from auglag import cli
+from auglag import cli, problems
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "auglag"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")  # __init__ re-exports
@@ -504,3 +505,25 @@ def test_readme_monitor_table_lists_every_check():
     readme = (SRC.parent.parent / "README.md").read_text(encoding="utf-8")
     assert readme_monitor_checks(readme) == checks
     assert len(checks) == len(set(checks)) == 9
+
+
+def readme_validate_checks(readme: str) -> list[str]:
+    """The snake_case names in backquotes in README's paragraph on ``auglag check``, in order."""
+    paragraph = readme.split("\n`auglag check` runs ", 1)[1].split("\n\n", 1)[0]
+    return re.findall(r"`([a-z0-9]+(?:_[a-z0-9]+)+)`", paragraph)
+
+
+def test_readme_names_every_validate_check():
+    """README's ``auglag check`` paragraph names each check ``validate`` runs, in its order: none missing, none stale.
+
+    The problem has every row: callable constraints, a Hessian oracle, L1 and L2.
+    """
+    objective = problems.ObjectiveOracle(fn=lambda x: float(x.dot(x)), grad_fn=lambda x: 2.0 * x,
+                                         hess_fn=lambda x: 2.0 * np.eye(x.shape[0]), f_low=0.0, L1=2.0, L2=0.0)
+    constraints = problems.ConstraintSet(m=1, m_e=1, c_fn=lambda x: np.array([x.sum()]),
+                                         jac_fn=lambda x: np.ones((1, x.shape[0])))
+    report = problems.validate(problems.ProblemSpec("every-check", objective, constraints, np.zeros(2)), samples=3)
+    checks = [c.name for c in report.checks]
+    assert report.passed and len(checks) == len(set(checks)) == 6
+    readme = (SRC.parent.parent / "README.md").read_text(encoding="utf-8")
+    assert readme_validate_checks(readme) == checks

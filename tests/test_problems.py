@@ -100,12 +100,20 @@ class TestCorpusContract:
         np.testing.assert_allclose(cons.c(np.array([2.0, 0.0])), [3.0])
 
     def test_constraint_set_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError, match=re.escape("m_e = 2 lies outside [0, m] with m = 1")):
             ConstraintSet(m=1, m_e=2, A=np.ones((1, 2)), b=np.zeros(1))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError, match=re.escape("A has shape (1, 2), expected m = 2 rows")):
             ConstraintSet(m=2, m_e=1, A=np.ones((1, 2)), b=np.zeros(1))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError, match=re.escape("b has length 2, expected 1 (the rows of A)")):
+            ConstraintSet(m=1, m_e=1, A=np.ones((1, 2)), b=np.zeros(2))
+        with pytest.raises(ValidationError):
             ConstraintSet(m=1, m_e=1)
+
+    def test_x0_of_the_wrong_length_rejected_where_the_problem_is_built(self):
+        # without the check a solve ends in numpy's "shapes (1,4) and (3,) not aligned"
+        p = corpus_problem("eq-cos-4")
+        with pytest.raises(ValidationError, match=re.escape("x0 has length 3, expected n = 4")):
+            ProblemSpec("short-x0", p.objective, p.constraints, np.zeros(3))
 
 
 class TestFeasibility:
@@ -155,8 +163,11 @@ class TestNaNConstraintAtStart:
         # min(c, 0) reads +inf on an inequality row as feasible, so finiteness is tested first
         p = make_tiny(m_e, lambda x: np.array([bad]), lambda x: np.ones((1, 1)),
                       f=lambda x: float(x.dot(x)), grad=lambda x: 2.0 * x)
-        check = {c.name: c for c in validate(p, samples=1).checks}["feasible_start"]
-        assert not check.passed and "c(x0) is not finite" in check.detail
+        checks = {c.name: c for c in validate(p, samples=1).checks}
+        assert not checks["feasible_start"].passed and "c(x0) is not finite" in checks["feasible_start"].detail
+        # c - c is NaN, not a warning, where c is infinite at both differenced points
+        assert not checks["jacobian_finite_difference"].passed
+        assert math.isnan(checks["jacobian_finite_difference"].worst_error)
         with pytest.raises(ValidationError, match=r"starting point infeasible: c\(x0\) is not finite"):
             outer.solve(p, outer.SolverConfig(inner=outer.INNER_GD_BACKTRACKING))
 
@@ -251,6 +262,62 @@ class TestValidate:
         assert check.worst_error > 16.0
         if not passed:
             assert f"exceeds the declared L2 = {L2!r}" in check.detail
+
+    def test_a_declared_L1_below_a_secant_is_caught(self):
+        # eq-cos-8's gradient x - omega sin(omega x) is 1 + omega^2 = 17-Lipschitz
+        p = corpus_problem("eq-cos-8")
+        p.objective.L1 = 1.0
+        check = {c.name: c for c in validate(p, samples=10, seed=0).checks}["gradient_lipschitz_secant"]
+        assert not check.passed
+        assert check.worst_error == pytest.approx(11.07, abs=0.01)
+        assert check.detail == "a secant ||g(x) - g(y)||/||x - y|| of 11.0706 exceeds the declared L1 = 1.0"
+
+    def test_secants_pass_with_one_sample(self):
+        checks = validate(corpus_problem("eq-cos-8"), samples=1).checks
+        secants = [c for c in checks if c.name.endswith("_lipschitz_secant")]
+        assert [(c.name, c.passed, c.worst_error) for c in secants] == [
+            ("gradient_lipschitz_secant", True, 0.0), ("hessian_lipschitz_secant", True, 0.0)]
+
+    def test_a_nan_relative_error_is_the_worst(self):
+        # f is NaN where x_0 > 0.3, where the gradient 3x is wrong too; a max over (rel, j) tuples
+        # drops the NaN and reads a worst error of 4.19e-11 here
+        def f(x):
+            return math.nan if x[0] > 0.3 else float(x.dot(x))
+
+        def grad(x):
+            return 3.0 * x if x[0] > 0.3 else 2.0 * x
+
+        obj = ObjectiveOracle(fn=f, grad_fn=grad, f_low=0.0)
+        p = ProblemSpec("nan-f", obj, ConstraintSet(m=1, m_e=1, A=np.ones((1, 2)), b=np.zeros(1)), np.zeros(2))
+        check = {c.name: c for c in validate(p, samples=10, seed=0).checks}["gradient_finite_difference"]
+        assert not check.passed and math.isnan(check.worst_error)
+        assert re.fullmatch(r"gradient mismatch at coordinate [01]: rel error nan", check.detail)
+
+    @staticmethod
+    def _with_jacobian(jac_fn):
+        """eq-cos-4 with its constraint sum(x) = 1 given as callables, J by ``jac_fn``."""
+        p = corpus_problem("eq-cos-4")
+        cons = ConstraintSet(m=1, m_e=1, c_fn=lambda x: np.array([x.sum() - 1.0]), jac_fn=jac_fn)
+        return ProblemSpec("callable-eq-cos-4", p.objective, cons, p.x0)
+
+    def test_jacobian_checked_for_callable_constraints(self):
+        checks = {c.name: c for c in validate(self._with_jacobian(lambda x: np.ones((1, 4))), samples=5).checks}
+        assert checks["jacobian_finite_difference"].passed
+        assert checks["jacobian_finite_difference"].worst_error <= 1e-7
+        assert "jacobian_finite_difference" not in {c.name for c in validate(corpus_problem("eq-cos-4")).checks}
+
+    def test_wrong_jacobian_detected(self):
+        # |1 - 2| / max(1, 2): each column of J = 2 ones against the differences of c, which are 1
+        report = validate(self._with_jacobian(lambda x: 2.0 * np.ones((1, 4))), samples=5)
+        check = {c.name: c for c in report.checks}["jacobian_finite_difference"]
+        assert not report.passed and not check.passed
+        assert check.worst_error == pytest.approx(0.5)
+        assert re.fullmatch(r"Jacobian mismatch at column [0-3]: rel error 5\.000e-01", check.detail)
+
+    def test_non_finite_jacobian_is_a_validation_error(self):
+        p = self._with_jacobian(lambda x: np.array([[1.0, 1.0, math.inf, 1.0]]))
+        with pytest.raises(ValidationError, match="the constraint Jacobian at a sampled point is not finite"):
+            validate(p, samples=1)
 
     def test_infeasible_start_reported(self):
         p = corpus_problem("eq-cos-8")
@@ -474,62 +541,6 @@ class TestObjectiveGradientFiniteness:
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
-class TestObjectiveGradientShape:
-    """A gradient whose shape is not x's, (n,), is a bad oracle, finite or not."""
-
-    NAN = float("nan")
-
-    @pytest.mark.parametrize(
-        "grad",
-        [[1.0, 2.0, 3.0], [[1.0, NAN], [0.0, 0.0]], [[1e200, 1.0], [2.0, 3.0]], [[1.0], [2.0]], NAN, 3.0, []],
-    )
-    def test_wrong_shape_rejected(self, grad):
-        obj = ObjectiveOracle(fn=lambda x: 0.0, grad_fn=lambda x: np.array(grad), f_low=-1.0)
-        with pytest.raises(ValidationError, match=re.escape("expected (2,)")):
-            obj.gradient(np.zeros(2))
-
-    @staticmethod
-    def _column_gradient(name):
-        """The corpus problem with a gradient oracle that returns shape (n, 1)."""
-        p = corpus_problem(name)
-        grad = p.objective.grad_fn
-        p.objective.grad_fn = lambda x: grad(x)[:, None]
-        return p
-
-    def test_validate_names_the_expected_shape(self):
-        p = self._column_gradient("eq-cos-4")
-        with pytest.raises(ValidationError, match=re.escape("shape (4, 1); expected (4,)")):
-            validate(p)
-
-    @pytest.mark.parametrize("kind", ["gd-fixed", "gd-backtracking", "cubic-newton"])
-    def test_solve_names_the_expected_shape(self, kind):
-        from auglag.outer import SolverConfig, solve
-
-        p = self._column_gradient("eq-cos-4")
-        with pytest.raises(ValidationError, match=re.escape("shape (4, 1); expected (4,)")):
-            solve(p, SolverConfig(eps=1e-3, inner=kind))
-
-
-class TestCallableConstraintShape:
-    """Callable constraints must return c(x) of shape (m,) and J(x) of shape (m, n)."""
-
-    @pytest.mark.parametrize("c_fn, jac_fn, message", [
-        (lambda x: np.array([x[0] + x[1], 0.0]), None, "constraint values have shape (2,); expected (1,)"),
-        (lambda x: x[0] + x[1], None, "constraint values have shape (); expected (1,)"),
-        (None, lambda x: np.ones((2, 2)), "constraint Jacobian has shape (2, 2); expected (1, 2)"),
-        (None, lambda x: np.ones((2, 1)), "constraint Jacobian has shape (2, 1); expected (1, 2)"),
-    ], ids=["c-too-long", "c-scalar", "jac-square", "jac-column"])
-    def test_solve_names_the_wrong_shape(self, c_fn, jac_fn, message):
-        # n = 2 and m = m_e = 1, with c(x) = x_0 + x_1, feasible at x0 = 0
-        p = make_tiny(1, c_fn or (lambda x: np.array([x[0] + x[1]])), jac_fn or (lambda x: np.ones((1, 2))), n=2)
-        with pytest.raises(ValidationError, match=re.escape(message)):
-            outer.solve(p, outer.SolverConfig(inner=outer.INNER_GD_BACKTRACKING))
-
-    def test_one_row_jacobian_may_be_one_dimensional(self):
-        p = make_tiny(1, lambda x: np.array([x[0] + x[1]]), lambda x: np.ones(2), n=2)
-        np.testing.assert_array_equal(p.constraints.jac(np.zeros(2)), np.ones((1, 2)))
-
-
 def _swapped(name, attr, wrap):
     """The corpus problem with its objective's ``attr`` oracle replaced by ``wrap`` of the true one."""
     p = corpus_problem(name)
@@ -538,34 +549,107 @@ def _swapped(name, attr, wrap):
     return p
 
 
+class TestObjectiveGradientShape:
+    """A gradient whose shape is not x's, (n,), is a bad oracle, finite or not."""
+
+    NAN = float("nan")
+
+    @pytest.mark.parametrize(
+        "grad",
+        [[1.0, 2.0, 3.0], [[1.0, NAN], [0.0, 0.0]], [[1e200, 1.0], [2.0, 3.0]], [[1.0], [2.0]], NAN, 3.0, [],
+         [[1.0], [1.0, 2.0]]],  # the last is ragged: numpy makes no array of it
+    )
+    def test_wrong_shape_rejected(self, grad):
+        obj = ObjectiveOracle(fn=lambda x: 0.0, grad_fn=lambda x: grad, f_low=-1.0)
+        with pytest.raises(ValidationError, match=re.escape("expected (2,)")):
+            obj.gradient(np.zeros(2))
+
+    WRONG = [
+        (lambda g: g[:, None], "shape (4, 1)"),
+        (lambda g: [[1.0], [1.0, 2.0]], "no regular numeric shape"),  # numpy makes no array of it
+    ]
+    IDS = ["column", "ragged"]
+
+    @pytest.mark.parametrize("wrap, what", WRONG, ids=IDS)
+    def test_validate_names_the_expected_shape(self, wrap, what):
+        p = _swapped("eq-cos-4", "grad_fn", wrap)
+        with pytest.raises(ValidationError, match=re.escape(f"objective gradient has {what}; expected (4,)")):
+            validate(p)
+
+    @pytest.mark.parametrize("kind", ["gd-fixed", "gd-backtracking", "cubic-newton"])
+    @pytest.mark.parametrize("wrap, what", WRONG, ids=IDS)
+    def test_solve_names_the_expected_shape(self, wrap, what, kind):
+        from auglag.outer import SolverConfig, solve
+
+        p = _swapped("eq-cos-4", "grad_fn", wrap)
+        with pytest.raises(ValidationError, match=re.escape(f"objective gradient has {what}; expected (4,)")):
+            solve(p, SolverConfig(eps=1e-3, inner=kind))
+
+
+class TestCallableConstraintShape:
+    """Callable constraints must return c(x) of shape (m,) and J(x) of shape (m, n)."""
+
+    WRONG = pytest.mark.parametrize("c_fn, jac_fn, message", [
+        (lambda x: np.array([x[0] + x[1], 0.0]), None, "constraint values have shape (2,); expected (1,)"),
+        (lambda x: x[0] + x[1], None, "constraint values have shape (); expected (1,)"),
+        (lambda x: [[x[0]], [x[0], x[1]]], None, "constraint values have no regular numeric shape; expected (1,)"),
+        (None, lambda x: np.ones((2, 2)), "constraint Jacobian has shape (2, 2); expected (1, 2)"),
+        (None, lambda x: np.ones((2, 1)), "constraint Jacobian has shape (2, 1); expected (1, 2)"),
+        (None, lambda x: [[1.0], [1.0, 1.0]], "constraint Jacobian has no regular numeric shape; expected (1, 2)"),
+    ], ids=["c-too-long", "c-scalar", "c-ragged", "jac-square", "jac-column", "jac-ragged"])
+
+    @staticmethod
+    def _tiny(c_fn, jac_fn):
+        """n = 2 and m = m_e = 1, with c(x) = x_0 + x_1, feasible at x0 = 0, unless c_fn or jac_fn replaces it."""
+        return make_tiny(1, c_fn or (lambda x: np.array([x[0] + x[1]])), jac_fn or (lambda x: np.ones((1, 2))), n=2)
+
+    @WRONG
+    def test_solve_names_the_wrong_shape(self, c_fn, jac_fn, message):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            outer.solve(self._tiny(c_fn, jac_fn), outer.SolverConfig(inner=outer.INNER_GD_BACKTRACKING))
+
+    @WRONG
+    def test_validate_names_the_wrong_shape(self, c_fn, jac_fn, message):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            validate(self._tiny(c_fn, jac_fn), samples=1)
+
+    def test_one_row_jacobian_may_be_one_dimensional(self):
+        p = make_tiny(1, lambda x: np.array([x[0] + x[1]]), lambda x: np.ones(2), n=2)
+        np.testing.assert_array_equal(p.constraints.jac(np.zeros(2)), np.ones((1, 2)))
+
+
 class TestObjectiveValueShape:
     """f(x) must be a scalar: a 1-element array or list is a bad oracle, not a TypeError."""
 
     WRONG = [
-        (lambda v: np.array([v]), "(1,)"),
-        (lambda v: np.array([v, v]), "(2,)"),
-        (lambda v: [v], "(1,)"),
+        (lambda v: np.array([v]), "shape (1,)"),
+        (lambda v: np.array([v, v]), "shape (2,)"),
+        (lambda v: [v], "shape (1,)"),
+        (lambda v: [[v], [v, v]], "no regular numeric shape"),
+        # float() would parse these, and a solve would run on the number
+        (lambda v: repr(v), "type str"),
+        (lambda v: repr(v).encode(), "type bytes"),
     ]
-    IDS = ["array-1", "array-2", "list"]
+    IDS = ["array-1", "array-2", "list", "ragged", "str", "bytes"]
 
-    @pytest.mark.parametrize("wrap, shape", WRONG, ids=IDS)
-    def test_wrong_shape_rejected(self, wrap, shape):
+    @pytest.mark.parametrize("wrap, what", WRONG, ids=IDS)
+    def test_wrong_shape_rejected(self, wrap, what):
         obj = ObjectiveOracle(fn=lambda x: wrap(0.0), grad_fn=lambda x: np.zeros(2), f_low=-1.0)
-        message = f"objective value has shape {shape}; expected (), a scalar"
+        message = f"objective value has {what}; expected (), a scalar"
         with pytest.raises(ValidationError, match=re.escape(message)):
             obj.value(np.zeros(2))
 
     @pytest.mark.parametrize("kind", outer.INNER_SOLVERS)
-    @pytest.mark.parametrize("wrap, shape", WRONG, ids=IDS)
-    def test_solve_names_the_wrong_shape(self, wrap, shape, kind):
+    @pytest.mark.parametrize("wrap, what", WRONG, ids=IDS)
+    def test_solve_names_the_wrong_shape(self, wrap, what, kind):
         p = _swapped("eq-cos-4", "fn", wrap)
-        with pytest.raises(ValidationError, match=re.escape(f"shape {shape}; expected ()")):
+        with pytest.raises(ValidationError, match=re.escape(f"objective value has {what}; expected ()")):
             outer.solve(p, outer.SolverConfig(eps=1e-3, inner=kind))
 
-    @pytest.mark.parametrize("wrap, shape", WRONG, ids=IDS)
-    def test_validate_names_the_wrong_shape(self, wrap, shape):
+    @pytest.mark.parametrize("wrap, what", WRONG, ids=IDS)
+    def test_validate_names_the_wrong_shape(self, wrap, what):
         p = _swapped("eq-cos-4", "fn", wrap)
-        with pytest.raises(ValidationError, match=re.escape(f"shape {shape}; expected ()")):
+        with pytest.raises(ValidationError, match=re.escape(f"objective value has {what}; expected ()")):
             validate(p, samples=1)
 
     def test_a_type_error_inside_fn_is_its_own(self):
@@ -581,32 +665,33 @@ class TestObjectiveHessianShape:
     """The Hessian must have shape (n, n); a diagonal or a scalar would broadcast into H + sigma A^T A."""
 
     WRONG = [
-        (np.diag, "(4,)"),
-        (lambda H: np.array(H[0, 0]), "()"),
-        (lambda H: np.hstack([H, H[:, :1]]), "(4, 5)"),
+        (np.diag, "shape (4,)"),
+        (lambda H: np.array(H[0, 0]), "shape ()"),
+        (lambda H: np.hstack([H, H[:, :1]]), "shape (4, 5)"),
+        (lambda H: [row.tolist() for row in H[:3]] + [H[3, :2].tolist()], "no regular numeric shape"),
     ]
-    IDS = ["diagonal", "scalar", "extra-column"]
+    IDS = ["diagonal", "scalar", "extra-column", "ragged"]
 
-    @pytest.mark.parametrize("wrap, shape", WRONG, ids=IDS)
-    def test_wrong_shape_rejected(self, wrap, shape):
+    @pytest.mark.parametrize("wrap, what", WRONG, ids=IDS)
+    def test_wrong_shape_rejected(self, wrap, what):
         p = _swapped("eq-cos-4", "hess_fn", wrap)
-        message = f"objective Hessian has shape {shape}; expected (4, 4), a row and a column per variable"
+        message = f"objective Hessian has {what}; expected (4, 4), a row and a column per variable"
         with pytest.raises(ValidationError, match=re.escape(message)):
             p.objective.hessian(p.x0)
 
     @pytest.mark.parametrize("eps", [1e-3, 1e-4])
-    @pytest.mark.parametrize("wrap, shape", WRONG, ids=IDS)
-    def test_cubic_newton_names_the_wrong_shape(self, wrap, shape, eps):
+    @pytest.mark.parametrize("wrap, what", WRONG, ids=IDS)
+    def test_cubic_newton_names_the_wrong_shape(self, wrap, what, eps):
         # without the check a diagonal or scalar Hessian still ends EpsKKT at eps = 1e-4,
         # after 153 or 132 inner iterations rather than 18
         p = _swapped("eq-cos-4", "hess_fn", wrap)
-        with pytest.raises(ValidationError, match=re.escape(f"shape {shape}; expected (4, 4)")):
+        with pytest.raises(ValidationError, match=re.escape(f"objective Hessian has {what}; expected (4, 4)")):
             outer.solve(p, outer.SolverConfig(eps=eps, inner=outer.INNER_CUBIC))
 
-    @pytest.mark.parametrize("wrap, shape", WRONG, ids=IDS)
-    def test_validate_names_the_wrong_shape(self, wrap, shape):
+    @pytest.mark.parametrize("wrap, what", WRONG, ids=IDS)
+    def test_validate_names_the_wrong_shape(self, wrap, what):
         p = _swapped("eq-cos-4", "hess_fn", wrap)
-        with pytest.raises(ValidationError, match=re.escape(f"shape {shape}; expected (4, 4)")):
+        with pytest.raises(ValidationError, match=re.escape(f"objective Hessian has {what}; expected (4, 4)")):
             validate(p, samples=1)
 
 
@@ -635,39 +720,47 @@ def _fuzz_problem(oracle, out):
     return ProblemSpec("fuzz", obj, cons, np.zeros(_FUZZ_N))
 
 
+_RAGGED = [[1.0], [1.0, 2.0]]
+
+
 @st.composite
 def _oracle_outputs(draw):
-    """(oracle, shape, as_list): one oracle returns its true output resized to shape, as an array or a list."""
+    """(oracle, shape, form): one oracle returns its true output resized to shape, as an array or a list,
+    or returns the ragged list _RAGGED, whatever the shape."""
     oracle = draw(st.sampled_from(sorted(_FUZZ_ORACLES)))
     shape = tuple(draw(st.lists(st.integers(0, _FUZZ_N + 1), max_size=2)))
-    return oracle, shape, draw(st.booleans())
+    return oracle, shape, draw(st.sampled_from(["array", "list", "ragged"]))
 
 
 class TestOracleShapeFuzz:
     @settings(max_examples=30, deadline=None)
     @given(draw=_oracle_outputs())
-    @example(draw=("hessian", (_FUZZ_N,), False))  # a diagonal, which H + sigma A^T A would broadcast
-    @example(draw=("value", (1,), True))  # a 1-element list, which float() rejects with a TypeError
-    @example(draw=("jac", (_FUZZ_N,), True))  # the one-row Jacobian as a 1-D list: accepted
+    @example(draw=("hessian", (_FUZZ_N,), "array"))  # a diagonal, which H + sigma A^T A would broadcast
+    @example(draw=("value", (1,), "list"))  # a 1-element list, which float() rejects with a TypeError
+    @example(draw=("jac", (_FUZZ_N,), "list"))  # the one-row Jacobian as a 1-D list: accepted
+    @example(draw=("jac", (_FUZZ_N, _FUZZ_N), "array"))  # a square J: only a read of J finds it
+    @example(draw=("gradient", (), "ragged"))  # which numpy cannot make an array
     def test_a_wrong_shape_is_named_and_never_broadcast(self, draw):
-        oracle, shape, as_list = draw
+        oracle, shape, form = draw
 
         def out(value):
+            if form == "ragged":
+                return _RAGGED
             arr = np.resize(np.asarray(value, dtype=float), shape)
-            return arr.tolist() if as_list else arr
+            return arr.tolist() if form == "list" else arr
 
         p = _fuzz_problem(oracle, out)
-        got = np.asarray(out(_FUZZ_ORACLES[oracle][0](p.x0)), dtype=float)
-        got_shape = np.atleast_2d(got).shape if oracle == "jac" else got.shape
-        right = got.shape in _FUZZ_ORACLES[oracle][1]
+        if form == "ragged":
+            right, message = False, "no regular numeric shape; expected"
+        else:
+            got = np.asarray(out(_FUZZ_ORACLES[oracle][0](p.x0)), dtype=float)
+            got_shape = np.atleast_2d(got).shape if oracle == "jac" else got.shape
+            right, message = got.shape in _FUZZ_ORACLES[oracle][1], f"shape {got_shape}; expected"
         kind = outer.INNER_CUBIC if oracle == "hessian" else outer.INNER_GD_BACKTRACKING
-        runs = (
-            (lambda: outer.solve(p, outer.SolverConfig(eps=1e-3, inner=kind)), True),
-            (lambda: validate(p, samples=2), oracle != "jac"),  # validate reads no Jacobian
-        )
-        for run, reads in runs:
-            if right or not reads:
+        for run in (lambda: outer.solve(p, outer.SolverConfig(eps=1e-3, inner=kind)),
+                    lambda: validate(p, samples=2)):
+            if right:
                 run()
             else:
-                with pytest.raises(ValidationError, match=re.escape(f"shape {got_shape}; expected")):
+                with pytest.raises(ValidationError, match=re.escape(message)):
                     run()
