@@ -46,25 +46,11 @@ def _load_problem(ref: str) -> problems.ProblemSpec:
     return problems.corpus_problem(ref)
 
 
-def _read_overrides(path: str) -> dict:
-    """The --config file as a dict; a non-object, an unknown key or too deep a nesting raises ValueError.
-
-    The values are checked by ``outer.SolverConfig``, like every other option.
-    """
-    overrides = problems.read_json_object(path, "--config file")
-    for key in overrides:
-        if key not in outer.CONFIG_KEYS:
-            raise ValueError(
-                f"--config key {key!r} is unknown; accepted keys: {', '.join(outer.CONFIG_KEYS)}"
-            )
-    return overrides
-
-
 def _config_from_args(args, problem) -> outer.SolverConfig:
     """The flags, then the --config file over them, except that an explicit --inner wins."""
     fields = {key: getattr(args, key) for key in outer.CONFIG_KEYS}
     if args.config:
-        fields.update(_read_overrides(args.config))
+        fields.update(problems.read_json_object(args.config, "--config file", outer.CONFIG_KEYS))
     if fields["inner"] == "auto":
         fields["inner"] = outer.default_inner_for(problem)
     config = outer.SolverConfig(**fields)  # checks every value, the file's inner solver too

@@ -7,14 +7,14 @@ starting point.  All oracles are pure functions of ``x`` and a problem may be
 shared read-only across concurrent solver runs.
 
 Every bad input raises a ``ValidationError``, a ``ValueError``.  The oracles
-check shapes and ``f_low``, not finiteness, which the outer loop checks once
-at x0 and the inner solvers after.  This module imports no other ``auglag`` module.
+check shapes, numbers and ``f_low``, not finiteness, which the outer loop
+checks once at x0 and the inner solvers after.  This module imports no other ``auglag`` module.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -32,15 +32,37 @@ class ObjectiveBelowBound(ValidationError):
     """The objective returned a value below its declared lower bound (-inf among them)."""
 
 
+def _floats(value, what: str, *expected) -> np.ndarray:
+    """``value`` as a float array, from bools, integers and floats only: the one conversion of caller data.
+
+    Else a ``ValidationError`` "{what} {got}; expected {expected, ...}" names what
+    it got; every gradient passes here, so the message is built only on failure.
+    """
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # numpy makes no array of a ragged nesting
+        got = "no regular numeric shape"
+    else:
+        if arr.dtype == float:
+            return arr
+        kind = arr.dtype.kind
+        if kind in "biuf" or kind == "O" and all(isinstance(v, (int, float)) for v in arr.flat):
+            try:  # numpy holds an integer past 64 bits as an object
+                return arr.astype(float)
+            except OverflowError:
+                got = "a number too large for a float"
+        else:  # text, complex values, or a dict, None or another object, alone or in a nesting
+            bad = type(next((v for v in arr.flat if not isinstance(v, (int, float))), value)).__name__
+            got = {"U": "text", "S": "text", "c": "complex values"}.get(kind, f"an object of type {bad}")
+    raise ValidationError(f"{what} {got}; expected {', '.join(map(str, expected))}")
+
+
 def _shaped(out, shape: tuple, what: str, expected: str, rows: bool = False) -> np.ndarray:
-    """An oracle's output as a float array; a ``ValidationError`` names its shape unless that is ``shape``.
+    """An oracle's output through ``_floats``; a ``ValidationError`` names its shape unless that is ``shape``.
 
     With ``rows``, an output of fewer than two dimensions is read as one row.
     """
-    try:
-        arr = np.asarray(out, dtype=float)
-    except ValueError:  # a ragged nesting, or a string numpy cannot parse
-        raise ValidationError(f"{what} no regular numeric shape; expected {shape}, {expected}") from None
+    arr = _floats(out, what, shape, expected)
     if arr.shape != shape:
         if rows:
             return _shaped(np.atleast_2d(arr), shape, what, expected)
@@ -57,10 +79,13 @@ class ObjectiveOracle:
     certification.  ``L1``/``L2`` are global Lipschitz constants of the
     gradient / Hessian when known; ``local_lipschitz_only`` marks objectives
     whose derivatives are Lipschitz only on bounded sets (such problems are
-    excluded from bound certification).  ``value`` raises
+    excluded from bound certification).  Building the oracle checks that
+    ``f_low`` is a finite number and ``L1``, ``L2`` None or finite and >= 0,
+    raising ``ValidationError`` naming the field.  ``value`` raises
     ``ObjectiveBelowBound`` below ``f_low``.  f(x) must be a scalar, grad f(x)
     (n,) and the Hessian (n, n), as c(x) must be (m,) and J(x) (m, n) on a
-    ``ConstraintSet``; any other shape raises ``ValidationError`` naming it.
+    ``ConstraintSet``, all numbers; any other shape, or text, an object or
+    complex values, raises ``ValidationError`` naming the oracle.
     A NaN or infinity passes through unchanged.
     """
 
@@ -72,15 +97,17 @@ class ObjectiveOracle:
     L2: Optional[float] = None
     local_lipschitz_only: bool = False
 
+    def __post_init__(self) -> None:
+        _finite(self.f_low, "f_low", scalar=True)
+        for key in ("L1", "L2"):
+            value = getattr(self, key)
+            if value is not None and _finite(value, key, scalar=True) < 0.0:
+                raise ValidationError(f"{key} = {value!r} must be nonnegative")
+
     def value(self, x: np.ndarray) -> float:
-        v = self.fn(x)  # called outside the try: a TypeError raised inside fn is fn's own
+        v = self.fn(x)
         if type(v) is not float:  # the common case, a Python float, needs no conversion
-            if isinstance(v, (str, bytes)):  # which float() would parse
-                raise ValidationError(f"objective value has type {type(v).__name__}; expected (), a scalar")
-            try:
-                v = float(v)
-            except TypeError:  # an array of one or more dimensions, or a list
-                v = float(_shaped(v, (), "objective value has", "a scalar"))
+            v = float(_shaped(v, (), "objective value has", "a scalar"))
         if v < self.f_low - 1e-12 * max(1.0, abs(self.f_low)):
             raise ObjectiveBelowBound(
                 f"objective value {v} violates declared lower bound {self.f_low}"
@@ -108,9 +135,9 @@ class ConstraintSet:
     callables (c_fn, jac_fn).  The linear form enables the specializations
     that need a closed-form Lipschitz constant for the penalized gradient;
     it caches A^T A and its top eigenvalue, so A must not be mutated
-    afterwards.  An m_e outside [0, m], or an A or b whose rows are not m,
-    raises ``ValidationError`` naming the field first, as ``load_problem``'s
-    messages do.
+    afterwards.  An m_e outside [0, m], or an A or b that is not numbers (no
+    b among them) or whose rows are not m, raises ``ValidationError`` naming
+    the field first, as ``load_problem``'s messages do.
     """
 
     m: int
@@ -124,8 +151,8 @@ class ConstraintSet:
         if not (0 <= self.m_e <= self.m):
             raise ValidationError(f"m_e = {self.m_e} lies outside [0, m] with m = {self.m}")
         if self.A is not None:
-            self.A = np.atleast_2d(np.asarray(self.A, dtype=float))
-            self.b = np.asarray(self.b, dtype=float).ravel()
+            self.A = np.atleast_2d(_floats(self.A, "A has", "an array of numbers"))
+            self.b = _floats(self.b, "b has", "an array of numbers").ravel()
             if self.A.shape[0] != self.m:
                 raise ValidationError(f"A has shape {self.A.shape}, expected m = {self.m} rows")
             if self.b.shape[0] != self.m:
@@ -182,7 +209,7 @@ class ConstraintSet:
 class ProblemSpec:
     """A named problem: objective + constraints + feasible starting point.
 
-    For linear constraints, an x0 whose length is not A's column count raises ``ValidationError``.
+    An x0 that is not numbers, or, with linear constraints, not as long as A has columns, raises ``ValidationError``.
     """
 
     name: str
@@ -191,7 +218,7 @@ class ProblemSpec:
     x0: np.ndarray
 
     def __post_init__(self) -> None:
-        self.x0 = np.asarray(self.x0, dtype=float).ravel()
+        self.x0 = _floats(self.x0, "x0 has", "an array of numbers").ravel()
         A = self.constraints.A
         if A is not None and self.x0.shape[0] != A.shape[1]:
             raise ValidationError(f"x0 has length {self.x0.shape[0]}, expected n = {A.shape[1]}")
@@ -256,15 +283,13 @@ def finite_difference_gradient(fn, x: np.ndarray) -> np.ndarray:
     For a scalar fn this is its gradient; for a vector fn, its Jacobian, whose
     column j differences fn along coordinate j (the Hessian, for fn = grad f).
     """
-    columns = []
-    for j in range(x.shape[0]):
-        h = 1e-6 * max(1.0, abs(x[j]))
-        xp = x.copy()
-        xm = x.copy()
-        xp[j] += h
-        xm[j] -= h
-        columns.append((np.asarray(fn(xp), dtype=float) - np.asarray(fn(xm), dtype=float)) / (2.0 * h))
-    return np.stack(columns, axis=-1)
+    def at(j, h):  # fn with x_j moved by h
+        y = x.copy()
+        y[j] += h
+        return _floats(fn(y), "fn(x) has", "numbers")
+
+    steps = [1e-6 * max(1.0, abs(v)) for v in x]
+    return np.stack([(at(j, h) - at(j, -h)) / (2.0 * h) for j, h in enumerate(steps)], axis=-1)
 
 
 def _sampled_check(name: str, errors: list, tol: float, detail: str) -> CheckResult:
@@ -273,7 +298,7 @@ def _sampled_check(name: str, errors: list, tol: float, detail: str) -> CheckRes
     A NaN counts as the largest.  A failing check keeps ``detail``, formatted
     with the worst error and the index of its last axis: a coordinate or a column.
     """
-    errors = np.asarray(errors, dtype=float)
+    errors = np.asarray(errors)  # floats already: oracle outputs and norms
     worst = float(errors.max(initial=0.0))  # NaN where any error is NaN
     if worst <= tol:
         return CheckResult(name, True, worst)
@@ -307,7 +332,7 @@ def validate(problem: ProblemSpec, samples: int = 10, seed: int = 0) -> Validati
     A relative error of NaN, as where f or c is not finite at a differenced
     point, is the worst and fails its check.  Each failing check names where
     its worst error lies.  The oracles are read through ``ObjectiveOracle``
-    and ``ConstraintSet``, so a wrong shape, or an f below ``f_low``, raises
+    and ``ConstraintSet``, so a wrong shape or type, or an f below ``f_low``, raises
     ``ValidationError``; so does a gradient, Hessian or J that is not finite
     at a sampled point.
     """
@@ -387,7 +412,7 @@ def _quadratic_cos_objective(n: int, omega: float = _OMEGA) -> ObjectiveOracle:
         hess_fn=hess,
         f_low=-float(n),
         L1=1.0 + omega * omega,
-        L2=abs(omega * omega * omega),  # inf, not OverflowError, for a huge omega
+        L2=abs(omega * omega * omega),
     )
 
 
@@ -419,6 +444,11 @@ def _rosenbrock_objective(n: int) -> ObjectiveOracle:
     )
 
 
+def _linear_problem(name: str, objective: ObjectiveOracle, A: np.ndarray, b, m_e: int, x0) -> ProblemSpec:
+    """The problem under the rows c(x) = A x - b, the first m_e of them equalities."""
+    return ProblemSpec(name, objective, ConstraintSet(m=len(A), m_e=m_e, A=A, b=b), x0)
+
+
 def make_simplex_cos(n: int = 8) -> ProblemSpec:
     """Quadratic-plus-cosine objective on the unit simplex in standard form.
 
@@ -427,23 +457,14 @@ def make_simplex_cos(n: int = 8) -> ProblemSpec:
     _check_n(n)
     A = np.vstack([np.ones((1, n)), np.eye(n)])
     b = np.concatenate([[1.0], np.zeros(n)])
-    return ProblemSpec(
-        name=f"simplex-cos-{n}",
-        objective=_quadratic_cos_objective(n),
-        constraints=ConstraintSet(m=n + 1, m_e=1, A=A, b=b),
-        x0=np.full(n, 1.0 / n),
-    )
+    return _linear_problem(f"simplex-cos-{n}", _quadratic_cos_objective(n), A, b, 1, np.full(n, 1.0 / n))
 
 
 def make_eq_cos(n: int = 8) -> ProblemSpec:
     """Quadratic-plus-cosine objective with the single equality sum(x) = 1."""
     _check_n(n)
-    return ProblemSpec(
-        name=f"eq-cos-{n}",
-        objective=_quadratic_cos_objective(n),
-        constraints=ConstraintSet(m=1, m_e=1, A=np.ones((1, n)), b=np.array([1.0])),
-        x0=np.full(n, 1.0 / n),
-    )
+    A, b = np.ones((1, n)), np.array([1.0])
+    return _linear_problem(f"eq-cos-{n}", _quadratic_cos_objective(n), A, b, 1, np.full(n, 1.0 / n))
 
 
 def make_eq_rosenbrock(n: int = 8) -> ProblemSpec:
@@ -451,12 +472,8 @@ def make_eq_rosenbrock(n: int = 8) -> ProblemSpec:
     _check_n(n)
     d = 0.2 * np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
     d -= d.mean()  # keep the start on the constraint hyperplane
-    return ProblemSpec(
-        name=f"eq-rosenbrock-{n}",
-        objective=_rosenbrock_objective(n),
-        constraints=ConstraintSet(m=1, m_e=1, A=np.ones((1, n)), b=np.array([float(n)])),
-        x0=np.ones(n) + d,
-    )
+    A, b = np.ones((1, n)), np.array([float(n)])
+    return _linear_problem(f"eq-rosenbrock-{n}", _rosenbrock_objective(n), A, b, 1, np.ones(n) + d)
 
 
 def make_dup_eq(n: int = 8) -> ProblemSpec:
@@ -464,12 +481,7 @@ def make_dup_eq(n: int = 8) -> ProblemSpec:
     _check_n(n)
     A = np.vstack([np.ones((1, n)), np.ones((1, n)), np.eye(n)])
     b = np.concatenate([[1.0, 1.0], np.zeros(n)])
-    return ProblemSpec(
-        name=f"dup-eq-{n}",
-        objective=_quadratic_cos_objective(n),
-        constraints=ConstraintSet(m=n + 2, m_e=2, A=A, b=b),
-        x0=np.full(n, 1.0 / n),
-    )
+    return _linear_problem(f"dup-eq-{n}", _quadratic_cos_objective(n), A, b, 2, np.full(n, 1.0 / n))
 
 
 def make_eq_qp_analytic() -> ProblemSpec:
@@ -490,12 +502,7 @@ def make_eq_qp_analytic() -> ProblemSpec:
         return np.eye(n)
 
     obj = ObjectiveOracle(fn=fn, grad_fn=grad, hess_fn=hess, f_low=0.0, L1=1.0, L2=0.0)
-    return ProblemSpec(
-        name="eq-qp-analytic",
-        objective=obj,
-        constraints=ConstraintSet(m=1, m_e=1, A=np.ones((1, n)), b=np.array([1.0])),
-        x0=np.full(n, 1.0 / n),
-    )
+    return _linear_problem("eq-qp-analytic", obj, np.ones((1, n)), np.array([1.0]), 1, np.full(n, 1.0 / n))
 
 
 # each corpus family: a prefix ending in "-" takes the size n, as in simplex-cos-16;
@@ -521,16 +528,35 @@ def corpus_problem(name: str) -> ProblemSpec:
             if name == prefix:
                 return maker()
         elif name.startswith(prefix):
+            suffix = name[len(prefix):]
             try:
-                n = int(name[len(prefix):])
+                n = int(suffix)
             except ValueError:
+                break
+            if str(n) != suffix:  # int() also takes "08", "+8", "1_6" and " 8"
                 break
             return maker(n)
     raise ValidationError(f"unknown corpus problem {name!r}")
 
 
-def read_json_object(path: str, what: str) -> dict:
-    """The JSON object in the file at ``path``; another value or too deep a nesting raises naming ``what``."""
+_PROBLEM_KEYS = ("name", "n", "objective", "A", "b", "m_e", "x0", "f_low", "L1", "L2")  # the required seven first
+
+
+def _check_keys(data: dict, keys: tuple, required: tuple, where: str, prefix: str = "") -> None:
+    """Raise ``ValidationError``, naming the key first, at a key of ``required`` or of ``data`` not in ``keys``."""
+    for key in required:
+        if key not in data:
+            raise ValidationError(f"{prefix}{key} is missing")
+    for key in data:
+        if key not in keys:
+            raise ValidationError(f"{prefix}{key} is unknown in {where}; accepted keys: {', '.join(keys)}")
+
+
+def read_json_object(path: str, what: str, keys: tuple, required: tuple = ()) -> dict:
+    """The JSON object in the file at ``path``, with each key of ``required`` and no key outside ``keys``.
+
+    Else a ``ValidationError`` names ``what`` and the file, and first a missing or unknown key.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
@@ -538,6 +564,7 @@ def read_json_object(path: str, what: str) -> dict:
             raise ValidationError(f"{what} {path} nests too deeply to parse") from None
     if not isinstance(data, dict):
         raise ValidationError(f"{what} {path} holds a {type(data).__name__}, not a JSON object")
+    _check_keys(data, keys, required, f"{what} {path}")
     return data
 
 
@@ -545,22 +572,19 @@ def load_problem(path: str) -> ProblemSpec:
     """Load a problem from a JSON file.
 
     Schema: {name, n, objective: {kind: "quadratic+cos"|"rosenbrock",
-    omega?}, A: row-major nested array, b, m_e, x0, f_low?, L1?, L2?}.
-    Only the parametric objective kinds are loadable.  Raises
-    ``ValidationError`` naming the field when a required field (name, n,
-    objective, objective.kind, A, b, m_e, x0) is missing; when a field has the
+    omega?}, A: row-major nested array, b, m_e, x0, f_low?, L1?, L2?}; only
+    the parametric objective kinds are loadable.  Raises ``ValidationError``
+    naming the field when a key is not in the schema or a required one (name,
+    n, objective, objective.kind, A, b, m_e, x0) is missing; when a field has the
     wrong JSON type (the file and objective are objects, name a non-empty
     string with no '/', '\\' or NUL, n and m_e integers,
     f_low, L1, L2 and omega single numbers, A, b and x0 regular arrays of
     numbers, and a bool or a string is never a number) or shape (A's size a
     multiple of n, b as long as A has rows, x0 of length n); or when a value
-    is out of range (n >= 1, 0 <= m_e <= m, L1, L2 >= 0, all finite, and
-    |omega|^3 finite).
+    is out of range (n >= 1, 0 <= m_e <= m, all finite, |omega|^3 finite, and
+    L1, L2 >= 0 as ``ObjectiveOracle`` checks).
     """
-    data = read_json_object(path, "problem file")
-    for key in ("name", "n", "objective", "A", "b", "m_e", "x0"):
-        if key not in data:
-            raise ValidationError(f"{key} is missing")
+    data = read_json_object(path, "problem file", _PROBLEM_KEYS, _PROBLEM_KEYS[:7])
     name = data["name"]  # the CLI's default report stem, so it must name a file in the working directory
     if not (isinstance(name, str) and name) or any(ch in name for ch in "/\\\0"):
         raise ValidationError(f"name = {name!r} must be a non-empty string without '/', '\\' or NUL")
@@ -570,32 +594,26 @@ def load_problem(path: str) -> ProblemSpec:
     spec = data["objective"]
     if not isinstance(spec, dict):
         raise ValidationError(f"objective = {spec!r} must be a JSON object")
-    if "kind" not in spec:
-        raise ValidationError("objective.kind is missing")
+    _check_keys(spec, ("kind", "omega"), ("kind",), f"problem file {path}", "objective.")
     kind = spec["kind"]
     if kind == "quadratic+cos":
         omega = float(_finite(spec.get("omega", _OMEGA), "omega", scalar=True))
-        obj = _quadratic_cos_objective(n, omega=omega)
-        if not math.isfinite(obj.L2):
+        if not math.isfinite(omega * omega * omega):  # L2 = |omega|^3, which ObjectiveOracle checks
             raise ValidationError(f"omega = {omega!r} is too large: |omega|^3 overflows")
+        obj = _quadratic_cos_objective(n, omega=omega)
     elif kind == "rosenbrock":
         obj = _rosenbrock_objective(n)
     else:
         raise ValidationError(f"unsupported objective kind {kind!r}")
-    for key in ("f_low", "L1", "L2"):
-        if key in data and data[key] is not None:
-            value = float(_finite(data[key], key, scalar=True))
-            if key != "f_low" and value < 0.0:
-                raise ValidationError(f"{key} = {value} must be nonnegative")
-            setattr(obj, key, value)
+    obj = replace(obj, **{key: float(_finite(data[key], key, scalar=True))  # replace checks L1, L2 >= 0
+                          for key in _PROBLEM_KEYS[7:] if data.get(key) is not None})
     A = _finite(data["A"], "A")
     if A.size % n != 0:
         raise ValidationError(f"A has {A.size} entries, not a multiple of n = {n}")
     A = A.reshape(-1, n)
     b = _finite(data["b"], "b")
     x0 = _finite(data["x0"], "x0")
-    cons = ConstraintSet(m=A.shape[0], m_e=_integer(data["m_e"], "m_e"), A=A, b=b)  # checks m_e and b's length
-    return ProblemSpec(name=name, objective=obj, constraints=cons, x0=x0)  # checks x0's length
+    return _linear_problem(name, obj, A, b, _integer(data["m_e"], "m_e"), x0)  # checks m_e, b's and x0's lengths
 
 
 def _integer(value, field_name: str) -> int:
@@ -604,21 +622,15 @@ def _integer(value, field_name: str) -> int:
     return value
 
 
-def _numbers(value) -> bool:
-    """True iff value is a JSON number (not a bool) or a list nesting only numbers."""
-    if isinstance(value, list):
-        return all(map(_numbers, value))
-    return type(value) in (int, float)  # a bool is an int subclass, not a JSON number
+def _has_bool(value) -> bool:
+    """True iff value is a bool or a list nesting one; ``_floats`` reads a bool as a number."""
+    return isinstance(value, bool) or isinstance(value, list) and any(map(_has_bool, value))
 
 
 def _finite(value, field_name: str, scalar: bool = False) -> np.ndarray:
-    try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"{field_name} is not a regular numeric array: {exc}") from exc
-    # checked after numpy has bounded the nesting depth
-    if not _numbers(value):
-        raise ValidationError(f"{field_name} = {value!r} must hold only JSON numbers")
+    arr = _floats(value, f"{field_name} has", "a single number" if scalar else "an array of numbers")
+    if _has_bool(value):  # checked after numpy has bounded the nesting depth
+        raise ValidationError(f"{field_name} = {value!r} holds a bool, which is not a number")
     if scalar and arr.ndim != 0:
         raise ValidationError(f"{field_name} = {value!r} must be a single number")
     if not np.isfinite(arr).all():

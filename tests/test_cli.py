@@ -240,9 +240,9 @@ class TestSweepCommand:
 @pytest.mark.parametrize(
     "overrides,named",
     [
-        ({"gama": 0.25}, "'gama'"),
-        ({"inner_eps": 1e-4}, "'inner_eps'"),
-        ({"require_theta_half": True}, "'require_theta_half'"),
+        ({"gama": 0.25}, "gama is unknown in --config file"),
+        ({"inner_eps": 1e-4}, "inner_eps is unknown in --config file"),
+        ({"require_theta_half": True}, "require_theta_half is unknown in --config file"),
         ({"alpha": "3"}, "'alpha'"),
         ({"max_outer": 10.5}, "'max_outer'"),
         ({"sigma0": True}, "'sigma0'"),
@@ -251,7 +251,7 @@ class TestSweepCommand:
         ({"alpha": math.nan}, "alpha"),
         ({"sigma0": math.nan}, "sigma0"),
         ({"alpha": math.inf}, "alpha"),
-        ({"penalty_policy": "polynomial"}, "'penalty_policy'"),
+        ({"penalty_policy": "polynomial"}, "penalty_policy is unknown in --config file"),
     ],
     ids=["unknown", "inner_eps", "require_theta_half", "str-for-float", "float-for-int",
          "bool-for-float", "int-for-str", "not-an-object", "nan-alpha", "nan-sigma0",

@@ -95,6 +95,39 @@ def test_no_matmul_operators(path):
     assert matmul_operators(path.read_text(encoding="utf-8")) == []
 
 
+def float_conversions(source: str, converter: str = "_floats") -> list[str]:
+    """Each ``dtype=float`` keyword and ``.astype(float)`` call outside the function ``converter``."""
+    found = []
+
+    def visit(node):
+        if isinstance(node, ast.FunctionDef) and node.name == converter:
+            return
+        if isinstance(node, ast.keyword) and node.arg == "dtype" and ast.unparse(node.value) == "float":
+            found.append((node.value.lineno, "dtype=float"))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "astype"
+              and node.args and ast.unparse(node.args[0]) == "float"):
+            found.append((node.lineno, ".astype(float)"))
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(ast.parse(source))
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+def test_scanner_flags_a_float_conversion():
+    source = (
+        "import numpy as np\ndef _floats(v):\n    return np.asarray(v).astype(float)\n"
+        "np.asarray([1], dtype=float)\nnp.zeros(2).astype(float, copy=False)\nnp.zeros(2).astype(int)\n"
+        "np.ones(2, dtype=int)\n"
+    )
+    assert float_conversions(source) == ["line 4: dtype=float", "line 5: .astype(float)"]
+
+
+def test_problems_converts_to_float_in_one_place():
+    """``problems._floats`` is the one conversion of caller data, so every array and oracle output is read alike."""
+    assert float_conversions((SRC / "problems.py").read_text(encoding="utf-8")) == []
+
+
 def _names_read(trees) -> set[str]:
     """Every name loaded, and every attribute taken, anywhere in ``trees``."""
     read = set()

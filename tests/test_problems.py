@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -75,7 +76,9 @@ class TestCorpusContract:
             for field in ("f_low", "L1", "L2"):
                 assert getattr(got.objective, field) == getattr(want.objective, field)
 
-    @pytest.mark.parametrize("name", ["simplex-cos-", "foo", "simplex-cos-x"])
+    # int() reads each of the last five as a size, which would name another problem
+    @pytest.mark.parametrize("name", ["simplex-cos-", "foo", "simplex-cos-x", "simplex-cos-1_6", "simplex-cos-08",
+                                      "simplex-cos-+8", "eq-cos-8 ", "eq-cos-\u0668"])
     def test_lookup_rejects_bad_names(self, name):
         with pytest.raises(ValidationError, match="unknown corpus problem"):
             corpus_problem(name)
@@ -108,6 +111,39 @@ class TestCorpusContract:
             ConstraintSet(m=1, m_e=1, A=np.ones((1, 2)), b=np.zeros(2))
         with pytest.raises(ValidationError):
             ConstraintSet(m=1, m_e=1)
+
+    # numpy parses text as numbers, and reads a missing b as [nan]
+    @pytest.mark.parametrize("field, value, message", [
+        ("A", [["1", "1"]], "A has text; expected an array of numbers"),
+        ("b", ["1"], "b has text; expected an array of numbers"),
+        ("b", None, "b has an object of type NoneType; expected an array of numbers"),
+        ("x0", ["0.5", "0.5"], "x0 has text; expected an array of numbers"),
+        ("x0", [0.5 + 0j, 0.5], "x0 has complex values; expected an array of numbers"),
+    ], ids=["text-A", "text-b", "no-b", "text-x0", "complex-x0"])
+    def test_non_numeric_data_rejected_where_the_problem_is_built(self, field, value, message):
+        data = {"A": [[1.0, 1.0]], "b": [1.0], "x0": [0.5, 0.5], field: value}  # b = None is the default
+        obj = corpus_problem("eq-cos-4").objective
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            ProblemSpec("p", obj, ConstraintSet(m=1, m_e=1, A=data["A"], b=data["b"]), data["x0"])
+
+    # a NaN f_low once made a strict solve raise MonitorViolation, an implementation bug, at iteration 1
+    @pytest.mark.parametrize("field, value, message", [
+        ("f_low", float("nan"), "f_low holds a non-finite value"),
+        ("f_low", float("-inf"), "f_low holds a non-finite value"),
+        ("f_low", [-8.0], "f_low = [-8.0] must be a single number"),
+        ("f_low", None, "f_low has an object of type NoneType; expected a single number"),
+        ("f_low", "-8", "f_low has text; expected a single number"),
+        ("L1", -1.0, "L1 = -1.0 must be nonnegative"),
+        ("L1", float("inf"), "L1 holds a non-finite value"),
+        ("L1", True, "L1 = True holds a bool, which is not a number"),
+        ("L2", float("nan"), "L2 holds a non-finite value"),
+        ("L2", 64j, "L2 has complex values; expected a single number"),
+    ], ids=["nan-f_low", "inf-f_low", "list-f_low", "no-f_low", "text-f_low", "negative-L1", "inf-L1", "bool-L1",
+            "nan-L2", "complex-L2"])
+    def test_declared_constants_checked_where_the_objective_is_built(self, field, value, message):
+        obj = corpus_problem("simplex-cos-8").objective
+        with pytest.raises(ValidationError, match="^" + re.escape(message)):
+            dataclasses.replace(obj, **{field: value})
 
     def test_x0_of_the_wrong_length_rejected_where_the_problem_is_built(self):
         # without the check a solve ends in numpy's "shapes (1,4) and (3,) not aligned"
@@ -396,14 +432,14 @@ _MISSING = object()
 
 def _bad_file(field, value):
     """_GOOD_FILE with one field replaced, or dropped when value is _MISSING;
-    "omega" sits in the objective, "objective.kind" is the objective's kind and
+    "omega" and "objective.omgea" sit in the objective, "objective.kind" is the objective's kind and
     "problem file" stands for the whole file."""
     if field == "problem file":
         return value
     if field == "objective.kind":
         return dict(_GOOD_FILE, objective={})
-    if field == "omega":
-        return dict(_GOOD_FILE, objective={"kind": "quadratic+cos", "omega": value})
+    if field in ("omega", "objective.omgea"):
+        return dict(_GOOD_FILE, objective={"kind": "quadratic+cos", field.rpartition(".")[2]: value})
     if value is _MISSING:
         return {key: v for key, v in _GOOD_FILE.items() if key != field}
     return dict(_GOOD_FILE, **{field: value})
@@ -459,6 +495,10 @@ def _bad_file(field, value):
         ("name", {"a": 1}),
         ("name", 7),
         ("name", None),
+        # an unknown key, as where a misspelt omega or L1 would leave the default in force
+        ("omgea", 2.0),
+        ("l1", 17.0),
+        ("objective.omgea", 2.0),
     ]
     + [
         pytest.param(field, _MISSING, id=f"{field}-missing")
@@ -477,7 +517,7 @@ def test_bad_problem_file_rejected_at_load(tmp_path, field, value):
 
 @pytest.mark.parametrize("what, read", [
     ("problem file", load_problem),
-    ("--config file", cli._read_overrides),
+    ("--config file", lambda path: problems.read_json_object(path, "--config file", outer.CONFIG_KEYS)),
 ])
 def test_both_input_files_reject_another_json_value_alike(tmp_path, what, read):
     path = tmp_path / "input.json"
@@ -567,8 +607,11 @@ class TestObjectiveGradientShape:
     WRONG = [
         (lambda g: g[:, None], "shape (4, 1)"),
         (lambda g: [[1.0], [1.0, 2.0]], "no regular numeric shape"),  # numpy makes no array of it
+        (lambda g: g.astype(str), "text"),  # which numpy would parse
+        (lambda g: {"g": g}, "an object of type dict"),
+        (lambda g: g + 0j, "complex values"),
     ]
-    IDS = ["column", "ragged"]
+    IDS = ["column", "ragged", "text", "dict", "complex"]
 
     @pytest.mark.parametrize("wrap, what", WRONG, ids=IDS)
     def test_validate_names_the_expected_shape(self, wrap, what):
@@ -596,7 +639,14 @@ class TestCallableConstraintShape:
         (None, lambda x: np.ones((2, 2)), "constraint Jacobian has shape (2, 2); expected (1, 2)"),
         (None, lambda x: np.ones((2, 1)), "constraint Jacobian has shape (2, 1); expected (1, 2)"),
         (None, lambda x: [[1.0], [1.0, 1.0]], "constraint Jacobian has no regular numeric shape; expected (1, 2)"),
-    ], ids=["c-too-long", "c-scalar", "c-ragged", "jac-square", "jac-column", "jac-ragged"])
+        (lambda x: np.array([x[0] + x[1]]).astype(str), None, "constraint values have text; expected (1,)"),
+        (lambda x: {"c": x[0] + x[1]}, None, "constraint values have an object of type dict; expected (1,)"),
+        (lambda x: np.array([x[0] + x[1] + 0j]), None, "constraint values have complex values; expected (1,)"),
+        (None, lambda x: np.ones((1, 2)).astype(str), "constraint Jacobian has text; expected (1, 2)"),
+        (None, lambda x: {"J": np.ones((1, 2))}, "constraint Jacobian has an object of type dict; expected (1, 2)"),
+        (None, lambda x: np.ones((1, 2)) + 0j, "constraint Jacobian has complex values; expected (1, 2)"),
+    ], ids=["c-too-long", "c-scalar", "c-ragged", "jac-square", "jac-column", "jac-ragged",
+            "c-text", "c-dict", "c-complex", "jac-text", "jac-dict", "jac-complex"])
 
     @staticmethod
     def _tiny(c_fn, jac_fn):
@@ -627,10 +677,12 @@ class TestObjectiveValueShape:
         (lambda v: [v], "shape (1,)"),
         (lambda v: [[v], [v, v]], "no regular numeric shape"),
         # float() would parse these, and a solve would run on the number
-        (lambda v: repr(v), "type str"),
-        (lambda v: repr(v).encode(), "type bytes"),
+        (lambda v: repr(v), "text"),
+        (lambda v: repr(v).encode(), "text"),
+        (lambda v: {"v": v}, "an object of type dict"),
+        (lambda v: complex(v), "complex values"),
     ]
-    IDS = ["array-1", "array-2", "list", "ragged", "str", "bytes"]
+    IDS = ["array-1", "array-2", "list", "ragged", "str", "bytes", "dict", "complex"]
 
     @pytest.mark.parametrize("wrap, what", WRONG, ids=IDS)
     def test_wrong_shape_rejected(self, wrap, what):
@@ -669,8 +721,11 @@ class TestObjectiveHessianShape:
         (lambda H: np.array(H[0, 0]), "shape ()"),
         (lambda H: np.hstack([H, H[:, :1]]), "shape (4, 5)"),
         (lambda H: [row.tolist() for row in H[:3]] + [H[3, :2].tolist()], "no regular numeric shape"),
+        (lambda H: H.astype(str), "text"),
+        (lambda H: {"H": H}, "an object of type dict"),
+        (lambda H: H + 0j, "complex values"),
     ]
-    IDS = ["diagonal", "scalar", "extra-column", "ragged"]
+    IDS = ["diagonal", "scalar", "extra-column", "ragged", "text", "dict", "complex"]
 
     @pytest.mark.parametrize("wrap, what", WRONG, ids=IDS)
     def test_wrong_shape_rejected(self, wrap, what):
@@ -725,11 +780,11 @@ _RAGGED = [[1.0], [1.0, 2.0]]
 
 @st.composite
 def _oracle_outputs(draw):
-    """(oracle, shape, form): one oracle returns its true output resized to shape, as an array or a list,
-    or returns the ragged list _RAGGED, whatever the shape."""
+    """(oracle, shape, form): one oracle returns its true output resized to shape, as an array, a list
+    or an array of text, or returns the ragged list _RAGGED, whatever the shape."""
     oracle = draw(st.sampled_from(sorted(_FUZZ_ORACLES)))
     shape = tuple(draw(st.lists(st.integers(0, _FUZZ_N + 1), max_size=2)))
-    return oracle, shape, draw(st.sampled_from(["array", "list", "ragged"]))
+    return oracle, shape, draw(st.sampled_from(["array", "list", "text", "ragged"]))
 
 
 class TestOracleShapeFuzz:
@@ -740,6 +795,7 @@ class TestOracleShapeFuzz:
     @example(draw=("jac", (_FUZZ_N,), "list"))  # the one-row Jacobian as a 1-D list: accepted
     @example(draw=("jac", (_FUZZ_N, _FUZZ_N), "array"))  # a square J: only a read of J finds it
     @example(draw=("gradient", (), "ragged"))  # which numpy cannot make an array
+    @example(draw=("c", (1,), "text"))  # the right shape, in text that numpy would parse
     def test_a_wrong_shape_is_named_and_never_broadcast(self, draw):
         oracle, shape, form = draw
 
@@ -747,11 +803,12 @@ class TestOracleShapeFuzz:
             if form == "ragged":
                 return _RAGGED
             arr = np.resize(np.asarray(value, dtype=float), shape)
-            return arr.tolist() if form == "list" else arr
+            return arr.tolist() if form == "list" else arr.astype(str) if form == "text" else arr
 
         p = _fuzz_problem(oracle, out)
-        if form == "ragged":
-            right, message = False, "no regular numeric shape; expected"
+        if form in ("ragged", "text"):
+            right = False
+            message = "no regular numeric shape; expected" if form == "ragged" else "text; expected"
         else:
             got = np.asarray(out(_FUZZ_ORACLES[oracle][0](p.x0)), dtype=float)
             got_shape = np.atleast_2d(got).shape if oracle == "jac" else got.shape
