@@ -281,30 +281,51 @@ def warm_start(
     return state.x.copy(), (ev.p, ev.grad_p), at_zero[0], at_prev[0]
 
 
-def _build_inner_task(
-    pen: core.Penalty, start: np.ndarray, eps: float, kind: str, start_pair=None,
-    stops: Sequence[float] = (), spent: int = 1, first_step: float = 2.0,
-) -> inner.InnerTask:
-    """The inner solve of P = ``pen`` from ``start``, through ``stops`` to eps.
+def _inner_constant(problem: ProblemSpec, kind: str, sigma: float) -> Optional[float]:
+    """Inner solver ``kind``'s ``known_L`` at penalty ``sigma``: the one statement of what each solver needs.
 
-    ``start_pair`` is (P, grad P) at ``start``.  ``spent`` is the run's oracle
-    calls so far, 1 (at x0) before its first inner solve; the solve may make
-    the rest of ``inner.ORACLE_BUDGET``, as ``total_oracle_calls`` counts them.
-    ``first_step`` is gd-backtracking's first trial step.
+    gd-fixed takes ``core.lipschitz_bound_for``; cubic Newton takes the declared L2 and needs
+    equality-only linear constraints and a Hessian oracle; gd-backtracking takes None.
+    Raises ``core.UnsupportedSpecializationError`` where ``kind`` does not apply.
     """
-    problem = pen.problem
-    hessian = known_L = None
     if kind == INNER_GD_FIXED:
-        known_L = core.lipschitz_bound_for(problem, pen.sigma)
-    elif kind == INNER_CUBIC:  # _start has checked that cubic Newton applies
-        hessian = pen.hess
-        known_L = problem.objective.L2
-    return inner.InnerTask(
-        objective=pen.value, gradient=pen.grad, hessian=hessian,
-        start=start, eps=eps, known_L=known_L, start_pair=start_pair,
+        return core.lipschitz_bound_for(problem, sigma)
+    if kind == INNER_CUBIC:
+        cons = problem.constraints
+        if not (cons.is_linear and cons.m_e == cons.m):
+            raise core.UnsupportedSpecializationError("cubic Newton requires equality-only linear constraints")
+        if not problem.objective.has_hessian:
+            raise core.UnsupportedSpecializationError("cubic Newton requires a Hessian oracle")
+        return problem.objective.L2
+    return None
+
+
+def _inner_solve(
+    pen: core.Penalty, start: np.ndarray, eps: float, kind: str, start_pair=None,
+    stops: Sequence[float] = (), spent: int = 1, first_step: float = 2.0, k: int = 0,
+) -> inner.InnerResult:
+    """Outer iteration ``k``'s inner solve of P = ``pen`` by ``kind``: every inner solve is built and run here.
+
+    It starts at ``start``, where (P, grad P) is ``start_pair``, and passes ``stops`` on the way to eps.
+    ``spent`` is the run's ``total_oracle_calls`` so far (1, at x0, before its first inner solve), and
+    the solve may make the rest of ``inner.ORACLE_BUDGET``.  ``first_step`` is gd-backtracking's first
+    trial step.  A solve that cannot reach eps raises ``InnerFailure``.
+    """
+    task = inner.InnerTask(
+        objective=pen.value, gradient=pen.grad, hessian=pen.hess, start=start, eps=eps,
+        known_L=_inner_constant(pen.problem, kind, pen.sigma), start_pair=start_pair,
         last_evaluation=pen.last_evaluation, stops=stops, first_step=first_step,
         max_calls=inner.ORACLE_BUDGET - spent,
     )
+    try:
+        if kind == INNER_CUBIC:
+            return inner.cubic_newton_solve(task)
+        return inner.gd_solve(task, inner.FIXED_STEP if kind == INNER_GD_FIXED else inner.BACKTRACKING)
+    except (inner.IterationCapExceeded, inner.NonFiniteValue) as exc:
+        # gd-fixed's L is L1 + sigma lambda_max(A^T A): name the declared L1 a user can fix
+        note = f", L = L1 + sigma lambda_max(A^T A) with the declared L1 = {pen.problem.objective.L1!r}"
+        where = f"sigma = {pen.sigma!r}{note if kind == INNER_GD_FIXED else ''}"
+        raise InnerFailure(f"inner solver failed at outer iteration {k}: {exc} ({where})") from exc
 
 
 def default_inner_for(problem: ProblemSpec) -> str:
@@ -316,15 +337,6 @@ def default_inner_for(problem: ProblemSpec) -> str:
     if cons.is_linear and obj.L1 is not None:
         return INNER_GD_FIXED
     return INNER_GD_BACKTRACKING
-
-
-_GD_VARIANTS = {INNER_GD_FIXED: inner.FIXED_STEP, INNER_GD_BACKTRACKING: inner.BACKTRACKING}
-
-
-def _run_inner(task: inner.InnerTask, kind: str) -> inner.InnerResult:
-    if kind == INNER_CUBIC:
-        return inner.cubic_newton_solve(task)
-    return inner.gd_solve(task, _GD_VARIANTS[kind])
 
 
 def _state(
@@ -346,23 +358,15 @@ def _start(problem: ProblemSpec, config: SolverConfig) -> OuterState:
 
     Evaluates c, f, grad f and J once each at x0: a run's only oracle calls
     outside its inner solves.  Every check of the input raises a ``ValueError``
-    here, before the first inner solve: an inner solver that cannot apply
-    (``core.UnsupportedSpecializationError``) or a gd-fixed L that is not
-    finite before any oracle call, a non-finite or infeasible c(x0)
+    here, before the first inner solve: ``_inner_constant`` at sigma0, for an
+    inner solver that cannot apply (``core.UnsupportedSpecializationError``) or
+    a gd-fixed L that is not finite, before any oracle call, a non-finite or infeasible c(x0)
     (``ProblemSpec.check_feasible_start``) before f is evaluated, and a
     non-finite f, grad f or J at x0 (``ValidationError`` naming it) once they
     are.  Inside a solve the inner loop checks every value.
     """
     cons, obj, x0 = problem.constraints, problem.objective, problem.x0
-    if config.inner == INNER_GD_FIXED:
-        core.lipschitz_bound_for(problem, config.sigma0)  # raises where gd-fixed has no finite L
-    elif config.inner == INNER_CUBIC:
-        if not (cons.is_linear and cons.m_e == cons.m):
-            raise core.UnsupportedSpecializationError(
-                "cubic Newton requires equality-only linear constraints"
-            )
-        if not obj.has_hessian:
-            raise core.UnsupportedSpecializationError("cubic Newton requires a Hessian oracle")
+    _inner_constant(problem, config.inner, config.sigma0)
     c0 = cons.c(x0)
     problem.check_feasible_start(c0)
     f0, g0, J0 = obj.value(x0), obj.gradient(x0), cons.jac(x0)
@@ -379,7 +383,7 @@ def first_inner_results(
 
     ``tolerances`` is descending.  The descent is ``solve``'s k = 0 inner solve
     to the last eps, with the others as its stops; like every inner solve it
-    goes through ``_build_inner_task`` and ``_run_inner``.  Each result is the
+    goes through ``_inner_solve``.  Each result is the
     one ``solve`` at that eps computes alone, so ``solve(problem,
     replace(config, eps=e), _first=result)`` returns the same report.  None
     when such a solve runs no inner solve: no outer iteration allowed, or
@@ -391,8 +395,7 @@ def first_inner_results(
     penalty = core.Penalty(problem, first.lam, first.sigma)
     start, start_pair, _, _ = warm_start(penalty, first, first)
     *stops, eps = tolerances
-    task = _build_inner_task(penalty, start, eps, config.inner, start_pair, stops)
-    res = _run_inner(task, config.inner)
+    res = _inner_solve(penalty, start, eps, config.inner, start_pair, stops)
     return [*res.earlier, res]
 
 
@@ -405,7 +408,9 @@ def solve(
     direct eps-KKT test; theta <= eps/2 is monitored as the sufficient
     condition the analysis counts.  Ends ``TERMINATED_ORACLE_BUDGET``, with
     the outer iterations completed before, where an inner solve would take
-    ``total_oracle_calls`` past ``inner.ORACLE_BUDGET``.  ``_first`` is
+    ``total_oracle_calls`` past ``inner.ORACLE_BUDGET``; every inner solve
+    goes through ``_inner_solve``, which raises ``InnerFailure`` where one
+    cannot reach eps.  ``_first`` is
     this run's k = 0 inner result from ``first_inner_results``, which an
     eps-sweep passes.  Each gd-backtracking solve starts its first Armijo
     search at min(2, 2 t), t the last step accepted by the last solve that
@@ -433,20 +438,12 @@ def solve(
         if k == 0 and _first is not None:
             res = _first
         else:
-            task = _build_inner_task(
-                penalty, start, eps, config.inner, start_pair, spent=calls, first_step=first_step,
-            )
             try:
-                res = _run_inner(task, config.inner)
+                res = _inner_solve(penalty, start, eps, config.inner, start_pair,
+                                   spent=calls, first_step=first_step, k=k)
             except inner.OracleBudgetExceeded:
                 terminated = TERMINATED_ORACLE_BUDGET
                 break
-            except (inner.IterationCapExceeded, inner.NonFiniteValue) as exc:
-                # gd-fixed's L is L1 + sigma lambda_max(A^T A): name the declared L1 a user can fix
-                where = f"sigma = {sigma!r}"
-                if config.inner == INNER_GD_FIXED:
-                    where += f", L = L1 + sigma lambda_max(A^T A) with the declared L1 = {problem.objective.L1!r}"
-                raise InnerFailure(f"inner solver failed at outer iteration {k}: {exc} ({where})") from exc
 
         calls += res.oracle_calls
         if res.last_step is not None:

@@ -70,7 +70,7 @@ def _shaped(out, shape: tuple, what: str, expected: str, rows: bool = False) -> 
     return arr
 
 
-@dataclass
+@dataclass(frozen=True)
 class ObjectiveOracle:
     """Smooth objective with value/gradient (and optional Hessian) oracles.
 
@@ -81,11 +81,12 @@ class ObjectiveOracle:
     whose derivatives are Lipschitz only on bounded sets (such problems are
     excluded from bound certification).  Building the oracle checks that
     ``f_low`` is a finite number and ``L1``, ``L2`` None or finite and >= 0,
-    raising ``ValidationError`` naming the field.  ``value`` raises
-    ``ObjectiveBelowBound`` below ``f_low``.  f(x) must be a scalar, grad f(x)
-    (n,) and the Hessian (n, n), as c(x) must be (m,) and J(x) (m, n) on a
-    ``ConstraintSet``, all numbers; any other shape, or text, an object or
-    complex values, raises ``ValidationError`` naming the oracle.
+    raising ``ValidationError`` naming the field; the oracle is frozen, so a
+    changed field goes through ``dataclasses.replace`` and that check again.
+    ``value`` raises ``ObjectiveBelowBound`` below ``f_low``.  f(x) must be a
+    scalar, grad f(x) (n,) and the Hessian (n, n), as c(x) must be (m,) and
+    J(x) (m, n) on a ``ConstraintSet``, all numbers; any other shape, or text,
+    an object or complex values, raises ``ValidationError`` naming the oracle.
     A NaN or infinity passes through unchanged.
     """
 
@@ -571,9 +572,9 @@ def read_json_object(path: str, what: str, keys: tuple, required: tuple = ()) ->
 def load_problem(path: str) -> ProblemSpec:
     """Load a problem from a JSON file.
 
-    Schema: {name, n, objective: {kind: "quadratic+cos"|"rosenbrock",
-    omega?}, A: row-major nested array, b, m_e, x0, f_low?, L1?, L2?}; only
-    the parametric objective kinds are loadable.  Raises ``ValidationError``
+    Schema: {name, n, objective: {kind: "quadratic+cos"|"rosenbrock", omega?
+    (quadratic+cos only)}, A: row-major nested array, b, m_e, x0, f_low?, L1?,
+    L2?}; only the parametric objective kinds are loadable.  Raises ``ValidationError``
     naming the field when a key is not in the schema or a required one (name,
     n, objective, objective.kind, A, b, m_e, x0) is missing; when a field has the
     wrong JSON type (the file and objective are objects, name a non-empty
@@ -594,8 +595,9 @@ def load_problem(path: str) -> ProblemSpec:
     spec = data["objective"]
     if not isinstance(spec, dict):
         raise ValidationError(f"objective = {spec!r} must be a JSON object")
-    _check_keys(spec, ("kind", "omega"), ("kind",), f"problem file {path}", "objective.")
-    kind = spec["kind"]
+    kind = spec.get("kind")
+    keys = ("kind", "omega") if kind == "quadratic+cos" else ("kind",)  # omega is quadratic+cos's frequency
+    _check_keys(spec, keys, ("kind",), f"a {kind!r} objective of problem file {path}", "objective.")
     if kind == "quadratic+cos":
         omega = float(_finite(spec.get("omega", _OMEGA), "omega", scalar=True))
         if not math.isfinite(omega * omega * omega):  # L2 = |omega|^3, which ObjectiveOracle checks

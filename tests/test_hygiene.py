@@ -294,6 +294,71 @@ def test_the_inner_loop_raises_only_the_oracle_budget():
     assert functions_raising(source, "OracleBudgetExceeded") == ["_descend"]
 
 
+def inner_solver_uses(sources: dict[str, str]) -> list[str]:
+    """Each use of ``gd_solve`` or ``cubic_newton_solve`` in ``sources`` but an import, in source order.
+
+    An entry reads "outer.py: _inner_solve: inner.gd_solve(_, _)": the module,
+    the innermost ``def`` around the use ("<module>" outside every one), and
+    the use as written; a call lists an ``_`` per positional argument and a
+    ``name=`` per keyword.
+    """
+    solvers = ("gd_solve", "cubic_newton_solve")
+    found = []
+
+    def named(node):
+        return getattr(node, "id", getattr(node, "attr", None)) in solvers
+
+    def visit(node, module, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Call) and named(node.func):
+            args = ["_"] * len(node.args) + [f"{kw.arg}=" for kw in node.keywords]
+            found.append(f"{module}: {where}: {ast.unparse(node.func)}({', '.join(args)})")
+            children = node.args + node.keywords
+        elif isinstance(node, (ast.Name, ast.Attribute)) and named(node):
+            found.append(f"{module}: {where}: {ast.unparse(node)}")
+            children = []
+        else:
+            children = ast.iter_child_nodes(node)
+        for child in children:
+            visit(child, module, where)
+
+    for module, source in sources.items():
+        visit(ast.parse(source), module, "<module>")
+    return found
+
+
+def test_scanner_finds_inner_solver_uses():
+    sources = {
+        "a.py": (
+            "from .inner import gd_solve\n"
+            "def seam(task):\n    inner.cubic_newton_solve(task)\n    return inner.gd_solve(task, 'fixed')\n"
+            "def other(task):\n    gd_solve(task, variant='fixed')\n    run = inner.cubic_newton_solve\n"
+            "    return inner.gd_solve(task, inner.gd_solve(task))\n"
+        ),
+        "b.py": "SOLVE = inner.gd_solve\ninner.solve_cubic_model(g, H, M)\n",
+    }
+    assert inner_solver_uses(sources) == [
+        "a.py: seam: inner.cubic_newton_solve(_)", "a.py: seam: inner.gd_solve(_, _)",
+        "a.py: other: gd_solve(_, variant=)", "a.py: other: inner.cubic_newton_solve",
+        "a.py: other: inner.gd_solve(_, _)", "a.py: other: inner.gd_solve(_)",
+        "b.py: <module>: inner.gd_solve",
+    ]
+
+
+def test_inner_solvers_are_called_once_each_in_the_seam():
+    """``outer._inner_solve`` makes the library's one call of each inner solver, looked up on ``inner``.
+
+    The benchmark's tracer wraps ``inner.gd_solve`` and ``inner.cubic_newton_solve``
+    as module attributes and reads ``gd_solve``'s variant as its second positional
+    argument, so a call by another name or with ``variant=`` would go uncounted.
+    """
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert inner_solver_uses(sources) == [
+        "outer.py: _inner_solve: inner.cubic_newton_solve(_)", "outer.py: _inner_solve: inner.gd_solve(_, _)",
+    ]
+
+
 def package_imports(source: str) -> list[str]:
     """The package modules a module imports, by relative import, as "line 3: inner"."""
     found = []

@@ -335,14 +335,14 @@ class TestArmijoInitialStep:
         # from t_min = min(2, delta/L) with L the certified constant of grad P:
         # each accepted t is at least t_min, and each search's first trial at most
         # 256 times the last accepted t (at most 2 for the first), so trials <= 9 N + log2(2 / t_min)
-        solves, run = [], outer._run_inner
+        solves, run = [], inner.gd_solve
 
-        def recording_run(task, kind):
-            res = run(task, kind)
+        def recording_run(task, variant):
+            res = run(task, variant)
             solves.append((task.objective.__self__, task, res))  # objective is Penalty.value
             return res
 
-        monkeypatch.setattr(outer, "_run_inner", recording_run)
+        monkeypatch.setattr(inner, "gd_solve", recording_run)
         p = corpus_problem(name)
         report = outer.solve(p, outer.SolverConfig(eps=1e-3, inner=outer.INNER_GD_BACKTRACKING))
         assert report.terminated == outer.TERMINATED_KKT and len(solves) == report.T_outer
@@ -359,9 +359,9 @@ class TestArmijoInitialStep:
     def test_each_solve_starts_at_twice_the_last_solves_last_step(self, name, monkeypatch):
         # solve k+1's first trial is min(2, 2 t), t the last step of the last solve
         # that took one (eq-qp-analytic's last solve takes none), and 2 before that
-        solves, run = [], outer._run_inner
+        solves, run = [], inner.gd_solve
 
-        def recording_run(task, kind):
+        def recording_run(task, variant):
             trials, value = [], task.objective
 
             def recorded(x):
@@ -369,11 +369,11 @@ class TestArmijoInitialStep:
                 return value(x)
 
             task.objective = recorded
-            res = run(task, kind)
+            res = run(task, variant)
             solves.append((task, res, trials))
             return res
 
-        monkeypatch.setattr(outer, "_run_inner", recording_run)
+        monkeypatch.setattr(inner, "gd_solve", recording_run)
         report = outer.solve(corpus_problem(name), outer.SolverConfig(eps=1e-3, inner=outer.INNER_GD_BACKTRACKING))
         assert report.terminated == outer.TERMINATED_KKT and len(solves) == report.T_outer >= 4
         want = 2.0
@@ -684,15 +684,15 @@ class TestCubicWeight:
         assert len(calls) <= most
 
 
-def _penalty_task(name, kind, sigma=1.0, eps=1e-3):
+def _penalty_solve(name, kind, sigma=1.0, eps=1e-3):
+    """P(., 0, sigma) of corpus problem ``name``, and ``outer``'s inner solve of it by ``kind`` from x0."""
     p = corpus_problem(name)
     pen = core.Penalty(p, np.zeros(p.constraints.m), sigma)
-    return outer._build_inner_task(pen, p.x0.copy(), eps, kind)
+    return pen, outer._inner_solve(pen, p.x0.copy(), eps, kind)
 
 
 class TestFusedOracle:
     def test_one_constraint_evaluation_per_fixed_step(self, monkeypatch):
-        task = _penalty_task("simplex-cos-8", outer.INNER_GD_FIXED, sigma=8.0)
         calls = []
         real = problems.ConstraintSet.c
 
@@ -701,14 +701,13 @@ class TestFusedOracle:
             return real(self, x)
 
         monkeypatch.setattr(problems.ConstraintSet, "c", counted)
-        res = gd_solve(task, FIXED_STEP)
+        _, res = _penalty_solve("simplex-cos-8", outer.INNER_GD_FIXED, sigma=8.0)
         assert res.iterations > 0
         assert len(calls) == res.iterations + 1
 
     def test_form_disagreement_stops_fixed_step_descent(self, skewed_forms):
-        task = _penalty_task("simplex-cos-8", outer.INNER_GD_FIXED)
         with pytest.raises(core.FormDisagreementError):
-            gd_solve(task, FIXED_STEP)
+            _penalty_solve("simplex-cos-8", outer.INNER_GD_FIXED)
 
 
 class TestStartPair:
@@ -725,11 +724,10 @@ class TestStartPair:
     def test_same_descent_one_call_fewer(self, monkeypatch, name, kind):
         p = corpus_problem(name)
         lam = np.zeros(p.constraints.m)
-        alone = outer._run_inner(_penalty_task(name, kind, sigma=4.0), kind)
+        _, alone = _penalty_solve(name, kind, sigma=4.0)
         pen = core.Penalty(p, lam, 4.0)
         fresh = core.Penalty(p, lam, 4.0)
         pair = fresh.value(p.x0), fresh.grad(p.x0)
-        task = outer._build_inner_task(pen, p.x0.copy(), 1e-3, kind, start_pair=pair)
         calls = []
         real = problems.ObjectiveOracle.value
 
@@ -738,7 +736,7 @@ class TestStartPair:
             return real(self, x)
 
         monkeypatch.setattr(problems.ObjectiveOracle, "value", counted)
-        res = outer._run_inner(task, kind)
+        res = outer._inner_solve(pen, p.x0.copy(), 1e-3, kind, start_pair=pair)
         assert alone.iterations > 0
         assert len(calls) == res.oracle_calls == alone.oracle_calls - 1
         assert res.x_final.tobytes() == alone.x_final.tobytes()
@@ -765,7 +763,6 @@ class TestStartPair:
 
 class TestCubicEigenReuse:
     def test_one_eigendecomposition_per_accepted_point(self, monkeypatch):
-        task = _penalty_task("eq-rosenbrock-8", outer.INNER_CUBIC, eps=1e-6)
         calls = []
         real = np.linalg.eigh
 
@@ -775,15 +772,15 @@ class TestCubicEigenReuse:
 
         monkeypatch.setattr(np.linalg, "eigh", counted)
         hessians = []
-        real_hessian = task.hessian
+        real_hessian = core.Penalty.hess
 
-        def counted_hessian(x):
+        def counted_hessian(self, x):
             hessians.append(1)
-            return real_hessian(x)
+            return real_hessian(self, x)
 
-        task.hessian = counted_hessian
-        res = cubic_newton_solve(task)
-        assert res.grad_norm2 <= task.eps
+        monkeypatch.setattr(core.Penalty, "hess", counted_hessian)
+        _, res = _penalty_solve("eq-rosenbrock-8", outer.INNER_CUBIC, eps=1e-6)
+        assert res.grad_norm2 <= 1e-6
         assert res.iterations > res.accepted_steps  # at least one rejected step
         assert len(calls) == res.accepted_steps
         assert len(hessians) == res.accepted_steps  # none at the final point
@@ -1038,17 +1035,22 @@ def _poisoned_task(bad, from_call):
     return task, calls
 
 
-INNER_KINDS = [outer.INNER_GD_FIXED, outer.INNER_GD_BACKTRACKING, outer.INNER_CUBIC]
+# each inner solver, by outer's name for it
+INNER_SOLVES = {
+    outer.INNER_GD_FIXED: lambda task: gd_solve(task, FIXED_STEP),
+    outer.INNER_GD_BACKTRACKING: lambda task: gd_solve(task, BACKTRACKING),
+    outer.INNER_CUBIC: cubic_newton_solve,
+}
 
 
 class TestNonFiniteGradient:
-    @pytest.mark.parametrize("kind", INNER_KINDS)
+    @pytest.mark.parametrize("kind", INNER_SOLVES)
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize("from_call", [0, 1, 2])
     def test_raises_at_the_first_bad_gradient(self, kind, bad, from_call):
         task, calls = _poisoned_task(bad, from_call)
         with pytest.raises(NonFiniteValue):
-            outer._run_inner(task, kind)
+            INNER_SOLVES[kind](task)
         assert len(calls) == from_call + 1
 
 
@@ -1062,10 +1064,9 @@ class TestReportedGradientNorm:
         ],
     )
     def test_grad_norm2_is_numpy_norm_at_x_final(self, name, kind):
-        task = _penalty_task(name, kind, sigma=4.0, eps=1e-4)
-        res = outer._run_inner(task, kind)
+        pen, res = _penalty_solve(name, kind, sigma=4.0, eps=1e-4)
         assert res.iterations > 0
-        want = float(np.linalg.norm(task.gradient(res.x_final)))
+        want = float(np.linalg.norm(pen.grad(res.x_final)))
         assert res.grad_norm2.hex() == want.hex()
 
     @pytest.mark.parametrize("variant", [FIXED_STEP, BACKTRACKING])

@@ -277,7 +277,7 @@ class TestNonFiniteObjectiveGradient:
             g = real(x)
             return g if len(calls) <= finite_calls else g * np.inf
 
-        p.objective.grad_fn = grad
+        p.objective = dataclasses.replace(p.objective, grad_fn=grad)
         return p
 
     @pytest.mark.parametrize("inner_kind", outer.INNER_SOLVERS)
@@ -613,7 +613,10 @@ class TestNonFiniteOracleFuzz:
             value.flat[0] = bad
             return value
 
-        setattr(owner, name, poisoned)
+        if owner is p.objective:  # frozen, so the poisoned oracle is a new one
+            p.objective = dataclasses.replace(owner, **{name: poisoned})
+        else:
+            setattr(owner, name, poisoned)
         return p, calls
 
     @settings(max_examples=60, deadline=None)

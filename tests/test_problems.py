@@ -236,6 +236,17 @@ class TestObjectiveOracle:
         with pytest.raises(ValueError):
             obj.hessian(np.zeros(1))
 
+    @pytest.mark.parametrize("field, value", [("f_low", float("nan")), ("L1", -1.0), ("L2", 0.5)])
+    def test_fields_are_frozen(self, field, value):
+        # an assigned field would skip the construction checks; a NaN f_low used to reach a
+        # strict solve and fail its first mu_growth monitor as an implementation bug
+        obj = corpus_problem("simplex-cos-8").objective
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, field, value)
+        assert dataclasses.replace(obj, L2=0.5).L2 == 0.5
+        with pytest.raises(ValidationError, match="^f_low holds a non-finite value"):
+            dataclasses.replace(obj, f_low=float("nan"))
+
 
 class TestValidate:
     def test_corpus_passes(self):
@@ -292,7 +303,7 @@ class TestValidate:
         # eq-cos-8's Hessian I - omega^2 diag(cos(omega x)) is omega^3 = 64-Lipschitz; sampled
         # pairs near x0 give secants above 16
         p = corpus_problem("eq-cos-8")
-        p.objective.L2 = L2
+        p.objective = dataclasses.replace(p.objective, L2=L2)
         check = {c.name: c for c in validate(p, samples=10, seed=0).checks}["hessian_lipschitz_secant"]
         assert check.passed == passed
         assert check.worst_error > 16.0
@@ -302,7 +313,7 @@ class TestValidate:
     def test_a_declared_L1_below_a_secant_is_caught(self):
         # eq-cos-8's gradient x - omega sin(omega x) is 1 + omega^2 = 17-Lipschitz
         p = corpus_problem("eq-cos-8")
-        p.objective.L1 = 1.0
+        p.objective = dataclasses.replace(p.objective, L1=1.0)
         check = {c.name: c for c in validate(p, samples=10, seed=0).checks}["gradient_lipschitz_secant"]
         assert not check.passed
         assert check.worst_error == pytest.approx(11.07, abs=0.01)
@@ -432,7 +443,8 @@ _MISSING = object()
 
 def _bad_file(field, value):
     """_GOOD_FILE with one field replaced, or dropped when value is _MISSING;
-    "omega" and "objective.omgea" sit in the objective, "objective.kind" is the objective's kind and
+    "omega" and "objective.omgea" sit in a quadratic+cos objective, "objective.omega" in a rosenbrock
+    one, "objective.kind" is the objective's kind and
     "problem file" stands for the whole file."""
     if field == "problem file":
         return value
@@ -440,6 +452,8 @@ def _bad_file(field, value):
         return dict(_GOOD_FILE, objective={})
     if field in ("omega", "objective.omgea"):
         return dict(_GOOD_FILE, objective={"kind": "quadratic+cos", field.rpartition(".")[2]: value})
+    if field == "objective.omega":  # omega is quadratic+cos's alone
+        return dict(_GOOD_FILE, objective={"kind": "rosenbrock", "omega": value})
     if value is _MISSING:
         return {key: v for key, v in _GOOD_FILE.items() if key != field}
     return dict(_GOOD_FILE, **{field: value})
@@ -499,6 +513,7 @@ def _bad_file(field, value):
         ("omgea", 2.0),
         ("l1", 17.0),
         ("objective.omgea", 2.0),
+        ("objective.omega", 3.0),
     ]
     + [
         pytest.param(field, _MISSING, id=f"{field}-missing")
@@ -585,7 +600,7 @@ def _swapped(name, attr, wrap):
     """The corpus problem with its objective's ``attr`` oracle replaced by ``wrap`` of the true one."""
     p = corpus_problem(name)
     true = getattr(p.objective, attr)
-    setattr(p.objective, attr, lambda x: wrap(true(x)))
+    p.objective = dataclasses.replace(p.objective, **{attr: lambda x: wrap(true(x))})
     return p
 
 
