@@ -34,10 +34,12 @@ EXIT_MONITOR = 3
 
 
 def _setup_logging() -> None:
-    level = {"quiet": logging.ERROR, "info": logging.INFO, "trace": logging.DEBUG}.get(
-        os.environ.get("AUGLAG_LOG", "info"), logging.INFO
-    )
-    logging.basicConfig(level=level, stream=sys.stderr, format="%(levelname)s %(message)s")
+    levels = {"quiet": logging.ERROR, "info": logging.INFO, "trace": logging.DEBUG}
+    value = os.environ.get("AUGLAG_LOG", "info")
+    logging.basicConfig(level=levels.get(value, logging.INFO), stream=sys.stderr,
+                        format="%(levelname)s %(message)s")
+    if value not in levels:
+        log.warning("AUGLAG_LOG=%r is not one of %s; logging at info", value, ", ".join(levels))
 
 
 def _load_problem(ref: str) -> problems.ProblemSpec:
@@ -47,16 +49,20 @@ def _load_problem(ref: str) -> problems.ProblemSpec:
 
 
 def _config_from_args(args, problem) -> outer.SolverConfig:
-    """The flags, then the --config file over them, except that an explicit --inner wins."""
+    """The flags, then the --config file over them, except that an explicit --inner wins.
+
+    ``auto`` resolves last, at the sigma0 that ``SolverConfig`` has checked.
+    """
     fields = {key: getattr(args, key) for key in outer.CONFIG_KEYS}
     if args.config:
         fields.update(problems.read_json_object(args.config, "--config file", outer.CONFIG_KEYS))
+    inner = fields["inner"] if args.inner == "auto" else args.inner
     if fields["inner"] == "auto":
-        fields["inner"] = outer.default_inner_for(problem)
+        fields["inner"] = outer.INNER_GD_BACKTRACKING  # a valid name until sigma0 is checked
     config = outer.SolverConfig(**fields)  # checks every value, the file's inner solver too
-    if args.inner != "auto" and config.inner != args.inner:
-        config = dataclasses.replace(config, inner=args.inner)
-    return config
+    if inner == "auto":
+        inner = outer.default_inner_for(problem, config.sigma0)
+    return dataclasses.replace(config, inner=inner)
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:

@@ -286,7 +286,7 @@ def _inner_constant(problem: ProblemSpec, kind: str, sigma: float) -> Optional[f
 
     gd-fixed takes ``core.lipschitz_bound_for``; cubic Newton takes the declared L2 and needs
     equality-only linear constraints and a Hessian oracle; gd-backtracking takes None.
-    Raises ``core.UnsupportedSpecializationError`` where ``kind`` does not apply.
+    Raises a ``ValidationError`` where ``kind`` does not apply, which ``default_inner_for`` takes as a skip.
     """
     if kind == INNER_GD_FIXED:
         return core.lipschitz_bound_for(problem, sigma)
@@ -328,14 +328,14 @@ def _inner_solve(
         raise InnerFailure(f"inner solver failed at outer iteration {k}: {exc} ({where})") from exc
 
 
-def default_inner_for(problem: ProblemSpec) -> str:
-    """Pick the inner solver whose assumptions the problem certifies."""
-    cons = problem.constraints
-    obj = problem.objective
-    if cons.is_linear and cons.m_e == cons.m and obj.has_hessian and obj.L2 is not None:
-        return INNER_CUBIC
-    if cons.is_linear and obj.L1 is not None:
-        return INNER_GD_FIXED
+def default_inner_for(problem: ProblemSpec, sigma0: float = SolverConfig.sigma0) -> str:
+    """The first of cubic Newton and gd-fixed with an ``_inner_constant`` at sigma0, else gd-backtracking."""
+    for kind in (INNER_CUBIC, INNER_GD_FIXED):
+        try:
+            if _inner_constant(problem, kind, sigma0) is not None:
+                return kind
+        except ValidationError:  # kind does not apply
+            pass
     return INNER_GD_BACKTRACKING
 
 
@@ -359,11 +359,10 @@ def _start(problem: ProblemSpec, config: SolverConfig) -> OuterState:
     Evaluates c, f, grad f and J once each at x0: a run's only oracle calls
     outside its inner solves.  Every check of the input raises a ``ValueError``
     here, before the first inner solve: ``_inner_constant`` at sigma0, for an
-    inner solver that cannot apply (``core.UnsupportedSpecializationError``) or
-    a gd-fixed L that is not finite, before any oracle call, a non-finite or infeasible c(x0)
-    (``ProblemSpec.check_feasible_start``) before f is evaluated, and a
-    non-finite f, grad f or J at x0 (``ValidationError`` naming it) once they
-    are.  Inside a solve the inner loop checks every value.
+    inner solver that cannot apply or a gd-fixed L that is not finite and positive,
+    before any oracle call, a non-finite or infeasible c(x0) (``ProblemSpec.check_feasible_start``)
+    before f is evaluated, and a non-finite f, grad f or J at x0 (``ValidationError`` naming it)
+    once they are.  Inside a solve the inner loop checks every value.
     """
     cons, obj, x0 = problem.constraints, problem.objective, problem.x0
     _inner_constant(problem, config.inner, config.sigma0)

@@ -325,10 +325,11 @@ def validate(problem: ProblemSpec, samples: int = 10, seed: int = 0) -> Validati
       (a linear set's J is A);
     * ``gradient_lipschitz_secant``, where L1 is declared, and
       ``hessian_lipschitz_secant``, where an L2 is declared for an objective
-      with a Hessian oracle: over each pair (x, y) of consecutive sampled
-      points, the secant ||D(x) - D(y)||_2 / ||x - y|| of the gradient or the
-      Hessian D (its worst error) is at most the constant times 1 + 1e-6.  A
-      larger one proves the constant wrong.
+      with a Hessian oracle, each only with two samples or more: over each
+      pair (x, y) of consecutive sampled points, the secant
+      ||D(x) - D(y)||_2 / ||x - y|| of the gradient or the Hessian D (its worst
+      error) is at most the constant times 1 + 1e-6.  A larger one proves the
+      constant wrong.
 
     A relative error of NaN, as where f or c is not finite at a differenced
     point, is the worst and fails its check.  Each failing check names where
@@ -373,7 +374,7 @@ def validate(problem: ProblemSpec, samples: int = 10, seed: int = 0) -> Validati
         for name, of, D, key in (("gradient_lipschitz_secant", "gradient_finite_difference", "g", "L1"),
                                  ("hessian_lipschitz_secant", "hessian_finite_difference", "H", "L2")):
             L = getattr(obj, key)
-            if of in at and L is not None:
+            if of in at and L is not None and samples > 1:  # one sample forms no pair
                 secants = [np.linalg.norm(Dx - Dy, 2) / np.linalg.norm(x - y)
                            for x, y, Dx, Dy in zip(xs, xs[1:], at[of], at[of][1:])]
                 checks.append(_sampled_check(name, secants, L * (1.0 + GRAD_CHECK_TOL),

@@ -17,6 +17,18 @@ MIXED_SIGN = {
     "b": [1.0, -0.3, -0.3, -0.3, -0.3, -0.2], "m_e": 1, "x0": [0.25] * 4,
 }
 
+# problem files whose gd-fixed bound L1 + sigma0 lambda_max(A^T A) is not finite and positive at
+# the given sigma0, each with the flags that run it there; --inner auto falls back to gd-backtracking
+GD_FIXED_REFUSED = {
+    "zero-L": ({"name": "zero", "n": 2, "objective": {"kind": "rosenbrock"}, "A": [[0, 0]], "b": [-1],
+                "m_e": 0, "x0": [0.5, 0.5], "L1": 0}, []),
+    "nan-L": ({"name": "big2", "n": 2, "objective": {"kind": "quadratic+cos"}, "A": [[1e200, 1e200], [1, 0]],
+               "b": [0, 0], "m_e": 1, "x0": [0.5, -0.5], "L1": 17.0}, []),
+    "inf-L-at-sigma0": ({"name": "wide", "n": 2, "objective": {"kind": "quadratic+cos"},
+                         "A": [[1e150, 0], [0, 1]], "b": [-1, -1], "m_e": 0, "x0": [0, 0]},
+                        ["--sigma0", "1e10", "--max-outer", "0"]),
+}
+
 
 def make_tiny(m_e, c_fn, jac_fn, m=1, n=1, f=None, grad=None, f_low=-100.0, x0=None):
     """1-D scratch problem for exercising single operations."""

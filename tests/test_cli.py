@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 from auglag import cli, inner, outer, problems
 
+from conftest import GD_FIXED_REFUSED
+
 # a numpy warning that escapes cli.main would reach the user's stderr
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -407,6 +409,18 @@ class TestListAndUsage:
     def test_help_exits_cleanly(self, capsys):
         assert cli.main(["--help"]) == cli.EXIT_OK
 
+    @pytest.mark.parametrize("value", ["debug", "TRACE", "quite"])
+    def test_an_unknown_log_setting_warns_and_runs(self, monkeypatch, caplog, capsys, value):
+        monkeypatch.setenv("AUGLAG_LOG", value)
+        assert cli.main(["list-problems"]) == cli.EXIT_OK
+        assert caplog.messages == [f"AUGLAG_LOG={value!r} is not one of quiet, info, trace; logging at info"]
+
+    @pytest.mark.parametrize("value", ["quiet", "info", "trace"])
+    def test_a_known_log_setting_logs_nothing_of_itself(self, monkeypatch, caplog, capsys, value):
+        monkeypatch.setenv("AUGLAG_LOG", value)
+        assert cli.main(["list-problems"]) == cli.EXIT_OK
+        assert caplog.messages == []
+
 
 class TestParserReuse:
     def test_one_process_runs_error_solve_and_help(self, tmp_path, capsys):
@@ -472,6 +486,40 @@ def test_an_input_no_solve_can_use_exits_2_with_no_report(tmp_path, capsys, chan
     assert cli.main(argv) == cli.EXIT_USAGE
     assert not (tmp_path / "run.json").exists()
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, code", [("zero-L", cli.EXIT_OK), ("nan-L", cli.EXIT_SOLVER_FAILURE),
+                                        ("inf-L-at-sigma0", cli.EXIT_SOLVER_FAILURE)])
+def test_auto_falls_back_where_gd_fixed_is_a_usage_error(tmp_path, name, code):
+    doc, flags = GD_FIXED_REFUSED[name]
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    argv = ["solve", "--problem", str(path), "--out", str(tmp_path / "run"), *flags]
+    assert _main_logged(argv)[0] == code
+    fixed, logged = _main_logged([*argv, "--inner", "gd-fixed"])
+    assert fixed == cli.EXIT_USAGE and "is not finite and positive" in logged
+
+
+def test_auto_runs_zero_L_with_backtracking(tmp_path):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(GD_FIXED_REFUSED["zero-L"][0]))
+    assert cli.main(["solve", "--problem", str(path), "--out", str(tmp_path / "run")]) == cli.EXIT_OK
+    assert json.loads((tmp_path / "run.json").read_text())["config"]["inner"] == "gd-backtracking"
+    argv = ["sweep", "--problem", str(path), "--eps-grid", "1e-2,1e-3", "--out", str(tmp_path / "sweep")]
+    assert cli.main(argv) == cli.EXIT_OK
+
+
+def test_auto_takes_sigma0_from_the_config_file(tmp_path):
+    doc, _ = GD_FIXED_REFUSED["inf-L-at-sigma0"]
+    path, cfg = tmp_path / "problem.json", tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    argv = ["solve", "--problem", str(path), "--config", str(cfg), "--out", str(tmp_path / "run")]
+    cfg.write_text(json.dumps({"sigma0": 1e10, "max_outer": 0}))
+    assert cli.main(argv) == cli.EXIT_SOLVER_FAILURE
+    assert json.loads((tmp_path / "run.json").read_text())["config"]["inner"] == "gd-backtracking"
+    cfg.write_text(json.dumps({"sigma0": "1e10"}))  # a sigma0 of text is refused before auto reads it
+    code, logged = _main_logged(argv)
+    assert code == cli.EXIT_USAGE and "'sigma0' must be a real number" in logged
 
 
 def test_check_fails_an_infinite_c_at_x0(tmp_path, capsys):
@@ -686,6 +734,27 @@ class TestUsageVerdictFuzz:
                                          max_outer, "--eps", "0.1", "--out", str(work / "run")])
             usage.append(code == cli.EXIT_USAGE)
         assert usage[0] == usage[1] or (usage[1] and "violates declared lower bound" in logged)
+
+
+class TestAutoVerdictFuzz:
+    @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(doc=problem_documents(), sigma0=st.sampled_from(["1", "1e300"]))
+    @example(doc=dict(_SMALL, L1=17, A=[[1e200, 1e200]], b=[1e200]), sigma0="1")
+    @example(doc=dict(_SMALL, n=1, A=[], b=[], m_e=0, x0=[0.5], L1=0.0), sigma0="1")  # L = 0
+    @example(doc=GD_FIXED_REFUSED["zero-L"][0], sigma0="1")
+    @example(doc=GD_FIXED_REFUSED["nan-L"][0], sigma0="1")
+    @example(doc=GD_FIXED_REFUSED["inf-L-at-sigma0"][0], sigma0="1e10")
+    def test_auto_is_a_usage_error_only_where_every_solver_is(self, tmp_path_factory, doc, sigma0):
+        # no outer iteration runs, so a solver's verdict is its start check alone
+        work = tmp_path_factory.mktemp("auto")
+        path = work / "problem.json"
+        path.write_text(json.dumps(doc))  # NaN and Infinity as Python's json writes them
+        usage = {}
+        for inner in ("auto",) + outer.INNER_SOLVERS:
+            code, _ = _main_logged(["solve", "--problem", str(path), "--inner", inner, "--sigma0", sigma0,
+                                    "--max-outer", "0", "--out", str(work / "run")])
+            usage[inner] = code == cli.EXIT_USAGE
+        assert usage.pop("auto") == all(usage.values()), usage
 
 
 # every value a JSON --config file can hold: numbers across the whole double

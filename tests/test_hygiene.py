@@ -359,6 +359,59 @@ def test_inner_solvers_are_called_once_each_in_the_seam():
     ]
 
 
+# what decides whether an inner solver applies, and with which constant
+SOLVER_CONDITIONS = ("is_linear", "has_hessian", "L1", "L2", "lipschitz_bound_for")
+
+
+def solver_condition_reads(sources: dict[str, str]) -> list[str]:
+    """Each read of a name in ``SOLVER_CONDITIONS``, bare or as an attribute, in source order.
+
+    An entry reads "outer.py: _inner_constant: L2": the module, the innermost
+    ``def`` around the read ("<module>" outside every one) and the name.
+    """
+    found = []
+
+    def visit(node, module, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        if name in SOLVER_CONDITIONS and isinstance(getattr(node, "ctx", None), ast.Load):
+            found.append(f"{module}: {where}: {name}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, where)
+
+    for module, source in sources.items():
+        visit(ast.parse(source), module, "<module>")
+    return found
+
+
+def test_scanner_finds_solver_condition_reads():
+    sources = {
+        "a.py": (
+            "def rule(p, sigma):\n    if p.constraints.is_linear and p.objective.has_hessian:\n"
+            "        return p.objective.L2\n    return core.lipschitz_bound_for(p, sigma)\n"
+            "def other(p):\n    p.L2 = 1.0\n    def note():\n        return p.objective.L1\n"
+            "    return note\n"
+        ),
+        "b.py": "from .core import lipschitz_bound_for\nbound = lipschitz_bound_for\nL2 = 3\n",
+    }
+    assert solver_condition_reads(sources) == [
+        "a.py: rule: is_linear", "a.py: rule: has_hessian", "a.py: rule: L2",
+        "a.py: rule: lipschitz_bound_for", "a.py: note: L1", "b.py: <module>: lipschitz_bound_for",
+    ]
+
+
+def test_only_inner_constant_decides_what_an_inner_solver_needs():
+    """In ``outer`` and ``cli``, ``outer._inner_constant`` alone reads what the inner solvers need.
+
+    ``default_inner_for`` and the start check ask it, so ``--inner auto`` cannot pick a solver the
+    start check refuses; ``_inner_solve``'s failure note names the declared L1 a user can fix.
+    """
+    sources = {name: (SRC / name).read_text(encoding="utf-8") for name in ("outer.py", "cli.py")}
+    reads = [entry for entry in solver_condition_reads(sources) if ": _inner_constant: " not in entry]
+    assert reads == ["outer.py: _inner_solve: L1"]
+
+
 def package_imports(source: str) -> list[str]:
     """The package modules a module imports, by relative import, as "line 3: inner"."""
     found = []
@@ -431,7 +484,7 @@ def private_cross_references(sources: dict[str, str]) -> list[str]:
 
     Three forms count: ``module._name``, ``from .module import _name`` and a
     ``_keyword=`` argument in a call of ``module.function``.  The sources are
-    keyed by module file name; an entry reads "cli.py: outer._run_inner".
+    keyed by module file name; an entry reads "complexity.py: outer.solve(_first=)".
     """
     modules = {Path(name).stem for name in sources}
     found = []

@@ -28,7 +28,7 @@ from auglag.problems import (
     make_eq_rosenbrock,
 )
 
-from conftest import count_oracles, make_tiny
+from conftest import GD_FIXED_REFUSED, count_oracles, make_tiny
 
 
 def _project_simplex(v):
@@ -734,6 +734,24 @@ class TestDefaultInner:
         assert default_inner_for(corpus_problem("simplex-cos-8")) == INNER_GD_FIXED
         assert default_inner_for(corpus_problem("dup-eq-8")) == INNER_GD_FIXED
         assert default_inner_for(corpus_problem("eq-rosenbrock-8")) == INNER_GD_BACKTRACKING
+
+    @pytest.mark.parametrize("name", GD_FIXED_REFUSED)
+    def test_a_gd_fixed_bound_not_finite_and_positive_at_sigma0_falls_back(self, tmp_path, name):
+        doc, flags = GD_FIXED_REFUSED[name]
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(doc))
+        p = problems.load_problem(str(path))
+        sigma0 = float(flags[1]) if flags else 1.0
+        with np.errstate(over="ignore", invalid="ignore"):  # A^T A overflows in nan-L
+            assert default_inner_for(p, sigma0) == INNER_GD_BACKTRACKING
+
+    def test_the_choice_is_made_at_sigma0(self, tmp_path):
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(GD_FIXED_REFUSED["inf-L-at-sigma0"][0]))
+        p = problems.load_problem(str(path))
+        # L1 + sigma0 * 1e300 is finite at sigma0 = 1, and overflows at 1e10
+        assert default_inner_for(p) == default_inner_for(p, 1.0) == INNER_GD_FIXED
+        assert default_inner_for(p, 1e10) == INNER_GD_BACKTRACKING
 
 
 @pytest.fixture(scope="module")
