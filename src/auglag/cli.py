@@ -148,7 +148,7 @@ def _cmd_solve(args) -> int:
 def _cmd_sweep(args) -> int:
     problem = _load_problem(args.problem)
     config = _config_from_args(args, problem)
-    grid = [float(v) for v in args.eps_grid.split(",") if v.strip()]
+    grid = [float(v) for v in args.eps_grid.split(",")]  # an empty entry is a usage error
     result = complexity.sweep(problem, config, grid)
     fits = {}
     if len(result.successful()) >= 3:

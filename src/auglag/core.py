@@ -71,7 +71,12 @@ class Evaluation(NamedTuple):
 class Penalty:
     """P(., lambda, sigma) for one fixed (lambda, sigma): what one inner solve minimizes.
 
-    The (lambda, sigma)-only terms are computed once.  ``value`` keeps f(x),
+    The (lambda, sigma)-only terms are computed once, and on a set with
+    inequality rows so is the row plan: the threshold lambda/sigma with NaN on
+    the equality rows, whose one compare with c(x) is the inactive-row mask,
+    and the shifted form's clamp, 0 on inequality rows and +inf on equality
+    rows.  A set with no inequality rows builds neither and skips the
+    inactive-row steps, which would change nothing there.  ``value`` keeps f(x),
     c(x), the mask and P(x), keyed on the bytes of x, and ``grad`` completes
     that record with grad f(x) and J(x), calling ``value`` first at a point
     without those bytes; ``from_values`` and ``evaluation`` take oracle values
@@ -89,25 +94,24 @@ class Penalty:
         self._shift = lam / sigma
         self._const = -0.5 * lam * lam / sigma
         self._shift_sq = self._shift.dot(self._shift)
-        # with no inequality rows the mask is all False and the inactive-row
-        # steps below would change nothing, so they are skipped
-        self._has_ineq = self._cons.m_e < self._cons.m
+        cons = self._cons
+        self._has_ineq = cons.m_e < cons.m
+        if self._has_ineq:  # the row plan; NaN >= and +inf minimum leave an equality row alone
+            self._threshold = self._shift.copy()
+            self._threshold[: cons.m_e] = math.nan
+            self._clamp = np.zeros(cons.m)
+            self._clamp[: cons.m_e] = math.inf
         self._at = None  # (x.tobytes(), f(x), c(x), (P(x), mask)) at the last point valued
         self._last: Optional[Evaluation] = None
 
-    def _inactive(self, c: np.ndarray) -> np.ndarray:
-        """The mask of inequality rows on the constant branch at c = c(x), as a new array."""
-        if not self._has_ineq:
-            return np.zeros(self._cons.m, bool)
-        # tie rule: c_i == lambda_i/sigma is inactive; a NaN row stays active, so
-        # the NaN reaches both P and its gradient
-        inactive = c >= self._shift
-        inactive[: self._cons.m_e] = False
-        return inactive
-
     def _sums(self, c: np.ndarray):
-        """The inactive-row mask and both penalty sums at c = c(x)."""
-        inactive = self._inactive(c)
+        """The inactive-row mask, as a new array, and both penalty sums at c = c(x)."""
+        if self._has_ineq:
+            # tie rule: c_i == lambda_i/sigma is inactive; a NaN row stays active,
+            # so the NaN reaches both P and its gradient
+            inactive = c >= self._threshold
+        else:
+            inactive = np.zeros(self._cons.m, bool)
 
         # branch form, built in place: the operands and the pairwise sum of
         # np.where(inactive, const, -lam*c + 0.5*sigma*c*c).sum()
@@ -120,8 +124,7 @@ class Penalty:
         # shifted-square form, from the shared residual d = c - lambda/sigma
         d = c - self._shift
         if self._has_ineq:
-            tail = d[self._cons.m_e:]
-            np.minimum(tail, 0.0, out=tail)
+            np.minimum(d, self._clamp, out=d)
         shifted_sum = self._half_sigma * float(d.dot(d) - self._shift_sq)
         return inactive, branch_sum, shifted_sum
 
@@ -245,7 +248,7 @@ def mu_norm(lam: np.ndarray, sigma: float) -> float:
     """||lambda||_2 / sqrt(sigma), the scaled-multiplier norm."""
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    return float(np.linalg.norm(lam)) / math.sqrt(sigma)
+    return math.sqrt(lam.dot(lam)) / math.sqrt(sigma)  # the bits of np.linalg.norm(lam)
 
 
 def lipschitz_bound_for(problem: ProblemSpec, sigma: float) -> float:

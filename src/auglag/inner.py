@@ -387,11 +387,15 @@ def cubic_model_value(g: np.ndarray, H: np.ndarray, M: float, s: np.ndarray):
 
 
 def _model_eig(g: np.ndarray, H: np.ndarray):
-    """(w, Q, Q^T g) for the symmetric part of H = Q diag(w) Q^T, raising NonFiniteValue if H or g is not finite."""
+    """(w, Q, Q^T g) for the symmetric part of H = Q diag(w) Q^T, raising NonFiniteValue if H or g is not finite.
+
+    The symmetric part is H itself where H equals its transpose, else
+    0.5*H + 0.5*H^T, which no finite H overflows, as H + H^T can past 9e307.
+    """
     if not np.isfinite(H).all():
         raise NonFiniteValue("Hessian oracle returned a non-finite matrix")
     _grad_sq(g)  # a caller of solve_cubic_model supplies g unchecked
-    w, Q = np.linalg.eigh(0.5 * (H + H.T))
+    w, Q = np.linalg.eigh(H if (H == H.T).all() else 0.5 * H + 0.5 * H.T)
     return w, Q, Q.T.dot(g)
 
 
@@ -472,7 +476,7 @@ def solve_cubic_model(g: np.ndarray, H: np.ndarray, M: float, eig=None) -> np.nd
     # other value, and _rounded_root_step handles such a final r.
     gg = ghat * ghat
     r = 0.5 * (lo + hi)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # an overflowed denom**3 adds 0
         for _ in range(500):
             denom = w + half_M * r
             v = ghat / denom

@@ -61,7 +61,10 @@ def _shaped(out, shape: tuple, what: str, expected: str, rows: bool = False) -> 
     """An oracle's output through ``_floats``; a ``ValidationError`` names its shape unless that is ``shape``.
 
     With ``rows``, an output of fewer than two dimensions is read as one row.
+    A float ``ndarray`` of that shape, the common case, is returned as it is.
     """
+    if type(out) is np.ndarray and out.dtype == float and out.shape == shape:
+        return out
     arr = _floats(out, what, shape, expected)
     if arr.shape != shape:
         if rows:
@@ -187,12 +190,12 @@ class ConstraintSet:
         return self.A is not None
 
     def c(self, x: np.ndarray) -> np.ndarray:
-        if self.is_linear:
+        if self.A is not None:
             return self.A.dot(x) - self.b
         return _shaped(self.c_fn(x), (self.m,), "constraint values have", "one per constraint")
 
     def jac(self, x: np.ndarray) -> np.ndarray:
-        if self.is_linear:
+        if self.A is not None:
             return self.A
         return _shaped(self.jac_fn(x), (self.m, x.shape[0]), "constraint Jacobian has",
                        "a row per constraint and a column per variable", rows=True)  # a 1-D J is one row

@@ -1,8 +1,11 @@
-"""Smoke test of the benchmark workloads: the first request of each one runs and checks clean.
+"""Smoke test of the benchmark workloads, and the gate on the work of one pass of each.
 
-The benchmark (bench/run.py) times these same calls; this test only makes sure
-that every workload still runs against the library, that its output passes the
-workload's own checks and that no solve in it failed.
+The benchmark (bench/run.py) times these same calls; this test runs every
+request of each workload once and makes sure that it still runs against the
+library, that its output passes the workload's own checks, that no solve in it
+failed, and that the pass does the outer and inner iterations pinned in
+``WORK_PER_PASS``.  A change that moves the work on purpose edits those
+numbers and logs why, as a re-pin of a golden digest does.
 """
 import importlib.util
 import sys
@@ -16,11 +19,19 @@ workloads = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(workloads)  # its dataclasses look the module up in sys.modules
 
 
+# (outer, inner) iterations summed over one pass, every request of the workload once
+WORK_PER_PASS = {
+    "gd-fixed-ineq": (56, 489),
+    "cubic-eq": (51, 211),
+    "backtracking-sweep": (23, 510),
+}
+
+
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
-def test_first_request_runs_and_checks(tmp_path, name):
+def test_work_per_pass(tmp_path, name):
     workload = workloads.WORKLOADS[name](str(tmp_path))
-    req = workload.requests[0]
-    outcome = workload.check(req, workload.run(req))
-    assert outcome.failed == 0
-    assert outcome.solves == workload.solves_per_request
-    assert outcome.outer_iters > 0 and outcome.inner_iters > 0
+    outcomes = [workload.check(req, workload.run(req)) for req in workload.requests]
+    assert sum(o.failed for o in outcomes) == 0
+    assert sum(o.solves for o in outcomes) == workload.solves_per_request * len(workload.requests)
+    work = (sum(o.outer_iters for o in outcomes), sum(o.inner_iters for o in outcomes))
+    assert work == WORK_PER_PASS[name]

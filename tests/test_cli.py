@@ -230,6 +230,14 @@ class TestSweepCommand:
         )
         assert code == cli.EXIT_USAGE
 
+    @pytest.mark.parametrize("grid, entry", [("1e-2,,1e-3", "''"), ("1e-2,1e-3,", "''"),
+                                             ("1e-2, ,1e-3", "' '"), ("1e-2,x,1e-3", "'x'")])
+    def test_empty_or_non_numeric_grid_entry_is_usage_error(self, tmp_path, caplog, grid, entry):
+        code = cli.main(["sweep", "--problem", "eq-qp-analytic", "--eps-grid", grid, "--out", str(tmp_path / "sw")])
+        assert code == cli.EXIT_USAGE
+        assert f"usage error: could not convert string to float: {entry}" in caplog.text
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("flag", ["--jobs", "--seed", "--penalty-policy"])
     def test_removed_flag_rejected(self, capsys, flag):
         code = cli.main(

@@ -380,6 +380,46 @@ class TestPenaltyReference:
         assert ties > 0 and nans > 0
         assert worst < 1e-2, f"worst |P_branch - P_shifted|/tol = {worst:.3e}"
 
+    @staticmethod
+    def _infinite_rows(rng, tuples):
+        """The tuples with c = +inf or -inf on about one row in eight, equality and inequality rows alike."""
+        for p, lam, sigma, c in tuples:
+            rows = rng.random(c.shape[0]) < 0.125
+            c[rows] = rng.choice([-np.inf, np.inf], int(rows.sum()))
+            yield p, lam, sigma, c
+
+    def test_sums_bitwise_equal_to_reference_with_infinite_rows(self):
+        rng = np.random.default_rng(53)
+        rows = {"eq": 0, "ineq": 0}
+        with np.errstate(invalid="ignore", over="ignore"):
+            for p, lam, sigma, c in self._infinite_rows(rng, self._tuples(rng, 1500)):
+                m_e = p.constraints.m_e
+                pen = Penalty(p, lam, sigma)
+                got = (*pen._sums(c.copy()), pen._term_scale(c.copy()))
+                want = _reference_sums(lam, sigma, m_e, c.copy())
+                assert got[0].tobytes() == want[0].tobytes()
+                for g, w in zip(got[1:], want[1:]):
+                    assert np.float64(g).tobytes() == np.float64(w).tobytes()
+                rows["eq"] += int(np.isinf(c[:m_e]).sum())
+                rows["ineq"] += int(np.isinf(c[m_e:]).sum())
+        assert min(rows.values()) > 100, rows
+
+    def test_grad_bitwise_equal_to_plain_expression(self):
+        """grad P is g + J^T (sigma c - lambda) with the inactive rows' entries zeroed, bit for bit."""
+        rng = np.random.default_rng(59)
+        tuples = self._tuples(rng, 1500)
+        with np.errstate(invalid="ignore", over="ignore"):
+            for i, (p, lam, sigma, c) in enumerate(tuples):
+                if i % 2:
+                    p, lam, sigma, c = next(self._infinite_rows(rng, [(p, lam, sigma, c)]))
+                n = int(rng.integers(1, 5))
+                g, J, f = rng.normal(size=n), rng.normal(size=(c.shape[0], n)), float(rng.normal())
+                pen = Penalty(p, lam, sigma)
+                got = pen.evaluation(np.zeros(n), f, c, g, J, pen.from_values(f, c)).grad_p
+                inactive = _reference_sums(lam, sigma, p.constraints.m_e, c.copy())[0]
+                want = g + J.T.dot(np.where(inactive, 0.0, sigma * c - lam))
+                assert got.tobytes() == want.tobytes()
+
     def test_verdict_matches_eager_tolerance(self):
         """``from_values`` raises exactly where the eager max(relative, absolute) bound fails.
 
@@ -601,6 +641,15 @@ class TestMuNorm:
     def test_sigma_positive(self):
         with pytest.raises(ValueError):
             mu_norm(_lam(1.0), 0.0)
+
+    def test_bitwise_equal_to_numpy_norm(self):
+        rng = np.random.default_rng(61)
+        for _ in range(2000):
+            lam = rng.normal(size=int(rng.integers(0, 70))) * 10.0 ** rng.uniform(-200.0, 200.0)
+            sigma = float(10.0 ** rng.uniform(-3.0, 16.0))
+            with np.errstate(over="ignore", under="ignore"):
+                want = float(np.linalg.norm(lam)) / math.sqrt(sigma)
+                assert np.float64(mu_norm(lam, sigma)).tobytes() == np.float64(want).tobytes()
 
 
 def _linear_problem(A, L1):

@@ -463,6 +463,12 @@ class TestCubicSubproblem:
         # the step must reach the boundary radius 2|w_min|/M
         assert float(np.linalg.norm(s)) == pytest.approx(4.0, abs=1e-8)
 
+    def test_a_finite_hessian_entry_past_half_the_largest_double(self):
+        # H + H^T overflows at 1e308; the step solves the model with H = diag(1e308, 1) itself
+        s = solve_cubic_model(np.array([1.0, 1.0]), np.diag([1e308, 1.0]), 1.0)
+        assert s[0] == pytest.approx(-1e-308, rel=1e-12, abs=0.0)
+        assert s[1] == pytest.approx(1.0 - math.sqrt(3.0), rel=1e-12)
+
     def test_zero_gradient_psd(self):
         s = solve_cubic_model(np.zeros(3), np.eye(3), 1.0)
         np.testing.assert_allclose(s, np.zeros(3))
@@ -511,6 +517,16 @@ class TestCubicNewton:
         assert report.terminated == outer.TERMINATED_KKT
         work = [(st.inner_stats.iterations, st.inner_stats.accepted_steps) for st in report.trace[1:]]
         assert work == [(1, 1)] * 6
+
+    def test_a_finite_hessian_entry_past_half_the_largest_double(self):
+        # f = (1e308 x0^2 + x1^2)/2: one model step lands within eps of the minimizer
+        D = np.array([1e308, 1.0])
+        task = InnerTask(
+            objective=lambda x: 0.5 * float(D.dot(x * x)), gradient=lambda x: D * x,
+            hessian=lambda x: np.diag(D), start=[1e-300, 1.0], eps=1e-6, known_L=0.0,
+        )
+        res = cubic_newton_solve(task)
+        assert (res.iterations, res.accepted_steps) == (1, 1) and res.grad_norm2 <= 1e-6
 
     def test_requires_hessian(self):
         task = InnerTask(

@@ -620,6 +620,18 @@ class TestObjectiveGradientShape:
         with pytest.raises(ValidationError, match=re.escape("expected (2,)")):
             obj.gradient(np.zeros(2))
 
+    @pytest.mark.parametrize("out, same", [
+        (np.array([1.0, 2.0]), True),  # a float ndarray of the right shape is returned as it is
+        ([1.0, 2.0], False),
+        (np.array([1, 2]), False),
+        (np.array([1.0, 2.0], dtype=np.float32), False),
+        (np.array([1.0, 2.0], dtype=">f8"), False),  # float64, but not in native byte order
+    ], ids=["float-array", "list", "int-array", "float32-array", "big-endian-array"])
+    def test_right_shape_is_a_float_array(self, out, same):
+        obj = ObjectiveOracle(fn=lambda x: 0.0, grad_fn=lambda x: out, f_low=-1.0)
+        got = obj.gradient(np.zeros(2))
+        assert (got is out) == same and got.dtype == float and got.tolist() == [1.0, 2.0]
+
     WRONG = [
         (lambda g: g[:, None], "shape (4, 1)"),
         (lambda g: [[1.0], [1.0, 2.0]], "no regular numeric shape"),  # numpy makes no array of it
