@@ -3,10 +3,10 @@
 Each outer iteration minimizes P(., lambda, sigma) from a warm start until
 the 2-norm of its gradient falls below eps (which implies the sup-norm
 condition), computes the feasibility statistic theta, updates the penalty
-parameter and the multipliers, and re-checks the eps-KKT conditions.  The
-run-time monitors evaluate the per-iteration inequalities that the analysis
-guarantees; any violation indicates an implementation bug, and in strict
-mode aborts the run.
+parameter and the multipliers, and re-checks the eps-KKT conditions, into one
+``OuterState`` record per k.  The run-time monitors read those records for the
+per-iteration inequalities that the analysis guarantees; any violation
+indicates an implementation bug, and in strict mode aborts the run.
 """
 from __future__ import annotations
 
@@ -117,19 +117,31 @@ class KKTReport:
 
 @dataclass
 class OuterState:
+    """Outer iteration k: f, c, g = grad f, J = jac c, grad_L and the eps-KKT test at (x_k, lam_k).
+
+    From k = 1, also the inner solve that led to x_k, theta at x_k (``th``), and P(x0) and
+    P(x_{k-1}) (``p_zero``, ``p_prev``), all three under that solve's (lam_{k-1}, sigma_{k-1}).
+    """
+
     k: int
     x: np.ndarray
     lam: np.ndarray
     sigma: float
-    theta: Optional[float]  # undefined at k = 0
     mu_norm_sq: float
-    kkt: KKTReport  # the direct eps-KKT test at (x, lam)
+    kkt: KKTReport
+    f: float
+    c: np.ndarray
+    g: np.ndarray
+    J: np.ndarray
+    grad_L: np.ndarray
     inner_stats: Optional[inner.InnerResult] = None
-    f: float = float("nan")
-    # c(x), grad f(x) and jac c(x); kept for the warm start, not serialized
-    c: Optional[np.ndarray] = None
-    g: Optional[np.ndarray] = None
-    J: Optional[np.ndarray] = None
+    th: Optional[core.ThetaStat] = None
+    p_zero: Optional[float] = None
+    p_prev: Optional[float] = None
+
+    @property
+    def theta(self) -> Optional[float]:  # undefined at k = 0
+        return None if self.th is None else self.th.value
 
 
 @dataclass
@@ -205,23 +217,21 @@ def _slacked(lhs: float, rhs: float) -> bool:
 
 
 def monitor_step(
-    first: OuterState, prev: OuterState, next_state: OuterState, f_low: float,
-    th: core.ThetaStat, p_prev: float, p_zero: float, ev: core.Evaluation,
-    grad_L: np.ndarray, eps: float,
+    first: OuterState, prev: OuterState, next_state: OuterState, f_low: float, eps: float
 ) -> list[MonitorEntry]:
-    """Evaluate the guaranteed inequalities linking two consecutive states.
+    """Evaluate the guaranteed inequalities linking the records at k and k+1.
 
-    ``first``, ``prev`` and ``next_state`` are the states at 0, k (whose multipliers
-    and penalty the inner solve used) and k+1, and ``ev`` the inner solve's last
-    evaluation, at x_{k+1}.  The rest is what ``solve`` computed: theta, P at x_k and
-    x0 under (lambda_k, sigma_k), and grad L at (x_{k+1}, lambda_{k+1}).  The last
-    two checks, ``dual_residual`` and ``theta_sufficiency``, are logged only when they fail.
+    ``first``, ``prev`` and ``next_state`` are the records at 0, k (whose multipliers
+    and penalty the inner solve used) and k+1.  theta, grad L, P(x0), P(x_k) and the
+    inner solve's last evaluation, at x_{k+1}, all come from ``next_state``, so a
+    finished report's trace replays its monitor log.  The last two checks,
+    ``dual_residual`` and ``theta_sufficiency``, are logged only when they fail.
     """
-    k = prev.k
+    k, sigma_k = prev.k, prev.sigma
+    th, ev, p_zero = next_state.th, next_state.inner_stats.evaluation, next_state.p_zero
     f0, mu0_norm_sq, p_next = first.f, first.mu_norm_sq, ev.p
     gap = f0 - f_low
     entries: list[MonitorEntry] = []
-    sigma_k = prev.sigma
 
     # scaled-multiplier growth: ||mu^(k+1)||^2 <= ||mu^(0)||^2 + 2*gap*(k+1)
     lhs = next_state.mu_norm_sq
@@ -238,22 +248,18 @@ def monitor_step(
         lhs = sigma_k * th.value ** 2
         entries.append(MonitorEntry(k + 1, "penalized_theta", lhs, rhs, _slacked(lhs, rhs)))
 
-    # the inner solver tracks min(f, f_new), not P(x_{k+1}), which solve supplies
-    rhs = min(p_prev, p_zero)
+    # the inner solver tracks min(f, f_new), not P(x_{k+1}), which the warm start supplies
+    rhs = min(next_state.p_prev, p_zero)
     entries.append(MonitorEntry(k + 1, "inner_decrease", p_next, rhs, _slacked(p_next, rhs)))
     entries.append(MonitorEntry(k + 1, "feasible_upper_bound", p_zero, f0, _slacked(p_zero, f0)))
 
     # penalty lower bound: P(x) >= f(x) - 0.5*sum(lambda^2)/sigma
     lhs = next_state.f - 0.5 * float((prev.lam * prev.lam).sum()) / sigma_k
-    entries.append(
-        MonitorEntry(k + 1, "penalty_lower_bound", lhs, p_next, _slacked(lhs, p_next))
-    )
+    entries.append(MonitorEntry(k + 1, "penalty_lower_bound", lhs, p_next, _slacked(lhs, p_next)))
 
     # dual-residual identity between the new Lagrangian gradient and grad P
-    lhs = float(np.abs(grad_L - ev.grad_p).max())
-    entries.append(
-        MonitorEntry(k + 1, "dual_identity", lhs, _DUAL_IDENTITY_TOL, lhs <= _DUAL_IDENTITY_TOL)
-    )
+    lhs = float(np.abs(next_state.grad_L - ev.grad_p).max())
+    entries.append(MonitorEntry(k + 1, "dual_identity", lhs, _DUAL_IDENTITY_TOL, lhs <= _DUAL_IDENTITY_TOL))
     # the inner solve's ||grad P|| <= eps bounds the new dual residual, and theta <= eps/2 implies eps-KKT
     kkt = next_state.kkt
     if kkt.dual_inf > eps:
@@ -339,22 +345,21 @@ def default_inner_for(problem: ProblemSpec, sigma0: float = SolverConfig.sigma0)
     return INNER_GD_BACKTRACKING
 
 
-def _state(
+def _record(
     cons: ConstraintSet, eps: float, k: int, x: np.ndarray, lam: np.ndarray, sigma: float,
-    theta: Optional[float], f: float, c: np.ndarray, g: np.ndarray, J: np.ndarray,
-    inner_stats: Optional[inner.InnerResult] = None,
-) -> tuple[OuterState, np.ndarray]:
-    """The ``OuterState`` at x under (lam, sigma), from f, c, g = grad f and J there, and grad L(x, lam)."""
+    f: float, c: np.ndarray, g: np.ndarray, J: np.ndarray, **step,
+) -> OuterState:
+    """Iteration k's record at x under (lam, sigma) from f, c, g = grad f and J there; from k = 1,
+    ``step`` holds the inner solve's ``inner_stats``, ``th``, ``p_zero`` and ``p_prev``."""
     grad_L = core.lagrangian_grad(g, J, lam)
-    state = OuterState(
-        k=k, x=x, lam=lam, sigma=sigma, theta=theta, mu_norm_sq=core.mu_norm(lam, sigma) ** 2,
-        kkt=kkt_check(cons, c, grad_L, lam, eps), inner_stats=inner_stats, f=f, c=c, g=g, J=J,
+    return OuterState(
+        k=k, x=x, lam=lam, sigma=sigma, mu_norm_sq=core.mu_norm(lam, sigma) ** 2,
+        kkt=kkt_check(cons, c, grad_L, lam, eps), f=f, c=c, g=g, J=J, grad_L=grad_L, **step,
     )
-    return state, grad_L
 
 
 def _start(problem: ProblemSpec, config: SolverConfig) -> OuterState:
-    """The k = 0 state at x0, with lambda = 0 and sigma0.
+    """The k = 0 record at x0, with lambda = 0 and sigma0.
 
     Evaluates c, f, grad f and J once each at x0: a run's only oracle calls
     outside its inner solves.  Every check of the input raises a ``ValueError``
@@ -372,7 +377,7 @@ def _start(problem: ProblemSpec, config: SolverConfig) -> OuterState:
     for what, value in (("objective value", f0), ("objective gradient", g0), ("constraint Jacobian", J0)):
         if not np.isfinite(value).all():
             raise ValidationError(f"{problem.name}: the {what} at x0 is not finite")
-    return _state(cons, config.eps, 0, x0.copy(), np.zeros(cons.m), config.sigma0, None, f0, c0, g0, J0)[0]
+    return _record(cons, config.eps, 0, x0.copy(), np.zeros(cons.m), config.sigma0, f0, c0, g0, J0)
 
 
 def first_inner_results(
@@ -415,7 +420,6 @@ def solve(
     search at min(2, 2 t), t the last step accepted by the last solve that
     took one, and at 2 before that.
     """
-    eps = config.eps
     cons = problem.constraints
     first = _start(problem, config)
     f_low = problem.objective.f_low
@@ -427,18 +431,17 @@ def solve(
     first_step = 2.0
 
     for k in range(config.max_outer):
-        lam, sigma = state.lam, state.sigma
-        if sigma > _SIGMA_CAP:
+        if state.sigma > _SIGMA_CAP:
             terminated = TERMINATED_SIGMA_OVERFLOW
             break
-        penalty = core.Penalty(problem, lam, sigma)
+        penalty = core.Penalty(problem, state.lam, state.sigma)
         # at k = 0 both states are at x0, and the tie rule starts there
         start, start_pair, p_zero, p_prev = warm_start(penalty, first, state)
         if k == 0 and _first is not None:
             res = _first
         else:
             try:
-                res = _inner_solve(penalty, start, eps, config.inner, start_pair,
+                res = _inner_solve(penalty, start, config.eps, config.inner, start_pair,
                                    spent=calls, first_step=first_step, k=k)
             except inner.OracleBudgetExceeded:
                 terminated = TERMINATED_ORACLE_BUDGET
@@ -448,19 +451,18 @@ def solve(
         if res.last_step is not None:
             first_step = min(2.0, 2.0 * res.last_step)
         # every quantity below reads the inner solve's last evaluation, at x_{k+1}
-        x_next, ev = res.x_final, res.evaluation
-        if ev is None or ev.key != x_next.tobytes():
+        ev = res.evaluation
+        if ev is None or ev.key != res.x_final.tobytes():
             raise EvaluationMismatch(
                 f"outer iteration {k}: the inner solve's last evaluation is not at its final iterate"
             )
-        th_next = core.theta(cons, ev.c, lam, sigma)
-        sigma_next = core.update_penalty(k, th_next.value, state.theta, sigma, config)
-        lam_next = core.update_multipliers(cons, ev.c, lam, sigma)
-        next_state, grad_L = _state(
-            cons, eps, k + 1, x_next, lam_next, sigma_next, th_next.value,
-            ev.f, ev.c, ev.g, ev.J, res,
+        th = core.theta(cons, ev.c, state.lam, state.sigma)
+        next_state = _record(
+            cons, config.eps, k + 1, res.x_final, core.update_multipliers(cons, ev.c, state.lam, state.sigma),
+            core.update_penalty(k, th.value, state.theta, state.sigma, config),
+            ev.f, ev.c, ev.g, ev.J, inner_stats=res, th=th, p_zero=p_zero, p_prev=p_prev,
         )
-        entries = monitor_step(first, state, next_state, f_low, th_next, p_prev, p_zero, ev, grad_L, eps)
+        entries = monitor_step(first, state, next_state, f_low, config.eps)
         monitor_log.extend(entries)
         failed = [e for e in entries if not e.passed]
         if failed and config.monitor == MONITOR_STRICT:
@@ -473,15 +475,9 @@ def solve(
         trace.append(next_state)
         state = next_state
         if next_state.kkt.is_eps_kkt and (
-            not config.require_theta_half or th_next.value <= eps / 2.0
+            not config.require_theta_half or th.value <= config.eps / 2.0
         ):
             terminated = TERMINATED_KKT
             break
 
-    return RunReport(
-        problem=problem.name,
-        config=config,
-        trace=trace,
-        monitor_log=monitor_log,
-        terminated=terminated,
-    )
+    return RunReport(problem.name, config, trace, monitor_log, terminated)

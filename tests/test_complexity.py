@@ -147,7 +147,8 @@ class TestCertifyRun:
         first, later = report.trace[0], report.trace[1]
 
         def certify_edited(T):
-            trace = [first] + [dataclasses.replace(later, k=k, sigma=first.sigma, theta=1.0) for k in range(1, T + 1)]
+            held = dataclasses.replace(later, sigma=first.sigma, th=core.ThetaStat(1.0, later.th.parts))
+            trace = [first] + [dataclasses.replace(held, k=k) for k in range(1, T + 1)]
             return certify_run(dataclasses.replace(report, trace=trace), p, report.config)
 
         bound = certify_edited(1).bound_T

@@ -39,8 +39,9 @@ def _zero_lam(p):
 
 
 def _state(x, f, c):
-    """An outer state at x that holds only what ``warm_start`` reads."""
-    return OuterState(k=0, x=x, lam=None, sigma=1.0, theta=None, mu_norm_sq=0.0, kkt=None, f=f, c=c)
+    """An outer record at x that holds only what ``warm_start`` reads before P's two forms disagree."""
+    return OuterState(k=0, x=x, lam=None, sigma=1.0, mu_norm_sq=0.0, kkt=None, f=f, c=c,
+                      g=None, J=None, grad_L=None)
 
 
 def _lagrangian_grad_at(p, x, lam):

@@ -1,12 +1,17 @@
 """Static checks over the library sources."""
 import argparse
 import ast
+import importlib.util
+import inspect
 import re
+import sys
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import auglag
 from auglag import cli, problems
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "auglag"
@@ -678,3 +683,42 @@ def test_readme_names_every_validate_check():
     assert report.passed and len(checks) == len(set(checks)) == 6
     readme = (SRC.parent.parent / "README.md").read_text(encoding="utf-8")
     assert readme_validate_checks(readme) == checks
+
+
+def dead_layer_spans(spans, package, extra) -> list[str]:
+    """Each of ``spans`` ("module.function") that is in neither ``extra`` nor the public functions
+    defined in that module of ``package``: the functions the bench tracer wraps by name."""
+    def traced(name: str) -> bool:
+        short, _, attr = name.partition(".")
+        mod = getattr(package, short, None)
+        obj = getattr(mod, attr, None)
+        return not attr.startswith("_") and inspect.isfunction(obj) and obj.__module__ == mod.__name__
+
+    return [name for name in spans if name not in extra and not traced(name)]
+
+
+def test_scanner_flags_dead_layer_spans():
+    mod = types.ModuleType("pkg.m")
+    exec("import math\nfrom os.path import join\ndef f(): pass\ndef _g(): pass\nclass C: pass\n"
+         "sqrt = math.sqrt\n", mod.__dict__)
+    spans = ("m.f", "m._g", "m.C", "m.sqrt", "m.join", "m.gone", "n.f", "m.wrapped")
+    assert dead_layer_spans(spans, types.SimpleNamespace(m=mod), {"m.wrapped"}) == [
+        "m._g", "m.C", "m.sqrt", "m.join", "m.gone", "n.f",
+    ]
+
+
+# Spans that name no function since P's evaluation moved into core.Penalty's methods; a ratchet:
+# ROADMAP item 5 traces those methods in their place and empties it.
+STALE_LAYER_SPANS = ["core.eval_P", "core.grad_P", "core.hess_P"]
+
+
+def test_no_bench_layer_span_goes_dead():
+    """Each ``LAYER_SPANS`` name of bench/run.py, loaded read-only, is a function the tracer wraps.
+
+    A renamed or fused function would otherwise report 0 s and 0 calls in every benchmark run.
+    """
+    spec = importlib.util.spec_from_file_location("bench_run", SRC.parent.parent / "bench" / "run.py")
+    run = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)  # its dataclasses look the module up in sys.modules
+    extra = {name for _, _, name, _ in run.trace_targets()}
+    assert dead_layer_spans(run.LAYER_SPANS, auglag, extra) == STALE_LAYER_SPANS

@@ -15,7 +15,6 @@ from auglag.outer import (
     INNER_GD_FIXED,
     KKTReport,
     MonitorViolation,
-    OuterState,
     SolverConfig,
     default_inner_for,
     kkt_check,
@@ -319,6 +318,44 @@ class TestMonitorStep:
         assert idents and all(e.lhs <= 1e-12 for e in idents)
 
 
+@pytest.fixture(scope="module")
+def corpus_runs():
+    """(problem, report) of each n = 8 corpus problem under each inner solver that applies, at eps = 1e-3."""
+    runs = []
+    for p in problems.corpus():
+        for kind in outer.INNER_SOLVERS:
+            try:
+                outer._inner_constant(p, kind, SolverConfig.sigma0)
+            except problems.ValidationError:  # kind does not apply
+                continue
+            runs.append((p, solve(p, SolverConfig(eps=1e-3, inner=kind))))
+    return runs
+
+
+class TestRecord:
+    def test_every_record_holds_what_its_step_computed(self, corpus_runs):
+        assert len(corpus_runs) == 12
+        for p, report in corpus_runs:
+            cons, x0 = p.constraints, report.trace[0].x
+            for prev, st in zip(report.trace, report.trace[1:]):
+                ev = st.inner_stats.evaluation
+                assert ev.key == st.x.tobytes() and st.f == ev.f
+                for got, want in ((st.c, ev.c), (st.g, ev.g), (st.J, ev.J)):
+                    assert got.tobytes() == want.tobytes()
+                assert st.grad_L.tobytes() == core.lagrangian_grad(st.g, st.J, st.lam).tobytes()
+                assert st.th == core.theta(cons, st.c, prev.lam, prev.sigma) and st.theta == st.th.value
+                assert st.mu_norm_sq == core.mu_norm(st.lam, st.sigma) ** 2
+                assert st.p_zero == core.Penalty(p, prev.lam, prev.sigma).value(x0)
+                assert st.p_prev == core.Penalty(p, prev.lam, prev.sigma).value(prev.x)
+
+    def test_the_monitors_replay_from_a_finished_report(self, corpus_runs):
+        # the log lists each iteration's entries in turn, so this is each k's entries equal to its replay
+        for p, report in corpus_runs:
+            trace, f_low, eps = report.trace, p.objective.f_low, report.config.eps
+            replayed = [monitor_step(trace[0], trace[k], trace[k + 1], f_low, eps) for k in range(report.T_outer)]
+            assert [e for entries in replayed for e in entries] == report.monitor_log
+
+
 class TestOneEvaluationPerIterate:
     @pytest.mark.parametrize(
         "name,kind",
@@ -391,10 +428,8 @@ class TestWarmStart:
 
     def _warm_start(self, p, lam, x0, x_prev):
         def state(x):
-            return OuterState(k=0, x=x, lam=lam, sigma=1.0, theta=None, mu_norm_sq=0.0,
-                              kkt=_kkt_at(p, x, lam, 1e-3), f=p.objective.value(x),
-                              c=p.constraints.c(x), g=p.objective.gradient(x),
-                              J=p.constraints.jac(x))
+            obj, cons = p.objective, p.constraints
+            return outer._record(cons, 1e-3, 0, x, lam, 1.0, obj.value(x), cons.c(x), obj.gradient(x), cons.jac(x))
 
         pen = core.Penalty(p, lam, 1.0)
         out, pair, p_zero, p_prev = warm_start(pen, state(x0), state(x_prev))
