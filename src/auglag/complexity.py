@@ -9,6 +9,7 @@ against the matching bound computed from observed inputs.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -27,6 +28,8 @@ REASON_BOUND_INFINITE = "the bound is infinite, so no run can exceed it"
 
 LOG_LINEAR = "LogLinear"
 POWER_LAW = "PowerLaw"
+
+_RANK_WARNING = getattr(np, "exceptions", np).RankWarning  # numpy.exceptions from numpy 1.25
 
 
 @dataclass
@@ -229,7 +232,9 @@ def fit_growth(result: SweepResult, model: str):
     LogLinear regresses T_outer on |log eps|; PowerLaw regresses log
     total_inner on log(1/eps), so it is undefined when a row has no inner
     iteration.  Returns (coefficient, exponent_or_slope, r_squared); raises
-    ValueError, saying why, when the fit is undefined.
+    ValueError, saying why, when the fit is undefined, as where the eps values
+    are equal or differ only by rounding, so that ``np.polyfit`` would warn
+    that its design is rank-deficient.
     """
     rows = result.successful()
     if len(rows) < 3:
@@ -247,9 +252,13 @@ def fit_growth(result: SweepResult, model: str):
         y = np.array([math.log(float(r.total_inner)) for r in rows])
     else:
         raise ValueError(f"unknown fit model {model!r}")
-    if np.ptp(x) == 0.0:
-        raise ValueError("degenerate design: all eps values equal")
-    slope, intercept = np.polyfit(x, y, 1)
+    with warnings.catch_warnings():
+        # polyfit warns where its design has rank 1: all eps equal, or within rounding of equal
+        warnings.simplefilter("error", _RANK_WARNING)
+        try:
+            slope, intercept = np.polyfit(x, y, 1)
+        except _RANK_WARNING:
+            raise ValueError(f"the eps values {[r.eps for r in rows]} are too close to fit") from None
     pred = slope * x + intercept
     ss_res = float(((y - pred) ** 2).sum())
     ss_tot = float(((y - y.mean()) ** 2).sum())

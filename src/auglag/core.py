@@ -210,11 +210,12 @@ def theta(cons: ConstraintSet, c: np.ndarray, lam: np.ndarray, sigma: float) -> 
 
     max of ||lambda/sigma||_inf, the shifted equality residual, and the
     inequality violation (each in the sup norm); parts without constraints of
-    that type are -inf.
+    that type are -inf.  lambda/sigma is formed once for both of its parts.
     """
     me = cons.m_e
-    mult_part = float(np.abs(lam / sigma).max()) if cons.m > 0 else 0.0
-    eq_part = float(np.abs(c[:me] - lam[:me] / sigma).max()) if me > 0 else float("-inf")
+    shift = lam / sigma
+    mult_part = float(np.abs(shift).max()) if cons.m > 0 else 0.0
+    eq_part = float(np.abs(c[:me] - shift[:me]).max()) if me > 0 else float("-inf")
     ineq_part = cons.ineq_violation(c) if me < cons.m else float("-inf")
     return ThetaStat(value=max(mult_part, eq_part, ineq_part), parts=(mult_part, eq_part, ineq_part))
 
@@ -238,9 +239,9 @@ def update_penalty(
 
 def update_multipliers(cons: ConstraintSet, c: np.ndarray, lam: np.ndarray, sigma: float) -> np.ndarray:
     """lambda - sigma*c, clamped at zero on inequality rows, as a new array; c = c(x_{k+1})."""
-    me = cons.m_e
     lam_next = lam - sigma * c
-    lam_next[me:] = np.maximum(lam_next[me:], 0.0)
+    ineq = lam_next[cons.m_e:]
+    np.maximum(ineq, 0.0, out=ineq)
     return lam_next
 
 

@@ -151,9 +151,11 @@ def _grad_sq(g: np.ndarray) -> tuple[np.ndarray, float]:
 
     A finite sum of squares implies finite entries, so the entry-wise test
     runs only when the sum is not finite (which a finite g can also give, by
-    overflow).  sqrt of the sum is np.linalg.norm(g), bit for bit.
+    overflow).  sqrt of the sum is np.linalg.norm(g), bit for bit.  A float
+    ``ndarray``, the common case, is used as it is, as ``np.asarray`` would.
     """
-    g = np.asarray(g, dtype=float)
+    if type(g) is not np.ndarray or g.dtype != float:
+        g = np.asarray(g, dtype=float)
     gn2 = float(g.dot(g))
     if not math.isfinite(gn2) and not np.isfinite(g).all():
         raise NonFiniteValue("gradient oracle returned a non-finite vector")

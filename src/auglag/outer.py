@@ -105,7 +105,7 @@ class SolverConfig:
 CONFIG_KEYS = tuple(f.name for f in fields(SolverConfig) if f.name != "require_theta_half")
 
 
-@dataclass
+@dataclass(slots=True)
 class KKTReport:
     dual_inf: float
     primal_eq: float
@@ -115,7 +115,7 @@ class KKTReport:
     is_eps_kkt: bool
 
 
-@dataclass
+@dataclass(slots=True)
 class OuterState:
     """Outer iteration k: f, c, g = grad f, J = jac c, grad_L and the eps-KKT test at (x_k, lam_k).
 
@@ -144,7 +144,7 @@ class OuterState:
         return None if self.th is None else self.th.value
 
 
-@dataclass
+@dataclass(slots=True)
 class MonitorEntry:
     iteration: int
     check: str
@@ -200,12 +200,21 @@ class RunReport:
 def kkt_check(
     cons: ConstraintSet, c: np.ndarray, grad_L: np.ndarray, lam: np.ndarray, eps: float
 ) -> KKTReport:
-    """Direct eps-KKT test from c = c(x) and grad_L = core.lagrangian_grad at (x, lam)."""
+    """Direct eps-KKT test from c = c(x) and grad_L = core.lagrangian_grad at (x, lam).
+
+    On an equality-only set the inequality parts take the values their empty
+    rows give, 0.0 and True, without a reduction.  The sign test reads
+    min(lambda_ineq, 0) >= 0, which a NaN multiplier fails as before.
+    """
     me = cons.m_e
     dual = float(np.abs(grad_L).max())
-    primal_eq, primal_ineq = cons.primal_residuals(c)
-    sign_ok = bool((lam[me:] >= 0.0).all())
-    compl_ok = bool((lam[me:][c[me:] > eps] == 0.0).all())
+    if me == cons.m:
+        primal_eq, primal_ineq, sign_ok, compl_ok = float(np.abs(c).max(initial=0.0)), 0.0, True, True
+    else:
+        primal_eq, primal_ineq = cons.primal_residuals(c)
+        lam_ineq = lam[me:]
+        sign_ok = bool(lam_ineq.min(initial=0.0) >= 0.0)
+        compl_ok = bool((lam_ineq[c[me:] > eps] == 0.0).all())
     is_kkt = (
         dual <= eps and primal_eq <= eps and primal_ineq <= eps and sign_ok and compl_ok
     )
@@ -240,7 +249,8 @@ def monitor_step(
 
     if k >= 1:
         # theta's shifted-equality and inequality parts; an absent part is -inf
-        residual = max(max(part, 0.0) for part in th.parts[1:])
+        _, eq_part, ineq_part = th.parts
+        residual = max(max(eq_part, 0.0), max(ineq_part, 0.0))
         rhs = k * (mu0_norm_sq + 4.0 * gap)
         lhs = sigma_k * residual ** 2
         entries.append(MonitorEntry(k + 1, "penalized_residual", lhs, rhs, _slacked(lhs, rhs)))
@@ -254,7 +264,7 @@ def monitor_step(
     entries.append(MonitorEntry(k + 1, "feasible_upper_bound", p_zero, f0, _slacked(p_zero, f0)))
 
     # penalty lower bound: P(x) >= f(x) - 0.5*sum(lambda^2)/sigma
-    lhs = next_state.f - 0.5 * float((prev.lam * prev.lam).sum()) / sigma_k
+    lhs = next_state.f - 0.5 * float(np.add.reduce(prev.lam * prev.lam)) / sigma_k
     entries.append(MonitorEntry(k + 1, "penalty_lower_bound", lhs, p_next, _slacked(lhs, p_next)))
 
     # dual-residual identity between the new Lagrangian gradient and grad P
@@ -278,10 +288,12 @@ def warm_start(
     from the f, c, grad f and J stored on them, so no oracle runs.  Returns
     ``(start, (P(start), grad P(start)), P(x0), P(x_prev))``; ``start`` is a
     copy, ties return x_prev, and ``pen`` keeps the start's evaluation as its
-    last.  Starting the monotone inner solver here makes the final inner
-    iterate automatically no worse than both candidates.
+    last.  Where ``prev`` is ``first``, as at k = 0, x0 is valued once.
+    Starting the monotone inner solver here makes the final inner iterate
+    automatically no worse than both candidates.
     """
-    at_zero, at_prev = pen.from_values(first.f, first.c), pen.from_values(prev.f, prev.c)  # (P, mask)
+    at_zero = pen.from_values(first.f, first.c)  # (P, mask)
+    at_prev = at_zero if prev is first else pen.from_values(prev.f, prev.c)
     state, p_mask = (first, at_zero) if at_zero[0] < at_prev[0] else (prev, at_prev)
     ev = pen.evaluation(state.x, state.f, state.c, state.g, state.J, p_mask)
     return state.x.copy(), (ev.p, ev.grad_p), at_zero[0], at_prev[0]
@@ -374,8 +386,10 @@ def _start(problem: ProblemSpec, config: SolverConfig) -> OuterState:
     c0 = cons.c(x0)
     problem.check_feasible_start(c0)
     f0, g0, J0 = obj.value(x0), obj.gradient(x0), cons.jac(x0)
-    for what, value in (("objective value", f0), ("objective gradient", g0), ("constraint Jacobian", J0)):
-        if not np.isfinite(value).all():
+    # ObjectiveOracle.value returns a Python float, which math.isfinite tests without numpy
+    for what, finite in (("objective value", math.isfinite(f0)), ("objective gradient", np.isfinite(g0).all()),
+                         ("constraint Jacobian", np.isfinite(J0).all())):
+        if not finite:
             raise ValidationError(f"{problem.name}: the {what} at x0 is not finite")
     return _record(cons, config.eps, 0, x0.copy(), np.zeros(cons.m), config.sigma0, f0, c0, g0, J0)
 
@@ -389,7 +403,10 @@ def first_inner_results(
     to the last eps, with the others as its stops; like every inner solve it
     goes through ``_inner_solve``.  Each result is the
     one ``solve`` at that eps computes alone, so ``solve(problem,
-    replace(config, eps=e), _first=result)`` returns the same report.  None
+    replace(config, eps=e), _first=result)`` returns the same report.  It
+    starts at ``warm_start(P(., 0, sigma0), x0, x0)``, so each result's
+    ``start_value`` is P(x0), cross-checked, which is the P(x0) and P(x_0)
+    that such a solve reads at k = 0 instead of valuing x0 again.  None
     when such a solve runs no inner solve: no outer iteration allowed, or
     sigma0 above the cap.  Raises whatever the start or the descent raises.
     """
@@ -414,11 +431,12 @@ def solve(
     the outer iterations completed before, where an inner solve would take
     ``total_oracle_calls`` past ``inner.ORACLE_BUDGET``; every inner solve
     goes through ``_inner_solve``, which raises ``InnerFailure`` where one
-    cannot reach eps.  ``_first`` is
-    this run's k = 0 inner result from ``first_inner_results``, which an
-    eps-sweep passes.  Each gd-backtracking solve starts its first Armijo
-    search at min(2, 2 t), t the last step accepted by the last solve that
-    took one, and at 2 before that.
+    cannot reach eps.  ``_first`` is this run's k = 0 inner result from
+    ``first_inner_results``, which an eps-sweep passes; k = 0 then builds no
+    ``Penalty`` and runs no warm start, and reads P(x0) and P(x_0), one value,
+    as the result's ``start_value``.  Each gd-backtracking solve starts its
+    first Armijo search at min(2, 2 t), t the last step accepted by the last
+    solve that took one, and at 2 before that.
     """
     cons = problem.constraints
     first = _start(problem, config)
@@ -434,12 +452,14 @@ def solve(
         if state.sigma > _SIGMA_CAP:
             terminated = TERMINATED_SIGMA_OVERFLOW
             break
-        penalty = core.Penalty(problem, state.lam, state.sigma)
-        # at k = 0 both states are at x0, and the tie rule starts there
-        start, start_pair, p_zero, p_prev = warm_start(penalty, first, state)
         if k == 0 and _first is not None:
+            # the shared descent began at warm_start(P(., 0, sigma0), x0, x0): its start value is P(x0)
             res = _first
+            p_zero = p_prev = _first.start_value
         else:
+            penalty = core.Penalty(problem, state.lam, state.sigma)
+            # at k = 0 both states are at x0, and the tie rule starts there
+            start, start_pair, p_zero, p_prev = warm_start(penalty, first, state)
             try:
                 res = _inner_solve(penalty, start, config.eps, config.inner, start_pair,
                                    spent=calls, first_step=first_step, k=k)

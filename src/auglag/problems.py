@@ -107,12 +107,14 @@ class ObjectiveOracle:
             value = getattr(self, key)
             if value is not None and _finite(value, key, scalar=True) < 0.0:
                 raise ValidationError(f"{key} = {value!r} must be nonnegative")
+        # the least value ``value`` accepts: f_low less its rounding slack; the oracle is frozen
+        object.__setattr__(self, "_floor", self.f_low - 1e-12 * max(1.0, abs(self.f_low)))
 
     def value(self, x: np.ndarray) -> float:
         v = self.fn(x)
         if type(v) is not float:  # the common case, a Python float, needs no conversion
             v = float(_shaped(v, (), "objective value has", "a scalar"))
-        if v < self.f_low - 1e-12 * max(1.0, abs(self.f_low)):
+        if v < self._floor:
             raise ObjectiveBelowBound(
                 f"objective value {v} violates declared lower bound {self.f_low}"
             )

@@ -224,6 +224,21 @@ class TestSweepCommand:
         assert list(data["fits"]) == ["LogLinear"]
         assert "PowerLaw fit skipped" in caplog.text
 
+    # at eps near 0.5 x0 already passes, so PowerLaw is skipped for its rows without inner iterations
+    @pytest.mark.parametrize("grid, models", [
+        ("0.01,0.010000000000000002,0.01", ("LogLinear", "PowerLaw")),
+        ("0.5,0.5000000000000001,0.50000000000000022", ("LogLinear",)),
+    ])
+    def test_fits_on_eps_within_rounding_of_equal_are_skipped(self, tmp_path, caplog, grid, models):
+        code = cli.main(["sweep", "--problem", "eq-qp-analytic", "--eps-grid", grid, "--out", str(tmp_path / "sw")])
+        assert code == cli.EXIT_OK
+        data = json.loads((tmp_path / "sw.json").read_text())
+        assert len(data["rows"]) == 3 and not any(row["failed"] for row in data["rows"])
+        assert "fits" not in data
+        for model in models:
+            assert f"{model} fit skipped: the eps values" in caplog.text
+        assert caplog.text.count("are too close to fit") == len(models)
+
     def test_bad_grid(self):
         code = cli.main(
             ["sweep", "--problem", "eq-qp-analytic", "--eps-grid", "2.0,1e-2"]

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import struct
 from collections import Counter
 
 import numpy as np
@@ -24,7 +25,7 @@ from auglag.complexity import (
     sweep,
 )
 from auglag.outer import SolverConfig, solve
-from auglag.problems import ValidationError, corpus_problem, load_problem
+from auglag.problems import ValidationError, corpus, corpus_problem, load_problem
 from auglag.report import SWEEP_COLUMNS
 
 from conftest import count_oracles
@@ -229,6 +230,21 @@ class TestCertifyEdgeCases:
         assert not cert.certified and cert.reason == complexity.REASON_BOUND_INFINITE
 
 
+def _applies(problem, kind):
+    """Whether inner solver ``kind`` applies to ``problem`` at the default sigma0."""
+    try:
+        outer._inner_constant(problem, kind, SolverConfig.sigma0)
+    except ValidationError:
+        return False
+    return True
+
+
+def _record_bits(st):
+    """The bits of a record's P(x0), P(x_k) and theta with its parts; None where undefined (k = 0)."""
+    values = (st.p_zero, st.p_prev, *((st.th.value, *st.th.parts) if st.th else ()))
+    return [None if v is None else struct.pack("<d", v) for v in values]
+
+
 class TestSweep:
     def test_three_point_grid(self):
         p = corpus_problem("simplex-cos-8")
@@ -314,6 +330,23 @@ class TestSweep:
         p = corpus_problem(name)
         cfg = SolverConfig(eps=grid[0], inner=kind)
         assert repr(sweep(p, cfg, grid).rows) == repr(_rows_alone(p, cfg, grid))
+
+    @pytest.mark.parametrize("p,kind", [
+        pytest.param(p, kind, id=f"{p.name}-{kind}") for p in corpus() for kind in outer.INNER_SOLVERS
+        if _applies(p, kind)
+    ])
+    def test_row_reports_equal_their_solves_alone_byte_for_byte(self, p, kind):
+        # the monitor log carries each record's P(x0) and P(x_k), which a row at k = 0
+        # reads from its shared descent; every record's theta must match too
+        cfg = SolverConfig(inner=kind)
+        grid = [1e-2, 1e-3, 1e-4]
+        for eps, first in zip(grid, outer.first_inner_results(p, cfg, grid)):
+            row_cfg = dataclasses.replace(cfg, eps=eps)
+            shared, alone = solve(p, row_cfg, _first=first), solve(p, row_cfg)
+            assert json.dumps(shared.to_json_dict(), sort_keys=True) == json.dumps(alone.to_json_dict(), sort_keys=True)
+            assert len(shared.trace) == len(alone.trace)
+            for got, want in zip(shared.trace, alone.trace):
+                assert _record_bits(got) == _record_bits(want)
 
     @pytest.mark.parametrize("kind", outer.INNER_SOLVERS)
     def test_rows_refused_certification_equal_their_solves_alone(self, kind):
@@ -504,10 +537,17 @@ class TestFitGrowth:
         with pytest.raises(ValueError):
             fit_growth(_synthetic_result(rows), "Exponential")
 
-    def test_degenerate_design(self):
-        rows = [_row(1e-2) for _ in range(3)]
-        with pytest.raises(ValueError):
-            fit_growth(_synthetic_result(rows), LOG_LINEAR)
+    @pytest.mark.parametrize("model", [LOG_LINEAR, POWER_LAW])
+    @pytest.mark.parametrize("grid", [
+        [1e-2, 1e-2, 1e-2],
+        [0.01, 0.010000000000000002, 0.01],  # one ulp apart: polyfit's design is rank-deficient too
+        [0.5, 0.5000000000000001, 0.50000000000000022],
+    ])
+    def test_degenerate_design(self, model, grid):
+        # an undefined fit is a ValueError, never numpy's RankWarning (which the suite makes an error)
+        rows = [_row(e, T=i + 1, inner=i + 1) for i, e in enumerate(grid)]
+        with pytest.raises(ValueError, match="are too close to fit"):
+            fit_growth(_synthetic_result(rows), model)
 
     def test_power_law_undefined_on_a_row_without_inner_iterations(self):
         rows = [_row(1e-1, inner=0), _row(1e-2), _row(1e-3)]

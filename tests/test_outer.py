@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import math
+import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -175,6 +178,112 @@ class TestKKTCheck:
         p = make_tiny(1, lambda x: np.zeros(2), lambda x: np.zeros((2, 1)), m=2)
         assert _kkt_at(p, np.zeros(1), np.array([-1.0, 2.0]), 1e-3).sign_ok
         assert not _kkt_at(p, np.zeros(1), np.array([2.0, -1.0]), 1e-3).sign_ok
+
+
+def _bits(v):
+    """A float's bits, or a bool as itself: equal exactly where the values are the same object or bits."""
+    return v if isinstance(v, bool) else struct.pack("<d", v)
+
+
+def _reference_kkt(cons, c, grad_L, lam, eps):
+    """``kkt_check`` as plain expressions over the row slices, empty ones included."""
+    me = cons.m_e
+    dual = float(np.abs(grad_L).max())
+    primal_eq = float(np.abs(c[:me]).max(initial=0.0))
+    primal_ineq = 0.0 - float(c[me:].min(initial=0.0))
+    sign_ok = bool((lam[me:] >= 0.0).all())
+    compl_ok = bool((lam[me:][c[me:] > eps] == 0.0).all())
+    is_kkt = dual <= eps and primal_eq <= eps and primal_ineq <= eps and sign_ok and compl_ok
+    return (dual, primal_eq, primal_ineq, sign_ok, compl_ok, is_kkt)
+
+
+def _reference_theta(cons, c, lam, sigma):
+    me, m = cons.m_e, cons.m
+    mult_part = float(np.abs(lam / sigma).max()) if m > 0 else 0.0
+    eq_part = float(np.abs(c[:me] - lam[:me] / sigma).max()) if me > 0 else float("-inf")
+    ineq_part = 0.0 - float(c[me:].min(initial=0.0)) if me < m else float("-inf")
+    return (max(mult_part, eq_part, ineq_part), mult_part, eq_part, ineq_part)
+
+
+def _reference_multipliers(cons, c, lam, sigma):
+    me = cons.m_e
+    lam_next = lam - sigma * c
+    lam_next[me:] = np.maximum(lam_next[me:], 0.0)
+    return lam_next
+
+
+class TestOuterReductionsReference:
+    """kkt_check, theta, the multiplier update and the monitor's sum of squares and residual,
+    bit for bit against plain expressions, on values with ties, NaN, +-inf and -0.0."""
+
+    SPECIAL = (math.nan, math.inf, -math.inf, -0.0, 0.0)
+
+    @classmethod
+    def _vector(cls, rng, m, eps):
+        """m values: normal draws, repeated values, eps itself and, on about one entry in five, a special."""
+        v = rng.normal(0.0, 10.0 ** rng.uniform(-4.0, 1.0), m)
+        if m > 1:
+            v[rng.random(m) < 0.2] = v[0]  # ties
+        v[rng.random(m) < 0.1] = eps
+        special = rng.random(m) < 0.2
+        v[special] = rng.choice(cls.SPECIAL, int(special.sum()))
+        return v
+
+    @classmethod
+    def _draws(cls, rng, count):
+        """(cons, c, lam, sigma, eps, grad_L) with m_e = 0, m_e = m (m = 0 included) and mixed m_e."""
+        for i in range(count):
+            m = int(rng.choice([0, 1, 2, 3, 9, 66]))
+            m_e = (0, m, int(rng.integers(0, m + 1)))[i % 3]
+            eps = float(10.0 ** rng.uniform(-6.0, -1.0))
+            cons = ConstraintSet(m=m, m_e=m_e, A=np.zeros((m, 1)), b=np.zeros(m))
+            lam = cls._vector(rng, m, eps)
+            if i % 4 == 0:  # feasible signs on the inequality rows, so sign_ok and compl_ok can hold
+                lam[m_e:] = np.where(rng.random(m - m_e) < 0.5, 0.0, np.abs(lam[m_e:]))
+            sigma = float(10.0 ** rng.uniform(-2.0, 16.0))
+            grad_L = cls._vector(rng, int(rng.integers(1, 9)), eps)
+            yield cons, cls._vector(rng, m, eps), lam, sigma, eps, grad_L
+
+    def test_kkt_theta_and_multipliers_bitwise_equal_to_reference(self):
+        rng = np.random.default_rng(97)
+        verdicts = set()
+        with np.errstate(invalid="ignore", over="ignore"):
+            for cons, c, lam, sigma, eps, grad_L in self._draws(rng, 3000):
+                rep = kkt_check(cons, c.copy(), grad_L.copy(), lam.copy(), eps)
+                got = (rep.dual_inf, rep.primal_eq, rep.primal_ineq, rep.sign_ok, rep.compl_ok, rep.is_eps_kkt)
+                want = _reference_kkt(cons, c, grad_L, lam, eps)
+                assert [_bits(v) for v in got] == [_bits(v) for v in want]
+                assert all(type(g) is type(w) for g, w in zip(got, want))
+                verdicts.add(got[3:])
+
+                th = core.theta(cons, c.copy(), lam.copy(), sigma)
+                assert [_bits(v) for v in (th.value, *th.parts)] == [
+                    _bits(v) for v in _reference_theta(cons, c, lam, sigma)]
+
+                got_lam = core.update_multipliers(cons, c.copy(), lam.copy(), sigma)
+                assert got_lam.tobytes() == _reference_multipliers(cons, c, lam, sigma).tobytes()
+        # both outcomes of each test of the inequality rows were drawn
+        assert {v[0] for v in verdicts} == {v[1] for v in verdicts} == {True, False}
+
+    def test_monitor_sum_of_squares_and_residual_bitwise_equal_to_reference(self):
+        rng = np.random.default_rng(101)
+        parts = self.SPECIAL + (1.5, -2.5)
+        with np.errstate(invalid="ignore", over="ignore"):
+            for cons, c, lam, sigma, eps, grad_L in self._draws(rng, 1000):
+                th = core.ThetaStat(float(rng.choice(parts)), tuple(float(v) for v in rng.choice(parts, 3)))
+                f_next = float(rng.normal())
+                ev = core.Evaluation(b"", f_next, c, grad_L, np.zeros((cons.m, 1)), float(rng.normal()), grad_L)
+                first = SimpleNamespace(f=1.0, mu_norm_sq=0.5)
+                prev = SimpleNamespace(k=int(rng.integers(1, 5)), sigma=sigma, lam=lam)
+                next_state = SimpleNamespace(
+                    th=th, inner_stats=SimpleNamespace(evaluation=ev), p_zero=0.5, p_prev=0.25,
+                    mu_norm_sq=0.75, f=f_next, grad_L=grad_L, kkt=KKTReport(0.0, 0.0, 0.0, True, True, True),
+                )
+                entries = {e.check: e.lhs for e in monitor_step(first, prev, next_state, -1.0, eps)}
+                residual = max(max(part, 0.0) for part in th.parts[1:])
+                assert _bits(entries["penalized_residual"]) == _bits(sigma * residual ** 2)
+                lower = f_next - 0.5 * float((lam * lam).sum()) / sigma
+                assert _bits(entries["penalty_lower_bound"]) == _bits(lower)
 
 
 class TestSolve:
