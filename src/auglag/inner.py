@@ -20,24 +20,23 @@ oracle that each step rule is given; a step rule that sees no later step
 can make progress raises ``IterationCapExceeded`` itself.  On the way the
 loop passes the task's larger ``stops``, whose results ride on the last
 one, so an eps-sweep can share the descent that its rows repeat.  Each
-iteration calls the step rule on (x, f, grad g, ||grad g||^2), which returns
-the next point in that form with the Armijo step t that reached it (None for
-the other rules), or None when it rejected its trial.  Only cubic
+iteration calls the step rule on (x, f, grad g, ||grad g||^2, last), last the
+record (x, grad g(x), t) of the last accepted step; the rule proposes (x_new,
+g(x_new), t), t its Armijo step or None, or None for a rejected trial.  Only cubic
 Newton rejects; it forms the Hessian with its eigendecomposition at each
 point where it solves a model, and keeps both across rejected trials.
 
 One oracle call is one joint evaluation of value + gradient (+ Hessian where
-requested); line-search trial points count as one call each.  Where the
-solvers need both at one point (every start and every fixed step) they call
-``objective`` then ``gradient`` there, and an accepted trial point, already
-valued, calls ``gradient`` alone; a task can share work between the two calls
-at one point (such as one evaluation of c(x) for P and its gradient).  A
-task whose caller already holds g and grad g at the start passes them as
-``start_pair``, and the solve then makes no call there.  A
-trial whose value is not finite (an overflowing f or c) is rejected like any
-other failed trial; a non-finite value at the start or at a fixed step, or a
-non-finite gradient or Hessian anywhere, raises ``NonFiniteValue``, naming
-the oracle.  These are the only finiteness checks a solve makes.
+requested); line-search trial points count as one call each.  The solvers
+call ``gradient`` only at the start and at each accepted point, right after
+``objective`` there, so a task can share work between the two calls at one
+point (such as one evaluation of c(x) for P and its gradient).  A task whose
+caller already holds g and grad g at the start passes them as
+``start_pair``, and the solve then makes no call there.  A trial whose value
+is not finite (an overflowing f or c) is rejected like any other failed
+trial; a non-finite value at the start or at a fixed step, or a non-finite
+gradient or Hessian anywhere, raises ``NonFiniteValue``, naming the oracle.
+These are the only finiteness checks a solve makes.
 """
 from __future__ import annotations
 
@@ -178,11 +177,6 @@ def _norm(g: np.ndarray, gn2: float) -> float:
     return top * math.sqrt(float(h.dot(h)))
 
 
-def _checked(f: float, g: np.ndarray) -> tuple[float, np.ndarray, float]:
-    """(f, g, ||g||_2^2), raising NonFiniteValue if f or g is not finite."""
-    return (_finite_scalar(f), *_grad_sq(g))
-
-
 def _trial_value(value: Callable[[np.ndarray], float], x: np.ndarray) -> float:
     """g(x) at a trial point, or inf where g (or c inside it) is not finite, which rejects the trial."""
     try:
@@ -200,7 +194,12 @@ def _descend(task: InnerTask, rule, *args) -> InnerResult:
     before its first call (a non-finite Hessian or a cubic step that no longer
     moves x, an Armijo search that starts below the step floor) raises it also
     where no call is left.  A ``task.start_pair`` replaces the evaluation at
-    the start, which then makes no call.
+    the start, which then makes no call.  Each ``step(x, f, g, gn2, last)``
+    proposes ``(x_new, f_new, t)``, f_new = g(x_new) and t its Armijo step or
+    None, or returns None for a rejected trial; ``last`` is the record (x,
+    grad g(x), t) of the last accepted step, or None.  Only the loop accepts:
+    it calls ``task.gradient`` at x_new, counts the step, keeps its record and
+    sets f to min(f, f_new), the running value.
 
     The result at a tolerance is taken at the first iterate with ||grad g||_2
     at or below it, and equals what a run to that tolerance alone returns: the
@@ -219,23 +218,25 @@ def _descend(task: InnerTask, rule, *args) -> InnerResult:
 
     step = rule(task, value, *args)
     x = task.start.copy()
-    pair = (value(x), task.gradient(x)) if task.start_pair is None else task.start_pair
-    f, g, gn2 = _checked(*pair)
-    start_value, iters, accepted, last_step = f, 0, 0, None
+    f, g = (value(x), task.gradient(x)) if task.start_pair is None else task.start_pair
+    f, (g, gn2) = _finite_scalar(f), _grad_sq(g)
+    start_value, iters, accepted, last = f, 0, 0, None
     last_evaluation = task.last_evaluation or (lambda: None)
-    results, last = [], len(task.stops)
+    results, final = [], len(task.stops)
     for i, eps in enumerate((*task.stops, task.eps)):
         while _norm(g, gn2) > eps:
-            moved = step(x, f, g, gn2)
+            moved = step(x, f, g, gn2, last)
             iters += 1
             if moved is not None:
-                x, f_new, g, gn2, last_step = moved
-                f = min(f, f_new)
+                x_new, f_new, t = moved
+                last = x, g, t
+                x, f = x_new, min(f, f_new)
+                g, gn2 = _grad_sq(task.gradient(x))
                 accepted += 1
         results.append(InnerResult(
-            x_final=x if i == last else x.copy(), grad_norm2=_norm(g, gn2), iterations=iters,
-            oracle_calls=calls, accepted_steps=accepted, start_value=start_value, last_step=last_step,
-            evaluation=last_evaluation(),
+            x_final=x if i == final else x.copy(), grad_norm2=_norm(g, gn2), iterations=iters,
+            oracle_calls=calls, accepted_steps=accepted, start_value=start_value,
+            last_step=None if last is None else last[2], evaluation=last_evaluation(),
         ))
     results[-1].earlier = results[:-1]
     return results[-1]
@@ -278,9 +279,9 @@ def _gd_rule(task: InnerTask, value, variant: str):
     # Where 4 L max(g(start) - g_low, 1) / eps^2 (g_low a lower bound of g) is
     # below the oracle budget and |g| < 1e8, the slack is below eps^2 / (4L), and
     # the solve takes at most that many steps; elsewhere the budget bounds it.
-    def fixed_step(x, f, g, gn2):
+    def fixed_step(x, f, g, gn2, last):
         x_new = x - g / L
-        f_new, g_new, gn2_new = _checked(value(x_new), task.gradient(x_new))
+        f_new = _finite_scalar(value(x_new))
         if f_new == f and (x_new == x).all():  # every later step would repeat this one
             raise IterationCapExceeded(f"the step g/L no longer moves x; L = {L!r} is too large")
         if f_new > f - 0.5 * gn2 / L + _slack(f):
@@ -288,7 +289,7 @@ def _gd_rule(task: InnerTask, value, variant: str):
                 f"the step g/L lowered the objective by less than ||grad||^2/(2L) ({f} -> {f_new}); "
                 f"L is too small (L = {L!r})"
             )
-        return x_new, f_new, g_new, gn2_new, None
+        return x_new, f_new, None
 
     # The first trial of a search is the Barzilai-Borwein step t = s's / s'y,
     # from s = x - x_prev and y = grad - grad_prev (Barzilai & Borwein, IMA J.
@@ -332,12 +333,11 @@ def _gd_rule(task: InnerTask, value, variant: str):
     # so N searches make at most 9 N + log2(2 / t_min) trials.  On the corpus
     # and on backtracking-sweep a cut at 256, or at 128, takes the same steps
     # as no cut.
-    t_prev = 0.5 * task.first_step  # so that the first search starts at first_step
-    x_prev = g_prev = None  # the last accepted point and its gradient
     seen, power, count = None, 1, 0  # Brent's cycle check over the steps that leave g unchanged
 
-    def armijo_step(x, f, g, gn2):
-        nonlocal t_prev, x_prev, g_prev, seen, power, count
+    def armijo_step(x, f, g, gn2, last):
+        nonlocal seen, power, count
+        x_prev, g_prev, t_prev = last or (None, None, 0.5 * task.first_step)  # the first search starts at first_step
         t = 2.0 * t_prev
         if x_prev is not None:
             s, y = x - x_prev, g - g_prev
@@ -377,8 +377,7 @@ def _gd_rule(task: InnerTask, value, variant: str):
             count += 1
             if count == power:
                 seen, power, count = state, 2 * power, 0
-        t_prev, x_prev, g_prev = t, x, g
-        return x_new, f_new, *_grad_sq(task.gradient(x_new)), t
+        return x_new, f_new, t
 
     return fixed_step if variant == FIXED_STEP else armijo_step
 
@@ -535,7 +534,7 @@ def _cubic_rule(task: InnerTask, value):
     M = max(0.5 * task.known_L, _M_MIN) if task.known_L is not None else 1.0
     model = None  # (H, eigendecomposition) at the current x, kept across rejected steps
 
-    def step(x, f, g, gn2):
+    def step(x, f, g, gn2, last):
         nonlocal M, model
         if model is None:
             H = np.asarray(task.hessian(x), dtype=float)
@@ -554,7 +553,7 @@ def _cubic_rule(task: InnerTask, value):
         if f - f_trial >= 0.25 * model_dec if model_dec > rounding else f_trial <= f + _slack(f):
             model = None
             M = max(0.5 * M, _M_MIN)
-            return x_trial, f_trial, *_grad_sq(task.gradient(x_trial)), None
+            return x_trial, f_trial, None
         # The misfit e = g(x + s) - m_M(s), where m_M(s) = f + g's + s'Hs / 2 +
         # (M / 6) ||s||^3 = f - model_dec, gives the weight M + 6 e / ||s||^3 at
         # which the model meets g at the trial (the interpolation update of

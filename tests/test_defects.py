@@ -12,7 +12,7 @@ must flag none.
 """
 import pytest
 
-from auglag import complexity, core, outer
+from auglag import complexity, core, inner, outer
 from auglag.problems import corpus_problem
 
 EPS = 1e-3
@@ -26,10 +26,19 @@ RUNS = tuple(
 # With sigma held, the other six runs still end EpsKKT and certified, or run 10 000 outer
 # iterations to MaxOuter (four of them); those six together take about 18 s.
 SIGMA_HELD_RUNS = tuple((name, kind) for name in ("simplex-cos-32", "eq-cos-8") for kind in KINDS)
+BACKTRACKING_RUNS = tuple(run for run in RUNS if run[1] == outer.INNER_GD_BACKTRACKING)
+CUBIC_RUNS = tuple(
+    (name, outer.INNER_CUBIC) for name in ("eq-cos-8", "eq-cos-32", "eq-qp-analytic", "eq-rosenbrock-8")
+)
 
 
 class Unflagged(AssertionError):
     """A row changed its runs but flagged none: the defect passes every check."""
+
+
+NO_STEP_CHECK = pytest.mark.xfail(
+    strict=True, raises=Unflagged, reason="no per-step check of the inner solvers yet (ROADMAP item 2)",
+)
 
 
 def _seed_row_plan(edit):
@@ -75,6 +84,25 @@ def _theta_halved(monkeypatch):
     monkeypatch.setattr(core, "theta", halved)
 
 
+def _armijo_accepts_a_rise(monkeypatch):
+    monkeypatch.setattr(inner, "_ARMIJO_C1", -1.0)
+
+
+def _seed_cubic_model(edit):
+    """A patch that applies ``edit(solve, g, H, M, eig)`` where the cubic rule solves its model."""
+
+    def patch(monkeypatch):
+        real = inner.solve_cubic_model
+        monkeypatch.setattr(inner, "solve_cubic_model", lambda g, H, M, eig=None: edit(real, g, H, M, eig))
+
+    return patch
+
+
+def _hessian_halved(monkeypatch):
+    real = core.Penalty.hess
+    monkeypatch.setattr(core.Penalty, "hess", lambda pen, x: 0.5 * real(pen, x))
+
+
 def _row(defect, patch, runs, *marks):
     """One ``DEFECTS`` row, its test named after the defect."""
     return pytest.param(defect, patch, runs, marks=marks, id=defect)
@@ -93,6 +121,12 @@ DEFECTS = (
             reason="no check recomputes theta from c(x_k); ROADMAP item 8 certifies from the report",
         ),
     ),
+    _row("Armijo c1 = -1", _armijo_accepts_a_rise, BACKTRACKING_RUNS, NO_STEP_CHECK),
+    _row("cubic step halved", _seed_cubic_model(lambda solve, g, H, M, eig: 0.5 * solve(g, H, M, eig)),
+         CUBIC_RUNS, NO_STEP_CHECK),
+    _row("cubic model solved at 4M", _seed_cubic_model(lambda solve, g, H, M, eig: solve(g, H, 4.0 * M, eig)),
+         CUBIC_RUNS, NO_STEP_CHECK),
+    _row("Hessian of P halved", _hessian_halved, CUBIC_RUNS, NO_STEP_CHECK),
 )
 
 
@@ -113,7 +147,7 @@ def _outcome(name, kind):
 
 @pytest.fixture(scope="module")
 def unpatched():
-    return {run: _outcome(*run) for run in RUNS}
+    return {run: _outcome(*run) for run in RUNS + CUBIC_RUNS}
 
 
 def _flagged(outcomes, unpatched):

@@ -299,6 +299,30 @@ def test_the_inner_loop_raises_only_the_oracle_budget():
     assert functions_raising(source, "OracleBudgetExceeded") == ["_descend"]
 
 
+def functions_calling(source: str, callee: str) -> list[str]:
+    """The module-level functions of ``source`` that call ``callee``, a name as written
+    (such as "task.gradient"), nested functions included."""
+    return [
+        node.name for node in ast.parse(source).body
+        if isinstance(node, ast.FunctionDef)
+        and any(isinstance(n, ast.Call) and ast.unparse(n.func) == callee for n in ast.walk(node))
+    ]
+
+
+def test_scanner_lists_functions_calling_a_name():
+    source = (
+        "def rule(task):\n    def step(x):\n        return task.gradient(x)\n    return step\n"
+        "def loop(task):\n    return task.gradient(task.start)\n"
+        "def other(task):\n    return task.gradient, gradient(task.start), task.objective(task.start)\n"
+    )
+    assert functions_calling(source, "task.gradient") == ["rule", "loop"]
+
+
+def test_only_the_inner_loop_calls_the_gradient():
+    """A step rule proposes its point and value; ``_descend`` alone accepts it and takes grad g there."""
+    assert functions_calling((SRC / "inner.py").read_text(encoding="utf-8"), "task.gradient") == ["_descend"]
+
+
 def inner_solver_uses(sources: dict[str, str]) -> list[str]:
     """Each use of ``gd_solve`` or ``cubic_newton_solve`` in ``sources`` but an import, in source order.
 

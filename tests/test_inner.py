@@ -1069,6 +1069,41 @@ class TestNonFiniteGradient:
             INNER_SOLVES[kind](task)
         assert len(calls) == from_call + 1
 
+    def test_a_failed_fixed_step_takes_no_gradient(self):
+        # L = 0.5 misses the descent lemma of g = x^2 (L = 2): the check raises before
+        # the loop would take the gradient, NaN, at the rejected point
+        calls = []
+
+        def gradient(x):
+            calls.append(1)
+            return 2.0 * x if len(calls) == 1 else np.full(1, math.nan)
+
+        task = InnerTask(objective=lambda x: float(x[0] ** 2), gradient=gradient, start=np.ones(1),
+                         eps=1e-6, known_L=0.5)
+        with pytest.raises(IterationCapExceeded, match="L is too small"):
+            gd_solve(task, FIXED_STEP)
+        assert len(calls) == 1
+
+
+class TestRunningValue:
+    """An accepted step may raise g within ``_slack``; the next step is tested against the lower running value."""
+
+    # the solve's values and gradients, in call order: the start, an accepted rise of 5e-15
+    # at a gradient of 1e-10 (a model decrease or t ||grad||^2 below the rounding of g = 1),
+    # a trial at 1 + 1.2e-14 (within _slack of 1 + 5e-15, not of 1) and a trial at 0.5
+    VALUES = (1.0, 1.0 + 5e-15, 1.0 + 1.2e-14, 0.5)
+    GRADIENTS = (-1e-10, -1e-10, 0.0)
+
+    @pytest.mark.parametrize("kind", [outer.INNER_GD_BACKTRACKING, outer.INNER_CUBIC])
+    def test_a_trial_above_the_running_value_is_rejected(self, kind):
+        values, gradients = iter(self.VALUES), iter(self.GRADIENTS)
+        task = InnerTask(objective=lambda x: next(values), gradient=lambda x: np.full(1, next(gradients)),
+                         hessian=lambda x: np.zeros((1, 1)), start=np.zeros(1), eps=1e-11)
+        res = INNER_SOLVES[kind](task)
+        # the third value was rejected (after the rise, f stayed 1) and the fourth accepted
+        assert (res.accepted_steps, res.oracle_calls) == (2, 4)
+        assert res.grad_norm2 == 0.0
+
 
 class TestReportedGradientNorm:
     @pytest.mark.parametrize(
