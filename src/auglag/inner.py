@@ -388,14 +388,13 @@ def cubic_model_value(g: np.ndarray, H: np.ndarray, M: float, s: np.ndarray):
 
 
 def _model_eig(g: np.ndarray, H: np.ndarray):
-    """(w, Q, Q^T g) for the symmetric part of H = Q diag(w) Q^T, raising NonFiniteValue if H or g is not finite.
+    """(w, Q, Q^T g) for the symmetric part of H = Q diag(w) Q^T, raising NonFiniteValue if H is not finite.
 
-    The symmetric part is H itself where H equals its transpose, else
+    Its callers check g.  The symmetric part is H itself where H equals its transpose, else
     0.5*H + 0.5*H^T, which no finite H overflows, as H + H^T can past 9e307.
     """
     if not np.isfinite(H).all():
         raise NonFiniteValue("Hessian oracle returned a non-finite matrix")
-    _grad_sq(g)  # a caller of solve_cubic_model supplies g unchecked
     w, Q = np.linalg.eigh(H if (H == H.T).all() else 0.5 * H + 0.5 * H.T)
     return w, Q, Q.T.dot(g)
 
@@ -440,32 +439,35 @@ def solve_cubic_model(g: np.ndarray, H: np.ndarray, M: float, eig=None) -> np.nd
 
     ``eig`` is ``_model_eig(g, H)`` from an earlier call with the same g and
     H; passing it skips the eigendecomposition when only M has changed.
+    Raises ValueError unless M > 0 (M = inf gives the zero step), and
+    NonFiniteValue where H, or g when ``eig`` is None, is not finite.
     """
-    w, Q, ghat = _model_eig(g, H) if eig is None else eig
-    gnorm = float(np.linalg.norm(ghat))
+    if not M > 0.0:  # false for NaN too
+        raise ValueError(f"the cubic weight M must be positive, got {M!r}")
+    if eig is None:  # _descend checks each g it passes with eig
+        eig = _model_eig(_grad_sq(g)[0], H)
+    w, Q, ghat = eig
+    gnorm = math.sqrt(ghat.dot(ghat))  # the bits of np.linalg.norm(ghat)
     if gnorm == 0.0 and w[0] >= 0.0:
-        return np.zeros_like(g)
+        return np.zeros_like(ghat)
 
     w_min = float(w[0])
     half_M = 0.5 * M
     r_lb = max(0.0, -2.0 * w_min / M)
 
-    min_mask = (w - w_min) <= 1e-12 * max(1.0, abs(w_min))
-    hard_candidate = r_lb > 0.0 and float(np.abs(ghat[min_mask]).max(initial=0.0)) <= 1e-13 * max(1.0, gnorm)
-    if hard_candidate:
-        p, pnorm = _off_min_part(ghat, w + half_M * r_lb, min_mask)
-        if pnorm <= r_lb:
-            return _hard_case_step(Q, p, pnorm, r_lb, 1.0)
+    if r_lb > 0.0:
+        min_mask = (w - w_min) <= 1e-12 * max(1.0, abs(w_min))
+        if float(np.abs(ghat[min_mask]).max(initial=0.0)) <= 1e-13 * max(1.0, gnorm):
+            p, pnorm = _off_min_part(ghat, w + half_M * r_lb, min_mask)
+            if pnorm <= r_lb:
+                return _hard_case_step(Q, p, pnorm, r_lb, 1.0)
 
-    def residual(r: float) -> float:
-        v = ghat / (w + half_M * r)
-        return math.sqrt(v.dot(v)) - r
-
-    # bracket the root of the (decreasing) residual
+    # bracket the root of the (decreasing) residual ||ghat / (w + (M/2) r)|| - r
     lo = r_lb
     hi = max(1.0, 2.0 * (r_lb + 1.0))
     for _ in range(200):
-        if residual(hi) < 0.0:
+        v = ghat / (w + half_M * hi)
+        if math.sqrt(v.dot(v)) < hi:
             break
         hi *= 2.0
     else:

@@ -14,10 +14,10 @@ FIT_KEYS = ("coefficient", "exponent_or_slope", "r_squared")
 
 
 def write_json(path: str, payload: dict) -> None:
-    """The one JSON layout of every report: indent 1, sorted keys, final newline."""
-    text = json.dumps(payload, indent=1, sort_keys=True) + "\n"
+    """The one JSON layout of every report: compact (so the C encoder), sorted keys, final newline, one write."""
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)  # one write, not one per encoder chunk
+        fh.write(text)
 
 
 def _write_csv(path: str, columns, rows) -> None:
@@ -44,8 +44,8 @@ def run_payload(run, config_keys) -> dict:
         "T_outer": run.T_outer,
         "total_inner": run.total_inner,
         "total_oracle_calls": run.total_oracle_calls,
-        "x_final": [float(v) for v in run.x_final],
-        "lambda_final": [float(v) for v in run.lambda_final],
+        "x_final": run.x_final.tolist(),
+        "lambda_final": run.lambda_final.tolist(),
         "kkt": asdict(run.kkt),
         "trace": [dict(zip(TRACE_COLUMNS, _trace_row(st))) for st in run.trace],
         "monitor_log": [

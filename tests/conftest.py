@@ -1,4 +1,5 @@
 import json
+import math
 from collections import Counter
 
 import numpy as np
@@ -83,6 +84,19 @@ def mixed_sign_file(tmp_path_factory):
 def mixed_sign(mixed_sign_file):
     """A linear problem with a declared L1 whose inequality rows have coefficients of both signs."""
     return load_problem(mixed_sign_file)
+
+
+def same_json(a, b) -> bool:
+    """a == b for JSON values, with NaN equal to NaN and a bool never equal to a number."""
+    if isinstance(a, dict):
+        return isinstance(b, dict) and a.keys() == b.keys() and all(same_json(a[k], b[k]) for k in a)
+    if isinstance(a, (list, tuple)):
+        return isinstance(b, (list, tuple)) and len(a) == len(b) and all(map(same_json, a, b))
+    if isinstance(a, bool) or isinstance(b, bool):
+        return a is b
+    if isinstance(a, float) and isinstance(b, float) and math.isnan(a) and math.isnan(b):
+        return True
+    return a == b
 
 
 def count_oracles(monkeypatch):

@@ -26,9 +26,9 @@ from auglag.complexity import (
 )
 from auglag.outer import SolverConfig, solve
 from auglag.problems import ValidationError, corpus, corpus_problem, load_problem
-from auglag.report import SWEEP_COLUMNS
+from auglag.report import SWEEP_COLUMNS, fit_entry, sweep_payload
 
-from conftest import count_oracles
+from conftest import count_oracles, same_json
 
 
 def _bounded_oracle(mu0_sq, gap, gamma, alpha, eps, sigma_max):
@@ -487,8 +487,20 @@ class TestSweep:
             "fits": fits,
         }
         assert json_path.read_text(encoding="utf-8") == (
-            json.dumps(payload, indent=1, sort_keys=True) + "\n"
+            json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
         )
+
+    def test_json_parses_to_its_payload(self, tmp_path):
+        p = corpus_problem("eq-qp-analytic")
+        fitted = sweep(p, SolverConfig(eps=1e-2, inner="cubic-newton"), [1e-2, 1e-3, 1e-4])
+        fits = {"LogLinear": fit_entry(fit_growth(fitted, LOG_LINEAR))}
+        # alpha = 1e54 overflows sigma, so every row fails: sigma_final inf, bound_T NaN
+        failed = sweep(p, SolverConfig(alpha=1e54), [1e-2, 1e-3])
+        assert all(r.failed and r.sigma_final == math.inf and math.isnan(r.bound_T) for r in failed.rows)
+        for result, fit in ((fitted, fits), (failed, None)):
+            path = tmp_path / "sweep.json"
+            result.save_json(str(path), fits=fit)
+            assert same_json(json.loads(path.read_text(encoding="utf-8")), sweep_payload(result, fit))
 
 
 def _rows_alone(problem, base_config, grid):

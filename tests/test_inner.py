@@ -472,6 +472,24 @@ class TestCubicSubproblem:
     def test_zero_gradient_psd(self):
         s = solve_cubic_model(np.zeros(3), np.eye(3), 1.0)
         np.testing.assert_allclose(s, np.zeros(3))
+        # a float step, as every other step is, also for an integer g
+        assert solve_cubic_model(np.zeros(3, dtype=int), np.eye(3), 1.0).dtype == float
+
+    @pytest.mark.parametrize("M", [0.0, -1.0, math.nan])
+    def test_a_cubic_weight_that_is_not_positive_is_refused(self, M):
+        # once a division by zero, a step from a negative weight, and a failed bracket
+        with pytest.raises(ValueError, match="cubic weight M must be positive"):
+            solve_cubic_model(np.array([1.0, -2.0]), np.diag([-1.0, 2.0]), M)
+
+    def test_an_infinite_cubic_weight_gives_the_zero_step(self):
+        # the cubic rule's "no longer moves x" check relies on this
+        s = solve_cubic_model(np.array([1.0, -2.0]), np.diag([-1.0, 2.0]), math.inf)
+        assert (s == 0.0).all()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_gradient_without_eig_raises(self, bad):
+        with pytest.raises(NonFiniteValue, match="gradient"):
+            solve_cubic_model(np.array([1.0, bad]), np.diag([-1.0, 2.0]), 1.0)
 
     def test_model_value(self):
         g = np.array([1.0, -1.0])

@@ -30,7 +30,7 @@ from auglag.problems import (
     make_eq_rosenbrock,
 )
 
-from conftest import GD_FIXED_REFUSED, count_oracles, make_tiny
+from conftest import GD_FIXED_REFUSED, count_oracles, make_tiny, same_json
 
 
 def _project_simplex(v):
@@ -918,8 +918,17 @@ class TestReportSerialization:
     def test_json_layout(self, report, tmp_path):
         path = tmp_path / "run.json"
         report.save_json(str(path))
-        want = json.dumps(report.to_json_dict(), indent=1, sort_keys=True) + "\n"
+        want = json.dumps(report.to_json_dict(), sort_keys=True, separators=(",", ":")) + "\n"
         assert path.read_text(encoding="utf-8") == want
+
+    def test_json_parses_to_its_payload(self, report, tmp_path):
+        # alpha = 1e54 takes sigma past the largest double at k = 1: it is written as Infinity
+        overflow = solve(corpus_problem("eq-qp-analytic"), SolverConfig(alpha=1e54))
+        assert overflow.terminated == "SigmaOverflow" and overflow.trace[-1].sigma == math.inf
+        for run in (report, overflow):
+            path = tmp_path / "run.json"
+            run.save_json(str(path))
+            assert same_json(json.loads(path.read_text(encoding="utf-8")), run.to_json_dict())
 
     def test_json_deterministic(self, report, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
