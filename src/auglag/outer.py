@@ -202,19 +202,15 @@ def kkt_check(
 ) -> KKTReport:
     """Direct eps-KKT test from c = c(x) and grad_L = core.lagrangian_grad at (x, lam).
 
-    On an equality-only set the inequality parts take the values their empty
-    rows give, 0.0 and True, without a reduction.  The sign test reads
-    min(lambda_ineq, 0) >= 0, which a NaN multiplier fails as before.
+    Absent rows give 0.0 and True.  The sign test reads min(lambda_ineq, 0) >= 0,
+    which a NaN multiplier fails.
     """
     me = cons.m_e
     dual = float(np.abs(grad_L).max())
-    if me == cons.m:
-        primal_eq, primal_ineq, sign_ok, compl_ok = float(np.abs(c).max(initial=0.0)), 0.0, True, True
-    else:
-        primal_eq, primal_ineq = cons.primal_residuals(c)
-        lam_ineq = lam[me:]
-        sign_ok = bool(lam_ineq.min(initial=0.0) >= 0.0)
-        compl_ok = bool((lam_ineq[c[me:] > eps] == 0.0).all())
+    primal_eq, primal_ineq = cons.primal_residuals(c)
+    lam_ineq = lam[me:]
+    sign_ok = bool(lam_ineq.min(initial=0.0) >= 0.0)
+    compl_ok = bool((lam_ineq[c[me:] > eps] == 0.0).all())
     is_kkt = (
         dual <= eps and primal_eq <= eps and primal_ineq <= eps and sign_ok and compl_ok
     )
@@ -282,18 +278,17 @@ def monitor_step(
 def warm_start(
     pen: core.Penalty, first: OuterState, prev: OuterState
 ) -> tuple[np.ndarray, tuple[float, np.ndarray], float, float]:
-    """The better of {x0, x_prev} under the current augmented Lagrangian ``pen``.
+    """The better of {x0, x_prev} under the current augmented Lagrangian ``pen``, at k >= 1.
 
     ``first`` and ``prev`` are the states at x0 and x_prev; P and grad P come
     from the f, c, grad f and J stored on them, so no oracle runs.  Returns
     ``(start, (P(start), grad P(start)), P(x0), P(x_prev))``; ``start`` is a
     copy, ties return x_prev, and ``pen`` keeps the start's evaluation as its
-    last.  Where ``prev`` is ``first``, as at k = 0, x0 is valued once.
-    Starting the monotone inner solver here makes the final inner iterate
-    automatically no worse than both candidates.
+    last.  Starting the monotone inner solver here makes the final inner
+    iterate automatically no worse than both candidates.
     """
     at_zero = pen.from_values(first.f, first.c)  # (P, mask)
-    at_prev = at_zero if prev is first else pen.from_values(prev.f, prev.c)
+    at_prev = pen.from_values(prev.f, prev.c)
     state, p_mask = (first, at_zero) if at_zero[0] < at_prev[0] else (prev, at_prev)
     ev = pen.evaluation(state.x, state.f, state.c, state.g, state.J, p_mask)
     return state.x.copy(), (ev.p, ev.grad_p), at_zero[0], at_prev[0]
@@ -394,30 +389,32 @@ def _start(problem: ProblemSpec, config: SolverConfig) -> OuterState:
     return _record(cons, config.eps, 0, x0.copy(), np.zeros(cons.m), config.sigma0, f0, c0, g0, J0)
 
 
+def _first_descent(
+    problem: ProblemSpec, config: SolverConfig, first: OuterState, tolerances: Sequence[float]
+) -> list[inner.InnerResult]:
+    """Every k = 0 inner solve: P(., 0, sigma0) from x0, the ``first`` record, valued once from its
+    oracle values, so each result's ``start_value`` is P(x0).  It runs to the last eps of the
+    descending ``tolerances``, with the others as stops, and returns the result taken at each."""
+    pen = core.Penalty(problem, first.lam, first.sigma)
+    ev = pen.evaluation(first.x, first.f, first.c, first.g, first.J, pen.from_values(first.f, first.c))
+    *stops, eps = tolerances
+    res = _inner_solve(pen, first.x, eps, config.inner, (ev.p, ev.grad_p), stops)
+    return [*res.earlier, res]
+
+
 def first_inner_results(
     problem: ProblemSpec, config: SolverConfig, tolerances: Sequence[float]
 ) -> Optional[list[inner.InnerResult]]:
     """The k = 0 inner results of solves under ``config`` at each eps in ``tolerances``, from one descent.
 
-    ``tolerances`` is descending.  The descent is ``solve``'s k = 0 inner solve
-    to the last eps, with the others as its stops; like every inner solve it
-    goes through ``_inner_solve``.  Each result is the
-    one ``solve`` at that eps computes alone, so ``solve(problem,
-    replace(config, eps=e), _first=result)`` returns the same report.  It
-    starts at ``warm_start(P(., 0, sigma0), x0, x0)``, so each result's
-    ``start_value`` is P(x0), cross-checked, which is the P(x0) and P(x_0)
-    that such a solve reads at k = 0 instead of valuing x0 again.  None
-    when such a solve runs no inner solve: no outer iteration allowed, or
+    ``tolerances`` is descending.  The descent is ``solve``'s own k = 0 one, ``_first_descent``,
+    so ``solve(problem, replace(config, eps=e), _first=result)`` returns the report of ``solve``
+    at e alone.  None when such a solve runs no inner solve: no outer iteration allowed, or
     sigma0 above the cap.  Raises whatever the start or the descent raises.
     """
     if config.max_outer == 0 or config.sigma0 > _SIGMA_CAP:
         return None
-    first = _start(problem, config)
-    penalty = core.Penalty(problem, first.lam, first.sigma)
-    start, start_pair, _, _ = warm_start(penalty, first, first)
-    *stops, eps = tolerances
-    res = _inner_solve(penalty, start, eps, config.inner, start_pair, stops)
-    return [*res.earlier, res]
+    return _first_descent(problem, config, _start(problem, config), tolerances)
 
 
 def solve(
@@ -431,12 +428,12 @@ def solve(
     the outer iterations completed before, where an inner solve would take
     ``total_oracle_calls`` past ``inner.ORACLE_BUDGET``; every inner solve
     goes through ``_inner_solve``, which raises ``InnerFailure`` where one
-    cannot reach eps.  ``_first`` is this run's k = 0 inner result from
-    ``first_inner_results``, which an eps-sweep passes; k = 0 then builds no
-    ``Penalty`` and runs no warm start, and reads P(x0) and P(x_0), one value,
-    as the result's ``start_value``.  Each gd-backtracking solve starts its
-    first Armijo search at min(2, 2 t), t the last step accepted by the last
-    solve that took one, and at 2 before that.
+    cannot reach eps.  k = 0 runs ``_first_descent``, or reads its result as
+    ``_first`` from ``first_inner_results``, which an eps-sweep passes; its
+    ``start_value`` is P(x0), read as both P(x0) and P(x_0).  From k = 1 each
+    inner solve starts at ``warm_start``.  Each gd-backtracking solve starts
+    its first Armijo search at min(2, 2 t), t the last step accepted by the
+    last solve that took one, and at 2 before that.
     """
     cons = problem.constraints
     first = _start(problem, config)
@@ -452,20 +449,18 @@ def solve(
         if state.sigma > _SIGMA_CAP:
             terminated = TERMINATED_SIGMA_OVERFLOW
             break
-        if k == 0 and _first is not None:
-            # the shared descent began at warm_start(P(., 0, sigma0), x0, x0): its start value is P(x0)
-            res = _first
-            p_zero = p_prev = _first.start_value
-        else:
-            penalty = core.Penalty(problem, state.lam, state.sigma)
-            # at k = 0 both states are at x0, and the tie rule starts there
-            start, start_pair, p_zero, p_prev = warm_start(penalty, first, state)
-            try:
+        try:
+            if k == 0:
+                res = _first if _first is not None else _first_descent(problem, config, first, [config.eps])[-1]
+                p_zero = p_prev = res.start_value
+            else:
+                penalty = core.Penalty(problem, state.lam, state.sigma)
+                start, start_pair, p_zero, p_prev = warm_start(penalty, first, state)
                 res = _inner_solve(penalty, start, config.eps, config.inner, start_pair,
                                    spent=calls, first_step=first_step, k=k)
-            except inner.OracleBudgetExceeded:
-                terminated = TERMINATED_ORACLE_BUDGET
-                break
+        except inner.OracleBudgetExceeded:
+            terminated = TERMINATED_ORACLE_BUDGET
+            break
 
         calls += res.oracle_calls
         if res.last_step is not None:

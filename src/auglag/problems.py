@@ -411,7 +411,7 @@ def _quadratic_cos_objective(n: int, omega: float = _OMEGA) -> ObjectiveOracle:
         return x - omega * np.sin(omega * x)
 
     def hess(x):
-        return np.eye(n) - (omega * omega) * np.diag(np.cos(omega * x))
+        return np.diag(1.0 - (omega * omega) * np.cos(omega * x))
 
     return ObjectiveOracle(
         fn=fn,
@@ -436,14 +436,13 @@ def _rosenbrock_objective(n: int) -> ObjectiveOracle:
         return g
 
     def hess(x):
-        H = np.zeros((n, n))
         d = np.zeros(n)
         d[:-1] += 1200.0 * x[:-1] ** 2 - 400.0 * x[1:] + 2.0
         d[1:] += 200.0
+        H = np.diag(d)
         off = -400.0 * x[:-1]
-        H[np.arange(n), np.arange(n)] = d
-        H[np.arange(n - 1), np.arange(1, n)] = off
-        H[np.arange(1, n), np.arange(n - 1)] = off
+        H.flat[1::n + 1] = off  # the superdiagonal, then the subdiagonal
+        H.flat[n::n + 1] = off
         return H
 
     return ObjectiveOracle(

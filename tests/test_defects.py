@@ -103,6 +103,24 @@ def _hessian_halved(monkeypatch):
     monkeypatch.setattr(core.Penalty, "hess", lambda pen, x: 0.5 * real(pen, x))
 
 
+def _grad_p_scaled(monkeypatch):
+    """grad P scaled where it is formed, so that the inner solvers and the outer loop both read it."""
+    real = core.Penalty.evaluation
+
+    def scaled(pen, *args):
+        ev = real(pen, *args)
+        pen._last = ev._replace(grad_p=1.05 * ev.grad_p)
+        return pen._last
+
+    monkeypatch.setattr(core.Penalty, "evaluation", scaled)
+
+
+def _inner_gradient_scaled(monkeypatch):
+    """The gradient the inner solvers step on scaled, while the recorded grad P, which the monitors read, is not."""
+    real = core.Penalty.grad
+    monkeypatch.setattr(core.Penalty, "grad", lambda pen, x: 1.05 * real(pen, x))
+
+
 def _row(defect, patch, runs, *marks):
     """One ``DEFECTS`` row, its test named after the defect."""
     return pytest.param(defect, patch, runs, marks=marks, id=defect)
@@ -127,6 +145,9 @@ DEFECTS = (
     _row("cubic model solved at 4M", _seed_cubic_model(lambda solve, g, H, M, eig: solve(g, H, 4.0 * M, eig)),
          CUBIC_RUNS, NO_STEP_CHECK),
     _row("Hessian of P halved", _hessian_halved, CUBIC_RUNS, NO_STEP_CHECK),
+    _row("grad P scaled by 1.05", _grad_p_scaled, RUNS),
+    _row("the inner solvers' gradient scaled by 1.05", _inner_gradient_scaled, BACKTRACKING_RUNS + CUBIC_RUNS,
+         NO_STEP_CHECK),
 )
 
 

@@ -323,6 +323,13 @@ def test_only_the_inner_loop_calls_the_gradient():
     assert functions_calling((SRC / "inner.py").read_text(encoding="utf-8"), "task.gradient") == ["_descend"]
 
 
+def test_one_k0_path_in_the_outer_loop():
+    """Every k = 0 inner solve runs in ``_first_descent``, and only ``solve``'s k >= 1 steps warm-start."""
+    source = (SRC / "outer.py").read_text(encoding="utf-8")
+    assert functions_calling(source, "warm_start") == ["solve"]
+    assert functions_calling(source, "_inner_solve") == ["_first_descent", "solve"]
+
+
 def inner_solver_uses(sources: dict[str, str]) -> list[str]:
     """Each use of ``gd_solve`` or ``cubic_newton_solve`` in ``sources`` but an import, in source order.
 

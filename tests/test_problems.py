@@ -152,6 +152,47 @@ class TestCorpusContract:
             ProblemSpec("short-x0", p.objective, p.constraints, np.zeros(3))
 
 
+def _eq_cos_hessian_reference(x, omega=4.0):
+    """eq-cos's Hessian as a sum of two n x n matrices, the form ``hess_fn`` must match bit for bit."""
+    return np.eye(x.shape[0]) - (omega * omega) * np.diag(np.cos(omega * x))
+
+
+def _rosenbrock_hessian_reference(x):
+    """The chained Rosenbrock Hessian assigned entry by entry, the form ``hess_fn`` must match bit for bit."""
+    n = x.shape[0]
+    H = np.zeros((n, n))
+    d = np.zeros(n)
+    d[:-1] += 1200.0 * x[:-1] ** 2 - 400.0 * x[1:] + 2.0
+    d[1:] += 200.0
+    off = -400.0 * x[:-1]
+    H[np.arange(n), np.arange(n)] = d
+    H[np.arange(n - 1), np.arange(1, n)] = off
+    H[np.arange(1, n), np.arange(n - 1)] = off
+    return H
+
+
+class TestCorpusHessianBits:
+    """Each corpus Hessian is built in one array, with the bits of its entrywise form, signed zeros,
+    NaNs and infinities included (a sum of np.diag(off, +-1) matrices would turn a -0.0 into +0.0)."""
+
+    SPECIAL = np.array([0.0, -0.0, math.nan, math.inf, -math.inf])
+
+    @pytest.mark.parametrize("family, reference", [("eq-cos", _eq_cos_hessian_reference),
+                                                   ("eq-rosenbrock", _rosenbrock_hessian_reference)])
+    @pytest.mark.parametrize("n", [2, 3, 8, 64])
+    def test_hessian_matches_its_entrywise_form_bit_for_bit(self, family, reference, n):
+        hess = corpus_problem(f"{family}-{n}").objective.hess_fn
+        rng = np.random.default_rng(n)
+        with np.errstate(all="ignore"):  # overflow and cos(inf) on the special draws
+            for _ in range(400):
+                x = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4)
+                special = rng.random(n) < 0.3
+                x[special] = rng.choice(self.SPECIAL, special.sum())
+                got, want = hess(x), reference(x)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), x
+
+
 class TestFeasibility:
     def test_violation_measure(self):
         p = corpus_problem("simplex-cos-8")
